@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .errors import CombstructError, NumericGuardError, ParameterDomainError
 from .structures import (BUILTINS, ComponentVector, Kind, StructureSpec,
                          count_N, distinct_odd_partitions, distinct_partitions,
-                         esf, from_m_list, integer_partitions, load_spec, m_of,
+                         esf, from_m_list, integer_partitions, load_spec,
                          mappings, necklaces, p_total, permutations,
                          polynomials, ptheta_table, set_partitions,
                          spec_from_json_dict, squarefree_polynomials,

@@ -186,7 +186,7 @@ def cmd_pofn(args) -> Output:
     out = Output(args, spec)
     out.add_header("params", f"n={n} theta={theta}")
     rows = []
-    if isinstance(theta, (int, Fraction)) and n <= 512:
+    if isinstance(theta, (int, Fraction)) and n <= st.EXACT_CUTOFF:
         tab = st.ptheta_table(spec, n, theta)
         for k in range(n + 1):
             rows.append([k, tab[k]])

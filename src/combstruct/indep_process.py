@@ -13,8 +13,11 @@ Geometric(theta x^i), or Bernoulli, and convolve back to Z_i.
 Also here: moments of the weighted sum T_n = sum i Z_i, and solvers /
 closed-form prescriptions for choosing x so that E T_n is close to n.
 All per-index parameters are formed in log space; m_i may exceed double
-range (log m_i comes from exact integers), so means, variances, and pmfs
-never materialize float(m_i) unless it is safe.
+range, so means, variances, and pmfs never materialize float(m_i) unless it
+is safe.  log m_i comes from the family's float log_m_fn (lgamma, log-space
+sums), so no float route builds the exact integers; the binomial and
+negative-binomial laws of selections and multisets keep their exact integer
+m_i as the law's parameter.
 """
 
 from __future__ import annotations
@@ -67,15 +70,21 @@ class TiltedParams:
 # ---------------------------------------------------------------------------
 
 def log_m_array(spec: StructureSpec, n: int) -> np.ndarray:
-    """array L with L[i] = log m_i for i = 0..n (L[0] = -inf; -inf where m_i = 0)."""
+    """array L with L[i] = log m_i for i = 0..n (L[0] = -inf; -inf where m_i = 0).
+
+    Filled by spec.log_m_fn, or from the exact m_i for specs without one;
+    a refill at least doubles the cached length, so callers that walk i
+    upwards (z_law per index) pay for O(log n) fills.
+    """
     key = "log_m"
     arr = spec._table_cache.get(key)
     if arr is None or len(arr) <= n:
-        arr = np.full(n + 1, -np.inf)
-        for i in range(1, n + 1):
-            mi = spec.m(i)
-            if mi:
-                arr[i] = log_big(mi)
+        size = n if arr is None else max(n, 2 * (len(arr) - 1))
+        if spec.log_m_fn is not None:
+            arr = spec.log_m_fn(size)
+        else:
+            arr = np.array([-np.inf] + [log_big(spec.m(i))
+                                        for i in range(1, size + 1)])
         spec._table_cache[key] = arr
     return arr[: n + 1]
 
@@ -202,7 +211,7 @@ class DiscreteLaw:
         lf = _log_falling(self.m, lm, k)
         if lf == -math.inf:
             return -math.inf
-        return lf - math.lgamma(k + 1) + k * self.lw - _m_softplus(self.m, lm, self.lw)
+        return lf - math.lgamma(k + 1) + k * self.lw - _m_softplus(lm, self.lw)
 
     def pmf(self, k: int) -> float:
         return math.exp(self.log_pmf(k))
@@ -211,7 +220,7 @@ class DiscreteLaw:
         return np.array([self.pmf(k) for k in range(k_max + 1)])
 
 
-def _m_softplus(m: Numeric, lm: float, lw: float) -> float:
+def _m_softplus(lm: float, lw: float) -> float:
     """m * log(1 + e^{lw}), big-m safe."""
     if lm == -math.inf:
         return 0.0
@@ -257,11 +266,11 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
     if i < 1:
         raise ParameterDomainError("index must be >= 1")
     params.validate(spec)
-    mi = spec.m(i)
     lw = math.log(params.ftheta) + i * math.log(params.fx)
     if spec.kind is Kind.ASSEMBLY:
-        lam = 0.0 if mi == 0 else math.exp(spec.log_m(i) + lw - math.lgamma(i + 1))
-        return DiscreteLaw(Family.POISSON, lam=lam)
+        lm = float(log_m_array(spec, i)[i])
+        return DiscreteLaw(Family.POISSON, lam=math.exp(lm + lw - math.lgamma(i + 1)))
+    mi = spec.m(i)
     if spec.kind is Kind.MULTISET:
         fam = Family.GEOMETRIC if mi == 1 else Family.NEG_BINOMIAL
         return DiscreteLaw(fam, m=mi, p=math.exp(lw), lw=lw)
@@ -293,10 +302,17 @@ class SumMoments:
 
 
 def sum_moments(spec: StructureSpec, n: int, params: TiltedParams) -> SumMoments:
-    """E T_n = sum i E Z_i and Var T_n = sum i^2 Var Z_i as exact finite sums."""
+    """E T_n = sum i E Z_i and Var T_n = sum i^2 Var Z_i as exact finite sums.
+
+    A sum beyond double range is inf (choose_x's bracket doubling asks for
+    such x on purpose).
+    """
     mean, var = mean_var_arrays(spec, n, params)
     i = np.arange(n + 1, dtype=float)
-    return SumMoments(mean=float(np.dot(i, mean)), variance=float(np.dot(i * i, var)))
+    with np.errstate(over="ignore"):
+        et, vt = float(np.dot(i, mean)), float(np.dot(i * i, var))
+    return SumMoments(mean=et if math.isfinite(et) else math.inf,
+                      variance=vt if math.isfinite(vt) else math.inf)
 
 
 # ---------------------------------------------------------------------------

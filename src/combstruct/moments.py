@@ -12,8 +12,8 @@ own explicit pmf and the classical closed-form moment, used as a
 cross-check of the assembly formula.
 
 The p_theta values are batch-computed once per call from a shared table:
-exact big rationals up to n = 512, a log-space table from the full-set
-recursion beyond.
+exact big rationals up to n = EXACT_CUTOFF, a log-space table from the
+full-set recursion beyond.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ParameterDomainError
-from .structures import (ComponentVector, Kind, Numeric, StructureSpec,
-                         as_integral, log_big, log_ptheta_table, ptheta_table)
-from .indep_process import TiltedParams
-
-_EXACT_LIMIT = 512
+from .structures import (EXACT_CUTOFF, ComponentVector, Kind, Numeric,
+                         StructureSpec, as_integral, log_big, log_ptheta_table,
+                         ptheta_table)
+from .indep_process import TiltedParams, log_m_array
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class MomentSpec:
 
 
 def _exact_ok(spec: StructureSpec, n: int, theta: Numeric) -> bool:
-    return isinstance(theta, (int, Fraction)) and n <= _EXACT_LIMIT
+    return isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
 
 
 def factorial_moment_assembly(spec: StructureSpec, n: int,
@@ -83,10 +82,11 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
         return float(val)
     logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
     acc = math.lgamma(n + 1) - math.lgamma(n - m + 1) + logt[n - m] - logt[n]
+    lm = log_m_array(spec, max((j for j, _ in r.orders), default=0))
     for j, rj in r.orders:
-        if spec.m(j) == 0:
+        if lm[j] == -math.inf:
             return 0.0
-        acc += rj * (math.log(float(theta)) + spec.log_m(j) - math.lgamma(j + 1))
+        acc += rj * (math.log(float(theta)) + float(lm[j]) - math.lgamma(j + 1))
     return math.exp(acc)
 
 

@@ -14,6 +14,9 @@ per size.  Everything else in the package derives from a StructureSpec:
 
 All counts are exact: integers, or rationals when m_i or theta are rational
 (generalized assemblies such as the Ewens family have m_i = kappa*(i-1)!).
+The float routes read m_i only through log m_i; every builtin supplies a
+vectorised float log m_i (log_m_fn), so they never build the exact integers.
+EXACT_CUTOFF is the largest n at which the exact tables are the default.
 """
 
 from __future__ import annotations
@@ -26,10 +29,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+from scipy.special import gammaincc, gammaln
+
 from .errors import ParameterDomainError
 
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
+LogMFn = Callable[[int], np.ndarray]
+
+# exact big-rational p_theta tables are the default for n <= EXACT_CUTOFF
+EXACT_CUTOFF = 512
 
 
 class Kind(Enum):
@@ -144,13 +154,16 @@ class StructureSpec:
 
     m_fn must return an exact nonnegative int (or Fraction for generalized
     assemblies/multisets); values are memoized per spec.  Selections require
-    integer m_i because C(m_i, a_i) does.
+    integer m_i because C(m_i, a_i) does.  log_m_fn(n), when given, returns
+    the floats [log m_0, ..., log m_n] (-inf at index 0 and where m_i = 0)
+    without building m_i; without it the float routes take log_big(m(i)).
     """
 
     kind: Kind
     name: str
     m_fn: Callable[[int], BigCount] = field(repr=False)
     meta: Optional[LogMeta] = None
+    log_m_fn: Optional[LogMFn] = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
     _m_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
@@ -169,9 +182,6 @@ class StructureSpec:
             self._m_cache[i] = v
         return v
 
-    def log_m(self, i: int) -> float:
-        return log_big(self.m(i))
-
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind.value}
         if "builtin" in self.params:
@@ -186,11 +196,6 @@ class StructureSpec:
     def spec_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def m_of(spec: StructureSpec, i: int) -> BigCount:
-    """m_i for the family: number of component structures of size i."""
-    return spec.m(i)
 
 
 def _param_out(v):
@@ -216,9 +221,13 @@ def _perm_m(i: int) -> int:
 
 
 def _mapping_m(i: int) -> int:
-    # (i-1)! * sum_{j<i} i^j/j!, an exact integer: e^i (i-1)! P(Po(i) < i)
-    f = math.factorial(i - 1)
-    return sum((f // math.factorial(j)) * i**j for j in range(i))
+    # (i-1)! * sum_{j<i} i^j/j!, an exact integer: e^i (i-1)! P(Po(i) < i).
+    # Horner in i over c_j = (i-1)!/j!, with c_j = (j+1) c_{j+1}.
+    acc = c = 1
+    for j in range(i - 2, -1, -1):
+        c *= j + 1
+        acc = acc * i + c
+    return acc
 
 
 def _two_regular_m(i: int) -> int:
@@ -233,25 +242,94 @@ def _poly_m(q: int) -> Callable[[int], int]:
     return m
 
 
+# vectorised float log m_i: each returns [log m_0, ..., log m_n], -inf at 0
+
+_LOG_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision beyond this
+
+
+def _log_m_const(step: int = 1) -> LogMFn:
+    """m_i = 1 for i = 1 (mod step) and m_i = 0 otherwise."""
+    def log_m(n: int) -> np.ndarray:
+        out = np.full(n + 1, -np.inf)
+        out[1::step] = 0.0
+        return out
+    return log_m
+
+
+def _log_factorials(n: int, shift: float = 0.0, i_min: int = 1) -> np.ndarray:
+    """log((i-1)!) + shift for i >= i_min."""
+    out = np.full(n + 1, -np.inf)
+    out[i_min:] = gammaln(np.arange(i_min, n + 1, dtype=float)) + shift
+    return out
+
+
+def _log_mapping_m(n: int) -> np.ndarray:
+    # m_i = (i-1)! e^i Q(i, i) with Q the regularized upper incomplete gamma
+    out = np.full(n + 1, -np.inf)
+    i = np.arange(1, n + 1, dtype=float)
+    out[1:] = gammaln(i) + i + np.log(gammaincc(i, i))
+    return out
+
+
+def _mobius_sieve(n: int) -> np.ndarray:
+    """mu[k] for k = 0..n (mu[0] = 0)."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[2 * p::p] = True
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def _log_poly_m(q: int) -> LogMFn:
+    """log m_i = i log q - log i + log1p(sum_{d|i, d<i} mu(i/d) q^{d-i})."""
+    lq = math.log(q)
+
+    def log_m(n: int) -> np.ndarray:
+        # the term of d | i = d k is mu(k) q^{-d(k-1)}; it underflows to 0
+        # once d (k-1) log q exceeds _LOG_UNDERFLOW
+        k_top = min(n, int(_LOG_UNDERFLOW / lq) + 1)
+        mu = _mobius_sieve(k_top)
+        corr = np.zeros(n + 1)
+        for k in range(2, k_top + 1):
+            if mu[k]:
+                d_top = min(n // k, int(_LOG_UNDERFLOW / ((k - 1) * lq)))
+                d = np.arange(1, d_top + 1)
+                corr[k * d] += mu[k] * np.exp(-(k - 1) * lq * d)
+        out = np.full(n + 1, -np.inf)
+        i = np.arange(1, n + 1, dtype=float)
+        out[1:] = i * lq - np.log(i) + np.log1p(corr[1:])
+        return out
+    return log_m
+
+
 def permutations() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "permutations", _perm_m,
-                         meta=LogMeta(1, 1.0), params={"builtin": "permutations"})
+                         meta=LogMeta(1, 1.0), log_m_fn=_log_factorials,
+                         params={"builtin": "permutations"})
 
 
 def mappings() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "mappings", _mapping_m,
                          meta=LogMeta(Fraction(1, 2), math.e),
+                         log_m_fn=_log_mapping_m,
                          params={"builtin": "mappings"})
 
 
 def set_partitions() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "set_partitions", lambda i: 1,
+                         log_m_fn=_log_m_const(),
                          params={"builtin": "set_partitions"})
 
 
 def two_regular_graphs() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "two_regular_graphs", _two_regular_m,
                          meta=LogMeta(Fraction(1, 2), 1.0),
+                         log_m_fn=lambda n: _log_factorials(n, -math.log(2), 3),
                          params={"builtin": "two_regular_graphs"})
 
 
@@ -261,14 +339,17 @@ def esf(kappa: Numeric) -> StructureSpec:
     if kappa <= 0:
         raise ParameterDomainError("ESF parameter kappa must be positive")
     kap = Fraction(kappa) if not isinstance(kappa, float) else kappa
+    log_kap = log_big(kap)
     return StructureSpec(Kind.ASSEMBLY, f"esf({kappa})",
                          lambda i: kap * math.factorial(i - 1),
                          meta=LogMeta(kappa, 1.0),
+                         log_m_fn=lambda n: _log_factorials(n, log_kap),
                          params={"builtin": "esf", "kappa": kappa})
 
 
 def integer_partitions() -> StructureSpec:
     return StructureSpec(Kind.MULTISET, "integer_partitions", lambda i: 1,
+                         log_m_fn=_log_m_const(),
                          params={"builtin": "integer_partitions"})
 
 
@@ -276,7 +357,7 @@ def polynomials(q: int) -> StructureSpec:
     if q < 2:
         raise ParameterDomainError("polynomials builtin needs q >= 2")
     return StructureSpec(Kind.MULTISET, f"polynomials(q={q})", _poly_m(q),
-                         meta=LogMeta(1, float(q)),
+                         meta=LogMeta(1, float(q)), log_m_fn=_log_poly_m(q),
                          params={"builtin": "polynomials", "q": q})
 
 
@@ -289,12 +370,13 @@ def necklaces(q: int) -> StructureSpec:
 
 def distinct_partitions() -> StructureSpec:
     return StructureSpec(Kind.SELECTION, "distinct_partitions", lambda i: 1,
+                         log_m_fn=_log_m_const(),
                          params={"builtin": "distinct_partitions"})
 
 
 def distinct_odd_partitions() -> StructureSpec:
     return StructureSpec(Kind.SELECTION, "distinct_odd_partitions",
-                         lambda i: i % 2,
+                         lambda i: i % 2, log_m_fn=_log_m_const(2),
                          params={"builtin": "distinct_odd_partitions"})
 
 
@@ -303,6 +385,7 @@ def squarefree_polynomials(q: int) -> StructureSpec:
         raise ParameterDomainError("squarefree_polynomials builtin needs q >= 2")
     return StructureSpec(Kind.SELECTION, f"squarefree_polynomials(q={q})",
                          _poly_m(q), meta=LogMeta(1, float(q)),
+                         log_m_fn=_log_poly_m(q),
                          params={"builtin": "squarefree_polynomials", "q": q})
 
 
@@ -479,7 +562,7 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     since x^k p_theta(k) [/k! for assemblies] is the k-th coefficient of
     the generating function restricted to sizes <= n.
     """
-    if isinstance(theta, (int, Fraction)) and n <= 512:
+    if isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF:
         return [log_big(v) for v in ptheta_table(spec, n, theta)]
     from . import sumdist  # deferred: sumdist imports this module
     from .indep_process import TiltedParams, choose_x, XStrategy
@@ -503,7 +586,7 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
             x: Optional[Numeric] = None) -> Union[BigCount, float]:
     """Total theta-biased count p_theta(n) = sum_k p(n,k) theta^k.
 
-    exact=True (default for rational theta and n <= 512) returns an exact
+    exact=True (default for rational theta and n <= EXACT_CUTOFF) returns an exact
     int/Fraction.  The float path inverts the closed forms relating
     p_theta(n) to P_theta(T_n = n) at a free parameter x; the result does
     not depend on the x used.
@@ -513,7 +596,7 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
     if n == 0:
         return 1
     if exact is None:
-        exact = isinstance(theta, (int, Fraction)) and n <= 512
+        exact = isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
     if exact:
         return ptheta_table(spec, n, theta)[n]
     return math.exp(log_p_total(spec, n, theta, x=x))

@@ -8,7 +8,11 @@ a positive convolution for assemblies and multisets and runs in linear
 space with a shared base-2 exponent (values span thousands of orders of
 magnitude for large n); the signed selection recursion can cancel, so the
 production path for selections is a truncated convolution of the per-index
-binomial laws, with the signed recursion kept as a verification path.
+binomial laws, with the signed recursion kept as a verification path.  The
+convolution is a strided update of length-(n_max+1) arrays, one index at a
+time: p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i).
+It costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i is
+0 or 1.
 
 Everything is truncated at n_max with the missing mass reported as an
 explicit tail.
@@ -24,9 +28,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import (Kind, StructureSpec, divisor_sieve, log_big,
-                         log_ptheta_table, ptheta_table)
-from .indep_process import (TiltedParams, _m_softplus, _safe_mlog1p,
+from .structures import (EXACT_CUTOFF, Kind, StructureSpec, divisor_sieve,
+                         log_big, log_ptheta_table, ptheta_table)
+from .indep_process import (Family, TiltedParams, _m_softplus, _safe_mlog1p,
                             log_m_array, z_law)
 
 _LN2 = math.log(2.0)
@@ -89,19 +93,20 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     """
     params.validate(spec)
     lth, lx = math.log(params.ftheta), math.log(params.fx)
+    B = index_set(B)
+    lms = log_m_array(spec, B[-1] if B else 0)
     total = 0.0
-    for i in index_set(B):
-        mi = spec.m(i)
-        if not mi:
+    for i in B:
+        lm = float(lms[i])
+        if lm == -math.inf:
             continue
-        lm = spec.log_m(i)
         lw = lth + i * lx
         if spec.kind is Kind.ASSEMBLY:
             total -= math.exp(lm + lw - math.lgamma(i + 1))
         elif spec.kind is Kind.MULTISET:
             total += _safe_mlog1p(lm, math.exp(lw), lw)
         else:
-            total -= _m_softplus(mi, lm, lw)
+            total -= _m_softplus(lm, lw)
     return total
 
 
@@ -192,17 +197,21 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
 
 def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
                         params: TiltedParams) -> PmfVector:
-    r = np.array([1.0])
+    lm = log_m_array(spec, B[-1])
+    p = np.zeros(n_max + 1)
+    p[0] = 1.0
     for i in B:
-        if spec.m(i) == 0:
+        if lm[i] == -np.inf:
             continue
         law = z_law(spec, i, params)
         k_max = n_max // i
-        v = np.zeros(min(k_max * i, n_max) + 1)
-        v[::i] = law.pmf_array(k_max)[: len(v[::i])]
-        r = np.convolve(r, v)[: n_max + 1]
-    p = np.zeros(n_max + 1)
-    p[: len(r)] = r
+        if law.family in (Family.BINOMIAL, Family.BERNOULLI):
+            k_max = min(k_max, law.m)
+        pk = law.pmf_array(k_max)
+        new = pk[0] * p
+        for k in range(1, k_max + 1):
+            new[i * k:] += pk[k] * p[: n_max + 1 - i * k]
+        p = new
     return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=n_max)
 
 
@@ -252,9 +261,10 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     method "recursion" reads it off the weighted-sum pmf of the full index
     set; "closed_form" evaluates seed * x^n * p_theta(n) [/ n! for
     assemblies] with p_theta(n) from the exact coefficient recurrences for
-    rational theta up to n = 512 (beyond that the float p_theta table is
-    used, so the routes are only independent at exact-table scale).  The two
-    must agree; the CLI's prob-t command prints both and their gap.
+    rational theta up to n = EXACT_CUTOFF (beyond that the float p_theta
+    table is used, so the routes are only independent at exact-table scale;
+    there the recursion reads float log m_i and the table exact m_i).  The
+    two must agree; the CLI's prob-t command prints both and their gap.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -265,7 +275,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     if method != "closed_form":
         raise ParameterDomainError(f"unknown method {method!r}")
     lseed = log_seed(spec, range(1, n + 1), params)
-    if n <= 512 and isinstance(params.theta, (int, Fraction)):
+    if n <= EXACT_CUTOFF and isinstance(params.theta, (int, Fraction)):
         lp = log_big(ptheta_table(spec, n, params.theta)[n])
     else:
         lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
@@ -312,10 +322,11 @@ def joint_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
         raise ParameterDomainError("truncation bounds must be >= 0")
     params.validate(spec)
     B = index_set(B)
+    lm = log_m_array(spec, B[-1] if B else 0)
     M = np.zeros((u_max + 1, n_max + 1))
     M[0, 0] = 1.0
     for i in B:
-        if spec.m(i) == 0:
+        if lm[i] == -np.inf:
             continue
         law = z_law(spec, i, params)
         k_max = min(u_max, n_max // i)

@@ -2,6 +2,8 @@
 weighted-sum moments, and the choice-of-x solvers."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from scipy.optimize import brentq
 from combstruct import structures as st
 from combstruct.errors import ParameterDomainError
 from combstruct.indep_process import (Family, TiltedParams,
-                                      XStrategy, choose_x, refined_y_law,
-                                      solve_xex, sum_moments, z_law)
+                                      XStrategy, choose_x, log_m_array,
+                                      refined_y_law, solve_xex, sum_moments,
+                                      z_law)
 
 
 class TestZLaw:
@@ -190,3 +193,52 @@ class TestChooseX:
             choose_x(st.permutations(), 10, 1, XStrategy.INTEGER_PARTITION)
         with pytest.raises(ParameterDomainError):
             choose_x(st.integer_partitions(), 10, 1, XStrategy.LOGARITHMIC)
+
+
+class TestFloatLogMRoutes:
+    def test_choose_x_builds_no_exact_m(self):
+        spec = st.permutations()
+        choose_x(spec, 4000)
+        assert spec._m_cache == {}
+
+    def test_assembly_z_law_builds_no_exact_m(self):
+        spec = st.mappings()
+        lam = z_law(spec, 300, TiltedParams(1 / math.e, 1)).lam
+        assert spec._m_cache == {}
+        want = math.exp(st.log_big(spec.m(300)) - 300 - math.lgamma(301))
+        assert lam == pytest.approx(want, rel=1e-12)
+
+    def test_specs_without_log_m_fn_take_exact_logs(self):
+        spec = st.from_m_list("selection", [2, 0, 3])
+        got = log_m_array(spec, 5)
+        want = [-math.inf, math.log(2), -math.inf, math.log(3), -math.inf,
+                -math.inf]
+        assert got.tolist() == want
+
+    def test_refill_at_least_doubles(self):
+        spec = st.permutations()
+        for i in range(1, 40):
+            z_law(spec, i, TiltedParams(1, 1))
+        assert len(spec._table_cache["log_m"]) == 65  # fills of 1, 2, 4, ..., 64
+
+
+class TestSumMomentsOverflow:
+    @pytest.mark.parametrize("spec", [st.esf(Fraction(1, 2)),
+                                      st.two_regular_graphs(),
+                                      st.polynomials(2),
+                                      st.squarefree_polynomials(2),
+                                      st.permutations()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_choose_x_raises_no_runtime_warning(self, spec, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = choose_x(spec, n)
+            mean = sum_moments(spec, n, TiltedParams(x, 1)).mean
+        assert abs(mean - n) <= 1e-9 * n
+
+    def test_overflowing_sum_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sm = sum_moments(st.permutations(), 4000, TiltedParams(2.0, 1))
+        assert sm.mean == math.inf and sm.variance == math.inf

@@ -110,6 +110,40 @@ class TestMOf:
             spec.m(1)
 
 
+# one instance of every builtin, with parameters where the factory takes them
+BUILTIN_SPECS = [
+    st.permutations(), st.mappings(), st.set_partitions(),
+    st.two_regular_graphs(), st.esf(1), st.esf(Fraction(1, 2)), st.esf(3),
+    st.integer_partitions(), st.polynomials(2), st.polynomials(3),
+    st.necklaces(3), st.distinct_partitions(), st.distinct_odd_partitions(),
+    st.squarefree_polynomials(2), st.squarefree_polynomials(5),
+]
+
+
+class TestFloatLogM:
+    def test_every_builtin_is_covered(self):
+        assert {s.params["builtin"] for s in BUILTIN_SPECS} == set(st.BUILTINS)
+        assert all(s.log_m_fn is not None for s in BUILTIN_SPECS)
+
+    @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda s: s.name)
+    def test_matches_log_of_exact_m(self, spec):
+        n = st.EXACT_CUTOFF
+        got = spec.log_m_fn(n)
+        assert len(got) == n + 1 and got[0] == -math.inf
+        for i in range(1, n + 1):
+            want = st.log_big(spec.m(i))
+            if want == -math.inf:
+                assert got[i] == -math.inf, i
+            else:
+                assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want)), i
+
+    def test_mapping_horner_equals_closed_sum(self):
+        for i in range(1, 201):
+            f = math.factorial(i - 1)
+            closed = sum((f // math.factorial(j)) * i ** j for j in range(i))
+            assert st._mapping_m(i) == closed, i
+
+
 class TestCountN:
     def test_permutation_cycle_type_vs_enumeration(self):
         perm = st.permutations()

@@ -99,6 +99,44 @@ class TestWeightedSumPmf:
         assert float(np.max(np.abs(pr.p - pc.p))) < 1e-11
 
 
+def _dense_convolution_pmf(spec, B, n_max, params):
+    """Reference: one dense np.convolve of the whole pmf per index."""
+    r = np.array([1.0])
+    for i in B:
+        if spec.m(i) == 0:
+            continue
+        law = z_law(spec, i, params)
+        k_max = n_max // i
+        v = np.zeros(min(k_max * i, n_max) + 1)
+        v[::i] = law.pmf_array(k_max)[: len(v[::i])]
+        r = np.convolve(r, v)[: n_max + 1]
+    p = np.zeros(n_max + 1)
+    p[: len(r)] = r
+    return p
+
+
+_RNG_M = random.Random(20131)
+CUSTOM_SELECTION = st.from_m_list(
+    "selection", [_RNG_M.randint(0, 3) for _ in range(300)], name="custom_sel")
+
+
+class TestStridedSelectionUpdate:
+    @pytest.mark.parametrize("spec,n", [(DISTINCT, 300),
+                                        (st.distinct_odd_partitions(), 300),
+                                        (st.squarefree_polynomials(2), 200),
+                                        (CUSTOM_SELECTION, 300)],
+                             ids=lambda v: getattr(v, "name", str(v)))
+    def test_matches_dense_convolution(self, spec, n):
+        params = TiltedParams(choose_x(spec, n), 1)
+        rng = random.Random(n)
+        for B in (range(1, n + 1), sorted(rng.sample(range(1, n + 1), n // 3))):
+            got = sd.weighted_sum_pmf(spec, B, n, params, method="convolution")
+            want = _dense_convolution_pmf(spec, sd.index_set(B), n, params)
+            assert float(np.max(np.abs(got.p - want))) <= 1e-14
+            assert got.tail == pytest.approx(max(0.0, 1.0 - want.sum()),
+                                             abs=1e-14)
+
+
 class TestProbT:
     def test_permutations_closed_value(self):
         p = sd.prob_T_eq_n(PERM, 3, TiltedParams(1, 1))
