@@ -284,7 +284,8 @@ def cmd_esf(args) -> Output:
     if args.a:
         a = tuple(int(t) for t in args.a.split(","))
         out.table(["pmf"], [[mom.esf_pmf(n, kappa, a)]])
-    rows = [[j, mom.esf_moment(n, kappa, {j: 1})] for j in range(1, n + 1)]
+    rising = mom.esf_rising(n, kappa)
+    rows = [[j, mom.esf_moment(n, kappa, {j: 1}, rising)] for j in range(1, n + 1)]
     out.table(["j", "E_C_j"], rows)
     return out
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln, log_expit
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import Kind, Numeric, StructureSpec, log_big
@@ -112,24 +112,13 @@ def mean_var_arrays(spec: StructureSpec, n: int,
             var = mp / (1.0 - t) ** 2
         else:
             # logistic-stable: p* = sigma(lw), E = m p*, Var = m p* (1 - p*)
-            sig = _sigmoid(lw)
-            mean = np.exp(lm + _log_sigmoid(lw))
+            sig = expit(lw)
+            mean = np.exp(lm + log_expit(lw))
             var = mean * (1.0 - sig)
     mean = np.where(np.isfinite(mean), mean, np.inf)
     var = np.where(np.isfinite(var), var, np.inf)
     mean[0] = var[0] = 0.0
     return mean, var
-
-
-def _sigmoid(u):
-    return np.where(u >= 0, 1.0 / (1.0 + np.exp(-np.clip(u, -745, 745))),
-                    np.exp(np.clip(u, -745, 745))
-                    / (1.0 + np.exp(np.clip(u, -745, 745))))
-
-
-def _log_sigmoid(u):
-    return np.where(u >= 0, -np.log1p(np.exp(-np.clip(u, -745, 745))),
-                    u - np.log1p(np.exp(np.clip(u, -745, 745))))
 
 
 def _safe_mlog1p(log_m: float, t: float, log_t: float) -> float:
@@ -182,7 +171,7 @@ class DiscreteLaw:
         if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
             t = math.exp(self.lw)
             return math.exp(lm + self.lw) / (1.0 - t)
-        return math.exp(lm + float(_log_sigmoid(self.lw)))
+        return math.exp(lm + float(log_expit(self.lw)))
 
     def var(self) -> float:
         if self.family is Family.POISSON:
@@ -193,7 +182,7 @@ class DiscreteLaw:
         if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
             t = math.exp(self.lw)
             return math.exp(lm + self.lw) / (1.0 - t) ** 2
-        return self.mean() * (1.0 - float(_sigmoid(self.lw)))
+        return self.mean() * (1.0 - float(expit(self.lw)))
 
     def log_pmf(self, k: int) -> float:
         if k < 0:
@@ -275,7 +264,7 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
         fam = Family.GEOMETRIC if mi == 1 else Family.NEG_BINOMIAL
         return DiscreteLaw(fam, m=mi, p=math.exp(lw), lw=lw)
     fam = Family.BERNOULLI if mi == 1 else Family.BINOMIAL
-    return DiscreteLaw(fam, m=mi, p=float(_sigmoid(lw)), lw=lw)
+    return DiscreteLaw(fam, m=mi, p=float(expit(lw)), lw=lw)
 
 
 def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
@@ -288,7 +277,7 @@ def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> Discrete
         return DiscreteLaw(Family.POISSON, lam=math.exp(lw - math.lgamma(i + 1)))
     if spec.kind is Kind.MULTISET:
         return DiscreteLaw(Family.GEOMETRIC, m=1, p=math.exp(lw), lw=lw)
-    return DiscreteLaw(Family.BERNOULLI, m=1, p=float(_sigmoid(lw)), lw=lw)
+    return DiscreteLaw(Family.BERNOULLI, m=1, p=float(expit(lw)), lw=lw)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ParameterDomainError
@@ -189,20 +191,39 @@ def esf_pmf(n: int, kappa: Numeric,
     return math.exp(acc)
 
 
+def _esf_kappa(kappa: Numeric) -> Fraction:
+    if isinstance(kappa, (int, Fraction)):
+        return Fraction(kappa)
+    return Fraction(float(kappa))
+
+
+def esf_rising(n: int, kappa: Numeric) -> list[Fraction]:
+    """[kappa_(0), ..., kappa_(n)], the exact rising factorials of kappa."""
+    return list(accumulate((_esf_kappa(kappa) + t for t in range(n)), mul,
+                           initial=Fraction(1)))
+
+
 def esf_moment(n: int, kappa: Numeric,
-               r: Union[MomentSpec, Mapping[int, int]]) -> float:
+               r: Union[MomentSpec, Mapping[int, int]],
+               rising: Optional[Sequence[Fraction]] = None) -> float:
     """Closed-form ESF joint moment:
-    1(m <= n) C(kappa+n-m-1, n-m) C(kappa+n-1, n)^{-1} prod (kappa/j)^{r_j}."""
+    1(m <= n) C(kappa+n-m-1, n-m) C(kappa+n-1, n)^{-1} prod (kappa/j)^{r_j}.
+
+    rising, when given, is esf_rising(n, kappa); callers that evaluate many
+    moments at one (n, kappa) pass it so the table is built once.
+    """
     if kappa <= 0:
         raise ParameterDomainError("kappa must be positive")
     r = MomentSpec.of(r)
     m = r.weight
     if m > n:
         return 0.0
-    kap = Fraction(kappa) if isinstance(kappa, (int, Fraction)) else Fraction(float(kappa))
+    kap = _esf_kappa(kappa)
+    if rising is None:
+        rising = esf_rising(n, kappa)
     # C(kappa+n-m-1, n-m) / C(kappa+n-1, n) = kappa_(n-m) n! / ((n-m)! kappa_(n))
-    val = _rising(kap, n - m) * math.factorial(n) \
-        / (math.factorial(n - m) * _rising(kap, n))
+    val = rising[n - m] * math.factorial(n) \
+        / (math.factorial(n - m) * rising[n])
     for j, rj in r.orders:
         val *= (kap / j) ** rj
     return float(val)

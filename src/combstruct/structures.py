@@ -6,14 +6,16 @@ per size.  Everything else in the package derives from a StructureSpec:
 
   * N(n, a), the number of structures of weight n with component spectrum a
     (Cauchy-style product formulas, one per kind),
-  * p_theta(n), the theta-biased total count, with an exact big-rational path
-    (coefficient recurrences of the standard generating function identities)
-    and a floating-point path that inverts the conditioning-probability
-    closed forms,
+  * p_theta(n), the theta-biased total count, with an exact path
+    (coefficient recurrences of the standard generating function identities,
+    run on integers s_k p_theta(k) scaled by a power of a common denominator
+    and divided by s_k once per entry at the end) and a floating-point path
+    that inverts the conditioning-probability closed forms,
   * the uniform / theta-biased law over component spectra.
 
 All counts are exact: integers, or rationals when m_i or theta are rational
-(generalized assemblies such as the Ewens family have m_i = kappa*(i-1)!).
+(generalized assemblies such as the Ewens family have m_i = kappa*(i-1)!;
+a float kappa enters as its exact binary rational).
 The float routes read m_i only through log m_i; every builtin supplies a
 vectorised float log m_i (log_m_fn), so they never build the exact integers.
 EXACT_CUTOFF is the largest n at which the exact tables are the default.
@@ -27,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -338,8 +342,8 @@ def esf(kappa: Numeric) -> StructureSpec:
     kappa = _param_in(kappa) if isinstance(kappa, str) else kappa
     if kappa <= 0:
         raise ParameterDomainError("ESF parameter kappa must be positive")
-    kap = Fraction(kappa) if not isinstance(kappa, float) else kappa
-    log_kap = log_big(kap)
+    kap = Fraction(kappa)  # exact, also for a float kappa
+    log_kap = log_big(kappa)
     return StructureSpec(Kind.ASSEMBLY, f"esf({kappa})",
                          lambda i: kap * math.factorial(i - 1),
                          meta=LogMeta(kappa, 1.0),
@@ -404,10 +408,21 @@ BUILTINS: dict[str, Callable[..., StructureSpec]] = {
 }
 
 
+def _parse_kind(kind: Union[Kind, str]) -> Kind:
+    if isinstance(kind, Kind):
+        return kind
+    try:
+        return Kind(kind)
+    except ValueError:
+        valid = ", ".join(k.value for k in Kind)
+        raise ParameterDomainError(
+            f"unknown kind {kind!r}; valid kinds: {valid}") from None
+
+
 def from_m_list(kind: Union[Kind, str], m_list: Sequence[Numeric],
                 name: str = "custom") -> StructureSpec:
     """User-defined family from an explicit finite m list; m_i = 0 beyond it."""
-    kind = Kind(kind) if not isinstance(kind, Kind) else kind
+    kind = _parse_kind(kind)
     ms = [as_integral(Fraction(v) if isinstance(v, str) else v) for v in m_list]
     spec = StructureSpec(kind, name,
                          lambda i: ms[i - 1] if i <= len(ms) else 0,
@@ -429,7 +444,7 @@ def spec_from_json_dict(d: dict) -> StructureSpec:
             raise ParameterDomainError(f"unknown builtin {name!r}")
         params = {k: _param_in(v) for k, v in d.get("params", {}).items()}
         spec = factory(**params)
-        if "kind" in d and Kind(d["kind"]) is not spec.kind:
+        if "kind" in d and _parse_kind(d["kind"]) is not spec.kind:
             raise ParameterDomainError(
                 f"builtin {name!r} has kind {spec.kind.value!r}, not {d['kind']!r}")
         return spec
@@ -519,6 +534,17 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
     Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
 
+    The recurrences run on plain integers P(k) = s_k p(k), never on
+    Fractions.  With theta = a/b:
+      * assemblies: s_k = D^k, D the lcm of the denominators of theta m_j
+        (j <= n), and P(n) = sum_j C(n-1, j-1) D^j theta m_j P(n-j);
+      * multisets and selections: s_k = D^k with D = b L, L the lcm of the
+        denominators of m_j, times k! when L > 1.  n P(n) is
+        sum_i c_i D^i g(i) P(n-i), with c_i = n!/(n-i)! when k! is in the
+        scale and 1 otherwise; the division by n is exact.
+    Each entry is divided by its s_k once, at the end, and a value with
+    denominator 1 is returned as an int.
+
     theta must be an int or Fraction for exactness.
     """
     if not isinstance(theta, (int, Fraction)):
@@ -529,26 +555,47 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     if cached is not None and len(cached) > n:
         return cached[: n + 1]
 
-    p: list[BigCount] = [1]
+    a, b = theta.numerator, theta.denominator
+    ms = [Fraction(0)] + [Fraction(spec.m(j)) for j in range(1, n + 1)]
+    P = [1]
     if spec.kind is Kind.ASSEMBLY:
+        tm = [theta * mj for mj in ms]
+        D = math.lcm(*(t.denominator for t in tm))
+        w = [t.numerator * (D ** j // t.denominator) for j, t in enumerate(tm)][1:]
+        while w and not w[-1]:  # m_j = 0 beyond an explicit m list
+            w.pop()
+        fact = False
+        # C(nn-1, j-1) for j = 1..min(nn, len(w)), by Pascal's rule
+        row = [1]
         for nn in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, nn + 1):
-                mj = spec.m(j)
-                if mj:
-                    acc += math.comb(nn - 1, j - 1) * theta * Fraction(mj) * p[nn - j]
-            p.append(as_integral(acc))
+            P.append(sum(map(mul, map(mul, row, w), reversed(P))))
+            row = [1] + [u + v for u, v in zip(row, row[1:] + [0])][:len(w) - 1]
     else:
+        L = math.lcm(*(mj.denominator for mj in ms))
+        D, fact = b * L, L > 1
+        sign, ta = (1, a) if spec.kind is Kind.MULTISET else (-1, -a)
+        Lm = [mj.numerator * (L // mj.denominator) for mj in ms]  # L m_j
         divs = divisor_sieve(n)
-        sign = 1 if spec.kind is Kind.MULTISET else -1
-        th = theta if spec.kind is Kind.MULTISET else -theta
-        g: list[BigCount] = [0]
+        # G(i) = D^i g(i) = sign L^{i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
+        G = [0]
         for i in range(1, n + 1):
-            gi = sum(k * spec.m(k) * th ** (i // k) for k in divs[i] if spec.m(k))
-            g.append(sign * gi)
+            G.append(sign * L ** (i - 1) * sum(
+                k * Lm[k] * ta ** (i // k) * b ** (i - i // k)
+                for k in divs[i] if Lm[k]))
         for nn in range(1, n + 1):
-            acc = sum(Fraction(g[i]) * p[nn - i] for i in range(1, nn + 1) if g[i])
-            p.append(as_integral(Fraction(acc, nn)))
+            terms = map(mul, G[1:nn + 1], reversed(P))
+            if fact:
+                terms = map(mul, accumulate(range(nn, 0, -1), mul), terms)
+            q, rem = divmod(sum(terms), nn)
+            if rem:
+                raise RuntimeError(
+                    f"p_theta({nn}) recurrence left remainder {rem} mod {nn}")
+            P.append(q)
+    p: list[BigCount] = []
+    s = 1
+    for k, v in enumerate(P):
+        p.append(as_integral(Fraction(v, s)))
+        s *= D * (k + 1) if fact else D
     spec._table_cache[key] = p
     return p
 

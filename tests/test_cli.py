@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -21,6 +22,11 @@ def spec_files(tmp_path):
         "setpartitions": {"kind": "assembly", "builtin": "set_partitions"},
         "intpart": {"kind": "multiset", "builtin": "integer_partitions"},
         "esf2": {"kind": "assembly", "builtin": "esf", "params": {"kappa": 2}},
+        "esf_float": {"kind": "assembly", "builtin": "esf",
+                      "params": {"kappa": 0.3}},
+        "squarefree2": {"kind": "selection", "builtin": "squarefree_polynomials",
+                        "params": {"q": 2}},
+        "bad_kind": {"kind": "assembli", "m": [1, 2]},
     }.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -119,6 +125,14 @@ class TestCommands:
                         for p in line.split())
             assert total == 6
 
+    def test_sample_esf_float_kappa_above_171(self, spec_files, capsys):
+        # exact m_i = Fraction(kappa) (i-1)! never converts a factorial to float
+        code, out, err = run_cli(["sample", "--spec", spec_files["esf_float"],
+                                  "--n", "300", "--x", "1", "--samples", "3"],
+                                 capsys)
+        assert code == 0, err
+        assert "# trials" in out
+
     def test_cs_threads_sets_streams(self, spec_files, capsys, monkeypatch):
         monkeypatch.setenv("CS_THREADS", "3")
         args = ["sample", "--spec", spec_files["permutations"], "--n", "5",
@@ -163,6 +177,25 @@ class TestExitCodes:
         code, _, _ = run_cli(["tv", "--spec", "/nonexistent.json", "--n", "4",
                               "--B", "1", "--x", "1"], capsys)
         assert code == 3
+
+    def test_bad_kind_is_3(self, spec_files, capsys):
+        code, _, err = run_cli(["pofn", "--spec", spec_files["bad_kind"],
+                                "--n", "5"], capsys)
+        assert code == 3
+        assert "valid kinds" in err
+
+    @pytest.mark.parametrize("cmd", [["prob-t"], ["tv", "--B", "1..5", "--heuristic"],
+                                     ["limit"]], ids=lambda c: c[0])
+    def test_selection_logistic_raises_no_runtime_warning(self, spec_files,
+                                                          capsys, cmd):
+        # the logistic of theta x^i must not overflow exp on either branch;
+        # the request still ends in the m_i softplus domain error (exit 2)
+        argv = [cmd[0], "--spec", spec_files["squarefree2"], "--n", "2000",
+                "--choose-x", "exact_mean"] + cmd[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, _ = run_cli(argv, capsys)
+        assert code == 2
 
     def test_numeric_guard_is_4(self, spec_files, capsys):
         code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],

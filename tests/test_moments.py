@@ -166,6 +166,16 @@ class TestEsfClosedForms:
         want = math.factorial(n) / rising * (kappa / n)
         assert got == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [Fraction(1, 2), 1, 2, 0.3], ids=str)
+    def test_shared_rising_table_is_bit_identical(self, kappa):
+        n = 40
+        rising = mom.esf_rising(n, kappa)
+        assert rising[n] == math.prod(
+            (Fraction(kappa) + t for t in range(n)), start=Fraction(1))
+        for orders in ({j: 1} for j in range(1, n + 1)):
+            assert mom.esf_moment(n, kappa, orders, rising) \
+                == mom.esf_moment(n, kappa, orders)
+
     def test_float_kappa_path(self):
         a = mom.esf_pmf(6, 0.5, (0, 0, 0, 0, 0, 1))
         b = mom.esf_pmf(6, Fraction(1, 2), (0, 0, 0, 0, 0, 1))

@@ -247,6 +247,102 @@ class TestPTotal:
                 assert st.p_total(spec, n) == total
 
 
+def ptheta_table_fraction(spec, n, theta):
+    """Reference: the coefficient recurrences in Fraction arithmetic, one
+    normalised add per term (the route ptheta_table used before it was
+    rewritten on scaled integers)."""
+    theta = st.as_integral(Fraction(theta))
+    p = [1]
+    if spec.kind is st.Kind.ASSEMBLY:
+        for nn in range(1, n + 1):
+            acc = Fraction(0)
+            for j in range(1, nn + 1):
+                mj = spec.m(j)
+                if mj:
+                    acc += math.comb(nn - 1, j - 1) * theta * Fraction(mj) * p[nn - j]
+            p.append(st.as_integral(acc))
+        return p
+    divs = st.divisor_sieve(n)
+    sign = 1 if spec.kind is st.Kind.MULTISET else -1
+    th = theta if spec.kind is st.Kind.MULTISET else -theta
+    g = [0]
+    for i in range(1, n + 1):
+        gi = sum(k * spec.m(k) * th ** (i // k) for k in divs[i] if spec.m(k))
+        g.append(sign * gi)
+    for nn in range(1, n + 1):
+        acc = sum(Fraction(g[i]) * p[nn - i] for i in range(1, nn + 1) if g[i])
+        p.append(st.as_integral(Fraction(acc, nn)))
+    return p
+
+
+def typed(table):
+    return [(type(v), v) for v in table]
+
+
+SCALED_TABLE_SPECS = [
+    st.permutations(), st.mappings(), st.set_partitions(),
+    st.two_regular_graphs(), st.esf(Fraction(1, 2)), st.esf(0.3),
+    st.integer_partitions(), st.polynomials(2), st.necklaces(3),
+    st.distinct_partitions(), st.distinct_odd_partitions(),
+    st.squarefree_polynomials(2),
+    st.from_m_list("assembly", ["1/3", 2, "5/7", 0, "3/2"], name="rational_asm"),
+    st.from_m_list("multiset", ["1/3", 2, "5/7", 0, "3/2"], name="rational_mset"),
+    st.from_m_list("selection", [1, 0, 2, 3, 0, 1], name="selection_zeros"),
+]
+
+
+class TestScaledIntegerTables:
+    """ptheta_table runs on scaled integers; the Fraction recurrence above
+    is the reference, in value and in int/Fraction type."""
+
+    def test_every_builtin_covered(self):
+        names = {sp.params.get("builtin") for sp in SCALED_TABLE_SPECS}
+        assert set(st.BUILTINS) <= names
+
+    @pytest.mark.parametrize("spec", SCALED_TABLE_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2), Fraction(3, 5)],
+                             ids=str)
+    def test_matches_fraction_recurrence(self, spec, theta):
+        got = st.ptheta_table(spec, 128, theta)
+        assert typed(got) == typed(ptheta_table_fraction(spec, 128, theta))
+
+    def test_esf_float_kappa_exact_m(self):
+        spec = st.esf(0.3)
+        assert spec.m(200) == Fraction(0.3) * math.factorial(199)
+        assert typed(st.ptheta_table(spec, 200, 1)) \
+            == typed(ptheta_table_fraction(st.esf(0.3), 200, 1))
+
+    def test_permutations_512_half(self):
+        # p_theta(n) of permutations is the rising factorial theta_(n)
+        theta = Fraction(1, 2)
+        want = [1]
+        for k in range(512):
+            want.append(st.as_integral(want[-1] * (theta + k)))
+        assert typed(st.ptheta_table(st.permutations(), 512, theta)) == typed(want)
+
+    def test_integer_partitions_512_half(self):
+        # product expansion prod_i 1/(1 - theta x^i) on q(s) = 2^s p(s):
+        # adding a part of size i maps q(s - i) to 2^(i-1) q(s - i)
+        n = 512
+        q = [1] + [0] * n
+        for i in range(1, n + 1):
+            w = 2 ** (i - 1)
+            for s in range(i, n + 1):
+                q[s] += w * q[s - i]
+        want = [st.as_integral(Fraction(v, 2 ** s)) for s, v in enumerate(q)]
+        got = st.ptheta_table(st.integer_partitions(), n, Fraction(1, 2))
+        assert typed(got) == typed(want)
+
+    def test_warm_cache_returns_prefix(self):
+        spec = st.esf(Fraction(3, 7))
+        full = st.ptheta_table(spec, 60, Fraction(1, 2))
+        cached = spec._table_cache[("ptheta", Fraction(1, 2))]
+        part = st.ptheta_table(spec, 30, Fraction(1, 2))
+        assert typed(part) == typed(full[:31])
+        assert spec._table_cache[("ptheta", Fraction(1, 2))] is cached
+        assert len(cached) == 61
+
+
 class TestUniformPmf:
     def test_permutation_examples(self):
         perm = st.permutations()
@@ -294,6 +390,13 @@ class TestSpecJson:
     def test_kind_mismatch(self):
         with pytest.raises(ParameterDomainError):
             st.spec_from_json_dict({"kind": "multiset", "builtin": "permutations"})
+
+    def test_unknown_kind_is_domain_error(self):
+        with pytest.raises(ParameterDomainError, match="valid kinds"):
+            st.spec_from_json_dict({"kind": "assembli", "m": [1, 2]})
+        with pytest.raises(ParameterDomainError, match="valid kinds"):
+            st.spec_from_json_dict({"kind": "multi", "builtin": "polynomials",
+                                    "params": {"q": 2}})
 
     def test_esf_fraction_param(self):
         spec = st.spec_from_json_dict(
