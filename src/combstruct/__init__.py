@@ -1,6 +1,6 @@
 """Random decomposable combinatorial structures as conditioned independent
 processes: exact laws, conditioning probabilities, total variation distances,
-moments, limit densities, and exact rejection sampling, all validated against
+moments, limit densities, and exact sampling, all validated against
 a brute-force enumeration oracle."""
 
 __version__ = "0.1.0"

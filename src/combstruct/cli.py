@@ -6,7 +6,8 @@ carry the spec hash, parameters, and version; floats use 12 significant
 digits) or JSON (17 significant digits).  Exit codes: 2 flag errors
 (argparse), 3 parameter-domain errors, 4 numeric guards.  Byte-identical
 output for identical inputs and seed.  CS_THREADS (integer) sets the
-number of sampling streams.
+number of sampling streams, which with the seed fix the samples; sampling
+runs on the table route, which draws every stream in one thread.
 """
 
 from __future__ import annotations
@@ -227,13 +228,16 @@ def cmd_sample(args) -> Output:
     n = args.n
     params = _params_for(args, spec, n)
     streams = max(1, int(os.environ.get("CS_THREADS", "1")))
+    method = "table"
     batch = smp.sample_components(spec, n, params, args.samples,
-                                  smp.RngState(args.seed), streams=streams)
+                                  smp.RngState(args.seed), streams=streams,
+                                  method=method)
     out = Output(args, spec)
     out.add_header("params", f"n={n} x={params.fx!r} theta={params.ftheta!r}")
     out.add_header("seed", f"{args.seed} streams={streams}")
     out.add_header("trials", f"{batch.trials} accepted={batch.accepted} "
-                             f"exact_acceptance={batch.acceptance_exact!r}")
+                             f"exact_acceptance={batch.acceptance_exact!r} "
+                             f"method={method}")
     rows = [[" ".join(f"{i}:{ai}" for i, ai in enumerate(v.a, start=1) if ai)]
             for v in batch.samples]
     out.table(["sample"], rows)
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("sample", help="exact rejection samples + statistics")
+    p = sub.add_parser("sample", help="exact samples of C(n) + statistics")
     common(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

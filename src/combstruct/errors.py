@@ -21,7 +21,8 @@ class ParameterDomainError(CombstructError):
 class NumericGuardError(CombstructError):
     """A numeric safety check tripped.
 
-    Examples: rejection sampling refused because the acceptance probability
-    underflows, the signed selection recursion disagrees with the positive
-    convolution (cancellation), quadrature failed to reach its tolerance.
+    Examples: sampling refused because P(T_n = n) underflows, a per-index
+    mean or recursion weight beyond double range (x too large), the signed
+    selection recursion disagrees with the positive convolution
+    (cancellation), quadrature failed to reach its tolerance.
     """

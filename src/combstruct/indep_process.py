@@ -22,7 +22,9 @@ m_i as the law's parameter.
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,6 +49,12 @@ class TiltedParams:
     def __post_init__(self):
         if not (self.x > 0 and self.theta > 0):
             raise ParameterDomainError("x and theta must be positive")
+        try:
+            finite = math.isfinite(self.x) and math.isfinite(self.theta)
+        except OverflowError:  # an int or Fraction beyond double range
+            finite = False
+        if not finite:
+            raise ParameterDomainError("x and theta must be finite")
 
     def validate(self, spec: StructureSpec) -> "TiltedParams":
         if spec.kind is Kind.MULTISET:
@@ -119,6 +127,17 @@ def mean_var_arrays(spec: StructureSpec, n: int,
     var = np.where(np.isfinite(var), var, np.inf)
     mean[0] = var[0] = 0.0
     return mean, var
+
+
+@contextmanager
+def overflow_guard(what: str):
+    """Reports an OverflowError of the float arithmetic inside as a numeric
+    guard: a per-index value beyond double range means x is too large."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise NumericGuardError(
+            f"{what} beyond double range; choose a smaller x") from exc
 
 
 def _safe_mlog1p(log_m: float, t: float, log_t: float) -> float:
@@ -206,7 +225,26 @@ class DiscreteLaw:
         return math.exp(self.log_pmf(k))
 
     def pmf_array(self, k_max: int) -> np.ndarray:
-        return np.array([self.pmf(k) for k in range(k_max + 1)])
+        """[pmf(0), ..., pmf(k_max)] in O(k_max) work: the terms of log_pmf
+        in the same order, with log m taken once and the rising/falling
+        products accumulated over k instead of rebuilt for each k."""
+        ks = range(k_max + 1)
+        if self.family is Family.POISSON:
+            if self.lam == 0.0:
+                return np.array([1.0] + [0.0] * k_max)
+            ll = math.log(self.lam)
+            logs = [-self.lam + k * ll - math.lgamma(k + 1) for k in ks]
+        else:
+            lm = log_big(self.m)
+            if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
+                c = _safe_mlog1p(lm, math.exp(self.lw), self.lw)
+                lr = _log_rising_list(self.m, lm, k_max)
+                logs = [lr[k] - math.lgamma(k + 1) + c + k * self.lw for k in ks]
+            else:
+                c = _m_softplus(lm, self.lw)
+                lf = _log_falling_list(self.m, lm, k_max)
+                logs = [lf[k] - math.lgamma(k + 1) + k * self.lw - c for k in ks]
+        return np.array([math.exp(v) for v in logs])
 
 
 def _m_softplus(lm: float, lw: float) -> float:
@@ -250,6 +288,39 @@ def _log_falling(m: Numeric, lm: float, k: int) -> float:
     return k * lm + sum(math.log1p(-j * math.exp(-lm)) for j in range(1, k))
 
 
+def _log_rising_list(m: Numeric, lm: float, k_max: int) -> list:
+    """[_log_rising(m, lm, k) for k = 0..k_max] with one running sum."""
+    if lm == -math.inf:
+        return [0.0] + [-math.inf] * k_max
+    if lm < 34:
+        fm = float(m)
+        l0 = math.lgamma(fm)
+        return [math.lgamma(fm + k) - l0 for k in range(k_max + 1)]
+    step = math.exp(-lm)
+    sums = itertools.accumulate(
+        (math.log1p(j * step) for j in range(1, k_max)), initial=0.0)
+    return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
+
+
+def _log_falling_list(m: Numeric, lm: float, k_max: int) -> list:
+    """[_log_falling(m, lm, k) for k = 0..k_max] with one running sum."""
+    if lm == -math.inf:
+        return [0.0] + [-math.inf] * k_max
+    if lm < 34:
+        fm = float(m)
+        out, acc = [0.0], 0.0
+        for j in range(k_max):
+            if fm - j <= 0:
+                return out + [-math.inf] * (k_max - j)
+            acc += math.log(fm - j)
+            out.append(acc)
+        return out
+    step = math.exp(-lm)
+    sums = itertools.accumulate(
+        (math.log1p(-j * step) for j in range(1, k_max)), initial=0.0)
+    return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
+
+
 def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
     """Law of Z_i under P_theta."""
     if i < 1:
@@ -258,7 +329,9 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
     lw = math.log(params.ftheta) + i * math.log(params.fx)
     if spec.kind is Kind.ASSEMBLY:
         lm = float(log_m_array(spec, i)[i])
-        return DiscreteLaw(Family.POISSON, lam=math.exp(lm + lw - math.lgamma(i + 1)))
+        with overflow_guard(f"Poisson mean of Z_{i}"):
+            lam = math.exp(lm + lw - math.lgamma(i + 1))
+        return DiscreteLaw(Family.POISSON, lam=lam)
     mi = spec.m(i)
     if spec.kind is Kind.MULTISET:
         fam = Family.GEOMETRIC if mi == 1 else Family.NEG_BINOMIAL
@@ -274,7 +347,9 @@ def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> Discrete
     params.validate(spec)
     lw = math.log(params.ftheta) + i * math.log(params.fx)
     if spec.kind is Kind.ASSEMBLY:
-        return DiscreteLaw(Family.POISSON, lam=math.exp(lw - math.lgamma(i + 1)))
+        with overflow_guard(f"Poisson mean of Y_{i}j"):
+            lam = math.exp(lw - math.lgamma(i + 1))
+        return DiscreteLaw(Family.POISSON, lam=lam)
     if spec.kind is Kind.MULTISET:
         return DiscreteLaw(Family.GEOMETRIC, m=1, p=math.exp(lw), lw=lw)
     return DiscreteLaw(Family.BERNOULLI, m=1, p=float(expit(lw)), lw=lw)

@@ -1,23 +1,57 @@
-"""Exact samplers for C(n) and the refined D(n) by rejection.
+"""Exact samplers for C(n) and the refined D(n).
 
-The conditioning identity makes rejection exact: draw the independent
-process, keep it when the weighted sum hits n.  Per-index draws use
+C(n) is the independent process (Z_1, ..., Z_n) conditioned on T_n = n, with
+T_i = Z_1 + 2 Z_2 + ... + i Z_i.  Two routes draw it.
+
+The table route (the default, method="table") draws without rejection by
+the recursive method of Nijenhuis and Wilf.  With Q[i, r] = P(T_i = r),
+
+    P(Z_i = k | T_i = r) = P(Z_i = k) Q[i-1, r - i k] / Q[i, r],
+
+so Z_n, Z_{n-1}, ..., Z_1 are drawn in turn from the remainder r that the
+larger indices left, starting at r = n: one uniform per index and one
+inverse-CDF compare over k <= r // i, at most sum_i (n // i + 1) =
+O(n log n) weights per sample.  The remainder ends at 0, so every draw is
+accepted and trials = accepted = count.  Stream k's uniforms are the rows
+of one (count_k, n) matrix from its own generator; all streams go through
+one top-down pass, in blocks of at most _BLOCK samples, and the block size
+bounds memory without changing a sample.  The rows of Q are the
+prefix pmfs of the strided update behind the selection convolution
+(sumdist.prefix_pmfs), built once per (n, x, theta) and cached on the spec;
+the table takes 8 (n+1)(n+2) bytes: 8 MB at n = 1000, 128 MB at n = 4000.
+acceptance_exact is read off the table as Q[n, n] = P(T_n = n).
+
+Underflowed table entries cannot bias the law.  A state (i, r) is reached
+with probability P(T_i = r) P(T_n - T_i = n - r) / P(T_n = n), which is at
+most P(T_i = r) / P(T_n = n) <= 1e12 P(T_i = r) because both routes refuse
+P(T_n = n) < 1e-12.  So a state whose entry underflows (below 2.2e-308)
+is reached with probability below 2.2e-296.  A weight of exactly 0 is
+never chosen, and each weight is the product the table summed, so every
+state reached has a positive row sum.
+
+The rejection route (method="rejection") is the independent check: draw
+the independent process, keep it when T_n = n.  Per-index draws use
 inverse-CDF lookup on the truncated laws of Z_i (support 0..n//i; anything
 beyond forces T > n and is lumped into an immediate-reject marker), so
 huge m_i never touch integer-width limits and all three kinds share one
 code path.  Trials are processed in fixed-size vectorized blocks: a block
 of uniforms is compared against P(Z_i = 0) in one shot and only the rare
-exceedances take the scalar path.  This replaces a per-index early-abort
-loop; the accepted law is identical and block order is deterministic, so
-identical (seed, stream) means identical output.
+exceedances take the scalar path.  Its acceptance_exact is
+sumdist.prob_T_eq_n, computed independently of the table.
 
-The RNG is numpy's counter-based Philox, streamed by spawn key: stream k
-of seed s is Generator(Philox(SeedSequence(s, spawn_key=(k,)))).
+Streams are the unit of reproducibility: stream k of seed s is
+Generator(Philox(SeedSequence(s, spawn_key=(k,)))), the counter-based
+Philox generator, and identical (seed, stream, count, streams) gives
+identical output on either route.  The rejection route runs its streams on
+min(streams, os.cpu_count()) worker threads; the table route draws every
+stream in the calling thread, so worker count never changes a result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +62,8 @@ from .structures import ComponentVector, Kind, StructureSpec
 from .indep_process import TiltedParams, z_law
 from . import sumdist
 
-_BLOCK = 4096  # trials per vectorized block; fixed for reproducibility
+_BLOCK = 4096  # rejection: trials per block, fixed for reproducibility;
+               # table: samples per block, a memory bound only
 _UNDERFLOW_GUARD = 1e-12
 
 
@@ -114,31 +149,119 @@ def _tables(spec: StructureSpec, n: int, params: TiltedParams) -> _IndexTables:
     return tabs
 
 
-def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
-                      count: int, rng: RngState,
-                      streams: int = 1) -> SampleBatch:
-    """Exact draws from the P_theta law of C(n) by rejection on {T_n = n}.
+@dataclass
+class _PrefixTable:
+    """q[i, r] = P(T_i = r) for i, r = 0..n, with q[i, n+1] = 0 so that a
+    negative remainder clipped to -1 reads a zero; pk[i] = P(Z_i = k) as
+    sumdist.prefix_pmfs yields it, the very factors whose products q[i]
+    sums."""
 
-    Refuses to run when the exact acceptance probability P_theta(T_n = n)
-    is below 1e-12.  With streams > 1 the work is split over independent
-    substreams (stream indices rng.stream + k) and merged in stream order,
-    so the result is deterministic for fixed (seed, stream, count, streams).
+    q: np.ndarray
+    pk: list
+
+
+def _prefix_table(spec: StructureSpec, n: int,
+                  params: TiltedParams) -> _PrefixTable:
+    key = ("prefix_pmfs", n, params.fx, params.ftheta)
+    tab = spec._table_cache.get(key)
+    if tab is None:
+        q = np.zeros((n + 1, n + 2))
+        q[0, 0] = 1.0
+        pk = [None]
+        for i, pk_i, p in sumdist.prefix_pmfs(spec, tuple(range(1, n + 1)),
+                                              n, params):
+            q[i, : n + 1] = p
+            pk.append(pk_i)
+        tab = _PrefixTable(q=q, pk=pk)
+        spec._table_cache[key] = tab
+    return tab
+
+
+def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
+    """a[s, i-1] = Z_i of sample s, drawn from C(n) with u[s, i-1] at index i.
+
+    At index i every sample picks k with weights P(Z_i = k) Q[i-1, r - i k]
+    (zero for r < i k): k is the number of cumulative weights at or below u
+    times their total.  A sample with r < i has only k = 0 left.
     """
-    if count < 0:
-        raise ParameterDomainError("count must be >= 0")
-    p_exact = sumdist.prob_T_eq_n(spec, n, params)
+    count, n = u.shape
+    r = np.full(count, n, dtype=np.int64)
+    a = np.zeros((count, n), dtype=np.int64)
+    ks = np.arange(n + 1)
+    for i in range(n, 0, -1):
+        pk = tab.pk[i]
+        k_cap = min(int(r.max()) // i, len(pk) - 1)
+        if k_cap == 0:
+            continue
+        rest = np.maximum(r[:, None] - i * ks[: k_cap + 1], -1)
+        cum = (pk[: k_cap + 1] * tab.q[i - 1][rest]).cumsum(axis=1)
+        k = (cum <= (u[:, i - 1] * cum[:, -1])[:, None]).sum(axis=1)
+        a[:, i - 1] = k
+        r -= i * k
+    if np.any(r != 0):
+        raise NumericGuardError("top-down draw left a nonzero remainder")
+    return a
+
+
+def _uniform_rows(rng: RngState, per: list, n: int):
+    """The (per[k], n) uniform matrix of each stream k, stream after stream,
+    yielded in row blocks of at most _BLOCK.  Stream k draws its rows from
+    its own generator, and the block sizes do not change their values."""
+    parts, size = [], 0
+    for k, want in enumerate(per):
+        gen = rng.with_stream(rng.stream + k).generator()
+        while want:
+            take = min(want, _BLOCK - size)
+            parts.append(gen.random((take, n)))
+            size += take
+            want -= take
+            if size == _BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if size:
+        yield np.concatenate(parts)
+
+
+def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
+                      count: int, rng: RngState, streams: int = 1,
+                      method: str = "table") -> SampleBatch:
+    """Exact draws from the P_theta law of C(n).
+
+    method "table" draws top-down from the cached prefix pmfs (no
+    rejection; count = 0 just builds the table); "rejection" draws the
+    independent process until T_n = n.  Both refuse to run when
+    P_theta(T_n = n) is below 1e-12.  With streams > 1 the samples are split
+    over independent substreams (stream indices rng.stream + k) and merged
+    in stream order, so the result is deterministic for fixed
+    (seed, stream, count, streams).
+    """
+    if count < 0 or streams < 1:
+        raise ParameterDomainError("count must be >= 0 and streams >= 1")
+    if method == "table":
+        tab = _prefix_table(spec, n, params)
+        p_exact = float(tab.q[n, n])
+    elif method == "rejection":
+        p_exact = sumdist.prob_T_eq_n(spec, n, params)
+    else:
+        raise ParameterDomainError(f"unknown method {method!r}")
     if p_exact < _UNDERFLOW_GUARD:
         raise NumericGuardError(
             f"acceptance probability {p_exact:.3g} below {_UNDERFLOW_GUARD}; "
             "choose a better x")
-    tabs = _tables(spec, n, params)
     per = [count // streams + (1 if k < count % streams else 0)
            for k in range(streams)]
+    if method == "table":
+        samples = [ComponentVector(n=n, a=tuple(row))
+                   for u in _uniform_rows(rng, per, n)
+                   for row in _draw_top_down(tab, u).tolist()]
+        return SampleBatch(samples=samples, trials=count, accepted=count,
+                           acceptance_exact=p_exact)
+    tabs = _tables(spec, n, params)
     jobs = [(tabs, n, want, rng.with_stream(rng.stream + k))
             for k, want in enumerate(per)]
     if streams > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=streams) as pool:
+        workers = min(streams, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda j: _sample_stream(*j), jobs))
     else:
         results = [_sample_stream(*j) for j in jobs]

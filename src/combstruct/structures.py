@@ -127,7 +127,7 @@ class ComponentVector:
             raise ParameterDomainError("weight n must be >= 1")
         if len(self.a) != self.n:
             raise ParameterDomainError("component vector must have length n")
-        if any(ai < 0 for ai in self.a):
+        if self.a and min(self.a) < 0:
             raise ParameterDomainError("component counts must be nonnegative")
 
     @property

@@ -31,7 +31,7 @@ from .errors import NumericGuardError, ParameterDomainError
 from .structures import (EXACT_CUTOFF, Kind, StructureSpec, divisor_sieve,
                          log_big, log_ptheta_table, ptheta_table)
 from .indep_process import (Family, TiltedParams, _m_softplus, _safe_mlog1p,
-                            log_m_array, z_law)
+                            log_m_array, overflow_guard, z_law)
 
 _LN2 = math.log(2.0)
 _RESCALE = 2.0 ** 512
@@ -85,6 +85,7 @@ class PmfVector:
         return s
 
 
+@overflow_guard("a Poisson mean theta m_i x^i / i!")
 def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> float:
     """log P(R_B = 0) for the all-zero configuration: the recursion seed.
 
@@ -110,6 +111,7 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     return total
 
 
+@overflow_guard("a recursion weight g(i)")
 def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
              params: TiltedParams, signed: bool = False) -> np.ndarray:
     """g[i], i = 0..n_max, for the coefficient recursion."""
@@ -197,22 +199,40 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
 
 def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
                         params: TiltedParams) -> PmfVector:
+    for _i, _pk, p in prefix_pmfs(spec, B, n_max, params):
+        pass  # the last prefix pmf is the pmf of R_B
+    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=n_max)
+
+
+def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
+                params: TiltedParams):
+    """Yields (i, pk, p) for each i in B, in order: pk[k] = P(Z_i = k) for
+    k <= min(n_max // i, m_i), without the trailing entries that underflow
+    to 0, and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max.
+
+    One strided update per index, p[r] <- sum_k pk[k] p[r - i k]; an index
+    with m_i = 0 has pk = [1] and leaves p as it was.
+    """
     lm = log_m_array(spec, B[-1])
     p = np.zeros(n_max + 1)
     p[0] = 1.0
     for i in B:
         if lm[i] == -np.inf:
+            yield i, np.ones(1), p
             continue
         law = z_law(spec, i, params)
         k_max = n_max // i
         if law.family in (Family.BINOMIAL, Family.BERNOULLI):
             k_max = min(k_max, law.m)
         pk = law.pmf_array(k_max)
+        while k_max and pk[k_max] == 0.0:
+            k_max -= 1
+        pk = pk[: k_max + 1]
         new = pk[0] * p
         for k in range(1, k_max + 1):
             new[i * k:] += pk[k] * p[: n_max + 1 - i * k]
         p = new
-    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=n_max)
+        yield i, pk, p
 
 
 def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,

@@ -115,7 +115,8 @@ class TestCommands:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
-        assert "# trials" in out1
+        assert "# trials\t40 accepted=40 " in out1
+        assert "method=table" in out1
         sample_lines = [l for l in out1.splitlines()
                         if l and not l.startswith("#") and ":" in l]
         assert len(sample_lines) == 40
@@ -196,6 +197,24 @@ class TestExitCodes:
             warnings.simplefilter("error", RuntimeWarning)
             code, _, _ = run_cli(argv, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--x", "inf"], ["--x", "1", "--theta", "inf"]],
+                             ids=["x", "theta"])
+    def test_non_finite_parameter_is_3(self, spec_files, capsys, flags):
+        argv = ["prob-t", "--spec", spec_files["permutations"], "--n", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(argv + flags, capsys)
+        assert code == 3
+        assert "finite" in err
+
+    def test_overflowing_tilt_is_4(self, spec_files, capsys):
+        # Poisson means theta m_i x^i / i! beyond double range at x = 1e6
+        code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],
+                                "--n", "60", "--x", "1e6", "--samples", "1"],
+                               capsys)
+        assert code == 4
+        assert err.startswith("numeric guard:")
 
     def test_numeric_guard_is_4(self, spec_files, capsys):
         code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from combstruct import structures as st
 from combstruct.errors import ParameterDomainError
-from combstruct.indep_process import (Family, TiltedParams,
+from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
                                       XStrategy, choose_x, log_m_array,
                                       refined_y_law, solve_xex, sum_moments,
                                       z_law)
@@ -55,6 +55,42 @@ class TestZLaw:
             s = sum(law.pmf(k) for k in range(200))
             assert s <= 1 + 1e-12
             assert s > 1 - 1e-9
+
+
+class TestPmfArray:
+    # (law, k_max): every family and every branch of the rising/falling logs
+    LAWS = [
+        (DiscreteLaw(Family.POISSON, lam=0.0), 5),
+        (DiscreteLaw(Family.POISSON, lam=0.3), 300),
+        (DiscreteLaw(Family.POISSON, lam=200.0), 1000),
+    ] + [
+        (DiscreteLaw(Family.NEG_BINOMIAL, m=m, p=math.exp(lw), lw=lw), 600)
+        for m in (1, 3, 10 ** 6, 10 ** 40, Fraction(1, 3), Fraction(7, 2))
+        for lw in (-30.0, -3.0, math.log(0.99))
+    ] + [
+        (DiscreteLaw(Family.BINOMIAL, m=m, p=1 / (1 + math.exp(-lw)), lw=lw),
+         600)
+        for m in (1, 3, 50, 10 ** 6, 10 ** 40, Fraction(7, 2))
+        for lw in (-30.0, 0.0, 3.0)
+    ]
+
+    @pytest.mark.parametrize("law,k_max", LAWS)
+    def test_matches_scalar_pmf(self, law, k_max):
+        got = law.pmf_array(k_max)
+        want = np.array([law.pmf(k) for k in range(k_max + 1)])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+class TestTiltedParamsDomain:
+    @pytest.mark.parametrize("x,theta", [(math.inf, 1), (1, math.inf),
+                                         (math.nan, 1), (10 ** 400, 1),
+                                         (1, 0), (-1, 1)],
+                             ids=["x_inf", "theta_inf", "x_nan", "x_1e400",
+                                  "theta_0", "x_negative"])
+    def test_rejects_non_finite_or_non_positive(self, x, theta):
+        with pytest.raises(ParameterDomainError):
+            TiltedParams(x, theta)
 
 
 class TestRefinedLaw:

@@ -1,6 +1,8 @@
-"""Exactness, determinism, and statistics of the rejection sampler."""
+"""Exactness, determinism, and statistics of the table and rejection samplers."""
 
 import math
+import statistics as pystats
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from scipy.stats import chisquare
 from combstruct import structures as st
 from combstruct import sumdist as sd
 from combstruct import oracle as orc
+from combstruct import moments as mom
+from combstruct import sampler as smp
 from combstruct.errors import NumericGuardError, ParameterDomainError
-from combstruct.indep_process import TiltedParams, solve_xex
+from combstruct.indep_process import TiltedParams, choose_x, solve_xex
 from combstruct.sampler import (RngState, draw_T, sample_components,
                                 sample_refined, size_biased_pmf_estimate,
                                 statistics)
@@ -56,7 +60,8 @@ class TestSampleComponents:
 
     def test_acceptance_rate_perm_n3(self):
         params = TiltedParams(1, 1)
-        batch = sample_components(PERM, 3, params, 16000, RngState(11))
+        batch = sample_components(PERM, 3, params, 16000, RngState(11),
+                                  method="rejection")
         p = math.exp(-11 / 6)
         assert batch.acceptance_exact == pytest.approx(p, rel=1e-12)
         se = math.sqrt(p * (1 - p) / batch.trials)
@@ -65,7 +70,7 @@ class TestSampleComponents:
     def test_trials_accounting(self):
         params = TiltedParams(0.5, 1)
         batch = sample_components(st.distinct_partitions(), 8, params, 4000,
-                                  RngState(21))
+                                  RngState(21), method="rejection")
         p = batch.acceptance_exact
         slack = 4 * math.sqrt(batch.trials * p * (1 - p))
         assert abs(batch.accepted - batch.trials * p) <= slack + 1
@@ -86,23 +91,124 @@ class TestSampleComponents:
         assert [v.a for v in a.samples] == [v.a for v in b.samples]
         assert a.accepted == 301
 
-    @pytest.mark.parametrize("spec,params,theta", [
-        (PERM, TiltedParams(1, 1), 1),
-        (st.integer_partitions(), TiltedParams(0.6, 1), 1),
-        (st.distinct_partitions(), TiltedParams(1.0, 1), 1),
-        (PERM, TiltedParams(1, 2), 2),
-        (st.integer_partitions(), TiltedParams(0.4, 2), 2),
-        (st.distinct_partitions(), TiltedParams(1.0, 2), 2),
+    # the default (table) route keeps the bare case ids
+    @pytest.mark.parametrize("spec,params,theta,method", [
+        pytest.param(*case, method,
+                     id=f"spec{j}-params{j}-{case[2]}"
+                        + ("" if method == "table" else "-rejection"))
+        for method in ("table", "rejection")
+        for j, case in enumerate([
+            (PERM, TiltedParams(1, 1), 1),
+            (st.integer_partitions(), TiltedParams(0.6, 1), 1),
+            (st.distinct_partitions(), TiltedParams(1.0, 1), 1),
+            (PERM, TiltedParams(1, 2), 2),
+            (st.integer_partitions(), TiltedParams(0.4, 2), 2),
+            (st.distinct_partitions(), TiltedParams(1.0, 2), 2),
+            # binomial m_i > 1 and m_i = 0 gaps
+            (st.from_m_list("selection", [2, 0, 3, 1, 0, 2]),
+             TiltedParams(0.8, 1), 1),
+        ])
     ])
-    def test_chi_square_small_n(self, spec, params, theta):
+    def test_chi_square_small_n(self, spec, params, theta, method):
         n = 6
         law = orc.exact_joint_law(spec, n, theta)
-        batch = sample_components(spec, n, params, 20000, RngState(123))
+        batch = sample_components(spec, n, params, 20000, RngState(123),
+                                  method=method)
         assert chi_square_pvalue(batch.samples, law) > 1e-3
 
     def test_underflow_guard(self):
         with pytest.raises(NumericGuardError):
             sample_components(PERM, 60, TiltedParams(0.3, 1), 1, RngState(0))
+
+    @pytest.mark.parametrize("method", ["table", "rejection"])
+    def test_overflowing_tilt_is_numeric_guard(self, method):
+        with pytest.raises(NumericGuardError):
+            sample_components(PERM, 60, TiltedParams(1e6, 1), 1, RngState(0),
+                              method=method)
+
+
+class TestTableRoute:
+    @pytest.mark.parametrize("spec,n,how", [
+        (PERM, 300, 1.0), (st.esf(2), 1000, "exact_mean"),
+        (st.set_partitions(), 1000, "set_partition"),
+        (st.integer_partitions(), 1000, "integer_partition"),
+        (st.distinct_partitions(), 1000, "distinct_partition"),
+        (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_acceptance_exact_matches_prob_T(self, spec, n, how):
+        x = choose_x(spec, n, 1, how) if isinstance(how, str) else how
+        params = TiltedParams(x, 1)
+        batch = sample_components(spec, n, params, 0, RngState(0))
+        want = sd.prob_T_eq_n(spec, n, params)
+        assert batch.acceptance_exact == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec,how", [
+        (st.set_partitions(), "set_partition"),
+        (st.integer_partitions(), "integer_partition"),
+    ], ids=["set_partitions", "integer_partitions"])
+    def test_mean_K_n1000(self, spec, how, monkeypatch):
+        # E K = sum_j E C_j(n); every term rebuilds the same float p_theta
+        # table above the exact cutoff, so it is memoized for this sum
+        n = 1000
+        params = TiltedParams(choose_x(spec, n, 1, how), 1)
+        memo = {}
+        orig = mom.log_ptheta_table
+
+        def cached(spec_, n_, theta, x=None):
+            if (n_, theta, x) not in memo:
+                memo[n_, theta, x] = orig(spec_, n_, theta, x=x)
+            return memo[n_, theta, x]
+        monkeypatch.setattr(mom, "log_ptheta_table", cached)
+        expected = math.fsum(mom.factorial_moment_single(spec, n, j, 1, params)
+                             for j in range(1, n + 1))
+        batch = sample_components(spec, n, params, 1000, RngState(77))
+        ks = [v.num_components for v in batch.samples]
+        se = pystats.stdev(ks) / math.sqrt(len(ks))
+        assert abs(pystats.mean(ks) - expected) <= 5 * se
+
+    def test_count_above_block(self, monkeypatch):
+        spec, n, params = st.integer_partitions(), 10, TiltedParams(0.6, 1)
+        count = smp._BLOCK + 101
+        a = sample_components(spec, n, params, count, RngState(5), streams=2)
+        b = sample_components(spec, n, params, count, RngState(5), streams=2)
+        assert a.trials == a.accepted == count
+        assert all(v.complete for v in a.samples)
+        assert [v.a for v in a.samples] == [v.a for v in b.samples]
+        # the block size bounds memory only: smaller blocks, same samples
+        monkeypatch.setattr(smp, "_BLOCK", 97)
+        c = sample_components(spec, n, params, count, RngState(5), streams=2)
+        assert [v.a for v in c.samples] == [v.a for v in a.samples]
+
+    def test_unknown_method(self):
+        with pytest.raises(ParameterDomainError):
+            sample_components(PERM, 5, TiltedParams(1, 1), 1, RngState(0),
+                              method="boltzmann")
+
+
+class TestStreamsAndThreads:
+    def test_table_route_starts_no_threads(self, monkeypatch):
+        def refuse(*_a, **_k):
+            raise AssertionError("the table route started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        batch = sample_components(PERM, 8, TiltedParams(1, 1), 40,
+                                  RngState(2), streams=4)
+        assert batch.accepted == 40
+
+    def test_rejection_workers_capped_at_cpu_count(self, monkeypatch):
+        args = (PERM, 5, TiltedParams(1, 1), 40, RngState(6))
+        want = sample_components(*args, streams=4, method="rejection")
+        seen = []
+        real = smp.ThreadPoolExecutor
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+        monkeypatch.setattr(smp.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(smp, "ThreadPoolExecutor", spy)
+        got = sample_components(*args, streams=4, method="rejection")
+        assert seen == [1]
+        assert [v.a for v in got.samples] == [v.a for v in want.samples]
+        assert got.trials == want.trials
 
 
 class TestDrawT:
