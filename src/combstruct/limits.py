@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import StructureSpec
-from .indep_process import TiltedParams
+from .indep_process import TiltedParams, overflow_guard
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -75,6 +75,7 @@ def psi0(kappa: float, u: float) -> float:
     return math.exp(-_log_psi_integral(kappa, u, 0.0))
 
 
+@overflow_guard("the limit density g_c")
 def limit_density(law: LimitLaw, z: float) -> float:
     """g_c(z) = e^{-gamma kappa} e^{-c z} z^{kappa-1} / (Gamma(kappa) psi(c)),
     valid on 0 <= z <= 1 (the density is explicit only there)."""

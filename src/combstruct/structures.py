@@ -617,15 +617,11 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
     params = TiltedParams(x=x, theta=theta)
     params.validate(spec)
-    lx = math.log(float(x))
-    logs = sumdist._log_coeff_table(spec, n, params)
-    out = []
-    for k in range(n + 1):
-        v = logs[k] - k * lx
-        if spec.kind is Kind.ASSEMBLY:
-            v += math.lgamma(k + 1)
-        out.append(v)
-    return out
+    k = np.arange(n + 1)
+    out = sumdist._log_coeff_table(spec, n, params) - k * math.log(float(x))
+    if spec.kind is Kind.ASSEMBLY:
+        out += sumdist._log_factorial_at(k)
+    return out.tolist()
 
 
 def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,

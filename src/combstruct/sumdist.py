@@ -3,16 +3,21 @@
 The workhorse is the coefficient recursion k p(k) = sum_i g(i) p(k-i)
 obtained by logarithmic differentiation of the probability generating
 function: g(i) = theta i lambda_i 1(i in B) for assemblies, a divisor sum
-for multisets, and a signed divisor sum for selections.  The recursion is
-a positive convolution for assemblies and multisets and runs in linear
-space with a shared base-2 exponent (values span thousands of orders of
-magnitude for large n); the signed selection recursion can cancel, so the
-production path for selections is a truncated convolution of the per-index
-binomial laws, with the signed recursion kept as a verification path.  The
-convolution is a strided update of length-(n_max+1) arrays, one index at a
-time: p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i).
-It costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i is
-0 or 1.
+for multisets, and a signed divisor sum for selections.  The divisor sums
+are built by array updates over the pairs (k, j) with k j = i <= n_max,
+so the float path needs no divisor sieve.  The recursion is a positive
+convolution for assemblies and multisets and runs in linear space with a
+shared base-2 exponent (values span thousands of orders of magnitude for
+large n); each step is one dot product of two contiguous slices, which
+numpy hands to BLAS, O(n^2) multiply-adds in all (an FFT convolution would
+lose the small entries to rounding).  The signed selection recursion can
+cancel, so the production path for selections is a truncated convolution
+of the per-index binomial laws, with the signed recursion kept as a
+verification path.  The convolution is a strided update of
+length-(n_max+1) arrays, one index at a time:
+p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i).  It
+costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i is 0
+or 1.
 
 Everything is truncated at n_max with the missing mass reported as an
 explicit tail.
@@ -20,7 +25,9 @@ explicit tail.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -28,12 +35,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import (EXACT_CUTOFF, Kind, StructureSpec, divisor_sieve,
-                         log_big, log_ptheta_table, ptheta_table)
+from .structures import (EXACT_CUTOFF, Kind, StructureSpec, log_big,
+                         log_ptheta_table, ptheta_table)
 from .indep_process import (Family, TiltedParams, _m_softplus, _safe_mlog1p,
                             log_m_array, overflow_guard, z_law)
 
 _LN2 = math.log(2.0)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _RESCALE = 2.0 ** 512
 _RESCALE_INV = 2.0 ** -512
 
@@ -85,75 +93,119 @@ class PmfVector:
         return s
 
 
+def _checked_exp(e: np.ndarray) -> np.ndarray:
+    """np.exp(e), raising OverflowError where an entry is beyond double range
+    (as math.exp does), so that no overflow warning fires."""
+    if e.size and float(e.max()) > _LOG_DBL_MAX:
+        raise OverflowError("math range error")
+    return np.exp(e)
+
+
+def _log_factorial_at(ks: np.ndarray) -> np.ndarray:
+    """log k! for each k in ks, by math.lgamma (scipy's gammaln differs from
+    it by up to 4 ulps, i.e. 4e-12 relative in g(i) at i = 1000)."""
+    return np.fromiter(map(math.lgamma, (ks + 1).tolist()), float, len(ks))
+
+
+def _active_indices(spec: StructureSpec, B: IndexSet,
+                    n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, log m_k) for the k in B with k <= n_max and m_k != 0."""
+    lm = log_m_array(spec, n_max)
+    ks = np.asarray(B[: bisect.bisect_right(B, n_max)], dtype=np.int64)
+    lmk = lm[ks]
+    keep = lmk != -np.inf
+    return ks[keep], lmk[keep]
+
+
 @overflow_guard("a Poisson mean theta m_i x^i / i!")
 def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> float:
     """log P(R_B = 0) for the all-zero configuration: the recursion seed.
 
     Assemblies exp(-sum theta lambda_i); multisets prod (1-theta x^i)^{m_i};
-    selections prod (1+theta x^i)^{-m_i}.
+    selections prod (1+theta x^i)^{-m_i}.  Assemblies sum array terms;
+    multisets and selections sum the scalar _safe_mlog1p and _m_softplus
+    over the indices with m_i != 0, which keeps each big-m policy in one
+    function (an array call per law would slow DiscreteLaw.pmf_array).
     """
     params.validate(spec)
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     B = index_set(B)
-    lms = log_m_array(spec, B[-1] if B else 0)
-    total = 0.0
-    for i in B:
-        lm = float(lms[i])
-        if lm == -math.inf:
-            continue
-        lw = lth + i * lx
-        if spec.kind is Kind.ASSEMBLY:
-            total -= math.exp(lm + lw - math.lgamma(i + 1))
-        elif spec.kind is Kind.MULTISET:
-            total += _safe_mlog1p(lm, math.exp(lw), lw)
-        else:
-            total -= _m_softplus(lm, lw)
-    return total
+    i, lm = _active_indices(spec, B, B[-1] if B else 0)
+    lw = lth + i * lx
+    if spec.kind is Kind.ASSEMBLY:
+        lam = _checked_exp(lm + lw - _log_factorial_at(i))
+        with np.errstate(over="ignore"):  # a sum beyond double range is -inf
+            return -float(np.sum(lam))
+    if spec.kind is Kind.MULTISET:
+        return sum(map(_safe_mlog1p, lm.tolist(), np.exp(lw).tolist(),
+                       lw.tolist()), 0.0)
+    return -sum(map(_m_softplus, lm.tolist(), lw.tolist()), 0.0)
 
 
 @overflow_guard("a recursion weight g(i)")
 def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
              params: TiltedParams, signed: bool = False) -> np.ndarray:
-    """g[i], i = 0..n_max, for the coefficient recursion."""
+    """g[i], i = 0..n_max, for the coefficient recursion.
+
+    Assemblies: g(i) = theta i lambda_i for i in B.  Multisets and
+    selections: g(i) is the sum over the pairs (k, j) with k j = i, k in B
+    and m_k != 0 of k m_k theta^j x^i, negated for even j when signed.  An
+    index k <= r = isqrt(n_max) adds its n_max // k multiples in one strided
+    update; the indices k > r have j <= n_max // (r + 1) and are added one j
+    at a time, so every temporary has length O(n_max).
+    """
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     g = np.zeros(n_max + 1)
-    lm = log_m_array(spec, n_max)
-    bset = set(B)
+    ks, lm = _active_indices(spec, B, n_max)
     if spec.kind is Kind.ASSEMBLY:
-        for i in B:
-            if i <= n_max and lm[i] != -np.inf:
-                g[i] = math.exp(lth + lm[i] + i * lx
-                                - math.lgamma(i + 1) + math.log(i))
+        g[ks] = _checked_exp(lth + lm + ks * lx - _log_factorial_at(ks)
+                             + np.log(ks))
         return g
-    divs = divisor_sieve(n_max)
-    for i in range(1, n_max + 1):
-        acc = 0.0
-        for k in divs[i]:
-            if k in bset and lm[k] != -np.inf:
-                lt = math.log(k) + lm[k] + (i // k) * lth + i * lx
-                term = math.exp(lt)
-                if signed and (i // k) % 2 == 0:
-                    acc -= term
-                else:
-                    acc += term
-        g[i] = acc
+    lk = np.log(ks) + lm
+    r = math.isqrt(n_max)
+    split = int(np.searchsorted(ks, r, side="right"))
+    with np.errstate(over="ignore"):  # a sum beyond double range is caught below
+        for k, lkk in zip(ks[:split].tolist(), lk[:split].tolist()):
+            j = np.arange(1, n_max // k + 1)
+            terms = _checked_exp(lkk + j * lth + (k * j) * lx)
+            if signed:
+                terms[1::2] *= -1.0
+            g[k::k] += terms
+        ks, lk = ks[split:], lk[split:]
+        for j in range(1, n_max // (r + 1) + 1):
+            cut = int(np.searchsorted(ks, n_max // j, side="right"))
+            kj = ks[:cut] * j
+            terms = _checked_exp(lk[:cut] + j * lth + kj * lx)
+            if signed and j % 2 == 0:
+                g[kj] -= terms
+            else:
+                g[kj] += terms
+    if not np.all(np.isfinite(g)):
+        raise OverflowError("math range error")
     return g
 
 
 def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
-    """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i]; returns (q, base-2 shift)."""
+    """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i]; returns (q, base-2 shift).
+
+    The sum is one dot product of two contiguous slices, q[:k] and the
+    reversed g's grev[n_max-k:n_max] = g[k..1], so numpy hands it to BLAS.
+    """
     q = np.zeros(n_max + 1)
     q[0] = 1.0
+    grev = g[::-1].copy()
     shift = 0
     running_max = 1.0
-    for k in range(1, n_max + 1):
-        q[k] = float(np.dot(g[1:k + 1], q[k - 1::-1])) / k
-        if q[k] > running_max:
-            running_max = q[k]
-        if running_max > _RESCALE:
-            q[:k + 1] *= _RESCALE_INV
-            running_max *= _RESCALE_INV
-            shift += 512
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below
+        for k in range(1, n_max + 1):
+            v = float(np.dot(q[:k], grev[n_max - k:n_max])) / k
+            q[k] = v
+            if v > running_max:
+                running_max = v
+                if running_max > _RESCALE:
+                    q[:k + 1] *= _RESCALE_INV
+                    running_max *= _RESCALE_INV
+                    shift += 512
     if not np.all(np.isfinite(q)):
         raise NumericGuardError("weighted-sum recursion overflowed")
     return q, shift
@@ -290,19 +342,69 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
         raise ParameterDomainError("n must be >= 1")
     params.validate(spec)
     if method == "recursion":
-        return float(weighted_sum_pmf(spec, range(1, n + 1), n, params,
-                                      method="auto").p[n])
-    if method != "closed_form":
-        raise ParameterDomainError(f"unknown method {method!r}")
-    lseed = log_seed(spec, range(1, n + 1), params)
-    if n <= EXACT_CUTOFF and isinstance(params.theta, (int, Fraction)):
-        lp = log_big(ptheta_table(spec, n, params.theta)[n])
+        out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                     method="auto").p[n])
+    elif method == "closed_form":
+        lseed = log_seed(spec, range(1, n + 1), params)
+        if n <= EXACT_CUTOFF and isinstance(params.theta, (int, Fraction)):
+            lp = log_big(ptheta_table(spec, n, params.theta)[n])
+        else:
+            lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
+        lout = lseed + n * math.log(params.fx) + lp
+        if spec.kind is Kind.ASSEMBLY:
+            lout -= math.lgamma(n + 1)
+        out = math.exp(lout)
     else:
-        lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
-    out = lseed + n * math.log(params.fx) + lp
-    if spec.kind is Kind.ASSEMBLY:
-        out -= math.lgamma(n + 1)
-    return math.exp(out)
+        raise ParameterDomainError(f"unknown method {method!r}")
+    if out == 0.0 and has_weight(spec, n):
+        raise _underflow_error(n)
+    return out
+
+
+def has_weight(spec: StructureSpec, n: int) -> bool:
+    """Whether some structure has weight n, i.e. p(n) > 0: a boolean strided
+    update marks the weights sum_i i Z_i can reach with Z_i <= m_i.  Only
+    asked when P(T_n = n) came out 0.
+    """
+    lm = log_m_array(spec, n)
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[0] = True
+    for i in range(1, n + 1):
+        if lm[i] == -np.inf:
+            continue
+        if spec.kind is Kind.SELECTION and lm[i] < math.log(n // i):
+            # Z_i <= m_i < n // i
+            new = reach.copy()
+            for k in range(1, min(n // i, int(spec.m(i))) + 1):
+                new[i * k:] |= reach[: n + 1 - i * k]
+            reach = new
+        else:
+            # Z_i unbounded within 0..n: a running OR along each residue
+            # class mod i
+            rows = -(-(n + 1) // i)
+            grid = np.zeros(rows * i, dtype=bool)
+            grid[: n + 1] = reach
+            reach = np.logical_or.accumulate(grid.reshape(rows, i), axis=0
+                                             ).ravel()[: n + 1]
+        if reach[n]:
+            return True
+    return False
+
+
+def _underflow_error(n: int) -> NumericGuardError:
+    return NumericGuardError(f"P(T_n = n) underflowed to 0 at n = {n}; choose "
+                             "an x nearer the exact-mean x")
+
+
+def zero_probability_error(spec: StructureSpec, n: int) -> Exception:
+    """The error for a conditioning probability P(T_n = n) that came out 0:
+    a numeric guard when structures of weight n exist (the value
+    underflowed), a domain error when none do."""
+    if has_weight(spec, n):
+        return _underflow_error(n)
+    return ParameterDomainError(
+        f"conditioning probability P(T_n = n) is zero: no structures of "
+        f"weight {n}")
 
 
 def conditioned_R_pmf(spec: StructureSpec, B: Iterable[int], n: int,
@@ -313,7 +415,7 @@ def conditioned_R_pmf(spec: StructureSpec, B: Iterable[int], n: int,
     ps = weighted_sum_pmf(spec, complement(B, n), n, params)
     pt = float(np.dot(pr.p, ps.p[::-1]))
     if pt <= 0.0:
-        raise ParameterDomainError("conditioning probability P(T_n = n) is zero")
+        raise zero_probability_error(spec, n)
     p = pr.p * ps.p[::-1] / pt
     return PmfVector(p=p, tail=0.0, n_max=n)
 

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ParameterDomainError
 from .structures import StructureSpec
 from .indep_process import TiltedParams, mean_var_arrays
-from .sumdist import PmfVector, complement, index_set, weighted_sum_pmf
+from .sumdist import (PmfVector, complement, index_set, weighted_sum_pmf,
+                      zero_probability_error)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def tv_discrete(p: PmfVector, q: PmfVector) -> TvBracket:
     qa = np.zeros(n + 1)
     qa[: q.n_max + 1] = q.p
     body = 0.5 * float(np.abs(pa - qa).sum())
-    return TvBracket(lower=body + 0.5 * abs(p.tail - q.tail),
+    return TvBracket(lower=min(1.0, body + 0.5 * abs(p.tail - q.tail)),
                      upper=min(1.0, body + 0.5 * (p.tail + q.tail)))
 
 
@@ -98,7 +99,7 @@ def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
     ps = weighted_sum_pmf(spec, complement(B, n), n, params)
     pt = float(np.dot(pr.p, ps.p[::-1]))
     if pt <= 0.0:
-        raise ParameterDomainError("conditioning probability P(T_n = n) is zero")
+        raise zero_probability_error(spec, n)
     body = 0.5 * float(np.dot(pr.p, np.abs(ps.p[::-1] / pt - 1.0)))
     tail_term = 0.5 * pr.tail
     exact = min(1.0, tail_term + body)

@@ -27,6 +27,8 @@ def spec_files(tmp_path):
         "squarefree2": {"kind": "selection", "builtin": "squarefree_polynomials",
                         "params": {"q": 2}},
         "bad_kind": {"kind": "assembli", "m": [1, 2]},
+        "distinct": {"kind": "selection", "builtin": "distinct_partitions"},
+        "even_only": {"kind": "multiset", "m": [0, 1]},
     }.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -215,6 +217,35 @@ class TestExitCodes:
                                capsys)
         assert code == 4
         assert err.startswith("numeric guard:")
+
+    def test_limit_overflowing_tilt_is_4(self, spec_files, capsys):
+        # e^{-c z} of the limit density with c = -n log x beyond double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(["limit", "--spec", spec_files["permutations"],
+                                    "--n", "60", "--x", "1e6"], capsys)
+        assert code == 4
+        assert err.startswith("numeric guard:")
+
+    @pytest.mark.parametrize("cmd", [["prob-t"], ["tv", "--B", "1..5"]],
+                             ids=lambda c: c[0])
+    def test_underflowed_conditioning_is_4(self, spec_files, capsys, cmd):
+        # at x = 1e6 P(T_60 = 60) underflows; distinct partitions of 60 exist
+        argv = [cmd[0], "--spec", spec_files["distinct"], "--n", "60",
+                "--x", "1e6"] + cmd[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert "underflowed" in err and out == ""
+
+    @pytest.mark.parametrize("n", ["7", "1001"])
+    def test_true_zero_conditioning_is_3(self, spec_files, capsys, n):
+        # components of size 2 only: no structure of odd weight
+        code, _, err = run_cli(["tv", "--spec", spec_files["even_only"],
+                                "--n", n, "--x", "0.5", "--B", "1..3"], capsys)
+        assert code == 3
+        assert f"no structures of weight {n}" in err
 
     def test_numeric_guard_is_4(self, spec_files, capsys):
         code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],

@@ -3,6 +3,8 @@ probability identities, conditional laws, and the joint (count, weight) pmf."""
 
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from combstruct import structures as st
 from combstruct import sumdist as sd
 from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
-from combstruct.indep_process import TiltedParams, choose_x, z_law
+from combstruct.indep_process import (TiltedParams, _m_softplus, _safe_mlog1p,
+                                      choose_x, log_m_array, z_law)
 
 PERM = st.permutations()
 INTPART = st.integer_partitions()
@@ -135,6 +138,237 @@ class TestStridedSelectionUpdate:
             assert float(np.max(np.abs(got.p - want))) <= 1e-14
             assert got.tail == pytest.approx(max(0.0, 1.0 - want.sum()),
                                              abs=1e-14)
+
+
+# reference routes: the scalar forms of log_seed, _g_array and
+# _recursion_coeffs that the array routes replaced
+
+def _ref_log_seed(spec, B, params):
+    lth, lx = math.log(params.ftheta), math.log(params.fx)
+    B = sd.index_set(B)
+    lms = log_m_array(spec, B[-1] if B else 0)
+    total = 0.0
+    for i in B:
+        lm = float(lms[i])
+        if lm == -math.inf:
+            continue
+        lw = lth + i * lx
+        if spec.kind is st.Kind.ASSEMBLY:
+            total -= math.exp(lm + lw - math.lgamma(i + 1))
+        elif spec.kind is st.Kind.MULTISET:
+            total += _safe_mlog1p(lm, math.exp(lw), lw)
+        else:
+            total -= _m_softplus(lm, lw)
+    return total
+
+
+def _ref_g_array(spec, B, n_max, params, signed=False):
+    lth, lx = math.log(params.ftheta), math.log(params.fx)
+    g = np.zeros(n_max + 1)
+    lm = log_m_array(spec, n_max)
+    bset = set(B)
+    if spec.kind is st.Kind.ASSEMBLY:
+        for i in B:
+            if i <= n_max and lm[i] != -np.inf:
+                g[i] = math.exp(lth + lm[i] + i * lx
+                                - math.lgamma(i + 1) + math.log(i))
+        return g
+    divs = st.divisor_sieve(n_max)
+    for i in range(1, n_max + 1):
+        acc = 0.0
+        for k in divs[i]:
+            if k in bset and lm[k] != -np.inf:
+                term = math.exp(math.log(k) + lm[k] + (i // k) * lth + i * lx)
+                acc += -term if signed and (i // k) % 2 == 0 else term
+        g[i] = acc
+    return g
+
+
+def _ref_recursion_coeffs(g, n_max):
+    q = np.zeros(n_max + 1)
+    q[0] = 1.0
+    shift = 0
+    running_max = 1.0
+    for k in range(1, n_max + 1):
+        q[k] = float(np.dot(g[1:k + 1], q[k - 1::-1])) / k
+        running_max = max(running_max, q[k])
+        if running_max > 2.0 ** 512:
+            q[:k + 1] *= 2.0 ** -512
+            running_max *= 2.0 ** -512
+            shift += 512
+    return q, shift
+
+
+REFERENCE_SPECS = [
+    st.permutations(), st.mappings(), st.set_partitions(),
+    st.two_regular_graphs(), st.esf(Fraction(1, 2)), st.esf(0.3),
+    st.integer_partitions(), st.polynomials(2), st.necklaces(3),
+    st.distinct_partitions(), st.distinct_odd_partitions(),
+    st.squarefree_polynomials(2),
+    st.from_m_list("assembly", [0, 2, 0, 0, 5, 1, 0, 3], name="asm_zeros"),
+    st.from_m_list("multiset", [1, 0, 0, 2, 0, 3], name="mset_zeros"),
+    st.from_m_list("selection", [1, 0, 2, 3, 0, 1], name="sel_zeros"),
+]
+REFERENCE_THETAS = [1, 2, Fraction(1, 2), 0.3]
+REFERENCE_NS = [1, 2, 97, 1000]
+
+
+def _reference_x(spec, theta):
+    """The exact-mean x at n = 1000 for builtins, a fixed x for the finite m
+    lists; multisets and selections keep theta x < 1 (the multiset domain,
+    and the signed selection recursion cancels catastrophically beyond it,
+    so that any two summation orders part)."""
+    x = choose_x(spec, 1000, theta) if "builtin" in spec.params else 0.7
+    if spec.kind is st.Kind.ASSEMBLY:
+        return x
+    return min(x, 0.9 / float(theta))
+
+
+def _close(got, want, tol=1e-12):
+    scale = float(np.max(np.abs(want))) if np.size(want) else 0.0
+    return float(np.max(np.abs(np.asarray(got) - want), initial=0.0)) <= tol * scale
+
+
+class TestArrayRoutesMatchScalarReferences:
+    def test_every_builtin_covered(self):
+        names = {sp.params.get("builtin") for sp in REFERENCE_SPECS}
+        assert set(st.BUILTINS) <= names
+
+    @pytest.mark.parametrize("theta", REFERENCE_THETAS, ids=str)
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.name)
+    def test_full_index_set(self, spec, theta):
+        params = TiltedParams(_reference_x(spec, theta), theta)
+        signed = spec.kind is st.Kind.SELECTION
+        for n in REFERENCE_NS:
+            B = tuple(range(1, n + 1))
+            want = _ref_g_array(spec, B, n, params, signed)
+            g = sd._g_array(spec, B, n, params, signed)
+            assert _close(g, want), (n, "g")
+            q, shift = sd._recursion_coeffs(g, n)
+            q_ref, shift_ref = _ref_recursion_coeffs(want, n)
+            assert _close(q * 2.0 ** (shift - shift_ref), q_ref), (n, "q")
+            ls, ls_ref = sd.log_seed(spec, B, params), _ref_log_seed(spec, B, params)
+            assert abs(ls - ls_ref) <= 1e-12 * abs(ls_ref), (n, "seed")
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.name)
+    def test_gapped_index_sets_past_n_max(self, spec):
+        rng = random.Random(spec.name)
+        for theta in (1, 0.3):
+            params = TiltedParams(_reference_x(spec, theta), theta)
+            signed = spec.kind is st.Kind.SELECTION
+            for n in REFERENCE_NS:
+                B = sd.index_set(rng.sample(range(1, n + 1), max(1, n // 2))
+                                 + [n + 1, 2 * n + 3])
+                want = _ref_g_array(spec, B, n, params, signed)
+                g = sd._g_array(spec, B, n, params, signed)
+                assert _close(g, want), n
+                assert _close(sd._recursion_coeffs(g, n)[0],
+                              _ref_recursion_coeffs(want, n)[0]), n
+                try:
+                    ls_ref = _ref_log_seed(spec, B, params)
+                except ValueError:
+                    # the known _m_softplus domain error when log1p(e^lw)
+                    # underflows at a huge m_i (squarefree_polynomials(2) at
+                    # i = 2003); the array route keeps that scalar branch
+                    with pytest.raises(ValueError):
+                        sd.log_seed(spec, B, params)
+                    continue
+                assert abs(sd.log_seed(spec, B, params) - ls_ref) <= \
+                    1e-12 * abs(ls_ref), n
+
+    def test_log_ptheta_float_table(self):
+        # the float branch of log_ptheta_table against its per-k loop
+        for spec in (st.set_partitions(), st.integer_partitions(),
+                     st.distinct_partitions()):
+            n = 1000
+            x = choose_x(spec, n, 0.3)
+            got = st.log_ptheta_table(spec, n, 0.3, x=x)
+            logs = sd._log_coeff_table(spec, n, TiltedParams(x, 0.3))
+            for k in (0, 1, 2, 97, 500, 1000):
+                want = logs[k] - k * math.log(x)
+                if spec.kind is st.Kind.ASSEMBLY:
+                    want += math.lgamma(k + 1)
+                assert got[k] == want, (spec.name, k)
+
+    def test_no_divisor_sieve_on_the_float_path(self, monkeypatch):
+        def boom(n):
+            raise AssertionError("divisor_sieve called")
+        monkeypatch.setattr(st, "divisor_sieve", boom)
+        monkeypatch.setattr(sd, "divisor_sieve", boom, raising=False)
+        spec = st.integer_partitions()
+        params = TiltedParams(choose_x(spec, 2000), 1)
+        sd.prob_T_eq_n(spec, 2000, params)
+        sd._g_array(st.squarefree_polynomials(2), tuple(range(1, 600)), 600,
+                    TiltedParams(0.4, 1), signed=True)
+
+
+class TestOverflowingTilt:
+    @pytest.mark.parametrize("spec,n,x", [
+        (st.permutations(), 60, 1e6),
+        (st.polynomials(2), 2000, 0.99),
+        (st.distinct_partitions(), 60, 1e6),
+    ], ids=["assembly", "multiset", "selection"])
+    def test_recursion_raises_numeric_guard(self, spec, n, x):
+        params = TiltedParams(x, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError):
+                sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                    method="recursion")
+            with pytest.raises(NumericGuardError):
+                sd._log_coeff_table(spec, n, params)
+            with pytest.raises(NumericGuardError):
+                sd.prob_T_eq_n(spec, n, params)
+
+    def test_seed_raises_numeric_guard(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError):
+                sd.log_seed(st.permutations(), range(1, 61), TiltedParams(1e6, 1))
+
+    def test_summed_weight_overflow_is_guarded(self):
+        # each term of g(i) fits a double, their sum does not
+        spec = st.from_m_list("multiset", [10 ** 308, 5 * 10 ** 307],
+                              name="huge_m")
+        params = TiltedParams(0.99, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(sd._g_array(spec, (1, 2), 1, params)))
+            with pytest.raises(NumericGuardError):
+                sd._g_array(spec, (1, 2), 2, params)
+
+
+EVEN_ONLY = st.from_m_list("multiset", [0, 1], name="even_only")
+
+
+class TestZeroConditioningProbability:
+    @pytest.mark.parametrize("n", [60, 1000])
+    def test_underflow_is_numeric_guard(self, n):
+        # at x = 1e6 every Z_i is 1 almost surely, so T_n = n(n+1)/2 >> n
+        params = TiltedParams(1e6, 1)
+        for method in ("recursion", "closed_form"):
+            with pytest.raises(NumericGuardError):
+                sd.prob_T_eq_n(DISTINCT, n, params, method=method)
+
+    @pytest.mark.parametrize("n", [7, 1001])
+    def test_true_zero_stays_zero(self, n):
+        params = TiltedParams(0.5, 1)
+        assert sd.prob_T_eq_n(EVEN_ONLY, n, params) == 0.0
+        assert sd.prob_T_eq_n(EVEN_ONLY, n + 1, params) > 0.0
+        with pytest.raises(ParameterDomainError, match="no structures of weight"):
+            sd.conditioned_R_pmf(EVEN_ONLY, [1, 2], n, params)
+
+    @pytest.mark.parametrize("spec", [
+        st.two_regular_graphs(), st.distinct_partitions(),
+        st.distinct_odd_partitions(), EVEN_ONLY,
+        st.from_m_list("selection", [0, 0, 2, 0, 1], name="sel_gaps"),
+        st.from_m_list("assembly", [0, 0, 0, 1], name="asm_fours"),
+    ], ids=lambda s: s.name)
+    def test_support_update_matches_exact_table(self, spec):
+        n = 60
+        exact = st.ptheta_table(spec, n, 1)
+        for k in range(1, n + 1):
+            assert sd.has_weight(spec, k) == (exact[k] != 0), k
 
 
 class TestProbT:

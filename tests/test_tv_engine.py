@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from combstruct import structures as st
 from combstruct import sumdist as sd
@@ -62,6 +62,9 @@ class TestTvDiscrete:
                     max_size=8),
            hs.lists(hs.floats(min_value=0.0, max_value=1.0), min_size=2,
                     max_size=8))
+    # disjoint supports: the body sum rounds to 1 + 2^-52
+    @example(wa=[0.0, 0.7898852568494756, 0.5619863822397461, 0.125, 0.0625],
+             wb=[1.0, 0.0])
     def test_range_and_symmetry(self, wa, wb):
         if sum(wa) == 0 or sum(wb) == 0:
             return
