@@ -13,6 +13,7 @@ runs on the table route, which draws every stream in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,6 +62,29 @@ def parse_number(text: str):
         return int(text)
     except ValueError:
         return float(text)
+
+
+# argparse type= converters: a value they reject is a flag error (exit 2)
+
+def _number_flag(text: str):
+    try:
+        return parse_number(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from exc
+
+
+def _index_set_flag(text: str) -> str:
+    """Checks the index-set syntax and keeps the text, which tv and
+    heuristic echo in their headers."""
+    try:
+        parse_index_set(text)
+    except (ValueError, ParameterDomainError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid index set {text!r}: {exc}") from exc
+    return text
+
+
+def _int_tuple_flag(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(","))
 
 
 def fmt(v, prec: int) -> str:
@@ -135,9 +159,9 @@ def _load_spec(args) -> st.StructureSpec:
 
 
 def _params_for(args, spec: st.StructureSpec, n: int) -> TiltedParams:
-    theta = parse_number(args.theta)
+    theta = args.theta
     if args.x is not None:
-        params = TiltedParams(x=parse_number(args.x), theta=theta)
+        params = TiltedParams(x=args.x, theta=theta)
     else:
         strategy = args.choose_x or "exact_mean"
         params = TiltedParams(x=choose_x(spec, n, theta, strategy), theta=theta)
@@ -183,7 +207,7 @@ def cmd_prob_t(args) -> Output:
 def cmd_pofn(args) -> Output:
     spec = _load_spec(args)
     n = args.n
-    theta = parse_number(args.theta)
+    theta = args.theta
     out = Output(args, spec)
     out.add_header("params", f"n={n} theta={theta}")
     rows = []
@@ -212,7 +236,7 @@ def _from_log(l: float):
 def cmd_moments(args) -> Output:
     spec = _load_spec(args)
     n = args.n
-    theta = parse_number(args.theta)
+    theta = args.theta
     js = parse_index_set(args.j) if args.j else tuple(range(1, n + 1))
     out = Output(args, spec)
     out.add_header("params", f"n={n} theta={theta} r={args.r}")
@@ -250,7 +274,7 @@ def cmd_sample(args) -> Output:
 def cmd_choose_x(args) -> Output:
     spec = _load_spec(args)
     n = args.n
-    theta = parse_number(args.theta)
+    theta = args.theta
     strategy = args.choose_x or "exact_mean"
     x = choose_x(spec, n, theta, strategy)
     res = abs(sum_moments(spec, n, TiltedParams(x=x, theta=theta)).mean - n)
@@ -281,13 +305,12 @@ def cmd_limit(args) -> Output:
 
 
 def cmd_esf(args) -> Output:
-    kappa = parse_number(args.kappa)
+    kappa = args.kappa
     n = args.n
     out = Output(args, None)
     out.add_header("params", f"n={n} kappa={kappa}")
     if args.a:
-        a = tuple(int(t) for t in args.a.split(","))
-        out.table(["pmf"], [[mom.esf_pmf(n, kappa, a)]])
+        out.table(["pmf"], [[mom.esf_pmf(n, kappa, args.a)]])
     rising = mom.esf_rising(n, kappa)
     rows = [[j, mom.esf_moment(n, kappa, {j: 1}, rising)] for j in range(1, n + 1)]
     out.table(["j", "E_C_j"], rows)
@@ -297,14 +320,14 @@ def cmd_esf(args) -> Output:
 def cmd_heuristic(args) -> Output:
     spec = _load_spec(args)
     B = parse_index_set(args.B)
-    theta = parse_number(args.theta)
+    theta = args.theta
     out = Output(args, spec)
     out.add_header("params", f"theta={theta} B={args.B}")
     rows = []
     n = args.n
     for _ in range(args.doublings + 1):
         if args.x is not None:
-            params = TiltedParams(x=parse_number(args.x), theta=theta)
+            params = TiltedParams(x=args.x, theta=theta)
         else:
             params = TiltedParams(x=choose_x(spec, n, theta,
                                              args.choose_x or "exact_mean"),
@@ -332,7 +355,10 @@ def cmd_verify(args) -> Output:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (building it costs about
+    forty times a parse)."""
     top = argparse.ArgumentParser(prog="combstruct", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -342,16 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             p.add_argument("--n", type=int, required=True)
         if xflags:
-            p.add_argument("--x", default=None, help="free parameter x")
+            p.add_argument("--x", type=_number_flag, default=None,
+                           help="free parameter x")
             p.add_argument("--choose-x", dest="choose_x", default=None,
                            choices=[s.value for s in XStrategy])
-        p.add_argument("--theta", default="1")
+        p.add_argument("--theta", type=_number_flag, default="1")
         p.add_argument("--format", choices=["tsv", "json"], default="tsv")
         p.add_argument("--precision", type=int, default=None)
 
     p = sub.add_parser("tv", help="exact d_TV(C_B, Z_B) report")
     common(p)
-    p.add_argument("--B", required=True, help="index set, e.g. '1..5,7'")
+    p.add_argument("--B", type=_index_set_flag, required=True,
+                   help="index set, e.g. '1..5,7'")
     p.add_argument("--heuristic", action="store_true")
     p.set_defaults(func=cmd_tv)
 
@@ -365,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="falling-factorial moment table")
     common(p, xflags=False)
-    p.add_argument("--j", default=None, help="sizes, e.g. '1..10'")
+    p.add_argument("--j", type=_index_set_flag, default=None,
+                   help="sizes, e.g. '1..10'")
     p.add_argument("--r", type=int, default=1)
     p.set_defaults(func=cmd_moments)
 
@@ -388,15 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("esf", help="Ewens pmf/moments")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa", required=True)
-    p.add_argument("--a", default=None, help="component vector '2,0,1'")
+    p.add_argument("--kappa", type=_number_flag, required=True)
+    p.add_argument("--a", type=_int_tuple_flag, default=None,
+                   help="component vector '2,0,1'")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--precision", type=int, default=None)
     p.set_defaults(func=cmd_esf)
 
     p = sub.add_parser("heuristic", help="heuristic vs exact d_TV trend")
     common(p)
-    p.add_argument("--B", required=True)
+    p.add_argument("--B", type=_index_set_flag, required=True)
     p.add_argument("--doublings", type=int, default=0)
     p.set_defaults(func=cmd_heuristic)
 
@@ -415,9 +445,6 @@ def run(argv=None) -> int:
         out = args.func(args)
         sys.stdout.write(out.render())
         return out.exit_code
-    except (ValueError, TypeError) as exc:
-        print(f"flag error: {exc}", file=sys.stderr)
-        return 2
     except ParameterDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -254,8 +254,21 @@ def _m_softplus(lm: float, lw: float) -> float:
     sp = math.log1p(math.exp(lw)) if lw < 30 else lw + math.exp(-lw)
     if lm < 700:
         return math.exp(lm) * sp
-    out = lm + math.log(sp)
+    # log sp = lw to double precision once log1p(e^lw) underflows to 0
+    out = lm + (math.log(sp) if sp > 0.0 else lw)
     return math.exp(out) if out < 700 else math.inf
+
+
+# Below m = 1e3 the rising factorial is lgamma(m + k) - lgamma(m); above it
+# k log m + sum_{j<k} log1p(j/m).  The lgamma difference cancels, with an
+# absolute error of about eps m log m (2e-5 at m = 1e10); the running sum
+# adds k roundings of terms up to log1p(k/m), which matter at small m.
+_LOG_RISING_SWITCH = math.log(1e3)
+
+
+def _inv_m(m: Numeric, lm: float) -> float:
+    """1/m, from the exact m where it is a double."""
+    return 1.0 / float(m) if lm < 700 else math.exp(-lm)
 
 
 def _log_rising(m: Numeric, lm: float, k: int) -> float:
@@ -264,10 +277,11 @@ def _log_rising(m: Numeric, lm: float, k: int) -> float:
         return 0.0
     if lm == -math.inf:
         return -math.inf
-    if lm < 34:  # m < ~6e14: lgamma is exact enough
+    if lm < _LOG_RISING_SWITCH:
         fm = float(m)
         return math.lgamma(fm + k) - math.lgamma(fm)
-    return k * lm + sum(math.log1p(j * math.exp(-lm)) for j in range(1, k))
+    step = _inv_m(m, lm)
+    return k * lm + sum(math.log1p(j * step) for j in range(1, k))
 
 
 def _log_falling(m: Numeric, lm: float, k: int) -> float:
@@ -285,18 +299,19 @@ def _log_falling(m: Numeric, lm: float, k: int) -> float:
                 return -math.inf
             acc += math.log(t)
         return acc
-    return k * lm + sum(math.log1p(-j * math.exp(-lm)) for j in range(1, k))
+    step = _inv_m(m, lm)
+    return k * lm + sum(math.log1p(-j * step) for j in range(1, k))
 
 
 def _log_rising_list(m: Numeric, lm: float, k_max: int) -> list:
     """[_log_rising(m, lm, k) for k = 0..k_max] with one running sum."""
     if lm == -math.inf:
         return [0.0] + [-math.inf] * k_max
-    if lm < 34:
+    if lm < _LOG_RISING_SWITCH:
         fm = float(m)
         l0 = math.lgamma(fm)
         return [math.lgamma(fm + k) - l0 for k in range(k_max + 1)]
-    step = math.exp(-lm)
+    step = _inv_m(m, lm)
     sums = itertools.accumulate(
         (math.log1p(j * step) for j in range(1, k_max)), initial=0.0)
     return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
@@ -315,7 +330,7 @@ def _log_falling_list(m: Numeric, lm: float, k_max: int) -> list:
             acc += math.log(fm - j)
             out.append(acc)
         return out
-    step = math.exp(-lm)
+    step = _inv_m(m, lm)
     sums = itertools.accumulate(
         (math.log1p(-j * step) for j in range(1, k_max)), initial=0.0)
     return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
@@ -422,8 +437,9 @@ def choose_x(spec: StructureSpec, n: int, theta: Numeric = 1,
              strategy: Union[XStrategy, str] = XStrategy.EXACT_MEAN) -> float:
     """A value of x for approximating weight-n structures.
 
-    EXACT_MEAN solves E_theta T_n = n by bracketed bisection (bracket found
-    by doubling; residual <= 1e-9 n).  The closed-form strategies return the
+    EXACT_MEAN solves E_theta T_n = n by a safeguarded Newton iteration
+    inside a bracket found by doubling (residual <= 1e-9 n; see
+    _solve_exact_mean).  The closed-form strategies return the
     standard prescriptions: x = 1/y for the logarithmic class, the tilted
     x = e^{-c/n}/y with c = kappa*theta - 1, the root of x e^x = n for set
     partitions, and exp(-pi/sqrt(6n)) / exp(-pi/sqrt(12n)) / exp(-pi/sqrt(24n))
@@ -453,35 +469,82 @@ def choose_x(spec: StructureSpec, n: int, theta: Numeric = 1,
     return _solve_exact_mean(spec, n, theta)
 
 
-def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
-    def mean_at(x: float) -> float:
-        return sum_moments(spec, n, TiltedParams(x=x, theta=theta)).mean
+# The exact-mean solve returns the first x it evaluates (bracket ends
+# included) whose Newton step in log x is at most _NEWTON_XTOL and whose
+# residual |E T_n - n| is at most 1e-9 n.  A bisection to 1e-12 in x leaves
+# a residual above 1e-9 n where Var T_n ~ n^2 (polynomials(2), n = 16000).
+_NEWTON_XTOL = 1e-13
+_MAX_EVALS = 200
 
-    hi_cap = math.inf
+
+def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
+    """x with E_theta T_n = n: a doubling bracket, then a safeguarded Newton
+    iteration on log(E T_n / n) in w = log x, or for a multiset in
+    w = log(x / (P - x)) with P = min(1, 1/theta) the pole of E T_n, where
+    log E T_n is close to linear both at small x and near the pole.  The
+    slope comes with the mean: d E T_n / d log x = Var T_n.  A Newton point
+    outside the bracket, or a step longer than half the step before last,
+    is replaced by a bisection of the bracket in w (rtsafe, Numerical
+    Recipes 9.4)."""
+    pole = math.inf
+    to_w, to_x, dw_du = math.log, math.exp, lambda x: 1.0
     if spec.kind is Kind.MULTISET:
-        hi_cap = min(1.0, 1.0 / float(theta)) * (1.0 - 1e-12)
-    lo = min(1.0, hi_cap / 2) if math.isfinite(hi_cap) else 1.0
-    while mean_at(lo) > n:
-        lo /= 2.0
-        if lo < 1e-300:
+        pole = min(1.0, 1.0 / float(theta))
+        to_w = lambda x: math.log(x / (pole - x))
+        to_x = lambda w: pole * float(expit(w))
+        dw_du = lambda x: pole / (pole - x)
+
+    def at(x: float) -> tuple:
+        sm = sum_moments(spec, n, TiltedParams(x=x, theta=theta))
+        return x, sm.mean, sm.variance
+
+    def step(pt: tuple) -> float:
+        """The Newton step in w at pt; inf where E or Var is 0 or inf."""
+        x, mean, var = pt
+        if 0.0 < mean < math.inf and 0.0 < var < math.inf:
+            return math.log(mean / n) * mean / var * dw_du(x)
+        return math.inf
+
+    def settled(pt: tuple) -> bool:
+        _x, mean, var = pt
+        res = abs(mean - n)
+        return res <= 1e-9 * n and res <= _NEWTON_XTOL * var
+
+    hi_cap = pole * (1.0 - 1e-12)
+    lo = hi = at(min(1.0, hi_cap / 2) if math.isfinite(hi_cap) else 1.0)
+    while lo[1] > n and not settled(lo):
+        if lo[0] / 2.0 < 1e-300:
             raise ParameterDomainError("E T_n > n for every representable x")
-    hi = lo
-    while mean_at(hi) < n:
-        if hi >= hi_cap:
+        hi, lo = lo, at(lo[0] / 2.0)
+    while hi[1] < n and not settled(hi):
+        if hi[0] >= hi_cap:
             raise ParameterDomainError(
-                f"sup_x E T_n = {mean_at(hi_cap):.6g} < n = {n} at the supremum "
+                f"sup_x E T_n = {hi[1]:.6g} < n = {n} at the supremum "
                 f"x = {hi_cap:.17g}; no exact-mean solution for this multiset")
-        hi = min(hi * 2.0, hi_cap)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) < n:
-            lo = mid
+        lo, hi = hi, at(min(hi[0] * 2.0, hi_cap))
+    pt = min((lo, hi), key=lambda p: abs(step(p)))
+    d_old = d = to_w(hi[0]) - to_w(lo[0])
+    for _ in range(_MAX_EVALS):
+        if settled(pt):
+            return pt[0]
+        wlo, whi = to_w(lo[0]), to_w(hi[0])
+        s = step(pt)
+        w = to_w(pt[0]) - s
+        if not wlo < w < whi or abs(2.0 * s) > abs(d_old):
+            d_old, d = d, 0.5 * (whi - wlo)
+            w = wlo + d
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    x = 0.5 * (lo + hi)
-    if abs(mean_at(x) - n) > 1e-9 * n:
+            d_old, d = d, s
+        x = to_x(w)
+        if not lo[0] < x < hi[0]:
+            break  # the bracket has no double left inside it
+        pt = at(x)
+        if pt[1] < n:
+            lo = pt
+        else:
+            hi = pt
+    x, mean, _var = min((pt, lo, hi), key=lambda p: abs(p[1] - n))
+    if abs(mean - n) > 1e-9 * n:
         raise NumericGuardError(
-            f"exact-mean bisection stalled: E T_n = {mean_at(x)} at x = {x}")
+            f"exact-mean solve stalled: E T_n = {mean} at x = {x}")
     return x

@@ -456,8 +456,16 @@ def spec_from_json_dict(d: dict) -> StructureSpec:
 
 
 def load_spec(path: str) -> StructureSpec:
+    """The spec in a JSON file; a file that is not valid JSON, or whose
+    fields have the wrong types, is a ParameterDomainError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise TypeError("the top level is not an object")
+            return spec_from_json_dict(doc)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ParameterDomainError(f"malformed spec {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ are built by array updates over the pairs (k, j) with k j = i <= n_max,
 so the float path needs no divisor sieve.  The recursion is a positive
 convolution for assemblies and multisets and runs in linear space with a
 shared base-2 exponent (values span thousands of orders of magnitude for
-large n); each step is one dot product of two contiguous slices, which
-numpy hands to BLAS, O(n^2) multiply-adds in all (an FFT convolution would
-lose the small entries to rounding).  The signed selection recursion can
-cancel, so the production path for selections is a truncated convolution
+large n), O(n^2) multiply-adds in all (an FFT convolution would lose the
+small entries to rounding).  It is solved in blocks of up to _BLOCK
+indices: the terms from earlier blocks are one correlation, a BLAS dot
+per index, and the terms within the block one triangular solve.  The
+signed selection recursion can cancel, so the production path for selections is a truncated convolution
 of the per-index binomial laws, with the signed recursion kept as a
 verification path.  The convolution is a strided update of
 length-(n_max+1) arrays, one index at a time:
@@ -33,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (EXACT_CUTOFF, Kind, StructureSpec, log_big,
@@ -44,6 +46,8 @@ _LN2 = math.log(2.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _RESCALE = 2.0 ** 512
 _RESCALE_INV = 2.0 ** -512
+_BLOCK = 128       # indices per block of the coefficient recursion
+_BLOCK_BITS = 511  # growth of |q| allowed within one block, in bits
 
 IndexSet = tuple  # sorted tuple of distinct indices >= 1
 
@@ -188,24 +192,46 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
 def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i]; returns (q, base-2 shift).
 
-    The sum is one dot product of two contiguous slices, q[:k] and the
-    reversed g's grev[n_max-k:n_max] = g[k..1], so numpy hands it to BLAS.
+    Blocks of up to _BLOCK indices k0..k1-1 are solved at once.  The terms
+    with k - i < k0 are one correlation of q[:k0] with the reversed g's
+    grev[n_max-k1+1:n_max] (a BLAS dot per k); the rest is forward
+    substitution with the lower-triangular block whose diagonal is k and
+    whose entries below it are -g[k-j], so both parts add the same positive
+    sums as the one-step loop.  A block ends early where the bound
+    M_k <= max(1, sum_{i<=k} |g_i| / k) M_{k-1} on the running maximum
+    M_k = max_{j<=k} |q[j]| allows growth past 2^_BLOCK_BITS / n_max within
+    it (the 1/n_max leaves room for the sums k q[k]); a block of one index
+    is the one-step loop.  q is rescaled by 2^-512 after any block whose
+    maximum passes 2^512, so no finite q overflows.
     """
     q = np.zeros(n_max + 1)
     q[0] = 1.0
     grev = g[::-1].copy()
+    b = min(_BLOCK, n_max)
+    lower = toeplitz(np.concatenate(([0.0], -g[1:b])), np.zeros(b))
+    room = _BLOCK_BITS - n_max.bit_length()
     shift = 0
     running_max = 1.0
+    k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below
-        for k in range(1, n_max + 1):
-            v = float(np.dot(q[:k], grev[n_max - k:n_max])) / k
-            q[k] = v
-            if v > running_max:
-                running_max = v
+        growth = np.log2(np.maximum(
+            1.0, np.cumsum(np.abs(g[1:])) / np.arange(1, n_max + 1)))
+        bits = np.concatenate(([0.0], np.cumsum(growth)))  # bits[k]: 1..k
+        while k0 <= n_max:
+            k1 = int(np.searchsorted(bits, bits[k0 - 1] + room, side="right"))
+            k1 = max(k0 + 1, min(k1, k0 + b, n_max + 1))
+            r = np.correlate(grev[n_max - k1 + 1:n_max], q[:k0], "valid")[::-1]
+            lower.flat[::b + 1] = np.arange(k0, k0 + b)
+            q[k0:k1] = solve_triangular(lower[:k1 - k0, :k1 - k0], r,
+                                        lower=True, check_finite=False)
+            block_max = float(np.max(np.abs(q[k0:k1])))
+            if block_max > running_max:
+                running_max = block_max
                 if running_max > _RESCALE:
-                    q[:k + 1] *= _RESCALE_INV
+                    q[:k1] *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
+            k0 = k1
     if not np.all(np.isfinite(q)):
         raise NumericGuardError("weighted-sum recursion overflowed")
     return q, shift

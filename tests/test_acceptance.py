@@ -320,7 +320,10 @@ def test_criterion_09_sampler_exactness():
     n = 6
     worst_p = {"table": 1.0, "rejection": 1.0}
     worst_se = 0.0
-    for seed, (spec, x, _) in zip((101, 102, 103), kind_trio()):
+    # polynomials(2) and necklaces(2) add multisets whose m_i grow like 2^i
+    cases = kind_trio() + ((st.polynomials(2), 0.4, None),
+                           (st.necklaces(2), 0.4, None))
+    for seed, (spec, x, _) in zip((101, 102, 103, 104, 105), cases):
         params = TiltedParams(x, 1)
         law = orc.exact_joint_law(spec, n, 1)
         for method in worst_p:

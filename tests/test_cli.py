@@ -191,14 +191,60 @@ class TestExitCodes:
                                      ["limit"]], ids=lambda c: c[0])
     def test_selection_logistic_raises_no_runtime_warning(self, spec_files,
                                                           capsys, cmd):
-        # the logistic of theta x^i must not overflow exp on either branch;
-        # the request still ends in the m_i softplus domain error (exit 2)
+        # the logistic of theta x^i must not overflow exp on either branch,
+        # and the m_i softplus takes log sp = lw where log1p(e^lw) underflows
         argv = [cmd[0], "--spec", spec_files["squarefree2"], "--n", "2000",
                 "--choose-x", "exact_mean"] + cmd[1:]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, _, _ = run_cli(argv, capsys)
-        assert code == 2
+            code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flags", [["--x", "abc"], ["--x", "1/0"],
+                                       ["--theta", "two"], ["--B", "1..x"],
+                                       ["--B", "0..3"]],
+                             ids=["x", "x_zero_denominator", "theta", "B",
+                                  "B_index_0"])
+    def test_bad_flag_value_is_2(self, spec_files, capsys, flags):
+        argv = ["tv", "--spec", spec_files["permutations"], "--n", "10",
+                "--x", "1", "--B", "1..3"] + flags
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["esf", "--n", "3", "--kappa", "k"],
+                                      ["esf", "--n", "3", "--kappa", "1",
+                                       "--a", "0,x,1"]],
+                             ids=["kappa", "a"])
+    def test_bad_esf_flag_value_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ['{"kind": "multiset", "m": [1, 2',
+                                      '[1, 2]',
+                                      '{"builtin": "polynomials", "params": {"qq": 2}}',
+                                      '{"kind": "multiset", "m": ["a"]}'],
+                             ids=["truncated", "not_an_object",
+                                  "unknown_param", "bad_m_entry"])
+    def test_malformed_spec_json_is_3(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["pofn", "--spec", str(path), "--n", "5"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert "malformed spec" in err
+
+    def test_internal_value_error_surfaces(self, spec_files, capsys,
+                                           monkeypatch):
+        # an internal ValueError is a bug, not a flag error: it is not
+        # reported as exit 2
+        def broken(*_a, **_k):
+            raise ValueError("internal failure")
+        monkeypatch.setattr(cli.sumdist, "prob_T_eq_n", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            cli.run(["prob-t", "--spec", spec_files["permutations"], "--n",
+                     "10", "--x", "1"])
 
     @pytest.mark.parametrize("flags", [["--x", "inf"], ["--x", "1", "--theta", "inf"]],
                              ids=["x", "theta"])
@@ -253,6 +299,28 @@ class TestExitCodes:
                                capsys)
         assert code == 4
         assert "acceptance" in err
+
+
+class TestParserCache:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_runs_match_fresh_parsers(self, spec_files, capsys,
+                                                   monkeypatch):
+        argvs = [["prob-t", "--spec", spec_files["permutations"], "--n", "20",
+                  "--x", "1", "--theta", "1/2"],
+                 ["tv", "--spec", spec_files["intpart"], "--n", "12",
+                  "--B", "1..3", "--x", "0.5", "--format", "json"],
+                 ["esf", "--n", "4", "--kappa", "2", "--a", "0,2,0,0"],
+                 ["prob-t", "--spec", spec_files["permutations"], "--n", "20",
+                  "--x", "1"]]
+        cached = [run_cli(argv, capsys) for argv in argvs]
+        fresh_parser = cli.build_parser.__wrapped__
+        monkeypatch.setattr(cli, "build_parser", fresh_parser)
+        fresh = [run_cli(argv, capsys) for argv in argvs]
+        assert cached == fresh
+        assert all(code == 0 for code, _, _ in cached)
+        assert cached[0][1] != cached[3][1]  # theta did not stick
 
 
 class TestIndexSetSyntax:

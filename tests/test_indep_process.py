@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from combstruct import indep_process as ip
 from combstruct import structures as st
-from combstruct.errors import ParameterDomainError
+from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
-                                      XStrategy, choose_x, log_m_array,
-                                      refined_y_law, solve_xex, sum_moments,
-                                      z_law)
+                                      XStrategy, _log_rising,
+                                      _log_rising_list, _m_softplus,
+                                      choose_x, log_m_array, refined_y_law,
+                                      solve_xex, sum_moments, z_law)
 
 
 class TestZLaw:
@@ -80,6 +82,49 @@ class TestPmfArray:
         want = np.array([law.pmf(k) for k in range(k_max + 1)])
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+class TestBigMLaws:
+    # the lgamma difference lgamma(m + k) - lgamma(m) cancels for big m
+    # (absolute error ~ eps m log m); compare with the exact product
+    @pytest.mark.parametrize("m", [1, 3, 50, 10 ** 3, 10 ** 6, 10 ** 10,
+                                   3 * 10 ** 14, 2 ** 60], ids=str)
+    def test_log_rising_list_matches_exact_product(self, m):
+        k_max = 2000
+        lm = st.log_big(m)
+        got = _log_rising_list(m, lm, k_max)
+        prod, worst = 1, 0.0
+        for k in range(1, k_max + 1):
+            prod *= m + k - 1
+            want = st.log_big(prod)
+            worst = max(worst, abs(got[k] - want) / max(1.0, abs(want)))
+        assert got[0] == 0.0
+        assert worst <= 2e-14
+        assert _log_rising(m, lm, k_max) == pytest.approx(got[k_max],
+                                                          rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [st.polynomials(2), st.necklaces(2),
+                                      st.polynomials(3)],
+                             ids=lambda s: s.name)
+    def test_negative_binomial_mass_at_most_one(self, spec):
+        # polynomials(2) at x = 1/2, i = 54: m_i = 333599969907456
+        params = TiltedParams(Fraction(1, 2) if spec.params["q"] == 2
+                              else Fraction(1, 3), 1)
+        for i in (20, 40, 54, 60, 200):
+            pk = z_law(spec, i, params).pmf_array(12)
+            assert float(pk.sum()) <= 1 + 1e-12, i
+            # P(Z_i = 1) = m_i t (1 - t)^{m_i} with t = theta x^i
+            t = float(params.x) ** i
+            want = math.exp(st.log_big(spec.m(i)) + math.log(t)
+                            + float(spec.m(i)) * math.log1p(-t))
+            assert pk[1] == pytest.approx(want, rel=1e-9), i
+
+    def test_softplus_past_log1p_underflow(self):
+        # log1p(e^lw) underflows to 0 below lw ~ -745; m sp = e^{lm + lw}
+        assert _m_softplus(800.0, -800.0) == pytest.approx(math.exp(0.0))
+        assert _m_softplus(800.0, -745.2) == pytest.approx(
+            math.exp(800.0 - 745.2), rel=1e-12)
+        assert _m_softplus(1000.0, -100.0) == math.inf
 
 
 class TestTiltedParamsDomain:
@@ -229,6 +274,104 @@ class TestChooseX:
             choose_x(st.permutations(), 10, 1, XStrategy.INTEGER_PARTITION)
         with pytest.raises(ParameterDomainError):
             choose_x(st.integer_partitions(), 10, 1, XStrategy.LOGARITHMIC)
+
+
+def _ref_bisection(spec, n, theta):
+    """The bracketed bisection choose_x used before the Newton iteration:
+    a doubling bracket, then bisection to 1e-12 relative in x."""
+    def mean_at(x):
+        return sum_moments(spec, n, TiltedParams(x=x, theta=theta)).mean
+
+    hi_cap = math.inf
+    if spec.kind is st.Kind.MULTISET:
+        hi_cap = min(1.0, 1.0 / float(theta)) * (1.0 - 1e-12)
+    lo = min(1.0, hi_cap / 2) if math.isfinite(hi_cap) else 1.0
+    while mean_at(lo) > n:
+        lo /= 2.0
+    hi = lo
+    while mean_at(hi) < n:
+        hi = min(hi * 2.0, hi_cap)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) < n:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    x = 0.5 * (lo + hi)
+    if abs(mean_at(x) - n) > 1e-9 * n:
+        raise NumericGuardError("bisection stalled")
+    return x
+
+
+SOLVER_SPECS = [st.permutations(), st.mappings(), st.set_partitions(),
+                st.two_regular_graphs(), st.esf(Fraction(1, 2)), st.esf(2),
+                st.integer_partitions(), st.polynomials(2), st.necklaces(3),
+                st.distinct_partitions(), st.distinct_odd_partitions(),
+                st.squarefree_polynomials(2)]
+
+
+def _counted_choose_x(monkeypatch, spec, n, theta=1):
+    calls = []
+    real = ip.sum_moments
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+    monkeypatch.setattr(ip, "sum_moments", counted)
+    x = choose_x(spec, n, theta)
+    monkeypatch.setattr(ip, "sum_moments", real)
+    return x, len(calls)
+
+
+class TestNewtonExactMean:
+    def test_every_builtin_covered(self):
+        names = {sp.params.get("builtin") for sp in SOLVER_SPECS}
+        assert names == set(st.BUILTINS)
+
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2)], ids=str)
+    @pytest.mark.parametrize("spec", SOLVER_SPECS, ids=lambda s: s.name)
+    def test_matches_bisection(self, spec, theta):
+        for n in (100, 1000, 4000):
+            x = choose_x(spec, n, theta)
+            try:
+                x_ref = _ref_bisection(spec, n, theta)
+            except NumericGuardError:
+                continue
+            assert abs(x - x_ref) <= 1e-11 * x_ref, n
+
+    @pytest.mark.parametrize("spec", SOLVER_SPECS, ids=lambda s: s.name)
+    def test_at_most_20_mean_evaluations(self, spec, monkeypatch):
+        for n in (1000, 4000, 16000):
+            x, evals = _counted_choose_x(monkeypatch, spec, n)
+            assert evals <= 20, (n, evals)
+            res = abs(sum_moments(spec, n, TiltedParams(x, 1)).mean - n)
+            assert res <= 1e-9 * n, n
+
+    def test_settled_bracket_end_is_returned(self, monkeypatch):
+        # E T_n = n at x = 1 for permutations: the first evaluation settles
+        x, evals = _counted_choose_x(monkeypatch, st.permutations(), 4000)
+        assert x == 1.0 and evals == 1
+
+    # the (family, theta) pairs whose bisection stalls at n = 16000: the
+    # last x step of 1e-12 moves E T_n by more than 1e-9 n
+    @pytest.mark.parametrize("spec,theta", [
+        (st.permutations(), 1), (st.permutations(), 2),
+        (st.mappings(), Fraction(1, 2)),
+        (st.two_regular_graphs(), Fraction(1, 2)),
+        (st.two_regular_graphs(), 1),
+        (st.esf(Fraction(1, 2)), Fraction(1, 2)), (st.esf(Fraction(1, 2)), 2),
+        (st.esf(2), Fraction(1, 2)), (st.esf(2), 1),
+        (st.integer_partitions(), 2), (st.polynomials(2), 1),
+        (st.necklaces(3), Fraction(1, 2)), (st.necklaces(3), 1),
+        (st.necklaces(2), 1), (st.squarefree_polynomials(2), 2),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_bisection_stall_cases_solved(self, spec, theta):
+        n = 16000
+        x = choose_x(spec, n, theta)
+        res = abs(sum_moments(spec, n, TiltedParams(x, theta)).mean - n)
+        assert res <= 1e-9 * n
 
 
 class TestFloatLogMRoutes:

@@ -134,6 +134,9 @@ class TestTableRoute:
         (st.integer_partitions(), 1000, "integer_partition"),
         (st.distinct_partitions(), 1000, "distinct_partition"),
         (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9),
+        # m_i up to ~2^i / i: the negative-binomial pmfs at big m
+        (st.polynomials(2), 64, 0.5), (st.polynomials(2), 1000, "exact_mean"),
+        (st.necklaces(2), 1000, "exact_mean"),
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_acceptance_exact_matches_prob_T(self, spec, n, how):
         x = choose_x(spec, n, 1, how) if isinstance(how, str) else how

@@ -210,7 +210,7 @@ REFERENCE_SPECS = [
     st.from_m_list("selection", [1, 0, 2, 3, 0, 1], name="sel_zeros"),
 ]
 REFERENCE_THETAS = [1, 2, Fraction(1, 2), 0.3]
-REFERENCE_NS = [1, 2, 97, 1000]
+REFERENCE_NS = [1, 2, 97, 127, 128, 129, 1000]  # 128: the recursion's block
 
 
 def _reference_x(spec, theta):
@@ -264,15 +264,7 @@ class TestArrayRoutesMatchScalarReferences:
                 assert _close(g, want), n
                 assert _close(sd._recursion_coeffs(g, n)[0],
                               _ref_recursion_coeffs(want, n)[0]), n
-                try:
-                    ls_ref = _ref_log_seed(spec, B, params)
-                except ValueError:
-                    # the known _m_softplus domain error when log1p(e^lw)
-                    # underflows at a huge m_i (squarefree_polynomials(2) at
-                    # i = 2003); the array route keeps that scalar branch
-                    with pytest.raises(ValueError):
-                        sd.log_seed(spec, B, params)
-                    continue
+                ls_ref = _ref_log_seed(spec, B, params)
                 assert abs(sd.log_seed(spec, B, params) - ls_ref) <= \
                     1e-12 * abs(ls_ref), n
 
@@ -300,6 +292,46 @@ class TestArrayRoutesMatchScalarReferences:
         sd.prob_T_eq_n(spec, 2000, params)
         sd._g_array(st.squarefree_polynomials(2), tuple(range(1, 600)), 600,
                     TiltedParams(0.4, 1), signed=True)
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_growth_past_2_512_within_a_block(self, signed):
+        # g(i) = 1000 / i for i <= 10: q[k] passes 2^512 at k = 112, inside
+        # the first 128-index block, while every g stays finite
+        n = 300
+        g = np.zeros(n + 1)
+        g[1:11] = 1000.0 / np.arange(1, 11)
+        if signed:
+            g[2::2] *= -1.0
+        q, shift = sd._recursion_coeffs(g, n)
+        q_ref, shift_ref = _ref_recursion_coeffs(g, n)
+        assert shift_ref > 0 and np.all(np.isfinite(q))
+        assert _close(q * 2.0 ** (shift - shift_ref), q_ref)
+        top = q[-1] * 2.0 ** (shift - shift_ref)
+        assert top == pytest.approx(q_ref[-1], rel=1e-12)
+
+
+class TestMultisetRoutesAgree:
+    # big m_i: polynomials(2) has m_54 = 333599969907456; the convolution
+    # reads the negative-binomial pmfs, the recursion does not
+    @pytest.mark.parametrize("spec", [st.integer_partitions(),
+                                      st.polynomials(2), st.polynomials(3),
+                                      st.necklaces(2), st.necklaces(3)],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_convolution_matches_recursion(self, spec, n):
+        params = TiltedParams(choose_x(spec, n), 1)
+        conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                   method="convolution")
+        rec = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                  method="recursion")
+        assert _close(conv.p, rec.p, 1e-11)
+        assert conv.p[n] == pytest.approx(rec.p[n], rel=1e-10)
+        if n <= 256:  # the exact closed form up to the exact cutoff
+            want = sd.prob_T_eq_n(spec, n, TiltedParams(params.x, 1),
+                                  method="closed_form")
+            assert rec.p[n] == pytest.approx(want, rel=1e-10)
 
 
 class TestOverflowingTilt:
