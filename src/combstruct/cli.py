@@ -326,12 +326,7 @@ def cmd_heuristic(args) -> Output:
     rows = []
     n = args.n
     for _ in range(args.doublings + 1):
-        if args.x is not None:
-            params = TiltedParams(x=args.x, theta=theta)
-        else:
-            params = TiltedParams(x=choose_x(spec, n, theta,
-                                             args.choose_x or "exact_mean"),
-                                  theta=theta)
+        params = _params_for(args, spec, n)
         rep = tv_engine.tv_CB_ZB(spec, B, n, params, with_heuristic=True)
         rows.append([n, rep.exact, rep.heuristic, rep.exact / rep.heuristic
                      if rep.heuristic else math.inf])

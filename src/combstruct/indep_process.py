@@ -37,6 +37,8 @@ from .errors import NumericGuardError, ParameterDomainError
 from .structures import Kind, Numeric, StructureSpec, log_big
 
 _LOG_TINY = math.log(1e-8)
+_LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
+_LOG_DBL_MIN = math.log(2.0 ** -1022)  # e^lw is subnormal below it
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,11 @@ def _m_softplus(lm: float, lw: float) -> float:
     if lm == -math.inf:
         return 0.0
     sp = math.log1p(math.exp(lw)) if lw < 30 else lw + math.exp(-lw)
-    if lm < 700:
+    if lm < 700 and lw > _LOG_DBL_MIN:
         return math.exp(lm) * sp
-    # log sp = lw to double precision once log1p(e^lw) underflows to 0
-    out = lm + (math.log(sp) if sp > 0.0 else lw)
+    # log sp = lw to double precision below _LOG_EPS, where a subnormal or
+    # zero e^lw would lose the digits of math.log(sp)
+    out = lm + (lw if lw < _LOG_EPS else math.log(sp))
     return math.exp(out) if out < 700 else math.inf
 
 

@@ -103,7 +103,7 @@ def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
     body = 0.5 * float(np.dot(pr.p, np.abs(ps.p[::-1] / pt - 1.0)))
     tail_term = 0.5 * pr.tail
     exact = min(1.0, tail_term + body)
-    heur = tv_heuristic(spec, B, n, params) if with_heuristic else None
+    heur = tv_heuristic(spec, B, n, params, pr=pr) if with_heuristic else None
     return TvReport(exact=exact, lower=min(pr.tail, exact), tail_term=tail_term,
                     body_term=body, heuristic=heur)
 
@@ -126,12 +126,14 @@ def tv_conditioned_bounds(p: float, q: float, d_A: float,
 
 
 def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
-                 params: TiltedParams, limit=None) -> float:
+                 params: TiltedParams, limit=None,
+                 pr: Optional[PmfVector] = None) -> float:
     """Local-limit heuristic (1/2)|kappa_eff - 1| E|R_B - E R_B| / n.
 
     kappa_eff is theta * kappa from the spec's logarithmic metadata (the
     theta-biased process behaves like the Ewens family with parameter
     kappa*theta), or limit.kappa when a limit law is passed explicitly.
+    pr, the pmf of R_B on 0..n when the caller has it, is not recomputed.
     This is an estimate, kept separate from exact values.
     """
     if limit is not None:
@@ -144,7 +146,8 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
     B = index_set(B)
     if not B:
         return 0.0
-    pr = weighted_sum_pmf(spec, B, n, params)
+    if pr is None:
+        pr = weighted_sum_pmf(spec, B, n, params)
     mean, _ = mean_var_arrays(spec, max(B), params)
     mu = float(np.dot(np.arange(len(mean)), mean * _indicator(B, len(mean))))
     r = np.arange(n + 1)

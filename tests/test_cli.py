@@ -110,6 +110,21 @@ class TestCommands:
         lines = out.splitlines()
         assert lines[-2].startswith("100\t") and lines[-1].startswith("200\t")
 
+    def test_heuristic_params_by_the_shared_helper(self, spec_files, capsys,
+                                                   monkeypatch):
+        seen = []
+        real = cli._params_for
+
+        def spy(args, spec, n):
+            seen.append(n)
+            return real(args, spec, n)
+
+        monkeypatch.setattr(cli, "_params_for", spy)
+        code, _, _ = run_cli(["heuristic", "--spec", spec_files["esf2"],
+                              "--n", "100", "--B", "1", "--doublings", "1"],
+                             capsys)
+        assert code == 0 and seen == [100, 200]
+
     def test_sample_deterministic(self, spec_files, capsys):
         args = ["sample", "--spec", spec_files["permutations"], "--n", "6",
                 "--samples", "40", "--seed", "9", "--x", "1"]

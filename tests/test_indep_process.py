@@ -126,6 +126,14 @@ class TestBigMLaws:
             math.exp(800.0 - 745.2), rel=1e-12)
         assert _m_softplus(1000.0, -100.0) == math.inf
 
+    @pytest.mark.parametrize("lm", [690.0, 720.0, 800.0])
+    @pytest.mark.parametrize("lw", [-710.0, -720.0, -740.0])
+    def test_softplus_with_subnormal_weight(self, lm, lw):
+        # e^lw is subnormal here, so log1p(e^lw) keeps only a few digits;
+        # squarefree_polynomials(2) meets this at i >= 1024 near x = 1/2
+        assert _m_softplus(lm, lw) == pytest.approx(math.exp(lm + lw),
+                                                    rel=1e-13)
+
 
 class TestTiltedParamsDomain:
     @pytest.mark.parametrize("x,theta", [(math.inf, 1), (1, math.inf),

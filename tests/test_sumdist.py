@@ -5,7 +5,9 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -332,6 +334,173 @@ class TestMultisetRoutesAgree:
             want = sd.prob_T_eq_n(spec, n, TiltedParams(params.x, 1),
                                   method="closed_form")
             assert rec.p[n] == pytest.approx(want, rel=1e-10)
+
+
+def _auto_route(spec, B, n, params):
+    """(auto pmf, whether it kept the recursion), by a spy on the
+    convolution the auto route falls back to."""
+    with mock.patch.object(sd, "_pmf_by_convolution",
+                           wraps=sd._pmf_by_convolution) as conv:
+        pv = sd.weighted_sum_pmf(spec, B, n, params)
+    return pv, not conv.called
+
+
+def _agree(got, want, n, tol=1e-11):
+    """Max-normwise and relative at n."""
+    assert float(np.max(np.abs(got.p - want.p))) <= tol * float(np.max(want.p))
+    assert abs(got.p[n] - want.p[n]) <= tol * want.p[n]
+
+
+def _seeded_selection(seed, name):
+    """70 entries from 1..3, as the benchmark's custom selections."""
+    rng = random.Random(seed)
+    return st.from_m_list("selection", [rng.randint(1, 3) for _ in range(70)],
+                          name=name)
+
+
+SELECTION_SPECS = [st.distinct_partitions(), st.distinct_odd_partitions(),
+                   st.squarefree_polynomials(2), st.squarefree_polynomials(3),
+                   CUSTOM_SELECTION, _seeded_selection(7, "sel_1_3")]
+
+
+def _distinct_part_counts(n):
+    q = [1] + [0] * n
+    for i in range(1, n + 1):
+        for k in range(n, i - 1, -1):
+            q[k] += q[k - i]
+    return q
+
+
+def _mpmath_pmf(spec, counts, n, x):
+    """P(T_n = k) = x^k c_k / prod_i (1 + x^i)^{m_i}, k <= n, at theta = 1,
+    in 40-digit arithmetic from the exact counts c_k."""
+    with mpmath.workdps(40):
+        mx = mpmath.mpf(x)
+        lseed = -mpmath.fsum(spec.m(i) * mpmath.log1p(mx ** i)
+                             for i in range(1, n + 1))
+        return np.array([float(mpmath.exp(lseed + k * mpmath.log(mx)) * c)
+                         for k, c in enumerate(counts)])
+
+
+class TestCertifiedSelectionRoute:
+    def test_every_selection_builtin_covered(self):
+        names = {sp.params.get("builtin") for sp in SELECTION_SPECS}
+        covered = {sp.params.get("builtin") for sp in REFERENCE_SPECS
+                   if sp.kind is st.Kind.SELECTION}
+        assert covered - {None} <= names
+
+    @pytest.mark.parametrize("n", [97, 1000, 2000])
+    @pytest.mark.parametrize("spec", SELECTION_SPECS, ids=lambda s: s.name)
+    def test_kept_recursion_matches_convolution(self, spec, n):
+        params = TiltedParams(choose_x(spec, n), 1)
+        B = sorted(random.Random(n).sample(range(1, 11), 5))
+        for BB in (range(1, n + 1), B, sd.complement(B, n)):
+            got, kept = _auto_route(spec, BB, n, params)
+            conv = sd.weighted_sum_pmf(spec, BB, n, params, "convolution")
+            if kept:
+                _agree(got, conv, n)
+            else:
+                assert np.array_equal(got.p, conv.p) and got.tail == conv.tail
+
+    @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.squarefree_polynomials(2)],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [97, 1000, 2000])
+    def test_full_set_takes_the_positive_recursion(self, spec, n):
+        # prod (1 + y^i) = prod 1/(1 - y^(2i-1)), and likewise for
+        # square-free polynomials: g >= 0 on the full index set
+        params = TiltedParams(choose_x(spec, n), 1)
+        g = sd._g_array(spec, tuple(range(1, n + 1)), n, params, signed=True)
+        assert np.all(g >= 0)
+        assert _auto_route(spec, range(1, n + 1), n, params)[1]
+
+    @pytest.mark.parametrize("theta", [1, Fraction(1, 2)], ids=str)
+    @pytest.mark.parametrize("spec", SELECTION_SPECS, ids=lambda s: s.name)
+    def test_kept_recursion_matches_exact_table(self, spec, theta):
+        for n in (64, 256, 512):
+            params = TiltedParams(choose_x(spec, n, theta), theta)
+            _, kept = _auto_route(spec, range(1, n + 1), n, params)
+            if not kept:
+                continue
+            got = sd.prob_T_eq_n(spec, n, params)
+            want = sd.prob_T_eq_n(spec, n, params, method="closed_form")
+            assert got == pytest.approx(want, rel=1e-10), n
+
+    @pytest.mark.parametrize("spec,counts", [
+        (st.distinct_partitions(), _distinct_part_counts),
+        # square-free polynomials over F_2: 1, 2, then 2^k - 2^(k-1)
+        (st.squarefree_polynomials(2),
+         lambda n: [1, 2] + [2 ** k - 2 ** (k - 1) for k in range(2, n + 1)]),
+    ], ids=["distinct_partitions", "squarefree_polynomials(2)"])
+    def test_recursion_at_least_as_accurate_as_convolution(self, spec, counts):
+        n = 2000
+        x = choose_x(spec, n)
+        params = TiltedParams(x, 1)
+        ref = _mpmath_pmf(spec, counts(n), n, x)
+        rec, kept = _auto_route(spec, range(1, n + 1), n, params)
+        conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                   "convolution")
+        assert kept
+        err = [float(np.max(np.abs(v.p - ref))) / float(np.max(ref))
+               for v in (rec, conv)]
+        assert err[0] <= err[1] <= 1e-13
+        for v in (rec, conv):
+            assert v.p[n] == pytest.approx(ref[n], rel=1e-14)
+
+    @pytest.mark.parametrize("spec,n,low", [
+        (st.distinct_odd_partitions(), 2000, 30),
+        # 11.1 bits, just above the limit
+        (_seeded_selection(3, "sel_gap_11"), 1000, sd._CANCEL_BITS),
+    ], ids=["distinct_odd_partitions", "sel_gap_11"])
+    def test_cancelling_recursion_is_the_convolution(self, spec, n, low):
+        params = TiltedParams(choose_x(spec, n), 1)
+        B = tuple(range(1, n + 1))
+        g = sd._g_array(spec, B, n, params, signed=True)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert low < sd._cancellation_bits(g, q, shift, n) < low + 5
+        got, kept = _auto_route(spec, B, n, params)
+        conv = sd.weighted_sum_pmf(spec, B, n, params, "convolution")
+        assert not kept
+        assert np.array_equal(got.p, conv.p) and got.tail == conv.tail
+
+    def test_overflowing_weights_fall_back(self):
+        # at x = 1e6 the weights g(i) pass double range; the convolution
+        # still runs, and P(T_n = n) underflows to a numeric guard
+        spec, n = st.distinct_partitions(), 60
+        params = TiltedParams(1e6, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError):
+                sd._g_array(spec, tuple(range(1, n + 1)), n, params, True)
+            got, kept = _auto_route(spec, range(1, n + 1), n, params)
+            assert not kept and got.p[n] == 0.0
+            with pytest.raises(NumericGuardError, match="underflowed"):
+                sd.prob_T_eq_n(spec, n, params)
+
+    def test_deterministic(self):
+        spec, n = st.squarefree_polynomials(2), 1000
+        params = TiltedParams(choose_x(spec, n), 1)
+        a = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params)
+        b = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params)
+        assert np.array_equal(a.p, b.p) and a.tail == b.tail
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=hs.lists(hs.integers(min_value=0, max_value=5), min_size=1,
+                      max_size=40),
+           x=hs.floats(min_value=0.05, max_value=3.0),
+           n=hs.integers(min_value=1, max_value=120),
+           B=hs.sets(hs.integers(min_value=1, max_value=120), min_size=1,
+                     max_size=30))
+    def test_random_m_lists(self, m, x, n, B):
+        spec = st.from_m_list("selection", m, name="sel_property")
+        params = TiltedParams(x, 1)
+        for BB in (B, range(1, n + 1)):
+            got, kept = _auto_route(spec, BB, n, params)
+            conv = sd.weighted_sum_pmf(spec, BB, n, params, "convolution")
+            if kept:
+                _agree(got, conv, n)
+            else:
+                assert np.array_equal(got.p, conv.p)
 
 
 class TestOverflowingTilt:

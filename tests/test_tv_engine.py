@@ -303,6 +303,21 @@ class TestHeuristic:
         with pytest.raises(ParameterDomainError):
             tv.tv_heuristic(st.set_partitions(), [1], 30, TiltedParams(1, 1))
 
+    def test_report_builds_each_pmf_once(self, monkeypatch):
+        # tv_CB_ZB hands its R_B pmf to the heuristic: one pmf for B, one
+        # for the complement
+        spec, B, n, params = st.esf(2), [1, 3], 200, TiltedParams(1, 1)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return sd.weighted_sum_pmf(*args, **kwargs)
+
+        monkeypatch.setattr(tv, "weighted_sum_pmf", spy)
+        rep = tv.tv_CB_ZB(spec, B, n, params, with_heuristic=True)
+        assert len(calls) == 2
+        assert rep.heuristic == tv.tv_heuristic(spec, B, n, params)
+
 
 class TestOverpower:
     def test_trivial_functional(self):
