@@ -615,7 +615,9 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     Exact route (rational theta) up to moderate n; otherwise one scaled
     float recursion of the full weighted sum delivers the whole table,
     since x^k p_theta(k) [/k! for assemblies] is the k-th coefficient of
-    the generating function restricted to sizes <= n.
+    the generating function restricted to sizes <= n.  That recursion is
+    the one sumdist keeps per spec for the full index set, so a table at
+    the x of a P(T_n = n) already computed costs no second recursion.
     """
     if isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF:
         return [log_big(v) for v in ptheta_table(spec, n, theta)]

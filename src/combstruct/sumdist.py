@@ -8,10 +8,18 @@ are built by array updates over the pairs (k, j) with k j = i <= n_max,
 so the float path needs no divisor sieve.  The recursion is a positive
 convolution for assemblies and multisets and runs in linear space with a
 shared base-2 exponent (values span thousands of orders of magnitude for
-large n), O(n^2) multiply-adds in all (an FFT convolution would lose the
-small entries to rounding).  It is solved in blocks of up to _BLOCK
-indices: the terms from earlier blocks are one correlation, a BLAS dot
-per index, and the terms within the block one triangular solve.
+large n); an FFT convolution would lose the small entries to rounding.  It
+is solved in blocks of up to _BLOCK indices: the terms from earlier blocks
+are one correlation, a BLAS dot per index, and the terms within the block
+one triangular solve.  The correlation reads only g's nonzero band, the
+indices up to the last i with g(i) != 0, so the recursion costs about
+n band multiply-adds instead of n^2 / 2.  band is max B for an assembly's
+R_B (at most 10 for the tv sets B in 1..10); at the exact-mean x and
+n = 16000 it is 285 for the full set of set partitions and 1080 for
+polynomials(2)'s R_B with B = {1, 3, 5, 7, 9}, whose g underflows to exact
+zeros beyond it.  The full index set's (g, q, shift) is kept in one slot
+per spec, so the recursion route and the closed form of one (n, x, theta)
+run the recursion once.
 
 The signed selection recursion can cancel, and it certifies itself.  When
 g >= 0 it is the positive recursion, whose rounding error is at most about
@@ -204,8 +212,18 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i]; returns (q, base-2 shift).
 
     Blocks of up to _BLOCK indices k0..k1-1 are solved at once.  The terms
-    with k - i < k0 are one correlation of q[:k0] with the reversed g's
-    grev[n_max-k1+1:n_max] (a BLAS dot per k); the rest is forward
+    with k - i < k0 are one correlation of q[lo:k0] with the reversed g's
+    grev[n_max-k1+1+lo:n_max] (a BLAS dot per k).  With band the last index
+    where g != 0, every q[j] with j < k0 - band meets only exact zeros of g,
+    so lo = max(0, k0 - band) rounded down to a multiple of 64 skips nothing
+    else; the dots cost about n_max band multiply-adds in all instead of
+    n_max^2 / 2.  band is at least 1, so a dot is never empty (an all-zero
+    g gives q = e_0), and the multiple of 64 lets a BLAS kernel of up to 64
+    lanes group the products that remain as it did on all of q[:k0].  With
+    a single-threaded BLAS q is then bitwise the same as without the band;
+    a threaded BLAS splits a long dot across threads (OpenBLAS past about
+    10^4 entries) but not the short banded one, so there the last bits can
+    differ, within the same error bound.  The rest is forward
     substitution with the lower-triangular block whose diagonal is k and
     whose entries below it are -g[k-j], so both parts add the same positive
     sums as the one-step loop.  A block ends early where the bound
@@ -218,6 +236,8 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     q = np.zeros(n_max + 1)
     q[0] = 1.0
     grev = g[::-1].copy()
+    nonzero = np.flatnonzero(g[1:n_max + 1])
+    band = max(1, int(nonzero[-1]) + 1 if nonzero.size else 0)
     b = min(_BLOCK, n_max)
     lower = toeplitz(np.concatenate(([0.0], -g[1:b])), np.zeros(b))
     room = _BLOCK_BITS - n_max.bit_length()
@@ -231,7 +251,9 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
         while k0 <= n_max:
             k1 = int(np.searchsorted(bits, bits[k0 - 1] + room, side="right"))
             k1 = max(k0 + 1, min(k1, k0 + b, n_max + 1))
-            r = np.correlate(grev[n_max - k1 + 1:n_max], q[:k0], "valid")[::-1]
+            lo = max(0, k0 - band) & -64
+            r = np.correlate(grev[n_max - k1 + 1 + lo:n_max], q[lo:k0],
+                             "valid")[::-1]
             lower.flat[::b + 1] = np.arange(k0, k0 + b)
             q[k0:k1] = solve_triangular(lower[:k1 - k0, :k1 - k0], r,
                                         lower=True, check_finite=False)
@@ -248,6 +270,29 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     return q, shift
 
 
+def _coefficients(spec: StructureSpec, B: IndexSet, n_max: int,
+                  params: TiltedParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """(g, q, shift) of the coefficient recursion of R_B on 0..n_max.
+
+    When B holds every index 1..n_max (the full index set of prob_T_eq_n and
+    log_ptheta_table) the read-only arrays are kept in one slot of
+    spec._table_cache keyed by (n_max, x, theta), so every route of one
+    request reads one recursion and memory stays O(n_max).
+    """
+    full = bisect.bisect_right(B, n_max) == n_max
+    key = (n_max, params.fx, params.ftheta)
+    if full:
+        hit = spec._table_cache.get("full_set_recursion")
+        if hit is not None and hit[0] == key:
+            return hit[1]
+    g = _g_array(spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
+    q, shift = _recursion_coeffs(g, n_max)
+    if full:
+        g.flags.writeable = q.flags.writeable = False
+        spec._table_cache["full_set_recursion"] = (key, (g, q, shift))
+    return g, q, shift
+
+
 def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
     """p[k] = q[k] * 2^shift * e^lseed without intermediate under/overflow."""
     out = np.zeros_like(q)
@@ -261,10 +306,8 @@ def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
 def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
     """Natural logs of the full-set recursion coefficients q[0..n]."""
     params.validate(spec)
-    signed = spec.kind is Kind.SELECTION
-    g = _g_array(spec, tuple(range(1, n + 1)), n, params, signed=signed)
-    q, shift = _recursion_coeffs(g, n)
-    if signed:
+    _g, q, shift = _coefficients(spec, tuple(range(1, n + 1)), n, params)
+    if spec.kind is Kind.SELECTION:
         q = np.where(q < 0, 0.0, q)
     with np.errstate(divide="ignore"):
         return np.log(q) + shift * _LN2
@@ -299,10 +342,8 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
                       params: TiltedParams, certify: bool = False) -> PmfVector:
     """The coefficient-recursion pmf.  With certify, a selection whose
     cancellation ratio passes 2^_CANCEL_BITS raises NumericGuardError."""
-    signed = spec.kind is Kind.SELECTION
-    g = _g_array(spec, B, n_max, params, signed=signed)
-    q, shift = _recursion_coeffs(g, n_max)
-    if signed:
+    g, q, shift = _coefficients(spec, B, n_max, params)
+    if spec.kind is Kind.SELECTION:
         if certify:
             bits = _cancellation_bits(g, q, shift, n_max)
             if bits > _CANCEL_BITS:
@@ -411,10 +452,12 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     method "recursion" reads it off the weighted-sum pmf of the full index
     set; "closed_form" evaluates seed * x^n * p_theta(n) [/ n! for
     assemblies] with p_theta(n) from the exact coefficient recurrences for
-    rational theta up to n = EXACT_CUTOFF (beyond that the float p_theta
-    table is used, so the routes are only independent at exact-table scale;
-    there the recursion reads float log m_i and the table exact m_i).  The
-    two must agree; the CLI's prob-t command prints both and their gap.
+    rational theta up to n = EXACT_CUTOFF, where the recursion reads float
+    log m_i and the table exact m_i.  Beyond that the float p_theta table
+    reads the same cached recursion coefficients as the "recursion" route
+    (one recursion per request), so there the gap the CLI's prob-t command
+    prints between the two checks only the log-domain inversion, not the
+    recursion or the seed.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")

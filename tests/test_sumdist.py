@@ -1,6 +1,7 @@
 """Weighted-sum distributions: recursion vs convolution, the conditioning
 probability identities, conditional laws, and the joint (count, weight) pmf."""
 
+import json
 import math
 import random
 import warnings
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from combstruct import cli
 from combstruct import structures as st
 from combstruct import sumdist as sd
 from combstruct import oracle as orc
@@ -146,22 +148,26 @@ class TestStridedSelectionUpdate:
 # _recursion_coeffs that the array routes replaced
 
 def _ref_log_seed(spec, B, params):
+    """math.fsum of the per-index terms.  t = e^lw is numpy's exp over the
+    array of lw, as on the production route: near the pole log1p(-t)
+    magnifies a last-bit change of t by t / (1 - t)."""
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     B = sd.index_set(B)
     lms = log_m_array(spec, B[-1] if B else 0)
-    total = 0.0
-    for i in B:
+    idx = [i for i in B if lms[i] != -np.inf]
+    lws = lth + np.array(idx, dtype=np.int64) * lx
+    with np.errstate(over="ignore"):  # t is read by multisets only
+        ts = np.exp(lws).tolist()
+    terms = []
+    for i, lw, t in zip(idx, lws.tolist(), ts):
         lm = float(lms[i])
-        if lm == -math.inf:
-            continue
-        lw = lth + i * lx
         if spec.kind is st.Kind.ASSEMBLY:
-            total -= math.exp(lm + lw - math.lgamma(i + 1))
+            terms.append(-math.exp(lm + lw - math.lgamma(i + 1)))
         elif spec.kind is st.Kind.MULTISET:
-            total += _safe_mlog1p(lm, math.exp(lw), lw)
+            terms.append(_safe_mlog1p(lm, t, lw))
         else:
-            total -= _m_softplus(lm, lw)
-    return total
+            terms.append(-_m_softplus(lm, lw))
+    return math.fsum(terms)
 
 
 def _ref_g_array(spec, B, n_max, params, signed=False):
@@ -312,6 +318,227 @@ class TestBlockedRecursion:
         assert _close(q * 2.0 ** (shift - shift_ref), q_ref)
         top = q[-1] * 2.0 ** (shift - shift_ref)
         assert top == pytest.approx(q_ref[-1], rel=1e-12)
+
+
+def _band(g):
+    """The last index i with g[i] != 0 (0 for an all-zero g)."""
+    nz = np.flatnonzero(g[1:])
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
+def _banded_g(band, n, sign_every=0):
+    g = np.zeros(n + 1)
+    g[1:band + 1] = np.random.default_rng(band).uniform(0.1, 2.0, band)
+    if sign_every:
+        g[sign_every::sign_every] *= -1.0
+    return g
+
+
+def _full_set_g(spec, n):
+    params = TiltedParams(choose_x(spec, n), 1)
+    return sd._g_array(spec, tuple(range(1, n + 1)), n, params,
+                       signed=spec.kind is st.Kind.SELECTION)
+
+
+class TestBandedRecursion:
+    # each block of _recursion_coeffs correlates q only with g's nonzero
+    # band; the one-step reference loop reads the whole of g
+
+    def test_all_zero_g_is_e0(self):
+        n = 300
+        q, shift = sd._recursion_coeffs(np.zeros(n + 1), n)
+        assert shift == 0 and q[0] == 1.0 and not np.any(q[1:])
+
+    @pytest.mark.parametrize("case", [
+        "band_1", "band_inside_a_block", "band_across_a_block_edge",
+        "set_partitions_rescaled", "dense"])
+    def test_positive_g_matches_one_step_loop(self, case):
+        if case == "band_1":
+            n, g = 300, np.zeros(301)
+            g[1] = 50.0  # q[k] = 50^k / k!
+        elif case == "band_inside_a_block":
+            n, g = 1000, _banded_g(40, 1000)
+        elif case == "band_across_a_block_edge":
+            n, g = 1000, _banded_g(sd._BLOCK + 5, 1000)
+        elif case == "set_partitions_rescaled":
+            # g underflows to exact zeros past i = 285 at the exact-mean x
+            n = 16000
+            g = _full_set_g(st.set_partitions(), n)
+        else:
+            n = 2000
+            g = _full_set_g(st.integer_partitions(), n)
+        band = _band(g)
+        assert band == n if case == "dense" else 1 <= band < n // 2
+        q, shift = sd._recursion_coeffs(g, n)
+        q_ref, shift_ref = _ref_recursion_coeffs(g, n)
+        assert shift == shift_ref
+        assert (shift > 0) == (case == "set_partitions_rescaled")
+        assert np.all(np.abs(q - q_ref) <= 1e-12 * np.abs(q_ref)), case
+
+    @pytest.mark.parametrize("case", ["band_inside_a_block",
+                                      "band_across_a_block_edge",
+                                      "selection_R_B"])
+    def test_signed_g_matches_one_step_loop(self, case):
+        if case == "band_inside_a_block":
+            n, g = 1000, _banded_g(40, 1000, sign_every=2)
+        elif case == "band_across_a_block_edge":
+            n, g = 1000, _banded_g(sd._BLOCK + 5, 1000, sign_every=3)
+        else:
+            # squarefree_polynomials(2), B = {1, 3, 5, 7, 9}: band 1080
+            n = 2000
+            spec = st.squarefree_polynomials(2)
+            g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
+                            TiltedParams(choose_x(spec, n), 1), signed=True)
+        assert np.any(g < 0) and 1 <= _band(g) < n
+        q, shift = sd._recursion_coeffs(g, n)
+        q_ref, shift_ref = _ref_recursion_coeffs(g, n)
+        assert _close(q * 2.0 ** (shift - shift_ref), q_ref)
+
+
+SEED_SPECS = [
+    st.integer_partitions(), st.polynomials(2), st.polynomials(3),
+    st.necklaces(2), st.necklaces(3), st.distinct_partitions(),
+    st.distinct_odd_partitions(), st.squarefree_polynomials(2),
+    st.squarefree_polynomials(3),
+    st.from_m_list("multiset", [1, 2 ** 60, 0, 3, 2 ** 40, 7] * 12,
+                   name="mset_2_60"),
+    st.from_m_list("multiset", [Fraction(1, 3), 2, Fraction(5, 7), 0,
+                                2 ** 60, Fraction(2 ** 61, 3)] * 12,
+                   name="mset_fraction"),
+    st.from_m_list("selection", [1, 0, 2 ** 60, 3, 2 ** 59 + 1, 5] * 12,
+                   name="sel_2_60"),
+]
+
+# (x, theta, n); x None is the exact-mean x at n
+SEED_POINTS = {
+    "tiny_weight": (1e-3, 1, 200),         # lw < log 1e-8 from i = 3
+    "subnormal_weight": (0.5, 1, 2000),    # lw < -708 past i = 1021, and
+                                           # log m_i >= 700 past i ~ 1010
+                                           # for q = 2 polynomials
+    "exact_mean": (None, 1, 2000),
+    "exact_mean_theta_2": (None, 2, 1000),
+    "exact_mean_theta_half": (None, Fraction(1, 2), 1000),
+    "near_the_pole": (0.999, 1, 2000),      # -inf terms for polynomials
+}
+
+
+class TestLogSeed:
+    def test_every_multiset_and_selection_builtin_covered(self):
+        names = {sp.params.get("builtin") for sp in SEED_SPECS}
+        want = {sp.params.get("builtin") for sp in REFERENCE_SPECS
+                if sp.kind is not st.Kind.ASSEMBLY}
+        assert want - {None} <= names
+
+    @pytest.mark.parametrize("point", list(SEED_POINTS))
+    @pytest.mark.parametrize("spec", SEED_SPECS, ids=lambda s: s.name)
+    def test_matches_reference(self, spec, point):
+        x, theta, n = SEED_POINTS[point]
+        if x is None:
+            x = choose_x(spec, n, theta)
+        params = TiltedParams(x, theta)
+        rng = random.Random(point)
+        gapped = sd.index_set(rng.sample(range(1, n + 1), n // 3))
+        for B in (range(1, n + 1), gapped):
+            got = sd.log_seed(spec, B, params)
+            want = _ref_log_seed(spec, B, params)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 2.0 ** -50 * abs(want), B
+
+    @pytest.mark.parametrize("spec", [s for s in SEED_SPECS
+                                      if s.kind is st.Kind.MULTISET],
+                             ids=lambda s: s.name)
+    def test_weight_reaching_1_is_a_domain_error(self, spec):
+        # theta x < 1 exactly, but theta e^(log x) rounds to 1
+        params = TiltedParams(Fraction(1, 2) - Fraction(1, 10 ** 30), 2)
+        with pytest.raises(ParameterDomainError, match="reached 1"):
+            sd.log_seed(spec, range(1, 50), params)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("spec", [st.integer_partitions(), st.polynomials(2),
+                                      st.distinct_partitions(),
+                                      st.squarefree_polynomials(2)],
+                             ids=lambda s: s.name)
+    def test_matches_mpmath_from_exact_counts(self, spec, n):
+        # sum m_i log(1 -+ x^i) in 40 digits from the exact m_i.  The float
+        # log m_i of the q = 2 families is off by up to i log 2 u, which
+        # bounds the error of the sum by about n log 2 u = 1.5e-13 absolute
+        x = choose_x(spec, n)
+        with mpmath.workdps(40):
+            mx = mpmath.mpf(x)
+            if spec.kind is st.Kind.MULTISET:
+                want = mpmath.fsum(spec.m(i) * mpmath.log1p(-mx ** i)
+                                   for i in range(1, n + 1))
+            else:
+                want = -mpmath.fsum(spec.m(i) * mpmath.log1p(mx ** i)
+                                    for i in range(1, n + 1))
+        got = sd.log_seed(spec, range(1, n + 1), TiltedParams(x, 1))
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
+class TestOneRecursionPerRequest:
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        orig = sd._recursion_coeffs
+
+        def spy(g, n_max):
+            calls.append(n_max)
+            return orig(g, n_max)
+
+        monkeypatch.setattr(sd, "_recursion_coeffs", spy)
+        return calls
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "assembly", "builtin": "set_partitions"},
+        {"kind": "multiset", "builtin": "integer_partitions"},
+        {"kind": "multiset", "builtin": "polynomials", "params": {"q": 2}},
+    ], ids=lambda d: d["builtin"])
+    def test_prob_t_runs_one_recursion(self, doc, tmp_path, monkeypatch,
+                                       capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        n = st.EXACT_CUTOFF + 488
+        calls = self._spy(monkeypatch)
+        assert cli.run(["prob-t", "--spec", str(path), "--n", str(n),
+                        "--choose-x", "exact_mean"]) == 0
+        assert calls == [n]
+        gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
+        assert gap <= 1e-12
+
+    def test_one_slot_and_read_only(self, monkeypatch):
+        spec = st.set_partitions()
+        calls = self._spy(monkeypatch)
+        p1, p2 = TiltedParams(2.0, 1), TiltedParams(3.0, 1)
+        a = sd._log_coeff_table(spec, 700, p1)
+        sd.prob_T_eq_n(spec, 700, p1)
+        assert calls == [700]
+        sd._log_coeff_table(spec, 800, p2)
+        assert calls == [700, 800]
+        slots = [k for k in spec._table_cache if k == "full_set_recursion"]
+        assert len(slots) == 1
+        key, (g, q, shift) = spec._table_cache["full_set_recursion"]
+        assert key == (800, 3.0, 1.0)
+        for arr in (g, q):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the first (n, x) was evicted: asking for it again recomputes it,
+        # to the same values
+        assert np.array_equal(sd._log_coeff_table(spec, 700, p1), a)
+        assert calls == [700, 800, 700]
+
+    def test_index_sets_that_are_not_full_are_not_kept(self, monkeypatch):
+        spec, n, params = st.set_partitions(), 600, TiltedParams(2.0, 1)
+        calls = self._spy(monkeypatch)
+        for B in ((1, 3, 5), range(2, n + 1), range(1, n)):
+            sd.weighted_sum_pmf(spec, B, n, params)
+        assert len(calls) == 3 and "full_set_recursion" not in spec._table_cache
+        # an index set that holds 1..n_max and indices past it is full
+        sd.weighted_sum_pmf(spec, range(1, 2 * n), n, params)
+        sd.prob_T_eq_n(spec, n, params)
+        assert len(calls) == 4
 
 
 class TestMultisetRoutesAgree:
