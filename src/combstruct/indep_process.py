@@ -18,6 +18,13 @@ is safe.  log m_i comes from the family's float log_m_fn (lgamma, log-space
 sums), so no float route builds the exact integers; the binomial and
 negative-binomial laws of selections and multisets keep their exact integer
 m_i as the law's parameter.
+
+log P(Z_i = 0) at big m_i has one implementation, the array function
+log_p_zero.  The recursion seed sumdist.log_seed sums its values over an
+index set, and every per-index law (z_law, refined_y_law, a DiscreteLaw
+built by hand) carries its value, which log_pmf and pmf_array read.  The
+per-index callers read one array per request (log_p_zero_array), so no
+caller pays an array call per index.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit, gammaln, log_expit
@@ -105,6 +112,86 @@ def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.nd
     return math.log(params.ftheta) + i * math.log(params.fx)
 
 
+def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
+    """[log 0!, ..., log n!] by math.lgamma (scipy's gammaln differs from it
+    by up to 4 ulps, i.e. 4e-12 relative in g(i) at i = 1000).
+
+    Kept in spec._table_cache, which lives for one request; a refill at
+    least doubles the cached length and computes only the new entries.
+    """
+    arr = spec._table_cache.get("log_factorial")
+    if arr is None or len(arr) <= n:
+        old = 0 if arr is None else len(arr)
+        size = n if arr is None else max(n, 2 * (old - 1))
+        new = np.fromiter(map(math.lgamma, range(old + 1, size + 2)), float,
+                          size + 1 - old)
+        arr = new if arr is None else np.concatenate((arr, new))
+        spec._table_cache["log_factorial"] = arr
+    return arr[: n + 1]
+
+
+def log_p_zero(kind: Kind, lm, lw, log_fact=0.0) -> np.ndarray:
+    """log P(Z_i = 0), elementwise, from lm = log m_i and lw = log(theta x^i);
+    m_i may be far beyond double range.
+
+    assembly   -lambda_i = -e^(lm + lw - log_fact), log_fact = log i!; -inf
+               where lambda_i is beyond double range, which the callers that
+               need lambda_i report as an overflow.
+    multiset   m log1p(-t), t = e^lw.  Where t <= 1e-8 or m >= e^700 it is
+               -e^(lm + lw) (1 + t/2), since log1p(-t) = -t(1 + t/2) to
+               double precision there, and -inf past e^700.  A t that rounds
+               to 1 at an index with m != 0 raises ParameterDomainError.
+    selection  -m sp with sp = log(1 + e^lw) (lw + e^-lw above lw = 30):
+               -e^lm sp while m < e^700 and e^lw is a normal double, else
+               -e^(lm + log sp), -inf past e^700; log sp = lw below
+               log 2^-53, where a subnormal or zero e^lw would lose the
+               digits of log sp.
+    Entries with m_i = 0 (lm = -inf) are 0.
+    """
+    lm, lw = np.asarray(lm, dtype=float), np.asarray(lw, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kind is Kind.ASSEMBLY:
+            return -np.exp(lm + lw - log_fact)
+        if kind is Kind.MULTISET:
+            t = np.exp(lw)
+            if np.any((t >= 1.0) & (lm != -np.inf)):
+                raise ParameterDomainError("probability parameter reached 1")
+            s = lm + lw
+            out = np.where((lw > _LOG_TINY) & (lm < 700),
+                           np.exp(lm) * np.log1p(-t),
+                           np.where(s < 700, -np.exp(s) * (1.0 + t / 2.0),
+                                    -np.inf))
+        else:
+            sp = np.where(lw < 30, np.log1p(np.exp(lw)), lw + np.exp(-lw))
+            ls = lm + np.where(lw < _LOG_EPS, lw, np.log(sp))
+            out = -np.where((lm < 700) & (lw > _LOG_DBL_MIN), np.exp(lm) * sp,
+                            np.where(ls < 700, np.exp(ls), np.inf))
+    return np.where(lm == -np.inf, 0.0, out)
+
+
+def log_p_zero_array(spec: StructureSpec, n: int,
+                     params: TiltedParams) -> np.ndarray:
+    """[log P(Z_i = 0)]_{i<=n} under params (index 0 is 0), by log_p_zero.
+
+    Kept in one slot of spec._table_cache keyed by (x, theta); a refill at
+    least doubles the cached length, so callers that walk i upwards (z_law
+    per index) pay for O(log n) fills.
+    """
+    key = (params.fx, params.ftheta)
+    hit = spec._table_cache.get("log_p_zero")
+    if hit is None or hit[0] != key or len(hit[1]) <= n:
+        refill = hit is not None and hit[0] == key
+        size = max(n, 2 * (len(hit[1]) - 1)) if refill else n
+        lw = log_weight_array(spec, size, params)[1:]
+        lf = (log_factorial_array(spec, size)[1:]
+              if spec.kind is Kind.ASSEMBLY else 0.0)
+        arr = np.zeros(size + 1)
+        arr[1:] = log_p_zero(spec.kind, log_m_array(spec, size)[1:], lw, lf)
+        hit = (key, arr)
+        spec._table_cache["log_p_zero"] = hit
+    return hit[1][: n + 1]
+
+
 def mean_var_arrays(spec: StructureSpec, n: int,
                     params: TiltedParams) -> tuple[np.ndarray, np.ndarray]:
     """(E Z_i)_{i<=n} and (Var Z_i)_{i<=n} as arrays (index 0 is zero)."""
@@ -142,19 +229,6 @@ def overflow_guard(what: str):
             f"{what} beyond double range; choose a smaller x") from exc
 
 
-def _safe_mlog1p(log_m: float, t: float, log_t: float) -> float:
-    """m*log1p(-t) for t in [0,1), where m may be astronomically large."""
-    if log_m == -math.inf:
-        return 0.0
-    if t >= 1.0:
-        raise ParameterDomainError("probability parameter reached 1")
-    if log_t > _LOG_TINY and log_m < 700:
-        return math.exp(log_m) * math.log1p(-t)
-    # log1p(-t) ~ -t(1 + t/2); remainder below double precision for t <= 1e-8
-    s = log_m + log_t
-    return -math.exp(s) * (1.0 + t / 2.0) if s < 700 else -math.inf
-
-
 # ---------------------------------------------------------------------------
 # per-index laws
 # ---------------------------------------------------------------------------
@@ -174,7 +248,9 @@ class DiscreteLaw:
     Poisson(lam); NegBin(m, p) with p the geometric weight theta x^i;
     Binomial(m, p) with p = theta x^i / (1 + theta x^i); Geometric and
     Bernoulli are their m = 1 specials.  lw = log(theta x^i) backs all
-    log-space evaluation; m stays exact (int or Fraction).
+    log-space evaluation; m stays exact (int or Fraction).  log_p0 is
+    log P(Z = 0): z_law reads it from the request's log_p_zero_array, and a
+    law built without it takes it from log_p_zero (-lam for Poisson).
     """
 
     family: Family
@@ -182,6 +258,19 @@ class DiscreteLaw:
     m: Numeric = 0
     p: float = 0.0
     lw: float = -math.inf
+    log_p0: Optional[float] = None
+
+    def __post_init__(self):
+        if self.log_p0 is not None:
+            return
+        if self.family is Family.POISSON:
+            lp0 = -self.lam
+        else:
+            kind = (Kind.MULTISET if self.family in (Family.NEG_BINOMIAL,
+                                                     Family.GEOMETRIC)
+                    else Kind.SELECTION)
+            lp0 = float(log_p_zero(kind, log_big(self.m), self.lw))
+        object.__setattr__(self, "log_p0", lp0)
 
     def mean(self) -> float:
         if self.family is Family.POISSON:
@@ -211,17 +300,16 @@ class DiscreteLaw:
         if self.family is Family.POISSON:
             if self.lam == 0.0:
                 return 0.0 if k == 0 else -math.inf
-            return -self.lam + k * math.log(self.lam) - math.lgamma(k + 1)
+            return self.log_p0 + k * math.log(self.lam) - math.lgamma(k + 1)
         lm = log_big(self.m)
         if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
-            t = math.exp(self.lw)
             return (_log_rising(self.m, lm, k) - math.lgamma(k + 1)
-                    + _safe_mlog1p(lm, t, self.lw) + k * self.lw)
+                    + self.log_p0 + k * self.lw)
         # binomial in log-odds form: C(m,k) e^{k lw} / (1 + e^{lw})^m
         lf = _log_falling(self.m, lm, k)
         if lf == -math.inf:
             return -math.inf
-        return lf - math.lgamma(k + 1) + k * self.lw - _m_softplus(lm, self.lw)
+        return lf - math.lgamma(k + 1) + k * self.lw + self.log_p0
 
     def pmf(self, k: int) -> float:
         return math.exp(self.log_pmf(k))
@@ -231,35 +319,21 @@ class DiscreteLaw:
         in the same order, with log m taken once and the rising/falling
         products accumulated over k instead of rebuilt for each k."""
         ks = range(k_max + 1)
+        c = self.log_p0
         if self.family is Family.POISSON:
             if self.lam == 0.0:
                 return np.array([1.0] + [0.0] * k_max)
             ll = math.log(self.lam)
-            logs = [-self.lam + k * ll - math.lgamma(k + 1) for k in ks]
+            logs = [c + k * ll - math.lgamma(k + 1) for k in ks]
         else:
             lm = log_big(self.m)
             if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
-                c = _safe_mlog1p(lm, math.exp(self.lw), self.lw)
                 lr = _log_rising_list(self.m, lm, k_max)
                 logs = [lr[k] - math.lgamma(k + 1) + c + k * self.lw for k in ks]
             else:
-                c = _m_softplus(lm, self.lw)
                 lf = _log_falling_list(self.m, lm, k_max)
-                logs = [lf[k] - math.lgamma(k + 1) + k * self.lw - c for k in ks]
+                logs = [lf[k] - math.lgamma(k + 1) + k * self.lw + c for k in ks]
         return np.array([math.exp(v) for v in logs])
-
-
-def _m_softplus(lm: float, lw: float) -> float:
-    """m * log(1 + e^{lw}), big-m safe."""
-    if lm == -math.inf:
-        return 0.0
-    sp = math.log1p(math.exp(lw)) if lw < 30 else lw + math.exp(-lw)
-    if lm < 700 and lw > _LOG_DBL_MIN:
-        return math.exp(lm) * sp
-    # log sp = lw to double precision below _LOG_EPS, where a subnormal or
-    # zero e^lw would lose the digits of math.log(sp)
-    out = lm + (lw if lw < _LOG_EPS else math.log(sp))
-    return math.exp(out) if out < 700 else math.inf
 
 
 # Below m = 1e3 the rising factorial is lgamma(m + k) - lgamma(m); above it
@@ -344,18 +418,19 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
     if i < 1:
         raise ParameterDomainError("index must be >= 1")
     params.validate(spec)
-    lw = math.log(params.ftheta) + i * math.log(params.fx)
+    lp0 = float(log_p_zero_array(spec, i, params)[i])
     if spec.kind is Kind.ASSEMBLY:
-        lm = float(log_m_array(spec, i)[i])
-        with overflow_guard(f"Poisson mean of Z_{i}"):
-            lam = math.exp(lm + lw - math.lgamma(i + 1))
-        return DiscreteLaw(Family.POISSON, lam=lam)
+        if lp0 == -math.inf:
+            raise NumericGuardError(
+                f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
+        return DiscreteLaw(Family.POISSON, lam=-lp0, log_p0=lp0)
+    lw = math.log(params.ftheta) + i * math.log(params.fx)
     mi = spec.m(i)
     if spec.kind is Kind.MULTISET:
         fam = Family.GEOMETRIC if mi == 1 else Family.NEG_BINOMIAL
-        return DiscreteLaw(fam, m=mi, p=math.exp(lw), lw=lw)
+        return DiscreteLaw(fam, m=mi, p=math.exp(lw), lw=lw, log_p0=lp0)
     fam = Family.BERNOULLI if mi == 1 else Family.BINOMIAL
-    return DiscreteLaw(fam, m=mi, p=float(expit(lw)), lw=lw)
+    return DiscreteLaw(fam, m=mi, p=float(expit(lw)), lw=lw, log_p0=lp0)
 
 
 def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:

@@ -16,8 +16,9 @@ per size.  Everything else in the package derives from a StructureSpec:
 All counts are exact: integers, or rationals when m_i or theta are rational
 (generalized assemblies such as the Ewens family have m_i = kappa*(i-1)!;
 a float kappa enters as its exact binary rational).
-The float routes read m_i only through log m_i; every builtin supplies a
-vectorised float log m_i (log_m_fn), so they never build the exact integers.
+The float routes read m_i only through log m_i; every builtin and every
+from_m_list spec supplies a vectorised float log m_i (log_m_fn), so they
+never build the exact integers.
 EXACT_CUTOFF is the largest n at which the exact tables are the default.
 """
 
@@ -275,17 +276,28 @@ def _log_mapping_m(n: int) -> np.ndarray:
     return out
 
 
+def _ranges(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, d) listing the pairs with d = 1..top[r] for each r in turn."""
+    r = np.repeat(np.arange(len(top)), top)
+    d = np.arange(1, len(r) + 1) - np.repeat(np.cumsum(top) - top, top)
+    return r, d
+
+
 def _mobius_sieve(n: int) -> np.ndarray:
-    """mu[k] for k = 0..n (mu[0] = 0)."""
-    mu = np.ones(n + 1, dtype=np.int64)
+    """mu[k] for k = 0..n (mu[0] = 0): (-1)^(number of prime factors) for
+    squarefree k, 0 otherwise."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    p = np.flatnonzero(prime)
+    r, d = _ranges(n // p)
+    mu = np.where(np.bincount(p[r] * d, minlength=n + 1) % 2, -1, 1)
+    p2 = p[: np.searchsorted(p, math.isqrt(n), side="right")] ** 2
+    r, d = _ranges(n // p2)
+    mu[p2[r] * d] = 0
     mu[0] = 0
-    composite = np.zeros(n + 1, dtype=bool)
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        composite[2 * p::p] = True
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
     return mu
 
 
@@ -295,15 +307,16 @@ def _log_poly_m(q: int) -> LogMFn:
 
     def log_m(n: int) -> np.ndarray:
         # the term of d | i = d k is mu(k) q^{-d(k-1)}; it underflows to 0
-        # once d (k-1) log q exceeds _LOG_UNDERFLOW
+        # once d (k-1) log q exceeds _LOG_UNDERFLOW.  One bincount adds the
+        # pairs (k, d) in the order k, then d, so each corr[i] sums its terms
+        # in increasing k, from 0.
         k_top = min(n, int(_LOG_UNDERFLOW / lq) + 1)
         mu = _mobius_sieve(k_top)
-        corr = np.zeros(n + 1)
-        for k in range(2, k_top + 1):
-            if mu[k]:
-                d_top = min(n // k, int(_LOG_UNDERFLOW / ((k - 1) * lq)))
-                d = np.arange(1, d_top + 1)
-                corr[k * d] += mu[k] * np.exp(-(k - 1) * lq * d)
+        k = np.flatnonzero(mu[2:]) + 2
+        r, d = _ranges(np.minimum(
+            n // k, (_LOG_UNDERFLOW / ((k - 1) * lq)).astype(int)))
+        corr = np.bincount(k[r] * d, minlength=n + 1,
+                           weights=mu[k][r] * np.exp((-(k - 1) * lq)[r] * d))
         out = np.full(n + 1, -np.inf)
         i = np.arange(1, n + 1, dtype=float)
         out[1:] = i * lq - np.log(i) + np.log1p(corr[1:])
@@ -424,9 +437,15 @@ def from_m_list(kind: Union[Kind, str], m_list: Sequence[Numeric],
     """User-defined family from an explicit finite m list; m_i = 0 beyond it."""
     kind = _parse_kind(kind)
     ms = [as_integral(Fraction(v) if isinstance(v, str) else v) for v in m_list]
+
+    def log_m(n: int) -> np.ndarray:
+        out = np.full(n + 1, -np.inf)
+        out[1:min(n, len(ms)) + 1] = [log_big(v) for v in ms[:n]]
+        return out
+
     spec = StructureSpec(kind, name,
                          lambda i: ms[i - 1] if i <= len(ms) else 0,
-                         params={"m_len": len(ms)})
+                         log_m_fn=log_m, params={"m_len": len(ms)})
     for i, v in enumerate(ms, start=1):
         spec.m(i)  # validate eagerly
     return spec
@@ -622,7 +641,8 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     if isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF:
         return [log_big(v) for v in ptheta_table(spec, n, theta)]
     from . import sumdist  # deferred: sumdist imports this module
-    from .indep_process import TiltedParams, choose_x, XStrategy
+    from .indep_process import (TiltedParams, choose_x, XStrategy,
+                                log_factorial_array)
     if x is None:
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
     params = TiltedParams(x=x, theta=theta)
@@ -630,7 +650,7 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     k = np.arange(n + 1)
     out = sumdist._log_coeff_table(spec, n, params) - k * math.log(float(x))
     if spec.kind is Kind.ASSEMBLY:
-        out += sumdist._log_factorial_at(k)
+        out += log_factorial_array(spec, n)
     return out.tolist()
 
 

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ParameterDomainError
 from .structures import StructureSpec
 from .indep_process import TiltedParams, mean_var_arrays
-from .sumdist import (PmfVector, complement, index_set, weighted_sum_pmf,
-                      zero_probability_error)
+from .sumdist import PmfVector, conditioned_block, index_set, weighted_sum_pmf
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,7 @@ def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
     """Exact d_TV between the combinatorial process and the independent one,
     both restricted to sizes in B, for weight-n structures under P_theta."""
     B = index_set(B)
-    pr = weighted_sum_pmf(spec, B, n, params)
-    ps = weighted_sum_pmf(spec, complement(B, n), n, params)
-    pt = float(np.dot(pr.p, ps.p[::-1]))
-    if pt <= 0.0:
-        raise zero_probability_error(spec, n)
+    pr, ps, pt = conditioned_block(spec, B, n, params)
     body = 0.5 * float(np.dot(pr.p, np.abs(ps.p[::-1] / pt - 1.0)))
     tail_term = 0.5 * pr.tail
     exact = min(1.0, tail_term + body)

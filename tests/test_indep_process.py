@@ -12,10 +12,12 @@ from scipy.optimize import brentq
 from combstruct import indep_process as ip
 from combstruct import structures as st
 from combstruct.errors import NumericGuardError, ParameterDomainError
+from scalar_refs import m_softplus as _ref_m_softplus
+from scalar_refs import safe_mlog1p as _ref_safe_mlog1p
 from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
                                       XStrategy, _log_rising,
-                                      _log_rising_list, _m_softplus,
-                                      choose_x, log_m_array, refined_y_law,
+                                      _log_rising_list, choose_x,
+                                      log_m_array, log_p_zero, refined_y_law,
                                       solve_xex, sum_moments, z_law)
 
 
@@ -83,6 +85,125 @@ class TestPmfArray:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    @pytest.mark.parametrize("law,k_max", LAWS)
+    def test_matches_scalar_seed_reference(self, law, k_max):
+        # the pmf_array of the scalar helpers, which read log P(Z = 0) from
+        # _ref_safe_mlog1p / _ref_m_softplus: bit-identical wherever the
+        # kernel's log P(Z = 0) is.  That value is at most 2 ulps off: numpy's
+        # exp and log1p may round to the other neighbour of libm's, and the
+        # product e^lm log1p(-t) adds the two (m = 3, t = 0.99: the kernel's
+        # -13.815510557964275 is 0.5 ulp from 3 log 0.01, libm's 1.2 ulps)
+        ks = range(k_max + 1)
+        lm = st.log_big(law.m)
+        if law.family is Family.POISSON:
+            c = -law.lam
+            if law.lam:
+                logs = [c + k * math.log(law.lam) - math.lgamma(k + 1)
+                        for k in ks]
+        elif law.family is Family.NEG_BINOMIAL:
+            c = _ref_safe_mlog1p(lm, math.exp(law.lw), law.lw)
+            lr = _log_rising_list(law.m, lm, k_max)
+            logs = [lr[k] - math.lgamma(k + 1) + c + k * law.lw for k in ks]
+        else:
+            c = -_ref_m_softplus(lm, law.lw)
+            lf = ip._log_falling_list(law.m, lm, k_max)
+            logs = [lf[k] - math.lgamma(k + 1) + k * law.lw + c for k in ks]
+        assert abs(law.log_p0 - c) <= 2 * math.ulp(c)
+        if law.family is Family.POISSON and not law.lam:
+            return
+        want = np.array([math.exp(v) for v in logs])
+        got = law.pmf_array(k_max)
+        if law.log_p0 == c:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+# one grid per branch of the big-m policy: lw = log(theta x^i) above and
+# below log 1e-8 and log 2^-53, with a subnormal e^lw (below -708) and past
+# e^lw = 0 (below -745); log m below and past 700, m = 2^60 and Fraction m
+_GRID_LM = [-math.inf, 0.0, math.log(3), st.log_big(Fraction(7, 2)),
+            st.log_big(Fraction(1, 3)), 30.0, st.log_big(2 ** 60), 699.9,
+            700.0, 720.0, 800.0]
+_GRID_LW = {
+    st.Kind.MULTISET: [math.log(0.99), -0.5, -3.0, -18.42, -18.43, -30.0,
+                       -37.0, -708.5, -720.0, -745.5, -800.0],
+    st.Kind.SELECTION: [40.0, 30.0, 29.9, 3.0, 0.0, -3.0, -30.0, -36.7,
+                        -37.0, -708.5, -720.0, -745.5, -800.0],
+}
+
+
+def _grid(kind):
+    pairs = [(lm, lw) for lm in _GRID_LM for lw in _GRID_LW[kind]]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+class TestLogPZeroKernel:
+    @pytest.mark.parametrize("kind", [st.Kind.MULTISET, st.Kind.SELECTION],
+                             ids=lambda k: k.value)
+    def test_matches_scalar_reference_on_every_branch(self, kind):
+        lms, lws = _grid(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_p_zero(kind, lms, lws).tolist()
+        for lm, lw, v in zip(lms, lws, got):
+            if kind is st.Kind.MULTISET:
+                want = _ref_safe_mlog1p(lm, math.exp(lw), lw)
+            else:
+                want = -_ref_m_softplus(lm, lw)
+            if math.isinf(want):
+                assert v == want, (lm, lw)
+            else:  # 2 ulps: see test_matches_scalar_seed_reference
+                assert abs(v - want) <= 2 * math.ulp(want), (lm, lw, v, want)
+
+    def test_assembly_branch(self):
+        lm = np.array([-np.inf, 0.0, 50.0, 700.0])
+        lw = np.array([-3.0, 2.0, -10.0, 100.0])
+        lf = np.array([0.0, 1.0, 20.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_p_zero(st.Kind.ASSEMBLY, lm, lw, lf).tolist()
+        assert got[0] == 0.0 and got[3] == -math.inf
+        for i in (1, 2):
+            want = -math.exp(lm[i] + lw[i] - lf[i])
+            assert abs(got[i] - want) <= math.ulp(want)
+
+    def test_weight_rounding_to_1_is_a_domain_error(self):
+        # t = e^lw rounds to 1 although lw < 0; an index with m = 0 is skipped
+        with pytest.raises(ParameterDomainError, match="reached 1"):
+            log_p_zero(st.Kind.MULTISET, [0.0, 0.0], [-1.0, -1e-17])
+        assert log_p_zero(st.Kind.MULTISET, [0.0, -math.inf],
+                          [-1.0, -1e-17])[1] == 0.0
+        with pytest.raises(ParameterDomainError, match="reached 1"):
+            DiscreteLaw(Family.NEG_BINOMIAL, m=3, p=1.0, lw=-1e-17)
+
+    @pytest.mark.parametrize("spec,x", [
+        (st.polynomials(2), 0.4999), (st.squarefree_polynomials(2), 0.5),
+        (st.permutations(), 0.999), (st.from_m_list("selection", [2, 0, 3]), 2.0),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_laws_carry_the_request_array(self, spec, x):
+        params = TiltedParams(x, 1)
+        arr = ip.log_p_zero_array(spec, 300, params)
+        for i in (1, 2, 3, 50, 300):
+            law = z_law(spec, i, params)
+            assert law.log_p0 == arr[i]
+            if spec.kind is st.Kind.ASSEMBLY:
+                assert law.lam == -arr[i]
+            else:  # one index at a time, the kernel gives the same value
+                lm = log_m_array(spec, i)[i]
+                assert float(log_p_zero(spec.kind, lm, law.lw)) == law.log_p0
+
+    def test_one_slot_refilled_by_doubling(self):
+        spec = st.polynomials(2)
+        p1, p2 = TiltedParams(0.3, 1), TiltedParams(0.4, 1)
+        for i in range(1, 40):
+            z_law(spec, i, p1)
+        key, arr = spec._table_cache["log_p_zero"]
+        assert key == (0.3, 1.0) and len(arr) == 65  # fills of 1, 2, ..., 64
+        z_law(spec, 5, p2)
+        key, arr = spec._table_cache["log_p_zero"]
+        assert key == (0.4, 1.0) and len(arr) == 6
+
 
 class TestBigMLaws:
     # the lgamma difference lgamma(m + k) - lgamma(m) cancels for big m
@@ -121,18 +242,19 @@ class TestBigMLaws:
 
     def test_softplus_past_log1p_underflow(self):
         # log1p(e^lw) underflows to 0 below lw ~ -745; m sp = e^{lm + lw}
-        assert _m_softplus(800.0, -800.0) == pytest.approx(math.exp(0.0))
-        assert _m_softplus(800.0, -745.2) == pytest.approx(
-            math.exp(800.0 - 745.2), rel=1e-12)
-        assert _m_softplus(1000.0, -100.0) == math.inf
+        m_sp = -log_p_zero(st.Kind.SELECTION, [800.0, 800.0, 1000.0],
+                           [-800.0, -745.2, -100.0])
+        assert m_sp[0] == pytest.approx(math.exp(0.0))
+        assert m_sp[1] == pytest.approx(math.exp(800.0 - 745.2), rel=1e-12)
+        assert m_sp[2] == math.inf
 
     @pytest.mark.parametrize("lm", [690.0, 720.0, 800.0])
     @pytest.mark.parametrize("lw", [-710.0, -720.0, -740.0])
     def test_softplus_with_subnormal_weight(self, lm, lw):
         # e^lw is subnormal here, so log1p(e^lw) keeps only a few digits;
         # squarefree_polynomials(2) meets this at i >= 1024 near x = 1/2
-        assert _m_softplus(lm, lw) == pytest.approx(math.exp(lm + lw),
-                                                    rel=1e-13)
+        m_sp = -float(log_p_zero(st.Kind.SELECTION, lm, lw))
+        assert m_sp == pytest.approx(math.exp(lm + lw), rel=1e-13)
 
 
 class TestTiltedParamsDomain:
@@ -396,7 +518,8 @@ class TestFloatLogMRoutes:
         assert lam == pytest.approx(want, rel=1e-12)
 
     def test_specs_without_log_m_fn_take_exact_logs(self):
-        spec = st.from_m_list("selection", [2, 0, 3])
+        spec = st.StructureSpec(st.Kind.SELECTION, "hand_built",
+                                lambda i: [2, 0, 3][i - 1] if i <= 3 else 0)
         got = log_m_array(spec, 5)
         want = [-math.inf, math.log(2), -math.inf, math.log(3), -math.inf,
                 -math.inf]

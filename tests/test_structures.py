@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
@@ -142,6 +143,59 @@ class TestFloatLogM:
             f = math.factorial(i - 1)
             closed = sum((f // math.factorial(j)) * i ** j for j in range(i))
             assert st._mapping_m(i) == closed, i
+
+    @pytest.mark.parametrize("n", [1, 2, 1075, 1076, 16000])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_moebius_fill_matches_loop_bitwise(self, q, n):
+        # n = 1075, 1076 straddle the last k whose terms do not underflow
+        # for q = 2 (k_top = 1075)
+        got = st._log_poly_m(q)(n)
+        assert got.tobytes() == _loop_log_poly_m(q, n).tobytes()
+
+    def test_moebius_sieve_matches_loop(self):
+        for n in list(range(12)) + [1075, 1076, 5000]:
+            got = st._mobius_sieve(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == _loop_mobius_sieve(n).tolist(), n
+
+    def test_m_list_spec_log_m(self):
+        m = [2, 0, 3, Fraction(7, 2), 2 ** 80]
+        spec = st.from_m_list("multiset", m)
+        got = spec.log_m_fn(8)
+        want = [-math.inf] + [st.log_big(v) for v in m] + [-math.inf] * 3
+        assert got.tolist() == want
+        assert spec.log_m_fn(2).tolist() == want[:3]
+
+
+# the loops that the one-pass Moebius fill replaced, kept as references
+
+def _loop_mobius_sieve(n):
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[2 * p::p] = True
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def _loop_log_poly_m(q, n):
+    lq = math.log(q)
+    k_top = min(n, int(st._LOG_UNDERFLOW / lq) + 1)
+    mu = _loop_mobius_sieve(k_top)
+    corr = np.zeros(n + 1)
+    for k in range(2, k_top + 1):
+        if mu[k]:
+            d_top = min(n // k, int(st._LOG_UNDERFLOW / ((k - 1) * lq)))
+            d = np.arange(1, d_top + 1)
+            corr[k * d] += mu[k] * np.exp(-(k - 1) * lq * d)
+    out = np.full(n + 1, -np.inf)
+    i = np.arange(1, n + 1, dtype=float)
+    out[1:] = i * lq - np.log(i) + np.log1p(corr[1:])
+    return out
 
 
 class TestCountN:

@@ -1,6 +1,8 @@
 """Weighted-sum distributions: recursion vs convolution, the conditioning
 probability identities, conditional laws, and the joint (count, weight) pmf."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -18,8 +20,10 @@ from combstruct import structures as st
 from combstruct import sumdist as sd
 from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
-from combstruct.indep_process import (TiltedParams, _m_softplus, _safe_mlog1p,
-                                      choose_x, log_m_array, z_law)
+from combstruct.indep_process import (TiltedParams, choose_x, log_m_array,
+                                      z_law)
+from scalar_refs import m_softplus as _m_softplus
+from scalar_refs import safe_mlog1p as _safe_mlog1p
 
 PERM = st.permutations()
 INTPART = st.integer_partitions()
@@ -145,7 +149,8 @@ class TestStridedSelectionUpdate:
 
 
 # reference routes: the scalar forms of log_seed, _g_array and
-# _recursion_coeffs that the array routes replaced
+# _recursion_coeffs that the array routes replaced; the terms of log_seed
+# are the scalar log P(Z_i = 0) kept in scalar_refs
 
 def _ref_log_seed(spec, B, params):
     """math.fsum of the per-index terms.  t = e^lw is numpy's exp over the
@@ -539,6 +544,123 @@ class TestOneRecursionPerRequest:
         sd.weighted_sum_pmf(spec, range(1, 2 * n), n, params)
         sd.prob_T_eq_n(spec, n, params)
         assert len(calls) == 4
+
+
+class _FillCounter(dict):
+    """A spec._table_cache that counts the writes to each key: every
+    per-request table is written once per fill."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
+
+    def __setitem__(self, key, value):
+        self.writes[key] = self.writes.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+class TestOneFillPerRequest:
+    @pytest.mark.parametrize("doc", [
+        {"kind": "assembly", "builtin": "set_partitions"},
+        {"kind": "assembly", "builtin": "permutations"},
+        {"kind": "multiset", "builtin": "integer_partitions"},
+        {"kind": "multiset", "builtin": "polynomials", "params": {"q": 2}},
+        {"kind": "selection", "builtin": "distinct_partitions"},
+        {"kind": "selection", "builtin": "squarefree_polynomials",
+         "params": {"q": 2}},
+        {"kind": "multiset", "m": [1, 2, 0, 3, 1]},
+    ], ids=lambda d: d.get("builtin", "m_list"))
+    def test_prob_t_fills_each_table_once(self, doc, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        specs = []
+        load = st.load_spec
+
+        def spy(p):
+            spec = load(p)
+            spec._table_cache = _FillCounter()
+            specs.append(spec)
+            return spec
+
+        monkeypatch.setattr(st, "load_spec", spy)
+        n = st.EXACT_CUTOFF + 488
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["prob-t", "--spec", str(path), "--n", str(n)]) == 0
+        writes = specs[0]._table_cache.writes
+        assert writes.get("log_m") == 1
+        assert writes.get("log_p_zero") == 1
+        for key in ("log_factorial", "log_m", "log_p_zero"):
+            assert writes.get(key, 0) <= 1, (key, writes)
+
+
+class TestIndexSets:
+    def test_index_set_is_returned_unchanged(self):
+        B = sd.index_set([5, 3, 3, 9])
+        assert isinstance(B, sd.IndexSet) and B == (3, 5, 9)
+        assert sd.index_set(B) is B
+
+    def test_unit_step_range(self):
+        B = sd.index_set(range(1, 2001))
+        assert isinstance(B, sd.IndexSet) and B == tuple(range(1, 2001))
+        assert sd.index_set(range(7, 3)) == ()
+        with pytest.raises(ParameterDomainError):
+            sd.index_set(range(0, 5))
+
+    def test_other_ranges_take_the_general_path(self):
+        assert sd.index_set(range(1, 10, 2)) == (1, 3, 5, 7, 9)
+        assert sd.index_set(range(9, 0, -2)) == (1, 3, 5, 7, 9)
+        with pytest.raises(ParameterDomainError):
+            sd.index_set(range(4, -1, -2))
+
+    @pytest.mark.parametrize("B", [(), (1,), (2, 5, 9), (3, 40, 50),
+                                   tuple(range(1, 31))])
+    def test_complement(self, B):
+        n = 30
+        got = sd.complement(B, n)
+        assert isinstance(got, sd.IndexSet)
+        assert got == tuple(i for i in range(1, n + 1) if i not in B)
+        assert all(type(i) is int for i in got)
+
+
+class TestConvolutionFirst:
+    @staticmethod
+    def _recursions(monkeypatch):
+        calls = []
+        orig = sd._recursion_coeffs
+
+        def spy(g, n_max):
+            calls.append(n_max)
+            return orig(g, n_max)
+
+        monkeypatch.setattr(sd, "_recursion_coeffs", spy)
+        return calls
+
+    @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.squarefree_polynomials(2),
+                                      CUSTOM_SELECTION],
+                             ids=lambda s: s.name)
+    def test_small_index_sets_skip_the_recursion(self, spec, monkeypatch):
+        # sum_{i in B} n min(m_i, n // i) <= 212 n for 5 indices of 1..10,
+        # against about n band / 2 for the recursion
+        n = 1000
+        params = TiltedParams(choose_x(spec, n), 1)
+        calls = self._recursions(monkeypatch)
+        for B in ((1, 3, 5, 7, 9), (6, 7, 8, 9, 10)):
+            got = sd.weighted_sum_pmf(spec, B, n, params)
+            conv = sd.weighted_sum_pmf(spec, B, n, params, "convolution")
+            assert np.array_equal(got.p, conv.p)
+        assert calls == []
+
+    def test_complements_and_full_sets_keep_the_recursion(self, monkeypatch):
+        # n - 5 strided updates of length n against n (n + 1) / 2
+        # multiply-adds: the recursion is tried and certified
+        spec, n = st.distinct_partitions(), 1000
+        params = TiltedParams(choose_x(spec, n), 1)
+        calls = self._recursions(monkeypatch)
+        for B in (sd.complement((1, 3, 5, 7, 9), n), range(1, n + 1)):
+            assert _auto_route(spec, B, n, params)[1]
+        assert calls
 
 
 class TestMultisetRoutesAgree:

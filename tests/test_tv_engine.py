@@ -305,17 +305,20 @@ class TestHeuristic:
 
     def test_report_builds_each_pmf_once(self, monkeypatch):
         # tv_CB_ZB hands its R_B pmf to the heuristic: one pmf for B, one
-        # for the complement
+        # for the complement (both built in sumdist.conditioned_block)
         spec, B, n, params = st.esf(2), [1, 3], 200, TiltedParams(1, 1)
         calls = []
+        orig = sd.weighted_sum_pmf
 
         def spy(*args, **kwargs):
             calls.append(args[1])
-            return sd.weighted_sum_pmf(*args, **kwargs)
+            return orig(*args, **kwargs)
 
         monkeypatch.setattr(tv, "weighted_sum_pmf", spy)
+        monkeypatch.setattr(sd, "weighted_sum_pmf", spy)
         rep = tv.tv_CB_ZB(spec, B, n, params, with_heuristic=True)
         assert len(calls) == 2
+        monkeypatch.undo()
         assert rep.heuristic == tv.tv_heuristic(spec, B, n, params)
 
 
