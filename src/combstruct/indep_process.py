@@ -8,7 +8,12 @@ parameter x > 0, and the component-count bias theta > 0:
     selection  Z_i ~ Binomial(m_i, theta x^i / (1 + theta x^i))
 
 The refined variables Y_ij (j = 1..m_i) are Poisson(theta x^i / i!),
-Geometric(theta x^i), or Bernoulli, and convolve back to Z_i.
+NegativeBinomial(1, theta x^i) (geometric) or Binomial(1, .) (Bernoulli),
+and convolve back to Z_i.  A DiscreteLaw has three families, the m = 1
+laws are not separate ones, and one route evaluates its pmf: pmf_array,
+whose entry k pmf(k) reads.  Means and variances come from
+mean_var_arrays, with log i! from the per-request log_factorial_array
+that the seed, g and the laws read too.
 
 Also here: moments of the weighted sum T_n = sum i Z_i, and solvers /
 closed-form prescriptions for choosing x so that E T_n is close to n.
@@ -22,7 +27,7 @@ m_i as the law's parameter.
 log P(Z_i = 0) at big m_i has one implementation, the array function
 log_p_zero.  The recursion seed sumdist.log_seed sums its values over an
 index set, and every per-index law (z_law, refined_y_law, a DiscreteLaw
-built by hand) carries its value, which log_pmf and pmf_array read.  The
+built by hand) carries its value, which pmf_array reads.  The
 per-index callers read one array per request (log_p_zero_array), so no
 caller pays an array call per index.
 """
@@ -38,7 +43,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit
+from scipy.special import expit, log_expit
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import Kind, Numeric, StructureSpec, log_big
@@ -200,7 +205,7 @@ def mean_var_arrays(spec: StructureSpec, n: int,
     lw = log_weight_array(spec, n, params)
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is Kind.ASSEMBLY:
-            lam = np.exp(lm + lw - gammaln(np.arange(n + 1) + 1.0))
+            lam = np.exp(lm + lw - log_factorial_array(spec, n))
             mean = var = lam
         elif spec.kind is Kind.MULTISET:
             t = np.exp(lw)
@@ -237,17 +242,15 @@ class Family(Enum):
     POISSON = "poisson"
     NEG_BINOMIAL = "negative_binomial"
     BINOMIAL = "binomial"
-    GEOMETRIC = "geometric"
-    BERNOULLI = "bernoulli"
 
 
 @dataclass(frozen=True)
 class DiscreteLaw:
     """One nonnegative-integer law.
 
-    Poisson(lam); NegBin(m, p) with p the geometric weight theta x^i;
-    Binomial(m, p) with p = theta x^i / (1 + theta x^i); Geometric and
-    Bernoulli are their m = 1 specials.  lw = log(theta x^i) backs all
+    Poisson(lam); NegBin(m, p) with p the geometric weight theta x^i (a
+    geometric law is m = 1); Binomial(m, p) with p = theta x^i / (1 + theta
+    x^i) (a Bernoulli law is m = 1).  lw = log(theta x^i) backs all
     log-space evaluation; m stays exact (int or Fraction).  log_p0 is
     log P(Z = 0): z_law reads it from the request's log_p_zero_array, and a
     law built without it takes it from log_p_zero (-lam for Poisson).
@@ -266,58 +269,22 @@ class DiscreteLaw:
         if self.family is Family.POISSON:
             lp0 = -self.lam
         else:
-            kind = (Kind.MULTISET if self.family in (Family.NEG_BINOMIAL,
-                                                     Family.GEOMETRIC)
+            kind = (Kind.MULTISET if self.family is Family.NEG_BINOMIAL
                     else Kind.SELECTION)
             lp0 = float(log_p_zero(kind, log_big(self.m), self.lw))
         object.__setattr__(self, "log_p0", lp0)
 
-    def mean(self) -> float:
-        if self.family is Family.POISSON:
-            return self.lam
-        lm = log_big(self.m)
-        if lm == -math.inf:
-            return 0.0
-        if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
-            t = math.exp(self.lw)
-            return math.exp(lm + self.lw) / (1.0 - t)
-        return math.exp(lm + float(log_expit(self.lw)))
-
-    def var(self) -> float:
-        if self.family is Family.POISSON:
-            return self.lam
-        lm = log_big(self.m)
-        if lm == -math.inf:
-            return 0.0
-        if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
-            t = math.exp(self.lw)
-            return math.exp(lm + self.lw) / (1.0 - t) ** 2
-        return self.mean() * (1.0 - float(expit(self.lw)))
-
-    def log_pmf(self, k: int) -> float:
-        if k < 0:
-            return -math.inf
-        if self.family is Family.POISSON:
-            if self.lam == 0.0:
-                return 0.0 if k == 0 else -math.inf
-            return self.log_p0 + k * math.log(self.lam) - math.lgamma(k + 1)
-        lm = log_big(self.m)
-        if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
-            return (_log_rising(self.m, lm, k) - math.lgamma(k + 1)
-                    + self.log_p0 + k * self.lw)
-        # binomial in log-odds form: C(m,k) e^{k lw} / (1 + e^{lw})^m
-        lf = _log_falling(self.m, lm, k)
-        if lf == -math.inf:
-            return -math.inf
-        return lf - math.lgamma(k + 1) + k * self.lw + self.log_p0
-
     def pmf(self, k: int) -> float:
-        return math.exp(self.log_pmf(k))
+        """P(Z = k): entry k of pmf_array(k), 0 for k < 0."""
+        return float(self.pmf_array(k)[k]) if k >= 0 else 0.0
 
     def pmf_array(self, k_max: int) -> np.ndarray:
-        """[pmf(0), ..., pmf(k_max)] in O(k_max) work: the terms of log_pmf
-        in the same order, with log m taken once and the rising/falling
-        products accumulated over k instead of rebuilt for each k."""
+        """[P(Z = 0), ..., P(Z = k_max)] in O(k_max) work, each entry the
+        exp of log P(Z = 0) + log(lam^k / k!) for Poisson, of
+        log m^(k) - log k! + log P(Z = 0) + k lw for the negative binomial
+        (m^(k) the rising product) and of log m_(k) - log k! + k lw +
+        log P(Z = 0) for the binomial (m_(k) the falling product), with
+        log m taken once and the products accumulated over k."""
         ks = range(k_max + 1)
         c = self.log_p0
         if self.family is Family.POISSON:
@@ -327,7 +294,7 @@ class DiscreteLaw:
             logs = [c + k * ll - math.lgamma(k + 1) for k in ks]
         else:
             lm = log_big(self.m)
-            if self.family in (Family.NEG_BINOMIAL, Family.GEOMETRIC):
+            if self.family is Family.NEG_BINOMIAL:
                 lr = _log_rising_list(self.m, lm, k_max)
                 logs = [lr[k] - math.lgamma(k + 1) + c + k * self.lw for k in ks]
             else:
@@ -348,40 +315,9 @@ def _inv_m(m: Numeric, lm: float) -> float:
     return 1.0 / float(m) if lm < 700 else math.exp(-lm)
 
 
-def _log_rising(m: Numeric, lm: float, k: int) -> float:
-    """log m(m+1)...(m+k-1), big-m safe."""
-    if k == 0:
-        return 0.0
-    if lm == -math.inf:
-        return -math.inf
-    if lm < _LOG_RISING_SWITCH:
-        fm = float(m)
-        return math.lgamma(fm + k) - math.lgamma(fm)
-    step = _inv_m(m, lm)
-    return k * lm + sum(math.log1p(j * step) for j in range(1, k))
-
-
-def _log_falling(m: Numeric, lm: float, k: int) -> float:
-    """log m(m-1)...(m-k+1); -inf when the product vanishes (k > m)."""
-    if k == 0:
-        return 0.0
-    if lm == -math.inf:
-        return -math.inf
-    if lm < 34:
-        fm = float(m)
-        acc = 0.0
-        for j in range(k):
-            t = fm - j
-            if t <= 0:
-                return -math.inf
-            acc += math.log(t)
-        return acc
-    step = _inv_m(m, lm)
-    return k * lm + sum(math.log1p(-j * step) for j in range(1, k))
-
-
 def _log_rising_list(m: Numeric, lm: float, k_max: int) -> list:
-    """[_log_rising(m, lm, k) for k = 0..k_max] with one running sum."""
+    """[log m(m+1)...(m+k-1) for k = 0..k_max], big-m safe, with one
+    running sum."""
     if lm == -math.inf:
         return [0.0] + [-math.inf] * k_max
     if lm < _LOG_RISING_SWITCH:
@@ -395,7 +331,8 @@ def _log_rising_list(m: Numeric, lm: float, k_max: int) -> list:
 
 
 def _log_falling_list(m: Numeric, lm: float, k_max: int) -> list:
-    """[_log_falling(m, lm, k) for k = 0..k_max] with one running sum."""
+    """[log m(m-1)...(m-k+1) for k = 0..k_max], -inf once the product
+    vanishes (k > m), with one running sum."""
     if lm == -math.inf:
         return [0.0] + [-math.inf] * k_max
     if lm < 34:
@@ -427,10 +364,10 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
     lw = math.log(params.ftheta) + i * math.log(params.fx)
     mi = spec.m(i)
     if spec.kind is Kind.MULTISET:
-        fam = Family.GEOMETRIC if mi == 1 else Family.NEG_BINOMIAL
-        return DiscreteLaw(fam, m=mi, p=math.exp(lw), lw=lw, log_p0=lp0)
-    fam = Family.BERNOULLI if mi == 1 else Family.BINOMIAL
-    return DiscreteLaw(fam, m=mi, p=float(expit(lw)), lw=lw, log_p0=lp0)
+        return DiscreteLaw(Family.NEG_BINOMIAL, m=mi, p=math.exp(lw), lw=lw,
+                           log_p0=lp0)
+    return DiscreteLaw(Family.BINOMIAL, m=mi, p=float(expit(lw)), lw=lw,
+                       log_p0=lp0)
 
 
 def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
@@ -444,8 +381,8 @@ def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> Discrete
             lam = math.exp(lw - math.lgamma(i + 1))
         return DiscreteLaw(Family.POISSON, lam=lam)
     if spec.kind is Kind.MULTISET:
-        return DiscreteLaw(Family.GEOMETRIC, m=1, p=math.exp(lw), lw=lw)
-    return DiscreteLaw(Family.BERNOULLI, m=1, p=float(expit(lw)), lw=lw)
+        return DiscreteLaw(Family.NEG_BINOMIAL, m=1, p=math.exp(lw), lw=lw)
+    return DiscreteLaw(Family.BINOMIAL, m=1, p=float(expit(lw)), lw=lw)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ own explicit pmf and the classical closed-form moment, used as a
 cross-check of the assembly formula.
 
 The p_theta values are batch-computed once per call from a shared table:
-exact big rationals up to n = EXACT_CUTOFF, a log-space table from the
-full-set recursion beyond.
+exact big rationals where structures.exact_route holds, the float log
+p_theta table beyond.  A selection's float sum alternates; where it
+cancels by more than 2^_CANCEL_BITS it raises NumericGuardError.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from itertools import accumulate
 from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import ParameterDomainError
-from .structures import (EXACT_CUTOFF, ComponentVector, Kind, Numeric,
-                         StructureSpec, as_integral, log_big, log_ptheta_table,
-                         ptheta_table)
+from .errors import NumericGuardError, ParameterDomainError
+from .structures import (ComponentVector, Kind, Numeric, StructureSpec,
+                         as_integral, exact_route, falling, log_big,
+                         log_ptheta_table, ptheta_table, rising)
 from .indep_process import TiltedParams, log_m_array
+from .sumdist import _CANCEL_BITS
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class MomentSpec:
         return sum(j * rj for j, rj in self.orders)
 
 
-def _exact_ok(spec: StructureSpec, n: int, theta: Numeric) -> bool:
-    return isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
-
-
 def factorial_moment_assembly(spec: StructureSpec, n: int,
                               r: Union[MomentSpec, Mapping[int, int]],
                               params: Optional[TiltedParams] = None,
@@ -70,7 +68,7 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
     m = r.weight
     if m > n:
         return 0.0
-    if _exact_ok(spec, n, theta):
+    if exact_route(n, theta):
         tab = ptheta_table(spec, n, theta)
         if tab[n] == 0:
             raise ParameterDomainError(f"no structures of weight {n}")
@@ -92,20 +90,6 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
     return math.exp(acc)
 
 
-def _rising(mj: Numeric, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(k):
-        out *= (Fraction(mj) + t)
-    return out
-
-
-def _falling(mj: Numeric, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(k):
-        out *= (Fraction(mj) - t)
-    return out
-
-
 def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
                             params: Optional[TiltedParams] = None,
                             theta: Numeric = 1) -> float:
@@ -114,6 +98,8 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
     Multisets: Gamma(m_j+r)/Gamma(m_j) / p(n) * sum_m C(m-1, r-1) theta^m p(n-jm);
     selections get the alternating-sign analogue with the falling factorial
     (m_j)_[r] (zero when r > m_j); assemblies delegate to the joint formula.
+    The float selection sum raises NumericGuardError when sum |terms|
+    exceeds 2^_CANCEL_BITS |sum terms|.
     """
     if r < 1:
         raise ParameterDomainError("r must be >= 1")
@@ -129,7 +115,7 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
         return 0.0
     if spec.kind is Kind.SELECTION and isinstance(mj, int) and r > mj:
         return 0.0
-    if _exact_ok(spec, n, theta):
+    if exact_route(n, theta):
         tab = ptheta_table(spec, n, theta)
         if tab[n] == 0:
             raise ParameterDomainError(f"no structures of weight {n}")
@@ -140,7 +126,7 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
             if spec.kind is Kind.SELECTION and (m - r) % 2 == 1:
                 term = -term
             total += term
-        lead = _rising(mj, r) if spec.kind is Kind.MULTISET else _falling(mj, r)
+        lead = rising(mj, r) if spec.kind is Kind.MULTISET else falling(mj, r)
         return float(lead * total / Fraction(tab[n]))
     # float path: log-space p_theta table, compensated alternating sum
     logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
@@ -151,14 +137,15 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
         sign = -1.0 if (spec.kind is Kind.SELECTION and (m - r) % 2 == 1) else 1.0
         terms.append(sign * math.exp(lt - logt[n]))
     total = math.fsum(terms)
-    llead = _log_rising_f(mj, r) if spec.kind is Kind.MULTISET else None
     if spec.kind is Kind.MULTISET:
-        return math.exp(llead) * total
-    return float(_falling(mj, r)) * total
-
-
-def _log_rising_f(mj: Numeric, r: int) -> float:
-    return math.fsum(log_big(as_integral(Fraction(mj) + t)) for t in range(r))
+        return math.exp(log_big(rising(mj, r))) * total
+    # the alternating sum loses about log2 of sum |terms| / |sum| bits
+    size = math.fsum(map(abs, terms))
+    if size > 2.0 ** _CANCEL_BITS * abs(total):
+        raise NumericGuardError(
+            f"selection moment sum cancels by more than 2^{_CANCEL_BITS}: "
+            f"sum |terms| = {size:.3g}, |sum| = {abs(total):.3g}")
+    return float(falling(mj, r)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +165,13 @@ def esf_pmf(n: int, kappa: Numeric,
         return Fraction(0) if isinstance(kappa, (int, Fraction)) else 0.0
     if isinstance(kappa, (int, Fraction)):
         kap = Fraction(kappa)
-        val = Fraction(math.factorial(n)) / _rising(kap, n)
+        val = Fraction(math.factorial(n)) / rising(kap, n)
         for i, ai in enumerate(a, start=1):
             if ai:
                 val *= (kap / i) ** ai
                 val /= math.factorial(ai)
         return as_integral(val)
-    acc = math.lgamma(n + 1) - _log_rising_f(kappa, n)
+    acc = math.lgamma(n + 1) - log_big(rising(kappa, n))
     for i, ai in enumerate(a, start=1):
         if ai:
             acc += ai * (math.log(kappa) - math.log(i)) - math.lgamma(ai + 1)
@@ -233,7 +220,7 @@ def expected_theta_K(spec: StructureSpec, n: int, theta: Numeric) -> float:
     """E theta^{K_n} = p_theta(n) / p(n)."""
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
-    if _exact_ok(spec, n, theta):
+    if exact_route(n, theta):
         tab_t = ptheta_table(spec, n, theta)
         tab_1 = ptheta_table(spec, n, 1)
         if tab_1[n] == 0:

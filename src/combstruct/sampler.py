@@ -42,16 +42,15 @@ sumdist.prob_T_eq_n, computed independently of the table.
 Streams are the unit of reproducibility: stream k of seed s is
 Generator(Philox(SeedSequence(s, spawn_key=(k,)))), the counter-based
 Philox generator, and identical (seed, stream, count, streams) gives
-identical output on either route.  The rejection route runs its streams on
-min(streams, os.cpu_count()) worker threads; the table route draws every
-stream in the calling thread, so worker count never changes a result.
+identical output on either route.  Both routes draw every stream in the
+calling thread, one stream after another, and start no thread: the
+rejection route's streams are the single-stream runs at rng.stream + k,
+concatenated in stream order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -257,14 +256,8 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
         return SampleBatch(samples=samples, trials=count, accepted=count,
                            acceptance_exact=p_exact)
     tabs = _tables(spec, n, params)
-    jobs = [(tabs, n, want, rng.with_stream(rng.stream + k))
-            for k, want in enumerate(per)]
-    if streams > 1:
-        workers = min(streams, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda j: _sample_stream(*j), jobs))
-    else:
-        results = [_sample_stream(*j) for j in jobs]
+    results = [_sample_stream(tabs, n, want, rng.with_stream(rng.stream + k))
+               for k, want in enumerate(per)]
     samples: list[ComponentVector] = []
     trials = 0
     for got, used in results:  # merged in stream order: deterministic

@@ -9,8 +9,12 @@ per size.  Everything else in the package derives from a StructureSpec:
   * p_theta(n), the theta-biased total count, with an exact path
     (coefficient recurrences of the standard generating function identities,
     run on integers s_k p_theta(k) scaled by a power of a common denominator
-    and divided by s_k once per entry at the end) and a floating-point path
-    that inverts the conditioning-probability closed forms,
+    and divided by s_k once per entry at the end) and one floating-point
+    table, _float_log_table, behind log_ptheta_table and p_total: by the
+    identity C(n) = (Z_1..Z_n | T_n = n), x^k p_theta(k) [/k! for
+    assemblies] is P(T_n = k) / P(T_n = 0), read off the full-set positive
+    recursion for assemblies and multisets and off the certified pmf of T_n
+    for selections; exact_route is the one rule choosing between them,
   * the uniform / theta-biased law over component spectra.
 
 All counts are exact: integers, or rationals when m_i or theta are rational
@@ -20,6 +24,8 @@ The float routes read m_i only through log m_i; every builtin and every
 from_m_list spec supplies a vectorised float log m_i (log_m_fn), so they
 never build the exact integers.
 EXACT_CUTOFF is the largest n at which the exact tables are the default.
+rising and falling are the exact rising and falling products that the
+counting formulas, the moments and the Ewens pmf read.
 """
 
 from __future__ import annotations
@@ -491,26 +497,20 @@ def load_spec(path: str) -> StructureSpec:
 # counting formulas
 # ---------------------------------------------------------------------------
 
-def _binom_exact(m: BigCount, k: int) -> BigCount:
-    """C(m, k) for integer or rational m >= 0, integer k >= 0."""
-    if isinstance(m, int):
-        if k > m:
-            return 0
-        return math.comb(m, k)
-    num = Fraction(1)
-    for j in range(k):
-        num *= (m - j)
-    return num / math.factorial(k)
+def rising(m: Numeric, k: int) -> BigCount:
+    """m (m+1) ... (m+k-1) exactly; a float m enters as its exact binary
+    rational.  One integer product over the numerators, divided by the
+    k-th power of the denominator once."""
+    m = Fraction(m)
+    a, b = m.numerator, m.denominator
+    return as_integral(Fraction(math.prod(range(a, a + k * b, b)), b ** k))
 
 
-def _rising_binom(m: BigCount, k: int) -> BigCount:
-    """C(m + k - 1, k) = m(m+1)...(m+k-1)/k! for integer or rational m."""
-    if isinstance(m, int):
-        return math.comb(m + k - 1, k) if m > 0 or k == 0 else 0
-    num = Fraction(1)
-    for j in range(k):
-        num *= (m + j)
-    return num / math.factorial(k)
+def falling(m: Numeric, k: int) -> BigCount:
+    """m (m-1) ... (m-k+1) exactly, as rising; 0 for an integer m < k."""
+    m = Fraction(m)
+    a, b = m.numerator, m.denominator
+    return as_integral(Fraction(math.prod(range(a, a - k * b, -b)), b ** k))
 
 
 def count_N(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
@@ -542,8 +542,11 @@ def count_N(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
     for i, ai in enumerate(a, start=1):
         if ai:
             mi = spec.m(i)
-            f = _rising_binom(mi, ai) if spec.kind is Kind.MULTISET \
-                else _binom_exact(mi, ai)
+            if isinstance(mi, int):
+                f = (math.comb(mi + ai - 1, ai) if spec.kind is Kind.MULTISET
+                     else math.comb(mi, ai))
+            else:  # a rational m_i of a generalized multiset
+                f = Fraction(rising(mi, ai), math.factorial(ai))
             if f == 0:
                 return 0
             total *= f
@@ -627,31 +630,41 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     return p
 
 
+def exact_route(n: int, theta: Numeric) -> bool:
+    """Whether p_theta up to n is computed exactly: theta is an int or a
+    Fraction and n <= EXACT_CUTOFF.  Every default exact/float choice reads
+    this rule."""
+    return isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
+
+
 def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
                      x: Optional[Numeric] = None) -> list[float]:
-    """[log p_theta(k)]_{k<=n} as floats.
-
-    Exact route (rational theta) up to moderate n; otherwise one scaled
-    float recursion of the full weighted sum delivers the whole table,
-    since x^k p_theta(k) [/k! for assemblies] is the k-th coefficient of
-    the generating function restricted to sizes <= n.  That recursion is
-    the one sumdist keeps per spec for the full index set, so a table at
-    the x of a P(T_n = n) already computed costs no second recursion.
-    """
-    if isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF:
+    """[log p_theta(k)]_{k<=n} as floats: the logs of the exact table where
+    exact_route holds, the float table _float_log_table otherwise."""
+    if exact_route(n, theta):
         return [log_big(v) for v in ptheta_table(spec, n, theta)]
+    return _float_log_table(spec, n, theta, x).tolist()
+
+
+def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
+                     x: Optional[Numeric]) -> np.ndarray:
+    """[log p_theta(k)]_{k<=n} from the full index set's weighted sum at x
+    (the exact-mean x when None): x^k p_theta(k) [/k! for assemblies] is
+    the k-th coefficient of the generating function restricted to sizes
+    <= n, which sumdist._log_coeff_table reads off the request's one
+    full-set recursion or, for a selection, its certified pmf.  The
+    result does not depend on x beyond rounding."""
     from . import sumdist  # deferred: sumdist imports this module
     from .indep_process import (TiltedParams, choose_x, XStrategy,
                                 log_factorial_array)
     if x is None:
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
     params = TiltedParams(x=x, theta=theta)
-    params.validate(spec)
-    k = np.arange(n + 1)
-    out = sumdist._log_coeff_table(spec, n, params) - k * math.log(float(x))
+    out = sumdist._log_coeff_table(spec, n, params) \
+        - np.arange(n + 1) * math.log(float(x))
     if spec.kind is Kind.ASSEMBLY:
         out += log_factorial_array(spec, n)
-    return out.tolist()
+    return out
 
 
 def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
@@ -659,39 +672,19 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
             x: Optional[Numeric] = None) -> Union[BigCount, float]:
     """Total theta-biased count p_theta(n) = sum_k p(n,k) theta^k.
 
-    exact=True (default for rational theta and n <= EXACT_CUTOFF) returns an exact
-    int/Fraction.  The float path inverts the closed forms relating
-    p_theta(n) to P_theta(T_n = n) at a free parameter x; the result does
-    not depend on the x used.
+    exact=True (the default where exact_route holds) returns an exact
+    int/Fraction; exact=False returns entry n of the float table
+    (_float_log_table) at x, which does not depend on x beyond rounding.
     """
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
     if n == 0:
         return 1
     if exact is None:
-        exact = isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
+        exact = exact_route(n, theta)
     if exact:
         return ptheta_table(spec, n, theta)[n]
-    return math.exp(log_p_total(spec, n, theta, x=x))
-
-
-def log_p_total(spec: StructureSpec, n: int, theta: Numeric = 1,
-                x: Optional[Numeric] = None) -> float:
-    """log p_theta(n) by closed-form inversion at a valid x (float path)."""
-    from . import sumdist
-    from .indep_process import TiltedParams, choose_x, XStrategy
-    if n == 0:
-        return 0.0
-    if x is None:
-        x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
-    params = TiltedParams(x=x, theta=theta)
-    params.validate(spec)
-    log_pt = math.log(sumdist.prob_T_eq_n(spec, n, params, method="recursion"))
-    log_seed = sumdist.log_seed(spec, range(1, n + 1), params)
-    out = log_pt - log_seed - n * math.log(float(x))
-    if spec.kind is Kind.ASSEMBLY:
-        out += math.lgamma(n + 1)
-    return out
+    return math.exp(_float_log_table(spec, n, theta, x)[n])
 
 
 # ---------------------------------------------------------------------------

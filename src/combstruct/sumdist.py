@@ -50,15 +50,13 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import (EXACT_CUTOFF, Kind, StructureSpec, log_big,
-                         log_ptheta_table, ptheta_table)
+from .structures import Kind, StructureSpec, log_ptheta_table
 from .indep_process import (Family, TiltedParams, log_factorial_array,
                             log_m_array, log_p_zero_array, overflow_guard,
                             z_law)
@@ -277,30 +275,36 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     return q, shift
 
 
+def _full_set_slot(spec: StructureSpec, name: str, B: IndexSet, n_max: int,
+                   params: TiltedParams, build):
+    """build(), kept in the one slot spec._table_cache[name] keyed by
+    (n_max, x, theta) when B holds every index 1..n_max (the full index
+    set of prob_T_eq_n and log_ptheta_table), so every route of one request
+    reads one result and memory stays O(n_max).  build makes its arrays
+    read-only."""
+    if bisect.bisect_right(B, n_max) != n_max:
+        return build()
+    key = (n_max, params.fx, params.ftheta)
+    hit = spec._table_cache.get(name)
+    if hit is None or hit[0] != key:
+        hit = (key, build())
+        spec._table_cache[name] = hit
+    return hit[1]
+
+
 def _coefficients(spec: StructureSpec, B: IndexSet, n_max: int,
                   params: TiltedParams,
                   g: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """(g, q, shift) of the coefficient recursion of R_B on 0..n_max; g is
-    built here unless the caller has it.
-
-    When B holds every index 1..n_max (the full index set of prob_T_eq_n and
-    log_ptheta_table) the read-only arrays are kept in one slot of
-    spec._table_cache keyed by (n_max, x, theta), so every route of one
-    request reads one recursion and memory stays O(n_max).
-    """
-    full = bisect.bisect_right(B, n_max) == n_max
-    key = (n_max, params.fx, params.ftheta)
-    if full:
-        hit = spec._table_cache.get("full_set_recursion")
-        if hit is not None and hit[0] == key:
-            return hit[1]
-    if g is None:
-        g = _g_array(spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
-    q, shift = _recursion_coeffs(g, n_max)
-    if full:
-        g.flags.writeable = q.flags.writeable = False
-        spec._table_cache["full_set_recursion"] = (key, (g, q, shift))
-    return g, q, shift
+    """(g, q, shift) of the coefficient recursion of R_B on 0..n_max, in the
+    "full_set_recursion" slot (_full_set_slot); g is built here unless the
+    caller has it."""
+    def build():
+        g_ = g if g is not None else _g_array(
+            spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
+        q, shift = _recursion_coeffs(g_, n_max)
+        g_.flags.writeable = q.flags.writeable = False
+        return g_, q, shift
+    return _full_set_slot(spec, "full_set_recursion", B, n_max, params, build)
 
 
 def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
@@ -314,13 +318,30 @@ def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
 
 
 def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
-    """Natural logs of the full-set recursion coefficients q[0..n]."""
+    """Natural logs of the full-set coefficients x^k p_theta(k) [/k!], k <= n.
+
+    Assemblies and multisets: log q + shift log 2 from the request's one
+    positive recursion.  Selections: log P(T_n = k) - log_seed from the
+    certified "auto" pmf of the full index set, so the signed recursion is
+    read only where it certified itself.  A pmf entry that left double range
+    (below the smallest normal double) at a weight k that some structure
+    has raises the underflow NumericGuardError; a true zero (no structure
+    of weight k) is -inf.
+    """
     params.validate(spec)
-    _g, q, shift = _coefficients(spec, tuple(range(1, n + 1)), n, params)
-    if spec.kind is Kind.SELECTION:
-        q = np.where(q < 0, 0.0, q)
+    full = range(1, n + 1)
+    if spec.kind is not Kind.SELECTION:
+        _g, q, shift = _coefficients(spec, full, n, params)
+        with np.errstate(divide="ignore"):
+            return np.log(q) + shift * _LN2
+    p = weighted_sum_pmf(spec, full, n, params).p
+    low = np.flatnonzero(p < sys.float_info.min)
+    if low.size:
+        low = low[_reach(spec, int(low[-1]))[low]]
+        if low.size:
+            raise _underflow_error(n, int(low[0]))
     with np.errstate(divide="ignore"):
-        return np.log(q) + shift * _LN2
+        return np.log(p) - log_seed(spec, full, params)
 
 
 def _cancellation_bits(g: np.ndarray, q: np.ndarray, shift: int,
@@ -397,7 +418,7 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
             continue
         law = z_law(spec, i, params)
         k_max = n_max // i
-        if law.family in (Family.BINOMIAL, Family.BERNOULLI):
+        if law.family is Family.BINOMIAL:
             k_max = min(k_max, law.m)
         pk = law.pmf_array(k_max)
         while k_max and pk[k_max] == 0.0:
@@ -431,6 +452,28 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
     return None if conv < rec else g
 
 
+def _auto_selection_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
+                        params: TiltedParams) -> PmfVector:
+    """The "auto" route of a selection (see weighted_sum_pmf), in the
+    "full_set_pmf" slot (_full_set_slot): both columns of prob-t and the
+    float p_theta table read one pmf."""
+    def build():
+        pmf = None
+        try:
+            g = _selection_recursion_g(spec, B, n_max, params)
+            if g is not None:
+                pmf = _pmf_by_recursion(spec, B, n_max, params, certify=True,
+                                        g=g)
+        except NumericGuardError:
+            pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
+                  # coefficient beyond double range
+        if pmf is None:
+            pmf = _pmf_by_convolution(spec, B, n_max, params)
+        pmf.p.flags.writeable = False
+        return pmf
+    return _full_set_slot(spec, "full_set_pmf", B, n_max, params, build)
+
+
 def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
                      params: TiltedParams, method: str = "auto") -> PmfVector:
     """Exact (to double precision) pmf of R_B = sum_{i in B} i Z_i on 0..n_max.
@@ -458,15 +501,7 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     if method == "convolution":
         return _pmf_by_convolution(spec, B, n_max, params)
     if method == "auto" and spec.kind is Kind.SELECTION:
-        try:
-            g = _selection_recursion_g(spec, B, n_max, params)
-            if g is not None:
-                return _pmf_by_recursion(spec, B, n_max, params,
-                                         certify=True, g=g)
-        except NumericGuardError:
-            pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
-                  # coefficient beyond double range
-        return _pmf_by_convolution(spec, B, n_max, params)
+        return _auto_selection_pmf(spec, B, n_max, params)
     if method not in ("auto", "recursion"):
         raise ParameterDomainError(f"unknown method {method!r}")
     if spec.kind is Kind.SELECTION:
@@ -490,13 +525,13 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
 
     method "recursion" reads it off the weighted-sum pmf of the full index
     set; "closed_form" evaluates seed * x^n * p_theta(n) [/ n! for
-    assemblies] with p_theta(n) from the exact coefficient recurrences for
-    rational theta up to n = EXACT_CUTOFF, where the recursion reads float
-    log m_i and the table exact m_i.  Beyond that the float p_theta table
-    reads the same cached recursion coefficients as the "recursion" route
-    (one recursion per request), so there the gap the CLI's prob-t command
-    prints between the two checks only the log-domain inversion, not the
-    recursion or the seed.
+    assemblies] with p_theta(n) from log_ptheta_table: the exact
+    coefficient recurrences where structures.exact_route holds, where the
+    recursion reads float log m_i and the table exact m_i.  Beyond that
+    the float p_theta table reads the same cached full-set recursion (or,
+    for a selection, the same cached auto pmf) as the "recursion" route,
+    so there the gap the CLI's prob-t command prints between the two
+    checks only the log-domain inversion, not the recursion or the seed.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -506,10 +541,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
                                      method="auto").p[n])
     elif method == "closed_form":
         lseed = log_seed(spec, range(1, n + 1), params)
-        if n <= EXACT_CUTOFF and isinstance(params.theta, (int, Fraction)):
-            lp = log_big(ptheta_table(spec, n, params.theta)[n])
-        else:
-            lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
+        lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:
             lout -= math.lgamma(n + 1)
@@ -522,10 +554,15 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
 
 
 def has_weight(spec: StructureSpec, n: int) -> bool:
-    """Whether some structure has weight n, i.e. p(n) > 0: a boolean strided
-    update marks the weights sum_i i Z_i can reach with Z_i <= m_i.  Only
-    asked when P(T_n = n) came out 0.
-    """
+    """Whether some structure has weight n, i.e. p(n) > 0.  Only asked when
+    P(T_n = n) came out 0."""
+    return bool(_reach(spec, n)[n])
+
+
+def _reach(spec: StructureSpec, n: int) -> np.ndarray:
+    """reach[k] for k = 0..n: whether some structure has weight k.  A
+    boolean strided update marks the weights sum_i i Z_i can reach with
+    Z_i <= m_i."""
     lm = log_m_array(spec, n)
     reach = np.zeros(n + 1, dtype=bool)
     reach[0] = True
@@ -546,14 +583,12 @@ def has_weight(spec: StructureSpec, n: int) -> bool:
             grid[: n + 1] = reach
             reach = np.logical_or.accumulate(grid.reshape(rows, i), axis=0
                                              ).ravel()[: n + 1]
-        if reach[n]:
-            return True
-    return False
+    return reach
 
 
-def _underflow_error(n: int) -> NumericGuardError:
-    return NumericGuardError(f"P(T_n = n) underflowed to 0 at n = {n}; choose "
-                             "an x nearer the exact-mean x")
+def _underflow_error(n: int, k="n") -> NumericGuardError:
+    return NumericGuardError(f"P(T_n = {k}) underflowed to 0 at n = {n}; "
+                             "choose an x nearer the exact-mean x")
 
 
 def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,

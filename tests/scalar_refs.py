@@ -35,3 +35,65 @@ def m_softplus(lm, lw):
     # zero e^lw would lose the digits of math.log(sp)
     out = lm + (lw if lw < _LOG_EPS else math.log(sp))
     return math.exp(out) if out < 700 else math.inf
+
+
+# The scalar per-k log pmf that DiscreteLaw.log_pmf computed before pmf(k)
+# became entry k of pmf_array, with its rising and falling logs.
+
+_LOG_RISING_SWITCH = math.log(1e3)
+
+
+def _inv_m(m, lm):
+    return 1.0 / float(m) if lm < 700 else math.exp(-lm)
+
+
+def log_rising(m, lm, k):
+    """log m(m+1)...(m+k-1), big-m safe."""
+    if k == 0:
+        return 0.0
+    if lm == -math.inf:
+        return -math.inf
+    if lm < _LOG_RISING_SWITCH:
+        fm = float(m)
+        return math.lgamma(fm + k) - math.lgamma(fm)
+    step = _inv_m(m, lm)
+    return k * lm + sum(math.log1p(j * step) for j in range(1, k))
+
+
+def log_falling(m, lm, k):
+    """log m(m-1)...(m-k+1); -inf when the product vanishes (k > m)."""
+    if k == 0:
+        return 0.0
+    if lm == -math.inf:
+        return -math.inf
+    if lm < 34:
+        fm = float(m)
+        acc = 0.0
+        for j in range(k):
+            t = fm - j
+            if t <= 0:
+                return -math.inf
+            acc += math.log(t)
+        return acc
+    step = _inv_m(m, lm)
+    return k * lm + sum(math.log1p(-j * step) for j in range(1, k))
+
+
+def log_pmf(law, k):
+    """log P(Z = k) of a DiscreteLaw, one k per call."""
+    from combstruct.indep_process import Family
+    from combstruct.structures import log_big
+    if k < 0:
+        return -math.inf
+    if law.family is Family.POISSON:
+        if law.lam == 0.0:
+            return 0.0 if k == 0 else -math.inf
+        return law.log_p0 + k * math.log(law.lam) - math.lgamma(k + 1)
+    lm = log_big(law.m)
+    if law.family is Family.NEG_BINOMIAL:
+        return (log_rising(law.m, lm, k) - math.lgamma(k + 1)
+                + law.log_p0 + k * law.lw)
+    lf = log_falling(law.m, lm, k)
+    if lf == -math.inf:
+        return -math.inf
+    return lf - math.lgamma(k + 1) + k * law.lw + law.log_p0

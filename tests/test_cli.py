@@ -308,6 +308,15 @@ class TestExitCodes:
         assert code == 3
         assert f"no structures of weight {n}" in err
 
+    def test_cancelling_selection_moment_is_4(self, spec_files, capsys):
+        # E C_1 of distinct partitions at n = 1000, theta = 2: the float
+        # alternating sum cancels far past 2^10
+        code, out, err = run_cli(["moments", "--spec", spec_files["distinct"],
+                                  "--n", "1000", "--theta", "2", "--j", "1"],
+                                 capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("numeric guard:") and "cancels" in err
+
     def test_numeric_guard_is_4(self, spec_files, capsys):
         code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],
                                 "--n", "60", "--samples", "1", "--x", "0.3"],

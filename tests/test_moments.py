@@ -8,7 +8,7 @@ import pytest
 from combstruct import structures as st
 from combstruct import moments as mom
 from combstruct import oracle as orc
-from combstruct.errors import ParameterDomainError
+from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams
 
 
@@ -130,6 +130,37 @@ class TestSingleIndex:
         loose = mom.factorial_moment_single(dp, 30, 2, 2, theta=1.0,
                                             params=TiltedParams(1.0, 1.0))
         assert loose == pytest.approx(exact, rel=1e-8)
+
+
+def _exact_single_moment(spec, n, j, r, theta):
+    """E (C_j(n))_[r] of a selection from the exact table, any n."""
+    tab = st.ptheta_table(spec, n, theta)
+    total = sum((-1) ** (m - r) * math.comb(m - 1, r - 1)
+                * Fraction(theta) ** m * tab[n - j * m]
+                for m in range(r, n // j + 1))
+    return float(st.falling(spec.m(j), r) * total / Fraction(tab[n]))
+
+
+class TestSelectionFloatMoments:
+    @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.distinct_odd_partitions(),
+                                      st.squarefree_polynomials(2)],
+                             ids=lambda s: s.name)
+    def test_matches_exact_table_above_cutoff(self, spec):
+        n = 600  # above EXACT_CUTOFF: the float table and the float sum
+        for j in (1, 3, 5):
+            got = mom.factorial_moment_single(spec, n, j, 1, theta=1)
+            want = _exact_single_moment(spec, n, j, 1, 1)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), j
+
+    @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.distinct_odd_partitions()],
+                             ids=lambda s: s.name)
+    def test_cancelling_sum_raises(self, spec):
+        # at theta = 2 the alternating terms theta^m p(n-m) / p(n) reach
+        # 1e271 for a sum below 1; the sum would print garbage (-1.5e266)
+        with pytest.raises(NumericGuardError, match="cancels"):
+            mom.factorial_moment_single(spec, 1000, 1, 1, theta=2)
 
 
 class TestEsfClosedForms:

@@ -197,21 +197,20 @@ class TestStreamsAndThreads:
                                   RngState(2), streams=4)
         assert batch.accepted == 40
 
-    def test_rejection_workers_capped_at_cpu_count(self, monkeypatch):
-        args = (PERM, 5, TiltedParams(1, 1), 40, RngState(6))
-        want = sample_components(*args, streams=4, method="rejection")
-        seen = []
-        real = smp.ThreadPoolExecutor
+    def test_rejection_streams_are_single_stream_runs(self, monkeypatch):
+        # streams = 4 is the four single-stream runs at stream + k, in order
+        params, rng = TiltedParams(1, 1), RngState(6, stream=3)
+        singles = [sample_components(PERM, 5, params, 10, rng.with_stream(3 + k),
+                                     method="rejection") for k in range(4)]
 
-        def spy(max_workers):
-            seen.append(max_workers)
-            return real(max_workers=max_workers)
-        monkeypatch.setattr(smp.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(smp, "ThreadPoolExecutor", spy)
-        got = sample_components(*args, streams=4, method="rejection")
-        assert seen == [1]
-        assert [v.a for v in got.samples] == [v.a for v in want.samples]
-        assert got.trials == want.trials
+        def refuse(*_a, **_k):
+            raise AssertionError("the rejection route started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got = sample_components(PERM, 5, params, 40, rng, streams=4,
+                                method="rejection")
+        assert [v.a for v in got.samples] == \
+            [v.a for b in singles for v in b.samples]
+        assert got.trials == sum(b.trials for b in singles)
 
 
 class TestDrawT:

@@ -289,9 +289,15 @@ class TestPTotal:
         assert abs(a / b - 1) < 1e-9
         assert abs(a / float(st.p_total(perm, 40)) - 1) < 1e-9
         ip = st.integer_partitions()
-        a = st.log_p_total(ip, 150, 1, x=0.85)
-        b = st.log_p_total(ip, 150, 1, x=0.7)
-        assert abs(a - b) < 1e-9
+        a = st.p_total(ip, 150, 1, exact=False, x=0.85)
+        b = st.p_total(ip, 150, 1, exact=False, x=0.7)
+        assert abs(a / b - 1) < 1e-9
+        assert abs(a / st.p_total(ip, 150) - 1) < 1e-9
+        dp = st.distinct_partitions()
+        a = st.p_total(dp, 150, 1, exact=False, x=0.85)
+        b = st.p_total(dp, 150, 1, exact=False, x=0.95)
+        assert abs(a / b - 1) < 1e-9
+        assert abs(a / st.p_total(dp, 150) - 1) < 1e-9
 
     def test_exact_path_x_free(self):
         # the exact table never touches x at all; spot-check against oracle sums

@@ -307,6 +307,53 @@ class TestArrayRoutesMatchScalarReferences:
                     TiltedParams(0.4, 1), signed=True)
 
 
+SELECTION_BUILTINS = [st.distinct_partitions(), st.distinct_odd_partitions(),
+                      st.squarefree_polynomials(2)]
+
+
+class TestSelectionFloatTable:
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2], ids=str)
+    @pytest.mark.parametrize("spec", SELECTION_BUILTINS, ids=lambda s: s.name)
+    def test_matches_exact_table(self, spec, theta):
+        # n = 600 is above EXACT_CUTOFF, so log_ptheta_table takes the
+        # float route; -inf exactly where no structure of weight k exists
+        n = 600
+        got = st.log_ptheta_table(spec, n, theta)
+        exact = st.ptheta_table(spec, n, theta)
+        for k, (g, e) in enumerate(zip(got, exact)):
+            if e == 0:
+                assert g == -math.inf, k
+            else:
+                assert abs(math.expm1(g - st.log_big(e))) <= 1e-12, k
+
+    def test_prob_t_closed_form_reads_the_certified_pmf(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "selection",
+                                    "builtin": "distinct_odd_partitions"}))
+        assert cli.run(["prob-t", "--spec", str(path), "--n", "1000",
+                        "--theta", "2"]) == 0
+        rec, clo, gap = map(float, capsys.readouterr().out.splitlines()[-1]
+                            .split("\t"))
+        assert 0 < clo <= 1 and gap <= 1e-12
+
+    def test_underflowed_entry_raises(self):
+        # at x = 1.2 the seed of distinct partitions of 150 is e^-2069: every
+        # P(T_n = k) with small k underflows although weight k is reachable
+        spec = st.distinct_partitions()
+        with pytest.raises(NumericGuardError, match="underflowed"):
+            st.log_ptheta_table(spec, 150, 1.0, x=1.2)
+        with pytest.raises(NumericGuardError, match="underflowed"):
+            st.p_total(spec, 150, exact=False, x=1.2)
+
+    def test_p_total_reads_the_table(self):
+        spec = st.squarefree_polynomials(2)
+        x = choose_x(spec, 700, 1)
+        table = st.log_ptheta_table(spec, 700, 1.0, x=x)
+        assert st.p_total(spec, 700, 1.0, exact=False, x=x) == \
+            math.exp(table[700])
+
+
 class TestBlockedRecursion:
     @pytest.mark.parametrize("signed", [False, True])
     def test_growth_past_2_512_within_a_block(self, signed):
@@ -509,6 +556,31 @@ class TestOneRecursionPerRequest:
         assert cli.run(["prob-t", "--spec", str(path), "--n", str(n),
                         "--choose-x", "exact_mean"]) == 0
         assert calls == [n]
+        gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("builtin,route", [
+        ("distinct_partitions", "recursion"),
+        ("distinct_odd_partitions", "convolution"),
+    ])
+    def test_selection_prob_t_runs_one_auto_route(self, builtin, route,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # both columns read the one cached full-set pmf of the auto route
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "selection", "builtin": builtin}))
+        n = st.EXACT_CUTOFF + 488
+        calls = []
+        for name in ("recursion", "convolution"):
+            orig = getattr(sd, f"_pmf_by_{name}")
+
+            def spy(spec, B, n_max, params, *a, _name=name, _orig=orig, **k):
+                calls.append((_name, n_max))
+                return _orig(spec, B, n_max, params, *a, **k)
+            monkeypatch.setattr(sd, f"_pmf_by_{name}", spy)
+        assert cli.run(["prob-t", "--spec", str(path), "--n", str(n),
+                        "--choose-x", "exact_mean"]) == 0
+        assert calls == [(route, n)]
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
