@@ -311,8 +311,7 @@ def cmd_esf(args) -> Output:
     out.add_header("params", f"n={n} kappa={kappa}")
     if args.a:
         out.table(["pmf"], [[mom.esf_pmf(n, kappa, args.a)]])
-    rising = mom.esf_rising(n, kappa)
-    rows = [[j, mom.esf_moment(n, kappa, {j: 1}, rising)] for j in range(1, n + 1)]
+    rows = [[j, mom.esf_moment(n, kappa, {j: 1})] for j in range(1, n + 1)]
     out.table(["j", "E_C_j"], rows)
     return out
 

@@ -22,14 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (ComponentVector, Kind, Numeric, StructureSpec,
-                         as_integral, exact_route, falling, log_big,
-                         log_ptheta_table, ptheta_table, rising)
+                         _float_log_table, as_integral, exact_route, falling,
+                         log_big, log_ptheta_table, ptheta_table, rising)
 from .indep_process import TiltedParams, log_m_array
 from .sumdist import _CANCEL_BITS
 
@@ -178,26 +176,12 @@ def esf_pmf(n: int, kappa: Numeric,
     return math.exp(acc)
 
 
-def _esf_kappa(kappa: Numeric) -> Fraction:
-    if isinstance(kappa, (int, Fraction)):
-        return Fraction(kappa)
-    return Fraction(float(kappa))
-
-
-def esf_rising(n: int, kappa: Numeric) -> list[Fraction]:
-    """[kappa_(0), ..., kappa_(n)], the exact rising factorials of kappa."""
-    return list(accumulate((_esf_kappa(kappa) + t for t in range(n)), mul,
-                           initial=Fraction(1)))
-
-
 def esf_moment(n: int, kappa: Numeric,
-               r: Union[MomentSpec, Mapping[int, int]],
-               rising: Optional[Sequence[Fraction]] = None) -> float:
+               r: Union[MomentSpec, Mapping[int, int]]) -> float:
     """Closed-form ESF joint moment:
-    1(m <= n) C(kappa+n-m-1, n-m) C(kappa+n-1, n)^{-1} prod (kappa/j)^{r_j}.
-
-    rising, when given, is esf_rising(n, kappa); callers that evaluate many
-    moments at one (n, kappa) pass it so the table is built once.
+    1(m <= n) C(kappa+n-m-1, n-m) C(kappa+n-1, n)^{-1} prod (kappa/j)^{r_j},
+    exact in big rationals (a float kappa enters as its exact binary
+    rational) and rounded once.
     """
     if kappa <= 0:
         raise ParameterDomainError("kappa must be positive")
@@ -205,12 +189,10 @@ def esf_moment(n: int, kappa: Numeric,
     m = r.weight
     if m > n:
         return 0.0
-    kap = _esf_kappa(kappa)
-    if rising is None:
-        rising = esf_rising(n, kappa)
-    # C(kappa+n-m-1, n-m) / C(kappa+n-1, n) = kappa_(n-m) n! / ((n-m)! kappa_(n))
-    val = rising[n - m] * math.factorial(n) \
-        / (math.factorial(n - m) * rising[n])
+    kap = Fraction(kappa)
+    # C(kappa+n-m-1, n-m) / C(kappa+n-1, n)
+    #   = kappa_(n-m) n! / ((n-m)! kappa_(n)) = n^(m) / (kappa+n-m)_(m)
+    val = Fraction(falling(n, m), rising(kap + n - m, m))
     for j, rj in r.orders:
         val *= (kap / j) ** rj
     return float(val)
@@ -226,6 +208,5 @@ def expected_theta_K(spec: StructureSpec, n: int, theta: Numeric) -> float:
         if tab_1[n] == 0:
             raise ParameterDomainError(f"no structures of weight {n}")
         return float(Fraction(tab_t[n]) / Fraction(tab_1[n]))
-    lt = log_ptheta_table(spec, n, theta)
-    l1 = log_ptheta_table(spec, n, 1)
-    return math.exp(lt[n] - l1[n])
+    return math.exp(_float_log_table(spec, n, theta, None)[n]
+                    - _float_log_table(spec, n, 1, None)[n])

@@ -12,9 +12,10 @@ per size.  Everything else in the package derives from a StructureSpec:
     and divided by s_k once per entry at the end) and one floating-point
     table, _float_log_table, behind log_ptheta_table and p_total: by the
     identity C(n) = (Z_1..Z_n | T_n = n), x^k p_theta(k) [/k! for
-    assemblies] is P(T_n = k) / P(T_n = 0), read off the full-set positive
-    recursion for assemblies and multisets and off the certified pmf of T_n
-    for selections; exact_route is the one rule choosing between them,
+    assemblies] is P(T_n = k) / P(T_n = 0), read off the full-set
+    recursion (for a selection, where its certificate holds; otherwise off
+    the convolution pmf of T_n); exact_route is the one rule choosing
+    between them,
   * the uniform / theta-biased law over component spectra.
 
 All counts are exact: integers, or rationals when m_i or theta are rational
@@ -43,7 +44,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import ParameterDomainError
+from .errors import NumericGuardError, ParameterDomainError
 
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
@@ -640,10 +641,15 @@ def exact_route(n: int, theta: Numeric) -> bool:
 def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
                      x: Optional[Numeric] = None) -> list[float]:
     """[log p_theta(k)]_{k<=n} as floats: the logs of the exact table where
-    exact_route holds, the float table _float_log_table otherwise."""
+    exact_route holds, the float table _float_log_table otherwise, which
+    raises the underflow NumericGuardError if any entry is unresolved."""
     if exact_route(n, theta):
         return [log_big(v) for v in ptheta_table(spec, n, theta)]
-    return _float_log_table(spec, n, theta, x).tolist()
+    out = _float_log_table(spec, n, theta, x)
+    bad = np.flatnonzero(np.isnan(out))
+    if bad.size:
+        raise _underflow_error(n, int(bad[0]))
+    return out.tolist()
 
 
 def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
@@ -652,8 +658,11 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
     (the exact-mean x when None): x^k p_theta(k) [/k! for assemblies] is
     the k-th coefficient of the generating function restricted to sizes
     <= n, which sumdist._log_coeff_table reads off the request's one
-    full-set recursion or, for a selection, its certified pmf.  The
-    result does not depend on x beyond rounding."""
+    full-set recursion or, where a selection's certified pmf fell back to
+    the convolution, that pmf.  The result does not depend on x beyond
+    rounding.  An entry k < n that the convolution could not resolve is
+    NaN: p_total and the closed form of prob-t read entry n alone, and
+    log_ptheta_table raises where any entry is NaN."""
     from . import sumdist  # deferred: sumdist imports this module
     from .indep_process import (TiltedParams, choose_x, XStrategy,
                                 log_factorial_array)
@@ -665,6 +674,11 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
     if spec.kind is Kind.ASSEMBLY:
         out += log_factorial_array(spec, n)
     return out
+
+
+def _underflow_error(n: int, k="n") -> NumericGuardError:
+    return NumericGuardError(f"P(T_n = {k}) underflowed to 0 at n = {n}; "
+                             "choose an x nearer the exact-mean x")
 
 
 def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,

@@ -56,7 +56,8 @@ import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import Kind, StructureSpec, log_ptheta_table
+from .structures import (Kind, StructureSpec, _float_log_table, _underflow_error,
+                         exact_route, log_big, ptheta_table)
 from .indep_process import (Family, TiltedParams, log_factorial_array,
                             log_m_array, log_p_zero_array, overflow_guard,
                             z_law)
@@ -320,28 +321,36 @@ def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
 def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
     """Natural logs of the full-set coefficients x^k p_theta(k) [/k!], k <= n.
 
-    Assemblies and multisets: log q + shift log 2 from the request's one
-    positive recursion.  Selections: log P(T_n = k) - log_seed from the
-    certified "auto" pmf of the full index set, so the signed recursion is
-    read only where it certified itself.  A pmf entry that left double range
-    (below the smallest normal double) at a weight k that some structure
-    has raises the underflow NumericGuardError; a true zero (no structure
-    of weight k) is -inf.
+    log q + shift log 2 of the request's one full-set recursion: the
+    positive recursion of assemblies and multisets, and a selection's
+    signed recursion where its "auto" route certified it (q <= 0 there is
+    cancellation dust, which _pmf_by_recursion clamps too, and reads -inf).
+    A selection whose auto route fell back to the convolution reads
+    log P(T_n = k) - log_seed off that pmf.  There an entry below the
+    smallest normal double at a weight k that some structure has lost its
+    digits: entry n, which every reader reads, raises the underflow
+    NumericGuardError, and an entry k < n reads NaN, which
+    structures.log_ptheta_table turns into that error for the readers of
+    the whole table.  A true zero (no structure of weight k) is -inf.
     """
     params.validate(spec)
     full = range(1, n + 1)
-    if spec.kind is not Kind.SELECTION:
-        _g, q, shift = _coefficients(spec, full, n, params)
-        with np.errstate(divide="ignore"):
-            return np.log(q) + shift * _LN2
-    p = weighted_sum_pmf(spec, full, n, params).p
-    low = np.flatnonzero(p < sys.float_info.min)
-    if low.size:
-        low = low[_reach(spec, int(low[-1]))[low]]
-        if low.size:
-            raise _underflow_error(n, int(low[0]))
+    if spec.kind is Kind.SELECTION and n:
+        pmf, by_recursion = _auto_selection_pmf(spec, index_set(full), n,
+                                                params)
+        if not by_recursion:
+            with np.errstate(divide="ignore"):
+                out = np.log(pmf.p) - log_seed(spec, full, params)
+            low = np.flatnonzero(pmf.p < sys.float_info.min)
+            if low.size:
+                low = low[_reach(spec, int(low[-1]))[low]]
+                if low.size and low[-1] == n:
+                    raise _underflow_error(n)
+                out[low] = np.nan
+            return out
+    _g, q, shift = _coefficients(spec, full, n, params)
     with np.errstate(divide="ignore"):
-        return np.log(p) - log_seed(spec, full, params)
+        return np.log(np.maximum(q, 0.0)) + shift * _LN2
 
 
 def _cancellation_bits(g: np.ndarray, q: np.ndarray, shift: int,
@@ -453,24 +462,29 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
 
 
 def _auto_selection_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
-                        params: TiltedParams) -> PmfVector:
-    """The "auto" route of a selection (see weighted_sum_pmf), in the
+                        params: TiltedParams) -> tuple[PmfVector, bool]:
+    """(pmf, by_recursion): the "auto" route of a selection (see
+    weighted_sum_pmf) and whether it kept the certified recursion, in the
     "full_set_pmf" slot (_full_set_slot): both columns of prob-t and the
-    float p_theta table read one pmf."""
+    float p_theta table read one route.  Only B = 1..n_max is kept there:
+    the recursion on 0..n_max does not see indices past n_max, but the
+    seed and so the pmf do."""
     def build():
-        pmf = None
         try:
             g = _selection_recursion_g(spec, B, n_max, params)
             if g is not None:
                 pmf = _pmf_by_recursion(spec, B, n_max, params, certify=True,
                                         g=g)
+                pmf.p.flags.writeable = False
+                return pmf, True
         except NumericGuardError:
             pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
                   # coefficient beyond double range
-        if pmf is None:
-            pmf = _pmf_by_convolution(spec, B, n_max, params)
+        pmf = _pmf_by_convolution(spec, B, n_max, params)
         pmf.p.flags.writeable = False
-        return pmf
+        return pmf, False
+    if B[-1] != n_max:
+        return build()
     return _full_set_slot(spec, "full_set_pmf", B, n_max, params, build)
 
 
@@ -501,7 +515,7 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     if method == "convolution":
         return _pmf_by_convolution(spec, B, n_max, params)
     if method == "auto" and spec.kind is Kind.SELECTION:
-        return _auto_selection_pmf(spec, B, n_max, params)
+        return _auto_selection_pmf(spec, B, n_max, params)[0]
     if method not in ("auto", "recursion"):
         raise ParameterDomainError(f"unknown method {method!r}")
     if spec.kind is Kind.SELECTION:
@@ -525,13 +539,14 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
 
     method "recursion" reads it off the weighted-sum pmf of the full index
     set; "closed_form" evaluates seed * x^n * p_theta(n) [/ n! for
-    assemblies] with p_theta(n) from log_ptheta_table: the exact
-    coefficient recurrences where structures.exact_route holds, where the
-    recursion reads float log m_i and the table exact m_i.  Beyond that
-    the float p_theta table reads the same cached full-set recursion (or,
-    for a selection, the same cached auto pmf) as the "recursion" route,
-    so there the gap the CLI's prob-t command prints between the two
-    checks only the log-domain inversion, not the recursion or the seed.
+    assemblies] with p_theta(n) from the exact coefficient recurrences
+    where structures.exact_route holds, where the recursion reads float
+    log m_i and the table exact m_i.  Beyond that it is entry n of the
+    float p_theta table, which reads the same cached full-set recursion
+    (or, for a selection, the same cached auto route) as the "recursion"
+    route, so there the gap the CLI's prob-t command prints between the
+    two checks only the log-domain inversion, not the recursion or the
+    seed.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -541,7 +556,10 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
                                      method="auto").p[n])
     elif method == "closed_form":
         lseed = log_seed(spec, range(1, n + 1), params)
-        lp = log_ptheta_table(spec, n, params.theta, x=params.x)[n]
+        if exact_route(n, params.theta):
+            lp = log_big(ptheta_table(spec, n, params.theta)[n])
+        else:
+            lp = float(_float_log_table(spec, n, params.theta, params.x)[n])
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:
             lout -= math.lgamma(n + 1)
@@ -584,11 +602,6 @@ def _reach(spec: StructureSpec, n: int) -> np.ndarray:
             reach = np.logical_or.accumulate(grid.reshape(rows, i), axis=0
                                              ).ravel()[: n + 1]
     return reach
-
-
-def _underflow_error(n: int, k="n") -> NumericGuardError:
-    return NumericGuardError(f"P(T_n = {k}) underflowed to 0 at n = {n}; "
-                             "choose an x nearer the exact-mean x")
 
 
 def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,

@@ -198,14 +198,23 @@ class TestEsfClosedForms:
         assert got == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), 1, 2, 0.3], ids=str)
-    def test_shared_rising_table_is_bit_identical(self, kappa):
+    def test_matches_rising_table_formula(self, kappa):
+        # kappa_(n-m) n! / ((n-m)! kappa_(n)) off one table of exact rising
+        # factorials, rounded once: the same rational, so the same float
         n = 40
-        rising = mom.esf_rising(n, kappa)
-        assert rising[n] == math.prod(
-            (Fraction(kappa) + t for t in range(n)), start=Fraction(1))
-        for orders in ({j: 1} for j in range(1, n + 1)):
-            assert mom.esf_moment(n, kappa, orders, rising) \
-                == mom.esf_moment(n, kappa, orders)
+        kap = Fraction(kappa)
+        rising = [math.prod((kap + t for t in range(k)), start=Fraction(1))
+                  for k in range(n + 1)]
+        for j in range(1, n + 1):
+            for orders in ({j: 1}, {1: 1, j: 1}):
+                m = sum(i * r for i, r in orders.items())
+                if m > n:
+                    continue
+                want = rising[n - m] * math.factorial(n) \
+                    / (math.factorial(n - m) * rising[n])
+                for i, r in orders.items():
+                    want *= (kap / i) ** r
+                assert mom.esf_moment(n, kappa, orders) == float(want)
 
     def test_float_kappa_path(self):
         a = mom.esf_pmf(6, 0.5, (0, 0, 0, 0, 0, 1))

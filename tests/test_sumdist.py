@@ -337,14 +337,54 @@ class TestSelectionFloatTable:
                             .split("\t"))
         assert 0 < clo <= 1 and gap <= 1e-12
 
-    def test_underflowed_entry_raises(self):
-        # at x = 1.2 the seed of distinct partitions of 150 is e^-2069: every
-        # P(T_n = k) with small k underflows although weight k is reachable
+    @staticmethod
+    def _far_tilt(m_list, n, theta):
+        # x at 1.6 times the exact-mean x: the seed P(T_n = 0) is below
+        # e^-708, P(T_n = n) is not
+        spec = st.from_m_list("selection", m_list, name="heavy")
+        params = TiltedParams(1.6 * choose_x(spec, n, theta), theta)
+        assert sd.log_seed(spec, range(1, n + 1), params) < -708
+        return spec, params
+
+    def test_certified_recursion_needs_no_representable_seed(self):
+        # the certified recursion's table is log q + shift log 2, as for the
+        # other kinds: P(T_n = k) below double range does not matter there
+        n = 500
+        spec, params = self._far_tilt([10 ** 6] + [1] * (n - 1), n, 2.0)
+        full = sd.index_set(range(1, n + 1))
+        assert sd._auto_selection_pmf(spec, full, n, params)[1]
+        got = st.log_ptheta_table(spec, n, 2.0, x=params.x)
+        exact = st.log_ptheta_table(spec, n, 2)
+        for k, (g, e) in enumerate(zip(got, exact)):
+            assert abs(g - e) <= 1e-11 * max(1.0, abs(e)), k
+        rec = sd.prob_T_eq_n(spec, n, params)
+        clo = sd.prob_T_eq_n(spec, n, params, method="closed_form")
+        assert 0 < rec and abs(clo / rec - 1) <= 1e-11
+
+    def test_convolution_guards_only_the_entries_read(self):
+        # the convolution's P(T_n = k) underflows for small k although
+        # weight k is reachable: the whole table raises, while entry n (all
+        # that p_total and the closed form of prob-t read) is still resolved
+        n = 500
+        spec, params = self._far_tilt([10 ** 4] + [5] * (n - 1), n, 2.0)
+        full = sd.index_set(range(1, n + 1))
+        assert not sd._auto_selection_pmf(spec, full, n, params)[1]
+        with pytest.raises(NumericGuardError, match="underflowed"):
+            st.log_ptheta_table(spec, n, 2.0, x=params.x)
+        exact = st.log_big(st.p_total(spec, n, 2))
+        got = st._float_log_table(spec, n, 2.0, params.x)[n]
+        assert abs(got - exact) <= 1e-11 * abs(exact)
+        rec = sd.prob_T_eq_n(spec, n, params)
+        clo = sd.prob_T_eq_n(spec, n, params, method="closed_form")
+        assert 0 < rec and abs(clo / rec - 1) <= 1e-11
+
+    def test_underflowed_entry_n_raises(self):
+        # at x = 1.2 the seed of distinct partitions of 150 is e^-2069 and
+        # P(T_n = n) underflows with it
         spec = st.distinct_partitions()
         with pytest.raises(NumericGuardError, match="underflowed"):
-            st.log_ptheta_table(spec, 150, 1.0, x=1.2)
-        with pytest.raises(NumericGuardError, match="underflowed"):
-            st.p_total(spec, 150, exact=False, x=1.2)
+            sd.prob_T_eq_n(spec, 150, TiltedParams(1.2, 1.0),
+                           method="closed_form")
 
     def test_p_total_reads_the_table(self):
         spec = st.squarefree_polynomials(2)
@@ -616,6 +656,29 @@ class TestOneRecursionPerRequest:
         sd.weighted_sum_pmf(spec, range(1, 2 * n), n, params)
         sd.prob_T_eq_n(spec, n, params)
         assert len(calls) == 4
+
+
+class TestFullSetPmfSlot:
+    @pytest.mark.parametrize("builtin", ["distinct_partitions",
+                                         "distinct_odd_partitions"])
+    def test_index_set_past_n_max_is_not_the_full_set(self, builtin):
+        # R_B with B = 1..n+5 is T_n times the zeros of Z_{n+1..n+5}, in
+        # either call order: the full-set pmf slot keeps 1..n alone
+        n, theta = 120, 2
+        extra = range(1, n + 6)
+        orders = ((extra, range(1, n + 1)), (range(1, n + 1), extra))
+        for first, second in orders:
+            spec = getattr(st, builtin)()
+            params = TiltedParams(choose_x(spec, n, theta), theta)
+            got = {}
+            for B in (first, second):
+                got[B] = sd.weighted_sum_pmf(spec, B, n, params).p
+            factor = math.exp(sd.log_seed(spec, extra, params)
+                              - sd.log_seed(spec, range(1, n + 1), params))
+            assert factor < 1 - 1e-6
+            np.testing.assert_allclose(got[extra],
+                                       factor * got[range(1, n + 1)],
+                                       rtol=1e-12, atol=0)
 
 
 class _FillCounter(dict):
