@@ -23,6 +23,6 @@ class NumericGuardError(CombstructError):
 
     Examples: sampling refused because P(T_n = n) underflows, a per-index
     mean or recursion weight beyond double range (x too large), the signed
-    selection recursion disagrees with the positive convolution
-    (cancellation), quadrature failed to reach its tolerance.
+    selection recursion cancels past its certificate, quadrature failed to
+    reach its tolerance.
     """

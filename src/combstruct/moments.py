@@ -97,7 +97,8 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
     selections get the alternating-sign analogue with the falling factorial
     (m_j)_[r] (zero when r > m_j); assemblies delegate to the joint formula.
     The float selection sum raises NumericGuardError when sum |terms|
-    exceeds 2^_CANCEL_BITS |sum terms|.
+    exceeds 2^_CANCEL_BITS |sum terms|, and the float sum of either kind
+    when a term is beyond double range.
     """
     if r < 1:
         raise ParameterDomainError("r must be >= 1")
@@ -133,7 +134,12 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
     for m in range(r, n // j + 1):
         lt = math.log(math.comb(m - 1, r - 1)) + m * lth + logt[n - j * m]
         sign = -1.0 if (spec.kind is Kind.SELECTION and (m - r) % 2 == 1) else 1.0
-        terms.append(sign * math.exp(lt - logt[n]))
+        try:
+            terms.append(sign * math.exp(lt - logt[n]))
+        except OverflowError:
+            raise NumericGuardError(
+                f"moment term theta^m p_theta(n - jm) / p_theta(n) at m = {m} "
+                "is beyond double range") from None
     total = math.fsum(terms)
     if spec.kind is Kind.MULTISET:
         return math.exp(log_big(rising(mj, r))) * total

@@ -658,9 +658,9 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
     (the exact-mean x when None): x^k p_theta(k) [/k! for assemblies] is
     the k-th coefficient of the generating function restricted to sizes
     <= n, which sumdist._log_coeff_table reads off the request's one
-    full-set recursion or, where a selection's certified pmf fell back to
-    the convolution, that pmf.  The result does not depend on x beyond
-    rounding.  An entry k < n that the convolution could not resolve is
+    full-set triple: the recursion, or the convolution where a selection's
+    certified route fell back to it.  The result does not depend on x
+    beyond rounding.  On either route an entry k < n below double range is
     NaN: p_total and the closed form of prob-t read entry n alone, and
     log_ptheta_table raises where any entry is NaN."""
     from . import sumdist  # deferred: sumdist imports this module

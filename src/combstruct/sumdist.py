@@ -17,9 +17,12 @@ n band multiply-adds instead of n^2 / 2.  band is max B for an assembly's
 R_B (at most 10 for the tv sets B in 1..10); at the exact-mean x and
 n = 16000 it is 285 for the full set of set partitions and 1080 for
 polynomials(2)'s R_B with B = {1, 3, 5, 7, 9}, whose g underflows to exact
-zeros beyond it.  The full index set's (g, q, shift) is kept in one slot
-per spec, so the recursion route and the closed form of one (n, x, theta)
-run the recursion once.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is
+zeros beyond it.  Every route returns one triple (v, shift, lseed) with
+P(R_B = k) = v[k] 2^shift[k] e^lseed: the recursion (q, its per-entry
+exponents, log_seed(B)), the convolution (p, 0, 0.0).  The full index
+set's triple is kept in one slot per spec, so the recursion route and the
+closed form of one (n, x, theta) run one route, and _assemble is the one
+place a pmf is made.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is
 a math.fsum over B of indep_process.log_p_zero, the one implementation of
 the big-m policy, which the per-index laws of the convolution read too.
 
@@ -165,7 +168,8 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     B = index_set(B)
     if not B:
         return 0.0
-    terms = log_p_zero_array(spec, B[-1], params)[np.asarray(B)]
+    terms = log_p_zero_array(spec, B[-1], params)
+    terms = terms[1:] if len(B) == B[-1] else terms[np.asarray(B)]  # B = 1..n
     if spec.kind is Kind.ASSEMBLY and np.any(terms == -np.inf):
         raise OverflowError("math range error")
     return math.fsum(terms.tolist())
@@ -214,8 +218,9 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
     return g
 
 
-def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
-    """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i]; returns (q, base-2 shift).
+def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i], as (v, shift) with
+    q[k] = v[k] 2^shift[k].
 
     Blocks of up to _BLOCK indices k0..k1-1 are solved at once.  The terms
     with k - i < k0 are one correlation of q[lo:k0] with the reversed g's
@@ -236,11 +241,17 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
     M_k <= max(1, sum_{i<=k} |g_i| / k) M_{k-1} on the running maximum
     M_k = max_{j<=k} |q[j]| allows growth past 2^_BLOCK_BITS / n_max within
     it (the 1/n_max leaves room for the sums k q[k]); a block of one index
-    is the one-step loop.  q is rescaled by 2^-512 after any block whose
-    maximum passes 2^512, so no finite q overflows.
+    is the one-step loop.  The working q is rescaled by 2^-512 after any
+    block whose maximum passes 2^512, so no finite q overflows.  An entry
+    that a rescale would take below the smallest normal double keeps its
+    value and exponent from before that rescale in (v, shift); every other
+    entry is the working q at the last exponent.  The working q, and so
+    every entry that stays normal, does not depend on the kept ones.
     """
     q = np.zeros(n_max + 1)
     q[0] = 1.0
+    v = np.zeros(n_max + 1)
+    kept = np.full(n_max + 1, -1)  # the exponent an entry was kept at, or -1
     grev = g[::-1].copy()
     nonzero = np.flatnonzero(g[1:n_max + 1])
     band = max(1, int(nonzero[-1]) + 1 if nonzero.size else 0)
@@ -267,124 +278,99 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
             if block_max > running_max:
                 running_max = block_max
                 if running_max > _RESCALE:
+                    low = (kept[:k1] < 0) & (
+                        np.abs(q[:k1]) < sys.float_info.min * _RESCALE)
+                    v[:k1][low] = q[:k1][low]
+                    kept[:k1][low] = shift
                     q[:k1] *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
             k0 = k1
     if not np.all(np.isfinite(q)):
         raise NumericGuardError("weighted-sum recursion overflowed")
-    return q, shift
+    live = kept < 0
+    return np.where(live, q, v), np.where(live, shift, kept)
 
 
-def _full_set_slot(spec: StructureSpec, name: str, B: IndexSet, n_max: int,
-                   params: TiltedParams, build):
-    """build(), kept in the one slot spec._table_cache[name] keyed by
-    (n_max, x, theta) when B holds every index 1..n_max (the full index
-    set of prob_T_eq_n and log_ptheta_table), so every route of one request
-    reads one result and memory stays O(n_max).  build makes its arrays
-    read-only."""
-    if bisect.bisect_right(B, n_max) != n_max:
-        return build()
-    key = (n_max, params.fx, params.ftheta)
-    hit = spec._table_cache.get(name)
-    if hit is None or hit[0] != key:
-        hit = (key, build())
-        spec._table_cache[name] = hit
-    return hit[1]
-
-
-def _coefficients(spec: StructureSpec, B: IndexSet, n_max: int,
-                  params: TiltedParams,
-                  g: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """(g, q, shift) of the coefficient recursion of R_B on 0..n_max, in the
-    "full_set_recursion" slot (_full_set_slot); g is built here unless the
-    caller has it."""
-    def build():
-        g_ = g if g is not None else _g_array(
-            spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
-        q, shift = _recursion_coeffs(g_, n_max)
-        g_.flags.writeable = q.flags.writeable = False
-        return g_, q, shift
-    return _full_set_slot(spec, "full_set_recursion", B, n_max, params, build)
-
-
-def _assemble(q: np.ndarray, shift: int, lseed: float) -> np.ndarray:
-    """p[k] = q[k] * 2^shift * e^lseed without intermediate under/overflow."""
-    out = np.zeros_like(q)
-    pos = q > 0
-    with np.errstate(divide="ignore"):
-        lg = np.log2(q[pos]) + shift + lseed / _LN2
-    out[pos] = np.exp2(np.clip(lg, -1074, 1024))
-    return out
+def _assemble(v: np.ndarray, shift: np.ndarray | int, lseed: float) -> PmfVector:
+    """The pmf p[k] = v[k] 2^shift[k] e^lseed of a route's triple: the one
+    place a pmf is made.  An entry below the smallest normal double reads 0:
+    it is not a probability this library reports, so the guards on
+    P(T_n = n) see it as underflowed.  The convolution's triple (p, 0, 0.0)
+    is p as it is; a recursion's is formed in base 2 without intermediate
+    under/overflow."""
+    p = v
+    if lseed or np.any(shift):
+        with np.errstate(divide="ignore"):
+            p = np.exp2(np.log2(v) + shift + lseed / _LN2)
+    p = np.where(p < sys.float_info.min, 0.0, p)
+    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=len(p) - 1)
 
 
 def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
     """Natural logs of the full-set coefficients x^k p_theta(k) [/k!], k <= n.
 
-    log q + shift log 2 of the request's one full-set recursion: the
-    positive recursion of assemblies and multisets, and a selection's
-    signed recursion where its "auto" route certified it (q <= 0 there is
-    cancellation dust, which _pmf_by_recursion clamps too, and reads -inf).
-    A selection whose auto route fell back to the convolution reads
-    log P(T_n = k) - log_seed off that pmf.  There an entry below the
-    smallest normal double at a weight k that some structure has lost its
-    digits: entry n, which every reader reads, raises the underflow
-    NumericGuardError, and an entry k < n reads NaN, which
+    log v + shift log 2 + lseed - log_seed(1..n) off the request's one
+    full-set triple (_weighted_sum): the recursion's lseed is that seed, so
+    its table is log q + shift log 2, and the convolution's (p, 0, 0.0)
+    gives log P(T_n = k) - log_seed.  One guard for every route: an entry v
+    below the smallest normal double at a weight k that some structure has
+    lost its digits.  Entry n, which every reader reads, raises the
+    underflow NumericGuardError, and an entry k < n reads NaN, which
     structures.log_ptheta_table turns into that error for the readers of
-    the whole table.  A true zero (no structure of weight k) is -inf.
+    the whole table.  A true zero (no structure of weight k) is -inf, as is
+    the cancellation dust a certified selection recursion clamps to 0.
     """
     params.validate(spec)
-    full = range(1, n + 1)
-    if spec.kind is Kind.SELECTION and n:
-        pmf, by_recursion = _auto_selection_pmf(spec, index_set(full), n,
-                                                params)
-        if not by_recursion:
-            with np.errstate(divide="ignore"):
-                out = np.log(pmf.p) - log_seed(spec, full, params)
-            low = np.flatnonzero(pmf.p < sys.float_info.min)
-            if low.size:
-                low = low[_reach(spec, int(low[-1]))[low]]
-                if low.size and low[-1] == n:
-                    raise _underflow_error(n)
-                out[low] = np.nan
-            return out
-    _g, q, shift = _coefficients(spec, full, n, params)
+    full = index_set(range(1, n + 1))
+    v, shift, lseed = _weighted_sum(spec, full, n, params)
     with np.errstate(divide="ignore"):
-        return np.log(np.maximum(q, 0.0)) + shift * _LN2
+        out = np.log(v) + shift * _LN2 + (lseed - log_seed(spec, full, params))
+    low = np.flatnonzero(v < sys.float_info.min)
+    if low.size:
+        low = low[_reach(spec, int(low[-1]))[low]]
+        if low.size and low[-1] == n:
+            raise _underflow_error(n)
+        out[low] = np.nan
+    return out
 
 
-def _cancellation_bits(g: np.ndarray, q: np.ndarray, shift: int,
+def _cancellation_bits(g: np.ndarray, q: np.ndarray, shift: np.ndarray,
                        n_max: int) -> float:
-    """log2 of the cancellation ratio of the signed recursion's q = q_g.
+    """log2 of the cancellation ratio of the signed recursion's
+    q = q_g = v 2^shift (_recursion_coeffs).
 
     With T = diag(k) - Toeplitz(g) and M = diag(k) - Toeplitz(|g|), M is the
     comparison matrix of T, so |T^-1| <= M^-1 entrywise and q_abs = q_|g|
     bounds |q| and the rounding error alike: |q^_k - q_k| <~ 2 k gamma_n
     q_abs[k], the positive recursion's bound with q_abs in place of q.  The
     ratio is the larger of max q_abs / max |q| and q_abs[n_max] / q[n_max]
-    (infinite where q[n_max] <= 0 < q_abs[n_max]); it is 1 (0 bits) when
-    g >= 0, and then q_abs is not computed.
+    (infinite where q[n_max] <= 0 < q_abs[n_max]), each entry read with its
+    own exponent; it is 1 (0 bits) when g >= 0, and then q_abs is not
+    computed.
     """
     if not np.any(g < 0):
         return 0.0
     q_abs, shift_abs = _recursion_coeffs(np.abs(g), n_max)
-    base = shift_abs - shift
-    gap = math.log2(float(np.max(q_abs))) - math.log2(
-        float(np.max(np.abs(q)))) + base
+    i, j = int(np.argmax(q_abs)), int(np.argmax(np.abs(q)))
+    gap = math.log2(q_abs[i]) - math.log2(abs(q[j])) + int(shift_abs[i] - shift[j])
     if q_abs[n_max] > 0:
         if q[n_max] <= 0:
             return math.inf
-        gap = max(gap, math.log2(q_abs[n_max]) - math.log2(q[n_max]) + base)
+        gap = max(gap, math.log2(q_abs[n_max]) - math.log2(q[n_max])
+                  + int(shift_abs[n_max] - shift[n_max]))
     return gap
 
 
 def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
                       params: TiltedParams, certify: bool = False,
-                      g: Optional[np.ndarray] = None) -> PmfVector:
-    """The coefficient-recursion pmf (g as in _coefficients).  With certify,
-    a selection whose cancellation ratio passes 2^_CANCEL_BITS raises
-    NumericGuardError."""
-    g, q, shift = _coefficients(spec, B, n_max, params, g)
+                      g: Optional[np.ndarray] = None) -> tuple:
+    """The coefficient recursion's triple (q, shift, log_seed(B)); g is
+    built here unless the caller has it.  With certify, a selection whose
+    cancellation ratio passes 2^_CANCEL_BITS raises NumericGuardError."""
+    if g is None:
+        g = _g_array(spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
+    q, shift = _recursion_coeffs(g, n_max)
     if spec.kind is Kind.SELECTION:
         if certify:
             bits = _cancellation_bits(g, q, shift, n_max)
@@ -392,20 +378,21 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
                 raise NumericGuardError(
                     f"signed selection recursion cancels by 2^{bits:.3g}")
         # exact zeros come out as cancellation dust; clamp it, flag the rest
+        # (a kept entry is below 2^-510, the largest |q| at least 1)
         scale = float(np.max(np.abs(q))) or 1.0
         if np.any(q < -1e-11 * scale):
             raise NumericGuardError(
                 "signed selection recursion produced negative mass (cancellation)")
         q = np.where(q < 0, 0.0, q)
-    p = _assemble(q, shift, log_seed(spec, B, params))
-    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=n_max)
+    return q, shift, log_seed(spec, B, params)
 
 
 def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
-                        params: TiltedParams) -> PmfVector:
+                        params: TiltedParams) -> tuple:
+    """The convolution's triple (p, 0, 0.0): p is the last prefix pmf."""
     for _i, _pk, p in prefix_pmfs(spec, B, n_max, params):
-        pass  # the last prefix pmf is the pmf of R_B
-    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=n_max)
+        pass
+    return p, 0, 0.0
 
 
 def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
@@ -462,30 +449,44 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
 
 
 def _auto_selection_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
-                        params: TiltedParams) -> tuple[PmfVector, bool]:
-    """(pmf, by_recursion): the "auto" route of a selection (see
-    weighted_sum_pmf) and whether it kept the certified recursion, in the
-    "full_set_pmf" slot (_full_set_slot): both columns of prob-t and the
-    float p_theta table read one route.  Only B = 1..n_max is kept there:
-    the recursion on 0..n_max does not see indices past n_max, but the
-    seed and so the pmf do."""
+                        params: TiltedParams) -> tuple[tuple, bool]:
+    """(triple, by_recursion): the "auto" route of a selection (see
+    weighted_sum_pmf) and whether it kept the certified recursion."""
+    try:
+        g = _selection_recursion_g(spec, B, n_max, params)
+        if g is not None:
+            return _pmf_by_recursion(spec, B, n_max, params, certify=True,
+                                     g=g), True
+    except NumericGuardError:
+        pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
+              # coefficient beyond double range
+    return _pmf_by_convolution(spec, B, n_max, params), False
+
+
+def _weighted_sum(spec: StructureSpec, B: IndexSet, n_max: int,
+                  params: TiltedParams) -> tuple:
+    """The triple (v, shift, lseed) of R_B on the "auto" route, with
+    P(R_B = k) = v[k] 2^shift[k] e^lseed: the recursion for assemblies and
+    multisets, _auto_selection_pmf for selections.  The triple of
+    B = 1..n_max is kept, read-only, in the one slot
+    spec._table_cache["full_set"] keyed by (n_max, x, theta), so prob-t's
+    two columns, pofn and the moments read one route and memory stays
+    O(n_max).  An index set past n_max is not kept: its seed differs."""
     def build():
-        try:
-            g = _selection_recursion_g(spec, B, n_max, params)
-            if g is not None:
-                pmf = _pmf_by_recursion(spec, B, n_max, params, certify=True,
-                                        g=g)
-                pmf.p.flags.writeable = False
-                return pmf, True
-        except NumericGuardError:
-            pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
-                  # coefficient beyond double range
-        pmf = _pmf_by_convolution(spec, B, n_max, params)
-        pmf.p.flags.writeable = False
-        return pmf, False
-    if B[-1] != n_max:
+        if spec.kind is Kind.SELECTION:
+            return _auto_selection_pmf(spec, B, n_max, params)[0]
+        return _pmf_by_recursion(spec, B, n_max, params)
+    if not bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
         return build()
-    return _full_set_slot(spec, "full_set_pmf", B, n_max, params, build)
+    key = (n_max, params.fx, params.ftheta)
+    hit = spec._table_cache.get("full_set")
+    if hit is None or hit[0] != key:
+        hit = (key, build())
+        for arr in hit[1][:2]:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        spec._table_cache["full_set"] = hit
+    return hit[1]
 
 
 def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
@@ -499,34 +500,21 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     (_cancellation_bits) is at most 2^_CANCEL_BITS = 2^10, so that its
     error is at most about 2 n gamma_n 2^10 times max |q| normwise and
     relative at n_max, and falls back to the convolution otherwise or on a
-    NumericGuardError.  "recursion" on a
-    selection runs the signed recursion and cross-checks it against the
-    convolution, raising NumericGuardError beyond 1e-8 (cancellation guard).
-    "convolution" forces the per-index convolution path.
+    NumericGuardError.  "convolution" forces the per-index convolution.
+    Either way an entry below the smallest normal double reads 0
+    (_assemble).
     """
     if n_max < 0:
         raise ParameterDomainError("n_max must be >= 0")
+    if method not in ("auto", "convolution"):
+        raise ParameterDomainError(f"unknown method {method!r}")
     params.validate(spec)
     B = index_set(B)
     if not B:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return PmfVector(p=p, tail=0.0, n_max=n_max)
+        return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)
     if method == "convolution":
-        return _pmf_by_convolution(spec, B, n_max, params)
-    if method == "auto" and spec.kind is Kind.SELECTION:
-        return _auto_selection_pmf(spec, B, n_max, params)[0]
-    if method not in ("auto", "recursion"):
-        raise ParameterDomainError(f"unknown method {method!r}")
-    if spec.kind is Kind.SELECTION:
-        rec = _pmf_by_recursion(spec, B, n_max, params)
-        conv = _pmf_by_convolution(spec, B, n_max, params)
-        gap = float(np.max(np.abs(rec.p - conv.p)))
-        if gap > 1e-8:
-            raise NumericGuardError(
-                f"selection recursion disagrees with convolution by {gap:.3g}")
-        return rec
-    return _pmf_by_recursion(spec, B, n_max, params)
+        return _assemble(*_pmf_by_convolution(spec, B, n_max, params))
+    return _assemble(*_weighted_sum(spec, B, n_max, params))
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +530,18 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     assemblies] with p_theta(n) from the exact coefficient recurrences
     where structures.exact_route holds, where the recursion reads float
     log m_i and the table exact m_i.  Beyond that it is entry n of the
-    float p_theta table, which reads the same cached full-set recursion
-    (or, for a selection, the same cached auto route) as the "recursion"
-    route, so there the gap the CLI's prob-t command prints between the
-    two checks only the log-domain inversion, not the recursion or the
-    seed.
+    float p_theta table, which reads the same cached full-set triple as
+    the "recursion" route, so there the gap the CLI's prob-t command prints
+    between the two checks only the log-domain inversion, not the
+    recursion or the seed.  On either route a value below the smallest
+    normal double raises the underflow NumericGuardError where structures
+    of weight n exist.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
     params.validate(spec)
     if method == "recursion":
-        out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params,
-                                     method="auto").p[n])
+        out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params).p[n])
     elif method == "closed_form":
         lseed = log_seed(spec, range(1, n + 1), params)
         if exact_route(n, params.theta):
@@ -566,14 +554,14 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
         out = math.exp(lout)
     else:
         raise ParameterDomainError(f"unknown method {method!r}")
-    if out == 0.0 and has_weight(spec, n):
+    if out < sys.float_info.min and has_weight(spec, n):
         raise _underflow_error(n)
     return out
 
 
 def has_weight(spec: StructureSpec, n: int) -> bool:
     """Whether some structure has weight n, i.e. p(n) > 0.  Only asked when
-    P(T_n = n) came out 0."""
+    P(T_n = n) came out below the smallest normal double."""
     return bool(_reach(spec, n)[n])
 
 
@@ -607,14 +595,14 @@ def _reach(spec: StructureSpec, n: int) -> np.ndarray:
 def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,
                       params: TiltedParams) -> tuple[PmfVector, PmfVector, float]:
     """(P_R, P_S, P(T_n = n)): the pmfs of R_B and of S_B = R_{B^c} on
-    0..n and their convolution at n.  A zero P(T_n = n) is a numeric guard
-    when structures of weight n exist (it underflowed), a domain error
-    when none do."""
+    0..n and their convolution at n.  A P(T_n = n) below the smallest
+    normal double is a numeric guard when structures of weight n exist (it
+    underflowed), and a zero one a domain error when none do."""
     B = index_set(B)
     pr = weighted_sum_pmf(spec, B, n, params)
     ps = weighted_sum_pmf(spec, complement(B, n), n, params)
     pt = float(np.dot(pr.p, ps.p[::-1]))
-    if pt <= 0.0 and has_weight(spec, n):
+    if pt < sys.float_info.min and has_weight(spec, n):
         raise _underflow_error(n)
     if pt <= 0.0:
         raise ParameterDomainError("conditioning probability P(T_n = n) is "

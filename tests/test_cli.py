@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import pytest
 
 from combstruct import cli
@@ -28,6 +29,12 @@ def spec_files(tmp_path):
                         "params": {"q": 2}},
         "bad_kind": {"kind": "assembli", "m": [1, 2]},
         "distinct": {"kind": "selection", "builtin": "distinct_partitions"},
+        "distinct_odd": {"kind": "selection",
+                         "builtin": "distinct_odd_partitions"},
+        # P(T_25 = 25) = 2.1e-315 at x = 3: the whole pmf of T_25 is below
+        # the smallest normal double
+        "subnormal_sel": {"kind": "selection",
+                          "m": [0] * 12 + [1] * 8 + [4] + [5] * 4},
         "even_only": {"kind": "multiset", "m": [0, 1]},
     }.items():
         p = tmp_path / f"{name}.json"
@@ -67,6 +74,33 @@ class TestCommands:
                                 "--n", "5"], capsys)
         assert code == 0
         assert out.splitlines()[-1] == "5\t52"
+
+    def test_pofn_bell_past_the_rescales(self, spec_files, capsys,
+                                         monkeypatch):
+        # at n = 16000 the recursion is rescaled by 2^-512 five times; the
+        # entries a rescale would take below the smallest normal double
+        # keep their exponent, so no row reads 0, and no weight needs the
+        # support test of the underflow guard
+        from combstruct import sumdist
+        monkeypatch.setattr(sumdist, "_reach", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["pofn", "--spec", spec_files["setpartitions"],
+                                    "--n", "16000", "--precision", "17"], capsys)
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[4:]]
+        assert len(rows) == 16001
+
+        def log_value(text):
+            mantissa, _, exponent = text.partition("e+")
+            return math.log(float(mantissa)) + int(exponent or 0) * math.log(10)
+
+        logs = [log_value(v) for _k, v in rows]
+        assert all(math.isfinite(v) for v in logs)
+        with mpmath.workdps(30):
+            for k in (*range(1, 20), 97, 287, 1000, 2000, 2614, 2776, 16000):
+                want = float(mpmath.log(mpmath.bell(k)))
+                assert abs(logs[k] - want) <= 1e-12 * max(1.0, abs(want)), k
 
     def test_prob_t_gap(self, spec_files, capsys):
         code, out, _ = run_cli(["prob-t", "--spec", spec_files["permutations"],
@@ -316,6 +350,26 @@ class TestExitCodes:
                                  capsys)
         assert code == 4 and out == ""
         assert err.startswith("numeric guard:") and "cancels" in err
+
+    @pytest.mark.parametrize("spec", ["distinct", "distinct_odd"])
+    def test_overflowing_selection_moment_is_4(self, spec_files, capsys, spec):
+        # E C_1 at n = 2000, theta = 2: a term of the float sum,
+        # theta^m p_theta(n - m) / p_theta(n), is beyond double range
+        code, out, err = run_cli(["moments", "--spec", spec_files[spec],
+                                  "--n", "2000", "--theta", "2", "--j", "1"],
+                                 capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("numeric guard:") and "double range" in err
+
+    def test_subnormal_conditioning_is_4(self, spec_files, capsys):
+        # a subnormal P(T_n = n) is not reported as a probability
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["prob-t", "--spec",
+                                      spec_files["subnormal_sel"], "--n", "25",
+                                      "--x", "3"], capsys)
+        assert code == 4 and out == ""
+        assert "underflowed" in err
 
     def test_numeric_guard_is_4(self, spec_files, capsys):
         code, _, err = run_cli(["sample", "--spec", spec_files["permutations"],

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from combstruct import cli
 from combstruct import structures as st
@@ -30,6 +31,15 @@ INTPART = st.integer_partitions()
 DISTINCT = st.distinct_partitions()
 
 
+def _recursion_pmf(spec, B, n_max, params):
+    """The recursion's pmf: the default route of an assembly or multiset,
+    and a selection's signed recursion with no certificate or fallback."""
+    if spec.kind is not st.Kind.SELECTION:
+        return sd.weighted_sum_pmf(spec, B, n_max, params)
+    return sd._assemble(*sd._pmf_by_recursion(spec, sd.index_set(B), n_max,
+                                              params))
+
+
 class TestWeightedSumPmf:
     def test_single_index_poisson(self):
         pv = sd.weighted_sum_pmf(PERM, [1], 12, TiltedParams(1, 1))
@@ -40,6 +50,12 @@ class TestWeightedSumPmf:
     def test_full_set_hits_prob_T(self):
         pv = sd.weighted_sum_pmf(PERM, [1, 2, 3], 3, TiltedParams(1, 1))
         assert pv.p[3] == pytest.approx(math.exp(-11 / 6), rel=1e-12)
+
+    def test_routes(self):
+        # one production route and the convolution to check it against
+        for method in ("recursion", "exact"):
+            with pytest.raises(ParameterDomainError, match="unknown method"):
+                sd.weighted_sum_pmf(PERM, [1], 3, TiltedParams(1, 1), method)
 
     def test_empty_set(self):
         pv = sd.weighted_sum_pmf(PERM, [], 5, TiltedParams(1, 1))
@@ -69,7 +85,7 @@ class TestWeightedSumPmf:
         for trial in range(4):
             n = 60
             B = sorted(rng.sample(range(1, n + 1), rng.randint(1, 20)))
-            pr = sd.weighted_sum_pmf(spec, B, n, params, method="recursion")
+            pr = _recursion_pmf(spec, B, n, params)
             pc = sd.weighted_sum_pmf(spec, B, n, params, method="convolution")
             assert float(np.max(np.abs(pr.p - pc.p))) < 1e-10
             assert abs(pr.tail - pc.tail) < 1e-10
@@ -78,14 +94,13 @@ class TestWeightedSumPmf:
     def test_tilted_recursion_vs_convolution(self, theta):
         params = TiltedParams(0.45, theta)
         B = [1, 2, 5, 9, 13]
-        pr = sd.weighted_sum_pmf(st.polynomials(2), B, 40, params, "recursion")
+        pr = sd.weighted_sum_pmf(st.polynomials(2), B, 40, params)
         pc = sd.weighted_sum_pmf(st.polynomials(2), B, 40, params, "convolution")
         assert float(np.max(np.abs(pr.p - pc.p))) < 1e-10
 
     def test_selection_signed_recursion_guarded(self):
         params = TiltedParams(1.0, 1)
-        pv = sd.weighted_sum_pmf(DISTINCT, [1, 3, 4, 7], 30, params,
-                                 method="recursion")
+        pv = _recursion_pmf(DISTINCT, [1, 3, 4, 7], 30, params)
         pc = sd.weighted_sum_pmf(DISTINCT, [1, 3, 4, 7], 30, params,
                                  method="convolution")
         assert float(np.max(np.abs(pv.p - pc.p))) < 1e-8
@@ -105,7 +120,7 @@ class TestWeightedSumPmf:
     @given(hs.sets(hs.integers(min_value=1, max_value=24), max_size=10))
     def test_recursion_vs_convolution_property(self, B):
         params = TiltedParams(0.7, 1)
-        pr = sd.weighted_sum_pmf(INTPART, B, 24, params, method="recursion")
+        pr = sd.weighted_sum_pmf(INTPART, B, 24, params)
         pc = sd.weighted_sum_pmf(INTPART, B, 24, params, method="convolution")
         assert float(np.max(np.abs(pr.p - pc.p))) < 1e-11
 
@@ -408,8 +423,10 @@ class TestBlockedRecursion:
         q_ref, shift_ref = _ref_recursion_coeffs(g, n)
         assert shift_ref > 0 and np.all(np.isfinite(q))
         assert _close(q * 2.0 ** (shift - shift_ref), q_ref)
-        top = q[-1] * 2.0 ** (shift - shift_ref)
+        top = q[-1] * 2.0 ** (shift[-1] - shift_ref)
         assert top == pytest.approx(q_ref[-1], rel=1e-12)
+        # no entry falls below the smallest normal double at the rescale
+        assert np.all(np.abs(q_ref) >= sys.float_info.min)
 
 
 def _band(g):
@@ -439,7 +456,7 @@ class TestBandedRecursion:
     def test_all_zero_g_is_e0(self):
         n = 300
         q, shift = sd._recursion_coeffs(np.zeros(n + 1), n)
-        assert shift == 0 and q[0] == 1.0 and not np.any(q[1:])
+        assert not np.any(shift) and q[0] == 1.0 and not np.any(q[1:])
 
     @pytest.mark.parametrize("case", [
         "band_1", "band_inside_a_block", "band_across_a_block_edge",
@@ -463,9 +480,28 @@ class TestBandedRecursion:
         assert band == n if case == "dense" else 1 <= band < n // 2
         q, shift = sd._recursion_coeffs(g, n)
         q_ref, shift_ref = _ref_recursion_coeffs(g, n)
-        assert shift == shift_ref
-        assert (shift > 0) == (case == "set_partitions_rescaled")
-        assert np.all(np.abs(q - q_ref) <= 1e-12 * np.abs(q_ref)), case
+        assert shift.max() == shift_ref
+        assert (shift_ref > 0) == (case == "set_partitions_rescaled")
+        # values q 2^shift; the one-step loop keeps one exponent for all
+        normal = q_ref >= sys.float_info.min
+        got = np.ldexp(q, shift - shift_ref)
+        assert np.all(np.abs(got - q_ref)[normal] <= 1e-12 * q_ref[normal]), case
+        if case != "set_partitions_rescaled":
+            assert np.all(normal), case
+            return
+        # the loop flushed q[k] = x^k B_k / k! to 0 or a subnormal for
+        # k <= 2776; the recursion kept them, so check them against the
+        # Bell numbers
+        flushed = np.flatnonzero(~normal)
+        assert flushed[0] == 0 and flushed[-1] == 2776 == flushed.size - 1
+        assert np.all(q >= sys.float_info.min)
+        x = choose_x(st.set_partitions(), n)
+        with mpmath.workdps(30):
+            for k in (*range(0, 2777, 97), 2776):
+                want = float(k * mpmath.log(x) + mpmath.log(mpmath.bell(k))
+                             - mpmath.loggamma(k + 1))
+                log_q = math.log(q[k]) + int(shift[k]) * math.log(2.0)
+                assert abs(log_q - want) <= 1e-12 * max(1.0, abs(want)), k
 
     @pytest.mark.parametrize("case", ["band_inside_a_block",
                                       "band_across_a_block_edge",
@@ -633,11 +669,12 @@ class TestOneRecursionPerRequest:
         assert calls == [700]
         sd._log_coeff_table(spec, 800, p2)
         assert calls == [700, 800]
-        slots = [k for k in spec._table_cache if k == "full_set_recursion"]
-        assert len(slots) == 1
-        key, (g, q, shift) = spec._table_cache["full_set_recursion"]
+        slots = [k for k in spec._table_cache if str(k).startswith("full_set")]
+        assert slots == ["full_set"]
+        key, (q, shift, lseed) = spec._table_cache["full_set"]
         assert key == (800, 3.0, 1.0)
-        for arr in (g, q):
+        assert lseed == sd.log_seed(spec, range(1, 801), p2)
+        for arr in (q, shift):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -651,11 +688,14 @@ class TestOneRecursionPerRequest:
         calls = self._spy(monkeypatch)
         for B in ((1, 3, 5), range(2, n + 1), range(1, n)):
             sd.weighted_sum_pmf(spec, B, n, params)
-        assert len(calls) == 3 and "full_set_recursion" not in spec._table_cache
-        # an index set that holds 1..n_max and indices past it is full
+        assert len(calls) == 3 and "full_set" not in spec._table_cache
+        # an index set that holds 1..n_max and indices past it is not the
+        # full set: the slot's triple carries the seed of 1..n_max
         sd.weighted_sum_pmf(spec, range(1, 2 * n), n, params)
+        assert len(calls) == 4 and "full_set" not in spec._table_cache
         sd.prob_T_eq_n(spec, n, params)
-        assert len(calls) == 4
+        sd.prob_T_eq_n(spec, n, params)
+        assert len(calls) == 5
 
 
 class TestFullSetPmfSlot:
@@ -810,8 +850,7 @@ class TestMultisetRoutesAgree:
         params = TiltedParams(choose_x(spec, n), 1)
         conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
                                    method="convolution")
-        rec = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
-                                  method="recursion")
+        rec = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params)
         assert _close(conv.p, rec.p, 1e-11)
         assert conv.p[n] == pytest.approx(rec.p[n], rel=1e-10)
         if n <= 256:  # the exact closed form up to the exact cutoff
@@ -975,6 +1014,8 @@ class TestCertifiedSelectionRoute:
            n=hs.integers(min_value=1, max_value=120),
            B=hs.sets(hs.integers(min_value=1, max_value=120), min_size=1,
                      max_size=30))
+    # the whole pmf of T_25 is below the smallest normal double
+    @example(m=[0] * 12 + [1] * 8 + [4] + [5] * 4, x=3.0, n=25, B={1})
     def test_random_m_lists(self, m, x, n, B):
         spec = st.from_m_list("selection", m, name="sel_property")
         params = TiltedParams(x, 1)
@@ -998,8 +1039,7 @@ class TestOverflowingTilt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericGuardError):
-                sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
-                                    method="recursion")
+                _recursion_pmf(spec, range(1, n + 1), n, params)
             with pytest.raises(NumericGuardError):
                 sd._log_coeff_table(spec, n, params)
             with pytest.raises(NumericGuardError):
@@ -1034,6 +1074,29 @@ class TestZeroConditioningProbability:
         for method in ("recursion", "closed_form"):
             with pytest.raises(NumericGuardError):
                 sd.prob_T_eq_n(DISTINCT, n, params, method=method)
+
+    def test_subnormal_is_underflow(self):
+        # P(T_n = n) of set partitions of 300 at x = 40 is about e^-(e^40):
+        # every pmf entry is below the smallest normal double and reads 0
+        spec, params = st.set_partitions(), TiltedParams(40, 1)
+        assert not np.any(sd.weighted_sum_pmf(spec, range(1, 301), 300,
+                                              params).p)
+        for method in ("recursion", "closed_form"):
+            with pytest.raises(NumericGuardError, match="underflowed"):
+                sd.prob_T_eq_n(spec, 300, params, method)
+
+    def test_recursion_table_is_guarded(self):
+        # permutations at x = 0.1: q[k] = x^k is below the smallest normal
+        # double from k = 308, where every weight is reachable; the table
+        # raises as the convolution's does
+        spec, params = st.permutations(), TiltedParams(0.1, 1)
+        for n in (400, 600):
+            with pytest.raises(NumericGuardError, match="underflowed"):
+                sd._log_coeff_table(spec, n, params)
+            with pytest.raises(NumericGuardError, match="underflowed"):
+                st.log_ptheta_table(spec, n, 1.0, x=0.1)
+        logs = st.log_ptheta_table(spec, 300, 1.0, x=0.1)
+        assert logs[300] == pytest.approx(math.lgamma(301), rel=1e-12)
 
     @pytest.mark.parametrize("n", [7, 1001])
     def test_true_zero_stays_zero(self, n):
