@@ -168,8 +168,7 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     B = index_set(B)
     if not B:
         return 0.0
-    terms = log_p_zero_array(spec, B[-1], params)
-    terms = terms[1:] if len(B) == B[-1] else terms[np.asarray(B)]  # B = 1..n
+    terms = log_p_zero_array(spec, B[-1], params)[np.asarray(B)]
     if spec.kind is Kind.ASSEMBLY and np.any(terms == -np.inf):
         raise OverflowError("math range error")
     return math.fsum(terms.tolist())
@@ -568,12 +567,14 @@ def has_weight(spec: StructureSpec, n: int) -> bool:
 def _reach(spec: StructureSpec, n: int) -> np.ndarray:
     """reach[k] for k = 0..n: whether some structure has weight k.  A
     boolean strided update marks the weights sum_i i Z_i can reach with
-    Z_i <= m_i."""
+    Z_i <= m_i.  Once an index i with Z_i unbounded within 0..n is in,
+    reach is closed under adding i, so its multiples are skipped."""
     lm = log_m_array(spec, n)
+    idle = lm == -np.inf  # indices that add no new weight
     reach = np.zeros(n + 1, dtype=bool)
     reach[0] = True
     for i in range(1, n + 1):
-        if lm[i] == -np.inf:
+        if idle[i]:
             continue
         if spec.kind is Kind.SELECTION and lm[i] < math.log(n // i):
             # Z_i <= m_i < n // i
@@ -589,6 +590,7 @@ def _reach(spec: StructureSpec, n: int) -> np.ndarray:
             grid[: n + 1] = reach
             reach = np.logical_or.accumulate(grid.reshape(rows, i), axis=0
                                              ).ravel()[: n + 1]
+            idle[i::i] = True
     return reach
 
 

@@ -1111,6 +1111,10 @@ class TestZeroConditioningProbability:
         st.distinct_odd_partitions(), EVEN_ONLY,
         st.from_m_list("selection", [0, 0, 2, 0, 1], name="sel_gaps"),
         st.from_m_list("assembly", [0, 0, 0, 1], name="asm_fours"),
+        # multiples of an index with Z_i unbounded within 0..n are skipped
+        st.from_m_list("multiset", [0, 1, 0, 2, 0, 0, 1, 3, 1], name="ms_multiples"),
+        st.from_m_list("selection", [0, 30, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1],
+                       name="sel_multiples"),
     ], ids=lambda s: s.name)
     def test_support_update_matches_exact_table(self, spec):
         n = 60
