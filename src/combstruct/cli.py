@@ -5,9 +5,10 @@ heuristic, verify.  Output is TSV by default ('#'-prefixed header lines
 carry the spec hash, parameters, and version; floats use 12 significant
 digits) or JSON (17 significant digits).  Exit codes: 2 flag errors
 (argparse), 3 parameter-domain errors, 4 numeric guards.  Byte-identical
-output for identical inputs and seed.  CS_THREADS (integer) sets the
-number of sampling streams, which with the seed fix the samples; sampling
-runs on the table route, which draws every stream in one thread.
+output for identical inputs and seed.  CS_THREADS (an integer >= 1, else
+exit 3) sets the number of sampling streams, which with the seed fix the
+samples; sampling runs on the table route, which draws every stream in one
+thread.
 """
 
 from __future__ import annotations
@@ -251,7 +252,10 @@ def cmd_sample(args) -> Output:
     spec = _load_spec(args)
     n = args.n
     params = _params_for(args, spec, n)
-    streams = max(1, int(os.environ.get("CS_THREADS", "1")))
+    raw = os.environ.get("CS_THREADS", "1")
+    streams = int(raw) if raw.strip().isdecimal() else 0
+    if streams < 1:
+        raise ParameterDomainError(f"CS_THREADS must be an integer >= 1: {raw!r}")
     method = "table"
     batch = smp.sample_components(spec, n, params, args.samples,
                                   smp.RngState(args.seed), streams=streams,

@@ -9,38 +9,30 @@ parameter x > 0, and the component-count bias theta > 0:
 
 The refined variables Y_ij (j = 1..m_i) are Poisson(theta x^i / i!),
 NegativeBinomial(1, theta x^i) (geometric) or Binomial(1, .) (Bernoulli),
-and convolve back to Z_i.  A DiscreteLaw has three families, the m = 1
-laws are not separate ones, and one route evaluates its pmf: pmf_array,
-whose entry k pmf(k) reads.  Means and variances come from
-mean_var_arrays, with log i! from the per-request log_factorial_array
-that the seed, g and the laws read too.
+and convolve back to Z_i.
 
-Also here: moments of the weighted sum T_n = sum i Z_i, and solvers /
-closed-form prescriptions for choosing x so that E T_n is close to n.
-All per-index parameters are formed in log space; m_i may exceed double
-range, so means, variances, and pmfs never materialize float(m_i) unless it
-is safe.  log m_i comes from the family's float log_m_fn (lgamma, log-space
-sums), so no float route builds the exact integers; the binomial and
-negative-binomial laws of selections and multisets keep their exact integer
-m_i as the law's parameter.
+One kernel, z_pmf_rows, gives the rows [P(Z_i = k)]_{k <= K_i} of an array
+of indices in one call, from the request's log m_i (the family's float
+log_m_fn), log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled
+once per request.  It builds the exact m_i only for a small falling
+(m_i < e^34, cut at k <= m_i) or rising (m_i < 1e3) product.  A
+DiscreteLaw's pmf_array is its one-row call.  log P(Z_i = 0) has one
+implementation, log_p_zero, which sumdist.log_seed sums over a set.
 
-log P(Z_i = 0) at big m_i has one implementation, the array function
-log_p_zero.  The recursion seed sumdist.log_seed sums its values over an
-index set, and every per-index law (z_law, refined_y_law, a DiscreteLaw
-built by hand) carries its value, which pmf_array reads.  The
-per-index callers read one array per request (log_p_zero_array), so no
-caller pays an array call per index.
+Also here: means and variances, moments of the weighted sum T_n = sum i
+Z_i, and solvers / closed-form prescriptions for choosing x so that E T_n
+is close to n.  m_i may exceed double range: nothing forms float(m_i)
+unless it is safe.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -98,16 +90,12 @@ def log_m_array(spec: StructureSpec, n: int) -> np.ndarray:
     a refill at least doubles the cached length, so callers that walk i
     upwards (z_law per index) pay for O(log n) fills.
     """
-    key = "log_m"
-    arr = spec._table_cache.get(key)
+    arr = spec._table_cache.get("log_m")
     if arr is None or len(arr) <= n:
         size = n if arr is None else max(n, 2 * (len(arr) - 1))
-        if spec.log_m_fn is not None:
-            arr = spec.log_m_fn(size)
-        else:
-            arr = np.array([-np.inf] + [log_big(spec.m(i))
-                                        for i in range(1, size + 1)])
-        spec._table_cache[key] = arr
+        arr = spec._table_cache["log_m"] = (
+            spec.log_m_fn(size) if spec.log_m_fn is not None else np.array(
+                [-np.inf] + [log_big(spec.m(i)) for i in range(1, size + 1)]))
     return arr[: n + 1]
 
 
@@ -244,6 +232,10 @@ class Family(Enum):
     BINOMIAL = "binomial"
 
 
+_FAMILY = {Kind.ASSEMBLY: Family.POISSON, Kind.MULTISET: Family.NEG_BINOMIAL,
+           Kind.SELECTION: Family.BINOMIAL}
+
+
 @dataclass(frozen=True)
 class DiscreteLaw:
     """One nonnegative-integer law.
@@ -266,12 +258,9 @@ class DiscreteLaw:
     def __post_init__(self):
         if self.log_p0 is not None:
             return
-        if self.family is Family.POISSON:
-            lp0 = -self.lam
-        else:
-            kind = (Kind.MULTISET if self.family is Family.NEG_BINOMIAL
-                    else Kind.SELECTION)
-            lp0 = float(log_p_zero(kind, log_big(self.m), self.lw))
+        kind = next(k for k, f in _FAMILY.items() if f is self.family)
+        lp0 = (-self.lam if kind is Kind.ASSEMBLY
+               else float(log_p_zero(kind, log_big(self.m), self.lw)))
         object.__setattr__(self, "log_p0", lp0)
 
     def pmf(self, k: int) -> float:
@@ -279,75 +268,86 @@ class DiscreteLaw:
         return float(self.pmf_array(k)[k]) if k >= 0 else 0.0
 
     def pmf_array(self, k_max: int) -> np.ndarray:
-        """[P(Z = 0), ..., P(Z = k_max)] in O(k_max) work, each entry the
-        exp of log P(Z = 0) + log(lam^k / k!) for Poisson, of
-        log m^(k) - log k! + log P(Z = 0) + k lw for the negative binomial
-        (m^(k) the rising product) and of log m_(k) - log k! + k lw +
-        log P(Z = 0) for the binomial (m_(k) the falling product), with
-        log m taken once and the products accumulated over k."""
-        ks = range(k_max + 1)
-        c = self.log_p0
-        if self.family is Family.POISSON:
-            if self.lam == 0.0:
-                return np.array([1.0] + [0.0] * k_max)
-            ll = math.log(self.lam)
-            logs = [c + k * ll - math.lgamma(k + 1) for k in ks]
+        """[P(Z = 0), ..., P(Z = k_max)]: _pmf_rows' one row of this law,
+        with log m = log_big(m) and log k! by math.lgamma."""
+        return _pmf_rows(
+            self.family, np.array([k_max]), np.array([self.log_p0]),
+            np.array([self.lw]), np.array([log_big(self.m)]),
+            lambda sel: [self.m] * len(sel),
+            lambda size: np.array(list(map(math.lgamma, range(1, size + 2)))))[0]
+
+
+def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
+              lw: np.ndarray, lm: np.ndarray,
+              m_at: Callable[[np.ndarray], list],
+              log_fact: Callable[[int], np.ndarray]) -> list:
+    """rows[r] = [P(Z = k)]_{k <= k_max[r]} from log P(Z = 0) = log_p0[r],
+    lw[r] = log(theta x^i) and lm[r] = log m: entry k > 0 is the exp of
+    log P(Z = 0) + k log lam - log k! (Poisson, lam = -log P(Z = 0)), or of
+    log m^(k) - log k! + log P(Z = 0) + k lw (negative binomial) or log m_(k)
+    - log k! + k lw + log P(Z = 0) (binomial) with _log_products, added in
+    that order; log k! is from log_fact(K), the exact m of the rows sel
+    from m_at(sel).  The rows with one k_max form one 2-D block."""
+    rows = {}
+    order = np.argsort(k_max, kind="stable")
+    for grp in filter(len, np.split(order, np.flatnonzero(
+            np.diff(k_max[order])) + 1)):
+        K = int(k_max[grp[0]])
+        c = log_p0[grp, None]
+        prod = None if family is Family.POISSON else _log_products(
+            family, K, lm[grp], lambda sel: m_at(grp[sel]), log_fact)
+        W = K if prod is None else prod.shape[1]  # entries past W are 0
+        k = np.arange(1, W + 1)
+        lf = log_fact(W)[1:W + 1]
+        if prod is None:
+            with np.errstate(divide="ignore"):  # lam = 0: the row is e_0
+                logs = c + k * np.log(-c) - lf
         else:
-            lm = log_big(self.m)
-            if self.family is Family.NEG_BINOMIAL:
-                lr = _log_rising_list(self.m, lm, k_max)
-                logs = [lr[k] - math.lgamma(k + 1) + c + k * self.lw for k in ks]
-            else:
-                lf = _log_falling_list(self.m, lm, k_max)
-                logs = [lf[k] - math.lgamma(k + 1) + k * self.lw + c for k in ks]
-        return np.array([math.exp(v) for v in logs])
+            kw = k * lw[grp, None]
+            logs = (prod - lf + c + kw if family is Family.NEG_BINOMIAL
+                    else prod - lf + kw + c)
+        block = np.zeros((len(grp), K + 1))
+        block[:, :W + 1] = np.exp(np.hstack((c, logs)))
+        rows.update(zip(grp.tolist(), block))
+    return [rows[r] for r in range(len(k_max))]
 
 
-# Below m = 1e3 the rising factorial is lgamma(m + k) - lgamma(m); above it
-# k log m + sum_{j<k} log1p(j/m).  The lgamma difference cancels, with an
-# absolute error of about eps m log m (2e-5 at m = 1e10); the running sum
-# adds k roundings of terms up to log1p(k/m), which matter at small m.
-_LOG_RISING_SWITCH = math.log(1e3)
-
-
-def _inv_m(m: Numeric, lm: float) -> float:
-    """1/m, from the exact m where it is a double."""
-    return 1.0 / float(m) if lm < 700 else math.exp(-lm)
-
-
-def _log_rising_list(m: Numeric, lm: float, k_max: int) -> list:
-    """[log m(m+1)...(m+k-1) for k = 0..k_max], big-m safe, with one
-    running sum."""
-    if lm == -math.inf:
-        return [0.0] + [-math.inf] * k_max
-    if lm < _LOG_RISING_SWITCH:
-        fm = float(m)
-        l0 = math.lgamma(fm)
-        return [math.lgamma(fm + k) - l0 for k in range(k_max + 1)]
-    step = _inv_m(m, lm)
-    sums = itertools.accumulate(
-        (math.log1p(j * step) for j in range(1, k_max)), initial=0.0)
-    return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
-
-
-def _log_falling_list(m: Numeric, lm: float, k_max: int) -> list:
-    """[log m(m-1)...(m-k+1) for k = 0..k_max], -inf once the product
-    vanishes (k > m), with one running sum."""
-    if lm == -math.inf:
-        return [0.0] + [-math.inf] * k_max
-    if lm < 34:
-        fm = float(m)
-        out, acc = [0.0], 0.0
-        for j in range(k_max):
-            if fm - j <= 0:
-                return out + [-math.inf] * (k_max - j)
-            acc += math.log(fm - j)
-            out.append(acc)
-        return out
-    step = _inv_m(m, lm)
-    sums = itertools.accumulate(
-        (math.log1p(-j * step) for j in range(1, k_max)), initial=0.0)
-    return [0.0] + [k * lm + s for k, s in zip(range(1, k_max + 1), sums)]
+def _log_products(family: Family, K: int, lm: np.ndarray,
+                  m_at: Callable[[np.ndarray], list],
+                  log_fact: Callable[[int], np.ndarray]) -> np.ndarray:
+    """out[r, k-1], k = 1..W: log m(m+1)...(m+k-1) (negative binomial) or
+    log m(m-1)...(m-k+1) (binomial) for log m = lm[r]; -inf where m = 0 or
+    k > m.  W is K, or the binomial's largest ceil(m) where that is less.
+    Below m = 1e3 the rising one is lgamma(m + k) - lgamma(m), which above
+    it cancels (absolute error about eps m log m), and the falling one below
+    m = e^34 sums log(m - j); both read the exact m (m_at).  Otherwise it is
+    k log m + sum_{j<k} log1p(+-j/m) with 1/m = e^-lm.  Every sum runs along
+    one row."""
+    live = lm != -np.inf
+    nb = family is Family.NEG_BINOMIAL
+    cut, sign = (math.log(1e3), 1.0) if nb else (34.0, -1.0)
+    small, big = np.flatnonzero(live & (lm < cut)), np.flatnonzero(lm >= cut)
+    fm = np.array([float(m) for m in m_at(small)]).reshape(-1, 1)
+    if not nb and not big.size:
+        K = min(K, math.ceil(fm.max(initial=0)))
+    out = np.full((len(lm), K), -np.inf)
+    j = np.arange(K)
+    if not nb:
+        d = np.where(fm > j, fm - j, 0.0)
+        with np.errstate(divide="ignore"):
+            out[small] = np.cumsum(np.log(d), axis=1)
+    elif small.size:
+        whole = fm[:, 0] == np.floor(fm[:, 0])
+        mi = fm[whole].astype(np.int64)
+        lf = log_fact(int(fm.max()) + K)
+        out[small[whole]] = lf[mi + j] - lf[mi - 1]
+        for r, f in zip(small[~whole].tolist(), fm[~whole, 0].tolist()):
+            out[r] = [math.lgamma(f + k) - math.lgamma(f) for k in j + 1]
+    if big.size:
+        lb = lm[big, None]
+        sums = np.cumsum(np.log1p(j[1:] * np.exp(-lb) * sign), axis=1)
+        out[big] = (j + 1) * lb + np.pad(sums, ((0, 0), (1, 0)))[:, :K]
+    return out
 
 
 def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
@@ -362,12 +362,27 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
                 f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
         return DiscreteLaw(Family.POISSON, lam=-lp0, log_p0=lp0)
     lw = math.log(params.ftheta) + i * math.log(params.fx)
-    mi = spec.m(i)
-    if spec.kind is Kind.MULTISET:
-        return DiscreteLaw(Family.NEG_BINOMIAL, m=mi, p=math.exp(lw), lw=lw,
-                           log_p0=lp0)
-    return DiscreteLaw(Family.BINOMIAL, m=mi, p=float(expit(lw)), lw=lw,
-                       log_p0=lp0)
+    p = math.exp(lw) if spec.kind is Kind.MULTISET else float(expit(lw))
+    return DiscreteLaw(_FAMILY[spec.kind], m=spec.m(i), p=p, lw=lw, log_p0=lp0)
+
+
+def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
+    """rows[r] = [P(Z_i = k)]_{k <= k_max[r]} for i = idx[r] >= 1 (k_max an
+    int or one per index): one _pmf_rows call on the request's arrays.  A
+    binomial row is exactly 0 past m_i; an index with m_i = 0 has e_0."""
+    params.validate(spec)
+    idx = np.asarray(idx, dtype=np.int64)
+    if np.any(idx < 1):
+        raise ParameterDomainError("index must be >= 1")
+    top = int(idx.max(initial=0))
+    lp0 = log_p_zero_array(spec, top, params)[idx]
+    if spec.kind is Kind.ASSEMBLY and np.any(lp0 == -np.inf):
+        z_law(spec, int(idx[np.argmin(lp0)]), params)  # raises the guard
+    return _pmf_rows(_FAMILY[spec.kind], np.broadcast_to(k_max, idx.shape),
+                     lp0, log_weight_array(spec, top, params)[idx],
+                     log_m_array(spec, top)[idx],
+                     lambda sel: [spec.m(i) for i in idx[sel].tolist()],
+                     lambda size: log_factorial_array(spec, size))
 
 
 def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
@@ -380,9 +395,8 @@ def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> Discrete
         with overflow_guard(f"Poisson mean of Y_{i}j"):
             lam = math.exp(lw - math.lgamma(i + 1))
         return DiscreteLaw(Family.POISSON, lam=lam)
-    if spec.kind is Kind.MULTISET:
-        return DiscreteLaw(Family.NEG_BINOMIAL, m=1, p=math.exp(lw), lw=lw)
-    return DiscreteLaw(Family.BINOMIAL, m=1, p=float(expit(lw)), lw=lw)
+    p = math.exp(lw) if spec.kind is Kind.MULTISET else float(expit(lw))
+    return DiscreteLaw(_FAMILY[spec.kind], m=1, p=p, lw=lw)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import ComponentVector, Kind, StructureSpec
-from .indep_process import TiltedParams, z_law
+from .indep_process import TiltedParams, z_pmf_rows
 from . import sumdist
 
 _BLOCK = 4096  # rejection: trials per block, fixed for reproducibility;
@@ -99,17 +99,11 @@ class _IndexTables:
     def __init__(self, spec: StructureSpec, n: int, params: TiltedParams):
         params.validate(spec)
         self.n = n
-        self.cdf0 = np.ones(n)          # P(Z_i = 0), column i-1
-        self.cum: dict[int, np.ndarray] = {}
-        for i in range(1, n + 1):
-            if spec.m(i) == 0:
-                continue
-            law = z_law(spec, i, params)
-            k_max = n // i
-            pmf = law.pmf_array(k_max)
-            self.cdf0[i - 1] = pmf[0]
-            if pmf[0] < 1.0:
-                self.cum[i] = np.cumsum(pmf)
+        idx = np.arange(1, n + 1)
+        rows = z_pmf_rows(spec, idx, n // idx, params)
+        self.cdf0 = np.array([row[0] for row in rows])  # P(Z_i = 0), column i-1
+        self.cum = {i: np.cumsum(row) for i, row in enumerate(rows, start=1)
+                    if row[0] < 1.0}
 
     def draw_block(self, rng: np.random.Generator, block: int):
         """Returns (T, rows, cols, zs) for `block` trials.

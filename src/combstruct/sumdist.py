@@ -13,35 +13,28 @@ is solved in blocks of up to _BLOCK indices: the terms from earlier blocks
 are one correlation, a BLAS dot per index, and the terms within the block
 one triangular solve.  The correlation reads only g's nonzero band, the
 indices up to the last i with g(i) != 0, so the recursion costs about
-n band multiply-adds instead of n^2 / 2.  band is max B for an assembly's
-R_B (at most 10 for the tv sets B in 1..10); at the exact-mean x and
-n = 16000 it is 285 for the full set of set partitions and 1080 for
-polynomials(2)'s R_B with B = {1, 3, 5, 7, 9}, whose g underflows to exact
-zeros beyond it.  Every route returns one triple (v, shift, lseed) with
-P(R_B = k) = v[k] 2^shift[k] e^lseed: the recursion (q, its per-entry
-exponents, log_seed(B)), the convolution (p, 0, 0.0).  The full index
-set's triple is kept in one slot per spec, so the recursion route and the
-closed form of one (n, x, theta) run one route, and _assemble is the one
-place a pmf is made.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is
-a math.fsum over B of indep_process.log_p_zero, the one implementation of
-the big-m policy, which the per-index laws of the convolution read too.
+n band multiply-adds instead of n^2 / 2.  Every route returns one triple
+(v, shift, lseed) with P(R_B = k) = v[k] 2^shift[k] e^lseed: the
+recursion (q, its per-entry exponents, log_seed(B)), the convolution
+(p, 0, 0.0).  The full index set's triple and its seed are kept in one
+slot per spec, so the recursion route and the closed form of one
+(n, x, theta) run one route and one seed, and _assemble is the one place
+a pmf is made.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is a
+math.fsum over B of indep_process.log_p_zero, the one implementation of
+the big-m policy, which the rows of the convolution read too.
 
 A selection takes the convolution below first where it costs fewer
 multiply-adds than one banded recursion (the small index sets B of tv).
 Otherwise the signed selection recursion runs; it can cancel, and it
-certifies itself.  When g >= 0 it is the positive recursion, whose
-rounding error is at most about 2 k gamma_n q[k] (gamma_n = n u /
-(1 - n u), u = 2^-53).  Otherwise the recursion on |g| gives q_abs >= |q|
-(the comparison-matrix argument in _cancellation_bits), and the error is
-at most about 2 k gamma_n q_abs[k].
-The default route takes the recursion when max q_abs <= C max |q| and
-q_abs[n_max] <= C q[n_max], with C = 2^_CANCEL_BITS = 2^10, and otherwise
-(or when a weight, the seed or a coefficient leaves double range) a
-truncated convolution of the per-index binomial laws.  The convolution is
-a strided update of length-(n_max+1) arrays, one index at a time:
-p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i).  It
-costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i is 0
-or 1 and O(n^2 log n) for squarefree polynomials.
+certifies itself (_cancellation_bits): the default route keeps it when
+its cancellation ratio is at most 2^_CANCEL_BITS = 2^10, and otherwise
+(or when a weight, the seed or a coefficient leaves double range) takes
+a truncated convolution of the per-index binomial laws.  The convolution
+is a strided update of length-(n_max+1) arrays, one index at a time:
+p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i), with
+the rows P(Z_i = k) of all of B from one indep_process.z_pmf_rows call.
+It costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i
+is 0 or 1 and O(n^2 log n) for squarefree polynomials.
 
 Everything is truncated at n_max with the missing mass reported as an
 explicit tail.
@@ -61,9 +54,8 @@ from scipy.linalg import solve_triangular, toeplitz
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (Kind, StructureSpec, _float_log_table, _underflow_error,
                          exact_route, log_big, ptheta_table)
-from .indep_process import (Family, TiltedParams, log_factorial_array,
-                            log_m_array, log_p_zero_array, overflow_guard,
-                            z_law)
+from .indep_process import (TiltedParams, log_factorial_array, log_m_array,
+                            log_p_zero_array, overflow_guard, z_pmf_rows)
 
 _LN2 = math.log(2.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -309,22 +301,25 @@ def _assemble(v: np.ndarray, shift: np.ndarray | int, lseed: float) -> PmfVector
 def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
     """Natural logs of the full-set coefficients x^k p_theta(k) [/k!], k <= n.
 
-    log v + shift log 2 + lseed - log_seed(1..n) off the request's one
-    full-set triple (_weighted_sum): the recursion's lseed is that seed, so
-    its table is log q + shift log 2, and the convolution's (p, 0, 0.0)
-    gives log P(T_n = k) - log_seed.  One guard for every route: an entry v
-    below the smallest normal double at a weight k that some structure has
-    lost its digits.  Entry n, which every reader reads, raises the
-    underflow NumericGuardError, and an entry k < n reads NaN, which
-    structures.log_ptheta_table turns into that error for the readers of
-    the whole table.  A true zero (no structure of weight k) is -inf, as is
+    log(v 2^shift) + lseed - log_seed(1..n) off the request's full-set
+    triple and seed (_full_set): the recursion's lseed is that seed, and the
+    convolution's (p, 0, 0.0) gives log P(T_n = k) - log_seed.  log(v
+    2^shift) is log(ldexp(v, shift)) where that is a normal double, else
+    log v + shift log 2, whose large sum loses digits (p_theta(1) of set
+    partitions read 1 + 2.1e-14 at n = 16000).  One guard for every route:
+    an entry v below the smallest normal double at a weight k that some
+    structure has lost its digits.  Entry n, which every reader reads,
+    raises the underflow NumericGuardError, and an entry k < n reads NaN,
+    which structures.log_ptheta_table turns into that error for the readers
+    of the whole table.  A true zero (no structure of weight k) is -inf, as is
     the cancellation dust a certified selection recursion clamps to 0.
     """
     params.validate(spec)
-    full = index_set(range(1, n + 1))
-    v, shift, lseed = _weighted_sum(spec, full, n, params)
-    with np.errstate(divide="ignore"):
-        out = np.log(v) + shift * _LN2 + (lseed - log_seed(spec, full, params))
+    (v, shift, lseed), seed = _full_set(spec, n, params)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.ldexp(v, shift)
+        out = np.where((w >= sys.float_info.min) & (w < np.inf), np.log(w),
+                       np.log(v) + shift * _LN2) + (lseed - seed)
     low = np.flatnonzero(v < sys.float_info.min)
     if low.size:
         low = low[_reach(spec, int(low[-1]))[low]]
@@ -397,32 +392,22 @@ def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
 def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
                 params: TiltedParams):
     """Yields (i, pk, p) for each i in B, in order: pk[k] = P(Z_i = k) for
-    k <= min(n_max // i, m_i), without the trailing entries that underflow
-    to 0, and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max.
+    k <= min(n_max // i, m_i), z_pmf_rows' row without its trailing zeros,
+    and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max.
 
     One strided update per index, p[r] <- sum_k pk[k] p[r - i k]; an index
-    with m_i = 0 has pk = [1] and leaves p as it was.
+    whose row is [1] (m_i = 0) leaves p as it was.
     """
-    lm = log_m_array(spec, B[-1])
-    log_p_zero_array(spec, B[-1], params)  # one fill for the z_law calls
     p = np.zeros(n_max + 1)
     p[0] = 1.0
-    for i in B:
-        if lm[i] == -np.inf:
-            yield i, np.ones(1), p
-            continue
-        law = z_law(spec, i, params)
-        k_max = n_max // i
-        if law.family is Family.BINOMIAL:
-            k_max = min(k_max, law.m)
-        pk = law.pmf_array(k_max)
-        while k_max and pk[k_max] == 0.0:
-            k_max -= 1
-        pk = pk[: k_max + 1]
-        new = pk[0] * p
-        for k in range(1, k_max + 1):
-            new[i * k:] += pk[k] * p[: n_max + 1 - i * k]
-        p = new
+    for i, pk in zip(B, z_pmf_rows(spec, B, n_max // np.asarray(B), params)):
+        nonzero = np.flatnonzero(pk)
+        pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
+        if len(pk) > 1 or pk[0] != 1.0:
+            new = pk[0] * p
+            for k in range(1, len(pk)):
+                new[i * k:] += pk[k] * p[: n_max + 1 - i * k]
+            p = new
         yield i, pk, p
 
 
@@ -432,11 +417,10 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
     convolution costs fewer multiply-adds: its strided updates do
     sum_{i in B} n_max min(m_i, n_max // i), the banded recursion
     sum_{k <= n_max} min(k, band), band the last index with g != 0.  The
-    recursion is counted once although the certificate runs it on |g| too
-    when g has a negative entry: the convolution also builds a law and a
-    pmf per index, which the count does not see (on the complement of 5
-    indices of distinct_partitions at n = 2000 it took 42 ms, both
-    recursions 10 ms)."""
+    recursion is counted once although the certificate may run it twice;
+    the convolution's laws are one z_pmf_rows call (on the complement of 5
+    indices of distinct_partitions at n = 2000: 4.6 ms of its 15 ms, both
+    recursions 1.5 ms)."""
     ks, lm = _active_indices(spec, B, n_max)
     with np.errstate(over="ignore"):  # m_i beyond double range
         conv = n_max * float(np.sum(np.minimum(np.exp(lm), n_max // ks)))
@@ -447,10 +431,13 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
     return None if conv < rec else g
 
 
-def _auto_selection_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
-                        params: TiltedParams) -> tuple[tuple, bool]:
-    """(triple, by_recursion): the "auto" route of a selection (see
-    weighted_sum_pmf) and whether it kept the certified recursion."""
+def _auto_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
+              params: TiltedParams) -> tuple[tuple, bool]:
+    """(triple, by_recursion): the "auto" route of R_B (see
+    weighted_sum_pmf), the recursion for assemblies and multisets, and for
+    a selection whether it kept the certified recursion."""
+    if spec.kind is not Kind.SELECTION:
+        return _pmf_by_recursion(spec, B, n_max, params), True
     try:
         g = _selection_recursion_g(spec, B, n_max, params)
         if g is not None:
@@ -465,27 +452,30 @@ def _auto_selection_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
 def _weighted_sum(spec: StructureSpec, B: IndexSet, n_max: int,
                   params: TiltedParams) -> tuple:
     """The triple (v, shift, lseed) of R_B on the "auto" route, with
-    P(R_B = k) = v[k] 2^shift[k] e^lseed: the recursion for assemblies and
-    multisets, _auto_selection_pmf for selections.  The triple of
-    B = 1..n_max is kept, read-only, in the one slot
-    spec._table_cache["full_set"] keyed by (n_max, x, theta), so prob-t's
-    two columns, pofn and the moments read one route and memory stays
-    O(n_max).  An index set past n_max is not kept: its seed differs."""
-    def build():
-        if spec.kind is Kind.SELECTION:
-            return _auto_selection_pmf(spec, B, n_max, params)[0]
-        return _pmf_by_recursion(spec, B, n_max, params)
-    if not bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
-        return build()
-    key = (n_max, params.fx, params.ftheta)
+    P(R_B = k) = v[k] 2^shift[k] e^lseed.  B = 1..n_max reads _full_set;
+    an index set past n_max is not kept: its seed differs."""
+    if bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
+        return _full_set(spec, n_max, params)[0]
+    return _auto_pmf(spec, B, n_max, params)[0]
+
+
+def _full_set(spec: StructureSpec, n: int, params: TiltedParams) -> tuple:
+    """(triple, log_seed(1..n)) of B = 1..n, kept read-only in the one slot
+    spec._table_cache["full_set"] keyed by (n, x, theta), so prob-t's two
+    columns, pofn and the moments read one route and one seed and memory
+    stays O(n).  Only a selection's convolution computes the seed apart."""
+    key = (n, params.fx, params.ftheta)
     hit = spec._table_cache.get("full_set")
     if hit is None or hit[0] != key:
-        hit = (key, build())
-        for arr in hit[1][:2]:
+        full = index_set(range(1, n + 1))
+        triple, by_recursion = _auto_pmf(spec, full, n, params)
+        seed = triple[2] if by_recursion else log_seed(spec, full, params)
+        for arr in triple[:2]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+        hit = (key, triple, seed)
         spec._table_cache["full_set"] = hit
-    return hit[1]
+    return hit[1], hit[2]
 
 
 def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
@@ -542,7 +532,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     if method == "recursion":
         out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params).p[n])
     elif method == "closed_form":
-        lseed = log_seed(spec, range(1, n + 1), params)
+        lseed = _full_set(spec, n, params)[1]
         if exact_route(n, params.theta):
             lp = log_big(ptheta_table(spec, n, params.theta)[n])
         else:
@@ -638,22 +628,20 @@ class JointPmf:
 
 def joint_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
                   u_max: int, params: TiltedParams) -> JointPmf:
-    """Sequential 2-d truncated convolution of the per-index laws of (Z_i, i Z_i)."""
+    """Sequential 2-d truncated convolution of the per-index laws of
+    (Z_i, i Z_i), whose rows z_pmf_rows gives for all of B in one call."""
     if n_max < 0 or u_max < 0:
         raise ParameterDomainError("truncation bounds must be >= 0")
     params.validate(spec)
     B = index_set(B)
-    lm = log_m_array(spec, B[-1] if B else 0)
     M = np.zeros((u_max + 1, n_max + 1))
     M[0, 0] = 1.0
-    for i in B:
-        if lm[i] == -np.inf:
-            continue
-        law = z_law(spec, i, params)
-        k_max = min(u_max, n_max // i)
-        pk = law.pmf_array(k_max)
+    k_max = np.minimum(u_max, n_max // np.asarray(B, dtype=np.int64))
+    for i, pk in zip(B, z_pmf_rows(spec, B, k_max, params)):
+        if pk[0] == 1.0 and not pk[1:].any():
+            continue  # m_i = 0: M stays as it is
         new = np.zeros_like(M)
-        for k in range(k_max + 1):
+        for k in range(len(pk)):
             if pk[k] == 0.0:
                 continue
             new[k:, i * k:] += pk[k] * M[: u_max + 1 - k, : n_max + 1 - i * k]

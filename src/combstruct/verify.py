@@ -18,7 +18,7 @@ from . import structures as st
 from . import sumdist, tv_engine, limits
 from . import moments as mom
 from . import oracle as orc
-from .indep_process import TiltedParams, z_law
+from .indep_process import TiltedParams, z_pmf_rows
 
 Result = tuple[str, bool, str]
 
@@ -52,8 +52,7 @@ def check_conditioning() -> Result:
             params = TiltedParams(x=x, theta=theta)
             n = 7
             law = orc.exact_joint_law(spec, n, theta)
-            pks = [z_law(spec, i, params).pmf_array(n // i)
-                   for i in range(1, n + 1)]
+            pks = z_pmf_rows(spec, range(1, n + 1), n // np.arange(1, n + 1), params)
             pt = sumdist.prob_T_eq_n(spec, n, params)
             for v in orc.enumerate_complete(n):
                 pz = math.prod(pks[i][v.a[i]] for i in range(n))
@@ -102,8 +101,8 @@ def check_tv_identity() -> Result:
             for _ in range(6):
                 B = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
                 marg = orc.restrict_law(law, B)
-                pmfs = {i: z_law(spec, i, params).pmf_array(n // i).__getitem__
-                        for i in B}
+                rows = z_pmf_rows(spec, B, n // np.array(B), params)
+                pmfs = {i: row.__getitem__ for i, row in zip(B, rows)}
                 d_oracle = orc.tv_against_product(marg, B, pmfs, n)
                 d_engine = tv_engine.tv_CB_ZB(spec, B, n, params).exact
                 worst = max(worst, abs(d_oracle - d_engine))
@@ -158,13 +157,12 @@ def check_refined_convolution() -> Result:
         for i, m_i in ((2, 3), (5, 4)):
             spec = st.from_m_list(kind, [0] * (i - 1) + [m_i])
             params = TiltedParams(x, 1)
-            z = z_law(spec, i, params)
-            y = refined_y_law(spec, i, params)
+            z = z_pmf_rows(spec, [i], 16, params)[0]
+            yv = refined_y_law(spec, i, params).pmf_array(16)
             conv = np.array([1.0])
-            yv = y.pmf_array(16)
             for _ in range(m_i):
                 conv = np.convolve(conv, yv)[:17]
-            worst = max(worst, float(np.max(np.abs(conv - z.pmf_array(16)))))
+            worst = max(worst, float(np.max(np.abs(conv - z))))
     return ("refined_convolution_identity", worst <= 1e-12,
             f"max_gap={worst:.3g}")
 

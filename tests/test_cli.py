@@ -97,10 +97,14 @@ class TestCommands:
 
         logs = [log_value(v) for _k, v in rows]
         assert all(math.isfinite(v) for v in logs)
+        # entries a rescale kept at their exponent are read by ldexp where
+        # that is a normal double: B_1 = 1 and B_2 = 2 to the last digits
+        assert float(rows[1][1]) == 1.0
+        assert abs(float(rows[2][1]) - 2.0) <= 4 * math.ulp(2.0)
         with mpmath.workdps(30):
             for k in (*range(1, 20), 97, 287, 1000, 2000, 2614, 2776, 16000):
                 want = float(mpmath.log(mpmath.bell(k)))
-                assert abs(logs[k] - want) <= 1e-12 * max(1.0, abs(want)), k
+                assert abs(logs[k] - want) <= 1e-14 * max(1.0, abs(want)), k
 
     def test_prob_t_gap(self, spec_files, capsys):
         code, out, _ = run_cli(["prob-t", "--spec", spec_files["permutations"],
@@ -194,6 +198,16 @@ class TestCommands:
         assert code1 == code2 == 0
         assert "streams=3" in out1
         assert out1 == out2
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_cs_threads_must_be_a_positive_integer(self, value, spec_files,
+                                                   capsys, monkeypatch):
+        monkeypatch.setenv("CS_THREADS", value)
+        code, out, err = run_cli(["sample", "--spec", spec_files["permutations"],
+                                  "--n", "5", "--samples", "3", "--x", "1"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: CS_THREADS") and repr(value) in err
 
     def test_json_format(self, spec_files, capsys):
         code, out, _ = run_cli(["prob-t", "--spec", spec_files["permutations"],

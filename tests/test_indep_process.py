@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy.optimize import brentq
 
 from combstruct import indep_process as ip
@@ -17,9 +18,18 @@ from scalar_refs import log_rising as _ref_log_rising
 from scalar_refs import m_softplus as _ref_m_softplus
 from scalar_refs import safe_mlog1p as _ref_safe_mlog1p
 from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
-                                      XStrategy, _log_rising_list, choose_x,
-                                      log_m_array, log_p_zero, refined_y_law,
-                                      solve_xex, sum_moments, z_law)
+                                      XStrategy, choose_x, log_m_array,
+                                      log_p_zero, refined_y_law, solve_xex,
+                                      sum_moments, z_law, z_pmf_rows)
+
+
+def _kernel_log_products(family, m, lm, k_max):
+    """The kernel's row of log m^(k) (negative binomial) or log m_(k)
+    (binomial), k = 1..k_max, for one m: -inf past the columns it computes."""
+    got = ip._log_products(family, k_max, np.array([lm]), lambda _r: [m],
+                           lambda size: np.array([math.lgamma(k + 1)
+                                                  for k in range(size + 1)]))[0]
+    return np.concatenate((got, np.full(k_max - len(got), -np.inf)))
 
 
 class TestZLaw:
@@ -81,18 +91,20 @@ class TestPmfArray:
 
     @pytest.mark.parametrize("law,k_max", LAWS)
     def test_matches_scalar_pmf(self, law, k_max):
-        # the per-k scalar log pmf adds the same terms in the same order
+        # the per-k scalar log pmf adds the same terms in the same order;
+        # the kernel's np.exp may round to the other neighbour of math.exp's
+        # result, so the rows agree to 1e-14 relative, not bitwise
         got = law.pmf_array(k_max)
         want = np.array([math.exp(_ref_log_pmf(law, k))
                          for k in range(k_max + 1)])
-        assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
         # pmf(k) is entry k of pmf_array(k), and 0 below the support
         assert law.pmf(k_max) == got[k_max] and law.pmf(-1) == 0.0
 
     @pytest.mark.parametrize("law,k_max", LAWS)
     def test_matches_scalar_seed_reference(self, law, k_max):
-        # the pmf_array of the scalar helpers, which read log P(Z = 0) from
-        # _ref_safe_mlog1p / _ref_m_softplus: bit-identical wherever the
+        # the row of the kernel's rising and falling logs, with log P(Z = 0)
+        # from _ref_safe_mlog1p / _ref_m_softplus: bit-identical wherever the
         # kernel's log P(Z = 0) is.  That value is at most 2 ulps off: numpy's
         # exp and log1p may round to the other neighbour of libm's, and the
         # product e^lm log1p(-t) adds the two (m = 3, t = 0.99: the kernel's
@@ -104,23 +116,78 @@ class TestPmfArray:
             if law.lam:
                 logs = [c + k * math.log(law.lam) - math.lgamma(k + 1)
                         for k in ks]
-        elif law.family is Family.NEG_BINOMIAL:
-            c = _ref_safe_mlog1p(lm, math.exp(law.lw), law.lw)
-            lr = _log_rising_list(law.m, lm, k_max)
-            logs = [lr[k] - math.lgamma(k + 1) + c + k * law.lw for k in ks]
         else:
-            c = -_ref_m_softplus(lm, law.lw)
-            lf = ip._log_falling_list(law.m, lm, k_max)
-            logs = [lf[k] - math.lgamma(k + 1) + k * law.lw + c for k in ks]
+            prods = [0.0] + _kernel_log_products(law.family, law.m, lm,
+                                                 k_max).tolist()
+            if law.family is Family.NEG_BINOMIAL:
+                c = _ref_safe_mlog1p(lm, math.exp(law.lw), law.lw)
+                logs = [prods[k] - math.lgamma(k + 1) + c + k * law.lw
+                        for k in ks]
+            else:
+                c = -_ref_m_softplus(lm, law.lw)
+                logs = [prods[k] - math.lgamma(k + 1) + k * law.lw + c
+                        for k in ks]
         assert abs(law.log_p0 - c) <= 2 * math.ulp(c)
         if law.family is Family.POISSON and not law.lam:
             return
-        want = np.array([math.exp(v) for v in logs])
+        want = np.exp(np.array(logs))
         got = law.pmf_array(k_max)
         if law.log_p0 == c:
             assert got.tobytes() == want.tobytes()
         else:
             assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+_M_VALUES = {
+    "selection": hs.one_of(hs.integers(0, 5), hs.integers(0, 10 ** 40)),
+    "assembly": hs.one_of(hs.integers(0, 5), hs.integers(0, 10 ** 40),
+                          hs.builds(Fraction, hs.integers(0, 10 ** 40),
+                                    hs.integers(1, 1000))),
+}
+_M_VALUES["multiset"] = _M_VALUES["assembly"]
+
+
+@hs.composite
+def _kernel_case(draw):
+    kind = draw(hs.sampled_from(sorted(_M_VALUES)))
+    ms = draw(hs.lists(_M_VALUES[kind], min_size=1, max_size=12))
+    theta = draw(hs.floats(0.1, 5.0))
+    x_max = 0.999 * min(1.0, 1.0 / theta) if kind == "multiset" else 3.0
+    x = draw(hs.floats(0.01, x_max))
+    return kind, ms, x, theta, draw(hs.integers(1, 60))
+
+
+class TestPmfRowsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case())
+    def test_rows_match_scalar_log_pmf(self, case):
+        # every row of one z_pmf_rows call against the per-k scalar log pmf
+        # of the same law, read from the same log m_i (from_m_list takes
+        # log_big of its list) and log P(Z_i = 0)
+        kind, ms, x, theta, n = case
+        spec = st.from_m_list(kind, ms)
+        params = TiltedParams(x, theta)
+        idx = np.arange(1, len(ms) + 1)
+        lp0 = ip.log_p_zero_array(spec, len(ms), params)
+        if kind == "assembly" and np.any(lp0 == -np.inf):
+            with pytest.raises(NumericGuardError, match="Poisson mean"):
+                z_pmf_rows(spec, idx, n // idx, params)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = z_pmf_rows(spec, idx, n // idx, params)
+        family = ip._FAMILY[spec.kind]
+        for i, row in zip(idx.tolist(), rows):
+            lw = math.log(theta) + i * math.log(x)
+            law = DiscreteLaw(family, lam=-float(lp0[i]), m=ms[i - 1], lw=lw,
+                              log_p0=float(lp0[i]))
+            assert len(row) == n // i + 1
+            want = np.exp([_ref_log_pmf(law, k) for k in range(n // i + 1)])
+            read = want >= 1e-300
+            assert np.all(np.abs(row - want)[read] <= 1e-14 * want[read]), i
+            assert np.all(row[want == 0.0] == 0.0), i
+            if kind == "selection":
+                assert not np.any(row[ms[i - 1] + 1:]), i
 
 
 # one grid per branch of the big-m policy: lw = log(theta x^i) above and
@@ -217,7 +284,8 @@ class TestBigMLaws:
     def test_log_rising_list_matches_exact_product(self, m):
         k_max = 2000
         lm = st.log_big(m)
-        got = _log_rising_list(m, lm, k_max)
+        got = [0.0] + _kernel_log_products(Family.NEG_BINOMIAL, m, lm,
+                                           k_max).tolist()
         prod, worst = 1, 0.0
         for k in range(1, k_max + 1):
             prod *= m + k - 1

@@ -367,7 +367,7 @@ class TestSelectionFloatTable:
         n = 500
         spec, params = self._far_tilt([10 ** 6] + [1] * (n - 1), n, 2.0)
         full = sd.index_set(range(1, n + 1))
-        assert sd._auto_selection_pmf(spec, full, n, params)[1]
+        assert sd._auto_pmf(spec, full, n, params)[1]
         got = st.log_ptheta_table(spec, n, 2.0, x=params.x)
         exact = st.log_ptheta_table(spec, n, 2)
         for k, (g, e) in enumerate(zip(got, exact)):
@@ -383,7 +383,7 @@ class TestSelectionFloatTable:
         n = 500
         spec, params = self._far_tilt([10 ** 4] + [5] * (n - 1), n, 2.0)
         full = sd.index_set(range(1, n + 1))
-        assert not sd._auto_selection_pmf(spec, full, n, params)[1]
+        assert not sd._auto_pmf(spec, full, n, params)[1]
         with pytest.raises(NumericGuardError, match="underflowed"):
             st.log_ptheta_table(spec, n, 2.0, x=params.x)
         exact = st.log_big(st.p_total(spec, n, 2))
@@ -660,6 +660,28 @@ class TestOneRecursionPerRequest:
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
+    @pytest.mark.parametrize("builtin", ["set_partitions",
+                                         "distinct_partitions"])
+    def test_prob_t_computes_one_seed(self, builtin, tmp_path, monkeypatch,
+                                      capsys):
+        # the seed log_seed(1..n) is kept beside the full-set triple, where
+        # the closed-form column and the p_theta table read it
+        path = tmp_path / "spec.json"
+        kind = "assembly" if builtin == "set_partitions" else "selection"
+        path.write_text(json.dumps({"kind": kind, "builtin": builtin}))
+        calls = []
+        orig = sd.log_seed
+
+        def spy(spec, B, params):
+            calls.append(len(sd.index_set(B)))
+            return orig(spec, B, params)
+        monkeypatch.setattr(sd, "log_seed", spy)
+        assert cli.run(["prob-t", "--spec", str(path), "--n", "2000",
+                        "--choose-x", "exact_mean"]) == 0
+        assert calls == [2000]
+        gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
+        assert gap <= 1e-12
+
     def test_one_slot_and_read_only(self, monkeypatch):
         spec = st.set_partitions()
         calls = self._spy(monkeypatch)
@@ -671,9 +693,9 @@ class TestOneRecursionPerRequest:
         assert calls == [700, 800]
         slots = [k for k in spec._table_cache if str(k).startswith("full_set")]
         assert slots == ["full_set"]
-        key, (q, shift, lseed) = spec._table_cache["full_set"]
+        key, (q, shift, lseed), seed = spec._table_cache["full_set"]
         assert key == (800, 3.0, 1.0)
-        assert lseed == sd.log_seed(spec, range(1, 801), p2)
+        assert lseed == seed == sd.log_seed(spec, range(1, 801), p2)
         for arr in (q, shift):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -857,6 +879,25 @@ class TestMultisetRoutesAgree:
             want = sd.prob_T_eq_n(spec, n, TiltedParams(params.x, 1),
                                   method="closed_form")
             assert rec.p[n] == pytest.approx(want, rel=1e-10)
+
+
+class TestConvolutionChecksRecursionAboveCutoff:
+    # above the exact cutoff the full-set convolution is an independent
+    # reference: it reads the kernel's row of every index, the recursion
+    # none of them (it reads g and the seed)
+    @pytest.mark.parametrize("spec", [st.set_partitions(),
+                                      st.integer_partitions(),
+                                      st.polynomials(2), st.permutations()],
+                             ids=lambda s: s.name)
+    def test_full_set_at_4000(self, spec):
+        n = 4000
+        params = TiltedParams(choose_x(spec, n), 1)
+        conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
+                                   method="convolution").p
+        rec = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params).p
+        read = (conv >= 1e-300) | (rec >= 1e-300)
+        assert read[n] and np.all(np.abs(conv - rec)[read]
+                                  <= 1e-12 * np.maximum(conv, rec)[read])
 
 
 def _auto_route(spec, B, n, params):
