@@ -287,12 +287,13 @@ def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
     log m^(k) - log k! + log P(Z = 0) + k lw (negative binomial) or log m_(k)
     - log k! + k lw + log P(Z = 0) (binomial) with _log_products, added in
     that order; log k! is from log_fact(K), the exact m of the rows sel
-    from m_at(sel).  The rows with one k_max form one 2-D block."""
+    from m_at(sel).  Rows with k_max + 1 in one [2^b, 2^(b+1)) form one 2-D
+    block, which each row reads up to its k_max."""
     rows = {}
     order = np.argsort(k_max, kind="stable")
-    for grp in filter(len, np.split(order, np.flatnonzero(
-            np.diff(k_max[order])) + 1)):
-        K = int(k_max[grp[0]])
+    level = np.frexp(k_max[order] + 1.0)[1]  # K_r + 1 within a factor 2
+    for grp in filter(len, np.split(order, np.flatnonzero(np.diff(level)) + 1)):
+        K = int(k_max[grp[-1]])
         c = log_p0[grp, None]
         prod = None if family is Family.POISSON else _log_products(
             family, K, lm[grp], lambda sel: m_at(grp[sel]), log_fact)
@@ -308,7 +309,8 @@ def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
                     else prod - lf + kw + c)
         block = np.zeros((len(grp), K + 1))
         block[:, :W + 1] = np.exp(np.hstack((c, logs)))
-        rows.update(zip(grp.tolist(), block))
+        rows.update((r, row[:kr + 1]) for r, row, kr
+                    in zip(grp.tolist(), block, k_max[grp].tolist()))
     return [rows[r] for r in range(len(k_max))]
 
 
@@ -343,10 +345,10 @@ def _log_products(family: Family, K: int, lm: np.ndarray,
         out[small[whole]] = lf[mi + j] - lf[mi - 1]
         for r, f in zip(small[~whole].tolist(), fm[~whole, 0].tolist()):
             out[r] = [math.lgamma(f + k) - math.lgamma(f) for k in j + 1]
-    if big.size:
+    if big.size:  # the j = 0 term log1p(0) is 0
         lb = lm[big, None]
-        sums = np.cumsum(np.log1p(j[1:] * np.exp(-lb) * sign), axis=1)
-        out[big] = (j + 1) * lb + np.pad(sums, ((0, 0), (1, 0)))[:, :K]
+        sums = np.cumsum(np.log1p(j * np.exp(-lb) * sign), axis=1)
+        out[big] = (j + 1) * lb + sums
     return out
 
 

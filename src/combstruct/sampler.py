@@ -99,8 +99,7 @@ class _IndexTables:
     def __init__(self, spec: StructureSpec, n: int, params: TiltedParams):
         params.validate(spec)
         self.n = n
-        idx = np.arange(1, n + 1)
-        rows = z_pmf_rows(spec, idx, n // idx, params)
+        rows = z_pmf_rows(spec, range(1, n + 1), n // np.arange(1, n + 1), params)
         self.cdf0 = np.array([row[0] for row in rows])  # P(Z_i = 0), column i-1
         self.cum = {i: np.cumsum(row) for i, row in enumerate(rows, start=1)
                     if row[0] < 1.0}

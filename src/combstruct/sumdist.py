@@ -401,7 +401,7 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
     p = np.zeros(n_max + 1)
     p[0] = 1.0
     for i, pk in zip(B, z_pmf_rows(spec, B, n_max // np.asarray(B), params)):
-        nonzero = np.flatnonzero(pk)
+        nonzero = pk.nonzero()[0]
         pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
         if len(pk) > 1 or pk[0] != 1.0:
             new = pk[0] * p
@@ -419,8 +419,8 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
     sum_{k <= n_max} min(k, band), band the last index with g != 0.  The
     recursion is counted once although the certificate may run it twice;
     the convolution's laws are one z_pmf_rows call (on the complement of 5
-    indices of distinct_partitions at n = 2000: 4.6 ms of its 15 ms, both
-    recursions 1.5 ms)."""
+    indices of distinct_partitions at n = 2000: 4-5 ms of its 22 ms, both
+    recursions 2.7 ms)."""
     ks, lm = _active_indices(spec, B, n_max)
     with np.errstate(over="ignore"):  # m_i beyond double range
         conv = n_max * float(np.sum(np.minimum(np.exp(lm), n_max // ks)))
