@@ -238,7 +238,7 @@ _FAMILY = {Kind.ASSEMBLY: Family.POISSON, Kind.MULTISET: Family.NEG_BINOMIAL,
 
 @dataclass(frozen=True)
 class DiscreteLaw:
-    """One nonnegative-integer law.
+    """One nonnegative-integer law; its pmf_array is one row of _pmf_rows.
 
     Poisson(lam); NegBin(m, p) with p the geometric weight theta x^i (a
     geometric law is m = 1); Binomial(m, p) with p = theta x^i / (1 + theta
