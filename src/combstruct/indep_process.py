@@ -296,7 +296,7 @@ def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
         K = int(k_max[grp[-1]])
         c = log_p0[grp, None]
         prod = None if family is Family.POISSON else _log_products(
-            family, K, lm[grp], lambda sel: m_at(grp[sel]), log_fact)
+            family, K, lm[grp], lambda sel: m_at(grp[sel]))
         W = K if prod is None else prod.shape[1]  # entries past W are 0
         k = np.arange(1, W + 1)
         lf = log_fact(W)[1:W + 1]
@@ -315,8 +315,7 @@ def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
 
 
 def _log_products(family: Family, K: int, lm: np.ndarray,
-                  m_at: Callable[[np.ndarray], list],
-                  log_fact: Callable[[int], np.ndarray]) -> np.ndarray:
+                  m_at: Callable[[np.ndarray], list]) -> np.ndarray:
     """out[r, k-1], k = 1..W: log m(m+1)...(m+k-1) (negative binomial) or
     log m(m-1)...(m-k+1) (binomial) for log m = lm[r]; -inf where m = 0 or
     k > m.  W is K, or the binomial's largest ceil(m) where that is less.
@@ -338,13 +337,10 @@ def _log_products(family: Family, K: int, lm: np.ndarray,
         d = np.where(fm > j, fm - j, 0.0)
         with np.errstate(divide="ignore"):
             out[small] = np.cumsum(np.log(d), axis=1)
-    elif small.size:
-        whole = fm[:, 0] == np.floor(fm[:, 0])
-        mi = fm[whole].astype(np.int64)
-        lf = log_fact(int(fm.max()) + K)
-        out[small[whole]] = lf[mi + j] - lf[mi - 1]
-        for r, f in zip(small[~whole].tolist(), fm[~whole, 0].tolist()):
-            out[r] = [math.lgamma(f + k) - math.lgamma(f) for k in j + 1]
+    else:
+        for r, f in zip(small.tolist(), fm[:, 0].tolist()):
+            l0 = math.lgamma(f)
+            out[r] = [math.lgamma(f + k) - l0 for k in range(1, K + 1)]
     if big.size:  # the j = 0 term log1p(0) is 0
         lb = lm[big, None]
         sums = np.cumsum(np.log1p(j * np.exp(-lb) * sign), axis=1)
@@ -379,7 +375,8 @@ def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
     top = int(idx.max(initial=0))
     lp0 = log_p_zero_array(spec, top, params)[idx]
     if spec.kind is Kind.ASSEMBLY and np.any(lp0 == -np.inf):
-        z_law(spec, int(idx[np.argmin(lp0)]), params)  # raises the guard
+        raise NumericGuardError(f"Poisson mean of Z_{idx[np.argmin(lp0)]} "
+                                "beyond double range; choose a smaller x")
     return _pmf_rows(_FAMILY[spec.kind], np.broadcast_to(k_max, idx.shape),
                      lp0, log_weight_array(spec, top, params)[idx],
                      log_m_array(spec, top)[idx],

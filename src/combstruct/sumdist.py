@@ -519,12 +519,12 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     assemblies] with p_theta(n) from the exact coefficient recurrences
     where structures.exact_route holds, where the recursion reads float
     log m_i and the table exact m_i.  Beyond that it is entry n of the
-    float p_theta table, which reads the same cached full-set triple as
-    the "recursion" route, so there the gap the CLI's prob-t command prints
-    between the two checks only the log-domain inversion, not the
-    recursion or the seed.  On either route a value below the smallest
-    normal double raises the underflow NumericGuardError where structures
-    of weight n exist.
+    float p_theta table, which reads the full-set triple and seed that the
+    "recursion" route keeps (the exact route reads that seed, or runs one
+    log_seed), so there the gap the CLI's prob-t command prints between
+    the two checks only the log-domain inversion, not the recursion or the
+    seed.  On either route a value below the smallest normal double raises
+    the underflow NumericGuardError where structures of weight n exist.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
@@ -532,11 +532,13 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     if method == "recursion":
         out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params).p[n])
     elif method == "closed_form":
-        lseed = _full_set(spec, n, params)[1]
         if exact_route(n, params.theta):
             lp = log_big(ptheta_table(spec, n, params.theta)[n])
-        else:
+        else:  # fills the full-set slot
             lp = float(_float_log_table(spec, n, params.theta, params.x)[n])
+        hit = spec._table_cache.get("full_set")
+        lseed = (hit[2] if hit and hit[0] == (n, params.fx, params.ftheta)
+                 else log_seed(spec, range(1, n + 1), params))
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:
             lout -= math.lgamma(n + 1)

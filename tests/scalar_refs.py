@@ -4,8 +4,6 @@ m log(1 + e^lw) for a selection index, one index per call."""
 
 import math
 
-import numpy as np
-
 from combstruct.errors import ParameterDomainError
 
 _LOG_TINY = math.log(1e-8)
@@ -40,18 +38,13 @@ def m_softplus(lm, lw):
 
 
 # The scalar per-k log pmf that DiscreteLaw.log_pmf computed before pmf(k)
-# became entry k of pmf_array, with its rising and falling logs.  It reads
-# m as the array kernel indep_process._pmf_rows does: exactly in the small-m
-# branches, elsewhere only as log m (1/m is e^-lm).  Its logs, log1p and
-# exps are numpy's, which round on a scalar as on an array: a reference
-# on libm's would differ from the kernel by its rounding, and one ulp of a
-# log near -690 is 1.1e-13 of the pmf entry.
+# became entry k of pmf_array, with its rising and falling logs.
 
 _LOG_RISING_SWITCH = math.log(1e3)
 
 
 def _inv_m(m, lm):
-    return np.exp(-lm)
+    return 1.0 / float(m) if lm < 700 else math.exp(-lm)
 
 
 def log_rising(m, lm, k):
@@ -64,7 +57,7 @@ def log_rising(m, lm, k):
         fm = float(m)
         return math.lgamma(fm + k) - math.lgamma(fm)
     step = _inv_m(m, lm)
-    return float(k * lm + sum(np.log1p(j * step) for j in range(1, k)))
+    return k * lm + sum(math.log1p(j * step) for j in range(1, k))
 
 
 def log_falling(m, lm, k):
@@ -80,10 +73,10 @@ def log_falling(m, lm, k):
             t = fm - j
             if t <= 0:
                 return -math.inf
-            acc += np.log(t)
-        return float(acc)
+            acc += math.log(t)
+        return acc
     step = _inv_m(m, lm)
-    return float(k * lm + sum(np.log1p(-j * step) for j in range(1, k)))
+    return k * lm + sum(math.log1p(-j * step) for j in range(1, k))
 
 
 def log_pmf(law, k):
@@ -95,7 +88,7 @@ def log_pmf(law, k):
     if law.family is Family.POISSON:
         if law.lam == 0.0:
             return 0.0 if k == 0 else -math.inf
-        return float(law.log_p0 + k * np.log(law.lam) - math.lgamma(k + 1))
+        return law.log_p0 + k * math.log(law.lam) - math.lgamma(k + 1)
     lm = log_big(law.m)
     if law.family is Family.NEG_BINOMIAL:
         return (log_rising(law.m, lm, k) - math.lgamma(k + 1)

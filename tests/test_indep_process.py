@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from combstruct import indep_process as ip
 from combstruct import structures as st
 from combstruct.errors import NumericGuardError, ParameterDomainError
+from scalar_refs import log_falling as _ref_log_falling
 from scalar_refs import log_pmf as _ref_log_pmf
 from scalar_refs import log_rising as _ref_log_rising
 from scalar_refs import m_softplus as _ref_m_softplus
@@ -26,9 +27,7 @@ from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
 def _kernel_log_products(family, m, lm, k_max):
     """The kernel's row of log m^(k) (negative binomial) or log m_(k)
     (binomial), k = 1..k_max, for one m: -inf past the columns it computes."""
-    got = ip._log_products(family, k_max, np.array([lm]), lambda _r: [m],
-                           lambda size: np.array([math.lgamma(k + 1)
-                                                  for k in range(size + 1)]))[0]
+    got = ip._log_products(family, k_max, np.array([lm]), lambda _r: [m])[0]
     return np.concatenate((got, np.full(k_max - len(got), -np.inf)))
 
 
@@ -157,13 +156,31 @@ def _kernel_case(draw):
     return kind, ms, x, theta, draw(hs.integers(1, 60))
 
 
+def _summand_size(law, ks):
+    """|log P(Z = 0)| + log k! + |k log lam| (Poisson) or + |log m^(k)| or
+    |log m_(k)| + |k lw|, per k: the scale of log P(Z = k)'s rounding; inf
+    where the product vanishes."""
+    out = abs(law.log_p0) + np.array([math.lgamma(k + 1) for k in ks])
+    if law.family is Family.POISSON:
+        return out + (ks * abs(math.log(law.lam)) if law.lam else 0.0)
+    lm = st.log_big(law.m)
+    ref = (_ref_log_rising if law.family is Family.NEG_BINOMIAL
+           else _ref_log_falling)
+    return out + np.abs([ref(law.m, lm, k) for k in ks]) + ks * abs(law.lw)
+
+
 class TestPmfRowsKernel:
     @settings(max_examples=300, deadline=None)
     @given(_kernel_case())
     def test_rows_match_scalar_log_pmf(self, case):
         # every row of one z_pmf_rows call against the per-k scalar log pmf
         # of the same law, read from the same log m_i (from_m_list takes
-        # log_big of its list) and log P(Z_i = 0)
+        # log_big of its list) and log P(Z_i = 0).  The reference takes its
+        # logs, log1p and exps from libm and 1/m as 1/float(m); the kernel's
+        # may round each to the other neighbour, so an entry agrees to 1e-14
+        # relative or a few ulps of the summands of its log (k log m, log k!,
+        # log P(Z_i = 0), k lw), which cancel: m = 305688/163, k = 10 gives
+        # log P = -2.43 from terms near 75, and the two differ by 1.4e-14
         kind, ms, x, theta, n = case
         spec = st.from_m_list(kind, ms)
         params = TiltedParams(x, theta)
@@ -182,9 +199,13 @@ class TestPmfRowsKernel:
             law = DiscreteLaw(family, lam=-float(lp0[i]), m=ms[i - 1], lw=lw,
                               log_p0=float(lp0[i]))
             assert len(row) == n // i + 1
-            want = np.exp([_ref_log_pmf(law, k) for k in range(n // i + 1)])
+            ks = np.arange(n // i + 1)
+            want = np.exp([_ref_log_pmf(law, k) for k in ks])
+            terms = _summand_size(law, ks)
+            tol = np.maximum(1e-14, 4 * np.finfo(float).eps * terms)
             read = want >= 1e-300
-            assert np.all(np.abs(row - want)[read] <= 1e-14 * want[read]), i
+            assert np.all(np.abs(row - want)[read]
+                          <= tol[read] * want[read]), i
             assert np.all(row[want == 0.0] == 0.0), i
             if kind == "selection":
                 assert not np.any(row[ms[i - 1] + 1:]), i

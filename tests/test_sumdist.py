@@ -682,6 +682,27 @@ class TestOneRecursionPerRequest:
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
+    @pytest.mark.parametrize("builtin", ["set_partitions",
+                                         "distinct_partitions"])
+    def test_closed_form_alone_runs_no_recursion(self, builtin, monkeypatch):
+        # on the exact route the closed form needs only the seed: with the
+        # full-set slot empty it runs one log_seed and no recursion
+        spec = getattr(st, builtin)()
+        calls = self._spy(monkeypatch)
+        seeds = []
+        orig = sd.log_seed
+
+        def spy(spec, B, params):
+            seeds.append(len(sd.index_set(B)))
+            return orig(spec, B, params)
+        monkeypatch.setattr(sd, "log_seed", spy)
+        params = TiltedParams(0.5, 1)
+        p = sd.prob_T_eq_n(spec, 300, params, method="closed_form")
+        assert calls == [] and seeds == [300]
+        assert "full_set" not in spec._table_cache
+        assert p == pytest.approx(sd.prob_T_eq_n(spec, 300, params),
+                                  rel=1e-12)
+
     def test_one_slot_and_read_only(self, monkeypatch):
         spec = st.set_partitions()
         calls = self._spy(monkeypatch)
