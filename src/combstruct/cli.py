@@ -14,6 +14,7 @@ thread.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -219,19 +220,21 @@ def cmd_pofn(args) -> Output:
     else:
         logs = st.log_ptheta_table(spec, n, theta)
         for k in range(n + 1):
-            rows.append([k, _from_log(logs[k])])
+            rows.append([k, _from_log(logs[k], out.prec)])
     out.table(["n", "p_theta"], rows)
     return out
 
 
-def _from_log(l: float):
+def _from_log(l: float, prec: int):
+    """e^l: a float below e^700, else the decimal text of e^l correctly
+    rounded to prec significant digits (it is beyond double range)."""
     if l == -math.inf:
         return 0.0
     if l < 700:
         return math.exp(l)
-    d = l / math.log(10.0)
-    e = math.floor(d)
-    return f"{10 ** (d - e):.12g}e+{int(e)}"
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = prec, decimal.MAX_EMAX
+        return format(decimal.Decimal(l).exp().normalize(), "g")
 
 
 def cmd_moments(args) -> Output:
@@ -360,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="combstruct", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True, n=True, xflags=True):
+    def common(p, spec=True, n=True, x=True, strategy=True):
         if spec:
             p.add_argument("--spec", help="structure spec JSON file")
         if n:
             p.add_argument("--n", type=int, required=True)
-        if xflags:
+        if x:
             p.add_argument("--x", type=_number_flag, default=None,
                            help="free parameter x")
+        if strategy:
             p.add_argument("--choose-x", dest="choose_x", default=None,
                            choices=[s.value for s in XStrategy])
         p.add_argument("--theta", type=_number_flag, default="1")
@@ -386,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prob_t)
 
     p = sub.add_parser("pofn", help="p_theta(k) table for k = 0..n")
-    common(p, xflags=False)
+    common(p, x=False, strategy=False)
     p.set_defaults(func=cmd_pofn)
 
     p = sub.add_parser("moments", help="falling-factorial moment table")
-    common(p, xflags=False)
+    common(p, x=False, strategy=False)
     p.add_argument("--j", type=_index_set_flag, default=None,
                    help="sizes, e.g. '1..10'")
     p.add_argument("--r", type=int, default=1)
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("choose-x", help="solve or look up the free parameter")
-    common(p, xflags=True)
+    common(p, x=False)
     p.set_defaults(func=cmd_choose_x)
 
     p = sub.add_parser("limit", help="limit-law density and local-limit check")

@@ -30,14 +30,20 @@ never chosen, and each weight is the product the table summed, so every
 state reached has a positive row sum.
 
 The rejection route (method="rejection") is the independent check: draw
-the independent process, keep it when T_n = n.  Per-index draws use
-inverse-CDF lookup on the truncated laws of Z_i (support 0..n//i; anything
-beyond forces T > n and is lumped into an immediate-reject marker), so
-huge m_i never touch integer-width limits and all three kinds share one
-code path.  Trials are processed in fixed-size vectorized blocks: a block
-of uniforms is compared against P(Z_i = 0) in one shot and only the rare
-exceedances take the scalar path.  Its acceptance_exact is
-sumdist.prob_T_eq_n, computed independently of the table.
+the independent process, keep it when T_n = n.  Per-index draws are
+inverse-CDF lookups on the truncated laws of Z_i (support 0..n//i): one
+np.searchsorted per index over a fixed block of _BLOCK trials, where a
+draw beyond the support adds n + 1 to T, so huge m_i never touch
+integer-width limits and all three kinds share one code path.  A block
+keeps the uniforms of its accepted trials only, and their vectors are
+rebuilt by one more searchsorted per index on those rows.  Its
+acceptance_exact is sumdist.prob_T_eq_n, computed independently of the
+table.
+
+draw_T, the unconditioned T_n behind the empirical cdf of T_n / n, needs
+no rejection: it is an inverse CDF on the pmf of T_n on 0..n, the
+full-set slot of sumdist.weighted_sum_pmf, one uniform per draw and
+O(count + n) memory.
 
 Streams are the unit of reproducibility: stream k of seed s is
 Generator(Philox(SeedSequence(s, spawn_key=(k,)))), the counter-based
@@ -94,42 +100,30 @@ class SampleBatch:
 
 
 class _IndexTables:
-    """Truncated per-index inverse-CDF tables for Z_1..Z_n."""
+    """Truncated per-index inverse-CDF tables for Z_1..Z_n: cum[i] is the
+    cumulative pmf of Z_i on 0..n // i, kept where P(Z_i = 0) < 1."""
 
     def __init__(self, spec: StructureSpec, n: int, params: TiltedParams):
         params.validate(spec)
         self.n = n
         rows = z_pmf_rows(spec, range(1, n + 1), n // np.arange(1, n + 1), params)
-        self.cdf0 = np.array([row[0] for row in rows])  # P(Z_i = 0), column i-1
         self.cum = {i: np.cumsum(row) for i, row in enumerate(rows, start=1)
                     if row[0] < 1.0}
 
     def draw_block(self, rng: np.random.Generator, block: int):
-        """Returns (T, rows, cols, zs) for `block` trials.
+        """Returns (T, u) for `block` trials: T of every trial and the
+        uniforms of the accepted ones (T = n), one row per trial.
 
-        Censored trials (some Z_i beyond its truncated support, so T > n for
-        sure) get T = n + 1; (rows, cols, zs) list the nonzero draws.
+        Z_i is the number of cum[i] entries at or below the trial's uniform
+        at index i; a draw past n // i (the mass beyond the truncated
+        support) adds n + 1, so that trial has T > n for sure.
         """
         u = rng.random((block, self.n))
         t = np.zeros(block, dtype=np.int64)
-        rows, cols = np.nonzero(u >= self.cdf0[None, :])
-        zs = np.zeros(len(rows), dtype=np.int64)
-        censored = np.zeros(block, dtype=bool)
-        for col in np.unique(cols):
-            i = int(col) + 1
-            sel = cols == col
-            cum = self.cum.get(i)
-            if cum is None:  # mass above 0 below double resolution
-                continue
-            z = np.searchsorted(cum, u[rows[sel], col], side="right")
-            over = z > self.n // i
-            if over.any():
-                censored[rows[sel][over]] = True
-                z = np.where(over, 0, z)
-            zs[sel] = z
-            np.add.at(t, rows[sel], i * z)
-        t[censored | (t > self.n)] = self.n + 1
-        return t, rows, cols, zs
+        for i, cum in self.cum.items():
+            z = np.searchsorted(cum, u[:, i - 1], side="right")
+            t += np.where(z < len(cum), i * z, self.n + 1)
+        return t, u[t == self.n]
 
 
 def _tables(spec: StructureSpec, n: int, params: TiltedParams) -> _IndexTables:
@@ -261,43 +255,30 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
 
 
 def _sample_stream(tabs: _IndexTables, n: int, want: int, rng_state: RngState):
+    """want accepted draws of one stream and the trials they took: every
+    trial of a block, or up to the want-th acceptance in the last one."""
     rng = rng_state.generator()
     out: list[ComponentVector] = []
     trials = 0
     while len(out) < want:
-        t, rows, cols, zs = tabs.draw_block(rng, _BLOCK)
-        hits = np.nonzero(t == n)[0]
-        consumed = _BLOCK
-        keep = np.isin(rows, hits)
-        per_row: dict[int, list[tuple[int, int]]] = {}
-        for r, c, z in zip(rows[keep].tolist(), cols[keep].tolist(),
-                           zs[keep].tolist()):
-            if z:
-                per_row.setdefault(r, []).append((c + 1, z))
-        for row in hits.tolist():
-            a = [0] * n
-            for i, z in per_row.get(row, ()):
-                a[i - 1] = z
-            out.append(ComponentVector(n=n, a=tuple(a)))
-            if len(out) == want:
-                consumed = row + 1
-                break
-        trials += consumed
-    return out[:want], trials
+        t, u = tabs.draw_block(rng, _BLOCK)
+        take = min(len(u), want - len(out))
+        trials += (int(np.flatnonzero(t == n)[take - 1]) + 1
+                   if take == want - len(out) else _BLOCK)
+        a = np.zeros((take, n), dtype=np.int64)
+        for i, cum in tabs.cum.items():
+            a[:, i - 1] = np.searchsorted(cum, u[:take, i - 1], side="right")
+        out.extend(ComponentVector(n=n, a=tuple(row)) for row in a.tolist())
+    return out, trials
 
 
 def draw_T(spec: StructureSpec, n: int, params: TiltedParams, count: int,
            rng: RngState) -> np.ndarray:
-    """Unconditioned draws of T_n (values above n reported as n + 1)."""
-    tabs = _tables(spec, n, params)
-    gen = rng.generator()
-    outs = []
-    left = count
-    while left > 0:
-        t, _, _, _ = tabs.draw_block(gen, _BLOCK)
-        outs.append(t[: min(left, _BLOCK)])
-        left -= _BLOCK
-    return np.concatenate(outs)[:count]
+    """Unconditioned draws of T_n (values above n reported as n + 1): one
+    uniform per draw, inverse CDF on the pmf of T_n on 0..n that the
+    full-set slot holds (sumdist.prob_T_eq_n reads and fills it)."""
+    cdf = np.cumsum(sumdist.weighted_sum_pmf(spec, range(1, n + 1), n, params).p)
+    return np.searchsorted(cdf, rng.generator().random(count), side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import warnings
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -105,6 +106,24 @@ class TestCommands:
             for k in (*range(1, 20), 97, 287, 1000, 2000, 2614, 2776, 16000):
                 want = float(mpmath.log(mpmath.bell(k)))
                 assert abs(logs[k] - want) <= 1e-14 * max(1.0, abs(want)), k
+
+    @pytest.mark.parametrize("prec", [12, 17])
+    def test_pofn_rows_beyond_double_range_are_rounded(self, spec_files,
+                                                       capsys, prec):
+        # n = 600 takes the float route; a row above e^700 prints e^l of
+        # its log-table entry l, correctly rounded to --precision digits
+        code, out, _ = run_cli(["pofn", "--spec", spec_files["setpartitions"],
+                                "--n", "600", "--precision", str(prec)], capsys)
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[4:]]
+        logs = st.log_ptheta_table(st.set_partitions(), 600, 1)
+        big = [k for k in range(601) if logs[k] >= 700]
+        assert len(rows) == 601 and len(big) > 300
+        with mpmath.workdps(prec + 20):
+            for k in big:
+                want = mpmath.nstr(mpmath.exp(mpmath.mpf(float(logs[k]))), prec)
+                assert rows[k][0] == str(k)
+                assert Decimal(rows[k][1]) == Decimal(want), k
 
     def test_prob_t_gap(self, spec_files, capsys):
         code, out, _ = run_cli(["prob-t", "--spec", spec_files["permutations"],
@@ -230,6 +249,13 @@ class TestExitCodes:
     def test_flag_error_is_2(self, spec_files, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["tv", "--spec", spec_files["permutations"], "--B", "1"])
+        assert exc.value.code == 2
+
+    def test_choose_x_refuses_x(self, spec_files, capsys):
+        # choose-x solves for x, so a given --x is a flag error
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["choose-x", "--spec", spec_files["permutations"],
+                     "--n", "100", "--x", "0.3"])
         assert exc.value.code == 2
 
     def test_parameter_domain_is_3(self, spec_files, capsys):

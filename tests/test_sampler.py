@@ -1,8 +1,10 @@
 """Exactness, determinism, and statistics of the table and rejection samplers."""
 
+import hashlib
 import math
 import statistics as pystats
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +215,32 @@ class TestStreamsAndThreads:
         assert got.trials == sum(b.trials for b in singles)
 
 
+class TestRejectionPinned:
+    # trials and a sha256 of the sample tuples of the rejection route, pinned
+    # so that a rewrite of its block loop keeps every draw and trial count
+    @pytest.mark.parametrize("spec,n,params,count,streams,seed,trials,digest", [
+        (PERM, 6, TiltedParams(1, 1), 300, 1, 1, 3386,
+         "20a9f153ed44064fa43027f0b5ddfbccd2620c8d171ca54eabe479161731161f"),
+        (st.distinct_partitions(), 8, TiltedParams(0.5, 1), 301, 3, 2, 33050,
+         "3263374625e3748064f3d99452ee3c1a8a8661200f68c564beee7257d9183e09"),
+        (st.from_m_list("selection", [2, 0, 3, 1, 0, 2]), 6,
+         TiltedParams(0.8, 1), 300, 1, 3, 5371,
+         "738d3f5c45b0c6d4afeac746384b08b0d326e0d959004e5c3c5cddf12f09040e"),
+        (st.polynomials(2), 30, TiltedParams(0.45, 1), 200, 1, 4, 45957,
+         "6e23e9deefa7ceb8a294abe316c40d9b16574d879d0e22f15ffb16e2d388b93b"),
+        (st.esf(2), 40, TiltedParams(1, 1), 202, 4, 5, 26887,
+         "d845ec0edf94af9dc01b93c6b1ced4b83214ca936a4841360ab48e723fb50ed3"),
+    ], ids=["permutations", "distinct_partitions", "selection", "polynomials2",
+            "esf2"])
+    def test_samples_and_trials(self, spec, n, params, count, streams, seed,
+                                trials, digest):
+        batch = sample_components(spec, n, params, count, RngState(seed),
+                                  streams=streams, method="rejection")
+        assert batch.trials == trials and batch.accepted == count
+        tuples = repr([v.a for v in batch.samples]).encode()
+        assert hashlib.sha256(tuples).hexdigest() == digest
+
+
 class TestDrawT:
     def test_matches_weighted_sum_distribution(self):
         n = 12
@@ -224,6 +252,21 @@ class TestDrawT:
             got = float(np.mean(ts <= k))
             se = math.sqrt(want * (1 - want) / len(ts))
             assert abs(got - want) <= 4 * se + 1e-12
+
+
+def test_draw_T_memory_is_O_count_plus_n():
+    # with the full-set slot filled, a few draws of T_n cost O(count + n)
+    # bytes, not a block of n uniforms per draw (131 MB at n = 4000)
+    spec, n, params = st.permutations(), 4000, TiltedParams(1, 1)
+    sd.prob_T_eq_n(spec, n, params)
+    tracemalloc.start()
+    try:
+        ts = draw_T(spec, n, params, 10, RngState(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 10 and np.all((ts >= 0) & (ts <= n + 1))
+    assert peak < 8 * 2**20
 
 
 class TestRefined:
