@@ -244,8 +244,10 @@ def cmd_moments(args) -> Output:
     js = parse_index_set(args.j) if args.j else tuple(range(1, n + 1))
     out = Output(args, spec)
     out.add_header("params", f"n={n} theta={theta} r={args.r}")
+    params = None if st.exact_route(n, theta) else TiltedParams(
+        choose_x(spec, n, theta, "exact_mean"), theta)  # x once, not once per j
     rows = [[j, args.r, mom.factorial_moment_single(spec, n, j, args.r,
-                                                    theta=theta)]
+                                                    params, theta)]
             for j in js]
     out.table(["j", "r", "moment"], rows)
     return out
@@ -444,6 +446,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1:
+            raise ParameterDomainError("n must be >= 1")
         out = args.func(args)
         sys.stdout.write(out.render())
         return out.exit_code

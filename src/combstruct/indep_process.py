@@ -14,10 +14,11 @@ and convolve back to Z_i.
 One kernel, z_pmf_rows, gives the rows [P(Z_i = k)]_{k <= K_i} of an array
 of indices in one call, from the request's log m_i (the family's float
 log_m_fn), log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled
-once per request.  It builds the exact m_i only for a small falling
-(m_i < e^34, cut at k <= m_i) or rising (m_i < 1e3) product.  A
-DiscreteLaw's pmf_array is its one-row call.  log P(Z_i = 0) has one
-implementation, log_p_zero, which sumdist.log_seed sums over a set.
+once per request into one slot on the spec (StructureSpec.table).  It
+builds the exact m_i only for a small falling (m_i < e^34, cut at
+k <= m_i) or rising (m_i < 1e3) product.  A DiscreteLaw's pmf_array is its
+one-row call.  log P(Z_i = 0) has one implementation, log_p_zero, which
+sumdist.log_seed sums over a set.
 
 Also here: means and variances, moments of the weighted sum T_n = sum i
 Z_i, and solvers / closed-form prescriptions for choosing x so that E T_n
@@ -86,17 +87,13 @@ class TiltedParams:
 def log_m_array(spec: StructureSpec, n: int) -> np.ndarray:
     """array L with L[i] = log m_i for i = 0..n (L[0] = -inf; -inf where m_i = 0).
 
-    Filled by spec.log_m_fn, or from the exact m_i for specs without one;
-    a refill at least doubles the cached length, so callers that walk i
-    upwards (z_law per index) pay for O(log n) fills.
+    Filled by spec.log_m_fn, or from the exact m_i for specs without one,
+    to exactly n in the spec's "log_m" slot (StructureSpec.table).
     """
-    arr = spec._table_cache.get("log_m")
-    if arr is None or len(arr) <= n:
-        size = n if arr is None else max(n, 2 * (len(arr) - 1))
-        arr = spec._table_cache["log_m"] = (
-            spec.log_m_fn(size) if spec.log_m_fn is not None else np.array(
-                [-np.inf] + [log_big(spec.m(i)) for i in range(1, size + 1)]))
-    return arr[: n + 1]
+    return spec.table("log_m", lambda: (
+        spec.log_m_fn(n) if spec.log_m_fn is not None else np.array(
+            [-np.inf] + [log_big(spec.m(i)) for i in range(1, n + 1)])),
+        n=n)[: n + 1]
 
 
 def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
@@ -107,20 +104,10 @@ def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.nd
 
 def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
     """[log 0!, ..., log n!] by math.lgamma (scipy's gammaln differs from it
-    by up to 4 ulps, i.e. 4e-12 relative in g(i) at i = 1000).
-
-    Kept in spec._table_cache, which lives for one request; a refill at
-    least doubles the cached length and computes only the new entries.
-    """
-    arr = spec._table_cache.get("log_factorial")
-    if arr is None or len(arr) <= n:
-        old = 0 if arr is None else len(arr)
-        size = n if arr is None else max(n, 2 * (old - 1))
-        new = np.fromiter(map(math.lgamma, range(old + 1, size + 2)), float,
-                          size + 1 - old)
-        arr = new if arr is None else np.concatenate((arr, new))
-        spec._table_cache["log_factorial"] = arr
-    return arr[: n + 1]
+    by up to 4 ulps, i.e. 4e-12 relative in g(i) at i = 1000), filled to
+    exactly n in the spec's "log_factorial" slot."""
+    return spec.table("log_factorial", lambda: np.fromiter(
+        map(math.lgamma, range(1, n + 2)), float, n + 1), n=n)[: n + 1]
 
 
 def log_p_zero(kind: Kind, lm, lw, log_fact=0.0) -> np.ndarray:
@@ -164,25 +151,17 @@ def log_p_zero(kind: Kind, lm, lw, log_fact=0.0) -> np.ndarray:
 
 def log_p_zero_array(spec: StructureSpec, n: int,
                      params: TiltedParams) -> np.ndarray:
-    """[log P(Z_i = 0)]_{i<=n} under params (index 0 is 0), by log_p_zero.
-
-    Kept in one slot of spec._table_cache keyed by (x, theta); a refill at
-    least doubles the cached length, so callers that walk i upwards (z_law
-    per index) pay for O(log n) fills.
+    """[log P(Z_i = 0)]_{i<=n} under params (index 0 is 0), by log_p_zero,
+    filled to exactly n in the spec's "log_p_zero" slot keyed by (x, theta).
     """
-    key = (params.fx, params.ftheta)
-    hit = spec._table_cache.get("log_p_zero")
-    if hit is None or hit[0] != key or len(hit[1]) <= n:
-        refill = hit is not None and hit[0] == key
-        size = max(n, 2 * (len(hit[1]) - 1)) if refill else n
-        lw = log_weight_array(spec, size, params)[1:]
-        lf = (log_factorial_array(spec, size)[1:]
+    def build():
+        lw = log_weight_array(spec, n, params)[1:]
+        lf = (log_factorial_array(spec, n)[1:]
               if spec.kind is Kind.ASSEMBLY else 0.0)
-        arr = np.zeros(size + 1)
-        arr[1:] = log_p_zero(spec.kind, log_m_array(spec, size)[1:], lw, lf)
-        hit = (key, arr)
-        spec._table_cache["log_p_zero"] = hit
-    return hit[1][: n + 1]
+        return np.append(0.0, log_p_zero(spec.kind, log_m_array(spec, n)[1:],
+                                         lw, lf))
+    return spec.table("log_p_zero", build, key=(params.fx, params.ftheta),
+                      n=n)[: n + 1]
 
 
 def mean_var_arrays(spec: StructureSpec, n: int,

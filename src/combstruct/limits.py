@@ -134,6 +134,8 @@ def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
     """
     if spec.meta is None:
         raise ParameterDomainError("limit checks need (kappa, y) metadata")
+    if ecdf_samples < 0:
+        raise ParameterDomainError("ecdf_samples must be >= 0")
     from . import sumdist
     from . import sampler as smp
     kappa_eff = float(spec.meta.kappa) * params.ftheta

@@ -17,8 +17,8 @@ of one (count_k, n) matrix from its own generator; all streams go through
 one top-down pass, in blocks of at most _BLOCK samples, and the block size
 bounds memory without changing a sample.  The rows of Q are the
 prefix pmfs of the strided update behind the selection convolution
-(sumdist.prefix_pmfs), built once per (n, x, theta) and cached on the spec;
-the table takes 8 (n+1)(n+2) bytes: 8 MB at n = 1000, 128 MB at n = 4000.
+(sumdist.prefix_pmfs), kept in one spec slot for the last (n, x, theta)
+sampled; it takes 8 (n+1)(n+2) bytes: 8 MB at n = 1000, 128 MB at n = 4000.
 acceptance_exact is read off the table as Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
@@ -126,15 +126,6 @@ class _IndexTables:
         return t, u[t == self.n]
 
 
-def _tables(spec: StructureSpec, n: int, params: TiltedParams) -> _IndexTables:
-    key = ("sampler_tables", n, params.fx, params.ftheta)
-    tabs = spec._table_cache.get(key)
-    if tabs is None:
-        tabs = _IndexTables(spec, n, params)
-        spec._table_cache[key] = tabs
-    return tabs
-
-
 @dataclass
 class _PrefixTable:
     """q[i, r] = P(T_i = r) for i, r = 0..n, with q[i, n+1] = 0 so that a
@@ -148,9 +139,7 @@ class _PrefixTable:
 
 def _prefix_table(spec: StructureSpec, n: int,
                   params: TiltedParams) -> _PrefixTable:
-    key = ("prefix_pmfs", n, params.fx, params.ftheta)
-    tab = spec._table_cache.get(key)
-    if tab is None:
+    def build():
         q = np.zeros((n + 1, n + 2))
         q[0, 0] = 1.0
         pk = [None]
@@ -158,9 +147,8 @@ def _prefix_table(spec: StructureSpec, n: int,
                                               n, params):
             q[i, : n + 1] = p
             pk.append(pk_i)
-        tab = _PrefixTable(q=q, pk=pk)
-        spec._table_cache[key] = tab
-    return tab
+        return _PrefixTable(q=q, pk=pk)
+    return spec.table("prefix_pmfs", build, key=(n, params.fx, params.ftheta))
 
 
 def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
@@ -242,7 +230,8 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
                    for row in _draw_top_down(tab, u).tolist()]
         return SampleBatch(samples=samples, trials=count, accepted=count,
                            acceptance_exact=p_exact)
-    tabs = _tables(spec, n, params)
+    tabs = spec.table("sampler_tables", lambda: _IndexTables(spec, n, params),
+                      key=(n, params.fx, params.ftheta))
     results = [_sample_stream(tabs, n, want, rng.with_stream(rng.stream + k))
                for k, want in enumerate(per)]
     samples: list[ComponentVector] = []

@@ -179,6 +179,24 @@ class StructureSpec:
     params: dict = field(default_factory=dict)
     _m_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
+    _table_keys: dict = field(default_factory=dict, repr=False)
+
+    def table(self, name, build: Callable[[], object], key=None,
+              n: Optional[int] = None):
+        """The per-spec table in slot `name`.  A slot keeps one table, read
+        while it was built for `key` and, with n given, while it holds
+        entries 0..n; otherwise the stale table is dropped before build()
+        runs, so a rebuild never holds two tables, and build()'s value is
+        kept under `key`.  Only sumdist.prob_T_eq_n also reads a slot."""
+        cache = self._table_cache
+        if (name in cache and self._table_keys.get(name) == key
+                and (n is None or len(cache[name]) > n)):
+            return cache[name]
+        cache.pop(name, None)
+        self._table_keys.pop(name, None)
+        value = cache[name] = build()
+        self._table_keys[name] = key
+        return value
 
     def m(self, i: int) -> BigCount:
         if i < 1:
@@ -576,16 +594,17 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     Each entry is divided by its s_k once, at the end, and a value with
     denominator 1 is returned as an int.
 
-    theta must be an int or Fraction for exactness.
+    theta must be an int or Fraction for exactness.  The table is kept in
+    the spec's slot ("ptheta", theta) and read up to n.
     """
     if not isinstance(theta, (int, Fraction)):
         raise ParameterDomainError("exact p_theta table needs rational theta")
     theta = as_integral(Fraction(theta))
-    key = ("ptheta", theta)
-    cached = spec._table_cache.get(key)
-    if cached is not None and len(cached) > n:
-        return cached[: n + 1]
+    return spec.table(("ptheta", theta), lambda: _ptheta_build(spec, n, theta),
+                      n=n)[: n + 1]
 
+
+def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount]:
     a, b = theta.numerator, theta.denominator
     ms = [Fraction(0)] + [Fraction(spec.m(j)) for j in range(1, n + 1)]
     P = [1]
@@ -627,7 +646,6 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     for k, v in enumerate(P):
         p.append(as_integral(Fraction(v, s)))
         s *= D * (k + 1) if fact else D
-    spec._table_cache[key] = p
     return p
 
 
@@ -698,7 +716,12 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
         exact = exact_route(n, theta)
     if exact:
         return ptheta_table(spec, n, theta)[n]
-    return math.exp(_float_log_table(spec, n, theta, x)[n])
+    try:
+        return math.exp(_float_log_table(spec, n, theta, x)[n])
+    except OverflowError:
+        raise NumericGuardError(
+            f"p_theta({n}) is beyond double range; log_ptheta_table gives "
+            "its log") from None
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +732,8 @@ def uniform_pmf(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
                 theta: Numeric = 1, n: Optional[int] = None) -> Union[Fraction, float]:
     """P_theta(C(n) = a) = theta^{sum a} N(n, a) / p_theta(n); 0 if incomplete.
 
-    Exact Fraction for rational theta (and rational m_i), float otherwise.
+    Exact Fraction for rational theta (and rational m_i), float otherwise,
+    as exp(log N + k log theta - log p_theta(n)): N may pass 1e308.
     """
     if isinstance(v, ComponentVector):
         a, n = v.a, v.n
@@ -722,4 +746,5 @@ def uniform_pmf(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
     k = sum(a)
     if isinstance(theta, (int, Fraction)):
         return Fraction(theta) ** k * nn / ptheta_table(spec, n, theta)[n]
-    return float(theta) ** k * float(nn) / p_total(spec, n, theta, exact=False)
+    return math.exp(log_big(nn) - _float_log_table(spec, n, theta, None)[n]
+                    + k * math.log(theta))

@@ -460,22 +460,19 @@ def _weighted_sum(spec: StructureSpec, B: IndexSet, n_max: int,
 
 
 def _full_set(spec: StructureSpec, n: int, params: TiltedParams) -> tuple:
-    """(triple, log_seed(1..n)) of B = 1..n, kept read-only in the one slot
-    spec._table_cache["full_set"] keyed by (n, x, theta), so prob-t's two
-    columns, pofn and the moments read one route and one seed and memory
-    stays O(n).  Only a selection's convolution computes the seed apart."""
-    key = (n, params.fx, params.ftheta)
-    hit = spec._table_cache.get("full_set")
-    if hit is None or hit[0] != key:
+    """(triple, log_seed(1..n)) of B = 1..n, kept read-only in the spec's
+    "full_set" slot keyed by (n, x, theta), so prob-t's two columns, pofn
+    and the moments read one route and one seed.  Only a selection's
+    convolution computes the seed apart."""
+    def build():
         full = index_set(range(1, n + 1))
         triple, by_recursion = _auto_pmf(spec, full, n, params)
-        seed = triple[2] if by_recursion else log_seed(spec, full, params)
         for arr in triple[:2]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        hit = (key, triple, seed)
-        spec._table_cache["full_set"] = hit
-    return hit[1], hit[2]
+        return triple, (triple[2] if by_recursion
+                        else log_seed(spec, full, params))
+    return spec.table("full_set", build, key=(n, params.fx, params.ftheta))
 
 
 def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
@@ -536,8 +533,9 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
             lp = log_big(ptheta_table(spec, n, params.theta)[n])
         else:  # fills the full-set slot
             lp = float(_float_log_table(spec, n, params.theta, params.x)[n])
-        hit = spec._table_cache.get("full_set")
-        lseed = (hit[2] if hit and hit[0] == (n, params.fx, params.ftheta)
+        lseed = (spec._table_cache["full_set"][1]
+                 if spec._table_keys.get("full_set")
+                 == (n, params.fx, params.ftheta)
                  else log_seed(spec, range(1, n + 1), params))
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from combstruct import cli
+from combstruct import moments as mom
 from combstruct import structures as st
 from combstruct import oracle as orc
 from combstruct.indep_process import TiltedParams, z_law
@@ -147,6 +148,27 @@ class TestCommands:
         rows = [l.split("\t") for l in out.splitlines()[-3:]]
         assert [float(r[2]) for r in rows] == pytest.approx([1, 0.5, 1 / 3])
 
+    def test_moments_solves_x_once(self, spec_files, capsys, monkeypatch):
+        # above the exact cutoff every j reads the float p_theta table at the
+        # one exact-mean x
+        from combstruct import indep_process as ip
+        n, calls, orig = 600, [], ip.choose_x
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(ip, "choose_x", spy)
+        monkeypatch.setattr(cli, "choose_x", spy)
+        code, out, _ = run_cli(["moments", "--spec", spec_files["intpart"],
+                                "--n", str(n), "--precision", "17"], capsys)
+        assert code == 0 and calls == [n]
+        monkeypatch.undo()
+        rows = [l.split("\t") for l in out.splitlines()[-n:]]
+        spec = st.integer_partitions()
+        assert [float(r[2]) for r in rows] == [
+            mom.factorial_moment_single(spec, n, j, 1, theta=1)
+            for j in range(1, n + 1)]
+
     def test_esf_command(self, capsys):
         code, out, _ = run_cli(["esf", "--n", "3", "--kappa", "1",
                                 "--a", "0,0,1"], capsys)
@@ -257,6 +279,23 @@ class TestExitCodes:
             cli.run(["choose-x", "--spec", spec_files["permutations"],
                      "--n", "100", "--x", "0.3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tv", "--B", "1"], ["prob-t"], ["pofn"], ["moments", "--j", "1"],
+        ["sample", "--samples", "1"], ["choose-x"], ["limit"],
+        ["heuristic", "--B", "1"], ["esf", "--kappa", "2"],
+    ], ids=lambda a: a[0])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_n_below_1_is_3(self, spec_files, capsys, argv, n):
+        spec = [] if argv[0] == "esf" else ["--spec", spec_files["permutations"]]
+        code, out, err = run_cli([argv[0], *spec, "--n", n, *argv[1:]], capsys)
+        assert (code, out) == (3, "") and "n must be >= 1" in err
+
+    def test_negative_ecdf_is_3(self, spec_files, capsys):
+        code, out, err = run_cli(["limit", "--spec", spec_files["permutations"],
+                                  "--n", "20", "--x", "1", "--ecdf", "-3"],
+                                 capsys)
+        assert (code, out) == (3, "") and "ecdf" in err
 
     def test_parameter_domain_is_3(self, spec_files, capsys):
         code, _, err = run_cli(["tv", "--spec", spec_files["intpart"],

@@ -285,16 +285,17 @@ class TestLogPZeroKernel:
                 lm = log_m_array(spec, i)[i]
                 assert float(log_p_zero(spec.kind, lm, law.lw)) == law.log_p0
 
-    def test_one_slot_refilled_by_doubling(self):
+    def test_one_slot_keyed_by_x_theta(self):
         spec = st.polynomials(2)
         p1, p2 = TiltedParams(0.3, 1), TiltedParams(0.4, 1)
         for i in range(1, 40):
             z_law(spec, i, p1)
-        key, arr = spec._table_cache["log_p_zero"]
-        assert key == (0.3, 1.0) and len(arr) == 65  # fills of 1, 2, ..., 64
+        assert spec._table_keys["log_p_zero"] == (0.3, 1.0)
+        assert len(spec._table_cache["log_p_zero"]) == 40  # filled to n = 39
         z_law(spec, 5, p2)
-        key, arr = spec._table_cache["log_p_zero"]
-        assert key == (0.4, 1.0) and len(arr) == 6
+        assert spec._table_keys["log_p_zero"] == (0.4, 1.0)
+        assert len(spec._table_cache["log_p_zero"]) == 6
+        assert [k for k in spec._table_cache if "zero" in str(k)] == ["log_p_zero"]
 
 
 class TestBigMLaws:
@@ -618,11 +619,17 @@ class TestFloatLogMRoutes:
                 -math.inf]
         assert got.tolist() == want
 
-    def test_refill_at_least_doubles(self):
+    def test_refill_to_exactly_the_read(self):
         spec = st.permutations()
         for i in range(1, 40):
             z_law(spec, i, TiltedParams(1, 1))
-        assert len(spec._table_cache["log_m"]) == 65  # fills of 1, 2, 4, ..., 64
+        arr = spec._table_cache["log_m"]
+        assert len(arr) == 40
+        for m in (0, 1, 20, 39):  # a read up to m <= n builds nothing
+            assert len(log_m_array(spec, m)) == m + 1
+            assert spec._table_cache["log_m"] is arr
+        log_m_array(spec, 41)  # a read past n rebuilds to exactly its length
+        assert len(spec._table_cache["log_m"]) == 42
 
 
 class TestSumMomentsOverflow:

@@ -5,6 +5,7 @@ import math
 import statistics as pystats
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -188,6 +189,37 @@ class TestTableRoute:
         with pytest.raises(ParameterDomainError):
             sample_components(PERM, 5, TiltedParams(1, 1), 1, RngState(0),
                               method="boltzmann")
+
+
+class TestOneTablePerSlot:
+    def test_five_x_values_keep_one_table_per_slot(self):
+        spec, n = st.permutations(), 40
+        first = None
+        for x in (0.999, 0.9995, 1.0, 1.0005, 1.001):
+            for method in ("table", "rejection"):
+                sample_components(spec, n, TiltedParams(x, 1), 2, RngState(0),
+                                  method=method)
+            if first is None:
+                first = weakref.ref(spec._table_cache["prefix_pmfs"].q)
+        slots = [str(k) for k in spec._table_cache]
+        assert sum("prefix_pmfs" in k for k in slots) == 1
+        assert sum("sampler_tables" in k for k in slots) == 1
+        assert spec._table_keys["prefix_pmfs"] == (n, 1.001, 1.0)
+        assert first() is None
+
+    def test_rebuild_runs_with_the_stale_table_gone(self, monkeypatch):
+        spec, n = st.permutations(), 40
+        sample_components(spec, n, TiltedParams(0.999, 1), 0, RngState(0))
+        first = weakref.ref(spec._table_cache["prefix_pmfs"].q)
+        alive = []
+        orig = sd.prefix_pmfs
+
+        def spy(*args):
+            alive.append(first() is not None)
+            return orig(*args)
+        monkeypatch.setattr(sd, "prefix_pmfs", spy)
+        sample_components(spec, n, TiltedParams(1.001, 1), 0, RngState(0))
+        assert alive == [False]
 
 
 class TestStreamsAndThreads:

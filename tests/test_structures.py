@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from combstruct import structures as st
-from combstruct.errors import ParameterDomainError
+from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct import oracle as orc
 
 
@@ -403,12 +403,47 @@ class TestScaledIntegerTables:
         assert len(cached) == 61
 
 
+class TestTableSlots:
+    def test_build_runs_with_the_stale_slot_gone(self):
+        spec = st.permutations()
+        spec.table("t", lambda: [0] * 5, key="a")
+        seen = []
+
+        def build():
+            seen.append(("t" in spec._table_cache, "t" in spec._table_keys))
+            return [1] * 3
+        assert spec.table("t", build, key="b") == [1] * 3
+        assert seen == [(False, False)] and spec._table_keys["t"] == "b"
+        assert spec.table("t", build, key="b", n=2) == [1] * 3  # a hit
+        assert len(seen) == 1
+        spec.table("t", build, key="b", n=3)  # too short: rebuilt
+        assert len(seen) == 2 and list(spec._table_cache) == ["t"]
+
+    def test_failed_build_leaves_the_slot_empty(self):
+        spec = st.permutations()
+        spec.table("t", lambda: [0], key="a")
+
+        def build():
+            raise ParameterDomainError("no table")
+        with pytest.raises(ParameterDomainError):
+            spec.table("t", build, key="b")
+        assert spec._table_cache == {} and spec._table_keys == {}
+
+
 class TestUniformPmf:
     def test_permutation_examples(self):
         perm = st.permutations()
         assert st.uniform_pmf(perm, (0, 0, 1)) == Fraction(1, 3)
         assert st.uniform_pmf(perm, (1, 0, 0), n=3) == 0
         assert st.uniform_pmf(perm, (2, 0), theta=2, n=2) == Fraction(2, 3)
+
+    def test_float_theta_beyond_double_range(self):
+        # N = 199! and p_theta(200) = (1/2)_(200) are both past 1e308
+        perm, v = st.permutations(), [0] * 199 + [1]
+        want = float(st.uniform_pmf(perm, v, theta=Fraction(1, 2)))
+        assert st.uniform_pmf(perm, v, theta=0.5) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(NumericGuardError, match="log_ptheta_table"):
+            st.p_total(perm, 200, 0.5)
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2])
     def test_total_mass_exactly_one(self, theta):

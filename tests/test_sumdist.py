@@ -714,8 +714,8 @@ class TestOneRecursionPerRequest:
         assert calls == [700, 800]
         slots = [k for k in spec._table_cache if str(k).startswith("full_set")]
         assert slots == ["full_set"]
-        key, (q, shift, lseed), seed = spec._table_cache["full_set"]
-        assert key == (800, 3.0, 1.0)
+        (q, shift, lseed), seed = spec._table_cache["full_set"]
+        assert spec._table_keys["full_set"] == (800, 3.0, 1.0)
         assert lseed == seed == sd.log_seed(spec, range(1, 801), p2)
         for arr in (q, shift):
             assert not arr.flags.writeable
