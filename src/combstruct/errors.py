@@ -26,3 +26,10 @@ class NumericGuardError(CombstructError):
     selection recursion cancels past its certificate, quadrature failed to
     reach its tolerance.
     """
+
+
+def underflow_error(n: int, k="n") -> NumericGuardError:
+    """The guard every route raises where P(T_n = k) underflowed to 0 at
+    weight n although structures of that weight exist."""
+    return NumericGuardError(f"P(T_n = {k}) underflowed to 0 at n = {n}; "
+                             "choose an x nearer the exact-mean x")

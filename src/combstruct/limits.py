@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,6 +29,9 @@ from .indep_process import TiltedParams, overflow_guard
 EULER_GAMMA = 0.5772156649015329
 
 _QUAD_ABS_TOL = 1e-10
+
+# the points z at which limit_law_check compares the empirical cdf of T_n/n
+ECDF_GRID = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,10 @@ class LimitCheckReport:
 
 
 def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
-                    ecdf_samples: int = 0, seed: int = 0,
-                    z_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0)) -> LimitCheckReport:
+                    ecdf_samples: int = 0, seed: int = 0) -> LimitCheckReport:
     """Compare n P_theta(T_n = n) against the local-limit value g_c(1), and
-    (optionally) the empirical cdf of T_n/n against the integrated density.
+    (optionally) the empirical cdf of T_n/n against the integrated density
+    at each z of ECDF_GRID.
 
     The structure must carry logarithmic metadata (kappa, y); the effective
     parameters are kappa_eff = kappa * theta and c = -n log(x y).
@@ -147,7 +149,7 @@ def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
                               predicted_g1=g1, rel_gap=abs(npn / g1 - 1.0))
     if ecdf_samples > 0:
         ts = smp.draw_T(spec, n, params, ecdf_samples, smp.RngState(seed))
-        for z in z_grid:
+        for z in ECDF_GRID:
             emp = float(np.mean(ts <= z * n))
             report.cdf_rows.append((z, emp, density_integral(law, z)))
     return report

@@ -26,10 +26,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (ComponentVector, Kind, Numeric, StructureSpec,
-                         _float_log_table, as_integral, exact_route, falling,
-                         log_big, log_ptheta_table, ptheta_table, rising)
+                         as_integral, exact_route, falling, log_big,
+                         log_ptheta_table, ptheta_table, rising)
 from .indep_process import TiltedParams, log_m_array
-from .sumdist import _CANCEL_BITS
+from .sumdist import _CANCEL_BITS, _float_log_table
 
 
 @dataclass(frozen=True)
@@ -214,5 +214,5 @@ def expected_theta_K(spec: StructureSpec, n: int, theta: Numeric) -> float:
         if tab_1[n] == 0:
             raise ParameterDomainError(f"no structures of weight {n}")
         return float(Fraction(tab_t[n]) / Fraction(tab_1[n]))
-    return math.exp(_float_log_table(spec, n, theta, None)[n]
-                    - _float_log_table(spec, n, 1, None)[n])
+    return math.exp(_float_log_table(spec, n, theta)[n]
+                    - _float_log_table(spec, n, 1)[n])

@@ -8,14 +8,14 @@ per size.  Everything else in the package derives from a StructureSpec:
     (Cauchy-style product formulas, one per kind),
   * p_theta(n), the theta-biased total count, with an exact path
     (coefficient recurrences of the standard generating function identities,
-    run on integers s_k p_theta(k) scaled by a power of a common denominator
-    and divided by s_k once per entry at the end) and one floating-point
-    table, _float_log_table, behind log_ptheta_table and p_total: by the
-    identity C(n) = (Z_1..Z_n | T_n = n), x^k p_theta(k) [/k! for
-    assemblies] is P(T_n = k) / P(T_n = 0), read off the full-set
-    recursion (for a selection, where its certificate holds; otherwise off
-    the convolution pmf of T_n); exact_route is the one rule choosing
-    between them,
+    run on integers D^k p_theta(k) for one common denominator D and divided
+    by D^k once per entry at the end) and one floating-point table,
+    sumdist._float_log_table, behind log_ptheta_table, p_total and
+    uniform_pmf: by the identity C(n) = (Z_1..Z_n | T_n = n), x^k
+    p_theta(k) [/k! for assemblies] is P(T_n = k) / P(T_n = 0), read off
+    the full-set recursion (for a selection, where its certificate holds;
+    otherwise off the convolution pmf of T_n); exact_route is the one rule
+    choosing between them,
   * the uniform / theta-biased law over component spectra.
 
 All counts are exact: integers, or rationals when m_i or theta are rational
@@ -37,14 +37,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import NumericGuardError, ParameterDomainError
+from .errors import NumericGuardError, ParameterDomainError, underflow_error
 
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
@@ -177,9 +176,9 @@ class StructureSpec:
     meta: Optional[LogMeta] = None
     log_m_fn: Optional[LogMFn] = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
-    _m_cache: dict = field(default_factory=dict, repr=False)
-    _table_cache: dict = field(default_factory=dict, repr=False)
-    _table_keys: dict = field(default_factory=dict, repr=False)
+    _m_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _table_keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     def table(self, name, build: Callable[[], object], key=None,
               n: Optional[int] = None):
@@ -187,7 +186,7 @@ class StructureSpec:
         while it was built for `key` and, with n given, while it holds
         entries 0..n; otherwise the stale table is dropped before build()
         runs, so a rebuild never holds two tables, and build()'s value is
-        kept under `key`.  Only sumdist.prob_T_eq_n also reads a slot."""
+        kept under `key`."""
         cache = self._table_cache
         if (name in cache and self._table_keys.get(name) == key
                 and (n is None or len(cache[name]) > n)):
@@ -583,15 +582,17 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
     Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
 
-    The recurrences run on plain integers P(k) = s_k p(k), never on
+    The recurrences run on plain integers P(k) = D^k p(k), never on
     Fractions.  With theta = a/b:
-      * assemblies: s_k = D^k, D the lcm of the denominators of theta m_j
+      * assemblies: D is the lcm of the denominators of theta m_j
         (j <= n), and P(n) = sum_j C(n-1, j-1) D^j theta m_j P(n-j);
-      * multisets and selections: s_k = D^k with D = b L, L the lcm of the
-        denominators of m_j, times k! when L > 1.  n P(n) is
-        sum_i c_i D^i g(i) P(n-i), with c_i = n!/(n-i)! when k! is in the
-        scale and 1 otherwise; the division by n is exact.
-    Each entry is divided by its s_k once, at the end, and a value with
+      * multisets and selections: D = b L^2, L the lcm of the denominators
+        of m_j, so D = b for integer m_j, and n P(n) = sum_i D^i g(i)
+        P(n-i).  P(n) is an integer, so the division by n is exact: for
+        m = u/v in lowest terms, the denominator of C(m+k-1, k) divides
+        v^k prod_{p | v} p^{v_p(k!)}, which divides v^{2k}, and a weight-n
+        term has at most n factors.
+    Each entry is divided by its D^k once, at the end, and a value with
     denominator 1 is returned as an int.
 
     theta must be an int or Fraction for exactness.  The table is kept in
@@ -614,7 +615,6 @@ def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount
         w = [t.numerator * (D ** j // t.denominator) for j, t in enumerate(tm)][1:]
         while w and not w[-1]:  # m_j = 0 beyond an explicit m list
             w.pop()
-        fact = False
         # C(nn-1, j-1) for j = 1..min(nn, len(w)), by Pascal's rule
         row = [1]
         for nn in range(1, n + 1):
@@ -622,30 +622,27 @@ def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount
             row = [1] + [u + v for u, v in zip(row, row[1:] + [0])][:len(w) - 1]
     else:
         L = math.lcm(*(mj.denominator for mj in ms))
-        D, fact = b * L, L > 1
+        D = b * L * L
         sign, ta = (1, a) if spec.kind is Kind.MULTISET else (-1, -a)
         Lm = [mj.numerator * (L // mj.denominator) for mj in ms]  # L m_j
         divs = divisor_sieve(n)
-        # G(i) = D^i g(i) = sign L^{i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
+        # G(i) = D^i g(i) = sign L^{2i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
         G = [0]
         for i in range(1, n + 1):
-            G.append(sign * L ** (i - 1) * sum(
+            G.append(sign * L ** (2 * i - 1) * sum(
                 k * Lm[k] * ta ** (i // k) * b ** (i - i // k)
                 for k in divs[i] if Lm[k]))
         for nn in range(1, n + 1):
-            terms = map(mul, G[1:nn + 1], reversed(P))
-            if fact:
-                terms = map(mul, accumulate(range(nn, 0, -1), mul), terms)
-            q, rem = divmod(sum(terms), nn)
+            q, rem = divmod(sum(map(mul, G[1:nn + 1], reversed(P))), nn)
             if rem:
                 raise RuntimeError(
                     f"p_theta({nn}) recurrence left remainder {rem} mod {nn}")
             P.append(q)
     p: list[BigCount] = []
     s = 1
-    for k, v in enumerate(P):
+    for v in P:
         p.append(as_integral(Fraction(v, s)))
-        s *= D * (k + 1) if fact else D
+        s *= D
     return p
 
 
@@ -659,44 +656,16 @@ def exact_route(n: int, theta: Numeric) -> bool:
 def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
                      x: Optional[Numeric] = None) -> list[float]:
     """[log p_theta(k)]_{k<=n} as floats: the logs of the exact table where
-    exact_route holds, the float table _float_log_table otherwise, which
-    raises the underflow NumericGuardError if any entry is unresolved."""
+    exact_route holds, the float table sumdist._float_log_table otherwise,
+    which raises the underflow NumericGuardError if any entry is
+    unresolved."""
     if exact_route(n, theta):
         return [log_big(v) for v in ptheta_table(spec, n, theta)]
-    out = _float_log_table(spec, n, theta, x)
+    out = sumdist._float_log_table(spec, n, theta, x)
     bad = np.flatnonzero(np.isnan(out))
     if bad.size:
-        raise _underflow_error(n, int(bad[0]))
+        raise underflow_error(n, int(bad[0]))
     return out.tolist()
-
-
-def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
-                     x: Optional[Numeric]) -> np.ndarray:
-    """[log p_theta(k)]_{k<=n} from the full index set's weighted sum at x
-    (the exact-mean x when None): x^k p_theta(k) [/k! for assemblies] is
-    the k-th coefficient of the generating function restricted to sizes
-    <= n, which sumdist._log_coeff_table reads off the request's one
-    full-set triple: the recursion, or the convolution where a selection's
-    certified route fell back to it.  The result does not depend on x
-    beyond rounding.  On either route an entry k < n below double range is
-    NaN: p_total and the closed form of prob-t read entry n alone, and
-    log_ptheta_table raises where any entry is NaN."""
-    from . import sumdist  # deferred: sumdist imports this module
-    from .indep_process import (TiltedParams, choose_x, XStrategy,
-                                log_factorial_array)
-    if x is None:
-        x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
-    params = TiltedParams(x=x, theta=theta)
-    out = sumdist._log_coeff_table(spec, n, params) \
-        - np.arange(n + 1) * math.log(float(x))
-    if spec.kind is Kind.ASSEMBLY:
-        out += log_factorial_array(spec, n)
-    return out
-
-
-def _underflow_error(n: int, k="n") -> NumericGuardError:
-    return NumericGuardError(f"P(T_n = {k}) underflowed to 0 at n = {n}; "
-                             "choose an x nearer the exact-mean x")
 
 
 def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
@@ -706,7 +675,8 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
 
     exact=True (the default where exact_route holds) returns an exact
     int/Fraction; exact=False returns entry n of the float table
-    (_float_log_table) at x, which does not depend on x beyond rounding.
+    (sumdist._float_log_table) at x, which does not depend on x beyond
+    rounding.
     """
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
@@ -717,7 +687,7 @@ def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
     if exact:
         return ptheta_table(spec, n, theta)[n]
     try:
-        return math.exp(_float_log_table(spec, n, theta, x)[n])
+        return math.exp(sumdist._float_log_table(spec, n, theta, x)[n])
     except OverflowError:
         raise NumericGuardError(
             f"p_theta({n}) is beyond double range; log_ptheta_table gives "
@@ -746,5 +716,8 @@ def uniform_pmf(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
     k = sum(a)
     if isinstance(theta, (int, Fraction)):
         return Fraction(theta) ** k * nn / ptheta_table(spec, n, theta)[n]
-    return math.exp(log_big(nn) - _float_log_table(spec, n, theta, None)[n]
+    return math.exp(log_big(nn) - sumdist._float_log_table(spec, n, theta)[n]
                     + k * math.log(theta))
+
+
+from . import sumdist  # noqa: E402  (sumdist imports the names above)

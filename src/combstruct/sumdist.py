@@ -18,8 +18,9 @@ n band multiply-adds instead of n^2 / 2.  Every route returns one triple
 recursion (q, its per-entry exponents, log_seed(B)), the convolution
 (p, 0, 0.0).  The full index set's triple and its seed are kept in one
 slot per spec, so the recursion route and the closed form of one
-(n, x, theta) run one route and one seed, and _assemble is the one place
-a pmf is made.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is a
+(n, x, theta) run one route and one seed; _assemble is the one place a
+pmf is made, and _float_log_table, which reads that slot, the one float
+p_theta table.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is a
 math.fsum over B of indep_process.log_p_zero, the one implementation of
 the big-m policy, which the rows of the convolution read too.
 
@@ -51,10 +52,11 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
-from .errors import NumericGuardError, ParameterDomainError
-from .structures import (Kind, StructureSpec, _float_log_table, _underflow_error,
-                         exact_route, log_big, ptheta_table)
-from .indep_process import (TiltedParams, log_factorial_array, log_m_array,
+from .errors import NumericGuardError, ParameterDomainError, underflow_error
+from .structures import (Kind, Numeric, StructureSpec, exact_route, log_big,
+                         ptheta_table)
+from .indep_process import (TiltedParams, XStrategy, choose_x,
+                            log_factorial_array, log_m_array,
                             log_p_zero_array, overflow_guard, z_pmf_rows)
 
 _LN2 = math.log(2.0)
@@ -298,22 +300,29 @@ def _assemble(v: np.ndarray, shift: np.ndarray | int, lseed: float) -> PmfVector
     return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=len(p) - 1)
 
 
-def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
-    """Natural logs of the full-set coefficients x^k p_theta(k) [/k!], k <= n.
-
-    log(v 2^shift) + lseed - log_seed(1..n) off the request's full-set
-    triple and seed (_full_set): the recursion's lseed is that seed, and the
-    convolution's (p, 0, 0.0) gives log P(T_n = k) - log_seed.  log(v
-    2^shift) is log(ldexp(v, shift)) where that is a normal double, else
-    log v + shift log 2, whose large sum loses digits (p_theta(1) of set
-    partitions read 1 + 2.1e-14 at n = 16000).  One guard for every route:
-    an entry v below the smallest normal double at a weight k that some
-    structure has lost its digits.  Entry n, which every reader reads,
-    raises the underflow NumericGuardError, and an entry k < n reads NaN,
-    which structures.log_ptheta_table turns into that error for the readers
-    of the whole table.  A true zero (no structure of weight k) is -inf, as is
-    the cancellation dust a certified selection recursion clamps to 0.
+def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
+                     x: Optional[Numeric] = None) -> np.ndarray:
+    """[log p_theta(k)]_{k<=n}, the one float p_theta table, from the full
+    index set's triple at x (the exact-mean x when None): x^k p_theta(k)
+    [/k! for assemblies] is P(T_n = k) / P(T_n = 0), so entry k is
+    log(v 2^shift) + lseed - log_seed(1..n) - k log x [+ log k!] off the
+    request's full-set triple and seed (_full_set): the recursion, whose
+    lseed is that seed, or the convolution (p, 0, 0.0) where a selection's
+    certified route fell back to it.  The result does not depend on x
+    beyond rounding.  log(v 2^shift) is log(ldexp(v, shift)) where that
+    is a normal double, else log v + shift log 2, whose large sum loses
+    digits (p_theta(1) of set partitions read 1 + 2.1e-14 at n = 16000).
+    One guard for every route: an entry v below the smallest normal double
+    at a weight k that some structure has lost its digits.  Entry n, which
+    every reader reads, raises the underflow NumericGuardError, and an
+    entry k < n reads NaN, which structures.log_ptheta_table turns into
+    that error for the readers of the whole table.  A true zero (no
+    structure of weight k) is -inf, as is the cancellation dust a
+    certified selection recursion clamps to 0.
     """
+    if x is None:
+        x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
+    params = TiltedParams(x=x, theta=theta)
     params.validate(spec)
     (v, shift, lseed), seed = _full_set(spec, n, params)
     with np.errstate(divide="ignore", over="ignore"):
@@ -324,8 +333,11 @@ def _log_coeff_table(spec: StructureSpec, n: int, params: TiltedParams) -> np.nd
     if low.size:
         low = low[_reach(spec, int(low[-1]))[low]]
         if low.size and low[-1] == n:
-            raise _underflow_error(n)
+            raise underflow_error(n)
         out[low] = np.nan
+    out -= np.arange(n + 1) * math.log(float(x))
+    if spec.kind is Kind.ASSEMBLY:
+        out += log_factorial_array(spec, n)
     return out
 
 
@@ -515,12 +527,12 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     set; "closed_form" evaluates seed * x^n * p_theta(n) [/ n! for
     assemblies] with p_theta(n) from the exact coefficient recurrences
     where structures.exact_route holds, where the recursion reads float
-    log m_i and the table exact m_i.  Beyond that it is entry n of the
-    float p_theta table, which reads the full-set triple and seed that the
-    "recursion" route keeps (the exact route reads that seed, or runs one
-    log_seed), so there the gap the CLI's prob-t command prints between
-    the two checks only the log-domain inversion, not the recursion or the
-    seed.  On either route a value below the smallest normal double raises
+    log m_i and the table exact m_i, and the seed is one log_seed.  Beyond
+    that it is entry n of the float p_theta table, which reads the
+    full-set triple and seed that the "recursion" route keeps, and that
+    seed (both through StructureSpec.table), so there the gap the CLI's
+    prob-t command prints between the two checks only the log-domain
+    inversion, not the recursion or the seed.  On either route a value below the smallest normal double raises
     the underflow NumericGuardError where structures of weight n exist.
     """
     if n < 1:
@@ -531,12 +543,10 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     elif method == "closed_form":
         if exact_route(n, params.theta):
             lp = log_big(ptheta_table(spec, n, params.theta)[n])
-        else:  # fills the full-set slot
+            lseed = log_seed(spec, range(1, n + 1), params)
+        else:
             lp = float(_float_log_table(spec, n, params.theta, params.x)[n])
-        lseed = (spec._table_cache["full_set"][1]
-                 if spec._table_keys.get("full_set")
-                 == (n, params.fx, params.ftheta)
-                 else log_seed(spec, range(1, n + 1), params))
+            lseed = _full_set(spec, n, params)[1]  # the slot lp filled
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:
             lout -= math.lgamma(n + 1)
@@ -544,7 +554,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     else:
         raise ParameterDomainError(f"unknown method {method!r}")
     if out < sys.float_info.min and has_weight(spec, n):
-        raise _underflow_error(n)
+        raise underflow_error(n)
     return out
 
 
@@ -595,7 +605,7 @@ def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,
     ps = weighted_sum_pmf(spec, complement(B, n), n, params)
     pt = float(np.dot(pr.p, ps.p[::-1]))
     if pt < sys.float_info.min and has_weight(spec, n):
-        raise _underflow_error(n)
+        raise underflow_error(n)
     if pt <= 0.0:
         raise ParameterDomainError("conditioning probability P(T_n = n) is "
                                    f"zero: no structures of weight {n}")

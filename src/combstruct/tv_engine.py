@@ -121,23 +121,19 @@ def tv_conditioned_bounds(p: float, q: float, d_A: float,
 
 
 def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
-                 params: TiltedParams, limit=None,
+                 params: TiltedParams,
                  pr: Optional[PmfVector] = None) -> float:
     """Local-limit heuristic (1/2)|kappa_eff - 1| E|R_B - E R_B| / n.
 
     kappa_eff is theta * kappa from the spec's logarithmic metadata (the
     theta-biased process behaves like the Ewens family with parameter
-    kappa*theta), or limit.kappa when a limit law is passed explicitly.
-    pr, the pmf of R_B on 0..n when the caller has it, is not recomputed.
-    This is an estimate, kept separate from exact values.
+    kappa*theta).  pr, the pmf of R_B on 0..n when the caller has it, is
+    not recomputed.  This is an estimate, kept separate from exact values.
     """
-    if limit is not None:
-        kappa_eff = float(limit.kappa)
-    else:
-        if spec.meta is None:
-            raise ParameterDomainError(
-                "heuristic needs logarithmic-class metadata (kappa, y)")
-        kappa_eff = float(spec.meta.kappa) * params.ftheta
+    if spec.meta is None:
+        raise ParameterDomainError(
+            "heuristic needs logarithmic-class metadata (kappa, y)")
+    kappa_eff = float(spec.meta.kappa) * params.ftheta
     B = index_set(B)
     if not B:
         return 0.0

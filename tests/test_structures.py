@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as hs
 
 from combstruct import structures as st
 from combstruct.errors import NumericGuardError, ParameterDomainError
+from combstruct.indep_process import log_m_array
 from combstruct import oracle as orc
 
 
@@ -393,6 +394,33 @@ class TestScaledIntegerTables:
         got = st.ptheta_table(st.integer_partitions(), n, Fraction(1, 2))
         assert typed(got) == typed(want)
 
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2)], ids=str)
+    def test_half_multiset_512(self, theta):
+        # m = (1/2): p_theta(k) = theta^k C(k - 1/2, k) = theta^k C(2k, k) / 4^k,
+        # and the scale D^k with D = b L^2 = 4 b clears every denominator
+        want = [st.as_integral(Fraction(theta) ** k * Fraction(
+            math.comb(2 * k, k), 4 ** k)) for k in range(513)]
+        got = st.ptheta_table(st.from_m_list("multiset", ["1/2"]), 512, theta)
+        assert typed(got) == typed(want)
+        D = 4 * Fraction(theta).denominator
+        assert all((D ** k * Fraction(v)).denominator == 1
+                   for k, v in enumerate(got))
+
+    @settings(max_examples=25, deadline=None)
+    @given(hs.lists(hs.fractions(min_value=0, max_value=3, max_denominator=9),
+                    min_size=1, max_size=6),
+           hs.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 5)]))
+    def test_rational_multiset_scale_is_integral(self, ms, theta):
+        # D^k p_theta(k) is an integer for D = b L^2, with theta = a/b and
+        # L the lcm of the denominators of m_j
+        spec = st.from_m_list("multiset", ms)
+        got = st.ptheta_table(spec, 30, theta)
+        assert typed(got) == typed(ptheta_table_fraction(spec, 30, theta))
+        D = Fraction(theta).denominator * math.lcm(
+            *(Fraction(m).denominator for m in ms)) ** 2
+        assert all((D ** k * Fraction(v)).denominator == 1
+                   for k, v in enumerate(got))
+
     def test_warm_cache_returns_prefix(self):
         spec = st.esf(Fraction(3, 7))
         full = st.ptheta_table(spec, 60, Fraction(1, 2))
@@ -418,6 +446,14 @@ class TestTableSlots:
         assert len(seen) == 1
         spec.table("t", build, key="b", n=3)  # too short: rebuilt
         assert len(seen) == 2 and list(spec._table_cache) == ["t"]
+
+    def test_specs_compare_without_their_tables(self):
+        a, b = st.permutations(), st.permutations()
+        log_m_array(a, 5)
+        log_m_array(b, 5)
+        assert a == b  # raised on the ambiguous truth value of two arrays
+        assert a == st.permutations()
+        assert a != st.set_partitions()
 
     def test_failed_build_leaves_the_slot_empty(self):
         spec = st.permutations()

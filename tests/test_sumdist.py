@@ -297,15 +297,21 @@ class TestArrayRoutesMatchScalarReferences:
                     1e-12 * abs(ls_ref), n
 
     def test_log_ptheta_float_table(self):
-        # the float branch of log_ptheta_table against its per-k loop
+        # the float branch of log_ptheta_table against a per-k loop over
+        # the full-set slot's triple (v, shift, lseed) and seed; np.log on
+        # a scalar runs the same loop as on the array
         for spec in (st.set_partitions(), st.integer_partitions(),
                      st.distinct_partitions()):
             n = 1000
             x = choose_x(spec, n, 0.3)
             got = st.log_ptheta_table(spec, n, 0.3, x=x)
-            logs = sd._log_coeff_table(spec, n, TiltedParams(x, 0.3))
+            (v, shift, lseed), seed = spec._table_cache["full_set"]
+            shift = np.broadcast_to(shift, v.shape)
             for k in (0, 1, 2, 97, 500, 1000):
-                want = logs[k] - k * math.log(x)
+                w = math.ldexp(v[k], int(shift[k]))
+                lw = (np.log(w) if sys.float_info.min <= w < math.inf
+                      else np.log(v[k]) + shift[k] * math.log(2.0))
+                want = lw + (lseed - seed) - k * math.log(x)
                 if spec.kind is st.Kind.ASSEMBLY:
                     want += math.lgamma(k + 1)
                 assert got[k] == want, (spec.name, k)
@@ -387,7 +393,7 @@ class TestSelectionFloatTable:
         with pytest.raises(NumericGuardError, match="underflowed"):
             st.log_ptheta_table(spec, n, 2.0, x=params.x)
         exact = st.log_big(st.p_total(spec, n, 2))
-        got = st._float_log_table(spec, n, 2.0, params.x)[n]
+        got = sd._float_log_table(spec, n, 2.0, params.x)[n]
         assert abs(got - exact) <= 1e-11 * abs(exact)
         rec = sd.prob_T_eq_n(spec, n, params)
         clo = sd.prob_T_eq_n(spec, n, params, method="closed_form")
@@ -707,10 +713,10 @@ class TestOneRecursionPerRequest:
         spec = st.set_partitions()
         calls = self._spy(monkeypatch)
         p1, p2 = TiltedParams(2.0, 1), TiltedParams(3.0, 1)
-        a = sd._log_coeff_table(spec, 700, p1)
+        a = sd._float_log_table(spec, 700, 1, 2.0)
         sd.prob_T_eq_n(spec, 700, p1)
         assert calls == [700]
-        sd._log_coeff_table(spec, 800, p2)
+        sd._float_log_table(spec, 800, 1, 3.0)
         assert calls == [700, 800]
         slots = [k for k in spec._table_cache if str(k).startswith("full_set")]
         assert slots == ["full_set"]
@@ -723,7 +729,7 @@ class TestOneRecursionPerRequest:
                 arr[0] = 1.0
         # the first (n, x) was evicted: asking for it again recomputes it,
         # to the same values
-        assert np.array_equal(sd._log_coeff_table(spec, 700, p1), a)
+        assert np.array_equal(sd._float_log_table(spec, 700, 1, 2.0), a)
         assert calls == [700, 800, 700]
 
     def test_index_sets_that_are_not_full_are_not_kept(self, monkeypatch):
@@ -1103,7 +1109,7 @@ class TestOverflowingTilt:
             with pytest.raises(NumericGuardError):
                 _recursion_pmf(spec, range(1, n + 1), n, params)
             with pytest.raises(NumericGuardError):
-                sd._log_coeff_table(spec, n, params)
+                sd._float_log_table(spec, n, params.theta, params.x)
             with pytest.raises(NumericGuardError):
                 sd.prob_T_eq_n(spec, n, params)
 
@@ -1154,7 +1160,7 @@ class TestZeroConditioningProbability:
         spec, params = st.permutations(), TiltedParams(0.1, 1)
         for n in (400, 600):
             with pytest.raises(NumericGuardError, match="underflowed"):
-                sd._log_coeff_table(spec, n, params)
+                sd._float_log_table(spec, n, params.theta, params.x)
             with pytest.raises(NumericGuardError, match="underflowed"):
                 st.log_ptheta_table(spec, n, 1.0, x=0.1)
         logs = st.log_ptheta_table(spec, 300, 1.0, x=0.1)
