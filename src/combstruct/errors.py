@@ -23,8 +23,8 @@ class NumericGuardError(CombstructError):
 
     Examples: sampling refused because P(T_n = n) underflows, a per-index
     mean or recursion weight beyond double range (x too large), the signed
-    selection recursion cancels past its certificate, quadrature failed to
-    reach its tolerance.
+    selection recursion cancels past its certificate, psi(c) overflowing in
+    limit_density or density_integral (kappa = 2, c = -20).
     """
 
 

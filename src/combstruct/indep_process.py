@@ -29,6 +29,7 @@ unless it is safe.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +37,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import Kind, Numeric, StructureSpec, log_big
@@ -44,6 +44,7 @@ from .structures import Kind, Numeric, StructureSpec, log_big
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
 _LOG_DBL_MIN = math.log(2.0 ** -1022)  # e^lw is subnormal below it
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # e^w overflows above it
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,24 @@ def log_m_array(spec: StructureSpec, n: int) -> np.ndarray:
         n=n)[: n + 1]
 
 
+def expit(w: np.ndarray) -> np.ndarray:
+    """The logistic 1/(1 + e^-w), elementwise; e^w where e^-w overflows
+    (1 + e^w is then 1 to double precision)."""
+    with np.errstate(over="ignore"):
+        d = 1.0 + np.exp(-w)
+        return np.where(d == np.inf, np.exp(w), 1.0 / d)
+
+
+def log_expit(w: np.ndarray) -> np.ndarray:
+    """log of the logistic, -log(1 + e^-w), elementwise."""
+    return -np.logaddexp(0.0, -w)
+
+
+def expit_float(w: float) -> float:
+    """expit of one float, by the same formula in math."""
+    return 1.0 / (1.0 + math.exp(-w)) if -w <= _LOG_DBL_MAX else math.exp(w)
+
+
 def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
     """w[i] = log(theta x^i), i = 0..n."""
     i = np.arange(n + 1, dtype=float)
@@ -103,9 +122,10 @@ def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.nd
 
 
 def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
-    """[log 0!, ..., log n!] by math.lgamma (scipy's gammaln differs from it
-    by up to 4 ulps, i.e. 4e-12 relative in g(i) at i = 1000), filled to
-    exactly n in the spec's "log_factorial" slot."""
+    """[log 0!, ..., log n!] by math.lgamma, filled to exactly n in the
+    spec's "log_factorial" slot.  DiscreteLaw.pmf_array takes log k! from
+    math.lgamma too; structures._log_gamma_int (log m_i of the factorial
+    families) is not bitwise math.lgamma: log 2! differs by 3 ulps."""
     return spec.table("log_factorial", lambda: np.fromiter(
         map(math.lgamma, range(1, n + 2)), float, n + 1), n=n)[: n + 1]
 
@@ -339,7 +359,7 @@ def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
                 f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
         return DiscreteLaw(Family.POISSON, lam=-lp0, log_p0=lp0)
     lw = math.log(params.ftheta) + i * math.log(params.fx)
-    p = math.exp(lw) if spec.kind is Kind.MULTISET else float(expit(lw))
+    p = math.exp(lw) if spec.kind is Kind.MULTISET else expit_float(lw)
     return DiscreteLaw(_FAMILY[spec.kind], m=spec.m(i), p=p, lw=lw, log_p0=lp0)
 
 
@@ -373,7 +393,7 @@ def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> Discrete
         with overflow_guard(f"Poisson mean of Y_{i}j"):
             lam = math.exp(lw - math.lgamma(i + 1))
         return DiscreteLaw(Family.POISSON, lam=lam)
-    p = math.exp(lw) if spec.kind is Kind.MULTISET else float(expit(lw))
+    p = math.exp(lw) if spec.kind is Kind.MULTISET else expit_float(lw)
     return DiscreteLaw(_FAMILY[spec.kind], m=1, p=p, lw=lw)
 
 
@@ -498,7 +518,7 @@ def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
     if spec.kind is Kind.MULTISET:
         pole = min(1.0, 1.0 / float(theta))
         to_w = lambda x: math.log(x / (pole - x))
-        to_x = lambda w: pole * float(expit(w))
+        to_x = lambda w: pole * expit_float(w)
         dw_du = lambda x: pole / (pole - x)
 
     def at(x: float) -> tuple:

@@ -9,6 +9,11 @@ and whose density on [0, 1] is known explicitly:
 
     g_c(z) = e^{-gamma kappa} e^{-c z} z^{kappa-1} / (Gamma(kappa) psi(c)).
 
+Both have closed forms, so no quadrature is needed: the Laplace exponent
+is kappa (Ein(c + s) - Ein(c)) with Ein the entire exponential integral,
+and int_0^z g_c is a lower incomplete gamma function, summed by a series
+of positive terms.
+
 The local-limit heuristic P(T_n = n) ~ g_c(1)/n drives the choice-of-x
 discussion; limit_law_check compares it, and the empirical cdf of T_n/n,
 against these predictions at finite n.
@@ -20,15 +25,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import NumericGuardError, ParameterDomainError
+from .errors import ParameterDomainError
 from .structures import StructureSpec
 from .indep_process import TiltedParams, overflow_guard
 
 EULER_GAMMA = 0.5772156649015329
 
-_QUAD_ABS_TOL = 1e-10
+_EPS = 2.0 ** -52
+_TINY = 1e-300  # the Lentz iteration's stand-in for 0
+_MAX_TERMS = 200  # E1's continued fraction converges in < 40 above z = 2
+_BIG = 2.0 ** 1000
+_LOG_BIG = 1000 * math.log(2.0)
 
 # the points z at which limit_law_check compares the empirical cdf of T_n/n
 ECDF_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -45,24 +53,46 @@ class LimitLaw:
             raise ParameterDomainError("kappa must be positive")
 
 
-def _phi(u: float) -> float:
-    """(1 - e^{-u})/u extended continuously through 0."""
-    if u == 0.0:
-        return 1.0
-    return -math.expm1(-u) / u
+def _ein(z: float) -> float:
+    """Ein(z) = int_0^z (1 - e^{-t}) dt / t = sum_{k>=1} (-1)^{k+1} z^k / (k k!).
+
+    The series for z <= 2, whose terms all share one sign when z < 0;
+    E1(z) + log z + gamma above, with E1 by the modified Lentz continued
+    fraction (Numerical Recipes 6.3).  OverflowError where |Ein(z)| is
+    beyond double range (z below about -716)."""
+    if z <= 2.0:
+        term = total = z
+        k = 1
+        while True:
+            k += 1
+            term *= -z / k
+            new = total + term / k
+            if new == total:
+                break
+            total = new
+        if not math.isfinite(total):
+            raise OverflowError("Ein(z) beyond double range")
+        return total
+    b = z + 1.0
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    for i in range(1, _MAX_TERMS):
+        an = -float(i * i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    return h * math.exp(-z) + math.log(z) + EULER_GAMMA
 
 
 def _log_psi_integral(kappa: float, s: float, c: float) -> float:
-    """kappa * int_0^1 (1 - e^{-s u}) e^{-c u} du / u, rewritten as
-    s e^{-c u} phi(s u) so the integrand is smooth at 0."""
+    """kappa int_0^1 (1 - e^{-s u}) e^{-c u} du / u = kappa (Ein(c + s) - Ein(c))."""
     if s == 0.0:
         return 0.0
-    val, err = quad(lambda u: s * math.exp(-c * u) * _phi(s * u),
-                    0.0, 1.0, epsabs=_QUAD_ABS_TOL, limit=200)
-    if err > 1e-8:
-        raise NumericGuardError(
-            f"quadrature for the Laplace exponent reached only {err:.3g}")
-    return kappa * val
+    return kappa * (_ein(c + s) - _ein(c))
 
 
 def laplace_psi(law: LimitLaw, s: float) -> float:
@@ -94,17 +124,52 @@ def limit_density(law: LimitLaw, z: float) -> float:
             / (math.gamma(k) * psi0(k, c)))
 
 
+def _tilted_gamma_integral(kappa: float, c: float, z: float) -> float:
+    """int_0^z e^{-c u} u^{kappa-1} du for z > 0, a lower incomplete gamma
+    function, by a series of positive terms: z^kappa e^{-cz} sum_j
+    (cz)^j / (kappa (kappa+1) ... (kappa+j)) for cz >= 0, z^kappa sum_j
+    (-cz)^j / (j! (kappa+j)) for cz < 0.  The first sum is rescaled by
+    2^-1000 whenever it passes 2^1000, so a large cz neither overflows it
+    nor underflows e^{-cz}."""
+    x = c * z
+    if x >= 0.0:
+        term = total = 1.0 / kappa
+        j = scale = 0
+        while True:
+            j += 1
+            term *= x / (kappa + j)
+            new = total + term
+            if new == total:
+                break
+            total = new
+            if total > _BIG:
+                total, term, scale = total / _BIG, term / _BIG, scale + 1
+        return math.exp(kappa * math.log(z) - x + math.log(total)
+                        + scale * _LOG_BIG)
+    power = 1.0  # (-cz)^j / j!
+    total = 1.0 / kappa
+    j = 0
+    while True:
+        j += 1
+        power *= -x / j
+        new = total + power / (kappa + j)
+        if new == total:
+            break
+        total = new
+    return z ** kappa * total
+
+
+@overflow_guard("the integrated limit density")
 def density_integral(law: LimitLaw, z: float) -> float:
-    """int_0^z g_c(u) du for z in [0, 1]."""
+    """int_0^z g_c(u) du for z in [0, 1]:
+    e^{-gamma kappa} / (Gamma(kappa) psi(c)) int_0^z e^{-c u} u^{kappa-1} du."""
     if not (0.0 <= z <= 1.0):
         raise ParameterDomainError("the explicit density lives on [0, 1]")
     if z == 0.0:
         return 0.0
-    val, err = quad(lambda u: limit_density(law, u), 0.0, z,
-                    epsabs=_QUAD_ABS_TOL, limit=200)
-    if err > 1e-8:
-        raise NumericGuardError(f"density quadrature reached only {err:.3g}")
-    return val
+    k = law.kappa
+    return (math.exp(-law.gamma * k) * _tilted_gamma_integral(k, law.c, z)
+            / (math.gamma(k) * psi0(k, law.c)))
 
 
 @dataclass

@@ -41,7 +41,6 @@ from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import NumericGuardError, ParameterDomainError, underflow_error
 
@@ -285,18 +284,78 @@ def _log_m_const(step: int = 1) -> LogMFn:
     return log_m
 
 
-def _log_factorials(n: int, shift: float = 0.0, i_min: int = 1) -> np.ndarray:
-    """log((i-1)!) + shift for i >= i_min."""
-    out = np.full(n + 1, -np.inf)
-    out[i_min:] = gammaln(np.arange(i_min, n + 1, dtype=float)) + shift
+# log (i-1)! for i <= 32: the log of the exact factorial, within an ulp
+_LOG_GAMMA_SMALL = np.array(
+    [-np.inf] + [math.log(math.factorial(i - 1)) for i in range(1, 33)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# log 2 = _LN2_HI + _LN2_LO beyond double precision; _LN2_HI has 29 bits
+_LN2_HI = float.fromhex("0x1.62e42ffp-1")
+_LN2_LO = -4.2009150726810846e-11
+
+
+def _log_gamma_int(i: np.ndarray) -> np.ndarray:
+    """log Gamma(i) = log (i-1)! for integers i >= 1, elementwise, within
+    2 ulps: the exact table up to 32, the Stirling series (x - 1/2)(log x -
+    1) + log(2 pi)/2 + 1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7)
+    above.  With x = m 2^e, m in [1/2, 1), log x is split as e _LN2_HI (so
+    (x - 1/2) e _LN2_HI is exact below x = 2^17) plus e _LN2_LO + log m,
+    so the rounding error of log x is not multiplied by x."""
+    i = np.asarray(i)
+    out = np.empty(i.shape)
+    small = i <= 32
+    out[small] = _LOG_GAMMA_SMALL[i[small]]
+    x = i[~small].astype(float)
+    m, e = np.frexp(x)
+    h = x - 0.5
+    r = 1.0 / x
+    r2 = r * r
+    out[~small] = h * (e * _LN2_HI) + (
+        h * (e * _LN2_LO + np.log(m) - 1.0) + (_HALF_LOG_2PI - 0.5)
+        + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
     return out
 
 
-def _log_mapping_m(n: int) -> np.ndarray:
-    # m_i = (i-1)! e^i Q(i, i) with Q the regularized upper incomplete gamma
+def _log_factorials(n: int, shift: float = 0.0, i_min: int = 1) -> np.ndarray:
+    """log((i-1)!) + shift for i >= i_min."""
     out = np.full(n + 1, -np.inf)
-    i = np.arange(1, n + 1, dtype=float)
-    out[1:] = gammaln(i) + i + np.log(gammaincc(i, i))
+    out[i_min:] = _log_gamma_int(np.arange(i_min, n + 1)) + shift
+    return out
+
+
+# Mappings: m_i = (i-1)! sum_{k<i} i^k / k! = i^(i-1) sum_{j<i} prod_{l<=j}
+# (i-l)/i.  Below _MAPPING_CUT the products are one cumprod, made once;
+# from it on, Ramanujan's e^i/2 = sum_{k<i} i^k/k! + theta(i) i^i/i! with
+# Stirling's i! gives m_i = i^(i-1) (sqrt(pi i/2) e^(1/(12i) - 1/(360i^3)
+# + 1/(1260i^5)) - theta(i)), theta(i) = 1/3 + 4/(135i) - 8/(2835i^2) -
+# 16/(8505i^3) + 8992/(12629925i^4) + 334144/(492567075i^5).
+_MAPPING_CUT = 200
+
+
+def _mapping_log_m_small() -> np.ndarray:
+    """[log m_i]_{1 <= i < _MAPPING_CUT} for mappings (exactly 0 at i = 1)."""
+    i = np.arange(1, _MAPPING_CUT, dtype=float)
+    ratios = (np.maximum(i[:, None] - np.arange(1, _MAPPING_CUT - 1), 0.0)
+              / i[:, None])
+    return ((i - 1.0) * np.log(i)
+            + np.log1p(np.cumprod(ratios, axis=1).sum(axis=1)))
+
+
+_MAPPING_LOG_M_SMALL = _mapping_log_m_small()
+
+
+def _log_mapping_m(n: int) -> np.ndarray:
+    out = np.full(n + 1, -np.inf)
+    top = min(n, _MAPPING_CUT - 1)
+    out[1:top + 1] = _MAPPING_LOG_M_SMALL[:top]
+    x = np.arange(_MAPPING_CUT, n + 1, dtype=float)
+    r = 1.0 / x
+    r2 = r * r
+    stirling = (0.5 * np.log(0.5 * np.pi * x)
+                + r * (1 / 12 - r2 * (1 / 360 - r2 / 1260)))
+    theta = 1 / 3 + r * (4 / 135 - r * (8 / 2835 + r * (16 / 8505 - r * (
+        8992 / 12629925 + r * (334144 / 492567075)))))
+    out[_MAPPING_CUT:] = ((x - 1.0) * np.log(x)
+                          + np.log(np.exp(stirling) - theta))
     return out
 
 

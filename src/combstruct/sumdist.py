@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_triangular
 
 from .errors import NumericGuardError, ParameterDomainError, underflow_error
 from .structures import (Kind, Numeric, StructureSpec, exact_route, log_big,
@@ -249,7 +250,10 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
     nonzero = np.flatnonzero(g[1:n_max + 1])
     band = max(1, int(nonzero[-1]) + 1 if nonzero.size else 0)
     b = min(_BLOCK, n_max)
-    lower = toeplitz(np.concatenate(([0.0], -g[1:b])), np.zeros(b))
+    # lower[i, j] = -g[i - j] below the diagonal, 0 above: row i is the
+    # window of b entries at b - 1 - i in [-g[b-1], ..., -g[1], 0, ..., 0]
+    lower = sliding_window_view(np.concatenate((-g[b - 1:0:-1], np.zeros(b))),
+                                b)[::-1].copy()
     room = _BLOCK_BITS - n_max.bit_length()
     shift = 0
     running_max = 1.0

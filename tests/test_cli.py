@@ -3,7 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
 from decimal import Decimal
 
@@ -456,6 +459,56 @@ class TestExitCodes:
                                capsys)
         assert code == 4
         assert "acceptance" in err
+
+
+class TestImportFootprint:
+    # one request of every command in a fresh interpreter, which then must
+    # hold scipy.linalg (imported with the package) but neither
+    # scipy.special nor scipy.integrate: the package needs only the
+    # triangular solve, and each of the two costs start-up time and memory
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, sys
+        import combstruct
+        print("linalg_at_import", "scipy.linalg" in sys.modules)
+        from combstruct import cli
+        perm, distinct, intpart = sys.argv[1:4]
+        requests = [
+            ["tv", "--spec", perm, "--n", "600", "--choose-x", "exact_mean",
+             "--B", "1..3", "--heuristic"],
+            ["prob-t", "--spec", distinct, "--n", "600",
+             "--choose-x", "exact_mean"],
+            ["pofn", "--spec", intpart, "--n", "20"],
+            ["moments", "--spec", perm, "--n", "30", "--j", "1..3"],
+            ["sample", "--spec", perm, "--n", "30", "--x", "1",
+             "--samples", "5"],
+            ["choose-x", "--spec", intpart, "--n", "600",
+             "--choose-x", "exact_mean"],
+            ["limit", "--spec", perm, "--n", "600", "--x", "1",
+             "--ecdf", "50"],
+            ["esf", "--n", "10", "--kappa", "2"],
+            ["heuristic", "--spec", perm, "--n", "200", "--x", "1",
+             "--B", "1..3"],
+            ["verify"],
+        ]
+        for argv in requests:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run(argv)
+            if code:
+                raise SystemExit(f"{argv[0]} exited {code}")
+        print("loaded", *sorted(m for m in sys.modules if m.startswith(
+            ("scipy.special", "scipy.integrate"))))
+    """)
+
+    def test_commands_load_no_scipy_special_or_integrate(self, spec_files):
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
+             spec_files["permutations"], spec_files["distinct"],
+             spec_files["intpart"]],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["linalg_at_import True", "loaded"]
 
 
 class TestParserCache:

@@ -362,6 +362,44 @@ class TestTiltedParamsDomain:
             TiltedParams(x, theta)
 
 
+class TestLogistic:
+    """expit, expit_float and log_expit against the math formulas
+    e^w/(1 + e^w) (w < 0) or 1/(1 + e^-w), and w - log1p(e^w) (w < 0) or
+    -log1p(e^-w), on [-800, 800] with no RuntimeWarning."""
+
+    W = np.linspace(-800.0, 800.0, 16001)
+
+    @staticmethod
+    def _ref_expit(w):
+        if w < 0:
+            e = math.exp(w)
+            return e / (1.0 + e)
+        return 1.0 / (1.0 + math.exp(-w))
+
+    @staticmethod
+    def _ref_log_expit(w):
+        return w - math.log1p(math.exp(w)) if w < 0 else -math.log1p(math.exp(-w))
+
+    def test_expit(self):
+        want = np.array([self._ref_expit(w) for w in self.W.tolist()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ip.expit(self.W)
+            one = np.array([ip.expit_float(w) for w in self.W.tolist()])
+        live = want > 0  # e^w is 0.0 below w = -745.2
+        assert np.all(got[~live] == 0) and np.all(one[~live] == 0)
+        for g in (got, one):
+            assert np.max(np.abs(g[live] - want[live]) / want[live]) <= 1e-15
+
+    def test_log_expit(self):
+        want = np.array([self._ref_log_expit(w) for w in self.W.tolist()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ip.log_expit(self.W)
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) \
+            <= 1e-15
+
+
 class TestRefinedLaw:
     def test_examples(self):
         assembly = st.from_m_list("assembly", [1, 2, 1, 1])

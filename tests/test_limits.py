@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
 from combstruct import structures as st
-from combstruct import limits
-from combstruct.errors import ParameterDomainError
+from combstruct import limits, verify
+from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams
 
 GAMMA = limits.EULER_GAMMA
@@ -82,6 +83,97 @@ class TestLaplace:
                                * limits.limit_density(law, z), 0, 1,
                                epsabs=1e-10)
                 assert part <= limits.laplace_psi(law, s) + 1e-9
+
+
+def _mp_ein(z):
+    """Ein(z) = E1(z) + log z + gamma (real part for z < 0) in mpmath."""
+    z = mpmath.mpf(z)
+    if z == 0:
+        return mpmath.mpf(0)
+    if z > 0:
+        return mpmath.e1(z) + mpmath.log(z) + mpmath.euler
+    return mpmath.log(-z) + mpmath.euler - mpmath.ei(-z)
+
+
+def _mp_log_psi(kappa, c, s):
+    """kappa int_0^1 (1 - e^{-s u}) e^{-c u} du / u by mpmath quadrature."""
+    c, s = mpmath.mpf(c), mpmath.mpf(s)
+    return kappa * mpmath.quad(
+        lambda u: -mpmath.expm1(-s * u) * mpmath.exp(-c * u) / u, [0, 1])
+
+
+KAPPAS = (0.5, 1.0, 1.5, 2.0)
+CS = (-3.0, -0.5, 0.0, 0.7, 3.0, 20.0)
+
+
+class TestClosedForms:
+    """laplace_psi, psi0 and density_integral against mpmath (30 digits),
+    relative to 1e-13."""
+
+    def test_ein_series_and_continued_fraction(self):
+        with mpmath.workdps(30):
+            for z in (-40.0, -20.4, -3.0, -1e-8, 1e-8, 0.5, 1.999, 2.0,
+                      2.001, 5.0, 40.0, 700.0):
+                want = _mp_ein(z)
+                assert abs(limits._ein(z) - want) <= 4e-15 * abs(want), z
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_laplace_psi(self, kappa):
+        with mpmath.workdps(30):
+            for c in CS:
+                law = limits.LimitLaw(kappa, c)
+                for s in (1e-6, 0.1, 1.0, 5.0):
+                    want = mpmath.exp(-_mp_log_psi(kappa, c, s))
+                    got = limits.laplace_psi(law, s)
+                    assert abs(got - want) <= 1e-13 * want, (c, s)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_psi0(self, kappa):
+        with mpmath.workdps(30):
+            for c in CS:
+                want = mpmath.exp(-_mp_log_psi(kappa, 0.0, c))
+                assert abs(limits.psi0(kappa, c) - want) <= 1e-13 * want, c
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_density_integral(self, kappa):
+        with mpmath.workdps(30):
+            for c in CS:
+                law = limits.LimitLaw(kappa, c)
+                scale = (mpmath.exp(-mpmath.euler * kappa - c)  # g_c(1)
+                         / (mpmath.gamma(kappa)
+                            * mpmath.exp(-_mp_log_psi(kappa, 0.0, c))))
+                for z in (0.25, 0.5, 0.75, 1.0):
+                    want = scale * mpmath.quad(
+                        lambda u: mpmath.exp(c * (1 - u)) * u ** (kappa - 1),
+                        [0, z])
+                    got = limits.density_integral(law, z)
+                    assert abs(got - want) <= 1e-13 * want, (c, z)
+
+    def test_large_cz_integral_is_the_mass_near_zero(self):
+        # at c = 4000 nearly all of X_{kappa,c} lies below z = 1/4; the
+        # series' sum passes 2^1000 and e^{-cz} underflows, so only the
+        # rescaled sum gets this right
+        for kappa in (0.5, 2.0):
+            law = limits.LimitLaw(kappa, 4000.0)
+            assert limits.density_integral(law, 0.25) == pytest.approx(
+                1.0, rel=1e-12)
+
+    def test_verify_check_is_independent_of_the_closed_form(self,
+                                                            monkeypatch):
+        # psi_c(s) psi(c) = psi(c + s) holds for any exponent of the form
+        # F(c + s) - F(c); the Simpson check must catch an Ein off by 1e-9
+        assert verify.check_psi_quadrature()[1]
+        ein = limits._ein
+        monkeypatch.setattr(limits, "_ein", lambda z: ein(z) * (1 + 1e-9))
+        assert not verify.check_psi_quadrature()[1]
+
+    def test_overflowing_psi_is_a_numeric_guard(self):
+        # psi(-20) = e^{kappa |Ein(-20)|} is beyond double range at kappa = 2
+        law = limits.LimitLaw(2.0, -20.0)
+        with pytest.raises(NumericGuardError, match="integrated limit density"):
+            limits.density_integral(law, 0.5)
+        with pytest.raises(NumericGuardError, match="limit density g_c"):
+            limits.limit_density(law, 0.5)
 
 
 class TestLimitLawCheck:

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -166,6 +167,40 @@ class TestFloatLogM:
         want = [-math.inf] + [st.log_big(v) for v in m] + [-math.inf] * 3
         assert got.tolist() == want
         assert spec.log_m_fn(2).tolist() == want[:3]
+
+
+def _ulps(got: float, want) -> float:
+    """|got - want| in units of the last place of want rounded to double;
+    want is an mpmath number."""
+    w = float(want)
+    return float(abs(mpmath.mpf(got) - want)) / (math.ulp(w) if w else 5e-324)
+
+
+class TestLogGammaKernels:
+    def test_log_gamma_int_within_2_ulps(self):
+        i = np.arange(1, 16002)
+        got = st._log_gamma_int(i)
+        with mpmath.workdps(30):
+            worst = max(_ulps(g, mpmath.loggamma(k))
+                        for k, g in zip(i.tolist(), got.tolist()))
+        assert worst <= 2.0
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 150, 199, 200, 201, 500,
+                                   1000, 4000, 9999, 16000])
+    def test_mapping_log_m_within_2_ulps(self, n):
+        # log m_n = log (n-1)! + log sum_{k<n} n^k/k!, summed in 40 digits
+        with mpmath.workdps(40):
+            term = total = mpmath.mpf(1)
+            for k in range(1, n):
+                term = term * n / k
+                total += term
+            want = mpmath.loggamma(n) + mpmath.log(total)
+            assert _ulps(st._log_mapping_m(n)[n], want) <= 2.0
+
+    def test_mapping_log_m_at_one_and_two(self):
+        got = st._log_mapping_m(2)
+        assert got[0] == -math.inf and got[1] == 0.0
+        assert got[2] == pytest.approx(math.log(3), rel=1e-15)
 
 
 # the loops that the one-pass Moebius fill replaced, kept as references
