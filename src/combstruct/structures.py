@@ -299,19 +299,35 @@ def _log_gamma_int(i: np.ndarray) -> np.ndarray:
     1) + log(2 pi)/2 + 1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7)
     above.  With x = m 2^e, m in [1/2, 1), log x is split as e _LN2_HI (so
     (x - 1/2) e _LN2_HI is exact below x = 2^17) plus e _LN2_LO + log m,
-    so the rounding error of log x is not multiplied by x."""
+    so the rounding error of log x is not multiplied by x.  The sum is
+    evaluated in place, in the order of the expression
+    h (e _LN2_HI) + (h (e _LN2_LO + log m - 1) + (log(2 pi)/2 - 1/2) + r s),
+    h = x - 1/2, r = 1/x and s the series in r^2, innermost term first."""
     i = np.asarray(i)
-    out = np.empty(i.shape)
+    h = i.astype(float)
+    m, e = np.frexp(h)
+    r = np.divide(1.0, h)
+    r2 = r * r
+    s = np.divide(r2, 1680)
+    np.subtract(1 / 1260, s, out=s)
+    np.multiply(r2, s, out=s)
+    np.subtract(1 / 360, s, out=s)
+    np.multiply(r2, s, out=s)
+    np.subtract(1 / 12, s, out=s)
+    np.multiply(r, s, out=s)
+    np.subtract(h, 0.5, out=h)
+    ef = e.astype(float)
+    t = np.multiply(ef, _LN2_LO, out=r2)
+    np.add(t, np.log(m, out=m), out=t)
+    np.subtract(t, 1.0, out=t)
+    np.multiply(h, t, out=t)
+    np.add(t, _HALF_LOG_2PI - 0.5, out=t)
+    np.add(t, s, out=t)
+    np.multiply(ef, _LN2_HI, out=ef)
+    np.multiply(h, ef, out=ef)
+    out = np.add(ef, t, out=ef)
     small = i <= 32
     out[small] = _LOG_GAMMA_SMALL[i[small]]
-    x = i[~small].astype(float)
-    m, e = np.frexp(x)
-    h = x - 0.5
-    r = 1.0 / x
-    r2 = r * r
-    out[~small] = h * (e * _LN2_HI) + (
-        h * (e * _LN2_LO + np.log(m) - 1.0) + (_HALF_LOG_2PI - 0.5)
-        + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
     return out
 
 
@@ -641,10 +657,20 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
     Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
 
-    The recurrences run on plain integers P(k) = D^k p(k), never on
-    Fractions.  With theta = a/b:
-      * assemblies: D is the lcm of the denominators of theta m_j
-        (j <= n), and P(n) = sum_j C(n-1, j-1) D^j theta m_j P(n-j);
+    The recurrences run on plain integers, never on Fractions.  With
+    theta = a/b:
+      * assemblies, EGF form: with e_k = p(k)/k! and u_j = theta m_j/(j-1)!,
+        k e_k = sum_j u_j e_{k-j}.  It runs on E_k = n! D^n e_k and U_j =
+        B u_j, D the lcm of the denominators of theta m_j and B that of the
+        u_j: E_k = sum_j U_j E_{k-j} / (k B), an exact division, and P(k) =
+        D^k p(k) = E_k k! / (n! D^(n-k)).  E_k is an integer because P(k)
+        is one.  For permutations, 2-regular graphs and the Ewens family
+        u_j is theta kappa or 0, so B is the denominator of theta kappa,
+        and each term multiplies a small U_j by a big E_k, with no binomial;
+      * assemblies, binomial form: P(n) = sum_j C(n-1, j-1) D^j theta m_j
+        P(n-j).  It is taken where B has more than n bits (the lcm stops
+        there): B grows like (j-1)! for set partitions and mappings, and
+        the U_j would be as big as the E_k;
       * multisets and selections: D = b L^2, L the lcm of the denominators
         of m_j, so D = b for integer m_j, and n P(n) = sum_i D^i g(i)
         P(n-i).  P(n) is an integer, so the division by n is exact: for
@@ -665,38 +691,92 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
 
 
 def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount]:
+    if spec.kind is Kind.ASSEMBLY:
+        tm = _theta_m(spec, n, theta)
+        egf = _egf_weights(tm, n)
+        return _assembly_egf(tm, n, *egf) if egf else _assembly_binomial(tm, n)
     a, b = theta.numerator, theta.denominator
     ms = [Fraction(0)] + [Fraction(spec.m(j)) for j in range(1, n + 1)]
+    L = math.lcm(*(mj.denominator for mj in ms))
+    D = b * L * L
+    sign, ta = (1, a) if spec.kind is Kind.MULTISET else (-1, -a)
+    Lm = [mj.numerator * (L // mj.denominator) for mj in ms]  # L m_j
+    divs = divisor_sieve(n)
+    # G(i) = D^i g(i) = sign L^{2i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
+    G = [0]
+    for i in range(1, n + 1):
+        G.append(sign * L ** (2 * i - 1) * sum(
+            k * Lm[k] * ta ** (i // k) * b ** (i - i // k)
+            for k in divs[i] if Lm[k]))
     P = [1]
-    if spec.kind is Kind.ASSEMBLY:
-        tm = [theta * mj for mj in ms]
-        D = math.lcm(*(t.denominator for t in tm))
-        w = [t.numerator * (D ** j // t.denominator) for j, t in enumerate(tm)][1:]
-        while w and not w[-1]:  # m_j = 0 beyond an explicit m list
-            w.pop()
-        # C(nn-1, j-1) for j = 1..min(nn, len(w)), by Pascal's rule
-        row = [1]
-        for nn in range(1, n + 1):
-            P.append(sum(map(mul, map(mul, row, w), reversed(P))))
-            row = [1] + [u + v for u, v in zip(row, row[1:] + [0])][:len(w) - 1]
-    else:
-        L = math.lcm(*(mj.denominator for mj in ms))
-        D = b * L * L
-        sign, ta = (1, a) if spec.kind is Kind.MULTISET else (-1, -a)
-        Lm = [mj.numerator * (L // mj.denominator) for mj in ms]  # L m_j
-        divs = divisor_sieve(n)
-        # G(i) = D^i g(i) = sign L^{2i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
-        G = [0]
-        for i in range(1, n + 1):
-            G.append(sign * L ** (2 * i - 1) * sum(
-                k * Lm[k] * ta ** (i // k) * b ** (i - i // k)
-                for k in divs[i] if Lm[k]))
-        for nn in range(1, n + 1):
-            q, rem = divmod(sum(map(mul, G[1:nn + 1], reversed(P))), nn)
-            if rem:
-                raise RuntimeError(
-                    f"p_theta({nn}) recurrence left remainder {rem} mod {nn}")
-            P.append(q)
+    for nn in range(1, n + 1):
+        P.append(_exact_div(sum(map(mul, G[1:nn + 1], reversed(P))), nn, nn))
+    return _unscale(P, D)
+
+
+def _theta_m(spec: StructureSpec, n: int, theta: BigCount) -> list[Fraction]:
+    """[theta m_j] for j = 1..J, J <= n the last j with m_j != 0."""
+    tm = [theta * Fraction(spec.m(j)) for j in range(1, n + 1)]
+    while tm and not tm[-1]:  # m_j = 0 beyond an explicit m list
+        tm.pop()
+    return tm
+
+
+def _egf_weights(tm: list[Fraction],
+                 max_bits: float) -> Optional[tuple[int, list[int]]]:
+    """(B, [U_1, ..., U_J]) of the EGF form for tm = [theta m_j]_{j<=J}:
+    B the lcm of the reduced denominators of u_j = theta m_j/(j-1)!, U_j =
+    B u_j; None as soon as B has more than max_bits bits."""
+    B, f, u = 1, 1, []
+    for j, t in enumerate(tm, start=1):
+        g = math.gcd(t.numerator, f)  # f = (j-1)!
+        d = t.denominator * (f // g)
+        u.append((t.numerator // g, d))
+        B = math.lcm(B, d)
+        if B.bit_length() > max_bits:
+            return None
+        f *= j
+    return B, [a * (B // d) for a, d in u]
+
+
+def _assembly_egf(tm: list[Fraction], n: int, B: int,
+                  U: list[int]) -> list[BigCount]:
+    """The assembly table in the EGF form (see ptheta_table)."""
+    D = math.lcm(*(t.denominator for t in tm))
+    E = [math.factorial(n) * D ** n]
+    for k in range(1, n + 1):
+        E.append(_exact_div(sum(map(mul, U, reversed(E))), k * B, k))
+    P = [0] * (n + 1)
+    s = 1  # n! D^(n-k) / k!
+    for k in range(n, -1, -1):
+        P[k] = E[k] // s
+        s *= k * D
+    return _unscale(P, D)
+
+
+def _assembly_binomial(tm: list[Fraction], n: int) -> list[BigCount]:
+    """The assembly table in the binomial form (see ptheta_table)."""
+    D = math.lcm(*(t.denominator for t in tm))
+    w = [t.numerator * (D ** j // t.denominator) for j, t in enumerate(tm, start=1)]
+    # C(nn-1, j-1) for j = 1..min(nn, len(w)), by Pascal's rule
+    P, row = [1], [1]
+    for nn in range(1, n + 1):
+        P.append(sum(map(mul, map(mul, row, w), reversed(P))))
+        row = [1] + [u + v for u, v in zip(row, row[1:] + [0])][:len(w) - 1]
+    return _unscale(P, D)
+
+
+def _exact_div(s: int, d: int, nn: int) -> int:
+    """s / d for the p_theta(nn) step; a remainder is a RuntimeError."""
+    q, rem = divmod(s, d)
+    if rem:
+        raise RuntimeError(
+            f"p_theta({nn}) recurrence left remainder {rem} mod {d}")
+    return q
+
+
+def _unscale(P: list[int], D: int) -> list[BigCount]:
+    """[P(k) / D^k], each as an int where its denominator is 1."""
     p: list[BigCount] = []
     s = 1
     for v in P:

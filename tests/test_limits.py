@@ -57,6 +57,8 @@ class TestLaplace:
         assert limits.laplace_psi(limits.LimitLaw(2.0, 1.0), 0.0) == 1.0
 
     def test_functional_equation_grid(self):
+        # psi_c(s) psi(c) = psi(c + s) holds by construction of the closed
+        # forms in Ein, so both sides are also held to mpmath quadrature
         for kappa in (0.5, 1.0, 2.0):
             for c in (0.0, kappa - 1.0):
                 law = limits.LimitLaw(kappa, c)
@@ -64,6 +66,12 @@ class TestLaplace:
                     lhs = limits.laplace_psi(law, s) * limits.psi0(kappa, c)
                     rhs = limits.psi0(kappa, c + s)
                     assert abs(lhs - rhs) < 1e-8
+                    with mpmath.workdps(20):
+                        for got, want in (
+                                (limits.laplace_psi(law, s),
+                                 mpmath.exp(-_mp_log_psi(kappa, c, s))),
+                                (rhs, mpmath.exp(-_mp_log_psi(kappa, 0, c + s)))):
+                            assert abs(got - want) <= 1e-12 * want, (kappa, c, s)
 
     def test_mean_via_derivative(self):
         # E X_{kappa,c} = kappa (1 - e^{-c})/c = -psi_c'(0)

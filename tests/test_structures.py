@@ -185,6 +185,23 @@ class TestLogGammaKernels:
                         for k, g in zip(i.tolist(), got.tolist()))
         assert worst <= 2.0
 
+    def test_log_gamma_int_bitwise_equals_expression(self):
+        # the in-place evaluation rounds exactly as the one-line expression
+        i = np.arange(1, 16002)
+        x = i[i > 32].astype(float)
+        m, e = np.frexp(x)
+        h, r = x - 0.5, 1.0 / x
+        r2 = r * r
+        want = st._LOG_GAMMA_SMALL[1:33].tolist() + (
+            h * (e * st._LN2_HI) + (
+                h * (e * st._LN2_LO + np.log(m) - 1.0)
+                + (st._HALF_LOG_2PI - 0.5)
+                + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
+        ).tolist()
+        got = st._log_gamma_int(i)
+        assert np.array_equal(got.view(np.int64),
+                              np.array(want).view(np.int64))
+
     @pytest.mark.parametrize("n", [2, 3, 10, 50, 150, 199, 200, 201, 500,
                                    1000, 4000, 9999, 16000])
     def test_mapping_log_m_within_2_ulps(self, n):
@@ -464,6 +481,64 @@ class TestScaledIntegerTables:
         assert typed(part) == typed(full[:31])
         assert spec._table_cache[("ptheta", Fraction(1, 2))] is cached
         assert len(cached) == 61
+
+
+ASSEMBLY_TABLE_SPECS = [sp for sp in SCALED_TABLE_SPECS
+                        if sp.kind is st.Kind.ASSEMBLY]
+
+
+def assembly_forms(spec, n, theta):
+    """The assembly table through the EGF form (B unbounded) and through the
+    binomial form."""
+    theta = st.as_integral(Fraction(theta))
+    tm = st._theta_m(spec, n, theta)
+    return (st._assembly_egf(tm, n, *st._egf_weights(tm, math.inf)),
+            st._assembly_binomial(tm, n))
+
+
+class TestAssemblyTableForms:
+    """Both assembly forms against the Fraction recurrence, and the rule that
+    picks one: the EGF form where B has at most n bits."""
+
+    @pytest.mark.parametrize("spec", ASSEMBLY_TABLE_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2), Fraction(3, 5)],
+                             ids=str)
+    def test_both_forms_match_fraction_recurrence(self, spec, theta):
+        want = typed(ptheta_table_fraction(spec, 128, theta))
+        egf, binomial = assembly_forms(spec, 128, theta)
+        assert typed(egf) == want
+        assert typed(binomial) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(hs.lists(hs.fractions(min_value=0, max_value=4, max_denominator=9),
+                    min_size=1, max_size=6),
+           hs.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 5)]))
+    def test_random_m_lists(self, ms, theta):
+        spec = st.from_m_list("assembly", ms)
+        want = typed(ptheta_table_fraction(spec, 30, theta))
+        egf, binomial = assembly_forms(spec, 30, theta)
+        assert typed(egf) == want
+        assert typed(binomial) == want
+
+    @pytest.mark.parametrize("n", [128, 400, 512])
+    def test_route_choice(self, n):
+        egf = [st.permutations(), st.esf(Fraction(1, 2)), st.esf(0.3),
+               st.two_regular_graphs()]
+        binomial = [st.set_partitions(), st.mappings()]
+        for theta in (1, 2, Fraction(1, 2)):
+            for spec in egf + binomial:
+                route = st._egf_weights(st._theta_m(spec, n, theta), n)
+                assert (route is not None) is (spec in egf), (spec.name, theta)
+
+    def test_esf_half_at_two_is_factorial_512(self):
+        # theta kappa = 1: the Ewens weights of permutations, p(k) = k!
+        got = st.ptheta_table(st.esf(Fraction(1, 2)), 512, 2)
+        assert typed(got) == typed([math.factorial(k) for k in range(513)])
+
+    def test_mappings_512(self):
+        # there are k^k mappings of a k-set to itself
+        got = st.ptheta_table(st.mappings(), 512, 1)
+        assert typed(got) == typed([k ** k for k in range(513)])
 
 
 class TestTableSlots:
