@@ -6,10 +6,11 @@ per size.  Everything else in the package derives from a StructureSpec:
 
   * N(n, a), the number of structures of weight n with component spectrum a
     (Cauchy-style product formulas, one per kind),
-  * p_theta(n), the theta-biased total count, with an exact path
-    (coefficient recurrences of the standard generating function identities,
-    run on integers D^k p_theta(k) for one common denominator D and divided
-    by D^k once per entry at the end) and one floating-point table,
+  * p_theta(n), the theta-biased total count, with an exact path (closed
+    forms for the builtin assemblies, otherwise coefficient recurrences of
+    the standard generating function identities, both run on integers D^k
+    p_theta(k) for one common denominator D and divided by D^k once per
+    entry at the end) and one floating-point table,
     sumdist._float_log_table, behind log_ptheta_table, p_total and
     uniform_pmf: by the identity C(n) = (Z_1..Z_n | T_n = n), x^k
     p_theta(k) [/k! for assemblies] is P(T_n = k) / P(T_n = 0), read off
@@ -37,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,6 +49,7 @@ from .errors import NumericGuardError, ParameterDomainError, underflow_error
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
 LogMFn = Callable[[int], np.ndarray]
+PthetaFn = Callable[[int, BigCount], list[BigCount]]
 
 # exact big-rational p_theta tables are the default for n <= EXACT_CUTOFF
 EXACT_CUTOFF = 512
@@ -167,6 +170,10 @@ class StructureSpec:
     integer m_i because C(m_i, a_i) does.  log_m_fn(n), when given, returns
     the floats [log m_0, ..., log m_n] (-inf at index 0 and where m_i = 0)
     without building m_i; without it the float routes take log_big(m(i)).
+    ptheta_fn(n, theta), set only by the builtin assemblies, returns the
+    exact [p_theta(0), ..., p_theta(n)] in closed form for a rational theta,
+    without building m_i; without it ptheta_table runs the coefficient
+    recurrence on the m_i.
     """
 
     kind: Kind
@@ -174,6 +181,7 @@ class StructureSpec:
     m_fn: Callable[[int], BigCount] = field(repr=False)
     meta: Optional[LogMeta] = None
     log_m_fn: Optional[LogMFn] = field(default=None, repr=False)
+    ptheta_fn: Optional[PthetaFn] = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
     _m_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _table_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -423,22 +431,80 @@ def _log_poly_m(q: int) -> LogMFn:
     return log_m
 
 
+# exact p_theta tables of the builtin assemblies in closed form: p_theta(k) =
+# k! [x^k] exp(theta C(x)).  Each runs on the integers P(k) = b^k p_theta(k)
+# for theta = a/b (the rising factorial on its own argument's denominator)
+# and ends in _unscale.
+
+def _rising_ptheta(n: int, t: BigCount) -> list[BigCount]:
+    """[t^(k)]_{k<=n}, the rising factorials t (t+1) ... (t+k-1): p_theta
+    of permutations at t = theta and of the Ewens family, exp(theta kappa
+    log 1/(1-x)) = (1-x)^(-theta kappa), at t = theta kappa."""
+    c, d = t.numerator, t.denominator
+    return _unscale(list(accumulate(range(c, c + n * d, d), mul, initial=1)), d)
+
+
+def _mapping_ptheta(n: int, theta: BigCount) -> list[BigCount]:
+    """exp(theta C) = (1-T)^(-theta) for the tree function T = x e^T, and
+    Lagrange-Buermann inversion gives p_theta(k) = sum_i C(k, i)
+    (theta-1)^(i) k^(k-i): P(k) = sum_i t_i with t_0 = (b k)^k and t_(i+1)
+    = t_i (k-i) (a + (i-1) b) / ((i+1) b k), an exact division.  At theta =
+    1 the sum is the one term k^k."""
+    a, b = theta.numerator, theta.denominator
+    P = [1]
+    for k in range(1, n + 1):
+        t = s = (b * k) ** k
+        for i in range(k):
+            f = (k - i) * (a + (i - 1) * b)
+            if not f:
+                break
+            t = _exact_div(t * f, (i + 1) * b * k, k)
+            s += t
+        P.append(s)
+    return _unscale(P, b)
+
+
+def _set_partition_ptheta(n: int, theta: BigCount) -> list[BigCount]:
+    """exp(theta (e^x - 1)), the Touchard polynomials, by the theta-Bell
+    triangle: row k is row k-1 times b, summed from a times the last entry
+    of row k-1, and its first entry is P(k)."""
+    a, b = theta.numerator, theta.denominator
+    row, P = [1], [1]
+    for _ in range(n):
+        row = list(accumulate(row if b == 1 else [b * v for v in row],
+                              initial=a * row[-1]))
+        P.append(row[0])
+    return _unscale(P, b)
+
+
+def _two_regular_ptheta(n: int, theta: BigCount) -> list[BigCount]:
+    """C = (log 1/(1-x) - x - x^2/2)/2, so (1-x) e' = (theta/2) x^2 e for e
+    = exp(theta C): p(k+1) = k p(k) + (theta/2) k (k-1) p(k-2)."""
+    a, b = theta.numerator, theta.denominator
+    P = [1, 0, 0][:n + 1]
+    for k in range(2, n):
+        P.append(b * k * P[k] + a * b * b * (k * (k - 1) // 2) * P[k - 2])
+    return _unscale(P, b)
+
+
 def permutations() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "permutations", _perm_m,
                          meta=LogMeta(1, 1.0), log_m_fn=_log_factorials,
+                         ptheta_fn=_rising_ptheta,
                          params={"builtin": "permutations"})
 
 
 def mappings() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "mappings", _mapping_m,
                          meta=LogMeta(Fraction(1, 2), math.e),
-                         log_m_fn=_log_mapping_m,
+                         log_m_fn=_log_mapping_m, ptheta_fn=_mapping_ptheta,
                          params={"builtin": "mappings"})
 
 
 def set_partitions() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "set_partitions", lambda i: 1,
                          log_m_fn=_log_m_const(),
+                         ptheta_fn=_set_partition_ptheta,
                          params={"builtin": "set_partitions"})
 
 
@@ -446,6 +512,7 @@ def two_regular_graphs() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "two_regular_graphs", _two_regular_m,
                          meta=LogMeta(Fraction(1, 2), 1.0),
                          log_m_fn=lambda n: _log_factorials(n, -math.log(2), 3),
+                         ptheta_fn=_two_regular_ptheta,
                          params={"builtin": "two_regular_graphs"})
 
 
@@ -460,6 +527,7 @@ def esf(kappa: Numeric) -> StructureSpec:
                          lambda i: kap * math.factorial(i - 1),
                          meta=LogMeta(kappa, 1.0),
                          log_m_fn=lambda n: _log_factorials(n, log_kap),
+                         ptheta_fn=lambda n, theta: _rising_ptheta(n, theta * kap),
                          params={"builtin": "esf", "kappa": kappa})
 
 
@@ -651,34 +719,36 @@ def count_N(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
 # ---------------------------------------------------------------------------
 
 def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCount]:
-    """[p_theta(0), ..., p_theta(n)] exactly, by coefficient recurrence.
+    """[p_theta(0), ..., p_theta(n)] exactly.
 
-    Assemblies:  p(n) = sum_j C(n-1, j-1) theta m_j p(n-j)       (EGF exp relation)
-    Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
-    Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
-
-    The recurrences run on plain integers, never on Fractions.  With
-    theta = a/b:
-      * assemblies, EGF form: with e_k = p(k)/k! and u_j = theta m_j/(j-1)!,
-        k e_k = sum_j u_j e_{k-j}.  It runs on E_k = n! D^n e_k and U_j =
-        B u_j, D the lcm of the denominators of theta m_j and B that of the
-        u_j: E_k = sum_j U_j E_{k-j} / (k B), an exact division, and P(k) =
-        D^k p(k) = E_k k! / (n! D^(n-k)).  E_k is an integer because P(k)
-        is one.  For permutations, 2-regular graphs and the Ewens family
-        u_j is theta kappa or 0, so B is the denominator of theta kappa,
-        and each term multiplies a small U_j by a big E_k, with no binomial;
-      * assemblies, binomial form: P(n) = sum_j C(n-1, j-1) D^j theta m_j
-        P(n-j).  It is taken where B has more than n bits (the lcm stops
-        there): B grows like (j-1)! for set partitions and mappings, and
-        the U_j would be as big as the E_k;
+    The builtin assemblies have closed forms (spec.ptheta_fn), each on the
+    integers b^k p_theta(k) for theta = a/b:
+      * permutations: the rising factorial theta^(k);
+      * Ewens family esf(kappa): (theta kappa)^(k), on the denominator of
+        theta kappa (a float kappa enters as its exact binary rational);
+      * 2-regular graphs: p(k+1) = k p(k) + (theta/2) k (k-1) p(k-2);
+      * set partitions: the Touchard polynomials, by a theta-Bell triangle
+        of additions;
+      * mappings: sum_i C(k, i) (theta-1)^(i) k^(k-i), by Lagrange-Buermann
+        inversion of (1-T)^(-theta), T the tree function; k^k at theta = 1.
+    Every other spec takes a coefficient recurrence:
+      Assemblies:  p(n) = sum_j C(n-1, j-1) theta m_j p(n-j)  (exponential formula)
+      Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
+      Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
+    The recurrences run on plain integers P(k) = D^k p(k), never on
+    Fractions:
+      * assemblies: D the lcm of the denominators of theta m_j, and P(n) =
+        sum_j C(n-1, j-1) D^j theta m_j P(n-j), the binomials by Pascal's
+        rule; this binomial form is also the check on the closed forms;
       * multisets and selections: D = b L^2, L the lcm of the denominators
         of m_j, so D = b for integer m_j, and n P(n) = sum_i D^i g(i)
         P(n-i).  P(n) is an integer, so the division by n is exact: for
         m = u/v in lowest terms, the denominator of C(m+k-1, k) divides
         v^k prod_{p | v} p^{v_p(k!)}, which divides v^{2k}, and a weight-n
         term has at most n factors.
-    Each entry is divided by its D^k once, at the end, and a value with
-    denominator 1 is returned as an int.
+    Each entry is divided by its scale once, at the end, and a value with
+    denominator 1 is returned as an int.  An exact division that leaves a
+    remainder is a RuntimeError.
 
     theta must be an int or Fraction for exactness.  The table is kept in
     the spec's slot ("ptheta", theta) and read up to n.
@@ -691,10 +761,10 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
 
 
 def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount]:
+    if spec.ptheta_fn is not None:
+        return spec.ptheta_fn(n, theta)
     if spec.kind is Kind.ASSEMBLY:
-        tm = _theta_m(spec, n, theta)
-        egf = _egf_weights(tm, n)
-        return _assembly_egf(tm, n, *egf) if egf else _assembly_binomial(tm, n)
+        return _assembly_binomial(spec, n, theta)
     a, b = theta.numerator, theta.denominator
     ms = [Fraction(0)] + [Fraction(spec.m(j)) for j in range(1, n + 1)]
     L = math.lcm(*(mj.denominator for mj in ms))
@@ -714,48 +784,13 @@ def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount
     return _unscale(P, D)
 
 
-def _theta_m(spec: StructureSpec, n: int, theta: BigCount) -> list[Fraction]:
-    """[theta m_j] for j = 1..J, J <= n the last j with m_j != 0."""
+def _assembly_binomial(spec: StructureSpec, n: int,
+                       theta: BigCount) -> list[BigCount]:
+    """The assembly table in the binomial form (see ptheta_table), on the
+    m_j of the spec, whatever its ptheta_fn."""
     tm = [theta * Fraction(spec.m(j)) for j in range(1, n + 1)]
     while tm and not tm[-1]:  # m_j = 0 beyond an explicit m list
         tm.pop()
-    return tm
-
-
-def _egf_weights(tm: list[Fraction],
-                 max_bits: float) -> Optional[tuple[int, list[int]]]:
-    """(B, [U_1, ..., U_J]) of the EGF form for tm = [theta m_j]_{j<=J}:
-    B the lcm of the reduced denominators of u_j = theta m_j/(j-1)!, U_j =
-    B u_j; None as soon as B has more than max_bits bits."""
-    B, f, u = 1, 1, []
-    for j, t in enumerate(tm, start=1):
-        g = math.gcd(t.numerator, f)  # f = (j-1)!
-        d = t.denominator * (f // g)
-        u.append((t.numerator // g, d))
-        B = math.lcm(B, d)
-        if B.bit_length() > max_bits:
-            return None
-        f *= j
-    return B, [a * (B // d) for a, d in u]
-
-
-def _assembly_egf(tm: list[Fraction], n: int, B: int,
-                  U: list[int]) -> list[BigCount]:
-    """The assembly table in the EGF form (see ptheta_table)."""
-    D = math.lcm(*(t.denominator for t in tm))
-    E = [math.factorial(n) * D ** n]
-    for k in range(1, n + 1):
-        E.append(_exact_div(sum(map(mul, U, reversed(E))), k * B, k))
-    P = [0] * (n + 1)
-    s = 1  # n! D^(n-k) / k!
-    for k in range(n, -1, -1):
-        P[k] = E[k] // s
-        s *= k * D
-    return _unscale(P, D)
-
-
-def _assembly_binomial(tm: list[Fraction], n: int) -> list[BigCount]:
-    """The assembly table in the binomial form (see ptheta_table)."""
     D = math.lcm(*(t.denominator for t in tm))
     w = [t.numerator * (D ** j // t.denominator) for j, t in enumerate(tm, start=1)]
     # C(nn-1, j-1) for j = 1..min(nn, len(w)), by Pascal's rule

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from combstruct import structures as st
 from combstruct.errors import NumericGuardError, ParameterDomainError
@@ -487,27 +487,22 @@ ASSEMBLY_TABLE_SPECS = [sp for sp in SCALED_TABLE_SPECS
                         if sp.kind is st.Kind.ASSEMBLY]
 
 
-def assembly_forms(spec, n, theta):
-    """The assembly table through the EGF form (B unbounded) and through the
-    binomial form."""
-    theta = st.as_integral(Fraction(theta))
-    tm = st._theta_m(spec, n, theta)
-    return (st._assembly_egf(tm, n, *st._egf_weights(tm, math.inf)),
-            st._assembly_binomial(tm, n))
+CLOSED_FORM_SPECS = [st.permutations, st.mappings, st.set_partitions,
+                     st.two_regular_graphs, lambda: st.esf(Fraction(1, 2)),
+                     lambda: st.esf(0.3)]
 
 
 class TestAssemblyTableForms:
-    """Both assembly forms against the Fraction recurrence, and the rule that
-    picks one: the EGF form where B has at most n bits."""
+    """The closed forms of the builtin assemblies (spec.ptheta_fn) and the
+    binomial form, each against the Fraction recurrence."""
 
     @pytest.mark.parametrize("spec", ASSEMBLY_TABLE_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2), Fraction(3, 5)],
                              ids=str)
-    def test_both_forms_match_fraction_recurrence(self, spec, theta):
+    def test_binomial_form_matches_fraction_recurrence(self, spec, theta):
         want = typed(ptheta_table_fraction(spec, 128, theta))
-        egf, binomial = assembly_forms(spec, 128, theta)
-        assert typed(egf) == want
-        assert typed(binomial) == want
+        theta = st.as_integral(Fraction(theta))
+        assert typed(st._assembly_binomial(spec, 128, theta)) == want
 
     @settings(max_examples=30, deadline=None)
     @given(hs.lists(hs.fractions(min_value=0, max_value=4, max_denominator=9),
@@ -516,19 +511,42 @@ class TestAssemblyTableForms:
     def test_random_m_lists(self, ms, theta):
         spec = st.from_m_list("assembly", ms)
         want = typed(ptheta_table_fraction(spec, 30, theta))
-        egf, binomial = assembly_forms(spec, 30, theta)
-        assert typed(egf) == want
-        assert typed(binomial) == want
+        theta = st.as_integral(Fraction(theta))
+        assert typed(st._assembly_binomial(spec, 30, theta)) == want
 
-    @pytest.mark.parametrize("n", [128, 400, 512])
-    def test_route_choice(self, n):
-        egf = [st.permutations(), st.esf(Fraction(1, 2)), st.esf(0.3),
-               st.two_regular_graphs()]
-        binomial = [st.set_partitions(), st.mappings()]
-        for theta in (1, 2, Fraction(1, 2)):
-            for spec in egf + binomial:
-                route = st._egf_weights(st._theta_m(spec, n, theta), n)
-                assert (route is not None) is (spec in egf), (spec.name, theta)
+    @settings(max_examples=60, deadline=None)
+    @given(hs.sampled_from(CLOSED_FORM_SPECS), hs.integers(1, 20),
+           hs.integers(1, 9), hs.integers(0, 60))
+    @example(st.two_regular_graphs, 1, 1, 0)
+    @example(st.two_regular_graphs, 3, 5, 1)
+    @example(st.two_regular_graphs, 3, 5, 2)
+    def test_closed_forms_match_fraction_recurrence(self, make, a, b, n):
+        spec = make()
+        theta = st.as_integral(Fraction(a, b))
+        want = typed(ptheta_table_fraction(spec, n, theta))
+        assert typed(spec.ptheta_fn(n, theta)) == want
+
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2)], ids=str)
+    def test_builtins_build_in_closed_form(self, monkeypatch, theta):
+        def no_m(i):
+            raise AssertionError(f"the mappings table read m_{i}")
+        monkeypatch.setattr(st, "_mapping_m", no_m)
+        for make in CLOSED_FORM_SPECS:
+            spec = make()
+            got = st.ptheta_table(spec, 128, theta)
+            assert spec._m_cache == {}, spec.name
+            want = spec.ptheta_fn(128, st.as_integral(Fraction(theta)))
+            assert typed(got) == typed(want)
+
+    def test_only_builtin_assemblies_have_closed_forms(self):
+        for name, make in st.BUILTINS.items():
+            spec = make(2) if name in ("esf", "polynomials", "necklaces",
+                                       "squarefree_polynomials") else make()
+            assert (spec.ptheta_fn is not None) is (
+                spec.kind is st.Kind.ASSEMBLY), name
+        for kind in st.Kind:
+            spec = st.spec_from_json_dict({"kind": kind.value, "m": [1, 2, 6]})
+            assert spec.ptheta_fn is None
 
     def test_esf_half_at_two_is_factorial_512(self):
         # theta kappa = 1: the Ewens weights of permutations, p(k) = k!
