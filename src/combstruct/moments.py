@@ -118,15 +118,28 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
         tab = ptheta_table(spec, n, theta)
         if tab[n] == 0:
             raise ParameterDomainError(f"no structures of weight {n}")
+        # theta = a/b: the sum times b^top L (L the lcm of the table
+        # denominators it reads) is an integer, so the terms are added as
+        # integers and one Fraction is built at the end
         th = Fraction(theta)
-        total = Fraction(0)
-        for m in range(r, n // j + 1):
-            term = math.comb(m - 1, r - 1) * th ** m * Fraction(tab[n - j * m])
+        a, b = th.numerator, th.denominator
+        top = n // j
+        vals = [tab[n - j * m] for m in range(r, top + 1)]
+        den = math.lcm(*(v.denominator for v in vals))
+        total, b_pow = 0, 1
+        for m in range(top, r - 1, -1):
+            v = vals[m - r]
+            term = (math.comb(m - 1, r - 1) * a ** m * b_pow
+                    * v.numerator * (den // v.denominator))
             if spec.kind is Kind.SELECTION and (m - r) % 2 == 1:
                 term = -term
             total += term
+            b_pow *= b
         lead = rising(mj, r) if spec.kind is Kind.MULTISET else falling(mj, r)
-        return float(lead * total / Fraction(tab[n]))
+        last = tab[n]
+        return float(Fraction(lead.numerator * total * last.denominator,
+                              lead.denominator * b ** top * den
+                              * last.numerator))
     # float path: log-space p_theta table, compensated alternating sum
     logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
     lth = math.log(float(theta))

@@ -9,17 +9,24 @@ the recursive method of Nijenhuis and Wilf.  With Q[i, r] = P(T_i = r),
     P(Z_i = k | T_i = r) = P(Z_i = k) Q[i-1, r - i k] / Q[i, r],
 
 so Z_n, Z_{n-1}, ..., Z_1 are drawn in turn from the remainder r that the
-larger indices left, starting at r = n: one uniform per index and one
-inverse-CDF compare over k <= r // i, at most sum_i (n // i + 1) =
-O(n log n) weights per sample.  The remainder ends at 0, so every draw is
+larger indices left, starting at r = n, one uniform per index.  The total
+of those weights is Q[i, r] bit for bit, so Z_i = 0 exactly when
+P(Z_i = 0) Q[i-1, r] > u Q[i, r], which holds for every i > r, and most
+indices draw 0.  The draw visits the rows of Q from the top in blocks of
+_WINDOW indices: in a block each sample finds its next index J with
+Z_J > 0 by one compare over its window and runs the inverse-CDF compare
+over k <= r // J there only.  Each sample's draws are those of the
+index-by-index loop, with the same uniforms, and the window changes no
+sample.  The remainder ends at 0, so every draw is
 accepted and trials = accepted = count.  Stream k's uniforms are the rows
 of one (count_k, n) matrix from its own generator; all streams go through
 one top-down pass, in blocks of at most _BLOCK samples, and the block size
 bounds memory without changing a sample.  The rows of Q are the
 prefix pmfs of the strided update behind the selection convolution
-(sumdist.prefix_pmfs), kept in one spec slot for the last (n, x, theta)
-sampled; it takes 8 (n+1)(n+2) bytes: 8 MB at n = 1000, 128 MB at n = 4000.
-acceptance_exact is read off the table as Q[n, n] = P(T_n = n).
+(sumdist.prefix_pmfs), kept with the per-index rows P(Z_i = k) in one spec
+slot for the last (n, x, theta) sampled; Q takes 8 (n+1)(n+2) bytes: 8 MB
+at n = 1000, 128 MB at n = 4000.  acceptance_exact is read off the table
+as Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
 with probability P(T_i = r) P(T_n - T_i = n - r) / P(T_n = n), which is at
@@ -69,6 +76,8 @@ from . import sumdist
 
 _BLOCK = 4096  # rejection: trials per block, fixed for reproducibility;
                # table: samples per block, a memory bound only
+_WINDOW = 64   # table: indices per row block of the top-down draw; it
+               # changes the work per block, not a sample
 _UNDERFLOW_GUARD = 1e-12
 
 
@@ -129,12 +138,13 @@ class _IndexTables:
 @dataclass
 class _PrefixTable:
     """q[i, r] = P(T_i = r) for i, r = 0..n, with q[i, n+1] = 0 so that a
-    negative remainder clipped to -1 reads a zero; pk[i] = P(Z_i = k) as
-    sumdist.prefix_pmfs yields it, the very factors whose products q[i]
-    sums."""
+    negative remainder clipped to -1 reads a zero; pk[off[i]:off[i+1]] =
+    P(Z_i = k) as sumdist.prefix_pmfs yields it, the very factors whose
+    products q[i] sums, so pk[off[i]] = P(Z_i = 0) (index 0 holds [1])."""
 
     q: np.ndarray
-    pk: list
+    pk: np.ndarray
+    off: np.ndarray
 
 
 def _prefix_table(spec: StructureSpec, n: int,
@@ -142,36 +152,62 @@ def _prefix_table(spec: StructureSpec, n: int,
     def build():
         q = np.zeros((n + 1, n + 2))
         q[0, 0] = 1.0
-        pk = [None]
+        rows = [np.ones(1)]
         for i, pk_i, p in sumdist.prefix_pmfs(spec, tuple(range(1, n + 1)),
                                               n, params):
             q[i, : n + 1] = p
-            pk.append(pk_i)
-        return _PrefixTable(q=q, pk=pk)
+            rows.append(pk_i)
+        off = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=off[1:])
+        return _PrefixTable(q=q, pk=np.concatenate(rows), off=off)
     return spec.table("prefix_pmfs", build, key=(n, params.fx, params.ftheta))
 
 
 def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
     """a[s, i-1] = Z_i of sample s, drawn from C(n) with u[s, i-1] at index i.
 
-    At index i every sample picks k with weights P(Z_i = k) Q[i-1, r - i k]
-    (zero for r < i k): k is the number of cumulative weights at or below u
-    times their total.  A sample with r < i has only k = 0 left.
+    At index i a sample with remainder r picks k with weights
+    P(Z_i = k) Q[i-1, r - i k] (zero for r < i k): k is the number of
+    cumulative weights at or below u times their total.  That total is
+    Q[i, r] bit for bit (the same products, added in the same order as
+    sumdist.prefix_pmfs), so k = 0 exactly when
+    P(Z_i = 0) Q[i-1, r] > u Q[i, r], and for sure when i > r.  The rows
+    of Q are visited in blocks (lo, hi] of _WINDOW indices: in a block each
+    sample finds its next index J with Z_J > 0 by one compare over its
+    window, draws Z_J, and looks again below J with the new remainder.
     """
     count, n = u.shape
+    q, pk, off = tab.q, tab.pk, tab.off
+    p0, kmax = pk[off[:-1]], np.diff(off) - 1
     r = np.full(count, n, dtype=np.int64)
     a = np.zeros((count, n), dtype=np.int64)
-    ks = np.arange(n + 1)
-    for i in range(n, 0, -1):
-        pk = tab.pk[i]
-        k_cap = min(int(r.max()) // i, len(pk) - 1)
-        if k_cap == 0:
-            continue
-        rest = np.maximum(r[:, None] - i * ks[: k_cap + 1], -1)
-        cum = (pk[: k_cap + 1] * tab.q[i - 1][rest]).cumsum(axis=1)
-        k = (cum <= (u[:, i - 1] * cum[:, -1])[:, None]).sum(axis=1)
-        a[:, i - 1] = k
-        r -= i * k
+    for hi in range(n, 0, -_WINDOW):
+        lo = max(hi - _WINDOW, 0)
+        idx = np.arange(lo + 1, hi + 1)
+        drawable = kmax[lo + 1: hi + 1] > 0
+        s = np.flatnonzero(r > lo)
+        top = np.full(s.size, hi)
+        while s.size:
+            rs = r[s]
+            qw = q[lo: hi + 1, rs].T  # qw[:, i - lo] = Q[i, r]
+            live = (p0[lo + 1: hi + 1] * qw[:, :-1]
+                    <= u[s, lo:hi] * qw[:, 1:])
+            live &= drawable & (idx <= np.minimum(rs, top)[:, None])
+            has = live.any(axis=1)
+            if not has.any():
+                break
+            s, rs = s[has], rs[has]
+            j = hi - np.argmax(live[has, ::-1], axis=1)
+            k_cap = np.minimum(rs // j, kmax[j])[:, None]
+            ks = np.arange(int(k_cap.max()) + 1)
+            rest = np.where(ks <= k_cap, rs[:, None] - j[:, None] * ks, -1)
+            cum = (pk[off[j][:, None] + np.minimum(ks, k_cap)]
+                   * q[j[:, None] - 1, rest]).cumsum(axis=1)
+            k = (cum <= (u[s, j - 1] * cum[:, -1])[:, None]).sum(axis=1)
+            a[s, j - 1] = k
+            r[s] = rs - j * k
+            more = (j - 1 > lo) & (r[s] > lo)
+            s, top = s[more], j[more] - 1
     if np.any(r != 0):
         raise NumericGuardError("top-down draw left a nonzero remainder")
     return a
@@ -353,18 +389,18 @@ def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
     if not samples:
         raise ParameterDomainError("empty sample batch")
     n = samples[0].n
-    K, L, J, D, Dstar = [], [], [], [], []
-    for v in samples:
-        a = np.asarray(v.a)
-        sizes = np.nonzero(a)[0] + 1
-        k = int(a.sum())
-        K.append(k)
-        L.append(int(sizes.max()) if len(sizes) else 0)
-        J.append(len(sizes))
-        D.append(float(np.dot(sizes, a[sizes - 1])) / k if k else 0.0)
-        Dstar.append(float(np.dot(sizes * sizes, a[sizes - 1])) / n)
-    return StatsTable(columns={"K": K, "L": L, "J": J, "D": D, "Dstar": Dstar},
-                      n=n)
+    a = np.array([v.a for v in samples], dtype=np.int64)
+    sizes = np.arange(1, n + 1)
+    present = a > 0
+    K, J = a.sum(axis=1), present.sum(axis=1)
+    L = np.where(J > 0, n - np.argmax(present[:, ::-1], axis=1), 0)
+    # the sums stay integers and are divided once, so each value is the
+    # float(sum) / k (or / n) of one sample, and the summary prints the same
+    D = np.where(K > 0, (a @ sizes) / np.maximum(K, 1), 0.0)
+    Dstar = (a @ (sizes * sizes)) / n
+    return StatsTable(columns={"K": K.tolist(), "L": L.tolist(),
+                               "J": J.tolist(), "D": D.tolist(),
+                               "Dstar": Dstar.tolist()}, n=n)
 
 
 def size_biased_pmf_estimate(samples: Iterable[ComponentVector]) -> np.ndarray:

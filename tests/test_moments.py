@@ -132,6 +132,40 @@ class TestSingleIndex:
         assert loose == pytest.approx(exact, rel=1e-8)
 
 
+def _fraction_per_term_moment(spec, n, j, r, theta):
+    """The exact single-index moment with one Fraction added per term."""
+    tab = st.ptheta_table(spec, n, theta)
+    total = Fraction(0)
+    for m in range(r, n // j + 1):
+        term = math.comb(m - 1, r - 1) * Fraction(theta) ** m \
+            * Fraction(tab[n - j * m])
+        total += -term if spec.kind is st.Kind.SELECTION and (m - r) % 2 \
+            else term
+    lead = (st.rising if spec.kind is st.Kind.MULTISET else st.falling)(
+        spec.m(j), r)
+    return float(lead * total / Fraction(tab[n]))
+
+
+class TestExactSumOneFraction:
+    # the exact branch adds integers over one common denominator; the
+    # rational, and so its float, is the one a Fraction per term gives
+    @pytest.mark.parametrize("spec", [
+        st.integer_partitions(), st.polynomials(2), st.distinct_partitions(),
+        st.squarefree_polynomials(2),
+        st.from_m_list("multiset", [0.5, Fraction(3, 2), Fraction(1, 3)] * 4),
+        st.from_m_list("selection", [0, 2, 1, 0, 3] * 12),
+    ], ids=lambda s: s.name)
+    def test_equals_fraction_per_term(self, spec):
+        for n in (40, 200):
+            for theta in (1, 2, Fraction(1, 2), Fraction(3, 5)):
+                for j in (1, 2, 3, 7):
+                    for r in (1, 2):
+                        got = mom.factorial_moment_single(spec, n, j, r,
+                                                          theta=theta)
+                        want = _fraction_per_term_moment(spec, n, j, r, theta)
+                        assert got == want, (n, theta, j, r)
+
+
 def _exact_single_moment(spec, n, j, r, theta):
     """E (C_j(n))_[r] of a selection from the exact table, any n."""
     tab = st.ptheta_table(spec, n, theta)

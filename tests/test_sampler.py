@@ -191,6 +191,57 @@ class TestTableRoute:
                               method="boltzmann")
 
 
+TABLE_PINNED = [
+    # spec, n, x, count, streams, seed, samples per block (None: _BLOCK),
+    # sha256 of the sample tuples
+    (PERM, 300, 1.0, 40, 1, 1, None,
+     "98140e588f828511292c2d94765ff23b9503a54fa1d0c529505204b2b33c57f8"),
+    (st.integer_partitions(), 1000, 0.96, 20, 2, 2, None,
+     "cf0eeb3cd8db8d0895b0618d4fbfd17d6e17a8774c051c267c0fb79880c2af09"),
+    # m_i = 0 at every even i: rows [1] with no draw
+    (st.distinct_odd_partitions(), 400, 0.98, 60, 1, 3, None,
+     "0ae22101e61f118594d2021e6f3f08fb0715ef0861e2cd51a1ca62ff53d9d00d"),
+    (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9, 200, 3, 4,
+     None, "da9923a430df9deab9ec71bf7766985743a9ef4632791de1691a68003ff69cc6"),
+    (st.polynomials(2), 64, 0.5, 100, 1, 5, None,
+     "f4cb3d339a55f163242612bb73d142df3bd3887b75133cce941f26a8c6900594"),
+    # 250 samples in blocks of 97
+    (st.set_partitions(), 200, 4.0, 250, 3, 6, 97,
+     "8a38a0c75a811b3e51ed919a2b70940e26a029dbbcfd5298f440358e7945019a"),
+]
+TABLE_PINNED_IDS = ["permutations", "integer_partitions",
+                    "distinct_odd_partitions", "selection", "polynomials2",
+                    "count_above_block"]
+
+
+class TestTablePinned:
+    # sha256 of the table route's sample tuples, pinned so that a rewrite of
+    # the top-down draw keeps every sample
+    @pytest.mark.parametrize("spec,n,x,count,streams,seed,block,digest",
+                             TABLE_PINNED, ids=TABLE_PINNED_IDS)
+    def test_samples(self, spec, n, x, count, streams, seed, block, digest,
+                     monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(smp, "_BLOCK", block)
+        batch = sample_components(spec, n, TiltedParams(x, 1), count,
+                                  RngState(seed), streams=streams)
+        assert batch.trials == batch.accepted == count
+        tuples = repr([v.a for v in batch.samples]).encode()
+        assert hashlib.sha256(tuples).hexdigest() == digest
+
+    # the row-block width changes the work per block, not a sample
+    @pytest.mark.parametrize("spec,n,x,count,streams,seed,block,digest",
+                             TABLE_PINNED[2:5], ids=TABLE_PINNED_IDS[2:5])
+    @pytest.mark.parametrize("window", [1, 7, 10**6])
+    def test_window_changes_no_sample(self, spec, n, x, count, streams, seed,
+                                      block, digest, window, monkeypatch):
+        monkeypatch.setattr(smp, "_WINDOW", window)
+        batch = sample_components(spec, n, TiltedParams(x, 1), count,
+                                  RngState(seed), streams=streams)
+        tuples = repr([v.a for v in batch.samples]).encode()
+        assert hashlib.sha256(tuples).hexdigest() == digest
+
+
 class TestOneTablePerSlot:
     def test_five_x_values_keep_one_table_per_slot(self):
         spec, n = st.permutations(), 40
@@ -402,3 +453,24 @@ class TestStatistics:
     def test_empty_batch(self):
         with pytest.raises(ParameterDomainError):
             statistics([])
+
+    def test_columns_equal_per_sample_formulas(self):
+        # the array columns against the per-sample definitions, exactly,
+        # on sampled vectors plus an empty one
+        batch = sample_components(st.integer_partitions(), 300,
+                                  TiltedParams(0.93, 1), 400, RngState(12))
+        samples = batch.samples + [st.ComponentVector(n=300, a=(0,) * 300)]
+        want = {"K": [], "L": [], "J": [], "D": [], "Dstar": []}
+        for v in samples:
+            sizes = [i for i, ai in enumerate(v.a, start=1) if ai]
+            k = sum(v.a)
+            want["K"].append(k)
+            want["L"].append(max(sizes, default=0))
+            want["J"].append(len(sizes))
+            want["D"].append(float(sum(i * v.a[i - 1] for i in sizes)) / k
+                             if k else 0.0)
+            want["Dstar"].append(
+                float(sum(i * i * v.a[i - 1] for i in sizes)) / 300)
+        got = statistics(samples).columns
+        assert got == want
+        assert all(type(got[c][0]) is type(want[c][0]) for c in want)
