@@ -261,9 +261,8 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
     per = [count // streams + (1 if k < count % streams else 0)
            for k in range(streams)]
     if method == "table":
-        samples = [ComponentVector(n=n, a=tuple(row))
-                   for u in _uniform_rows(rng, per, n)
-                   for row in _draw_top_down(tab, u).tolist()]
+        samples = [v for u in _uniform_rows(rng, per, n)
+                   for v in ComponentVector.from_rows(n, _draw_top_down(tab, u))]
         return SampleBatch(samples=samples, trials=count, accepted=count,
                            acceptance_exact=p_exact)
     tabs = spec.table("sampler_tables", lambda: _IndexTables(spec, n, params),
@@ -293,7 +292,7 @@ def _sample_stream(tabs: _IndexTables, n: int, want: int, rng_state: RngState):
         a = np.zeros((take, n), dtype=np.int64)
         for i, cum in tabs.cum.items():
             a[:, i - 1] = np.searchsorted(cum, u[:take, i - 1], side="right")
-        out.extend(ComponentVector(n=n, a=tuple(row)) for row in a.tolist())
+        out.extend(ComponentVector.from_rows(n, a))
     return out, trials
 
 

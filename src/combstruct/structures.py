@@ -139,6 +139,26 @@ class ComponentVector:
         if self.a and min(self.a) < 0:
             raise ParameterDomainError("component counts must be nonnegative")
 
+    @classmethod
+    def from_rows(cls, n: int, rows: np.ndarray) -> list["ComponentVector"]:
+        """One vector per row of a (count, n) integer array.  The checks of
+        __post_init__ run once on the whole array, not once per vector; the
+        vectors compare and hash as if built one by one."""
+        if n < 1:
+            raise ParameterDomainError("weight n must be >= 1")
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ParameterDomainError("component vector must have length n")
+        if rows.size and rows.min() < 0:
+            raise ParameterDomainError("component counts must be nonnegative")
+        new, put = object.__new__, object.__setattr__  # the class is frozen
+        out = []
+        for row in rows.tolist():
+            v = new(cls)
+            put(v, "n", n)
+            put(v, "a", tuple(row))
+            out.append(v)
+        return out
+
     @property
     def weight(self) -> int:
         return sum((i + 1) * ai for i, ai in enumerate(self.a))
@@ -766,18 +786,22 @@ def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount
     if spec.kind is Kind.ASSEMBLY:
         return _assembly_binomial(spec, n, theta)
     a, b = theta.numerator, theta.denominator
-    ms = [Fraction(0)] + [Fraction(spec.m(j)) for j in range(1, n + 1)]
+    # m_j as ints where integral (a float m_j as its exact binary rational)
+    ms = [0] + [mj if isinstance(mj, int) else as_integral(Fraction(mj))
+                for mj in map(spec.m, range(1, n + 1))]
     L = math.lcm(*(mj.denominator for mj in ms))
     D = b * L * L
     sign, ta = (1, a) if spec.kind is Kind.MULTISET else (-1, -a)
     Lm = [mj.numerator * (L // mj.denominator) for mj in ms]  # L m_j
+    ta_pow = list(accumulate([ta] * n, mul, initial=1))  # ta^j, j <= n
+    b_pow = list(accumulate([b] * n, mul, initial=1))
     divs = divisor_sieve(n)
     # G(i) = D^i g(i) = sign L^{2i-1} sum_{k|i} k (L m_k) ta^{i/k} b^{i-i/k}
     G = [0]
     for i in range(1, n + 1):
-        G.append(sign * L ** (2 * i - 1) * sum(
-            k * Lm[k] * ta ** (i // k) * b ** (i - i // k)
-            for k in divs[i] if Lm[k]))
+        s = sum(k * Lm[k] * ta_pow[i // k] * b_pow[i - i // k]
+                for k in divs[i] if Lm[k])
+        G.append(sign * L ** (2 * i - 1) * s)
     P = [1]
     for nn in range(1, n + 1):
         P.append(_exact_div(sum(map(mul, G[1:nn + 1], reversed(P))), nn, nn))
@@ -811,7 +835,10 @@ def _exact_div(s: int, d: int, nn: int) -> int:
 
 
 def _unscale(P: list[int], D: int) -> list[BigCount]:
-    """[P(k) / D^k], each as an int where its denominator is 1."""
+    """[P(k) / D^k], each as an int where its denominator is 1: P itself
+    when D = 1."""
+    if D == 1:
+        return P
     p: list[BigCount] = []
     s = 1
     for v in P:

@@ -11,9 +11,14 @@ shared base-2 exponent (values span thousands of orders of magnitude for
 large n); an FFT convolution would lose the small entries to rounding.  It
 is solved in blocks of up to _BLOCK indices: the terms from earlier blocks
 are one correlation, a BLAS dot per index, and the terms within the block
-one triangular solve.  The correlation reads only g's nonzero band, the
-indices up to the last i with g(i) != 0, so the recursion costs about
-n band multiply-adds instead of n^2 / 2.  Every route returns one triple
+one triangular solve (LAPACK trtrs).  The correlation reads only a short
+band beta of g, so the recursion costs about n beta multiply-adds instead
+of n^2 / 2: beta is the last i with g(i) != 0, or shorter where a
+nonnegative g has a certified tail past it (_tail_model).  A zero tail,
+negligible against the kept terms, is checked block by block; a geometric
+tail c rho^i, as g(i) -> theta kappa (x y)^i in the logarithmic class
+(polynomials over a finite field, whose g(i) is (q x)^i), is one running
+sum W extended once per block.  Every route returns one triple
 (v, shift, lseed) with P(R_B = k) = v[k] 2^shift[k] e^lseed: the
 recursion (q, its per-entry exponents, log_seed(B)), the convolution
 (p, 0, 0.0).  The full index set's triple and its seed are kept in one
@@ -51,7 +56,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import NumericGuardError, ParameterDomainError, underflow_error
 from .structures import (Kind, Numeric, StructureSpec, exact_route, log_big,
@@ -67,6 +72,8 @@ _RESCALE_INV = 2.0 ** -512
 _BLOCK = 128       # indices per block of the coefficient recursion
 _BLOCK_BITS = 511  # growth of |q| allowed within one block, in bits
 _CANCEL_BITS = 10  # "auto" keeps a selection recursion that cancels by <= 2^10
+_TAIL_MIN_BAND = 4 * _BLOCK  # shorter bands of g are read whole
+_TAIL_TOL = 1e-12  # a geometric tail model holds g_i within this, relative
 
 class IndexSet(tuple):
     """A sorted tuple of distinct indices >= 1, as index_set returns it."""
@@ -212,48 +219,141 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
     return g
 
 
+def _tail_model(g: np.ndarray, n_max: int, band: int) -> tuple[int, float, float]:
+    """(beta, c, rho): the short band beta and the tail model g'_i = c rho^i
+    that _recursion_coeffs puts in place of g_i for i > beta, with g >= 0.
+
+    The zero tail (c = 0) takes the smallest beta with sum_{i>beta} g_i <=
+    2^-60 sum_{i<=beta} g_i.  Where q is non-decreasing, every q[k-i] with
+    i <= beta is at least q[k-beta-1], so that bounds the omitted terms of
+    every k q_k by 2^-60 of the kept ones; the recursion certifies each
+    block against the q it computed, not against this estimate.
+
+    The geometric tail (c > 0, only where g reaches n_max) fits log g_i on
+    the far half i > n_max / 2: rho from the least-squares slope, then
+    log c the median of log g_i - i log rho, which a few entries off by
+    g's own rounding do not move.  Its beta is the last i where
+    |g_i - c rho^i| > _TAIL_TOL g_i, with c rho^i the doubles that the
+    correlations and the block read (the running sum past them adds a
+    rounding or two per block), so the model holds on all of (beta, n_max].
+
+    The shorter beta wins; it is returned only where it saves at least a
+    block's width of every dot, else (band, 0.0, 1.0): the full band, no
+    model.
+    """
+    gb = g[1:band + 1]
+    kept = np.cumsum(gb)
+    kept *= 2.0 ** -60
+    # ok[beta - 1]: sum_{i>beta} g_i <= 2^-60 sum_{i<=beta} g_i, beta < band
+    ok = np.cumsum(gb[::-1])[::-1][1:] <= kept[:-1]
+    beta = int(np.argmax(ok)) + 1 if ok.any() else band
+    c, rho = 0.0, 1.0
+    half = n_max // 2
+    if band == n_max and np.all(gb[half:] > 0):
+        i = np.arange(1, n_max + 1)
+        t, y = i[half:] - (half + 1 + n_max) / 2, np.log(gb[half:])
+        rho = math.exp(float(np.dot(t, y) / np.dot(t, t)))
+        y -= i[half:] * math.log(rho)
+        c = math.exp(float(np.median(y)))
+        off = rho ** i  # |g_i - c rho^i|, in place
+        off *= c
+        off -= gb
+        np.abs(off, out=off)
+        off = np.flatnonzero(off > _TAIL_TOL * gb)
+        geo = int(off[-1]) + 1 if off.size else 1
+        if geo < beta:
+            beta = geo
+        else:
+            c, rho = 0.0, 1.0
+    if beta + _BLOCK >= band:
+        return band, 0.0, 1.0
+    return beta, c, rho
+
+
+def _band_arrays(g: np.ndarray, n_max: int, b: int, beta: int, c: float,
+                 rho: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(span, grev, lower) of g' = g up to beta and c rho^i past it: grev =
+    g'[span::-1] for the correlations, which read g' at indices up to
+    beta + 63 + b <= span, and the b x b block lower[i, j] = -g'[i - j]
+    below the diagonal, 0 above."""
+    span = min(n_max, beta + 63 + b)
+    gp = g[:span + 1].copy()
+    gp[beta + 1:] = c * rho ** np.arange(beta + 1, span + 1)
+    # row i of lower is the window of b entries at b - 1 - i in
+    # [-g'[b-1], ..., -g'[1], 0, ..., 0]
+    lower = sliding_window_view(np.concatenate((-gp[b - 1:0:-1], np.zeros(b))),
+                                b)[::-1].copy()
+    return span, gp[::-1].copy(), lower
+
+
 def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i], as (v, shift) with
     q[k] = v[k] 2^shift[k].
 
-    Blocks of up to _BLOCK indices k0..k1-1 are solved at once.  The terms
-    with k - i < k0 are one correlation of q[lo:k0] with the reversed g's
-    grev[n_max-k1+1+lo:n_max] (a BLAS dot per k).  With band the last index
-    where g != 0, every q[j] with j < k0 - band meets only exact zeros of g,
-    so lo = max(0, k0 - band) rounded down to a multiple of 64 skips nothing
-    else; the dots cost about n_max band multiply-adds in all instead of
-    n_max^2 / 2.  band is at least 1, so a dot is never empty (an all-zero
-    g gives q = e_0), and the multiple of 64 lets a BLAS kernel of up to 64
-    lanes group the products that remain as it did on all of q[:k0].  With
-    a single-threaded BLAS q is then bitwise the same as without the band;
-    a threaded BLAS splits a long dot across threads (OpenBLAS past about
-    10^4 entries) but not the short banded one, so there the last bits can
-    differ, within the same error bound.  The rest is forward
-    substitution with the lower-triangular block whose diagonal is k and
-    whose entries below it are -g[k-j], so both parts add the same positive
-    sums as the one-step loop.  A block ends early where the bound
-    M_k <= max(1, sum_{i<=k} |g_i| / k) M_{k-1} on the running maximum
-    M_k = max_{j<=k} |q[j]| allows growth past 2^_BLOCK_BITS / n_max within
-    it (the 1/n_max leaves room for the sums k q[k]); a block of one index
-    is the one-step loop.  The working q is rescaled by 2^-512 after any
-    block whose maximum passes 2^512, so no finite q overflows.  An entry
-    that a rescale would take below the smallest normal double keeps its
-    value and exponent from before that rescale in (v, shift); every other
-    entry is the working q at the last exponent.  The working q, and so
-    every entry that stays normal, does not depend on the kept ones.
+    Blocks of up to _BLOCK indices k0..k1-1 are solved at once, on g' = g
+    up to a band beta and a certified tail model g'_i = c rho^i past it
+    (_tail_model).  With band the last index where g != 0, beta = band and
+    c = 0 is g' = g, the recursion as it reads g: the default, and always
+    so for signed g and for bands up to _TAIL_MIN_BAND.  The terms with
+    k - i < k0 are one correlation of q[lo:k0] with the reversed g'
+    (a BLAS dot per k), plus the far tail rho^(k-lo) W_lo.  Every q[j]
+    with j < k0 - beta meets only g'_i = c rho^i, so lo = max(0, k0 - beta)
+    rounded down to a multiple of 64 leaves out of the dot only terms
+    that W_lo = sum_{j<lo} c rho^(lo-j) q[j] holds: one positive running
+    sum, extended once per block by a short dot (W_{m+1} = rho (W_m +
+    c q_m)) and rescaled with q.  The dots cost about n_max beta
+    multiply-adds in all instead of n_max^2 / 2.  beta is at least 1, so a
+    dot is never empty (an all-zero g gives q = e_0), and the multiple of
+    64 lets a BLAS kernel of up to 64 lanes group the products that remain
+    as it did on all of q[:k0].  With a single-threaded BLAS q is then
+    bitwise the same as without the band; a threaded BLAS splits a long
+    dot across threads (OpenBLAS past about 10^4 entries) but not the
+    short banded one, so there the last bits can differ, within the same
+    error bound.  The rest is forward substitution with the
+    lower-triangular block whose diagonal is k and whose entries below it
+    are -g'[k-j] (LAPACK trtrs, as scipy's solve_triangular calls it), so
+    both parts add the same positive sums as the one-step loop on g'.
+
+    The two tails are certified apart.  The geometric one holds g'_i within
+    _TAIL_TOL g_i for every i > beta, and a weight-k structure has at most
+    k / (beta + 1) parts past beta, so q moves by at most that many
+    _TAIL_TOL relative.  The zero tail is checked per block: the omitted
+    part of k q[k] is at most (sum_{i>beta} g_i) max_{j<=k-beta-1} q[j],
+    and every such maximum in a block k0..k1-1 is at most the prefix
+    maximum of q at k1 - beta - 2, so the block holds when that bound is at
+    most 2^-60 of the least kept sum k q[k] in it; a block that fails is
+    solved again on the full band, which the rest of the recursion keeps.
+
+    A block ends early where the bound M_k <= max(1, sum_{i<=k} |g_i| / k)
+    M_{k-1} on the running maximum M_k = max_{j<=k} |q[j]| allows growth
+    past 2^_BLOCK_BITS / n_max within it (the 1/n_max leaves room for the
+    sums k q[k], and for g' up to 1 + _TAIL_TOL times g); a block of one
+    index is the one-step loop.  The working q is rescaled by 2^-512 after
+    any block whose maximum passes 2^512, so no finite q overflows.  An
+    entry that a rescale would take below the smallest normal double keeps
+    its value and exponent from before that rescale in (v, shift); every
+    other entry is the working q at the last exponent.  The working q, and
+    so every entry that stays normal, does not depend on the kept ones.
     """
     q = np.zeros(n_max + 1)
     q[0] = 1.0
     v = np.zeros(n_max + 1)
     kept = np.full(n_max + 1, -1)  # the exponent an entry was kept at, or -1
-    grev = g[::-1].copy()
     nonzero = np.flatnonzero(g[1:n_max + 1])
     band = max(1, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    beta, c, rho = band, 0.0, 1.0
+    if band > _TAIL_MIN_BAND and not np.any(g[1:band + 1] < 0):
+        beta, c, rho = _tail_model(g, n_max, band)
     b = min(_BLOCK, n_max)
-    # lower[i, j] = -g[i - j] below the diagonal, 0 above: row i is the
-    # window of b entries at b - 1 - i in [-g[b-1], ..., -g[1], 0, ..., 0]
-    lower = sliding_window_view(np.concatenate((-g[b - 1:0:-1], np.zeros(b))),
-                                b)[::-1].copy()
+    span, grev, lower = _band_arrays(g, n_max, b, beta, c, rho)
+    if c:
+        # rpow[t] = rho^t and crpow[t] = c rho^t for the far tail
+        rpow = rho ** np.arange(span + 1)
+        crpow = c * rpow
+    w, w_at = 0.0, 0  # W_{w_at}
+    # the zero tail's mass, and the running maximum of q it is checked with
+    cut = float(g[beta + 1:band + 1].sum()) if beta < band and not c else 0.0
+    peak = np.zeros(n_max + 1) if cut else None
     room = _BLOCK_BITS - n_max.bit_length()
     shift = 0
     running_max = 1.0
@@ -265,12 +365,28 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
         while k0 <= n_max:
             k1 = int(np.searchsorted(bits, bits[k0 - 1] + room, side="right"))
             k1 = max(k0 + 1, min(k1, k0 + b, n_max + 1))
-            lo = max(0, k0 - band) & -64
-            r = np.correlate(grev[n_max - k1 + 1 + lo:n_max], q[lo:k0],
+            lo = max(0, k0 - beta) & -64
+            r = np.correlate(grev[span - k1 + 1 + lo:span], q[lo:k0],
                              "valid")[::-1]
+            if c:
+                d = lo - w_at
+                w = w * rpow[d] + float(np.dot(q[w_at:lo], crpow[d:0:-1]))
+                w_at = lo
+                r += w * rpow[k0 - lo:k1 - lo]
             lower.flat[::b + 1] = np.arange(k0, k0 + b)
-            q[k0:k1] = solve_triangular(lower[:k1 - k0, :k1 - k0], r,
-                                        lower=True, check_finite=False)
+            q[k0:k1], info = _trtrs(lower[:k1 - k0, :k1 - k0].T, r,
+                                    lower=0, trans=1)
+            if info:
+                raise NumericGuardError(f"block solve failed (trtrs info {info})")
+            if cut:
+                np.maximum(np.maximum.accumulate(q[k0:k1]), peak[k0 - 1],
+                           out=peak[k0:k1])
+                k = max(k0, beta + 1)  # the first k with omitted terms
+                if k < k1 and cut * peak[k1 - beta - 2] > \
+                        2.0 ** -60 * k * float(q[k:k1].min()):
+                    beta, cut = band, 0.0  # refused: the full band from here
+                    span, grev, lower = _band_arrays(g, n_max, b, band, 0.0, 1.0)
+                    continue
             block_max = float(np.max(np.abs(q[k0:k1])))
             if block_max > running_max:
                 running_max = block_max
@@ -280,6 +396,9 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
                     v[:k1][low] = q[:k1][low]
                     kept[:k1][low] = shift
                     q[:k1] *= _RESCALE_INV
+                    if cut:
+                        peak[:k1] *= _RESCALE_INV
+                    w *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
             k0 = k1

@@ -594,6 +594,26 @@ class TestTableSlots:
         assert spec._table_cache == {} and spec._table_keys == {}
 
 
+class TestComponentVectorRows:
+    def test_rows_equal_vectors_built_one_by_one(self):
+        rows = np.random.default_rng(3).integers(0, 4, (6, 9))
+        got = st.ComponentVector.from_rows(9, rows)
+        want = [st.ComponentVector(n=9, a=tuple(r)) for r in rows.tolist()]
+        assert got == want
+        assert [hash(v) for v in got] == [hash(v) for v in want]
+        assert all(type(c) is int for v in got for c in v.a)
+        assert st.ComponentVector.from_rows(9, rows[:0]) == []
+
+    @pytest.mark.parametrize("n,rows", [
+        (3, np.array([[0, 1, 0], [2, -1, 0]])),  # a negative count
+        (3, np.zeros((2, 4), dtype=np.int64)),   # rows not of length n
+        (0, np.zeros((1, 0), dtype=np.int64)),   # weight below 1
+    ])
+    def test_rows_checked_once(self, n, rows):
+        with pytest.raises(ParameterDomainError):
+            st.ComponentVector.from_rows(n, rows)
+
+
 class TestUniformPmf:
     def test_permutation_examples(self):
         perm = st.permutations()

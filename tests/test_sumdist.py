@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
+from scipy.linalg import solve_triangular
 
 from combstruct import cli
 from combstruct import structures as st
@@ -527,6 +528,112 @@ class TestBandedRecursion:
         q, shift = sd._recursion_coeffs(g, n)
         q_ref, shift_ref = _ref_recursion_coeffs(g, n)
         assert _close(q * 2.0 ** (shift - shift_ref), q_ref)
+
+
+def _entrywise_gap(g, n, q, shift):
+    """The largest relative gap of q 2^shift to the one-step loop, over the
+    entries the loop keeps normal."""
+    q_ref, shift_ref = _ref_recursion_coeffs(g, n)
+    normal = q_ref >= sys.float_info.min
+    got = np.ldexp(q, shift - shift_ref)
+    return float(np.max(np.abs(got - q_ref)[normal] / q_ref[normal]))
+
+
+class TestTailModel:
+    # past a short band beta, _recursion_coeffs reads g as a certified
+    # tail model c rho^i: geometric (c > 0) or zero (c = 0)
+
+    @staticmethod
+    def _band_builds(monkeypatch):
+        calls = []
+        orig = sd._band_arrays
+
+        def spy(g, n_max, b, beta, c, rho):
+            calls.append((beta, c))
+            return orig(g, n_max, b, beta, c, rho)
+
+        monkeypatch.setattr(sd, "_band_arrays", spy)
+        return calls
+
+    @pytest.mark.parametrize("B", [None, (1, 3, 5, 7, 9)],
+                             ids=["full_set", "complement"])
+    def test_geometric_tail_of_polynomials(self, B, monkeypatch):
+        # sum_{d | i} d m_d = 2^i, so g_i = (2x)^i on the full set, and the
+        # complement of B differs from it by 2^-i relative past i = 9
+        n = 16000
+        spec = st.polynomials(2)
+        params = TiltedParams(choose_x(spec, n), 1)
+        idx = range(1, n + 1) if B is None else sd.complement(B, n)
+        g = sd._g_array(spec, sd.index_set(idx), n, params)
+        beta, c, rho = sd._tail_model(g, n, _band(g))
+        assert c > 0 and beta <= 128
+        calls = self._band_builds(monkeypatch)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert calls == [(beta, c)]
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_zero_tail_of_integer_partitions(self, monkeypatch):
+        n = 16000
+        g = _full_set_g(st.integer_partitions(), n)
+        beta, c, _ = sd._tail_model(g, n, _band(g))
+        assert c == 0 and 1 <= beta < n // 2
+        calls = self._band_builds(monkeypatch)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert calls == [(beta, 0.0)]  # no block refused the cut
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_perturbed_tail_is_refused(self):
+        # one tail entry 1e-9 off the geometric g of polynomials(2): the
+        # model no longer holds past beta, and g has no negligible tail
+        n = 4000
+        g = _full_set_g(st.polynomials(2), n)
+        assert sd._tail_model(g, n, n)[1] > 0
+        g[n - 5] *= 1 + 1e-9
+        assert sd._tail_model(g, n, n) == (n, 0.0, 1.0)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_refused_zero_tail_block_runs_the_full_band(self, monkeypatch):
+        # g_i = 2^-i: q_k = 2^-k falls faster than the tail past beta, so
+        # the first block with an omitted term fails its certificate and
+        # the recursion is the full band's, bit for bit
+        n = 2000
+        g = np.zeros(n + 1)
+        g[1:] = 0.5 ** np.arange(1, n + 1)
+        band = _band(g)
+        beta, c, _ = sd._tail_model(g, n, band)
+        assert c == 0 and beta < band < n
+        calls = self._band_builds(monkeypatch)
+        got = sd._recursion_coeffs(g, n)
+        assert calls == [(beta, 0.0), (band, 0.0)]
+        monkeypatch.setattr(sd, "_TAIL_MIN_BAND", n)
+        want = sd._recursion_coeffs(g, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_short_bands_and_signed_g_read_the_whole_band(self, monkeypatch):
+        calls = self._band_builds(monkeypatch)
+        n = 2000
+        sd._recursion_coeffs(_banded_g(sd._TAIL_MIN_BAND, n), n)
+        spec = st.squarefree_polynomials(2)
+        g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
+                        TiltedParams(choose_x(spec, n), 1), signed=True)
+        sd._recursion_coeffs(g, n)
+        assert calls == [(sd._TAIL_MIN_BAND, 0.0), (_band(g), 0.0)]
+
+    @pytest.mark.parametrize("m", [sd._BLOCK, 37])
+    def test_direct_trtrs_is_solve_triangular(self, m):
+        # the block solve calls LAPACK trtrs on the Fortran view, as scipy's
+        # solve_triangular does after its checks: bitwise the same, on a
+        # full block and on a short last one
+        n = 1000
+        g = _full_set_g(st.integer_partitions(), n)
+        lower = sd._band_arrays(g, n, sd._BLOCK, _band(g), 0.0, 1.0)[2]
+        lower.flat[::sd._BLOCK + 1] = np.arange(600, 600 + sd._BLOCK)
+        r = np.random.default_rng(m).uniform(0.5, 2.0, m)[::-1]
+        got, info = sd._trtrs(lower[:m, :m].T, r, lower=0, trans=1)
+        want = solve_triangular(lower[:m, :m], r, lower=True,
+                                check_finite=False)
+        assert info == 0 and np.array_equal(got, want)
 
 
 SEED_SPECS = [
