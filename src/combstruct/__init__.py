@@ -15,8 +15,8 @@ from .structures import (BUILTINS, ComponentVector, Kind, StructureSpec,
                          two_regular_graphs, uniform_pmf)
 from .indep_process import (DiscreteLaw, SumMoments, TiltedParams, XStrategy,
                             choose_x, refined_y_law, sum_moments, z_law)
-from .sumdist import (JointPmf, PmfVector, conditioned_R_pmf, joint_sum_pmf,
-                      prob_T_eq_n, weighted_sum_pmf)
+from .sumdist import (PmfVector, conditioned_R_pmf, prob_T_eq_n,
+                      weighted_sum_pmf)
 from .tv_engine import (TvReport, overpower_bound, permutation_tail_bound,
                         tv_CB_ZB, tv_conditioned_bounds, tv_discrete,
                         tv_heuristic, wasserstein_discrete)

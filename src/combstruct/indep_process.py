@@ -12,9 +12,10 @@ NegativeBinomial(1, theta x^i) (geometric) or Binomial(1, .) (Bernoulli),
 and convolve back to Z_i.
 
 One kernel, z_pmf_rows, gives the rows [P(Z_i = k)]_{k <= K_i} of an array
-of indices in one call, from the request's log m_i (the family's float
-log_m_fn), log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled
-once per request into one slot on the spec (StructureSpec.table).  It
+of indices in one call, from the request's log weight (log m_i, or
+log(m_i / i!) for an assembly: the family's float log_m_fn),
+log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled once per
+request into one slot on the spec (StructureSpec.table).  It
 builds the exact m_i only for a small falling (m_i < e^34, cut at
 k <= m_i) or rising (m_i < 1e3) product.  A DiscreteLaw's pmf_array is its
 one-row call.  log P(Z_i = 0) has one implementation, log_p_zero, which
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import Kind, Numeric, StructureSpec, log_big
+from .structures import Kind, Numeric, StructureSpec, log_big, log_weights
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
@@ -86,15 +87,17 @@ class TiltedParams:
 # ---------------------------------------------------------------------------
 
 def log_m_array(spec: StructureSpec, n: int) -> np.ndarray:
-    """array L with L[i] = log m_i for i = 0..n (L[0] = -inf; -inf where m_i = 0).
+    """array L with L[i] = log w_i for i = 0..n (L[0] = -inf; -inf where
+    m_i = 0), w_i the per-kind weight: m_i / i! for an assembly (its Poisson
+    mean lambda_i is theta w_i x^i), m_i for a multiset or selection.
 
-    Filled by spec.log_m_fn, or from the exact m_i for specs without one,
-    to exactly n in the spec's "log_m" slot (StructureSpec.table).
+    Filled by spec.log_m_fn, or by structures.log_weights from the exact m_i
+    for specs without one, to exactly n in the spec's "log_m" slot
+    (StructureSpec.table).
     """
     return spec.table("log_m", lambda: (
-        spec.log_m_fn(n) if spec.log_m_fn is not None else np.array(
-            [-np.inf] + [log_big(spec.m(i)) for i in range(1, n + 1)])),
-        n=n)[: n + 1]
+        spec.log_m_fn(n) if spec.log_m_fn is not None else log_weights(
+            spec.kind, [spec.m(i) for i in range(1, n + 1)])), n=n)[: n + 1]
 
 
 def expit(w: np.ndarray) -> np.ndarray:
@@ -115,7 +118,7 @@ def expit_float(w: float) -> float:
     return 1.0 / (1.0 + math.exp(-w)) if -w <= _LOG_DBL_MAX else math.exp(w)
 
 
-def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.ndarray:
+def log_weight_array(n: int, params: TiltedParams) -> np.ndarray:
     """w[i] = log(theta x^i), i = 0..n."""
     i = np.arange(n + 1, dtype=float)
     return math.log(params.ftheta) + i * math.log(params.fx)
@@ -124,19 +127,20 @@ def log_weight_array(spec: StructureSpec, n: int, params: TiltedParams) -> np.nd
 def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
     """[log 0!, ..., log n!] by math.lgamma, filled to exactly n in the
     spec's "log_factorial" slot.  DiscreteLaw.pmf_array takes log k! from
-    math.lgamma too; structures._log_gamma_int (log m_i of the factorial
-    families) is not bitwise math.lgamma: log 2! differs by 3 ulps."""
+    math.lgamma too; structures._log_gamma_int (the log weight -log i! of
+    set partitions) is not bitwise math.lgamma: log 2! differs by 3 ulps."""
     return spec.table("log_factorial", lambda: np.fromiter(
         map(math.lgamma, range(1, n + 2)), float, n + 1), n=n)[: n + 1]
 
 
-def log_p_zero(kind: Kind, lm, lw, log_fact=0.0) -> np.ndarray:
-    """log P(Z_i = 0), elementwise, from lm = log m_i and lw = log(theta x^i);
-    m_i may be far beyond double range.
+def log_p_zero(kind: Kind, lm, lw) -> np.ndarray:
+    """log P(Z_i = 0), elementwise, from the log weight lm (log_m_array:
+    log(m_i / i!) for an assembly, log m_i otherwise) and lw = log(theta
+    x^i); m_i may be far beyond double range.
 
-    assembly   -lambda_i = -e^(lm + lw - log_fact), log_fact = log i!; -inf
-               where lambda_i is beyond double range, which the callers that
-               need lambda_i report as an overflow.
+    assembly   -lambda_i = -e^(lm + lw); -inf where lambda_i is beyond
+               double range, which the callers that need lambda_i report as
+               an overflow.
     multiset   m log1p(-t), t = e^lw.  Where t <= 1e-8 or m >= e^700 it is
                -e^(lm + lw) (1 + t/2), since log1p(-t) = -t(1 + t/2) to
                double precision there, and -inf past e^700.  A t that rounds
@@ -151,7 +155,7 @@ def log_p_zero(kind: Kind, lm, lw, log_fact=0.0) -> np.ndarray:
     lm, lw = np.asarray(lm, dtype=float), np.asarray(lw, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if kind is Kind.ASSEMBLY:
-            return -np.exp(lm + lw - log_fact)
+            return -np.exp(lm + lw)
         if kind is Kind.MULTISET:
             t = np.exp(lw)
             if np.any((t >= 1.0) & (lm != -np.inf)):
@@ -174,14 +178,9 @@ def log_p_zero_array(spec: StructureSpec, n: int,
     """[log P(Z_i = 0)]_{i<=n} under params (index 0 is 0), by log_p_zero,
     filled to exactly n in the spec's "log_p_zero" slot keyed by (x, theta).
     """
-    def build():
-        lw = log_weight_array(spec, n, params)[1:]
-        lf = (log_factorial_array(spec, n)[1:]
-              if spec.kind is Kind.ASSEMBLY else 0.0)
-        return np.append(0.0, log_p_zero(spec.kind, log_m_array(spec, n)[1:],
-                                         lw, lf))
-    return spec.table("log_p_zero", build, key=(params.fx, params.ftheta),
-                      n=n)[: n + 1]
+    return spec.table("log_p_zero", lambda: np.append(0.0, log_p_zero(
+        spec.kind, log_m_array(spec, n)[1:], log_weight_array(n, params)[1:])),
+        key=(params.fx, params.ftheta), n=n)[: n + 1]
 
 
 def mean_var_arrays(spec: StructureSpec, n: int,
@@ -189,21 +188,18 @@ def mean_var_arrays(spec: StructureSpec, n: int,
     """(E Z_i)_{i<=n} and (Var Z_i)_{i<=n} as arrays (index 0 is zero)."""
     params.validate(spec)
     lm = log_m_array(spec, n)
-    lw = log_weight_array(spec, n, params)
+    lw = log_weight_array(n, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is Kind.ASSEMBLY:
-            lam = np.exp(lm + lw - log_factorial_array(spec, n))
-            mean = var = lam
-        elif spec.kind is Kind.MULTISET:
-            t = np.exp(lw)
-            mp = np.exp(lm + lw)
-            mean = mp / (1.0 - t)
-            var = mp / (1.0 - t) ** 2
-        else:
+        if spec.kind is Kind.SELECTION:
             # logistic-stable: p* = sigma(lw), E = m p*, Var = m p* (1 - p*)
             sig = expit(lw)
             mean = np.exp(lm + log_expit(lw))
             var = mean * (1.0 - sig)
+        else:
+            mean = var = np.exp(lm + lw)  # lambda_i, or m_i theta x^i
+            if spec.kind is Kind.MULTISET:
+                t = np.exp(lw)
+                mean, var = mean / (1.0 - t), mean / (1.0 - t) ** 2
     mean = np.where(np.isfinite(mean), mean, np.inf)
     var = np.where(np.isfinite(var), var, np.inf)
     mean[0] = var[0] = 0.0
@@ -377,7 +373,7 @@ def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
         raise NumericGuardError(f"Poisson mean of Z_{idx[np.argmin(lp0)]} "
                                 "beyond double range; choose a smaller x")
     return _pmf_rows(_FAMILY[spec.kind], np.broadcast_to(k_max, idx.shape),
-                     lp0, log_weight_array(spec, top, params)[idx],
+                     lp0, log_weight_array(top, params)[idx],
                      log_m_array(spec, top)[idx],
                      lambda sel: [spec.m(i) for i in idx[sel].tolist()],
                      lambda size: log_factorial_array(spec, size))

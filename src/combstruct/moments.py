@@ -84,7 +84,7 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
     for j, rj in r.orders:
         if lm[j] == -math.inf:
             return 0.0
-        acc += rj * (math.log(float(theta)) + float(lm[j]) - math.lgamma(j + 1))
+        acc += rj * (math.log(float(theta)) + float(lm[j]))  # lm: log(m_j/j!)
     return math.exp(acc)
 
 

@@ -22,9 +22,12 @@ per size.  Everything else in the package derives from a StructureSpec:
 All counts are exact: integers, or rationals when m_i or theta are rational
 (generalized assemblies such as the Ewens family have m_i = kappa*(i-1)!;
 a float kappa enters as its exact binary rational).
-The float routes read m_i only through log m_i; every builtin and every
-from_m_list spec supplies a vectorised float log m_i (log_m_fn), so they
-never build the exact integers.
+The float routes read m_i only through the log of each kind's per-size
+weight w_i: m_i / i! for an assembly (the EGF coefficient, Z_i ~
+Poisson(theta w_i x^i)) and m_i for a multiset or selection.  Every
+builtin and every from_m_list spec supplies it vectorised (log_m_fn), the
+builtin assemblies in closed form, so they never build the exact integers
+and no float route subtracts log i! from log m_i.
 EXACT_CUTOFF is the largest n at which the exact tables are the default.
 rising and falling are the exact rising and falling products that the
 counting formulas, the moments and the Ewens pmf read.
@@ -188,8 +191,10 @@ class StructureSpec:
     m_fn must return an exact nonnegative int (or Fraction for generalized
     assemblies/multisets); values are memoized per spec.  Selections require
     integer m_i because C(m_i, a_i) does.  log_m_fn(n), when given, returns
-    the floats [log m_0, ..., log m_n] (-inf at index 0 and where m_i = 0)
-    without building m_i; without it the float routes take log_big(m(i)).
+    the floats [log w_0, ..., log w_n] of the per-kind weight w_i = m_i / i!
+    (assemblies) or m_i (multisets, selections), -inf at index 0 and where
+    m_i = 0, without building m_i; without it the float routes take
+    log_weights of the exact m_i.
     ptheta_fn(n, theta), set only by the builtin assemblies, returns the
     exact [p_theta(0), ..., p_theta(n)] in closed form for a rational theta,
     without building m_i; without it ptheta_table runs the coefficient
@@ -298,18 +303,42 @@ def _poly_m(q: int) -> Callable[[int], int]:
     return m
 
 
-# vectorised float log m_i: each returns [log m_0, ..., log m_n], -inf at 0
+# vectorised float log weights: each returns [log w_0, ..., log w_n], -inf
+# at 0, with w_i = m_i / i! for an assembly and w_i = m_i otherwise
 
 _LOG_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision beyond this
 
 
+def log_weights(kind: Kind, ms: Sequence[Numeric]) -> np.ndarray:
+    """[-inf, log w_1, ..., log w_k] from the exact m_1..m_k: log i! (by
+    math.lgamma) is subtracted here, once, for an assembly."""
+    out = np.array([-np.inf] + [log_big(v) for v in ms])
+    if kind is Kind.ASSEMBLY:
+        out[1:] -= [math.lgamma(i + 1) for i in range(1, len(ms) + 1)]
+    return out
+
+
 def _log_m_const(step: int = 1) -> LogMFn:
-    """m_i = 1 for i = 1 (mod step) and m_i = 0 otherwise."""
+    """m_i = 1 for i = 1 (mod step) and m_i = 0 otherwise (not an assembly)."""
     def log_m(n: int) -> np.ndarray:
         out = np.full(n + 1, -np.inf)
         out[1::step] = 0.0
         return out
     return log_m
+
+
+def _log_over_i(shift: float = 0.0, i_min: int = 1) -> LogMFn:
+    """log(m_i / i!) = shift - log i for i >= i_min: the assemblies with m_i
+    = e^shift (i-1)!."""
+    def log_m(n: int) -> np.ndarray:
+        out = np.full(n + 1, -np.inf)
+        out[i_min:] = shift - np.log(np.arange(i_min, n + 1))
+        return out
+    return log_m
+
+
+_log_perm_m = _log_over_i()  # one object, so that two specs compare equal
+_log_two_regular_m = _log_over_i(-math.log(2), 3)
 
 
 # log (i-1)! for i <= 32: the log of the exact factorial, within an ulp
@@ -359,29 +388,30 @@ def _log_gamma_int(i: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_factorials(n: int, shift: float = 0.0, i_min: int = 1) -> np.ndarray:
-    """log((i-1)!) + shift for i >= i_min."""
+def _log_set_partition_m(n: int) -> np.ndarray:
+    """log(m_i / i!) = -log i! for set partitions (m_i = 1)."""
     out = np.full(n + 1, -np.inf)
-    out[i_min:] = _log_gamma_int(np.arange(i_min, n + 1)) + shift
+    out[1:] = -_log_gamma_int(np.arange(2, n + 2))
     return out
 
 
-# Mappings: m_i = (i-1)! sum_{k<i} i^k / k! = i^(i-1) sum_{j<i} prod_{l<=j}
-# (i-l)/i.  Below _MAPPING_CUT the products are one cumprod, made once;
-# from it on, Ramanujan's e^i/2 = sum_{k<i} i^k/k! + theta(i) i^i/i! with
-# Stirling's i! gives m_i = i^(i-1) (sqrt(pi i/2) e^(1/(12i) - 1/(360i^3)
-# + 1/(1260i^5)) - theta(i)), theta(i) = 1/3 + 4/(135i) - 8/(2835i^2) -
-# 16/(8505i^3) + 8992/(12629925i^4) + 334144/(492567075i^5).
+# Mappings: m_i / i! = (1/i) sum_{k<i} i^k / k!.  Below _MAPPING_CUT the
+# terms are one cumprod, made once; from it on, Ramanujan's e^i/2 =
+# sum_{k<i} i^k/k! + theta(i) i^i/i! and Stirling's i! = sqrt(2 pi i) i^i
+# e^(s(i) - i), s(i) = 1/(12i) - 1/(360i^3) + 1/(1260i^5), give m_i / i! =
+# (e^i / i) (1/2 - theta(i) e^-s(i) / sqrt(2 pi i)), theta(i) = 1/3 +
+# 4/(135i) - 8/(2835i^2) - 16/(8505i^3) + 8992/(12629925i^4) +
+# 334144/(492567075i^5).
 _MAPPING_CUT = 200
 
 
 def _mapping_log_m_small() -> np.ndarray:
-    """[log m_i]_{1 <= i < _MAPPING_CUT} for mappings (exactly 0 at i = 1)."""
-    i = np.arange(1, _MAPPING_CUT, dtype=float)
-    ratios = (np.maximum(i[:, None] - np.arange(1, _MAPPING_CUT - 1), 0.0)
-              / i[:, None])
-    return ((i - 1.0) * np.log(i)
-            + np.log1p(np.cumprod(ratios, axis=1).sum(axis=1)))
+    """[log(m_i / i!)]_{1 <= i < _MAPPING_CUT} for mappings (exactly 0 at
+    i = 1)."""
+    i = np.arange(1, _MAPPING_CUT, dtype=float)[:, None]
+    k = np.arange(1, _MAPPING_CUT - 1)
+    terms = np.cumprod(i / k, axis=1)  # i^k / k!
+    return np.log1p(np.where(k < i, terms, 0.0).sum(axis=1)) - np.log(i[:, 0])
 
 
 _MAPPING_LOG_M_SMALL = _mapping_log_m_small()
@@ -394,12 +424,11 @@ def _log_mapping_m(n: int) -> np.ndarray:
     x = np.arange(_MAPPING_CUT, n + 1, dtype=float)
     r = 1.0 / x
     r2 = r * r
-    stirling = (0.5 * np.log(0.5 * np.pi * x)
-                + r * (1 / 12 - r2 * (1 / 360 - r2 / 1260)))
+    s = r * (1 / 12 - r2 * (1 / 360 - r2 / 1260))
     theta = 1 / 3 + r * (4 / 135 - r * (8 / 2835 + r * (16 / 8505 - r * (
         8992 / 12629925 + r * (334144 / 492567075)))))
-    out[_MAPPING_CUT:] = ((x - 1.0) * np.log(x)
-                          + np.log(np.exp(stirling) - theta))
+    out[_MAPPING_CUT:] = x + (np.log(
+        0.5 - theta * np.exp(-s) / np.sqrt(2.0 * np.pi * x)) - np.log(x))
     return out
 
 
@@ -509,7 +538,7 @@ def _two_regular_ptheta(n: int, theta: BigCount) -> list[BigCount]:
 
 def permutations() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "permutations", _perm_m,
-                         meta=LogMeta(1, 1.0), log_m_fn=_log_factorials,
+                         meta=LogMeta(1, 1.0), log_m_fn=_log_perm_m,
                          ptheta_fn=_rising_ptheta,
                          params={"builtin": "permutations"})
 
@@ -523,7 +552,7 @@ def mappings() -> StructureSpec:
 
 def set_partitions() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "set_partitions", lambda i: 1,
-                         log_m_fn=_log_m_const(),
+                         log_m_fn=_log_set_partition_m,
                          ptheta_fn=_set_partition_ptheta,
                          params={"builtin": "set_partitions"})
 
@@ -531,7 +560,7 @@ def set_partitions() -> StructureSpec:
 def two_regular_graphs() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "two_regular_graphs", _two_regular_m,
                          meta=LogMeta(Fraction(1, 2), 1.0),
-                         log_m_fn=lambda n: _log_factorials(n, -math.log(2), 3),
+                         log_m_fn=_log_two_regular_m,
                          ptheta_fn=_two_regular_ptheta,
                          params={"builtin": "two_regular_graphs"})
 
@@ -542,11 +571,10 @@ def esf(kappa: Numeric) -> StructureSpec:
     if kappa <= 0:
         raise ParameterDomainError("ESF parameter kappa must be positive")
     kap = Fraction(kappa)  # exact, also for a float kappa
-    log_kap = log_big(kappa)
     return StructureSpec(Kind.ASSEMBLY, f"esf({kappa})",
                          lambda i: kap * math.factorial(i - 1),
                          meta=LogMeta(kappa, 1.0),
-                         log_m_fn=lambda n: _log_factorials(n, log_kap),
+                         log_m_fn=_log_over_i(log_big(kappa)),
                          ptheta_fn=lambda n, theta: _rising_ptheta(n, theta * kap),
                          params={"builtin": "esf", "kappa": kappa})
 
@@ -625,9 +653,11 @@ def from_m_list(kind: Union[Kind, str], m_list: Sequence[Numeric],
     kind = _parse_kind(kind)
     ms = [as_integral(Fraction(v) if isinstance(v, str) else v) for v in m_list]
 
+    lws = log_weights(kind, ms)
+
     def log_m(n: int) -> np.ndarray:
         out = np.full(n + 1, -np.inf)
-        out[1:min(n, len(ms)) + 1] = [log_big(v) for v in ms[:n]]
+        out[:min(n, len(ms)) + 1] = lws[:n + 1]
         return out
 
     spec = StructureSpec(kind, name,

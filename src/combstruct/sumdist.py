@@ -2,8 +2,10 @@
 
 The workhorse is the coefficient recursion k p(k) = sum_i g(i) p(k-i)
 obtained by logarithmic differentiation of the probability generating
-function: g(i) = theta i lambda_i 1(i in B) for assemblies, a divisor sum
-for multisets, and a signed divisor sum for selections.  The divisor sums
+function: g(i) = theta i w_i x^i 1(i in B) for assemblies, a divisor sum
+of theta^j k w_k x^i over k j = i, k in B for multisets, and a signed one
+for selections, with w_k the per-kind weight of indep_process.log_m_array
+(m_k / k! for an assembly, m_k otherwise).  The divisor sums
 are built by array updates over the pairs (k, j) with k j = i <= n_max,
 so the float path needs no divisor sieve.  The recursion is a positive
 convolution for assemblies and multisets and runs in linear space with a
@@ -147,7 +149,8 @@ def _checked_exp(e: np.ndarray) -> np.ndarray:
 
 def _active_indices(spec: StructureSpec, B: IndexSet,
                     n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ks, log m_k) for the k in B with k <= n_max and m_k != 0."""
+    """(ks, log w_k) for the k in B with k <= n_max and m_k != 0, w_k the
+    log_m_array weight."""
     lm = log_m_array(spec, n_max)
     ks = np.asarray(B[: bisect.bisect_right(B, n_max)], dtype=np.int64)
     lmk = lm[ks]
@@ -181,9 +184,10 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
              params: TiltedParams, signed: bool = False) -> np.ndarray:
     """g[i], i = 0..n_max, for the coefficient recursion.
 
-    Assemblies: g(i) = theta i lambda_i for i in B.  Multisets and
-    selections: g(i) is the sum over the pairs (k, j) with k j = i, k in B
-    and m_k != 0 of k m_k theta^j x^i, negated for even j when signed.  An
+    With w_k the log_m_array weight (m_k / k! for an assembly, m_k
+    otherwise), g(i) is the sum over the pairs (k, j) with k j = i, k in B
+    and m_k != 0 of k w_k theta^j x^i, negated for even j when signed, and
+    for an assembly its j = 1 term, theta i w_i x^i = theta i lambda_i.  An
     index k <= r = isqrt(n_max) adds its n_max // k multiples in one strided
     update; the indices k > r have j <= n_max // (r + 1) and are added one j
     at a time, so every temporary has length O(n_max).
@@ -191,11 +195,10 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     g = np.zeros(n_max + 1)
     ks, lm = _active_indices(spec, B, n_max)
-    if spec.kind is Kind.ASSEMBLY:
-        g[ks] = _checked_exp(lth + lm + ks * lx
-                             - log_factorial_array(spec, n_max)[ks] + np.log(ks))
-        return g
     lk = np.log(ks) + lm
+    if spec.kind is Kind.ASSEMBLY:
+        g[ks] = _checked_exp(lk + lth + ks * lx)
+        return g
     r = math.isqrt(n_max)
     split = int(np.searchsorted(ks, r, side="right"))
     with np.errstate(over="ignore"):  # a sum beyond double range is caught below
@@ -740,47 +743,3 @@ def conditioned_R_pmf(spec: StructureSpec, B: Iterable[int], n: int,
     """Law of R_B given T_n = n: r -> P(R_B=r) P(S_B=n-r) / P(T_n=n)."""
     pr, ps, pt = conditioned_block(spec, B, n, params)
     return PmfVector(p=pr.p * ps.p[::-1] / pt, tail=0.0, n_max=n)
-
-
-# ---------------------------------------------------------------------------
-# joint (count, weight) distribution
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JointPmf:
-    """Joint pmf of (U_B, R_B) = (sum Z_i, sum i Z_i) on a (u, r) grid."""
-
-    p: np.ndarray
-    tail: float
-    u_max: int
-    n_max: int
-
-    def marginal_weight(self) -> PmfVector:
-        return PmfVector(p=self.p.sum(axis=0), tail=self.tail, n_max=self.n_max)
-
-
-def joint_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
-                  u_max: int, params: TiltedParams) -> JointPmf:
-    """Sequential 2-d truncated convolution of the per-index laws of
-    (Z_i, i Z_i), whose rows z_pmf_rows gives for all of B in one call."""
-    if n_max < 0 or u_max < 0:
-        raise ParameterDomainError("truncation bounds must be >= 0")
-    params.validate(spec)
-    B = index_set(B)
-    M = np.zeros((u_max + 1, n_max + 1))
-    M[0, 0] = 1.0
-    k_max = np.minimum(u_max, n_max // np.asarray(B, dtype=np.int64))
-    for i, pk in zip(B, z_pmf_rows(spec, B, k_max, params)):
-        if pk[0] == 1.0 and not pk[1:].any():
-            continue  # m_i = 0: M stays as it is
-        new = np.zeros_like(M)
-        for k in range(len(pk)):
-            if pk[k] == 0.0:
-                continue
-            new[k:, i * k:] += pk[k] * M[: u_max + 1 - k, : n_max + 1 - i * k]
-        M = new
-    total = float(M.sum())
-    if total > 1 + 1e-9 or np.any(M < -1e-13):
-        raise NumericGuardError("joint pmf mass exceeds 1 or went negative")
-    return JointPmf(p=np.where(M < 0, 0.0, M), tail=max(0.0, 1.0 - total),
-                    u_max=u_max, n_max=n_max)

@@ -1,10 +1,16 @@
-"""The scalar forms of log P(Z_i = 0) at big m_i that indep_process.log_p_zero
-replaced, kept as test references: m log1p(-t) for a multiset index and
-m log(1 + e^lw) for a selection index, one index per call."""
+"""Scalar test references.  The scalar forms of log P(Z_i = 0) at big m_i
+that indep_process.log_p_zero replaced: m log1p(-t) for a multiset index
+and m log(1 + e^lw) for a selection index, one index per call; the scalar
+log pmf with its rising and falling logs; and the per-kind log weight in
+mpmath."""
 
 import math
+from fractions import Fraction
+
+import mpmath
 
 from combstruct.errors import ParameterDomainError
+from combstruct.structures import Kind
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)
@@ -97,3 +103,18 @@ def log_pmf(law, k):
     if lf == -math.inf:
         return -math.inf
     return lf - math.lgamma(k + 1) + k * law.lw + law.log_p0
+
+
+# The per-kind log weight of indep_process.log_m_array from the exact m_i.
+
+def log_weight_mp(spec, i):
+    """log(m_i / i!) for an assembly and log m_i otherwise, from the exact
+    m_i in 30-digit mpmath; -inf where m_i = 0."""
+    m = Fraction(spec.m(i))
+    if m == 0:
+        return -math.inf
+    with mpmath.workdps(30):
+        w = mpmath.mpf(m.numerator) / m.denominator
+        if spec.kind is Kind.ASSEMBLY:
+            w /= mpmath.factorial(i)
+        return float(mpmath.log(w))

@@ -251,13 +251,12 @@ class TestLogPZeroKernel:
     def test_assembly_branch(self):
         lm = np.array([-np.inf, 0.0, 50.0, 700.0])
         lw = np.array([-3.0, 2.0, -10.0, 100.0])
-        lf = np.array([0.0, 1.0, 20.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = log_p_zero(st.Kind.ASSEMBLY, lm, lw, lf).tolist()
+            got = log_p_zero(st.Kind.ASSEMBLY, lm, lw).tolist()
         assert got[0] == 0.0 and got[3] == -math.inf
         for i in (1, 2):
-            want = -math.exp(lm[i] + lw[i] - lf[i])
+            want = -math.exp(lm[i] + lw[i])
             assert abs(got[i] - want) <= math.ulp(want)
 
     def test_weight_rounding_to_1_is_a_domain_error(self):

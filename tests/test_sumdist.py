@@ -1,5 +1,5 @@
 """Weighted-sum distributions: recursion vs convolution, the conditioning
-probability identities, conditional laws, and the joint (count, weight) pmf."""
+probability identities, and conditional laws."""
 
 import contextlib
 import io
@@ -24,6 +24,7 @@ from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import (TiltedParams, choose_x, log_m_array,
                                       z_law)
+from scalar_refs import log_weight_mp as _log_weight_mp
 from scalar_refs import m_softplus as _m_softplus
 from scalar_refs import safe_mlog1p as _safe_mlog1p
 
@@ -166,7 +167,8 @@ class TestStridedSelectionUpdate:
 
 # reference routes: the scalar forms of log_seed, _g_array and
 # _recursion_coeffs that the array routes replaced; the terms of log_seed
-# are the scalar log P(Z_i = 0) kept in scalar_refs
+# are the scalar log P(Z_i = 0) kept in scalar_refs.  An assembly's
+# log(m_i / i!) is taken from the exact m_i in 30-digit mpmath
 
 def _ref_log_seed(spec, B, params):
     """math.fsum of the per-index terms.  t = e^lw is numpy's exp over the
@@ -183,7 +185,7 @@ def _ref_log_seed(spec, B, params):
     for i, lw, t in zip(idx, lws.tolist(), ts):
         lm = float(lms[i])
         if spec.kind is st.Kind.ASSEMBLY:
-            terms.append(-math.exp(lm + lw - math.lgamma(i + 1)))
+            terms.append(-math.exp(_log_weight_mp(spec, i) + lw))
         elif spec.kind is st.Kind.MULTISET:
             terms.append(_safe_mlog1p(lm, t, lw))
         else:
@@ -199,8 +201,8 @@ def _ref_g_array(spec, B, n_max, params, signed=False):
     if spec.kind is st.Kind.ASSEMBLY:
         for i in B:
             if i <= n_max and lm[i] != -np.inf:
-                g[i] = math.exp(lth + lm[i] + i * lx
-                                - math.lgamma(i + 1) + math.log(i))
+                g[i] = math.exp(lth + _log_weight_mp(spec, i) + i * lx
+                                + math.log(i))
         return g
     divs = st.divisor_sieve(n_max)
     for i in range(1, n_max + 1):
@@ -580,6 +582,21 @@ class TestTailModel:
         calls = self._band_builds(monkeypatch)
         q, shift = sd._recursion_coeffs(g, n)
         assert calls == [(beta, 0.0)]  # no block refused the cut
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [st.permutations(), st.esf(Fraction(1, 2)),
+                                      st.two_regular_graphs()],
+                             ids=lambda s: s.name)
+    def test_geometric_tail_of_logarithmic_assemblies(self, spec, monkeypatch):
+        # g_i = theta kappa x^i exactly (from i = 3 for 2-regular graphs),
+        # formed from the closed-form log(m_i / i!) = log kappa - log i
+        n = 16000
+        g = _full_set_g(spec, n)
+        beta, c, rho = sd._tail_model(g, n, _band(g))
+        assert c > 0 and beta <= 128
+        calls = self._band_builds(monkeypatch)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert calls == [(beta, c)]
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_perturbed_tail_is_refused(self):
@@ -1358,31 +1375,6 @@ class TestConditionedR:
         spec = st.two_regular_graphs()  # no structures of weight 2
         with pytest.raises(ParameterDomainError):
             sd.conditioned_R_pmf(spec, [1], 2, TiltedParams(1, 1))
-
-
-class TestJointPmf:
-    def test_single_index_diagonal(self):
-        jp = sd.joint_sum_pmf(PERM, [1], 6, 6, TiltedParams(1, 1))
-        for u in range(7):
-            for r in range(7):
-                if u != r:
-                    assert jp.p[u, r] == 0.0
-
-    def test_marginal_matches_weighted_sum(self):
-        B = [1, 3, 4]
-        jp = sd.joint_sum_pmf(PERM, B, 12, 12, TiltedParams(1, 1))
-        pv = sd.weighted_sum_pmf(PERM, B, 12, TiltedParams(1, 1))
-        assert float(np.max(np.abs(jp.marginal_weight().p - pv.p))) < 1e-12
-
-    def test_conditioned_count_law_vs_oracle(self):
-        # P(U = k | T_4 = 4) is the number-of-cycles law of a random permutation
-        n = 4
-        jp = sd.joint_sum_pmf(PERM, range(1, n + 1), n, n, TiltedParams(1, 1))
-        cond = jp.p[:, n] / jp.p[:, n].sum()
-        law = orc.exact_joint_law(PERM, n, 1)
-        counts = orc.exact_functional_law(law, lambda a: sum(a))
-        for k in range(n + 1):
-            assert cond[k] == pytest.approx(float(counts.prob(k)), abs=1e-12)
 
 
 class TestPmfVectorValidation:
