@@ -85,6 +85,20 @@ def _index_set_flag(text: str) -> str:
     return text
 
 
+def _int_flag(low: int):
+    """A converter for an int flag whose values start at `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _int_tuple_flag(text: str) -> tuple:
     return tuple(int(t) for t in text.split(","))
 
@@ -261,16 +275,15 @@ def cmd_sample(args) -> Output:
     streams = int(raw) if raw.strip().isdecimal() else 0
     if streams < 1:
         raise ParameterDomainError(f"CS_THREADS must be an integer >= 1: {raw!r}")
-    method = "table"
     batch = smp.sample_components(spec, n, params, args.samples,
                                   smp.RngState(args.seed), streams=streams,
-                                  method=method)
+                                  method="table")
     out = Output(args, spec)
     out.add_header("params", f"n={n} x={params.fx!r} theta={params.ftheta!r}")
     out.add_header("seed", f"{args.seed} streams={streams}")
     out.add_header("trials", f"{batch.trials} accepted={batch.accepted} "
                              f"exact_acceptance={batch.acceptance_exact!r} "
-                             f"method={method}")
+                             "method=table")
     rows = [[" ".join(f"{i}:{ai}" for i, ai in enumerate(v.a, start=1) if ai)]
             for v in batch.samples]
     out.table(["sample"], rows)
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[s.value for s in XStrategy])
         p.add_argument("--theta", type=_number_flag, default="1")
         p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        p.add_argument("--precision", type=int, default=None)
+        p.add_argument("--precision", type=_int_flag(1), default=None)
 
     p = sub.add_parser("tv", help="exact d_TV(C_B, Z_B) report")
     common(p)
@@ -425,18 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_int_tuple_flag, default=None,
                    help="component vector '2,0,1'")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_int_flag(1), default=None)
     p.set_defaults(func=cmd_esf)
 
     p = sub.add_parser("heuristic", help="heuristic vs exact d_TV trend")
     common(p)
     p.add_argument("--B", type=_index_set_flag, required=True)
-    p.add_argument("--doublings", type=int, default=0)
+    p.add_argument("--doublings", type=_int_flag(0), default=0)
     p.set_defaults(func=cmd_heuristic)
 
     p = sub.add_parser("verify", help="oracle cross-check suite at small n")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_int_flag(1), default=None)
     p.set_defaults(func=cmd_verify)
 
     return top

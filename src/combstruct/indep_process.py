@@ -17,9 +17,10 @@ log(m_i / i!) for an assembly: the family's float log_m_fn),
 log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled once per
 request into one slot on the spec (StructureSpec.table).  It
 builds the exact m_i only for a small falling (m_i < e^34, cut at
-k <= m_i) or rising (m_i < 1e3) product.  A DiscreteLaw's pmf_array is its
-one-row call.  log P(Z_i = 0) has one implementation, log_p_zero, which
-sumdist.log_seed sums over a set.
+k <= m_i) or rising (m_i < 1e3) product.  z_law returns a DiscreteLaw,
+a view of one row of it, and refined_y_law is z_law on the family with
+one structure, of size i.  log P(Z_i = 0) has one implementation,
+log_p_zero, which sumdist.log_seed sums over a set.
 
 Also here: means and variances, moments of the weighted sum T_n = sum i
 Z_i, and solvers / closed-form prescriptions for choosing x so that E T_n
@@ -34,13 +35,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
-from .structures import Kind, Numeric, StructureSpec, log_big, log_weights
+from .structures import (Kind, Numeric, StructureSpec, from_m_list,
+                         log_weights)
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
@@ -126,9 +127,9 @@ def log_weight_array(n: int, params: TiltedParams) -> np.ndarray:
 
 def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
     """[log 0!, ..., log n!] by math.lgamma, filled to exactly n in the
-    spec's "log_factorial" slot.  DiscreteLaw.pmf_array takes log k! from
-    math.lgamma too; structures._log_gamma_int (the log weight -log i! of
-    set partitions) is not bitwise math.lgamma: log 2! differs by 3 ulps."""
+    spec's "log_factorial" slot.  structures._log_gamma_int (the log weight
+    -log i! of set partitions) is not bitwise math.lgamma: log 2! differs
+    by 3 ulps."""
     return spec.table("log_factorial", lambda: np.fromiter(
         map(math.lgamma, range(1, n + 2)), float, n + 1), n=n)[: n + 1]
 
@@ -221,109 +222,110 @@ def overflow_guard(what: str):
 # per-index laws
 # ---------------------------------------------------------------------------
 
-class Family(Enum):
-    POISSON = "poisson"
-    NEG_BINOMIAL = "negative_binomial"
-    BINOMIAL = "binomial"
-
-
-_FAMILY = {Kind.ASSEMBLY: Family.POISSON, Kind.MULTISET: Family.NEG_BINOMIAL,
-           Kind.SELECTION: Family.BINOMIAL}
-
-
 @dataclass(frozen=True)
 class DiscreteLaw:
-    """One nonnegative-integer law; its pmf_array is one row of _pmf_rows.
+    """The law of Z_i under params, as a view of row i of z_pmf_rows:
+    Poisson(lam) for an assembly, NegBin(m_i, theta x^i) for a multiset,
+    Binomial(m_i, theta x^i / (1 + theta x^i)) for a selection.  log_p0 =
+    log P(Z_i = 0) and lam = -log_p0 (the Poisson mean of an assembly) are
+    read from the request's log_p_zero_array."""
 
-    Poisson(lam); NegBin(m, p) with p the geometric weight theta x^i (a
-    geometric law is m = 1); Binomial(m, p) with p = theta x^i / (1 + theta
-    x^i) (a Bernoulli law is m = 1).  lw = log(theta x^i) backs all
-    log-space evaluation; m stays exact (int or Fraction).  log_p0 is
-    log P(Z = 0): z_law reads it from the request's log_p_zero_array, and a
-    law built without it takes it from log_p_zero (-lam for Poisson).
-    """
+    spec: StructureSpec
+    i: int
+    params: TiltedParams
 
-    family: Family
-    lam: float = 0.0
-    m: Numeric = 0
-    p: float = 0.0
-    lw: float = -math.inf
-    log_p0: Optional[float] = None
+    @property
+    def log_p0(self) -> float:
+        return float(log_p_zero_array(self.spec, self.i, self.params)[self.i])
 
-    def __post_init__(self):
-        if self.log_p0 is not None:
-            return
-        kind = next(k for k, f in _FAMILY.items() if f is self.family)
-        lp0 = (-self.lam if kind is Kind.ASSEMBLY
-               else float(log_p_zero(kind, log_big(self.m), self.lw)))
-        object.__setattr__(self, "log_p0", lp0)
+    @property
+    def lam(self) -> float:
+        return -self.log_p0
 
     def pmf(self, k: int) -> float:
-        """P(Z = k): entry k of pmf_array(k), 0 for k < 0."""
+        """P(Z_i = k): entry k of pmf_array(k), 0 for k < 0."""
         return float(self.pmf_array(k)[k]) if k >= 0 else 0.0
 
     def pmf_array(self, k_max: int) -> np.ndarray:
-        """[P(Z = 0), ..., P(Z = k_max)]: _pmf_rows' one row of this law,
-        with log m = log_big(m) and log k! by math.lgamma."""
-        return _pmf_rows(
-            self.family, np.array([k_max]), np.array([self.log_p0]),
-            np.array([self.lw]), np.array([log_big(self.m)]),
-            lambda sel: [self.m] * len(sel),
-            lambda size: np.array(list(map(math.lgamma, range(1, size + 2)))))[0]
+        """[P(Z_i = 0), ..., P(Z_i = k_max)]: z_pmf_rows' one row."""
+        return z_pmf_rows(self.spec, [self.i], k_max, self.params)[0]
 
 
-def _pmf_rows(family: Family, k_max: np.ndarray, log_p0: np.ndarray,
-              lw: np.ndarray, lm: np.ndarray,
-              m_at: Callable[[np.ndarray], list],
-              log_fact: Callable[[int], np.ndarray]) -> list:
-    """rows[r] = [P(Z = k)]_{k <= k_max[r]} from log P(Z = 0) = log_p0[r],
-    lw[r] = log(theta x^i) and lm[r] = log m: entry k > 0 is the exp of
-    log P(Z = 0) + k log lam - log k! (Poisson, lam = -log P(Z = 0)), or of
-    log m^(k) - log k! + log P(Z = 0) + k lw (negative binomial) or log m_(k)
-    - log k! + k lw + log P(Z = 0) (binomial) with _log_products, added in
-    that order; log k! is from log_fact(K), the exact m of the rows sel
-    from m_at(sel).  Rows with k_max + 1 in one [2^b, 2^(b+1)) form one 2-D
-    block, which each row reads up to its k_max."""
+def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
+    """Law of Z_i under P_theta, a view of row i of z_pmf_rows."""
+    if i < 1:
+        raise ParameterDomainError("index must be >= 1")
+    params.validate(spec)
+    lp0 = log_p_zero_array(spec, i, params)[i]  # a multiset's t = 1 raises
+    if spec.kind is Kind.ASSEMBLY and lp0 == -math.inf:
+        raise NumericGuardError(
+            f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
+    return DiscreteLaw(spec, i, params)
+
+
+def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
+    """rows[r] = [P(Z_i = k)]_{k <= k_max[r]} for i = idx[r] >= 1 (k_max an
+    int or one per index), from the request's arrays of c = log P(Z_i = 0),
+    log weights (log_m_array), lw = log(theta x^i) and log k!.  Entry
+    k > 0 is the exp of c + k log lam - log k! (assembly: Poisson, lam =
+    -c), log m^(k) - log k! + c + k lw (multiset) or log m_(k) - log k! +
+    k lw + c (selection), with _log_products, added in that order.  A
+    binomial row is exactly 0 past m_i; an index with m_i = 0 has e_0.
+    Rows with k_max + 1 in one [2^b, 2^(b+1)) form one 2-D block, which
+    each row reads up to its k_max."""
+    params.validate(spec)
+    idx = np.asarray(idx, dtype=np.int64)
+    if np.any(idx < 1):
+        raise ParameterDomainError("index must be >= 1")
+    top = int(idx.max(initial=0))
+    lp0 = log_p_zero_array(spec, top, params)[idx]
+    if spec.kind is Kind.ASSEMBLY and np.any(lp0 == -np.inf):
+        raise NumericGuardError(f"Poisson mean of Z_{idx[np.argmin(lp0)]} "
+                                "beyond double range; choose a smaller x")
+    k_max = np.broadcast_to(k_max, idx.shape)
+    lw = log_weight_array(top, params)[idx]
+    lm = log_m_array(spec, top)[idx]
     rows = {}
     order = np.argsort(k_max, kind="stable")
     level = np.frexp(k_max[order] + 1.0)[1]  # K_r + 1 within a factor 2
     for grp in filter(len, np.split(order, np.flatnonzero(np.diff(level)) + 1)):
         K = int(k_max[grp[-1]])
-        c = log_p0[grp, None]
-        prod = None if family is Family.POISSON else _log_products(
-            family, K, lm[grp], lambda sel: m_at(grp[sel]))
+        c = lp0[grp, None]
+        prod = None if spec.kind is Kind.ASSEMBLY else _log_products(
+            spec, K, idx[grp], lm[grp])
         W = K if prod is None else prod.shape[1]  # entries past W are 0
         k = np.arange(1, W + 1)
-        lf = log_fact(W)[1:W + 1]
+        lf = log_factorial_array(spec, W)[1:W + 1]
         if prod is None:
             with np.errstate(divide="ignore"):  # lam = 0: the row is e_0
                 logs = c + k * np.log(-c) - lf
         else:
             kw = k * lw[grp, None]
-            logs = (prod - lf + c + kw if family is Family.NEG_BINOMIAL
+            logs = (prod - lf + c + kw if spec.kind is Kind.MULTISET
                     else prod - lf + kw + c)
         block = np.zeros((len(grp), K + 1))
         block[:, :W + 1] = np.exp(np.hstack((c, logs)))
         rows.update((r, row[:kr + 1]) for r, row, kr
                     in zip(grp.tolist(), block, k_max[grp].tolist()))
-    return [rows[r] for r in range(len(k_max))]
+    return [rows[r] for r in range(len(idx))]
 
 
-def _log_products(family: Family, K: int, lm: np.ndarray,
-                  m_at: Callable[[np.ndarray], list]) -> np.ndarray:
-    """out[r, k-1], k = 1..W: log m(m+1)...(m+k-1) (negative binomial) or
-    log m(m-1)...(m-k+1) (binomial) for log m = lm[r]; -inf where m = 0 or
-    k > m.  W is K, or the binomial's largest ceil(m) where that is less.
-    Below m = 1e3 the rising one is lgamma(m + k) - lgamma(m), which above
-    it cancels (absolute error about eps m log m), and the falling one below
-    m = e^34 sums log(m - j); both read the exact m (m_at).  Otherwise it is
-    k log m + sum_{j<k} log1p(+-j/m) with 1/m = e^-lm.  Every sum runs along
-    one row."""
+def _log_products(spec: StructureSpec, K: int, idx: np.ndarray,
+                  lm: np.ndarray) -> np.ndarray:
+    """out[r, k-1], k = 1..W: log m(m+1)...(m+k-1) (multiset: negative
+    binomial) or log m(m-1)...(m-k+1) (selection: binomial) for m = m_i,
+    i = idx[r], log m = lm[r]; -inf where m = 0 or k > m.  W is K, or the
+    binomial's largest ceil(m) where that is less.  Below m = 1e3 the
+    rising one is lgamma(m + k) - lgamma(m), which above it cancels
+    (absolute error about eps m log m), and the falling one below m = e^34
+    sums log(m - j); both read the exact m_i.  Otherwise it is k log m +
+    sum_{j<k} log1p(+-j/m) with 1/m = e^-lm.  Every sum runs along one
+    row."""
     live = lm != -np.inf
-    nb = family is Family.NEG_BINOMIAL
+    nb = spec.kind is Kind.MULTISET
     cut, sign = (math.log(1e3), 1.0) if nb else (34.0, -1.0)
     small, big = np.flatnonzero(live & (lm < cut)), np.flatnonzero(lm >= cut)
-    fm = np.array([float(m) for m in m_at(small)]).reshape(-1, 1)
+    fm = np.array([float(spec.m(i)) for i in idx[small].tolist()]).reshape(-1, 1)
     if not nb and not big.size:
         K = min(K, math.ceil(fm.max(initial=0)))
     out = np.full((len(lm), K), -np.inf)
@@ -343,54 +345,11 @@ def _log_products(family: Family, K: int, lm: np.ndarray,
     return out
 
 
-def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
-    """Law of Z_i under P_theta."""
-    if i < 1:
-        raise ParameterDomainError("index must be >= 1")
-    params.validate(spec)
-    lp0 = float(log_p_zero_array(spec, i, params)[i])
-    if spec.kind is Kind.ASSEMBLY:
-        if lp0 == -math.inf:
-            raise NumericGuardError(
-                f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
-        return DiscreteLaw(Family.POISSON, lam=-lp0, log_p0=lp0)
-    lw = math.log(params.ftheta) + i * math.log(params.fx)
-    p = math.exp(lw) if spec.kind is Kind.MULTISET else expit_float(lw)
-    return DiscreteLaw(_FAMILY[spec.kind], m=spec.m(i), p=p, lw=lw, log_p0=lp0)
-
-
-def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
-    """rows[r] = [P(Z_i = k)]_{k <= k_max[r]} for i = idx[r] >= 1 (k_max an
-    int or one per index): one _pmf_rows call on the request's arrays.  A
-    binomial row is exactly 0 past m_i; an index with m_i = 0 has e_0."""
-    params.validate(spec)
-    idx = np.asarray(idx, dtype=np.int64)
-    if np.any(idx < 1):
-        raise ParameterDomainError("index must be >= 1")
-    top = int(idx.max(initial=0))
-    lp0 = log_p_zero_array(spec, top, params)[idx]
-    if spec.kind is Kind.ASSEMBLY and np.any(lp0 == -np.inf):
-        raise NumericGuardError(f"Poisson mean of Z_{idx[np.argmin(lp0)]} "
-                                "beyond double range; choose a smaller x")
-    return _pmf_rows(_FAMILY[spec.kind], np.broadcast_to(k_max, idx.shape),
-                     lp0, log_weight_array(top, params)[idx],
-                     log_m_array(spec, top)[idx],
-                     lambda sel: [spec.m(i) for i in idx[sel].tolist()],
-                     lambda size: log_factorial_array(spec, size))
-
-
 def refined_y_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
-    """Law of one refined coordinate Y_ij; the m_i-fold convolution is z_law."""
-    if i < 1:
-        raise ParameterDomainError("index must be >= 1")
-    params.validate(spec)
-    lw = math.log(params.ftheta) + i * math.log(params.fx)
-    if spec.kind is Kind.ASSEMBLY:
-        with overflow_guard(f"Poisson mean of Y_{i}j"):
-            lam = math.exp(lw - math.lgamma(i + 1))
-        return DiscreteLaw(Family.POISSON, lam=lam)
-    p = math.exp(lw) if spec.kind is Kind.MULTISET else expit_float(lw)
-    return DiscreteLaw(_FAMILY[spec.kind], m=1, p=p, lw=lw)
+    """Law of one refined coordinate Y_ij: Z_i of the family of the same
+    kind with one structure, of size i (Poisson(theta x^i / i!), geometric
+    or Bernoulli).  The m_i-fold convolution of it is z_law(spec, i)."""
+    return z_law(from_m_list(spec.kind, [0] * (i - 1) + [1]), i, params)
 
 
 # ---------------------------------------------------------------------------

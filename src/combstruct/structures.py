@@ -800,11 +800,13 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
     denominator 1 is returned as an int.  An exact division that leaves a
     remainder is a RuntimeError.
 
-    theta must be an int or Fraction for exactness.  The table is kept in
-    the spec's slot ("ptheta", theta) and read up to n.
+    theta must be a positive int or Fraction for exactness.  The table is
+    kept in the spec's slot ("ptheta", theta) and read up to n.
     """
     if not isinstance(theta, (int, Fraction)):
         raise ParameterDomainError("exact p_theta table needs rational theta")
+    if theta <= 0:
+        raise ParameterDomainError(f"theta must be positive, got {theta}")
     theta = as_integral(Fraction(theta))
     return spec.table(("ptheta", theta), lambda: _ptheta_build(spec, n, theta),
                       n=n)[: n + 1]

@@ -18,7 +18,7 @@ from . import structures as st
 from . import sumdist, tv_engine, limits
 from . import moments as mom
 from . import oracle as orc
-from .indep_process import TiltedParams, z_pmf_rows
+from .indep_process import TiltedParams, refined_y_law, z_pmf_rows
 
 Result = tuple[str, bool, str]
 
@@ -169,7 +169,6 @@ def check_psi_quadrature() -> Result:
 
 
 def check_refined_convolution() -> Result:
-    from .indep_process import refined_y_law
     worst = 0.0
     for kind, x in (("assembly", 0.9), ("multiset", 0.5), ("selection", 1.0)):
         for i, m_i in ((2, 3), (5, 4)):

@@ -1,16 +1,17 @@
 """Scalar test references.  The scalar forms of log P(Z_i = 0) at big m_i
 that indep_process.log_p_zero replaced: m log1p(-t) for a multiset index
-and m log(1 + e^lw) for a selection index, one index per call; the scalar
-log pmf with its rising and falling logs; and the per-kind log weight in
-mpmath."""
+and m log(1 + e^lw) for a selection index, one index per call; the law of
+Z_i from the exact m_i and its scalar log pmf with its rising and falling
+logs; and the per-kind log weight in mpmath."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from combstruct.errors import ParameterDomainError
-from combstruct.structures import Kind
+from combstruct.structures import Kind, log_big
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)
@@ -44,9 +45,46 @@ def m_softplus(lm, lw):
 
 
 # The scalar per-k log pmf that DiscreteLaw.log_pmf computed before pmf(k)
-# became entry k of pmf_array, with its rising and falling logs.
+# became entry k of pmf_array, with its rising and falling logs, on a law of
+# Z_i built here from the exact m_i, one index at a time.
 
 _LOG_RISING_SWITCH = math.log(1e3)
+
+
+@dataclass(frozen=True)
+class RefLaw:
+    """The law of Z_i: the spec's kind, m = m_i, lw = log(theta x^i) and
+    log_p0 = log P(Z_i = 0)."""
+
+    kind: Kind
+    m: object
+    lw: float
+    log_p0: float
+
+    @property
+    def lam(self):
+        """-log P(Z_i = 0), the Poisson mean of an assembly's Z_i."""
+        return -self.log_p0
+
+
+def ref_law(spec, i, x, theta=1):
+    """Z_i of spec at (x, theta), from m_i = spec.m(i): lw = log theta +
+    i log x, and log P(Z_i = 0) is -lam with lam = theta m_i x^i / i! the
+    exp of log m_i - log i! + lw (assembly; -inf past double range),
+    safe_mlog1p (multiset) or -m_softplus (selection) of log m_i."""
+    m = spec.m(i)
+    lm = log_big(m)
+    lw = math.log(theta) + i * math.log(x)
+    if spec.kind is Kind.ASSEMBLY:
+        try:
+            c = -math.exp(lm - math.lgamma(i + 1) + lw)
+        except OverflowError:
+            c = -math.inf
+    elif spec.kind is Kind.MULTISET:
+        c = safe_mlog1p(lm, math.exp(lw), lw)
+    else:
+        c = -m_softplus(lm, lw)
+    return RefLaw(spec.kind, m, lw, c)
 
 
 def _inv_m(m, lm):
@@ -86,17 +124,15 @@ def log_falling(m, lm, k):
 
 
 def log_pmf(law, k):
-    """log P(Z = k) of a DiscreteLaw, one k per call."""
-    from combstruct.indep_process import Family
-    from combstruct.structures import log_big
+    """log P(Z = k) of a RefLaw, one k per call."""
     if k < 0:
         return -math.inf
-    if law.family is Family.POISSON:
+    if law.kind is Kind.ASSEMBLY:
         if law.lam == 0.0:
             return 0.0 if k == 0 else -math.inf
         return law.log_p0 + k * math.log(law.lam) - math.lgamma(k + 1)
     lm = log_big(law.m)
-    if law.family is Family.NEG_BINOMIAL:
+    if law.kind is Kind.MULTISET:
         return (log_rising(law.m, lm, k) - math.lgamma(k + 1)
                 + law.log_p0 + k * law.lw)
     lf = log_falling(law.m, lm, k)

@@ -343,6 +343,37 @@ class TestExitCodes:
             cli.run(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["pofn", "--precision", "-1"], ["pofn", "--precision", "0"],
+        ["pofn", "--precision", "x"], ["heuristic", "--B", "1",
+                                       "--doublings", "-1"],
+    ], ids=["precision_negative", "precision_0", "precision_not_int",
+            "doublings_negative"])
+    def test_bad_int_flag_is_2(self, spec_files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run([argv[0], "--spec", spec_files["permutations"], "--n", "5",
+                     *argv[1:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["verify", "--precision", "-1"],
+                                      ["esf", "--n", "3", "--kappa", "1",
+                                       "--precision", "0"]],
+                             ids=["verify", "esf"])
+    def test_bad_precision_without_spec_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["pofn", "--theta", "0"], ["pofn", "--theta", "-1"],
+        ["pofn", "--theta=-1/2"], ["moments", "--theta", "-1", "--j", "1"],
+    ], ids=["pofn_0", "pofn_negative", "pofn_negative_fraction", "moments"])
+    def test_non_positive_exact_theta_is_3(self, spec_files, capsys, argv):
+        code, out, err = run_cli([argv[0], "--spec", spec_files["intpart"],
+                                  "--n", "5", *argv[1:]], capsys)
+        assert (code, out) == (3, "") and "theta must be positive" in err
+
     @pytest.mark.parametrize("argv", [["esf", "--n", "3", "--kappa", "k"],
                                       ["esf", "--n", "3", "--kappa", "1",
                                        "--a", "0,x,1"]],

@@ -3,6 +3,7 @@ weighted-sum moments, and the choice-of-x solvers."""
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,29 +18,44 @@ from scalar_refs import log_falling as _ref_log_falling
 from scalar_refs import log_pmf as _ref_log_pmf
 from scalar_refs import log_rising as _ref_log_rising
 from scalar_refs import m_softplus as _ref_m_softplus
+from scalar_refs import ref_law as _ref_law
 from scalar_refs import safe_mlog1p as _ref_safe_mlog1p
-from combstruct.indep_process import (DiscreteLaw, Family, TiltedParams,
-                                      XStrategy, choose_x, log_m_array,
-                                      log_p_zero, refined_y_law, solve_xex,
-                                      sum_moments, z_law, z_pmf_rows)
+from combstruct.indep_process import (TiltedParams, XStrategy, choose_x,
+                                      log_m_array, log_p_zero, refined_y_law,
+                                      solve_xex, sum_moments, z_law,
+                                      z_pmf_rows)
 
 
-def _kernel_log_products(family, m, lm, k_max):
-    """The kernel's row of log m^(k) (negative binomial) or log m_(k)
-    (binomial), k = 1..k_max, for one m: -inf past the columns it computes."""
-    got = ip._log_products(family, k_max, np.array([lm]), lambda _r: [m])[0]
+def _one_index(kind, m):
+    """The family whose only structures are m of size 1: Z_1 at theta = 1
+    is Poisson(m x), NegBin(m, x) or Binomial(m, x / (1 + x)).  A selection
+    with a non-integer m (a generalised binomial, which from_m_list
+    refuses) is a hand-built spec with m_1 put in its cache."""
+    if kind == "selection" and not isinstance(m, int):
+        spec = st.StructureSpec(st.Kind.SELECTION, "generalised_binomial",
+                                lambda i: 0)
+        spec._m_cache[1] = m
+        return spec
+    return st.from_m_list(kind, [m])
+
+
+def _kernel_log_products(spec, k_max):
+    """The kernel's row of log m^(k) (multiset) or log m_(k) (selection),
+    k = 1..k_max, for m = m_1: -inf past the columns it computes."""
+    got = ip._log_products(spec, k_max, np.array([1]),
+                           log_m_array(spec, 1)[[1]])[0]
     return np.concatenate((got, np.full(k_max - len(got), -np.inf)))
 
 
 class TestZLaw:
     def test_permutations_poisson(self):
         law = z_law(st.permutations(), 5, TiltedParams(1, 1))
-        assert law.family is Family.POISSON
         assert law.lam == pytest.approx(0.2, abs=1e-15)
+        assert law.pmf(1) == pytest.approx(0.2 * math.exp(-0.2), rel=1e-14)
 
     def test_integer_partition_geometric(self):
         law = z_law(st.integer_partitions(), 1, TiltedParams(0.5, 1))
-        assert law.family is Family.NEG_BINOMIAL and law.m == 1  # geometric
+        assert law.spec.m(law.i) == 1  # geometric
         for k in range(6):
             assert law.pmf(k) == pytest.approx(2.0 ** -(k + 1), rel=1e-14)
 
@@ -55,7 +71,7 @@ class TestZLaw:
 
     def test_selection_binomial(self):
         law = z_law(st.from_m_list("selection", [3]), 1, TiltedParams(1, 1))
-        assert law.family is Family.BINOMIAL
+        assert law.spec.m(law.i) == 3
         assert law.pmf(0) == pytest.approx(0.125, rel=1e-14)
         assert law.pmf(3) == pytest.approx(0.125, rel=1e-14)
         assert law.pmf(4) == 0.0
@@ -72,62 +88,62 @@ class TestZLaw:
 
 
 class TestPmfArray:
-    # (law, k_max): every family and every branch of the rising/falling logs
+    # (kind, m_1, x, k_max): Z_1 of _one_index(kind, m_1) at x, theta = 1,
+    # in every kind and every branch of the rising/falling logs
     LAWS = [
-        (DiscreteLaw(Family.POISSON, lam=0.0), 5),
-        (DiscreteLaw(Family.POISSON, lam=0.3), 300),
-        (DiscreteLaw(Family.POISSON, lam=200.0), 1000),
+        ("assembly", lam, 1.0, k_max)  # Poisson(lam)
+        for lam, k_max in ((0, 5), (0.3, 300), (200.0, 1000))
     ] + [
-        (DiscreteLaw(Family.NEG_BINOMIAL, m=m, p=math.exp(lw), lw=lw), 600)
+        ("multiset", m, math.exp(lw), 600)  # NegBin(m, e^lw)
         for m in (1, 3, 10 ** 6, 10 ** 40, Fraction(1, 3), Fraction(7, 2))
         for lw in (-30.0, -3.0, math.log(0.99))
     ] + [
-        (DiscreteLaw(Family.BINOMIAL, m=m, p=1 / (1 + math.exp(-lw)), lw=lw),
-         600)
+        ("selection", m, math.exp(lw), 600)  # Binomial(m, expit(lw))
         for m in (1, 3, 50, 10 ** 6, 10 ** 40, Fraction(7, 2))
         for lw in (-30.0, 0.0, 3.0)
     ]
 
-    @pytest.mark.parametrize("law,k_max", LAWS)
-    def test_matches_scalar_pmf(self, law, k_max):
+    @pytest.mark.parametrize("kind,m,x,k_max", LAWS)
+    def test_matches_scalar_pmf(self, kind, m, x, k_max):
         # the per-k scalar log pmf adds the same terms in the same order;
         # the kernel's np.exp may round to the other neighbour of math.exp's
         # result, so the rows agree to 1e-14 relative, not bitwise
+        law = z_law(_one_index(kind, m), 1, TiltedParams(x, 1))
+        ref = _ref_law(law.spec, 1, x)
         got = law.pmf_array(k_max)
-        want = np.array([math.exp(_ref_log_pmf(law, k))
+        want = np.array([math.exp(_ref_log_pmf(ref, k))
                          for k in range(k_max + 1)])
         assert np.all(np.abs(got - want) <= 1e-14 * want)
         # pmf(k) is entry k of pmf_array(k), and 0 below the support
         assert law.pmf(k_max) == got[k_max] and law.pmf(-1) == 0.0
 
-    @pytest.mark.parametrize("law,k_max", LAWS)
-    def test_matches_scalar_seed_reference(self, law, k_max):
+    @pytest.mark.parametrize("kind,m,x,k_max", LAWS)
+    def test_matches_scalar_seed_reference(self, kind, m, x, k_max):
         # the row of the kernel's rising and falling logs, with log P(Z = 0)
         # from _ref_safe_mlog1p / _ref_m_softplus: bit-identical wherever the
         # kernel's log P(Z = 0) is.  That value is at most 2 ulps off: numpy's
         # exp and log1p may round to the other neighbour of libm's, and the
         # product e^lm log1p(-t) adds the two (m = 3, t = 0.99: the kernel's
         # -13.815510557964275 is 0.5 ulp from 3 log 0.01, libm's 1.2 ulps)
+        spec = _one_index(kind, m)
+        law = z_law(spec, 1, TiltedParams(x, 1))
+        ref = _ref_law(spec, 1, x)
         ks = range(k_max + 1)
-        lm = st.log_big(law.m)
-        if law.family is Family.POISSON:
-            c = -law.lam
-            if law.lam:
-                logs = [c + k * math.log(law.lam) - math.lgamma(k + 1)
+        c = ref.log_p0
+        if kind == "assembly":
+            if ref.lam:
+                logs = [c + k * math.log(ref.lam) - math.lgamma(k + 1)
                         for k in ks]
         else:
-            prods = [0.0] + _kernel_log_products(law.family, law.m, lm,
-                                                 k_max).tolist()
-            if law.family is Family.NEG_BINOMIAL:
-                c = _ref_safe_mlog1p(lm, math.exp(law.lw), law.lw)
-                logs = [prods[k] - math.lgamma(k + 1) + c + k * law.lw
+            prods = [0.0] + _kernel_log_products(spec, k_max).tolist()
+            if kind == "multiset":
+                logs = [prods[k] - math.lgamma(k + 1) + c + k * ref.lw
                         for k in ks]
             else:
-                c = -_ref_m_softplus(lm, law.lw)
-                logs = [prods[k] - math.lgamma(k + 1) + k * law.lw + c
+                logs = [prods[k] - math.lgamma(k + 1) + k * ref.lw + c
                         for k in ks]
         assert abs(law.log_p0 - c) <= 2 * math.ulp(c)
-        if law.family is Family.POISSON and not law.lam:
+        if kind == "assembly" and not ref.lam:
             return
         want = np.exp(np.array(logs))
         got = law.pmf_array(k_max)
@@ -158,13 +174,13 @@ def _kernel_case(draw):
 
 def _summand_size(law, ks):
     """|log P(Z = 0)| + log k! + |k log lam| (Poisson) or + |log m^(k)| or
-    |log m_(k)| + |k lw|, per k: the scale of log P(Z = k)'s rounding; inf
-    where the product vanishes."""
+    |log m_(k)| + |k lw|, per k, for a scalar_refs law: the scale of
+    log P(Z = k)'s rounding; inf where the product vanishes."""
     out = abs(law.log_p0) + np.array([math.lgamma(k + 1) for k in ks])
-    if law.family is Family.POISSON:
+    if law.kind is st.Kind.ASSEMBLY:
         return out + (ks * abs(math.log(law.lam)) if law.lam else 0.0)
     lm = st.log_big(law.m)
-    ref = (_ref_log_rising if law.family is Family.NEG_BINOMIAL
+    ref = (_ref_log_rising if law.kind is st.Kind.MULTISET
            else _ref_log_falling)
     return out + np.abs([ref(law.m, lm, k) for k in ks]) + ks * abs(law.lw)
 
@@ -174,13 +190,17 @@ class TestPmfRowsKernel:
     @given(_kernel_case())
     def test_rows_match_scalar_log_pmf(self, case):
         # every row of one z_pmf_rows call against the per-k scalar log pmf
-        # of the same law, read from the same log m_i (from_m_list takes
-        # log_big of its list) and log P(Z_i = 0).  The reference takes its
-        # logs, log1p and exps from libm and 1/m as 1/float(m); the kernel's
-        # may round each to the other neighbour, so an entry agrees to 1e-14
-        # relative or a few ulps of the summands of its log (k log m, log k!,
-        # log P(Z_i = 0), k lw), which cancel: m = 305688/163, k = 10 gives
-        # log P = -2.43 from terms near 75, and the two differ by 1.4e-14
+        # of the same law, built by scalar_refs.ref_law from the exact m_i
+        # (from_m_list takes log_big of its list, as ref_law does) and read
+        # with the kernel's log P(Z_i = 0): m log1p(-t) moves by 1/(1 - t)
+        # ulps per ulp of t, so near t = 1 the two roundings of it differ by
+        # far more than the rows' bound (TestLogPZeroKernel checks that
+        # value).  The reference takes its logs, log1p and exps from libm
+        # and 1/m as 1/float(m); the kernel's may round each to the other
+        # neighbour, so an entry agrees to 1e-14 relative or a few ulps of
+        # the summands of its log (k log m, log k!, log P(Z_i = 0), k lw),
+        # which cancel: m = 305688/163, k = 10 gives log P = -2.43 from
+        # terms near 75, and the two differ by 1.4e-14
         kind, ms, x, theta, n = case
         spec = st.from_m_list(kind, ms)
         params = TiltedParams(x, theta)
@@ -193,11 +213,8 @@ class TestPmfRowsKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = z_pmf_rows(spec, idx, n // idx, params)
-        family = ip._FAMILY[spec.kind]
         for i, row in zip(idx.tolist(), rows):
-            lw = math.log(theta) + i * math.log(x)
-            law = DiscreteLaw(family, lam=-float(lp0[i]), m=ms[i - 1], lw=lw,
-                              log_p0=float(lp0[i]))
+            law = replace(_ref_law(spec, i, x, theta), log_p0=float(lp0[i]))
             assert len(row) == n // i + 1
             ks = np.arange(n // i + 1)
             want = np.exp([_ref_log_pmf(law, k) for k in ks])
@@ -265,8 +282,10 @@ class TestLogPZeroKernel:
             log_p_zero(st.Kind.MULTISET, [0.0, 0.0], [-1.0, -1e-17])
         assert log_p_zero(st.Kind.MULTISET, [0.0, -math.inf],
                           [-1.0, -1e-17])[1] == 0.0
+        # a rational x below 1 whose double is 1: t = e^lw is 1 at i = 1
+        x = Fraction(10 ** 20 - 1, 10 ** 20)
         with pytest.raises(ParameterDomainError, match="reached 1"):
-            DiscreteLaw(Family.NEG_BINOMIAL, m=3, p=1.0, lw=-1e-17)
+            z_law(st.from_m_list("multiset", [3]), 1, TiltedParams(x, 1))
 
     @pytest.mark.parametrize("spec,x", [
         (st.polynomials(2), 0.4999), (st.squarefree_polynomials(2), 0.5),
@@ -282,7 +301,8 @@ class TestLogPZeroKernel:
                 assert law.lam == -arr[i]
             else:  # one index at a time, the kernel gives the same value
                 lm = log_m_array(spec, i)[i]
-                assert float(log_p_zero(spec.kind, lm, law.lw)) == law.log_p0
+                lw = math.log(params.ftheta) + i * math.log(params.fx)
+                assert float(log_p_zero(spec.kind, lm, lw)) == law.log_p0
 
     def test_one_slot_keyed_by_x_theta(self):
         spec = st.polynomials(2)
@@ -305,7 +325,7 @@ class TestBigMLaws:
     def test_log_rising_list_matches_exact_product(self, m):
         k_max = 2000
         lm = st.log_big(m)
-        got = [0.0] + _kernel_log_products(Family.NEG_BINOMIAL, m, lm,
+        got = [0.0] + _kernel_log_products(st.from_m_list("multiset", [m]),
                                            k_max).tolist()
         prod, worst = 1, 0.0
         for k in range(1, k_max + 1):
@@ -403,14 +423,14 @@ class TestRefinedLaw:
     def test_examples(self):
         assembly = st.from_m_list("assembly", [1, 2, 1, 1])
         y = refined_y_law(assembly, 2, TiltedParams(1, 1))
-        assert y.family is Family.POISSON and y.lam == pytest.approx(0.5)
+        assert y.spec.kind is st.Kind.ASSEMBLY and y.lam == pytest.approx(0.5)
         sel = st.from_m_list("selection", [2])
         y = refined_y_law(sel, 1, TiltedParams(1, 1))
-        assert y.family is Family.BINOMIAL and y.m == 1  # Bernoulli
+        assert y.spec.kind is st.Kind.SELECTION and y.spec.m(1) == 1  # Bernoulli
         assert y.pmf(1) == pytest.approx(0.5, rel=1e-14)
         mul = st.from_m_list("multiset", [1, 1, 2])
         y = refined_y_law(mul, 3, TiltedParams(0.5, 1))
-        assert y.family is Family.NEG_BINOMIAL and y.m == 1  # geometric
+        assert y.spec.kind is st.Kind.MULTISET and y.spec.m(3) == 1  # geometric
         assert y.pmf(0) == pytest.approx(1 - 0.125, rel=1e-14)
         assert y.pmf(1) == pytest.approx(0.875 * 0.125, rel=1e-14)
 
@@ -689,3 +709,31 @@ class TestSumMomentsOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             sm = sum_moments(st.permutations(), 4000, TiltedParams(2.0, 1))
         assert sm.mean == math.inf and sm.variance == math.inf
+
+
+class TestOneLawRoute:
+    """z_law's DiscreteLaw is a view of one z_pmf_rows row, so the two give
+    the same bits (a law that rebuilt log m_i from the exact m_i and log k!
+    from its own lgamma list differed in 216 of 597 rows of polynomials(2),
+    polynomials(3) and squarefree_polynomials(2), by up to 2.3e-13)."""
+
+    @pytest.mark.parametrize("spec", SOLVER_SPECS, ids=lambda s: s.name)
+    def test_z_law_row_is_the_kernel_row(self, spec):
+        params = TiltedParams(choose_x(spec, 100), 1)
+        for i in range(1, 201):
+            law = z_law(spec, i, params)
+            for k in range(7):
+                want = z_pmf_rows(spec, [i], k, params)[0]
+                assert law.pmf_array(k).tobytes() == want.tobytes(), (i, k)
+
+    @pytest.mark.parametrize("spec", SOLVER_SPECS, ids=lambda s: s.name)
+    def test_refined_law_is_the_one_structure_row(self, spec):
+        # Y_ij is Z_i of the family of the same kind whose one structure
+        # has size i
+        params = TiltedParams(choose_x(spec, 100), 1)
+        for i in range(1, 201):
+            one = st.from_m_list(spec.kind, [0] * (i - 1) + [1])
+            y = refined_y_law(spec, i, params)
+            for k in range(7):
+                want = z_pmf_rows(one, [i], k, params)[0]
+                assert y.pmf_array(k).tobytes() == want.tobytes(), (i, k)

@@ -146,6 +146,24 @@ def _fraction_per_term_moment(spec, n, j, r, theta):
     return float(lead * total / Fraction(tab[n]))
 
 
+class TestExactThetaDomain:
+    @pytest.mark.parametrize("theta", [0, -1], ids=str)
+    def test_non_positive_theta_is_a_domain_error(self, theta):
+        # factorial_moment_single(integer_partitions(), 5, 1, 1, theta=-1)
+        # used to return 4.0 from a table built at theta = -1
+        for call in (
+                lambda: mom.factorial_moment_single(st.integer_partitions(),
+                                                    5, 1, 1, theta=theta),
+                lambda: mom.factorial_moment_single(st.distinct_partitions(),
+                                                    5, 1, 1, theta=theta),
+                lambda: mom.factorial_moment_assembly(st.permutations(), 5,
+                                                      {1: 1}, theta=theta),
+                lambda: mom.expected_theta_K(st.permutations(), 5, theta)):
+            with pytest.raises(ParameterDomainError,
+                               match="theta must be positive"):
+                call()
+
+
 class TestExactSumOneFraction:
     # the exact branch adds integers over one common denominator; the
     # rational, and so its float, is the one a Fraction per term gives

@@ -602,6 +602,22 @@ class TestTableSlots:
         assert spec._table_cache == {} and spec._table_keys == {}
 
 
+class TestExactThetaDomain:
+    # every exact route reads ptheta_table, which refuses theta <= 0 (the
+    # tables used to be built and read at theta = 0 and theta = -1)
+    @pytest.mark.parametrize("theta", [0, -1, Fraction(-1, 2)], ids=str)
+    @pytest.mark.parametrize("spec", [
+        st.permutations(), st.from_m_list("assembly", [1, 2, 1]),
+        st.integer_partitions(), st.distinct_partitions(),
+    ], ids=lambda s: s.name)
+    def test_non_positive_theta_is_a_domain_error(self, spec, theta):
+        with pytest.raises(ParameterDomainError, match="theta must be positive"):
+            st.ptheta_table(spec, 5, theta)
+        with pytest.raises(ParameterDomainError, match="theta must be positive"):
+            st.p_total(spec, 5, theta)
+        assert spec._table_cache == {}
+
+
 class TestComponentVectorRows:
     def test_rows_equal_vectors_built_one_by_one(self):
         rows = np.random.default_rng(3).integers(0, 4, (6, 9))
