@@ -54,6 +54,14 @@ class MomentSpec:
         return sum(j * rj for j, rj in self.orders)
 
 
+def _positive_theta(theta: Numeric) -> Numeric:
+    """theta, checked before any early return: a moment that is 0 at every
+    positive theta (j r > n, or m_j = 0) is no answer at theta <= 0."""
+    if not theta > 0:
+        raise ParameterDomainError(f"theta must be positive, got {theta}")
+    return theta
+
+
 def factorial_moment_assembly(spec: StructureSpec, n: int,
                               r: Union[MomentSpec, Mapping[int, int]],
                               params: Optional[TiltedParams] = None,
@@ -62,7 +70,7 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
     if spec.kind is not Kind.ASSEMBLY:
         raise ParameterDomainError("joint factorial moments apply to assemblies")
     r = MomentSpec.of(r)
-    theta = params.theta if params is not None else theta
+    theta = _positive_theta(params.theta if params is not None else theta)
     m = r.weight
     if m > n:
         return 0.0
@@ -104,7 +112,7 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
         raise ParameterDomainError("r must be >= 1")
     if j < 1:
         raise ParameterDomainError("j must be >= 1")
-    theta = params.theta if params is not None else theta
+    theta = _positive_theta(params.theta if params is not None else theta)
     if spec.kind is Kind.ASSEMBLY:
         return factorial_moment_assembly(spec, n, {j: r}, params, theta)
     if j * r > n:

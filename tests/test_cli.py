@@ -17,6 +17,7 @@ from combstruct import cli
 from combstruct import moments as mom
 from combstruct import structures as st
 from combstruct import oracle as orc
+from combstruct import sumdist as sd
 from combstruct.indep_process import TiltedParams, z_law
 
 
@@ -368,7 +369,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["pofn", "--theta", "0"], ["pofn", "--theta", "-1"],
         ["pofn", "--theta=-1/2"], ["moments", "--theta", "-1", "--j", "1"],
-    ], ids=["pofn_0", "pofn_negative", "pofn_negative_fraction", "moments"])
+        ["moments", "--theta", "-1", "--j", "6"],
+        ["moments", "--theta", "0", "--j", "6"],
+    ], ids=["pofn_0", "pofn_negative", "pofn_negative_fraction", "moments",
+            "moments_j_past_n_negative", "moments_j_past_n_0"])
     def test_non_positive_exact_theta_is_3(self, spec_files, capsys, argv):
         code, out, err = run_cli([argv[0], "--spec", spec_files["intpart"],
                                   "--n", "5", *argv[1:]], capsys)
@@ -493,20 +497,31 @@ class TestExitCodes:
 
 
 class TestImportFootprint:
-    # one request of every command in a fresh interpreter, which then must
-    # hold scipy.linalg (imported with the package) but neither
-    # scipy.special nor scipy.integrate: the package needs only the
-    # triangular solve, and each of the two costs start-up time and memory
+    # one request of every command in a fresh interpreter, which must load
+    # no scipy module at import or after any command: the block solve binds
+    # dtrtrs in the LAPACK that numpy already loaded, and scipy would cost
+    # start-up time, memory and a second OpenBLAS thread pool.  Nor may a
+    # request import numpy.ma (np.median does, on its first call).  On Linux
+    # the process then holds at most one thread per core.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys
-        import combstruct
-        print("linalg_at_import", "scipy.linalg" in sys.modules)
+        import combstruct, combstruct.cli, combstruct.verify
         from combstruct import cli
+
+        def unwanted_modules():
+            # scipy, and numpy.ma: scipy.linalg used to import it at set-up,
+            # and np.median's first call imports it, about 15 ms of a request
+            return sorted(m for m in sys.modules if m == "numpy.ma"
+                          or m.startswith(("scipy", "numpy.ma.")))
+
+        print("import", *unwanted_modules())
         perm, distinct, intpart = sys.argv[1:4]
         requests = [
             ["tv", "--spec", perm, "--n", "600", "--choose-x", "exact_mean",
              "--B", "1..3", "--heuristic"],
             ["prob-t", "--spec", distinct, "--n", "600",
+             "--choose-x", "exact_mean"],
+            ["prob-t", "--spec", intpart, "--n", "4000",
              "--choose-x", "exact_mean"],
             ["pofn", "--spec", intpart, "--n", "20"],
             ["moments", "--spec", perm, "--n", "30", "--j", "1..3"],
@@ -526,11 +541,20 @@ class TestImportFootprint:
                 code = cli.run(argv)
             if code:
                 raise SystemExit(f"{argv[0]} exited {code}")
-        print("loaded", *sorted(m for m in sys.modules if m.startswith(
-            ("scipy.special", "scipy.integrate"))))
+            print(argv[0], *unwanted_modules())
+        try:
+            with open("/proc/self/status") as f:
+                threads = next(line.split()[1] for line in f
+                               if line.startswith("Threads:"))
+        except OSError:
+            threads = "unknown"
+        print("threads", threads)
     """)
 
-    def test_commands_load_no_scipy_special_or_integrate(self, spec_files):
+    def test_commands_load_no_scipy_or_numpy_ma(self, spec_files):
+        if sd._DTRTRS is None:
+            pytest.skip("numpy's LAPACK exports no ILP64 dtrtrs here, so the "
+                        "block solve imports scipy's")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         res = subprocess.run(
@@ -539,7 +563,10 @@ class TestImportFootprint:
              spec_files["intpart"]],
             capture_output=True, text=True, env=env, timeout=300)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines() == ["linalg_at_import True", "loaded"]
+        *lines, threads = res.stdout.splitlines()
+        assert [line.split()[1:] for line in lines] == [[]] * 12, lines
+        if sys.platform.startswith("linux"):
+            assert int(threads.split()[1]) <= os.cpu_count(), threads
 
 
 class TestParserCache:

@@ -163,6 +163,26 @@ class TestExactThetaDomain:
                                match="theta must be positive"):
                 call()
 
+    @pytest.mark.parametrize("theta", [0, -1, -1.0], ids=str)
+    def test_zero_moments_check_theta_first(self, theta):
+        # a moment that is 0 at every positive theta (j r > n, or m_j = 0)
+        # used to return 0.0 before theta was checked
+        for call in (
+                lambda: mom.factorial_moment_single(st.integer_partitions(),
+                                                    5, 6, 1, theta=theta),
+                lambda: mom.factorial_moment_single(st.distinct_partitions(),
+                                                    5, 3, 2, theta=theta),
+                lambda: mom.factorial_moment_single(
+                    st.distinct_odd_partitions(), 5, 2, 1, theta=theta),
+                lambda: mom.factorial_moment_assembly(st.permutations(), 5,
+                                                      {6: 1}, theta=theta),
+                lambda: mom.factorial_moment_assembly(
+                    st.from_m_list("assembly", [1, 0]), 5, {2: 1},
+                    theta=theta)):
+            with pytest.raises(ParameterDomainError,
+                               match="theta must be positive"):
+                call()
+
 
 class TestExactSumOneFraction:
     # the exact branch adds integers over one common denominator; the

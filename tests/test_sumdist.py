@@ -59,6 +59,12 @@ class TestWeightedSumPmf:
             with pytest.raises(ParameterDomainError, match="unknown method"):
                 sd.weighted_sum_pmf(PERM, [1], 3, TiltedParams(1, 1), method)
 
+    def test_n_max_zero(self, trtrs_route):
+        # no block to solve: P(R_B = 0) is the seed, the rest the tail
+        pmf = sd.weighted_sum_pmf(PERM, [1, 2], 0, TiltedParams(0.5, 1))
+        assert pmf.n_max == 0
+        assert pmf.p[0] == pytest.approx(math.exp(-0.625), rel=1e-15)
+
     def test_empty_set(self):
         pv = sd.weighted_sum_pmf(PERM, [], 5, TiltedParams(1, 1))
         assert pv.p[0] == 1.0 and pv.tail == 0.0
@@ -637,20 +643,125 @@ class TestTailModel:
         sd._recursion_coeffs(g, n)
         assert calls == [(sd._TAIL_MIN_BAND, 0.0), (_band(g), 0.0)]
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 999, 1000, 8000])
+    def test_median_is_numpy_median(self, size):
+        # _tail_model's median, bit for bit np.median's, which imports
+        # numpy.ma on its first call
+        rng = np.random.default_rng(size)
+        for scale in (1e-3, 1.0, 1e3):
+            y = rng.normal(size=size) * scale
+            for arr in (y, np.round(y, 1)):
+                assert sd._median(arr) == float(np.median(arr))
+
     @pytest.mark.parametrize("m", [sd._BLOCK, 37])
-    def test_direct_trtrs_is_solve_triangular(self, m):
-        # the block solve calls LAPACK trtrs on the Fortran view, as scipy's
-        # solve_triangular does after its checks: bitwise the same, on a
-        # full block and on a short last one
+    def test_direct_trtrs_is_solve_triangular(self, m, trtrs_route):
+        # the block solve calls LAPACK trtrs on the Fortran view, in place
+        # in q, as scipy's solve_triangular does after its checks: bitwise
+        # the same, on a full block and on a short last one, for both
+        # bindings of dtrtrs
         n = 1000
         g = _full_set_g(st.integer_partitions(), n)
         lower = sd._band_arrays(g, n, sd._BLOCK, _band(g), 0.0, 1.0)[2]
         lower.flat[::sd._BLOCK + 1] = np.arange(600, 600 + sd._BLOCK)
         r = np.random.default_rng(m).uniform(0.5, 2.0, m)[::-1]
-        got, info = sd._trtrs(lower[:m, :m].T, r, lower=0, trans=1)
+        q = sd._aligned_zeros(n + 1)
+        q[600:600 + m] = r
+        solve = sd._BlockSolve(q, sd._BLOCK)
+        solve.bind(lower)
+        info = solve(600, m)
         want = solve_triangular(lower[:m, :m], r, lower=True,
                                 check_finite=False)
-        assert info == 0 and np.array_equal(got, want)
+        assert info == 0 and np.array_equal(q[600:600 + m], want)
+        assert not q[:600].any() and not q[600 + m:].any()
+
+
+@pytest.fixture(params=["numpy_lapack", "scipy"])
+def trtrs_route(request, monkeypatch):
+    """Runs a test on both bindings of dtrtrs: the one in numpy's LAPACK
+    and scipy's, forced by clearing the numpy binding."""
+    if request.param == "scipy":
+        monkeypatch.setattr(sd, "_DTRTRS", None)
+    elif sd._DTRTRS is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dtrtrs here")
+    return request.param
+
+
+def _recursion_both_routes(g, n, monkeypatch):
+    """(v, shift) of _recursion_coeffs through numpy's dtrtrs and through
+    scipy's."""
+    got = sd._recursion_coeffs(g, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(sd, "_DTRTRS", None)
+        want = sd._recursion_coeffs(g, n)
+    return got, want
+
+
+@pytest.mark.skipif(sd._DTRTRS is None,
+                    reason="numpy's LAPACK exports no ILP64 dtrtrs here")
+class TestTrtrsBindingsAgree:
+    # the block solve through numpy's LAPACK and through scipy's fallback
+    # return the same (v, shift), bit for bit
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_binding_is_ilp64(self):
+        assert sd._DTRTRS.__name__ in ("scipy_dtrtrs_64_", "dtrtrs_64_")
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("spec", [s for s in REFERENCE_SPECS
+                                      if "builtin" in s.params],
+                             ids=lambda s: s.name)
+    def test_every_builtin_full_set(self, spec, n, monkeypatch):
+        g = _full_set_g(spec, n)
+        self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
+
+    @pytest.mark.parametrize("spec", [st.integer_partitions(),
+                                      st.polynomials(2)],
+                             ids=lambda s: s.name)
+    def test_full_set_at_16000(self, spec, monkeypatch):
+        n = 16000
+        g = _full_set_g(spec, n)
+        self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
+
+    def test_five_index_r_b(self, monkeypatch):
+        n, spec = 4000, st.set_partitions()
+        g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
+                        TiltedParams(choose_x(spec, n), 1))
+        self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
+
+    def test_short_last_block(self, monkeypatch):
+        n = 3 * sd._BLOCK + 5
+        got, want = _recursion_both_routes(_banded_g(50, n), n, monkeypatch)
+        self._assert_same(got, want)
+
+    def test_refused_zero_tail_block(self, monkeypatch):
+        n = 2000
+        g = np.zeros(n + 1)
+        g[1:] = 0.5 ** np.arange(1, n + 1)
+        beta, c, _ = sd._tail_model(g, n, _band(g))
+        assert c == 0 and beta < _band(g)
+        self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
+
+
+def test_zero_on_the_diagonal_is_info(trtrs_route):
+    # LAPACK's info > 0 names the first zero on the diagonal (1-based)
+    b = 8
+    lower = np.tril(np.ones((b, b)))
+    lower[5, 5] = 0.0
+    q = sd._aligned_zeros(20)
+    q[3:3 + b] = 1.0
+    solve = sd._BlockSolve(q, b)
+    solve.bind(lower)
+    assert solve(3, b) == 6
+
+
+def test_q_starts_on_a_64_byte_boundary():
+    for n in (1, 7, 1000, 4001):
+        q = sd._aligned_zeros(n)
+        assert q.ctypes.data % 64 == 0 and q.shape == (n,) and not q.any()
 
 
 SEED_SPECS = [
