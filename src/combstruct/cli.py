@@ -116,25 +116,21 @@ def fmt(v, prec: int) -> str:
 
 
 def emit_json(obj, prec: int) -> str:
+    """obj as JSON: dicts and sequences as objects and arrays, None as
+    null, every scalar as its fmt text, bare for bools, ints and finite
+    floats and quoted otherwise (Fractions, non-finite floats, text)."""
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{emit_json(v, prec)}"
                          for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(emit_json(v, prec) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, Fraction):
-        return json.dumps(fmt(obj, prec))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            return json.dumps(str(obj))
-        return format(float(obj), f".{prec}g")
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    text = fmt(obj, prec)
+    bare = isinstance(obj, (int, np.integer)) or (
+        isinstance(obj, (float, np.floating)) and math.isfinite(obj))
+    return text if bare else json.dumps(text)
 
 
 class Output:

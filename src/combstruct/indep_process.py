@@ -252,14 +252,10 @@ class DiscreteLaw:
 
 
 def z_law(spec: StructureSpec, i: int, params: TiltedParams) -> DiscreteLaw:
-    """Law of Z_i under P_theta, a view of row i of z_pmf_rows."""
-    if i < 1:
-        raise ParameterDomainError("index must be >= 1")
-    params.validate(spec)
-    lp0 = log_p_zero_array(spec, i, params)[i]  # a multiset's t = 1 raises
-    if spec.kind is Kind.ASSEMBLY and lp0 == -math.inf:
-        raise NumericGuardError(
-            f"Poisson mean of Z_{i} beyond double range; choose a smaller x")
+    """Law of Z_i under P_theta, a view of row i of z_pmf_rows, whose
+    checks (i >= 1, params in the domain, a finite Poisson mean) it runs on
+    the one-entry row [P(Z_i = 0)]."""
+    z_pmf_rows(spec, [i], 0, params)
     return DiscreteLaw(spec, i, params)
 
 

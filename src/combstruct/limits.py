@@ -44,9 +44,11 @@ ECDF_GRID = (0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class LimitLaw:
+    """The limit law X_{kappa,c} of T_n / n: kappa > 0 and the tilt c; the
+    gamma of its density is EULER_GAMMA."""
+
     kappa: float
     c: float = 0.0
-    gamma: float = EULER_GAMMA
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -119,8 +121,8 @@ def limit_density(law: LimitLaw, z: float) -> float:
             return math.inf
         if k > 1:
             return 0.0
-        return math.exp(-law.gamma) / psi0(1.0, c)
-    return (math.exp(-law.gamma * k - c * z) * z ** (k - 1.0)
+        return math.exp(-EULER_GAMMA) / psi0(1.0, c)
+    return (math.exp(-EULER_GAMMA * k - c * z) * z ** (k - 1.0)
             / (math.gamma(k) * psi0(k, c)))
 
 
@@ -168,7 +170,7 @@ def density_integral(law: LimitLaw, z: float) -> float:
     if z == 0.0:
         return 0.0
     k = law.kappa
-    return (math.exp(-law.gamma * k) * _tilted_gamma_integral(k, law.c, z)
+    return (math.exp(-EULER_GAMMA * k) * _tilted_gamma_integral(k, law.c, z)
             / (math.gamma(k) * psi0(k, law.c)))
 
 

@@ -881,8 +881,8 @@ def _unscale(P: list[int], D: int) -> list[BigCount]:
 
 def exact_route(n: int, theta: Numeric) -> bool:
     """Whether p_theta up to n is computed exactly: theta is an int or a
-    Fraction and n <= EXACT_CUTOFF.  Every default exact/float choice reads
-    this rule."""
+    Fraction and n <= EXACT_CUTOFF.  Every exact/float choice reads this
+    rule."""
     return isinstance(theta, (int, Fraction)) and n <= EXACT_CUTOFF
 
 
@@ -901,26 +901,19 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     return out.tolist()
 
 
-def p_total(spec: StructureSpec, n: int, theta: Numeric = 1, *,
-            exact: Optional[bool] = None,
-            x: Optional[Numeric] = None) -> Union[BigCount, float]:
-    """Total theta-biased count p_theta(n) = sum_k p(n,k) theta^k.
-
-    exact=True (the default where exact_route holds) returns an exact
-    int/Fraction; exact=False returns entry n of the float table
-    (sumdist._float_log_table) at x, which does not depend on x beyond
-    rounding.
-    """
+def p_total(spec: StructureSpec, n: int, theta: Numeric = 1) -> Union[BigCount, float]:
+    """Total theta-biased count p_theta(n) = sum_k p(n,k) theta^k: an exact
+    int/Fraction where exact_route holds, else entry n of the float table
+    (sumdist._float_log_table) at the exact-mean x.  Exact entries past the
+    cutoff come from ptheta_table."""
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
     if n == 0:
         return 1
-    if exact is None:
-        exact = exact_route(n, theta)
-    if exact:
+    if exact_route(n, theta):
         return ptheta_table(spec, n, theta)[n]
     try:
-        return math.exp(sumdist._float_log_table(spec, n, theta, x)[n])
+        return math.exp(sumdist._float_log_table(spec, n, theta)[n])
     except OverflowError:
         raise NumericGuardError(
             f"p_theta({n}) is beyond double range; log_ptheta_table gives "

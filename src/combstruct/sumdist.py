@@ -190,11 +190,11 @@ def complement(B: Iterable[int], n: int) -> IndexSet:
 
 @dataclass
 class PmfVector:
-    """pmf values on 0..n_max plus the explicit mass above n_max."""
+    """pmf values on 0..n_max plus the explicit mass above n_max, with
+    n_max = len(p) - 1."""
 
     p: np.ndarray
     tail: float
-    n_max: int
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -209,7 +209,10 @@ class PmfVector:
         if not (1 - 1e-9 <= total <= 1 + 1e-9):
             raise NumericGuardError(f"pmf mass {total} is not 1 within 1e-9")
         self.p = p
-        self.n_max = len(p) - 1
+
+    @property
+    def n_max(self) -> int:
+        return len(self.p) - 1
 
     def mean(self) -> float:
         return float(np.dot(np.arange(self.n_max + 1), self.p))
@@ -263,16 +266,17 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
 
 @overflow_guard("a recursion weight g(i)")
 def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
-             params: TiltedParams, signed: bool = False) -> np.ndarray:
+             params: TiltedParams) -> np.ndarray:
     """g[i], i = 0..n_max, for the coefficient recursion.
 
     With w_k the log_m_array weight (m_k / k! for an assembly, m_k
     otherwise), g(i) is the sum over the pairs (k, j) with k j = i, k in B
-    and m_k != 0 of k w_k theta^j x^i, negated for even j when signed, and
-    for an assembly its j = 1 term, theta i w_i x^i = theta i lambda_i.  An
-    index k <= r = isqrt(n_max) adds its n_max // k multiples in one strided
-    update; the indices k > r have j <= n_max // (r + 1) and are added one j
-    at a time, so every temporary has length O(n_max).
+    and m_k != 0 of k w_k theta^j x^i, negated for even j for a selection
+    (the signed recursion), and for an assembly its j = 1 term, theta i
+    w_i x^i = theta i lambda_i.  An index k <= r = isqrt(n_max) adds its
+    n_max // k multiples in one strided update; the indices k > r have
+    j <= n_max // (r + 1) and are added one j at a time, so every
+    temporary has length O(n_max).
     """
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     g = np.zeros(n_max + 1)
@@ -281,6 +285,7 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
     if spec.kind is Kind.ASSEMBLY:
         g[ks] = _checked_exp(lk + lth + ks * lx)
         return g
+    signed = spec.kind is Kind.SELECTION
     r = math.isqrt(n_max)
     split = int(np.searchsorted(ks, r, side="right"))
     with np.errstate(over="ignore"):  # a sum beyond double range is caught below
@@ -524,7 +529,7 @@ def _assemble(v: np.ndarray, shift: np.ndarray | int, lseed: float) -> PmfVector
         with np.errstate(divide="ignore"):
             p = np.exp2(np.log2(v) + shift + lseed / _LN2)
     p = np.where(p < sys.float_info.min, 0.0, p)
-    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())), n_max=len(p) - 1)
+    return PmfVector(p=p, tail=max(0.0, 1.0 - float(p.sum())))
 
 
 def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
@@ -602,7 +607,7 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
     built here unless the caller has it.  With certify, a selection whose
     cancellation ratio passes 2^_CANCEL_BITS raises NumericGuardError."""
     if g is None:
-        g = _g_array(spec, B, n_max, params, signed=spec.kind is Kind.SELECTION)
+        g = _g_array(spec, B, n_max, params)
     q, shift = _recursion_coeffs(g, n_max)
     if spec.kind is Kind.SELECTION:
         if certify:
@@ -663,7 +668,7 @@ def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
     ks, lm = _active_indices(spec, B, n_max)
     with np.errstate(over="ignore"):  # m_i beyond double range
         conv = n_max * float(np.sum(np.minimum(np.exp(lm), n_max // ks)))
-    g = _g_array(spec, B, n_max, params, signed=True)
+    g = _g_array(spec, B, n_max, params)
     nonzero = np.flatnonzero(g[1:])
     band = int(nonzero[-1]) + 1 if nonzero.size else 1
     rec = band * (band + 1) // 2 + (n_max - band) * band
@@ -686,16 +691,6 @@ def _auto_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
         pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
               # coefficient beyond double range
     return _pmf_by_convolution(spec, B, n_max, params), False
-
-
-def _weighted_sum(spec: StructureSpec, B: IndexSet, n_max: int,
-                  params: TiltedParams) -> tuple:
-    """The triple (v, shift, lseed) of R_B on the "auto" route, with
-    P(R_B = k) = v[k] 2^shift[k] e^lseed.  B = 1..n_max reads _full_set;
-    an index set past n_max is not kept: its seed differs."""
-    if bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
-        return _full_set(spec, n_max, params)[0]
-    return _auto_pmf(spec, B, n_max, params)[0]
 
 
 def _full_set(spec: StructureSpec, n: int, params: TiltedParams) -> tuple:
@@ -725,7 +720,8 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     (_cancellation_bits) is at most 2^_CANCEL_BITS = 2^10, so that its
     error is at most about 2 n gamma_n 2^10 times max |q| normwise and
     relative at n_max, and falls back to the convolution otherwise or on a
-    NumericGuardError.  "convolution" forces the per-index convolution.
+    NumericGuardError; on "auto" B = 1..n_max reads the spec's full-set
+    triple (_full_set).  "convolution" forces the per-index convolution.
     Either way an entry below the smallest normal double reads 0
     (_assemble).
     """
@@ -738,8 +734,12 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     if not B:
         return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)
     if method == "convolution":
-        return _assemble(*_pmf_by_convolution(spec, B, n_max, params))
-    return _assemble(*_weighted_sum(spec, B, n_max, params))
+        triple = _pmf_by_convolution(spec, B, n_max, params)
+    elif bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
+        triple = _full_set(spec, n_max, params)[0]
+    else:  # an index set past n_max is not kept: its seed differs
+        triple = _auto_pmf(spec, B, n_max, params)[0]
+    return _assemble(*triple)
 
 
 # ---------------------------------------------------------------------------
@@ -843,4 +843,4 @@ def conditioned_R_pmf(spec: StructureSpec, B: Iterable[int], n: int,
                       params: TiltedParams) -> PmfVector:
     """Law of R_B given T_n = n: r -> P(R_B=r) P(S_B=n-r) / P(T_n=n)."""
     pr, ps, pt = conditioned_block(spec, B, n, params)
-    return PmfVector(p=pr.p * ps.p[::-1] / pt, tail=0.0, n_max=n)
+    return PmfVector(p=pr.p * ps.p[::-1] / pt, tail=0.0)

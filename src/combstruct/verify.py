@@ -202,8 +202,8 @@ def check_distance_dominance() -> Result:
         n = 6
         pa = np.array([rng.random() for _ in range(n + 1)])
         pb = np.array([rng.random() for _ in range(n + 1)])
-        p = sumdist.PmfVector(p=pa / pa.sum(), tail=0.0, n_max=n)
-        q = sumdist.PmfVector(p=pb / pb.sum(), tail=0.0, n_max=n)
+        p = sumdist.PmfVector(p=pa / pa.sum(), tail=0.0)
+        q = sumdist.PmfVector(p=pb / pb.sum(), tail=0.0)
         if tv_engine.wasserstein_discrete(p, q) < \
                 tv_engine.tv_discrete(p, q).upper - 1e-12:
             return ("wasserstein_dominates_tv", False, "violation found")

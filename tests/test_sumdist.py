@@ -199,7 +199,8 @@ def _ref_log_seed(spec, B, params):
     return math.fsum(terms)
 
 
-def _ref_g_array(spec, B, n_max, params, signed=False):
+def _ref_g_array(spec, B, n_max, params):
+    signed = spec.kind is st.Kind.SELECTION
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     g = np.zeros(n_max + 1)
     lm = log_m_array(spec, n_max)
@@ -275,11 +276,10 @@ class TestArrayRoutesMatchScalarReferences:
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.name)
     def test_full_index_set(self, spec, theta):
         params = TiltedParams(_reference_x(spec, theta), theta)
-        signed = spec.kind is st.Kind.SELECTION
         for n in REFERENCE_NS:
             B = tuple(range(1, n + 1))
-            want = _ref_g_array(spec, B, n, params, signed)
-            g = sd._g_array(spec, B, n, params, signed)
+            want = _ref_g_array(spec, B, n, params)
+            g = sd._g_array(spec, B, n, params)
             assert _close(g, want), (n, "g")
             q, shift = sd._recursion_coeffs(g, n)
             q_ref, shift_ref = _ref_recursion_coeffs(want, n)
@@ -292,12 +292,11 @@ class TestArrayRoutesMatchScalarReferences:
         rng = random.Random(spec.name)
         for theta in (1, 0.3):
             params = TiltedParams(_reference_x(spec, theta), theta)
-            signed = spec.kind is st.Kind.SELECTION
             for n in REFERENCE_NS:
                 B = sd.index_set(rng.sample(range(1, n + 1), max(1, n // 2))
                                  + [n + 1, 2 * n + 3])
-                want = _ref_g_array(spec, B, n, params, signed)
-                g = sd._g_array(spec, B, n, params, signed)
+                want = _ref_g_array(spec, B, n, params)
+                g = sd._g_array(spec, B, n, params)
                 assert _close(g, want), n
                 assert _close(sd._recursion_coeffs(g, n)[0],
                               _ref_recursion_coeffs(want, n)[0]), n
@@ -334,7 +333,7 @@ class TestArrayRoutesMatchScalarReferences:
         params = TiltedParams(choose_x(spec, 2000), 1)
         sd.prob_T_eq_n(spec, 2000, params)
         sd._g_array(st.squarefree_polynomials(2), tuple(range(1, 600)), 600,
-                    TiltedParams(0.4, 1), signed=True)
+                    TiltedParams(0.4, 1))
 
 
 SELECTION_BUILTINS = [st.distinct_partitions(), st.distinct_odd_partitions(),
@@ -420,8 +419,7 @@ class TestSelectionFloatTable:
         spec = st.squarefree_polynomials(2)
         x = choose_x(spec, 700, 1)
         table = st.log_ptheta_table(spec, 700, 1.0, x=x)
-        assert st.p_total(spec, 700, 1.0, exact=False, x=x) == \
-            math.exp(table[700])
+        assert st.p_total(spec, 700, 1.0) == math.exp(table[700])
 
 
 class TestBlockedRecursion:
@@ -460,8 +458,7 @@ def _banded_g(band, n, sign_every=0):
 
 def _full_set_g(spec, n):
     params = TiltedParams(choose_x(spec, n), 1)
-    return sd._g_array(spec, tuple(range(1, n + 1)), n, params,
-                       signed=spec.kind is st.Kind.SELECTION)
+    return sd._g_array(spec, tuple(range(1, n + 1)), n, params)
 
 
 class TestBandedRecursion:
@@ -531,7 +528,7 @@ class TestBandedRecursion:
             n = 2000
             spec = st.squarefree_polynomials(2)
             g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
-                            TiltedParams(choose_x(spec, n), 1), signed=True)
+                            TiltedParams(choose_x(spec, n), 1))
         assert np.any(g < 0) and 1 <= _band(g) < n
         q, shift = sd._recursion_coeffs(g, n)
         q_ref, shift_ref = _ref_recursion_coeffs(g, n)
@@ -639,7 +636,7 @@ class TestTailModel:
         sd._recursion_coeffs(_banded_g(sd._TAIL_MIN_BAND, n), n)
         spec = st.squarefree_polynomials(2)
         g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
-                        TiltedParams(choose_x(spec, n), 1), signed=True)
+                        TiltedParams(choose_x(spec, n), 1))
         sd._recursion_coeffs(g, n)
         assert calls == [(sd._TAIL_MIN_BAND, 0.0), (_band(g), 0.0)]
 
@@ -1236,7 +1233,7 @@ class TestCertifiedSelectionRoute:
         # prod (1 + y^i) = prod 1/(1 - y^(2i-1)), and likewise for
         # square-free polynomials: g >= 0 on the full index set
         params = TiltedParams(choose_x(spec, n), 1)
-        g = sd._g_array(spec, tuple(range(1, n + 1)), n, params, signed=True)
+        g = sd._g_array(spec, tuple(range(1, n + 1)), n, params)
         assert np.all(g >= 0)
         assert _auto_route(spec, range(1, n + 1), n, params)[1]
 
@@ -1281,7 +1278,7 @@ class TestCertifiedSelectionRoute:
     def test_cancelling_recursion_is_the_convolution(self, spec, n, low):
         params = TiltedParams(choose_x(spec, n), 1)
         B = tuple(range(1, n + 1))
-        g = sd._g_array(spec, B, n, params, signed=True)
+        g = sd._g_array(spec, B, n, params)
         q, shift = sd._recursion_coeffs(g, n)
         assert low < sd._cancellation_bits(g, q, shift, n) < low + 5
         got, kept = _auto_route(spec, B, n, params)
@@ -1297,7 +1294,7 @@ class TestCertifiedSelectionRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericGuardError):
-                sd._g_array(spec, tuple(range(1, n + 1)), n, params, True)
+                sd._g_array(spec, tuple(range(1, n + 1)), n, params)
             got, kept = _auto_route(spec, range(1, n + 1), n, params)
             assert not kept and got.p[n] == 0.0
             with pytest.raises(NumericGuardError, match="underflowed"):
@@ -1491,12 +1488,12 @@ class TestConditionedR:
 class TestPmfVectorValidation:
     def test_rejects_bad_mass(self):
         with pytest.raises(NumericGuardError):
-            sd.PmfVector(p=np.array([0.5, 0.2]), tail=0.0, n_max=1)
+            sd.PmfVector(p=np.array([0.5, 0.2]), tail=0.0)
 
     def test_clamps_dust(self):
-        pv = sd.PmfVector(p=np.array([1.0, -5e-14]), tail=0.0, n_max=1)
+        pv = sd.PmfVector(p=np.array([1.0, -5e-14]), tail=0.0)
         assert pv.p[1] == 0.0
 
     def test_rejects_negative_mass(self):
         with pytest.raises(NumericGuardError):
-            sd.PmfVector(p=np.array([1.0, -1e-6]), tail=0.0, n_max=1)
+            sd.PmfVector(p=np.array([1.0, -1e-6]), tail=0.0)

@@ -29,7 +29,7 @@ def pmf_vec(values, n):
     p = np.zeros(n + 1)
     for k, v in values.items():
         p[k] = v
-    return sd.PmfVector(p=p, tail=max(0.0, 1 - p.sum()), n_max=n)
+    return sd.PmfVector(p=p, tail=max(0.0, 1 - p.sum()))
 
 
 class TestTvDiscrete:
@@ -40,7 +40,7 @@ class TestTvDiscrete:
 
     def test_point_mass_vs_poisson(self):
         n = 40
-        q = sd.PmfVector(p=poisson_vec(1.0, n), tail=0.0, n_max=n)
+        q = sd.PmfVector(p=poisson_vec(1.0, n), tail=0.0)
         p = pmf_vec({1: 1.0}, n)
         b = tv.tv_discrete(p, q)
         assert b.mid == pytest.approx(1 - math.exp(-1), abs=1e-12)
@@ -51,8 +51,8 @@ class TestTvDiscrete:
         assert tv.tv_discrete(p, q).lower == 1.0
 
     def test_tail_bracket(self):
-        p = sd.PmfVector(p=np.array([0.7]), tail=0.3, n_max=0)
-        q = sd.PmfVector(p=np.array([0.9]), tail=0.1, n_max=0)
+        p = sd.PmfVector(p=np.array([0.7]), tail=0.3)
+        q = sd.PmfVector(p=np.array([0.9]), tail=0.1)
         b = tv.tv_discrete(p, q)
         assert b.lower == pytest.approx(0.2)
         assert b.upper == pytest.approx(0.3)
@@ -73,8 +73,8 @@ class TestTvDiscrete:
         pa[: len(wa)] = np.array(wa) / sum(wa)
         pb = np.zeros(n + 1)
         pb[: len(wb)] = np.array(wb) / sum(wb)
-        p = sd.PmfVector(p=pa, tail=max(0.0, 1 - pa.sum()), n_max=n)
-        q = sd.PmfVector(p=pb, tail=max(0.0, 1 - pb.sum()), n_max=n)
+        p = sd.PmfVector(p=pa, tail=max(0.0, 1 - pa.sum()))
+        q = sd.PmfVector(p=pb, tail=max(0.0, 1 - pb.sum()))
         b1, b2 = tv.tv_discrete(p, q), tv.tv_discrete(q, p)
         assert 0 <= b1.lower <= b1.upper <= 1 + 1e-12
         assert b1.lower == pytest.approx(b2.lower, abs=1e-12)
@@ -89,15 +89,15 @@ class TestWasserstein:
         p_par = 0.3
         n = 40
         bern = pmf_vec({0: 1 - p_par, 1: p_par}, n)
-        pois = sd.PmfVector(p=poisson_vec(p_par, n), tail=0.0, n_max=n)
+        pois = sd.PmfVector(p=poisson_vec(p_par, n), tail=0.0)
         want = 2 * (p_par - 1 + math.exp(-p_par))
         assert tv.wasserstein_discrete(bern, pois) == pytest.approx(want,
                                                                     rel=1e-10)
 
     def test_stochastic_dominance_mean_difference(self):
         n = 30
-        a = sd.PmfVector(p=poisson_vec(2.0, n), tail=0.0, n_max=n)
-        b = sd.PmfVector(p=poisson_vec(1.0, n), tail=0.0, n_max=n)
+        a = sd.PmfVector(p=poisson_vec(2.0, n), tail=0.0)
+        b = sd.PmfVector(p=poisson_vec(1.0, n), tail=0.0)
         assert tv.wasserstein_discrete(a, b) == pytest.approx(
             a.mean() - b.mean(), abs=1e-8)
 
@@ -107,8 +107,8 @@ class TestWasserstein:
             n = 6
             pa = np.array([rng.random() for _ in range(n + 1)])
             pb = np.array([rng.random() for _ in range(n + 1)])
-            p = sd.PmfVector(p=pa / pa.sum(), tail=0.0, n_max=n)
-            q = sd.PmfVector(p=pb / pb.sum(), tail=0.0, n_max=n)
+            p = sd.PmfVector(p=pa / pa.sum(), tail=0.0)
+            q = sd.PmfVector(p=pb / pb.sum(), tail=0.0)
             assert tv.wasserstein_discrete(p, q) >= tv.tv_discrete(p, q).upper - 1e-12
 
 
