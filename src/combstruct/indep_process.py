@@ -362,12 +362,14 @@ def sum_moments(spec: StructureSpec, n: int, params: TiltedParams) -> SumMoments
     """E T_n = sum i E Z_i and Var T_n = sum i^2 Var Z_i as exact finite sums.
 
     A sum beyond double range is inf (choose_x's bracket doubling asks for
-    such x on purpose).
+    such x on purpose).  The sums are numpy's own pairwise reductions, not
+    np.dot: OpenBLAS splits a long dot across its threads, so its rounding
+    would depend on the thread count.
     """
     mean, var = mean_var_arrays(spec, n, params)
     i = np.arange(n + 1, dtype=float)
     with np.errstate(over="ignore"):
-        et, vt = float(np.dot(i, mean)), float(np.dot(i * i, var))
+        et, vt = float((i * mean).sum()), float((i * i * var).sum())
     return SumMoments(mean=et if math.isfinite(et) else math.inf,
                       variance=vt if math.isfinite(vt) else math.inf)
 

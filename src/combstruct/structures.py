@@ -901,7 +901,8 @@ def log_ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1,
     return out.tolist()
 
 
-def p_total(spec: StructureSpec, n: int, theta: Numeric = 1) -> Union[BigCount, float]:
+def p_total(spec: StructureSpec, n: int,
+            theta: Numeric = 1) -> Union[BigCount, float]:
     """Total theta-biased count p_theta(n) = sum_k p(n,k) theta^k: an exact
     int/Fraction where exact_route holds, else entry n of the float table
     (sumdist._float_log_table) at the exact-mean x.  Exact entries past the

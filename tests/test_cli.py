@@ -1,5 +1,6 @@
 """CLI surface: spec files, flags, output determinism, exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -9,8 +10,10 @@ import sys
 import textwrap
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from combstruct import cli
@@ -42,6 +45,8 @@ def spec_files(tmp_path):
         "subnormal_sel": {"kind": "selection",
                           "m": [0] * 12 + [1] * 8 + [4] + [5] * 4},
         "even_only": {"kind": "multiset", "m": [0, 1]},
+        "poly2": {"kind": "multiset", "builtin": "polynomials",
+                  "params": {"q": 2}},
     }.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -264,6 +269,28 @@ class TestCommands:
         # 17 significant digits are present
         text = out.split('"recursion":')[1].split(",")[0]
         assert len(text.replace("0.", "").rstrip("0")) >= 15
+
+    def test_scalar_row_in_both_formats(self):
+        # a JSON scalar is fmt's text, bare for bools, ints and finite
+        # floats and quoted for Fractions, non-finite floats and text
+        cols = ["bool", "int", "frac", "float", "pinf", "ninf", "nan",
+                "none", "text"]
+        row = [True, np.int64(7), Fraction(1, 2), 0.1, math.inf, -math.inf,
+               math.nan, None, "text"]
+
+        def render(fmt):
+            out = cli.Output(argparse.Namespace(format=fmt, precision=None),
+                             None)
+            out.table(cols, [row])
+            return out.render()
+
+        assert render("tsv").splitlines()[-1].split("\t") == \
+            [cli.fmt(v, 12) for v in row]
+        want = ['true', '7', '"1/2"', cli.fmt(0.1, 17), '"inf"', '"-inf"',
+                '"nan"', 'null', '"text"']
+        assert want[3] == "0.10000000000000001"
+        assert render("json").endswith('"table":[{' + ",".join(
+            f'"{c}":{w}' for c, w in zip(cols, want)) + '}]}\n')
 
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
@@ -567,6 +594,33 @@ class TestImportFootprint:
         assert [line.split()[1:] for line in lines] == [[]] * 12, lines
         if sys.platform.startswith("linux"):
             assert int(threads.split()[1]) <= os.cpu_count(), threads
+
+
+class TestBlasThreadCount:
+    # OpenBLAS splits a long np.dot across its threads, so a sum taken by
+    # it rounds by the thread count (choose-x's mean_residual on
+    # polynomials(2) at n = 16000 did); a request must print the same
+    # bytes under one and two threads
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.parametrize("spec,argv", [
+        ("poly2", ["choose-x"]),
+        ("intpart", ["prob-t"]),
+        ("setpartitions", ["tv", "--B", "1,3,5,7,9"]),
+    ], ids=["choose-x", "prob-t", "tv"])
+    def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
+                                                  argv):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            res = subprocess.run(
+                [sys.executable, "-m", "combstruct.cli", argv[0], "--spec",
+                 spec_files[spec], "--n", "16000", "--choose-x", "exact_mean",
+                 *argv[1:]],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestParserCache:

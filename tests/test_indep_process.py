@@ -69,6 +69,25 @@ class TestZLaw:
         with pytest.raises(ParameterDomainError):
             z_law(st.integer_partitions(), 1, TiltedParams(0.8, 2))
 
+    @pytest.mark.parametrize("spec,i,params,error,match", [
+        (st.permutations(), 0, TiltedParams(1, 1), ParameterDomainError,
+         "index must be >= 1"),
+        # a rational x below 1 whose double is 1: t = e^lw is 1 at i = 1
+        (st.from_m_list("multiset", [3]), 1,
+         TiltedParams(Fraction(10 ** 20 - 1, 10 ** 20), 1),
+         ParameterDomainError, "reached 1"),
+        (st.permutations(), 5, TiltedParams(1e300, 1), NumericGuardError,
+         "Poisson mean"),
+    ], ids=["i=0", "reached_1", "poisson_mean"])
+    def test_domain_errors_are_the_kernels(self, spec, i, params, error, match):
+        # z_law runs z_pmf_rows' checks on the one-entry row: the same type
+        # and message
+        with pytest.raises(error, match=match) as law_exc:
+            z_law(spec, i, params)
+        with pytest.raises(error) as row_exc:
+            z_pmf_rows(spec, [i], 0, params)
+        assert str(law_exc.value) == str(row_exc.value)
+
     def test_selection_binomial(self):
         law = z_law(st.from_m_list("selection", [3]), 1, TiltedParams(1, 1))
         assert law.spec.m(law.i) == 3
