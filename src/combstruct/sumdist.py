@@ -735,9 +735,10 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
         return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)
     if method == "convolution":
         triple = _pmf_by_convolution(spec, B, n_max, params)
-    elif bisect.bisect_right(B, n_max) == len(B) == n_max:  # B = 1..n_max
+    elif bisect.bisect_right(B, n_max) == len(B) == n_max:
+        # B = 1..n_max; one reaching past n_max is not kept: its seed differs
         triple = _full_set(spec, n_max, params)[0]
-    else:  # an index set past n_max is not kept: its seed differs
+    else:
         triple = _auto_pmf(spec, B, n_max, params)[0]
     return _assemble(*triple)
 
