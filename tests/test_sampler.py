@@ -5,7 +5,9 @@ import math
 import statistics as pystats
 import threading
 import tracemalloc
+import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,7 +253,7 @@ class TestOneTablePerSlot:
                 sample_components(spec, n, TiltedParams(x, 1), 2, RngState(0),
                                   method=method)
             if first is None:
-                first = weakref.ref(spec._table_cache["prefix_pmfs"].q)
+                first = weakref.ref(spec._table_cache["prefix_pmfs"].qc)
         slots = [str(k) for k in spec._table_cache]
         assert sum("prefix_pmfs" in k for k in slots) == 1
         assert sum("sampler_tables" in k for k in slots) == 1
@@ -261,7 +263,7 @@ class TestOneTablePerSlot:
     def test_rebuild_runs_with_the_stale_table_gone(self, monkeypatch):
         spec, n = st.permutations(), 40
         sample_components(spec, n, TiltedParams(0.999, 1), 0, RngState(0))
-        first = weakref.ref(spec._table_cache["prefix_pmfs"].q)
+        first = weakref.ref(spec._table_cache["prefix_pmfs"].qc)
         alive = []
         orig = sd.prefix_pmfs
 
@@ -271,6 +273,71 @@ class TestOneTablePerSlot:
         monkeypatch.setattr(sd, "prefix_pmfs", spy)
         sample_components(spec, n, TiltedParams(1.001, 1), 0, RngState(0))
         assert alive == [False]
+
+
+# P(Z_1 = 0) = 2^-1100 underflows to 0, so Z_1 >= 1 and Q[i, 0] = 0 for
+# i >= 1; at n = E T_n the draw at index 2 can take k up to n // 2 = 575,
+# where the remainder 0 lies below that zero
+UNDERFLOW_SPEC = st.from_m_list("selection", [1100, 600])
+
+
+def dense_prefix(spec, n, params):
+    """The full table q[i, r] = P(T_i = r) of sumdist.prefix_pmfs."""
+    q = np.zeros((n + 1, n + 1))
+    q[0, 0] = 1.0
+    for i, _, p in sd.prefix_pmfs(spec, tuple(range(1, n + 1)), n, params):
+        q[i] = p
+    return q
+
+
+class TestPackedTable:
+    @pytest.mark.parametrize("spec,n,how", [
+        (PERM, 300, 1.0),
+        (st.integer_partitions(), 300, "integer_partition"),
+        (st.set_partitions(), 300, "set_partition"),
+        (st.distinct_partitions(), 300, "distinct_partition"),
+        (st.esf(2), 300, "exact_mean"),
+        (st.polynomials(2), 300, "exact_mean"),
+        (st.distinct_odd_partitions(), 300, 0.98),
+        (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9),
+        (UNDERFLOW_SPEC, 1150, 1.0),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_every_read_entry_matches_dense(self, spec, n, how):
+        x = choose_x(spec, n, 1, how) if isinstance(how, str) else how
+        params = TiltedParams(x, 1)
+        q = dense_prefix(spec, n, params)
+        batch = sample_components(spec, n, params, 0, RngState(0))
+        tab = spec._table_cache["prefix_pmfs"]
+        assert tab.qc.nbytes <= 8 * ((n + 1) * (n + 2) // 2 + n + 128)
+        assert batch.acceptance_exact == q[n, n]
+        # the zero test reads Q[i, r], i <= r: bit for bit
+        r, i = np.tril_indices(n + 1)
+        assert np.array_equal(tab.qc[tab.tri[r] + i], q[i, r])
+        # a weight reads Q[j-1, r] for r < j - 1 <= n - 1 too
+        i, r = np.tril_indices(n, -1)
+        got, want = smp._q(tab, i, r), q[i, r]
+        assert np.array_equal(got == 0, want == 0)
+        pos = want > 0
+        assert np.all(np.abs(got[pos] - want[pos]) <= 1e-12 * want[pos])
+
+    def test_underflowed_zero_probability_draws_exact_law(self):
+        spec, n = UNDERFLOW_SPEC, 1150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = sample_components(spec, n, TiltedParams(1, 1), 3000,
+                                      RngState(8))
+        assert spec._table_cache["prefix_pmfs"].zl[-1] == 1
+        weights = {}
+        for a2 in range(n // 2 + 1):
+            a1 = n - 2 * a2
+            if a1 <= 1100:
+                a = (a1, a2) + (0,) * (n - 2)
+                weights[a] = math.comb(1100, a1) * math.comb(600, a2)
+        total = sum(weights.values())
+        law = orc.ExactLaw(entries={a: Fraction(w, total)
+                                    for a, w in weights.items()}, n=n)
+        assert all(v.a[0] > 0 for v in batch.samples)
+        assert chi_square_pvalue(batch.samples, law) > 1e-3
 
 
 class TestStreamsAndThreads:
