@@ -215,7 +215,7 @@ class PmfVector:
         return len(self.p) - 1
 
     def mean(self) -> float:
-        return float(np.dot(np.arange(self.n_max + 1), self.p))
+        return float((np.arange(self.n_max + 1) * self.p).sum())
 
     def survival(self) -> np.ndarray:
         """s[i] = P(value >= i) for i = 0..n_max+1 (s[n_max+1] = tail)."""
@@ -827,11 +827,13 @@ def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,
     """(P_R, P_S, P(T_n = n)): the pmfs of R_B and of S_B = R_{B^c} on
     0..n and their convolution at n.  A P(T_n = n) below the smallest
     normal double is a numeric guard when structures of weight n exist (it
-    underflowed), and a zero one a domain error when none do."""
+    underflowed), and a zero one a domain error when none do.  The sum at n
+    is numpy's own pairwise reduction, not np.dot, whose rounding would
+    depend on how many threads OpenBLAS splits it across."""
     B = index_set(B)
     pr = weighted_sum_pmf(spec, B, n, params)
     ps = weighted_sum_pmf(spec, complement(B, n), n, params)
-    pt = float(np.dot(pr.p, ps.p[::-1]))
+    pt = float((pr.p * ps.p[::-1]).sum())
     if pt < sys.float_info.min and has_weight(spec, n):
         raise underflow_error(n)
     if pt <= 0.0:

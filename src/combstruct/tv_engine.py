@@ -10,7 +10,9 @@ The mass at r > n contributes fully (S_B >= 0 forces P(S = n - r) = 0
 there), so the tail term is exact, not an estimate.  Also here: the lower
 bound P(R_B > n), the three conditioned-structure bounds, the local-limit
 heuristic estimate (clearly labelled, never mixed with exact values), and
-the overpowering bound E h(C) <= E h(Z) / P(T = t).
+the overpowering bound E h(C) <= E h(Z) / P(T = t).  Sums over 0..n are
+numpy's own pairwise reductions, not np.dot, whose rounding would depend on
+how many threads OpenBLAS splits it across.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
     both restricted to sizes in B, for weight-n structures under P_theta."""
     B = index_set(B)
     pr, ps, pt = conditioned_block(spec, B, n, params)
-    body = 0.5 * float(np.dot(pr.p, np.abs(ps.p[::-1] / pt - 1.0)))
+    body = 0.5 * float((pr.p * np.abs(ps.p[::-1] / pt - 1.0)).sum())
     tail_term = 0.5 * pr.tail
     exact = min(1.0, tail_term + body)
     heur = tv_heuristic(spec, B, n, params, pr=pr) if with_heuristic else None
@@ -142,10 +144,10 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
     mean, _ = mean_var_arrays(spec, max(B), params)
     mu = float(np.dot(np.arange(len(mean)), mean * _indicator(B, len(mean))))
     r = np.arange(n + 1)
-    mad = float(np.dot(np.abs(r - mu), pr.p))
+    mad = float((np.abs(r - mu) * pr.p).sum())
     if pr.tail > 0 and mu <= n:
         # mass above n contributes (r - mu); recover it from the exact mean
-        mad += (mu - float(np.dot(r, pr.p))) - mu * pr.tail
+        mad += (mu - float((r * pr.p).sum())) - mu * pr.tail
     return 0.5 * abs(kappa_eff - 1.0) * mad / n
 
 

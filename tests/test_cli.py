@@ -599,14 +599,17 @@ class TestImportFootprint:
 class TestBlasThreadCount:
     # OpenBLAS splits a long np.dot across its threads, so a sum taken by
     # it rounds by the thread count (choose-x's mean_residual on
-    # polynomials(2) at n = 16000 did); a request must print the same
-    # bytes under one and two threads
+    # polynomials(2) at n = 16000 did, and tv's 17-digit JSON rows on set
+    # partitions); a request must print the same bytes under one and two
+    # threads
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
     @pytest.mark.parametrize("spec,argv", [
         ("poly2", ["choose-x"]),
         ("intpart", ["prob-t"]),
         ("setpartitions", ["tv", "--B", "1,3,5,7,9"]),
-    ], ids=["choose-x", "prob-t", "tv"])
+        ("setpartitions", ["tv", "--B", "1,5,6,9,10", "--heuristic",
+                           "--format", "json"]),
+    ], ids=["choose-x", "prob-t", "tv", "tv-json"])
     def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
                                                   argv):
         outs = []
