@@ -13,10 +13,10 @@ larger indices left, starting at r = n, one uniform per index.  Z_i = 0
 exactly when P(Z_i = 0) Q[i-1, r] > u Q[i, r], a test on entries with
 i <= r only, which holds for every i > r, and most indices draw 0.  The
 weights add up to Q[i, r] within about 1e-13 (bit for bit where no weight
-reads above the diagonal).  The draw visits the rows of Q from the top in blocks of
-_WINDOW indices: in a block each sample finds its next index J with
-Z_J > 0 by one compare over its window and runs the inverse-CDF compare
-over k <= r // J there only.  Each sample's draws are those of the
+reads above the diagonal).  The draw visits the rows of Q from the top in
+blocks of _WINDOW indices: in a block each sample finds its next index J
+with Z_J > 0 by one compare over its window and runs the inverse-CDF
+compare over k <= r // J there only.  Each sample's draws are those of the
 index-by-index loop, with the same uniforms, and the window changes no
 sample.  The remainder ends at 0, so every draw is
 accepted and trials = accepted = count.  Stream k's uniforms are the rows
@@ -36,7 +36,7 @@ log P(Z_m = 0): within 2e-13 relative of the dense chain on the builtins
 at n <= 4000, and exactly 0 where it is.  Of the weights at index i only
 the last, at k = r // i, can read there.  The table takes
 4 (n+1)(n+2) bytes plus O(n): 4 MB at n = 1000, 64 MB at n = 4000 and
-1.03 GB at n = 16000.  acceptance_exact is read off the table as
+1.02 GB at n = 16000.  acceptance_exact is read off the table as
 Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
@@ -241,8 +241,7 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
     r = np.full(count, n, dtype=np.int64)
     a = np.zeros((count, n), dtype=np.int64)
     width = min(_WINDOW, n) + 1
-    windows = np.lib.stride_tricks.as_strided(
-        qc, (qc.size - width + 1, width), qc.strides * 2, writeable=False)
+    windows = np.lib.stride_tricks.sliding_window_view(qc, width)
     for hi in range(n, 0, -_WINDOW):
         lo = max(hi - _WINDOW, 0)
         idx = np.arange(lo + 1, hi + 1)
