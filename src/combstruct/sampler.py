@@ -87,8 +87,9 @@ from . import sumdist
 
 _BLOCK = 4096  # rejection: trials per block, fixed for reproducibility;
                # table: samples per block, a memory bound only
-_WINDOW = 64   # table: indices per row block of the top-down draw; it
-               # changes the work per block, not a sample
+_WINDOW = 128  # table: indices per row block of the top-down draw; it
+               # changes the work per block, not a sample, and a block
+               # reads one contiguous slice of each packed column
 _UNDERFLOW_GUARD = 1e-12
 
 
@@ -240,17 +241,17 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
     p0, kmax = pk[off[:-1]], np.diff(off) - 1
     r = np.full(count, n, dtype=np.int64)
     a = np.zeros((count, n), dtype=np.int64)
-    width = min(_WINDOW, n) + 1
-    windows = np.lib.stride_tricks.sliding_window_view(qc, width)
+    windows = np.lib.stride_tricks.sliding_window_view(qc, min(_WINDOW, n) + 1)
     for hi in range(n, 0, -_WINDOW):
         lo = max(hi - _WINDOW, 0)
         idx = np.arange(lo + 1, hi + 1)
+        window = windows[:, : hi - lo + 1]
         s = np.flatnonzero(r > lo)
         top = np.full(s.size, hi)
         while s.size:
             rs = r[s]
             # qw[:, i - lo] = Q[i, r] for lo <= i <= min(hi, r)
-            qw = windows[tri[rs] + lo, : hi - lo + 1]
+            qw = window[tri[rs] + lo]
             live = (p0[lo + 1: hi + 1] * qw[:, :-1]
                     <= u[s, lo:hi] * qw[:, 1:])
             # an index whose row is [P(Z_i = 0)] has Q[i, r] =
