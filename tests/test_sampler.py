@@ -276,8 +276,8 @@ class TestOneTablePerSlot:
 
 
 # P(Z_1 = 0) = 2^-1100 underflows to 0, so Z_1 >= 1 and Q[i, 0] = 0 for
-# i >= 1; at n = E T_n the draw at index 2 can take k up to n // 2 = 575,
-# where the remainder 0 lies below that zero
+# i >= 1.  At n = E T_n = 1150 the weights at index 2 run up to
+# k = n // 2 = 575, whose remainder 0 reads Q[1, 0] above the diagonal.
 UNDERFLOW_SPEC = st.from_m_list("selection", [1100, 600])
 
 
