@@ -866,16 +866,30 @@ def _exact_div(s: int, d: int, nn: int) -> int:
     return q
 
 
+# a Fraction from a numerator and denominator in lowest terms, without the
+# gcd that Fraction(p, q) takes (Fraction._from_coprime_ints from Python
+# 3.12 on, the _normalize flag before it)
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda p, q: Fraction(p, q, _normalize=False))
+
+
 def _unscale(P: list[int], D: int) -> list[BigCount]:
     """[P(k) / D^k], each as an int where its denominator is 1: P itself
-    when D = 1."""
+    when D = 1.  Every prime of D^k is a prime of D, so a P(k) coprime to D
+    is in lowest terms over D^k: one gcd with the small D instead of one
+    with D^k (0.38 of the 0.39 s of the esf(0.3) table at n = 512, theta =
+    2, where every P(k) is odd and D a power of 2).  The rest take
+    Fraction's gcd with D^k: dividing out the factors that gcds with D find
+    was 4-5 times slower on the m = (1/3, 2, 5/7) multiset table at theta
+    = 2/3, whose P(k) share about 120 small factors with D^k."""
     if D == 1:
         return P
-    p: list[BigCount] = []
+    p: list[BigCount] = P[:1]
     s = 1
-    for v in P:
-        p.append(as_integral(Fraction(v, s)))
+    for v in P[1:]:
         s *= D
+        p.append(_coprime_fraction(v, s) if math.gcd(v, D) == 1
+                 else as_integral(Fraction(v, s)))
     return p
 
 

@@ -11,18 +11,20 @@ so the float path needs no divisor sieve.  The recursion is a positive
 convolution for assemblies and multisets and runs in linear space with a
 shared base-2 exponent (values span thousands of orders of magnitude for
 large n); an FFT convolution would lose the small entries to rounding.  It
-is solved in blocks of up to _BLOCK indices: the terms from earlier blocks
-are one correlation, a BLAS dot per index, and the terms within the block
-one triangular solve in place (LAPACK dtrtrs, bound with ctypes in the
-OpenBLAS that numpy has loaded, so scipy is not imported; scipy's dtrtrs
-where that library has no ILP64 dtrtrs).  The correlation reads only a short
-band beta of g, so the recursion costs about n beta multiply-adds instead
-of n^2 / 2: beta is the last i with g(i) != 0, or shorter where a
-nonnegative g has a certified tail past it (_tail_model).  A zero tail,
-negligible against the kept terms, is checked block by block; a geometric
-tail c rho^i, as g(i) -> theta kappa (x y)^i in the logarithmic class
-(polynomials over a finite field, whose g(i) is (q x)^i), is one running
-sum W extended once per block.  Every route returns one triple
+is solved in blocks: the terms from earlier blocks are one correlation, a
+BLAS dot per index, and the terms within the block one banded triangular
+solve in place (LAPACK dtbtrs, bound with ctypes in the OpenBLAS that numpy
+has loaded, so scipy is not imported; scipy's dtbtrs where that library has
+no ILP64 dtbtrs).  The recursion reads only a short band beta of g, so it
+costs about n beta multiply-adds instead of n^2 / 2: beta is the last i
+with g(i) != 0, or shorter where a nonnegative g has a certified tail past
+it (_tail_model).  A zero tail, negligible against the kept terms, is
+checked block by block; a geometric tail c rho^i, as g(i) -> theta kappa
+(x y)^i in the logarithmic class (polynomials over a finite field, whose
+g(i) is (q x)^i), is one more unknown per index, its running sum.  A dense
+band keeps blocks of _BLOCK indices; a short one runs in blocks as wide as
+a band matrix of 512 KB holds, so polynomials(2) at n = 16000 takes two
+solves, not 125.  Every route returns one triple
 (v, shift, lseed) with P(R_B = k) = v[k] 2^shift[k] e^lseed: the
 recursion (q, its per-entry exponents, log_seed(B)), the convolution
 (p, 0, 0.0).  The full index set's triple and its seed are kept in one
@@ -60,7 +62,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericGuardError, ParameterDomainError, underflow_error
 from .structures import (Kind, Numeric, StructureSpec, exact_route, log_big,
@@ -73,83 +74,84 @@ _LN2 = math.log(2.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _RESCALE = 2.0 ** 512
 _RESCALE_INV = 2.0 ** -512
-_BLOCK = 128       # indices per block of the coefficient recursion
+_BLOCK = 128       # the fewest indices per block of the coefficient recursion
+_BAND_DOUBLES = 1 << 16  # the band matrix of its block solve: 512 KB
 _BLOCK_BITS = 511  # growth of |q| allowed within one block, in bits
+_DOT_PIECE = 8192  # correlation windows are summed in pieces of this many
 _CANCEL_BITS = 10  # "auto" keeps a selection recursion that cancels by <= 2^10
-_TAIL_MIN_BAND = 4 * _BLOCK  # shorter bands of g are read whole
+_TAIL_MIN_N = 4 * _BLOCK  # recursions up to this n_max read g's band whole
 _TAIL_TOL = 1e-12  # a geometric tail model holds g_i within this, relative
 
 
-def _numpy_dtrtrs():
-    """LAPACK dtrtrs in the library numpy.linalg loaded, bound with ctypes,
-    or None where it has no ILP64 dtrtrs.
+def _numpy_dtbtrs():
+    """LAPACK dtbtrs in the library numpy.linalg loaded, bound with ctypes,
+    or None where it has no ILP64 dtbtrs.
 
     On Linux and macOS, dlsym on the handle of numpy.linalg._umath_linalg
     also searches the libraries it links: the OpenBLAS of the numpy wheels
-    exports dtrtrs as scipy_dtrtrs_64_.  Only the ILP64 names are taken,
+    exports dtbtrs as scipy_dtbtrs_64_.  Only the ILP64 names are taken,
     since their suffix fixes the integer width; elsewhere (Windows,
-    Accelerate, MKL) the block solve imports scipy's dtrtrs instead.
+    Accelerate, MKL) the block solve imports scipy's dtbtrs instead.
     """
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError, AttributeError):
         return None
-    for name in ("scipy_dtrtrs_64_", "dtrtrs_64_"):
+    for name in ("scipy_dtbtrs_64_", "dtbtrs_64_"):
         fn = getattr(lib, name, None)
         if fn is not None:
-            # UPLO, TRANS, DIAG, &N, &NRHS, A, &LDA, B, &LDB, &INFO
-            fn.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 7
+            # UPLO, TRANS, DIAG, &N, &KD, &NRHS, AB, &LDAB, B, &LDB, &INFO
+            fn.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 8
             fn.restype = None
             return fn
     return None
 
 
-_DTRTRS = _numpy_dtrtrs()  # None: scipy.linalg.lapack.dtrtrs
+_DTBTRS = _numpy_dtbtrs()  # None: scipy.linalg.lapack.dtbtrs
 
 
-class _BlockSolve:
-    """Solves lower[:m, :m] y = q[k0:k0+m] in place in q and returns
-    LAPACK's info (> 0: a zero on the diagonal), for the m x m leading
-    block of the b x b C-ordered lower-triangular matrix that bind() last
-    took.  Both routes call dtrtrs on the Fortran view lower.T (upper,
-    transposed), as scipy's solve_triangular does: _DTRTRS where numpy's
-    LAPACK has it, else scipy's.  The ctypes route binds every address
-    once, q's base here and lower's in bind(), with N, NRHS, LDA, LDB and
-    INFO in one int64 block, so a call costs no more than scipy's."""
+class _BandSolve:
+    """Solves the leading m x m block of a lower-triangular band matrix in
+    place in x[off:off+m] and returns LAPACK's info (> 0: a zero on the
+    diagonal).  ab holds the matrix in LAPACK's lower band storage, C-ordered
+    as (columns, kd + 1): row j is column j, its diagonal entry and then the
+    kd entries below it.  Both routes call dtbtrs ("L", "N", "N") on the
+    Fortran view ab.T: _DTBTRS where numpy's LAPACK has it, else scipy's.
+    The ctypes route binds every address once, with N, KD, NRHS, LDAB, LDB
+    and INFO in one int64 block, so a call costs no more than scipy's."""
 
-    def __init__(self, q: np.ndarray, b: int):
-        if q.dtype != np.float64 or not q.flags.c_contiguous or b < 1:
-            raise ValueError("q must be a contiguous float64 array, b >= 1")
-        self.q, self.b, self.lower = q, b, None
-        self._dtrtrs = _DTRTRS
-        if self._dtrtrs is None:
-            from scipy.linalg.lapack import dtrtrs
-            self._scipy_dtrtrs = dtrtrs
+    def __init__(self, ab: np.ndarray, x: np.ndarray):
+        for a in (ab, x):
+            if a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise ValueError("ab and x must be contiguous float64 arrays")
+        if ab.ndim != 2 or x.ndim != 1 or not ab.size:
+            raise ValueError("ab must be (columns, kd + 1) and x a vector")
+        self.ab, self.x = ab, x
+        self._dtbtrs = _DTBTRS
+        if self._dtbtrs is None:
+            from scipy.linalg.lapack import dtbtrs
+            self._scipy_dtbtrs = dtbtrs
             return
-        self._ints = np.array([0, 1, b, b, 0], dtype=np.int64)
-        self._n, self._nrhs, self._lda, self._ldb, self._info = (
-            self._ints.ctypes.data + 8 * i for i in range(5))
-        self._q = q.ctypes.data
+        kd = ab.shape[1] - 1
+        self._ints = np.array([0, kd, 1, kd + 1, max(1, len(x)), 0],
+                              dtype=np.int64)
+        base = self._ints.ctypes.data
+        self._n, self._kd, self._nrhs, self._ldab, self._ldb, self._info = (
+            base + 8 * i for i in range(6))
+        self._a, self._x = ab.ctypes.data, x.ctypes.data
 
-    def bind(self, lower: np.ndarray) -> None:
-        if (lower.dtype != np.float64 or not lower.flags.c_contiguous
-                or lower.shape != (self.b, self.b)):
-            raise ValueError("lower must be a contiguous b x b float64 array")
-        self.lower = lower
-        self._a = lower.ctypes.data
-
-    def __call__(self, k0: int, m: int) -> int:
-        if not (0 < m <= self.b and 0 <= k0 and k0 + m <= len(self.q)):
-            raise ValueError("block outside q or larger than b")
-        if self._dtrtrs is None:
-            self.q[k0:k0 + m], info = self._scipy_dtrtrs(
-                self.lower[:m, :m].T, self.q[k0:k0 + m], lower=0, trans=1)
+    def __call__(self, off: int, m: int) -> int:
+        if not (0 < m <= len(self.ab) and 0 <= off and off + m <= len(self.x)):
+            raise ValueError("block outside x or larger than ab")
+        if self._dtbtrs is None:
+            self.x[off:off + m], info = self._scipy_dtbtrs(
+                self.ab[:m].T, self.x[off:off + m], uplo="L")
             return info
         self._ints[0] = m
-        self._dtrtrs(b"U", b"T", b"N", self._n, self._nrhs, self._a,
-                     self._lda, self._q + 8 * k0, self._ldb, self._info)
-        return int(self._ints[4])
+        self._dtbtrs(b"L", b"N", b"N", self._n, self._kd, self._nrhs, self._a,
+                     self._ldab, self._x + 8 * off, self._ldb, self._info)
+        return int(self._ints[5])
 
 
 def _aligned_zeros(n: int) -> np.ndarray:
@@ -177,6 +179,15 @@ def index_set(B: Iterable[int]) -> IndexSet:
     if bs and bs[0] < 1:
         raise ParameterDomainError("index sets contain integers >= 1 only")
     return IndexSet(bs)
+
+
+def _index_array(B: IndexSet) -> np.ndarray:
+    """B as an int64 array.  1..len(B), the one index set whose largest
+    index is its length, is an arange: converting its 16000 ints one by one
+    took 0.6 ms."""
+    if B and B[-1] == len(B):
+        return np.arange(1, len(B) + 1)
+    return np.asarray(B, dtype=np.int64)
 
 
 def complement(B: Iterable[int], n: int) -> IndexSet:
@@ -237,7 +248,7 @@ def _active_indices(spec: StructureSpec, B: IndexSet,
     """(ks, log w_k) for the k in B with k <= n_max and m_k != 0, w_k the
     log_m_array weight."""
     lm = log_m_array(spec, n_max)
-    ks = np.asarray(B[: bisect.bisect_right(B, n_max)], dtype=np.int64)
+    ks = _index_array(B)[: bisect.bisect_right(B, n_max)]
     lmk = lm[ks]
     keep = lmk != -np.inf
     return ks[keep], lmk[keep]
@@ -258,7 +269,7 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     B = index_set(B)
     if not B:
         return 0.0
-    terms = log_p_zero_array(spec, B[-1], params)[np.asarray(B)]
+    terms = log_p_zero_array(spec, B[-1], params)[_index_array(B)]
     if spec.kind is Kind.ASSEMBLY and np.any(terms == -np.inf):
         raise OverflowError("math range error")
     return math.fsum(terms.tolist())
@@ -324,112 +335,138 @@ def _tail_model(g: np.ndarray, n_max: int, band: int) -> tuple[int, float, float
     """(beta, c, rho): the short band beta and the tail model g'_i = c rho^i
     that _recursion_coeffs puts in place of g_i for i > beta, with g >= 0.
 
-    The zero tail (c = 0) takes the smallest beta with sum_{i>beta} g_i <=
-    2^-60 sum_{i<=beta} g_i.  Where q is non-decreasing, every q[k-i] with
-    i <= beta is at least q[k-beta-1], so that bounds the omitted terms of
-    every k q_k by 2^-60 of the kept ones; the recursion certifies each
-    block against the q it computed, not against this estimate.
-
     The geometric tail (c > 0, only where g reaches n_max) fits log g_i on
-    the far half i > n_max / 2: rho from the least-squares slope, then
-    log c the median of log g_i - i log rho, which a few entries off by
-    g's own rounding do not move.  Its beta is the last i where
-    |g_i - c rho^i| > _TAIL_TOL g_i, with c rho^i the doubles that the
-    correlations and the block read (the running sum past them adds a
-    rounding or two per block), so the model holds on all of (beta, n_max].
+    the far half i > n_max / 2: rho from the least-squares slope (sums by
+    numpy's reduction, not np.dot, whose rounding would depend on how many
+    threads OpenBLAS splits it across), then log c the median of log g_i -
+    i log rho, which a few entries off by g's own rounding do not move.
+    Its beta is the last i where |g_i - c rho^i| > _TAIL_TOL g_i, so the
+    model holds on all of (beta, n_max]; the block solve reads it as c
+    rho^(beta+1) and rho, and its running sum adds a rounding per index,
+    as the sums k q_k do.
 
-    The shorter beta wins; it is returned only where it saves at least a
-    block's width of every dot, else (band, 0.0, 1.0): the full band, no
-    model.
+    The zero tail (c = 0) takes the smallest beta with sum_{i>beta} g_i <=
+    2^-60 sum_{i<=beta} g_i, where that is shorter than the geometric one.
+    Where q is non-decreasing, every q[k-i] with i <= beta is at least
+    q[k-beta-1], so that bounds the omitted terms of every k q_k by 2^-60
+    of the kept ones; the recursion certifies each block against the q it
+    computed, not against this estimate.
+
+    A model is returned only where it saves at least _BLOCK entries of
+    every dot, else (band, 0.0, 1.0): the full band, no model.
     """
     gb = g[1:band + 1]
-    kept = np.cumsum(gb)
-    kept *= 2.0 ** -60
-    # ok[beta - 1]: sum_{i>beta} g_i <= 2^-60 sum_{i<=beta} g_i, beta < band
-    ok = np.cumsum(gb[::-1])[::-1][1:] <= kept[:-1]
-    beta = int(np.argmax(ok)) + 1 if ok.any() else band
-    c, rho = 0.0, 1.0
+    beta, c, rho = band, 0.0, 1.0
     half = n_max // 2
     if band == n_max and np.all(gb[half:] > 0):
-        i = np.arange(1, n_max + 1)
+        i = np.arange(1.0, n_max + 1.0)
         t, y = i[half:] - (half + 1 + n_max) / 2, np.log(gb[half:])
-        rho = math.exp(float(np.dot(t, y) / np.dot(t, t)))
+        rho = math.exp(float((t * y).sum() / (t * t).sum()))
         y -= i[half:] * math.log(rho)
         c = math.exp(_median(y))
-        off = rho ** i  # |g_i - c rho^i|, in place
+        off = np.exp(i * math.log(rho))  # |g_i - c rho^i|, in place
         off *= c
         off -= gb
         np.abs(off, out=off)
-        off = np.flatnonzero(off > _TAIL_TOL * gb)
-        geo = int(off[-1]) + 1 if off.size else 1
-        if geo < beta:
-            beta = geo
-        else:
-            c, rho = 0.0, 1.0
+        bad = off[::-1] > _TAIL_TOL * gb[::-1]
+        beta = n_max - int(np.argmax(bad)) if bad.any() else 1
+    # a zero tail shorter than that: ok[b - 1] for b < beta is
+    # sum_{i>b} g_i <= 2^-60 sum_{i<=b} g_i
+    kept = np.cumsum(gb[:beta - 1])
+    kept *= 2.0 ** -60
+    ok = np.cumsum(gb[beta - 1:0:-1])[::-1] + float(gb[beta:].sum()) <= kept
+    if ok.any():
+        beta, c, rho = int(np.argmax(ok)) + 1, 0.0, 1.0
     if beta + _BLOCK >= band:
         return band, 0.0, 1.0
     return beta, c, rho
 
 
-def _band_arrays(g: np.ndarray, n_max: int, b: int, beta: int, c: float,
-                 rho: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """(span, grev, lower) of g' = g up to beta and c rho^i past it: grev =
-    g'[span::-1] for the correlations, which read g' at indices up to
-    beta + 63 + b <= span, and the b x b block lower[i, j] = -g'[i - j]
-    below the diagonal, 0 above."""
-    span = min(n_max, beta + 63 + b)
+def _band_system(g: np.ndarray, n_max: int, beta: int, c: float,
+                 rho: float) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(width, span, grev, ab): the blocks of _recursion_coeffs on g' = g up
+    to beta and c rho^i past it.
+
+    A block has up to width indices: _BLOCK where beta >= _BLOCK, since a
+    wider block moves work from the correlation's dots to the solve's
+    column updates, which cost more per multiply-add (a dense 255-index
+    block was about 10% slower than two of 128 at n = 256); else as many
+    as a band matrix of _BAND_DOUBLES doubles holds, and at least _BLOCK.
+    Without a geometric tail (c = 0) the unknowns are q_k, and ab is the
+    band storage of the Toeplitz matrix with k on the diagonal and -g[i]
+    i rows below it, i <= kd = min(beta, width - 1).  With one they are
+    T_k, q_k in turn, T_k = sum_{i>beta} c rho^i q[k-i] = rho T_{k-1} +
+    c rho^(beta+1) q[k-beta-1] the tail's running sum, so the q_k row
+    reads -g[i] 2i rows up and -1 at T_k, and the T_k row -rho at T_{k-1}
+    and -c rho^(beta+1) 2 beta + 1 rows up: kd = min(2 beta + 1,
+    2 width - 1).  Only the diagonal of the q rows changes from block to
+    block.  grev = g'[span::-1] with g' = 0
+    past beta is the correlation kernel of the terms from earlier blocks,
+    read at indices up to beta + 63 + min(width, beta) <= span."""
+    r = 2 if c else 1
+    kd = 2 * beta + 1 if c else beta
+    width = _BLOCK if beta >= _BLOCK else max(_BLOCK,
+                                              _BAND_DOUBLES // (r * (kd + 1)))
+    width = max(1, min(n_max, width))
+    kd = min(kd, r * width - 1)
+    ab = np.empty((r * width, kd + 1))
+    if c:
+        pair = np.zeros((2, kd + 1))  # the columns of T_k and q_k
+        pair[0, :3] = (1.0, -1.0, -rho)[:kd + 1]
+        pair[1, 2::2] = -g[1:kd // 2 + 1]
+        if 2 * beta + 1 <= kd:
+            pair[1, 2 * beta + 1] = -c * rho ** (beta + 1)
+        ab.reshape(width, 2, kd + 1)[:] = pair
+    else:
+        ab[:, 1:] = -g[1:kd + 1]
+    span = min(n_max, beta + 63 + min(width, beta))
     gp = g[:span + 1].copy()
-    gp[beta + 1:] = c * rho ** np.arange(beta + 1, span + 1)
-    # row i of lower is the window of b entries at b - 1 - i in
-    # [-g'[b-1], ..., -g'[1], 0, ..., 0]
-    lower = sliding_window_view(np.concatenate((-gp[b - 1:0:-1], np.zeros(b))),
-                                b)[::-1].copy()
-    return span, gp[::-1].copy(), lower
+    gp[beta + 1:] = 0.0
+    return width, span, gp[::-1].copy(), ab
 
 
 def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i], as (v, shift) with
     q[k] = v[k] 2^shift[k].
 
-    Blocks of up to _BLOCK indices k0..k1-1 are solved at once, on g' = g
-    up to a band beta and a certified tail model g'_i = c rho^i past it
-    (_tail_model).  With band the last index where g != 0, beta = band and
-    c = 0 is g' = g, the recursion as it reads g: the default, and always
-    so for signed g and for bands up to _TAIL_MIN_BAND.  The terms with
-    k - i < k0 are one correlation of q[lo:k0] with the reversed g'
-    (a BLAS dot per k), plus the far tail rho^(k-lo) W_lo.  Every q[j]
-    with j < k0 - beta meets only g'_i = c rho^i, so lo = max(0, k0 - beta)
-    rounded down to a multiple of 64 leaves out of the dot only terms
-    that W_lo = sum_{j<lo} c rho^(lo-j) q[j] holds: one positive running
-    sum, extended once per block by a short dot (W_{m+1} = rho (W_m +
-    c q_m)) and rescaled with q.  The dots cost about n_max beta
+    Blocks of indices k0..k1-1 are solved at once, on g' = g up to a band
+    beta and a certified tail model g'_i = c rho^i past it (_tail_model).
+    With band the last index where g != 0, beta = band and c = 0 is g' = g,
+    the recursion as it reads g: the default, and always so for signed g,
+    for n_max up to _TAIL_MIN_N (there a model costs more than it saves)
+    and for bands no model could shorten by _BLOCK.  Each block is one banded
+    lower-triangular solve (_band_system, LAPACK dtbtrs through _BandSolve:
+    the dtbtrs of numpy's OpenBLAS, else scipy's; the two agree bit for
+    bit) whose right-hand side holds the terms from earlier blocks: for k <
+    k0 + beta the correlation of q[lo:k0] with g' up to beta, a BLAS dot
+    per k, and with a geometric tail rho T_{k0-1} and c rho^(beta+1)
+    q[k-beta-1] in the rows of T.  lo = max(0, k0 - beta) rounded down to a
+    multiple of 64 (the extra q[j] meet g'_i = 0), and q starts on a 64-byte
+    boundary, so every window q[lo:k0] is aligned: on a 2-vCPU Xeon a 128 x
+    4600 correlation took 137-140 us aligned and 173-182 us at the other
+    offsets mod 64 that numpy's 16-byte-aligned buffers take.  A window
+    longer than _DOT_PIECE is summed in pieces of _DOT_PIECE entries, added
+    in order: OpenBLAS splits a dot past about 10^4 entries across its
+    threads, so q does not depend on the BLAS thread count.  The block is
+    as wide as its band matrix allows (_band_system): a dense band runs in
+    blocks of _BLOCK indices, a band of one or two with a geometric tail in
+    two or three blocks at n_max = 16000.  For g >= 0 every entry below the
+    diagonal is -g_i, -1, -rho or -c rho^(beta+1) and every right-hand side
+    is >= 0, so forward substitution adds sums of nonnegative terms, as the
+    one-step loop on g' does, and the recursion costs about n_max beta
     multiply-adds in all instead of n_max^2 / 2.  beta is at least 1, so a
-    dot is never empty (an all-zero g gives q = e_0), and the multiple of
-    64 lets a BLAS kernel of up to 64 lanes group the products that remain
-    as it did on all of q[:k0].  With a single-threaded BLAS q is then
-    bitwise the same as without the band; a threaded BLAS splits a long
-    dot across threads (OpenBLAS past about 10^4 entries) but not the
-    short banded one, so there the last bits can differ, within the same
-    error bound.  The rest is forward substitution with the
-    lower-triangular block whose diagonal is k and whose entries below it
-    are -g'[k-j], so both parts add the same positive sums as the one-step
-    loop on g'.  The correlation is written into q[k0:k1] and solved there
-    in place by LAPACK dtrtrs (_BlockSolve: the dtrtrs of numpy's
-    OpenBLAS, else scipy's, the call scipy's solve_triangular makes; the
-    two agree bit for bit).  q starts on a 64-byte boundary, so every
-    window q[lo:k0] a correlation reads is too: on a 2-vCPU Xeon a
-    128 x 4600 correlation took 137-140 us aligned and 173-182 us at the
-    other offsets mod 64 that numpy's 16-byte-aligned buffers take.
+    correlation is never empty (an all-zero g gives q = e_0).
 
     The two tails are certified apart.  The geometric one holds g'_i within
     _TAIL_TOL g_i for every i > beta, and a weight-k structure has at most
     k / (beta + 1) parts past beta, so q moves by at most that many
     _TAIL_TOL relative.  The zero tail is checked per block: the omitted
-    part of k q[k] is at most (sum_{i>beta} g_i) max_{j<=k-beta-1} q[j],
-    and every such maximum in a block k0..k1-1 is at most the prefix
-    maximum of q at k1 - beta - 2, so the block holds when that bound is at
-    most 2^-60 of the least kept sum k q[k] in it; a block that fails is
-    solved again on the full band, which the rest of the recursion keeps.
+    part of k q[k] is at most (sum_{i>beta} g_i) max_{j<=k-beta-1} q[j], and
+    the block holds when that bound is at most 2^-60 of k q[k] at every k
+    in it (first tried with the maximum at the block's end against the
+    least kept sum, then, in a wide block where q rose within it, k by k);
+    a block that fails is solved again on the full band, which the rest of
+    the recursion keeps.
 
     A block ends early where the bound M_k <= max(1, sum_{i<=k} |g_i| / k)
     M_{k-1} on the running maximum M_k = max_{j<=k} |q[j]| allows growth
@@ -444,62 +481,90 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
     """
     q = _aligned_zeros(n_max + 1)
     q[0] = 1.0
-    v = np.zeros(n_max + 1)
-    kept = np.full(n_max + 1, -1)  # the exponent an entry was kept at, or -1
-    nonzero = np.flatnonzero(g[1:n_max + 1])
-    band = max(1, int(nonzero[-1]) + 1 if nonzero.size else 0)
+    v = kept = None  # from the first rescale: entries kept, and their exponents
+    nonzero = g[n_max:0:-1] != 0
+    band = max(1, n_max - int(np.argmax(nonzero)) if nonzero.any() else 0)
     beta, c, rho = band, 0.0, 1.0
-    if band > _TAIL_MIN_BAND and not np.any(g[1:band + 1] < 0):
+    if n_max > _TAIL_MIN_N and band > _BLOCK + 1 and \
+            not np.any(g[1:band + 1] < 0):
         beta, c, rho = _tail_model(g, n_max, band)
-    b = max(1, min(_BLOCK, n_max))  # n_max = 0 solves no block
-    span, grev, lower = _band_arrays(g, n_max, b, beta, c, rho)
-    solve = _BlockSolve(q, b)
-    solve.bind(lower)
-    if c:
-        # rpow[t] = rho^t and crpow[t] = c rho^t for the far tail
-        rpow = rho ** np.arange(span + 1)
-        crpow = c * rpow
-    w, w_at = 0.0, 0  # W_{w_at}
+    width, span, grev, ab = _band_system(g, n_max, beta, c, rho)
+    x = np.zeros(len(ab)) if c else q  # T and q in turn, or q in place
+    solve = _BandSolve(ab, x)
+    tail = 0.0  # T_{k0-1}
+    c_far = c * rho ** (beta + 1)
     # the zero tail's mass, and the running maximum of q it is checked with
     cut = float(g[beta + 1:band + 1].sum()) if beta < band and not c else 0.0
     peak = np.zeros(n_max + 1) if cut else None
     room = _BLOCK_BITS - n_max.bit_length()
+    ks = np.arange(n_max + 1, dtype=float)
     shift = 0
     running_max = 1.0
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below
-        growth = np.log2(np.maximum(
-            1.0, np.cumsum(np.abs(g[1:])) / np.arange(1, n_max + 1)))
-        bits = np.concatenate(([0.0], np.cumsum(growth)))  # bits[k]: 1..k
+        # bits[k]: the growth bound over 1..k, for k <= top; past top every
+        # sum_{i<=k} |g_i| / k is below 1 (so is it for all k where every
+        # |g_i| <= 1, and then top = 0)
+        absg = np.abs(g[1:])
+        top = 0
+        if n_max and float(absg.max()) > 1.0:
+            total = float(absg.sum())
+            top = n_max if total >= n_max else int(total) + 1
+        growth = np.log2(np.maximum(1.0, np.cumsum(absg[:top]) / ks[1:top + 1]))
+        bits = np.concatenate(([0.0], np.cumsum(growth)))
         while k0 <= n_max:
-            k1 = int(np.searchsorted(bits, bits[k0 - 1] + room, side="right"))
-            k1 = max(k0 + 1, min(k1, k0 + b, n_max + 1))
+            k1 = int(np.searchsorted(bits, bits[min(k0 - 1, top)] + room,
+                                     side="right"))
+            k1 = max(k0 + 1, min(n_max + 1 if k1 > top else k1, k0 + width,
+                                 n_max + 1))
+            m, kc = k1 - k0, min(k1, k0 + beta)  # rows k0..kc-1 read q[:k0]
             lo = max(0, k0 - beta) & -64
-            q[k0:k1] = np.correlate(grev[span - k1 + 1 + lo:span], q[lo:k0],
-                                    "valid")[::-1]
+            rows = None
+            for a in range(lo, k0, _DOT_PIECE):
+                b = min(k0, a + _DOT_PIECE)
+                part = np.correlate(grev[span - kc + 1 + a:span - k0 + b],
+                                    q[a:b], "valid")
+                rows = part if rows is None else rows + part
             if c:
-                d = lo - w_at
-                w = w * rpow[d] + float(np.dot(q[w_at:lo], crpow[d:0:-1]))
-                w_at = lo
-                q[k0:k1] += w * rpow[k0 - lo:k1 - lo]
-            lower.flat[::b + 1] = np.arange(k0, k0 + b)
-            info = solve(k0, k1 - k0)
+                x[:2 * m] = 0.0
+                x[1:2 * (kc - k0):2] = rows[::-1]
+                x[0] = rho * tail
+                j0, j1 = max(0, k0 - beta - 1), min(k0, k1 - beta - 1)
+                if j0 < j1:  # T_k reads q[k-beta-1] for k <= k0 + beta
+                    t0 = 2 * (j0 + beta + 1 - k0)
+                    x[t0:t0 + 2 * (j1 - j0):2] += c_far * q[j0:j1]
+                ab[1:2 * m:2, 0] = ks[k0:k1]
+                info = solve(0, 2 * m)
+                q[k0:k1] = x[1:2 * m:2]
+                tail = float(x[2 * m - 2])
+            else:
+                q[k0:kc] = rows[::-1]
+                if kc < k1:
+                    q[kc:k1] = 0.0
+                ab[:m, 0] = ks[k0:k1]
+                info = solve(k0, m)
             if info:
-                raise NumericGuardError(f"block solve failed (trtrs info {info})")
+                raise NumericGuardError(f"block solve failed (tbtrs info {info})")
             if cut:
                 np.maximum(np.maximum.accumulate(q[k0:k1]), peak[k0 - 1],
                            out=peak[k0:k1])
-                k = max(k0, beta + 1)  # the first k with omitted terms
+                # k: the first index with omitted terms; the bound at the
+                # block's end holds for all of it, else every k is checked
+                k = max(k0, beta + 1)
                 if k < k1 and cut * peak[k1 - beta - 2] > \
-                        2.0 ** -60 * k * float(q[k:k1].min()):
+                        2.0 ** -60 * k * float(q[k:k1].min()) and np.any(
+                            cut * peak[k - beta - 1:k1 - beta - 1]
+                            > 2.0 ** -60 * ks[k:k1] * q[k:k1]):
                     beta, cut = band, 0.0  # refused: the full band from here
-                    span, grev, lower = _band_arrays(g, n_max, b, band, 0.0, 1.0)
-                    solve.bind(lower)
+                    width, span, grev, ab = _band_system(g, n_max, band, 0.0, 1.0)
+                    solve = _BandSolve(ab, q)
                     continue
-            block_max = float(np.max(np.abs(q[k0:k1])))
+            block_max = float(np.abs(q[k0:k1]).max())
             if block_max > running_max:
                 running_max = block_max
                 if running_max > _RESCALE:
+                    if kept is None:
+                        v, kept = np.zeros(n_max + 1), np.full(n_max + 1, -1)
                     low = (kept[:k1] < 0) & (
                         np.abs(q[:k1]) < sys.float_info.min * _RESCALE)
                     v[:k1][low] = q[:k1][low]
@@ -507,12 +572,14 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
                     q[:k1] *= _RESCALE_INV
                     if cut:
                         peak[:k1] *= _RESCALE_INV
-                    w *= _RESCALE_INV
+                    tail *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
             k0 = k1
     if not np.all(np.isfinite(q)):
         raise NumericGuardError("weighted-sum recursion overflowed")
+    if kept is None:  # never rescaled: every exponent is 0
+        return q, np.zeros(n_max + 1, dtype=np.int64)
     live = kept < 0
     return np.where(live, q, v), np.where(live, shift, kept)
 
@@ -644,7 +711,7 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
     """
     p = np.zeros(n_max + 1)
     p[0] = 1.0
-    for i, pk in zip(B, z_pmf_rows(spec, B, n_max // np.asarray(B), params)):
+    for i, pk in zip(B, z_pmf_rows(spec, B, n_max // _index_array(B), params)):
         nonzero = pk.nonzero()[0]
         pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
         if len(pk) > 1 or pk[0] != 1.0:

@@ -47,6 +47,7 @@ def spec_files(tmp_path):
         "even_only": {"kind": "multiset", "m": [0, 1]},
         "poly2": {"kind": "multiset", "builtin": "polynomials",
                   "params": {"q": 2}},
+        "mappings": {"kind": "assembly", "builtin": "mappings"},
     }.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -526,7 +527,7 @@ class TestExitCodes:
 class TestImportFootprint:
     # one request of every command in a fresh interpreter, which must load
     # no scipy module at import or after any command: the block solve binds
-    # dtrtrs in the LAPACK that numpy already loaded, and scipy would cost
+    # dtbtrs in the LAPACK that numpy already loaded, and scipy would cost
     # start-up time, memory and a second OpenBLAS thread pool.  Nor may a
     # request import numpy.ma (np.median does, on its first call).  On Linux
     # the process then holds at most one thread per core.
@@ -579,8 +580,8 @@ class TestImportFootprint:
     """)
 
     def test_commands_load_no_scipy_or_numpy_ma(self, spec_files):
-        if sd._DTRTRS is None:
-            pytest.skip("numpy's LAPACK exports no ILP64 dtrtrs here, so the "
+        if sd._DTBTRS is None:
+            pytest.skip("numpy's LAPACK exports no ILP64 dtbtrs here, so the "
                         "block solve imports scipy's")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -599,9 +600,10 @@ class TestImportFootprint:
 class TestBlasThreadCount:
     # OpenBLAS splits a long np.dot across its threads, so a sum taken by
     # it rounds by the thread count (choose-x's mean_residual on
-    # polynomials(2) at n = 16000 did, and tv's 17-digit JSON rows on set
-    # partitions); a request must print the same bytes under one and two
-    # threads
+    # polynomials(2) at n = 16000 did, tv's 17-digit JSON rows on set
+    # partitions, and on mappings the full-band recursion's correlation
+    # windows past 10^4 entries); a request must print the same bytes under
+    # one and two threads
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
     @pytest.mark.parametrize("spec,argv", [
         ("poly2", ["choose-x"]),
@@ -609,7 +611,8 @@ class TestBlasThreadCount:
         ("setpartitions", ["tv", "--B", "1,3,5,7,9"]),
         ("setpartitions", ["tv", "--B", "1,5,6,9,10", "--heuristic",
                            "--format", "json"]),
-    ], ids=["choose-x", "prob-t", "tv", "tv-json"])
+        ("mappings", ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
+    ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json"])
     def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
                                                   argv):
         outs = []

@@ -484,6 +484,29 @@ class TestScaledIntegerTables:
         assert all((D ** k * Fraction(v)).denominator == 1
                    for k, v in enumerate(got))
 
+    @pytest.mark.parametrize("spec,theta,n", [
+        (st.esf(0.3), 2, 512), (st.esf(Fraction(1, 3)), 2, 512),
+        (st.integer_partitions(), Fraction(1, 2), 512),
+        (st.polynomials(2), Fraction(1, 2), 512),
+        (st.from_m_list("multiset", ["1/2"]), Fraction(1, 2), 512),
+        (st.from_m_list("multiset", ["1/3", 2, "5/7", 0, "3/2"]),
+         Fraction(1, 2), 256),
+    ], ids=["esf(0.3)", "esf(1/3)", "integer_partitions", "polynomials(2)",
+            "m=1/2", "rational_mset"])
+    def test_unscale_is_fraction_over_d_to_the_k(self, spec, theta, n,
+                                                 monkeypatch):
+        # _unscale reduces P(k) / D^k by gcds with D where it can: the same
+        # values and int/Fraction types as Fraction(P(k), D^k)
+        seen = []
+        orig = st._unscale
+        monkeypatch.setattr(st, "_unscale",
+                            lambda P, D: seen.append((P, D)) or orig(P, D))
+        got = st.ptheta_table(spec, n, theta)
+        (P, D), = seen
+        assert D > 1 and len(P) == n + 1
+        want = [st.as_integral(Fraction(v, D ** k)) for k, v in enumerate(P)]
+        assert typed(got) == typed(want)
+
     def test_warm_cache_returns_prefix(self):
         spec = st.esf(Fraction(3, 7))
         full = st.ptheta_table(spec, 60, Fraction(1, 2))

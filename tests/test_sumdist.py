@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtbtrs as scipy_dtbtrs
 
 from combstruct import cli
 from combstruct import structures as st
@@ -59,7 +60,7 @@ class TestWeightedSumPmf:
             with pytest.raises(ParameterDomainError, match="unknown method"):
                 sd.weighted_sum_pmf(PERM, [1], 3, TiltedParams(1, 1), method)
 
-    def test_n_max_zero(self, trtrs_route):
+    def test_n_max_zero(self, tbtrs_route):
         # no block to solve: P(R_B = 0) is the seed, the rest the tail
         pmf = sd.weighted_sum_pmf(PERM, [1, 2], 0, TiltedParams(0.5, 1))
         assert pmf.n_max == 0
@@ -461,6 +462,21 @@ def _full_set_g(spec, n):
     return sd._g_array(spec, tuple(range(1, n + 1)), n, params)
 
 
+def _block_widths(monkeypatch):
+    """The widths m of the block solves of _recursion_coeffs, in order."""
+    widths = []
+    orig = sd._BandSolve.__call__
+
+    def spy(self, off, m):
+        # a geometric tail interleaves T_k and q_k in a work vector as long
+        # as the band matrix: two rows per index; else x is q itself
+        widths.append(m // 2 if len(self.x) == len(self.ab) else m)
+        return orig(self, off, m)
+
+    monkeypatch.setattr(sd._BandSolve, "__call__", spy)
+    return widths
+
+
 class TestBandedRecursion:
     # each block of _recursion_coeffs correlates q only with g's nonzero
     # band; the one-step reference loop reads the whole of g
@@ -470,10 +486,36 @@ class TestBandedRecursion:
         q, shift = sd._recursion_coeffs(np.zeros(n + 1), n)
         assert not np.any(shift) and q[0] == 1.0 and not np.any(q[1:])
 
+    def test_n_max_zero_and_one(self, tbtrs_route):
+        # n_max = 0 solves no block; n_max = 1 one block of one index
+        for g in (np.zeros(1), np.array([0.0, 2.5]), np.zeros(2)):
+            n = len(g) - 1
+            q, shift = sd._recursion_coeffs(g, n)
+            q_ref, shift_ref = _ref_recursion_coeffs(g, n)
+            assert np.array_equal(q, q_ref) and not np.any(shift)
+            assert shift.shape == q.shape == (n + 1,)
+
+    @pytest.mark.parametrize("spec,B", [
+        (st.set_partitions(), (1, 3, 5, 7, 9)),
+        (st.permutations(), (2, 4, 6, 8, 10)),
+        (st.mappings(), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+    ], ids=["set_partitions", "permutations", "mappings"])
+    def test_wide_blocks_of_assembly_r_b(self, spec, B, monkeypatch):
+        # the band of R_B is max B <= 10, so a block is as wide as the
+        # growth bound allows, and some are wider than _BLOCK
+        n = 4000
+        g = sd._g_array(spec, B, n, TiltedParams(choose_x(spec, n), 1))
+        assert _band(g) == max(B)
+        widths = _block_widths(monkeypatch)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert sum(widths) == n and max(widths) > sd._BLOCK
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
     @pytest.mark.parametrize("case", [
         "band_1", "band_inside_a_block", "band_across_a_block_edge",
         "set_partitions_rescaled", "dense"])
-    def test_positive_g_matches_one_step_loop(self, case):
+    def test_positive_g_matches_one_step_loop(self, case, monkeypatch):
+        widths = _block_widths(monkeypatch)
         if case == "band_1":
             n, g = 300, np.zeros(301)
             g[1] = 50.0  # q[k] = 50^k / k!
@@ -501,6 +543,9 @@ class TestBandedRecursion:
         if case != "set_partitions_rescaled":
             assert np.all(normal), case
             return
+        # past the zero tail at beta = 44 the blocks are as wide as the
+        # growth bound allows, and q is rescaled between them
+        assert sum(widths) == n and max(widths) > sd._BLOCK
         # the loop flushed q[k] = x^k B_k / k! to 0 or a subnormal for
         # k <= 2776; the recursion kept them, so check them against the
         # Bell numbers
@@ -551,13 +596,13 @@ class TestTailModel:
     @staticmethod
     def _band_builds(monkeypatch):
         calls = []
-        orig = sd._band_arrays
+        orig = sd._band_system
 
-        def spy(g, n_max, b, beta, c, rho):
+        def spy(g, n_max, beta, c, rho):
             calls.append((beta, c))
-            return orig(g, n_max, b, beta, c, rho)
+            return orig(g, n_max, beta, c, rho)
 
-        monkeypatch.setattr(sd, "_band_arrays", spy)
+        monkeypatch.setattr(sd, "_band_system", spy)
         return calls
 
     @pytest.mark.parametrize("B", [None, (1, 3, 5, 7, 9)],
@@ -573,8 +618,11 @@ class TestTailModel:
         beta, c, rho = sd._tail_model(g, n, _band(g))
         assert c > 0 and beta <= 128
         calls = self._band_builds(monkeypatch)
+        widths = _block_widths(monkeypatch)
         q, shift = sd._recursion_coeffs(g, n)
-        assert calls == [(beta, c)]
+        assert calls == [(beta, c)] and sum(widths) == n
+        if B is None:  # beta = 1: two or three wide blocks, at most 4
+            assert beta <= 2 and len(widths) <= 4
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_zero_tail_of_integer_partitions(self, monkeypatch):
@@ -596,10 +644,11 @@ class TestTailModel:
         n = 16000
         g = _full_set_g(spec, n)
         beta, c, rho = sd._tail_model(g, n, _band(g))
-        assert c > 0 and beta <= 128
+        assert c > 0 and beta <= 2
         calls = self._band_builds(monkeypatch)
+        widths = _block_widths(monkeypatch)
         q, shift = sd._recursion_coeffs(g, n)
-        assert calls == [(beta, c)]
+        assert calls == [(beta, c)] and sum(widths) == n and len(widths) <= 4
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_perturbed_tail_is_refused(self):
@@ -626,19 +675,60 @@ class TestTailModel:
         calls = self._band_builds(monkeypatch)
         got = sd._recursion_coeffs(g, n)
         assert calls == [(beta, 0.0), (band, 0.0)]
-        monkeypatch.setattr(sd, "_TAIL_MIN_BAND", n)
+        monkeypatch.setattr(sd, "_TAIL_MIN_N", n)
         want = sd._recursion_coeffs(g, n)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_short_bands_and_signed_g_read_the_whole_band(self, monkeypatch):
+    def test_zero_tail_refused_mid_recursion(self, monkeypatch):
+        # g_i = 1 up to 200 and 1e-36 from 201 to 500: q_k is about 1 up to
+        # k = 200 and then falls faster than any power, so the zero tail past
+        # beta = 200 holds for the first blocks and fails in a later one;
+        # from there the full band runs
+        n = 4000
+        g = np.zeros(n + 1)
+        g[1:201] = 1.0
+        g[201:501] = 1e-36
+        assert sd._tail_model(g, n, _band(g)) == (200, 0.0, 1.0)
+        events = []
+        orig_system, orig_call = sd._band_system, sd._BandSolve.__call__
+
+        def system(g, n_max, beta, c, rho):
+            events.append(("system", beta))
+            return orig_system(g, n_max, beta, c, rho)
+
+        def call(self, off, m):
+            events.append(("solve", off))
+            return orig_call(self, off, m)
+
+        monkeypatch.setattr(sd, "_band_system", system)
+        monkeypatch.setattr(sd._BandSolve, "__call__", call)
+        q, shift = sd._recursion_coeffs(g, n)
+        refused = events.index(("system", 500))
+        assert events[0] == ("system", 200) and refused > 2
+        assert events[refused - 1][1] > 1 and events[-1][0] == "solve"
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_short_recursions_short_bands_and_signed_g_read_the_whole_band(
+            self, monkeypatch):
+        # no model is fitted up to n_max = _TAIL_MIN_N, for a band that no
+        # model could shorten by _BLOCK, or for signed g
+        fits = []
+        orig = sd._tail_model
+        monkeypatch.setattr(sd, "_tail_model",
+                            lambda *a: fits.append(a[1:]) or orig(*a))
         calls = self._band_builds(monkeypatch)
-        n = 2000
-        sd._recursion_coeffs(_banded_g(sd._TAIL_MIN_BAND, n), n)
-        spec = st.squarefree_polynomials(2)
-        g = sd._g_array(spec, (1, 3, 5, 7, 9), n,
-                        TiltedParams(choose_x(spec, n), 1))
+        n = sd._TAIL_MIN_N
+        g = np.zeros(n + 1)
+        g[1:] = 0.5 ** np.arange(1, n + 1)  # a zero tail past about 60
         sd._recursion_coeffs(g, n)
-        assert calls == [(sd._TAIL_MIN_BAND, 0.0), (_band(g), 0.0)]
+        n = 2000
+        sd._recursion_coeffs(_banded_g(sd._BLOCK + 1, n), n)
+        spec = st.squarefree_polynomials(2)
+        g2 = sd._g_array(spec, (1, 3, 5, 7, 9), n,
+                         TiltedParams(choose_x(spec, n), 1))
+        sd._recursion_coeffs(g2, n)
+        assert not fits
+        assert calls == [(_band(g), 0.0), (sd._BLOCK + 1, 0.0), (_band(g2), 0.0)]
 
     @pytest.mark.parametrize("size", [1, 2, 3, 64, 999, 1000, 8000])
     def test_median_is_numpy_median(self, size):
@@ -651,51 +741,70 @@ class TestTailModel:
                 assert sd._median(arr) == float(np.median(arr))
 
     @pytest.mark.parametrize("m", [sd._BLOCK, 37])
-    def test_direct_trtrs_is_solve_triangular(self, m, trtrs_route):
-        # the block solve calls LAPACK trtrs on the Fortran view, in place
-        # in q, as scipy's solve_triangular does after its checks: bitwise
-        # the same, on a full block and on a short last one, for both
-        # bindings of dtrtrs
+    def test_direct_tbtrs_is_scipys_tbtrs(self, m, tbtrs_route):
+        # the block solve calls LAPACK tbtrs on the Fortran view of the band
+        # storage, in place in x: bitwise what scipy's tbtrs gives on the
+        # same band, on a full block and on a short last one, for both
+        # bindings, and within rounding of a dense triangular solve
         n = 1000
         g = _full_set_g(st.integer_partitions(), n)
-        lower = sd._band_arrays(g, n, sd._BLOCK, _band(g), 0.0, 1.0)[2]
-        lower.flat[::sd._BLOCK + 1] = np.arange(600, 600 + sd._BLOCK)
+        ab = sd._band_system(g, n, _band(g), 0.0, 1.0)[3]
+        ab[:, 0] = np.arange(600, 600 + len(ab))
+        kd = ab.shape[1] - 1
         r = np.random.default_rng(m).uniform(0.5, 2.0, m)[::-1]
         q = sd._aligned_zeros(n + 1)
         q[600:600 + m] = r
-        solve = sd._BlockSolve(q, sd._BLOCK)
-        solve.bind(lower)
-        info = solve(600, m)
-        want = solve_triangular(lower[:m, :m], r, lower=True,
-                                check_finite=False)
-        assert info == 0 and np.array_equal(q[600:600 + m], want)
+        info = sd._BandSolve(ab, q)(600, m)
+        want, want_info = scipy_dtbtrs(ab[:m].T, r, uplo="L")
+        assert info == want_info == 0 and np.array_equal(q[600:600 + m], want)
         assert not q[:600].any() and not q[600 + m:].any()
+        lower = np.diag(ab[:m, 0])
+        for i in range(1, min(kd, m - 1) + 1):
+            lower += np.diag(ab[:m - i, i], -i)
+        dense = solve_triangular(lower, r, lower=True, check_finite=False)
+        assert np.allclose(q[600:600 + m], dense, rtol=1e-13, atol=0)
+
+    def test_interleaved_band_of_a_geometric_tail(self):
+        # with a geometric tail the unknowns are T_k, q_k in turn: the q rows
+        # read -g_i 2i rows up and -1 at T_k, the T rows -rho at T_{k-1}
+        # and -c rho^(beta+1) 2 beta + 1 rows up
+        n, beta, c, rho = 1000, 3, 0.25, 0.9
+        g = np.zeros(n + 1)
+        g[1:] = c * rho ** np.arange(1, n + 1)
+        g[1:4] = (0.5, 0.4, 0.3)
+        width, span, grev, ab = sd._band_system(g, n, beta, c, rho)
+        assert width == n and ab.shape == (2 * n, 2 * beta + 2)
+        assert ab.nbytes <= 8 * sd._BAND_DOUBLES
+        assert np.array_equal(ab[0], [1.0, -1.0, -rho, 0, 0, 0, 0, 0])
+        assert np.array_equal(ab[1, 1:], [0, -0.5, 0, -0.4, 0, -0.3,
+                                          -c * rho ** 4])
+        assert np.array_equal(grev[::-1], np.r_[g[:4], np.zeros(span - 3)])
 
 
 @pytest.fixture(params=["numpy_lapack", "scipy"])
-def trtrs_route(request, monkeypatch):
-    """Runs a test on both bindings of dtrtrs: the one in numpy's LAPACK
+def tbtrs_route(request, monkeypatch):
+    """Runs a test on both bindings of dtbtrs: the one in numpy's LAPACK
     and scipy's, forced by clearing the numpy binding."""
     if request.param == "scipy":
-        monkeypatch.setattr(sd, "_DTRTRS", None)
-    elif sd._DTRTRS is None:
-        pytest.skip("numpy's LAPACK exports no ILP64 dtrtrs here")
+        monkeypatch.setattr(sd, "_DTBTRS", None)
+    elif sd._DTBTRS is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dtbtrs here")
     return request.param
 
 
 def _recursion_both_routes(g, n, monkeypatch):
-    """(v, shift) of _recursion_coeffs through numpy's dtrtrs and through
+    """(v, shift) of _recursion_coeffs through numpy's dtbtrs and through
     scipy's."""
     got = sd._recursion_coeffs(g, n)
     with monkeypatch.context() as patch:
-        patch.setattr(sd, "_DTRTRS", None)
+        patch.setattr(sd, "_DTBTRS", None)
         want = sd._recursion_coeffs(g, n)
     return got, want
 
 
-@pytest.mark.skipif(sd._DTRTRS is None,
-                    reason="numpy's LAPACK exports no ILP64 dtrtrs here")
-class TestTrtrsBindingsAgree:
+@pytest.mark.skipif(sd._DTBTRS is None,
+                    reason="numpy's LAPACK exports no ILP64 dtbtrs here")
+class TestTbtrsBindingsAgree:
     # the block solve through numpy's LAPACK and through scipy's fallback
     # return the same (v, shift), bit for bit
 
@@ -705,7 +814,7 @@ class TestTrtrsBindingsAgree:
         assert np.array_equal(got[1], want[1])
 
     def test_binding_is_ilp64(self):
-        assert sd._DTRTRS.__name__ in ("scipy_dtrtrs_64_", "dtrtrs_64_")
+        assert sd._DTBTRS.__name__ in ("scipy_dtbtrs_64_", "dtbtrs_64_")
 
     @pytest.mark.parametrize("n", [1000, 4000])
     @pytest.mark.parametrize("spec", [s for s in REFERENCE_SPECS
@@ -743,16 +852,14 @@ class TestTrtrsBindingsAgree:
         self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
 
 
-def test_zero_on_the_diagonal_is_info(trtrs_route):
+def test_zero_on_the_diagonal_is_info(tbtrs_route):
     # LAPACK's info > 0 names the first zero on the diagonal (1-based)
     b = 8
-    lower = np.tril(np.ones((b, b)))
-    lower[5, 5] = 0.0
+    ab = np.ones((b, 3))
+    ab[5, 0] = 0.0
     q = sd._aligned_zeros(20)
     q[3:3 + b] = 1.0
-    solve = sd._BlockSolve(q, b)
-    solve.bind(lower)
-    assert solve(3, b) == 6
+    assert sd._BandSolve(ab, q)(3, b) == 6
 
 
 def test_q_starts_on_a_64_byte_boundary():
