@@ -20,7 +20,7 @@ from .sumdist import (PmfVector, conditioned_R_pmf, prob_T_eq_n,
 from .tv_engine import (TvReport, overpower_bound, permutation_tail_bound,
                         tv_CB_ZB, tv_conditioned_bounds, tv_discrete,
                         tv_heuristic, wasserstein_discrete)
-from .moments import (MomentSpec, esf_moment, esf_pmf, expected_theta_K,
+from .moments import (MomentSpec, esf_moment, esf_pmf,
                       factorial_moment_assembly, factorial_moment_single)
 from .limits import (EULER_GAMMA, LimitLaw, laplace_psi, limit_density,
                      limit_law_check, psi0)

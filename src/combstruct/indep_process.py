@@ -15,9 +15,12 @@ One kernel, z_pmf_rows, gives the rows [P(Z_i = k)]_{k <= K_i} of an array
 of indices in one call, from the request's log weight (log m_i, or
 log(m_i / i!) for an assembly: the family's float log_m_fn),
 log P(Z_i = 0), log(theta x^i) and log k! arrays, each filled once per
-request into one slot on the spec (StructureSpec.table).  It
-builds the exact m_i only for a small falling (m_i < e^34, cut at
-k <= m_i) or rising (m_i < 1e3) product.  z_law returns a DiscreteLaw,
+request into one slot on the spec (StructureSpec.table).  log k! is
+structures.log_factorials, the package's one log k!; the rising product
+of an integer m_i < 1e3 reads two entries of the same array, so the log
+k! a row subtracts cancels its own.  It builds the exact m_i only for a
+small falling (m_i < e^34, cut at k <= m_i) or rising (m_i < 1e3)
+product.  z_law returns a DiscreteLaw,
 a view of one row of it, and refined_y_law is z_law on the family with
 one structure, of size i.  log P(Z_i = 0) has one implementation,
 log_p_zero, which sumdist.log_seed sums over a set.
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (Kind, Numeric, StructureSpec, from_m_list,
-                         log_weights)
+                         log_factorials, log_weights)
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
@@ -126,12 +129,11 @@ def log_weight_array(n: int, params: TiltedParams) -> np.ndarray:
 
 
 def log_factorial_array(spec: StructureSpec, n: int) -> np.ndarray:
-    """[log 0!, ..., log n!] by math.lgamma, filled to exactly n in the
-    spec's "log_factorial" slot.  structures._log_gamma_int (the log weight
-    -log i! of set partitions) is not bitwise math.lgamma: log 2! differs
-    by 3 ulps."""
-    return spec.table("log_factorial", lambda: np.fromiter(
-        map(math.lgamma, range(1, n + 2)), float, n + 1), n=n)[: n + 1]
+    """[log 0!, ..., log n!] from structures.log_factorials (within 2 ulps
+    of log Gamma), filled to exactly n in the spec's "log_factorial"
+    slot."""
+    return spec.table("log_factorial", lambda: log_factorials(n),
+                      n=n)[: n + 1]
 
 
 def log_p_zero(kind: Kind, lm, lw) -> np.ndarray:
@@ -312,11 +314,13 @@ def _log_products(spec: StructureSpec, K: int, idx: np.ndarray,
     binomial) or log m(m-1)...(m-k+1) (selection: binomial) for m = m_i,
     i = idx[r], log m = lm[r]; -inf where m = 0 or k > m.  W is K, or the
     binomial's largest ceil(m) where that is less.  Below m = 1e3 the
-    rising one is lgamma(m + k) - lgamma(m), which above it cancels
-    (absolute error about eps m log m), and the falling one below m = e^34
-    sums log(m - j); both read the exact m_i.  Otherwise it is k log m +
-    sum_{j<k} log1p(+-j/m) with 1/m = e^-lm.  Every sum runs along one
-    row."""
+    rising one is log Gamma(m + k) - log Gamma(m), which above it cancels
+    (absolute error about eps m log m): at an integer m both terms are
+    entries of log_factorial_array, whose log k! z_pmf_rows subtracts, so
+    the row of m = 1 is exactly geometric; math.lgamma serves any other
+    m.  The falling one below m = e^34 sums log(m - j).  Both read the
+    exact m_i.  Otherwise it is k log m + sum_{j<k} log1p(+-j/m) with 1/m
+    = e^-lm.  Every sum runs along one row."""
     live = lm != -np.inf
     nb = spec.kind is Kind.MULTISET
     cut, sign = (math.log(1e3), 1.0) if nb else (34.0, -1.0)
@@ -331,7 +335,12 @@ def _log_products(spec: StructureSpec, K: int, idx: np.ndarray,
         with np.errstate(divide="ignore"):
             out[small] = np.cumsum(np.log(d), axis=1)
     else:
-        for r, f in zip(small.tolist(), fm[:, 0].tolist()):
+        whole = fm[:, 0] % 1 == 0
+        if whole.any():  # log (m + k - 1)! - log (m - 1)!, k = 1..K
+            mi = fm[whole].astype(np.int64)
+            lf = log_factorial_array(spec, int(mi.max()) + K - 1)
+            out[small[whole]] = lf[mi + j] - lf[mi - 1]
+        for r, f in zip(small[~whole].tolist(), fm[~whole, 0].tolist()):
             l0 = math.lgamma(f)
             out[r] = [math.lgamma(f + k) - l0 for k in range(1, K + 1)]
     if big.size:  # the j = 0 term log1p(0) is 0

@@ -27,9 +27,10 @@ from typing import Mapping, Optional, Sequence, Union
 from .errors import NumericGuardError, ParameterDomainError
 from .structures import (ComponentVector, Kind, Numeric, StructureSpec,
                          as_integral, exact_route, falling, log_big,
-                         log_ptheta_table, ptheta_table, rising)
-from .indep_process import TiltedParams, log_m_array
-from .sumdist import _CANCEL_BITS, _float_log_table
+                         log_factorials, log_ptheta_table, ptheta_table,
+                         rising)
+from .indep_process import TiltedParams, log_factorial_array, log_m_array
+from .sumdist import _CANCEL_BITS
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
             val *= (Fraction(theta) * Fraction(mj) / math.factorial(j)) ** rj
         return float(val)
     logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
-    acc = math.lgamma(n + 1) - math.lgamma(n - m + 1) + logt[n - m] - logt[n]
+    lf = log_factorial_array(spec, n)  # the log k! that logt added
+    acc = lf[n] - lf[n - m] + logt[n - m] - logt[n]
     lm = log_m_array(spec, max((j for j, _ in r.orders), default=0))
     for j, rj in r.orders:
         if lm[j] == -math.inf:
@@ -196,10 +198,11 @@ def esf_pmf(n: int, kappa: Numeric,
                 val *= (kap / i) ** ai
                 val /= math.factorial(ai)
         return as_integral(val)
-    acc = math.lgamma(n + 1) - log_big(rising(kappa, n))
+    lf = log_factorials(n)
+    acc = lf[n] - log_big(rising(kappa, n))
     for i, ai in enumerate(a, start=1):
         if ai:
-            acc += ai * (math.log(kappa) - math.log(i)) - math.lgamma(ai + 1)
+            acc += ai * (math.log(kappa) - math.log(i)) - lf[ai]
     return math.exp(acc)
 
 
@@ -224,16 +227,3 @@ def esf_moment(n: int, kappa: Numeric,
         val *= (kap / j) ** rj
     return float(val)
 
-
-def expected_theta_K(spec: StructureSpec, n: int, theta: Numeric) -> float:
-    """E theta^{K_n} = p_theta(n) / p(n)."""
-    if n < 1:
-        raise ParameterDomainError("n must be >= 1")
-    if exact_route(n, theta):
-        tab_t = ptheta_table(spec, n, theta)
-        tab_1 = ptheta_table(spec, n, 1)
-        if tab_1[n] == 0:
-            raise ParameterDomainError(f"no structures of weight {n}")
-        return float(Fraction(tab_t[n]) / Fraction(tab_1[n]))
-    return math.exp(_float_log_table(spec, n, theta)[n]
-                    - _float_log_table(spec, n, 1)[n])

@@ -472,14 +472,3 @@ def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
                                "J": J.tolist(), "D": D.tolist(),
                                "Dstar": Dstar.tolist()}, n=n)
 
-
-def size_biased_pmf_estimate(samples: Iterable[ComponentVector]) -> np.ndarray:
-    """Average of i a_i / n across samples: estimates P(D*_n = i), i = 1..n."""
-    samples = list(samples)
-    if not samples:
-        raise ParameterDomainError("empty sample batch")
-    n = samples[0].n
-    acc = np.zeros(n)
-    for v in samples:
-        acc += np.arange(1, n + 1) * np.asarray(v.a) / n
-    return acc / len(samples)

@@ -310,11 +310,11 @@ _LOG_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision beyond this
 
 
 def log_weights(kind: Kind, ms: Sequence[Numeric]) -> np.ndarray:
-    """[-inf, log w_1, ..., log w_k] from the exact m_1..m_k: log i! (by
-    math.lgamma) is subtracted here, once, for an assembly."""
+    """[-inf, log w_1, ..., log w_k] from the exact m_1..m_k: log i! (from
+    log_factorials) is subtracted here, once, for an assembly."""
     out = np.array([-np.inf] + [log_big(v) for v in ms])
     if kind is Kind.ASSEMBLY:
-        out[1:] -= [math.lgamma(i + 1) for i in range(1, len(ms) + 1)]
+        out[1:] -= log_factorials(len(ms))[1:]
     return out
 
 
@@ -386,6 +386,13 @@ def _log_gamma_int(i: np.ndarray) -> np.ndarray:
     small = i <= 32
     out[small] = _LOG_GAMMA_SMALL[i[small]]
     return out
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """[log 0!, ..., log n!] by _log_gamma_int: the one float log k! of the
+    package, so the log k! that one route adds is bitwise the one another
+    subtracts."""
+    return _log_gamma_int(np.arange(1, n + 2))
 
 
 def _log_set_partition_m(n: int) -> np.ndarray:

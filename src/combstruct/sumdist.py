@@ -844,7 +844,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
             lseed = _full_set(spec, n, params)[1]  # the slot lp filled
         lout = lseed + n * math.log(params.fx) + lp
         if spec.kind is Kind.ASSEMBLY:
-            lout -= math.lgamma(n + 1)
+            lout -= log_factorial_array(spec, n)[n]  # the float table adds it
         out = math.exp(lout)
     else:
         raise ParameterDomainError(f"unknown method {method!r}")

@@ -2,7 +2,8 @@
 that indep_process.log_p_zero replaced: m log1p(-t) for a multiset index
 and m log(1 + e^lw) for a selection index, one index per call; the law of
 Z_i from the exact m_i and its scalar log pmf with its rising and falling
-logs; and the per-kind log weight in mpmath."""
+logs, each log k! read from structures.log_factorials, the package's one
+log k!; and the per-kind log weight in mpmath."""
 
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from combstruct.errors import ParameterDomainError
-from combstruct.structures import Kind, log_big
+from combstruct.structures import Kind, log_big, log_factorials
 
 _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)
@@ -42,6 +43,11 @@ def m_softplus(lm, lw):
     # zero e^lw would lose the digits of math.log(sp)
     out = lm + (lw if lw < _LOG_EPS else math.log(sp))
     return math.exp(out) if out < 700 else math.inf
+
+
+def log_factorial(k):
+    """log k!, entry k of structures.log_factorials."""
+    return float(log_factorials(k)[k])
 
 
 # The scalar per-k log pmf that DiscreteLaw.log_pmf computed before pmf(k)
@@ -77,7 +83,7 @@ def ref_law(spec, i, x, theta=1):
     lw = math.log(theta) + i * math.log(x)
     if spec.kind is Kind.ASSEMBLY:
         try:
-            c = -math.exp(lm - math.lgamma(i + 1) + lw)
+            c = -math.exp(lm - log_factorial(i) + lw)
         except OverflowError:
             c = -math.inf
     elif spec.kind is Kind.MULTISET:
@@ -92,13 +98,16 @@ def _inv_m(m, lm):
 
 
 def log_rising(m, lm, k):
-    """log m(m+1)...(m+k-1), big-m safe."""
+    """log m(m+1)...(m+k-1), big-m safe: log (m+k-1)! - log (m-1)! at an
+    integer m below the switch."""
     if k == 0:
         return 0.0
     if lm == -math.inf:
         return -math.inf
     if lm < _LOG_RISING_SWITCH:
         fm = float(m)
+        if fm.is_integer():
+            return log_factorial(int(fm) + k - 1) - log_factorial(int(fm) - 1)
         return math.lgamma(fm + k) - math.lgamma(fm)
     step = _inv_m(m, lm)
     return k * lm + sum(math.log1p(j * step) for j in range(1, k))
@@ -130,15 +139,15 @@ def log_pmf(law, k):
     if law.kind is Kind.ASSEMBLY:
         if law.lam == 0.0:
             return 0.0 if k == 0 else -math.inf
-        return law.log_p0 + k * math.log(law.lam) - math.lgamma(k + 1)
+        return law.log_p0 + k * math.log(law.lam) - log_factorial(k)
     lm = log_big(law.m)
     if law.kind is Kind.MULTISET:
-        return (log_rising(law.m, lm, k) - math.lgamma(k + 1)
+        return (log_rising(law.m, lm, k) - log_factorial(k)
                 + law.log_p0 + k * law.lw)
     lf = log_falling(law.m, lm, k)
     if lf == -math.inf:
         return -math.inf
-    return lf - math.lgamma(k + 1) + k * law.lw + law.log_p0
+    return lf - log_factorial(k) + k * law.lw + law.log_p0
 
 
 # The per-kind log weight of indep_process.log_m_array from the exact m_i.

@@ -597,6 +597,44 @@ class TestImportFootprint:
             assert int(threads.split()[1]) <= os.cpu_count(), threads
 
 
+class TestOneLogFactorial:
+    def test_no_integral_lgamma_on_the_float_routes(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # every log k! of the float routes is an entry of
+        # structures.log_factorials; math.lgamma is left only for the rising
+        # log of a non-integral m
+        from combstruct import indep_process as ip
+
+        def lgamma(a):
+            if float(a).is_integer():
+                raise AssertionError(f"math.lgamma({a!r})")
+            return math.lgamma(a)
+
+        fake = type(math)("math")
+        fake.__dict__.update(vars(math), lgamma=lgamma)
+        for mod in (ip, st, sd, mom):
+            monkeypatch.setattr(mod, "math", fake)
+        n = str(st.EXACT_CUTOFF + 88)
+        for doc in ({"kind": "assembly", "builtin": "permutations"},
+                    {"kind": "assembly", "builtin": "set_partitions"},
+                    {"kind": "multiset", "m": [1, 2, 3, 4, 5, 6, 7] * 100},
+                    {"kind": "selection", "builtin": "distinct_partitions"}):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(doc))
+            for cmd in (["prob-t"], ["tv", "--B", "1,2,3"], ["pofn"],
+                        ["moments"]):
+                code, _, err = run_cli(cmd + ["--spec", str(path), "--n", n,
+                                              "--theta", "0.5"], capsys)
+                assert code == 0, (doc, cmd, err)
+        a = [0] * int(n)
+        a[0], a[2], a[int(n) - 6] = 2, 1, 1  # 2 * 1 + 3 + (n - 5) = n
+        code, out, err = run_cli(["esf", "--n", n, "--kappa", "0.5", "--a",
+                                  ",".join(map(str, a))], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert float(lines[lines.index("pmf") + 1]) > 0
+
+
 class TestBlasThreadCount:
     # OpenBLAS splits a long np.dot across its threads, so a sum taken by
     # it rounds by the thread count (choose-x's mean_residual on

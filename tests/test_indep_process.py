@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from combstruct import indep_process as ip
 from combstruct import structures as st
 from combstruct.errors import NumericGuardError, ParameterDomainError
+from scalar_refs import log_factorial as _ref_log_factorial
 from scalar_refs import log_falling as _ref_log_falling
 from scalar_refs import log_pmf as _ref_log_pmf
 from scalar_refs import log_rising as _ref_log_rising
@@ -58,6 +59,19 @@ class TestZLaw:
         assert law.spec.m(law.i) == 1  # geometric
         for k in range(6):
             assert law.pmf(k) == pytest.approx(2.0 ** -(k + 1), rel=1e-14)
+
+    def test_geometric_row_is_exact(self):
+        # m_1 = 1: the rising log log Gamma(1 + k) - log Gamma(1) and the
+        # log k! that the row subtracts are one entry of one log k! table,
+        # so the row is exactly e^(log1p(-x) + k log x); rising logs from
+        # libm's lgamma against the kernel's log k! left 2.9e-11
+        n = 16000
+        x = math.exp(-math.pi / math.sqrt(6 * n))
+        row = z_pmf_rows(st.integer_partitions(), [1], n, TiltedParams(x, 1))[0]
+        want = np.exp(math.log1p(-x) + np.arange(n + 1) * math.log(x))
+        big = want > 1e-300
+        assert big.sum() > n // 2
+        assert np.array_equal(row[big], want[big])
 
     def test_theta_scales_poisson_mean(self):
         spec = st.mappings()
@@ -151,15 +165,15 @@ class TestPmfArray:
         c = ref.log_p0
         if kind == "assembly":
             if ref.lam:
-                logs = [c + k * math.log(ref.lam) - math.lgamma(k + 1)
+                logs = [c + k * math.log(ref.lam) - _ref_log_factorial(k)
                         for k in ks]
         else:
             prods = [0.0] + _kernel_log_products(spec, k_max).tolist()
             if kind == "multiset":
-                logs = [prods[k] - math.lgamma(k + 1) + c + k * ref.lw
+                logs = [prods[k] - _ref_log_factorial(k) + c + k * ref.lw
                         for k in ks]
             else:
-                logs = [prods[k] - math.lgamma(k + 1) + k * ref.lw + c
+                logs = [prods[k] - _ref_log_factorial(k) + k * ref.lw + c
                         for k in ks]
         assert abs(law.log_p0 - c) <= 2 * math.ulp(c)
         if kind == "assembly" and not ref.lam:

@@ -21,8 +21,7 @@ from combstruct import sampler as smp
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams, choose_x, solve_xex
 from combstruct.sampler import (RngState, draw_T, sample_components,
-                                sample_refined, size_biased_pmf_estimate,
-                                statistics)
+                                sample_refined, statistics)
 
 PERM = st.permutations()
 
@@ -496,7 +495,9 @@ class TestStatistics:
         tab = statistics(batch.samples)
         s = tab.summary()["Dstar"]
         assert abs(s["mean"] - (n + 1) / 2) <= 4 * s["se"]
-        pmf = size_biased_pmf_estimate(batch.samples)
+        # the sample average of i a_i / n estimates P(D*_n = i) = 1/n
+        pmf = np.mean([np.arange(1, n + 1) * np.asarray(v.a) / n
+                       for v in batch.samples], axis=0)
         assert np.max(np.abs(pmf - 1 / n)) < 0.01
 
     def test_distinct_sizes_set_partitions_n400(self):
