@@ -38,7 +38,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,9 @@ _LOG_TINY = math.log(1e-8)
 _LOG_EPS = math.log(2.0 ** -53)  # log1p(t) = t to double precision below it
 _LOG_DBL_MIN = math.log(2.0 ** -1022)  # e^lw is subnormal below it
 _LOG_DBL_MAX = math.log(sys.float_info.max)  # e^w overflows above it
+# _log_products takes the exact rising (falling) logs below m = e^cut
+_RISING_CUT = math.log(1e3)
+_FALLING_CUT = 34.0
 
 
 @dataclass(frozen=True)
@@ -190,21 +193,31 @@ def mean_var_arrays(spec: StructureSpec, n: int,
                     params: TiltedParams) -> tuple[np.ndarray, np.ndarray]:
     """(E Z_i)_{i<=n} and (Var Z_i)_{i<=n} as arrays (index 0 is zero)."""
     params.validate(spec)
-    lm = log_m_array(spec, n)
-    lw = log_weight_array(n, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is Kind.SELECTION:
-            # logistic-stable: p* = sigma(lw), E = m p*, Var = m p* (1 - p*)
-            sig = expit(lw)
-            mean = np.exp(lm + log_expit(lw))
-            var = mean * (1.0 - sig)
-        else:
-            mean = var = np.exp(lm + lw)  # lambda_i, or m_i theta x^i
-            if spec.kind is Kind.MULTISET:
-                t = np.exp(lw)
-                mean, var = mean / (1.0 - t), mean / (1.0 - t) ** 2
+        mean, var = _mean_var(spec.kind, log_m_array(spec, n),
+                              log_weight_array(n, params))
     mean = np.where(np.isfinite(mean), mean, np.inf)
     var = np.where(np.isfinite(var), var, np.inf)
+    return mean, var
+
+
+def _mean_var(kind: Kind, lm: np.ndarray,
+              lw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E Z_i, Var Z_i) from log_m_array's lm and lw = log(theta x^i),
+    with index 0 set to 0; an entry beyond double range is inf or nan."""
+    if kind is Kind.SELECTION:
+        # logistic-stable: p* = sigma(lw), E = m p*, Var = m p* (1 - p*)
+        sig = expit(lw)
+        mean = np.exp(lm + log_expit(lw))
+        var = mean * (1.0 - sig)
+    else:
+        mean = var = np.exp(lm + lw)  # lambda_i, or m_i theta x^i
+        if kind is Kind.MULTISET:  # m_i t / (1 - t) and / (1 - t)^2
+            u = np.exp(lw)
+            np.subtract(1.0, u, out=u)
+            var = np.square(u)
+            np.divide(mean, var, out=var)
+            mean /= u
     mean[0] = var[0] = 0.0
     return mean, var
 
@@ -286,7 +299,11 @@ def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
     rows = {}
     order = np.argsort(k_max, kind="stable")
     level = np.frexp(k_max[order] + 1.0)[1]  # K_r + 1 within a factor 2
-    for grp in filter(len, np.split(order, np.flatnonzero(np.diff(level)) + 1)):
+    groups = list(filter(len, np.split(order,
+                                       np.flatnonzero(np.diff(level)) + 1)))
+    if groups:  # one log k! fill, as far as any block reads
+        log_factorial_array(spec, _log_factorial_reach(spec.kind, k_max, lm))
+    for grp in groups:
         K = int(k_max[grp[-1]])
         c = lp0[grp, None]
         prod = None if spec.kind is Kind.ASSEMBLY else _log_products(
@@ -308,6 +325,26 @@ def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
     return [rows[r] for r in range(len(idx))]
 
 
+def _log_factorial_reach(kind: Kind, k_max: np.ndarray, lm: np.ndarray) -> int:
+    """The last k whose log k! z_pmf_rows reads for these rows: the largest
+    K; for a multiset plus m - 1, m the largest m_i below e^_RISING_CUT
+    (_log_products reads log (m + K - 1)! at an integer m, so this may
+    pass the last k read by up to 998); for a selection whose m_i are all
+    below e^_FALLING_CUT at most the largest m_i, past which its rows are
+    0.  e^lm rounds to an integer m_i that small."""
+    reach = int(k_max.max())
+    live = lm[lm != -np.inf]
+    if kind is Kind.MULTISET:
+        small = live[live < _RISING_CUT]
+        if small.size:
+            reach += max(0, round(math.exp(float(small.max()))) - 1)
+    elif kind is Kind.SELECTION:
+        top = float(live.max(initial=-np.inf))
+        if top < _FALLING_CUT:
+            reach = min(reach, round(math.exp(top)))
+    return reach
+
+
 def _log_products(spec: StructureSpec, K: int, idx: np.ndarray,
                   lm: np.ndarray) -> np.ndarray:
     """out[r, k-1], k = 1..W: log m(m+1)...(m+k-1) (multiset: negative
@@ -323,7 +360,7 @@ def _log_products(spec: StructureSpec, K: int, idx: np.ndarray,
     = e^-lm.  Every sum runs along one row."""
     live = lm != -np.inf
     nb = spec.kind is Kind.MULTISET
-    cut, sign = (math.log(1e3), 1.0) if nb else (34.0, -1.0)
+    cut, sign = (_RISING_CUT, 1.0) if nb else (_FALLING_CUT, -1.0)
     small, big = np.flatnonzero(live & (lm < cut)), np.flatnonzero(lm >= cut)
     fm = np.array([float(spec.m(i)) for i in idx[small].tolist()]).reshape(-1, 1)
     if not nb and not big.size:
@@ -367,20 +404,32 @@ class SumMoments:
     variance: float
 
 
-def sum_moments(spec: StructureSpec, n: int, params: TiltedParams) -> SumMoments:
+def sum_moments(spec: StructureSpec, n: int, params: TiltedParams,
+                grid: Optional[tuple] = None) -> SumMoments:
     """E T_n = sum i E Z_i and Var T_n = sum i^2 Var Z_i as exact finite sums.
 
-    A sum beyond double range is inf (choose_x's bracket doubling asks for
-    such x on purpose).  The sums are numpy's own pairwise reductions, not
-    np.dot: OpenBLAS splits a long dot across its threads, so its rounding
-    would depend on the thread count.
+    grid is _moment_grid(n) where the caller evaluates many x (the
+    exact-mean solve).  A sum beyond double range is inf (choose_x's
+    bracket doubling asks for such x on purpose): an entry that is not
+    finite makes its sum inf or nan, which reads inf.  The sums are
+    numpy's own pairwise reductions, not np.dot: OpenBLAS splits a long
+    dot across its threads, so its rounding would depend on the thread
+    count.
     """
-    mean, var = mean_var_arrays(spec, n, params)
-    i = np.arange(n + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        et, vt = float((i * mean).sum()), float((i * i * var).sum())
+    params.validate(spec)
+    i, ii = _moment_grid(n) if grid is None else grid
+    lw = math.log(params.ftheta) + i * math.log(params.fx)  # log_weight_array
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = _mean_var(spec.kind, log_m_array(spec, n), lw)
+        et, vt = float((i * mean).sum()), float((ii * var).sum())
     return SumMoments(mean=et if math.isfinite(et) else math.inf,
                       variance=vt if math.isfinite(vt) else math.inf)
+
+
+def _moment_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, i^2) as floats, i = 0..n: the weights of sum_moments' sums."""
+    i = np.arange(n + 1, dtype=float)
+    return i, i * i
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +532,10 @@ def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
         to_x = lambda w: pole * expit_float(w)
         dw_du = lambda x: pole / (pole - x)
 
+    grid = _moment_grid(n)
+
     def at(x: float) -> tuple:
-        sm = sum_moments(spec, n, TiltedParams(x=x, theta=theta))
+        sm = sum_moments(spec, n, TiltedParams(x=x, theta=theta), grid)
         return x, sm.mean, sm.variance
 
     def step(pt: tuple) -> float:

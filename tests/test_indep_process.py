@@ -770,3 +770,94 @@ class TestOneLawRoute:
             for k in range(7):
                 want = z_pmf_rows(one, [i], k, params)[0]
                 assert y.pmf_array(k).tobytes() == want.tobytes(), (i, k)
+
+
+def _mean_var_sums(spec, n, params):
+    """(E T_n, Var T_n) as sums over mean_var_arrays, the route sum_moments
+    took before its grid: numpy's reductions of i E Z_i and i^2 Var Z_i,
+    a sum that is not finite read as inf."""
+    mean, var = ip.mean_var_arrays(spec, n, params)
+    i = np.arange(n + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        et, vt = float((i * mean).sum()), float((i * i * var).sum())
+    return (et if math.isfinite(et) else math.inf,
+            vt if math.isfinite(vt) else math.inf)
+
+
+class TestSumMomentsMatchesMeanVarArrays:
+    """sum_moments forms E Z_i and Var Z_i without mean_var_arrays' isfinite
+    passes, on a grid made once per exact-mean solve; its sums are the bits
+    of the sums over mean_var_arrays at every x."""
+
+    @pytest.mark.parametrize("n", [1000, 16000])
+    @pytest.mark.parametrize("spec", SOLVER_SPECS, ids=lambda s: s.name)
+    def test_every_point_the_solve_visits(self, spec, n, monkeypatch):
+        seen = []
+        real = ip.sum_moments
+
+        def spy(spec_, n_, params, *grid):
+            out = real(spec_, n_, params, *grid)
+            seen.append((params, out, len(grid)))
+            return out
+        monkeypatch.setattr(ip, "sum_moments", spy)
+        choose_x(spec, n)
+        monkeypatch.setattr(ip, "sum_moments", real)
+        assert seen and all(passed == 1 for _p, _o, passed in seen)
+        points = [(params, out) for params, out, _g in seen]
+        if spec.kind is st.Kind.MULTISET:  # next to the pole x = 1
+            for gap in (1e-12, 1e-9, 1e-6):
+                params = TiltedParams(1.0 - gap, 1)
+                points.append((params, real(spec, n, params)))
+        for params, out in points:
+            want = _mean_var_sums(spec, n, params)
+            got = (out.mean, out.variance)
+            assert [v.hex() for v in got] == [v.hex() for v in want], params.x
+            again = real(spec, n, params)  # no grid handed in
+            assert (again.mean, again.variance) == got
+
+    @pytest.mark.parametrize("spec,n,x", [
+        (st.mappings(), 16000, 1.0),        # the solve's first bracket point
+        (st.permutations(), 4000, 2.0),
+        (st.polynomials(2), 16000, 1.0 - 1e-12),  # next to the pole
+        (st.squarefree_polynomials(2), 2000, 2.0),  # m_i past double range
+    ], ids=["mappings", "permutations", "polynomials2", "squarefree"])
+    def test_sums_beyond_double_range(self, spec, n, x):
+        params = TiltedParams(x, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sm = sum_moments(spec, n, params)
+        assert (sm.mean, sm.variance) == _mean_var_sums(spec, n, params)
+        assert math.inf in (sm.mean, sm.variance)
+
+
+class TestOneLogFactorialFill:
+    """z_pmf_rows fills the "log_factorial" slot once, as far as any of its
+    row blocks or rising logs read, not once per block; the entries are
+    elementwise, so the rows keep their bits."""
+
+    @pytest.mark.parametrize("n", [1000, 16000])
+    @pytest.mark.parametrize("make", [
+        st.integer_partitions, lambda: st.polynomials(2), st.permutations,
+        st.set_partitions, st.distinct_partitions,
+        lambda: st.from_m_list("multiset", [1, 0, 2.5, 3], name="m_frac")],
+        ids=["integer_partitions", "polynomials2", "permutations",
+             "set_partitions", "distinct_partitions", "m_frac"])
+    def test_the_table_call_fills_once(self, make, n, monkeypatch):
+        spec, other = make(), make()
+        x = choose_x(spec, n) if "builtin" in spec.params else 0.5
+        params = TiltedParams(x, 1)
+        calls = []
+        real = st.log_factorials
+
+        def counted(k):
+            calls.append(k)
+            return real(k)
+        monkeypatch.setattr(st, "log_factorials", counted)
+        monkeypatch.setattr(ip, "log_factorials", counted)
+        i = np.arange(1, n + 1)
+        rows = z_pmf_rows(spec, range(1, n + 1), n // i, params)
+        assert len(calls) == 1
+        # rows read alone, K ascending, fill the slot as far as each reads
+        for r in (n - 1, n // 2, 9, 2, 1, 0):
+            alone = z_pmf_rows(other, [r + 1], n // (r + 1), params)[0]
+            assert alone.tobytes() == rows[r].tobytes(), r

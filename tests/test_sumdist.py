@@ -338,7 +338,124 @@ class TestArrayRoutesMatchScalarReferences:
                     TiltedParams(0.4, 1))
 
 
-SELECTION_BUILTINS = [st.distinct_partitions(), st.distinct_odd_partitions(),
+def _loop_g_array(spec, B, n_max, params):
+    """The per-divisor loop that built g before its set-up arrays: one
+    arange and one exp per divisor k <= isqrt(n_max) and one fancy-index
+    update per j above, each term lk + j log theta + k j log x; entries
+    beyond double range are left inf or nan."""
+    lth, lx = math.log(params.ftheta), math.log(params.fx)
+    g = np.zeros(n_max + 1)
+    lm_all = log_m_array(spec, n_max)
+    ks = np.array([k for k in sorted(set(B))
+                   if k <= n_max and lm_all[k] != -np.inf], dtype=np.int64)
+    lk = np.log(ks) + lm_all[ks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is st.Kind.ASSEMBLY:
+            g[ks] = np.exp(lk + lth + ks * lx)
+            return g
+        signed = spec.kind is st.Kind.SELECTION
+        r = math.isqrt(n_max)
+        split = int(np.searchsorted(ks, r, side="right"))
+        for k, lkk in zip(ks[:split].tolist(), lk[:split].tolist()):
+            j = np.arange(1, n_max // k + 1)
+            terms = np.exp(lkk + j * lth + (k * j) * lx)
+            if signed:
+                terms[1::2] *= -1.0
+            g[k::k] += terms
+        ks, lk = ks[split:], lk[split:]
+        for j in range(1, n_max // (r + 1) + 1):
+            cut = int(np.searchsorted(ks, n_max // j, side="right"))
+            kj = ks[:cut] * j
+            terms = np.exp(lk[:cut] + j * lth + kj * lx)
+            if signed and j % 2 == 0:
+                g[kj] -= terms
+            else:
+                g[kj] += terms
+    return g
+
+
+G_LOOP_SPECS = [
+    st.set_partitions(), st.esf(0.3), st.integer_partitions(),
+    st.polynomials(2), st.necklaces(3), st.distinct_partitions(),
+    st.distinct_odd_partitions(), st.squarefree_polynomials(2),
+    st.from_m_list("assembly", [0, 2, 0, 0, 5, 1, 0, 3], name="asm_zeros"),
+    st.from_m_list("multiset", [1, 0, 0, 2, 0, 3], name="mset_zeros"),
+    st.from_m_list("selection", [1, 0, 2, 3, 0, 1], name="sel_zeros"),
+]
+G_LOOP_NS = [1, 2, 97, 128, 129, 1000, 4000, 16000]
+
+
+def _g_loop_sets(n, rng):
+    """Index sets that take each branch of _g_array's update past
+    r = isqrt(n): a full set, a 5-index R_B and its complement (evenly
+    spaced past r), 1..r with every third index past r and one past n
+    (evenly spaced, step 3), odd indices and multiples of 7 past r (not
+    evenly spaced), and a random half with two indices past n."""
+    r = math.isqrt(n)
+    return [range(1, n + 1), (1, 3, 5, 7, 9),
+            sd.complement((1, 3, 5, 7, 9), n),
+            [*range(1, r + 1), *range(r + 1, n + 1, 3), n + 5],
+            [*range(r + 1, n + 1, 2), *range(7 * (r // 7 + 1), n + 1, 7)],
+            rng.sample(range(1, n + 1), max(1, n // 2)) + [n + 1, 2 * n + 3]]
+
+
+class TestGArrayMatchesDivisorLoop:
+    @pytest.mark.parametrize("theta", REFERENCE_THETAS, ids=str)
+    @pytest.mark.parametrize("spec", G_LOOP_SPECS, ids=lambda s: s.name)
+    def test_bytes_equal_the_loop(self, spec, theta):
+        # the same terms added in the same order (k <= r ascending, then j
+        # ascending), so the same bits; where the loop leaves an entry
+        # beyond double range, _g_array raises the numeric guard
+        rng = random.Random(f"{spec.name}/{theta}")
+        for n in G_LOOP_NS:
+            x = (choose_x(spec, n, theta) if "builtin" in spec.params
+                 and n >= 97 else 0.7 / max(1.0, float(theta)))
+            params = TiltedParams(x, theta)
+            for B in _g_loop_sets(n, rng):
+                B = sd.index_set(B)
+                want = _loop_g_array(spec, B, n, params)
+                if not np.all(np.isfinite(want)):
+                    with pytest.raises(NumericGuardError):
+                        sd._g_array(spec, B, n, params)
+                    continue
+                got = sd._g_array(spec, B, n, params)
+                assert got.tobytes() == want.tobytes(), (n, len(B))
+
+    @pytest.mark.parametrize("spec,n,x", [
+        (st.permutations(), 60, 1e6),
+        (st.polynomials(2), 2000, 0.99),
+        (st.from_m_list("multiset", [10 ** 400], name="huge_m"), 1, 0.5),
+        (st.distinct_partitions(), 60, 1e6),
+    ], ids=["assembly", "multiset", "multiset-m", "selection"])
+    def test_term_beyond_double_range_is_the_same_guard(self, spec, n, x):
+        params = TiltedParams(x, 1)
+        B = sd.index_set(range(1, n + 1))
+        assert not np.all(np.isfinite(_loop_g_array(spec, B, n, params)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError) as err:
+                sd._g_array(spec, B, n, params)
+        assert str(err.value) == ("a recursion weight g(i) beyond double "
+                                  "range; choose a smaller x")
+
+    def test_selection_hands_its_active_indices_to_g(self, monkeypatch):
+        calls = []
+        orig = sd._active_indices
+
+        def spy(*args):
+            calls.append(args[2])
+            return orig(*args)
+        monkeypatch.setattr(sd, "_active_indices", spy)
+        spec, n = st.distinct_partitions(), 1000
+        params = TiltedParams(choose_x(spec, n), 1)
+        g = sd._selection_recursion_g(spec, sd.index_set(range(1, n + 1)), n,
+                                      params)
+        assert calls == [n]
+        assert g.tobytes() == _loop_g_array(spec, range(1, n + 1), n,
+                                            params).tobytes()
+
+
+SELECTION_BUILTINS =[st.distinct_partitions(), st.distinct_odd_partitions(),
                       st.squarefree_polynomials(2)]
 
 
@@ -1185,6 +1302,19 @@ class TestIndexSets:
         assert isinstance(got, sd.IndexSet)
         assert got == tuple(i for i in range(1, n + 1) if i not in B)
         assert all(type(i) is int for i in got)
+        arr = sd._index_array(got)  # the array complement found it in
+        assert arr.dtype == np.int64 and arr.tolist() == list(got)
+        assert not arr.flags.writeable and sd._index_array(got) is arr
+        with pytest.raises(ValueError):
+            arr[:1] = 7
+
+    def test_index_array_is_made_once(self):
+        for B in (sd.index_set([9, 2, 5]), sd.index_set(range(1, 50))):
+            arr = sd._index_array(B)
+            assert arr.tolist() == list(B) and not arr.flags.writeable
+            assert sd._index_array(B) is arr
+        # a plain tuple is converted on each call and keeps nothing
+        assert sd._index_array((2, 5)).tolist() == [2, 5]
 
 
 class TestConvolutionFirst:
