@@ -523,7 +523,10 @@ def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
     slope comes with the mean: d E T_n / d log x = Var T_n.  A Newton point
     outside the bracket, or a step longer than half the step before last,
     is replaced by a bisection of the bracket in w (rtsafe, Numerical
-    Recipes 9.4)."""
+    Recipes 9.4).  theta must be positive, as TiltedParams asks, before
+    the pole 1/theta is formed."""
+    if not theta > 0:
+        raise ParameterDomainError("x and theta must be positive")
     pole = math.inf
     to_w, to_x, dw_du = math.log, math.exp, lambda x: 1.0
     if spec.kind is Kind.MULTISET:

@@ -21,7 +21,13 @@ with g(i) != 0, or shorter where a nonnegative g has a certified tail past
 it (_tail_model).  A zero tail, negligible against the kept terms, is
 checked block by block; a geometric tail c rho^i, as g(i) -> theta kappa
 (x y)^i in the logarithmic class (polynomials over a finite field, whose
-g(i) is (q x)^i), is one more unknown per index, its running sum.  A dense
+g(i) is (q x)^i), is one more unknown per index, its running sum.  At
+theta = 1 the g of a multiset's R_B is periodic: with P the lcm of B's
+active indices, g(i + P) = x^P g(i), so k q_k = sum_{i<P} g(i) q_{k-i} +
+(g(P) + x^P (k - P)) q_{k-P} has band P and one row-dependent entry
+(_period_model, certified on g as the other tails are).  For a 5-index B
+of integer partitions at n = 16000 that is band 36 to 2520 in place of
+16000, whose zero tail is refused since q falls like x^k.  A dense
 band keeps blocks of _BLOCK indices; a short one runs in blocks as wide as
 a band matrix of 512 KB holds, so polynomials(2) at n = 16000 takes two
 solves, not 125.  Every route returns one triple
@@ -80,6 +86,7 @@ _DOT_PIECE = 8192  # correlation windows are summed in pieces of this many
 _CANCEL_BITS = 10  # "auto" keeps a selection recursion that cancels by <= 2^10
 _TAIL_MIN_N = 4 * _BLOCK  # recursions up to this n_max read g's band whole
 _TAIL_TOL = 1e-12  # a geometric tail model holds g_i within this, relative
+_EXP_ZERO = -746.0  # exp of anything below is exactly 0 (2^-1075 = e^-745.13)
 
 
 def _numpy_dtbtrs():
@@ -296,15 +303,22 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
     slice where they are evenly spaced (a full set, a range) and by index
     otherwise, until no k is left.  The terms are added in that order, k
     ascending and then j ascending, in one buffer, so every temporary has
-    length O(n_max).  A term or a sum beyond double range is inf (or nan)
-    in g, which the last check reports as OverflowError.
+    length O(n_max).  A term whose exponent is below _EXP_ZERO is exactly 0
+    after exp and is not formed: a divisor's exponents fall linearly in j,
+    so each strided slice is cut at one j, and past isqrt(n_max) those of
+    step j are at most the largest at j = 1 plus (j - 1)(log theta + k log
+    x), so each j cuts off the k past one bound (polynomials(2) at n =
+    16000 has 134,130 such terms of 157,370, and np.exp takes about 20 ns
+    on one against 1 ns on a normal one).  A term or a sum beyond double
+    range is inf (or nan) in g, which the last check reports as
+    OverflowError.
     """
     lth, lx = math.log(params.ftheta), math.log(params.fx)
     ks, lm = _active_indices(spec, B, n_max) if active is None else active
     g = np.zeros(n_max + 1)
     lk = np.log(ks) + lm
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        if spec.kind is Kind.ASSEMBLY:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind is Kind.ASSEMBLY:  # inf or nan is caught below
             g[ks] = np.exp(lk + lth + ks * lx)
         elif ks.size:
             signed = spec.kind is Kind.SELECTION
@@ -313,33 +327,55 @@ def _g_array(spec: StructureSpec, B: IndexSet, n_max: int,
             buf = np.empty(max(len(jlth), len(ks)))
             r = math.isqrt(n_max)
             split = int(np.searchsorted(ks, r, side="right"))
-            for k, lkk in zip(ks[:split].tolist(), lk[:split].tolist()):
-                t = buf[: n_max // k]
-                np.add(lkk, jlth[: len(t)], out=t)
-                t += ilx[k::k]
+            # a divisor's exponents fall by -(log theta + k log x) per j:
+            # past tops[k] every term is below _EXP_ZERO, so exactly 0
+            slope = lth + ks[:split] * lx
+            last = np.where(slope < 0.0, (lk[:split] - _EXP_ZERO) / -slope,
+                            np.inf)
+            tops = np.minimum(n_max // ks[:split], np.maximum(last, 0.0))
+            for k, lkk, top in zip(ks[:split].tolist(), lk[:split].tolist(),
+                                   tops.astype(np.int64).tolist()):
+                t = buf[:top]
+                np.add(lkk, jlth[:top], out=t)
+                t += ilx[k:k * top + 1:k]
                 np.exp(t, out=t)
                 if signed:
                     t[1::2] *= -1.0
-                g[k::k] += t
+                g[k:k * top + 1:k] += t
             ks, lk = ks[split:], lk[split:]
-            d = int(ks[1] - ks[0]) if len(ks) > 1 else 1
-            even = bool(np.all(np.diff(ks) == d))
-            for j in range(1, n_max // (r + 1) + 1):
-                cut = int(np.searchsorted(ks, n_max // j, side="right"))
-                if not cut:
-                    break
-                t = buf[:cut]
-                np.add(lk[:cut], jlth[j - 1], out=t)
-                if even:  # k j = ks[0] j + c d j, c < cut
-                    at = slice(int(ks[0]) * j, int(ks[cut - 1]) * j + 1, d * j)
-                else:
-                    at = ks[:cut] * j
-                t += ilx[at]
-                np.exp(t, out=t)
-                if signed and j % 2 == 0:
-                    g[at] -= t
-                else:
-                    g[at] += t
+            if ks.size:
+                d = int(ks[1] - ks[0]) if len(ks) > 1 else 1
+                even = bool(np.all(np.diff(ks) == d))
+                jmax, slope_r = n_max // (r + 1), lth + (r + 1) * lx
+                cuts = np.searchsorted(ks, n_max // np.arange(1, jmax + 1),
+                                       side="right")
+                for j in range(1, jmax + 1):
+                    cut = int(cuts[j - 1])
+                    if not cut:
+                        break
+                    t = buf[:cut]
+                    np.add(lk[:cut], jlth[j - 1], out=t)
+                    if even:  # k j = ks[0] j + c d j, c < cut
+                        at = slice(int(ks[0]) * j, int(ks[cut - 1]) * j + 1,
+                                   d * j)
+                    else:
+                        at = ks[:cut] * j
+                    t += ilx[at]
+                    if j == 1 and jmax > 1 and lx < 0.0 and slope_r < 0.0:
+                        # past j = 1 the exponent of k is at most max(t) +
+                        # (j - 1)(log theta + k log x), which falls in k:
+                        # cut the k where that bound is below _EXP_ZERO
+                        jj = np.arange(1.0, jmax)
+                        k_far = np.floor(((_EXP_ZERO - float(t.max())) / jj
+                                          - lth) / lx)
+                        np.minimum(cuts[1:], np.searchsorted(ks, k_far,
+                                                             "right"),
+                                   out=cuts[1:])
+                    np.exp(t, out=t)
+                    if signed and j % 2 == 0:
+                        g[at] -= t
+                    else:
+                        g[at] += t
     if not np.all(np.isfinite(g)):
         raise OverflowError("math range error")
     return g
@@ -358,7 +394,7 @@ def _median(y: np.ndarray) -> float:
 
 def _tail_model(g: np.ndarray, n_max: int, band: int) -> tuple[int, float, float]:
     """(beta, c, rho): the short band beta and the tail model g'_i = c rho^i
-    that _recursion_coeffs puts in place of g_i for i > beta, with g >= 0.
+    that _solve_recursion puts in place of g_i for i > beta, with g >= 0.
 
     The geometric tail (c > 0, only where g reaches n_max) fits log g_i on
     the far half i > n_max / 2: rho from the least-squares slope (sums by
@@ -407,10 +443,70 @@ def _tail_model(g: np.ndarray, n_max: int, band: int) -> tuple[int, float, float
     return beta, c, rho
 
 
+def _period(ks: np.ndarray, n_max: int) -> int:
+    """The lcm P of a multiset's active indices ks (_active_indices), or 0
+    where no periodic tail could run: for n_max up to _TAIL_MIN_N, or where
+    P + _BLOCK >= n_max (a full set or a complement, whose lcm passes n_max
+    within a few indices)."""
+    P = 1
+    for k in ks:
+        P = math.lcm(P, int(k))
+        if P + _BLOCK >= n_max:
+            return 0
+    return P if ks.size and n_max > _TAIL_MIN_N else 0
+
+
+def _period_model(g: np.ndarray, n_max: int, band: int,
+                  period: int) -> tuple[float, float]:
+    """(r, cut): the periodic tail g'_i = r g'_{i-P} for i > P = period,
+    that _solve_recursion puts in place of g_i there, with g >= 0; (0.0,
+    0.0) where it does not hold.
+
+    At theta = 1 the g of a multiset's R_B is periodic: every k in B
+    divides i + P exactly when it divides i, P the lcm of B's active
+    indices, so g_{i+P} = x^P g_i.  r is read off the column g_{i0 + mP}
+    of the largest g_{i0}, i0 <= P, as its M-th root of g_{i0 + MP} / g_i0
+    at the last normal entry, so that r^m is off by at most about g's own
+    rounding.  The model g'_{i0 + mP} = r^m g_i0 holds where it is within
+    _TAIL_TOL g_i of every normal g_i, i > P; an entry below the smallest
+    normal double (underflowed, or a true zero) may be off by up to its
+    own size, and those gaps sum to cut, which is bounded as a zero tail's
+    omitted mass is: at most 2^-60 sum_{i<=P} g_i here, and per block
+    against the q computed.  At theta != 1 the ratio g_{i+P} / g_i is
+    theta^(P/k) x^P, which differs by k, so the model is refused.  It is
+    kept only where P + _BLOCK < band.
+    """
+    P = period
+    if not 0 < P < band - _BLOCK:
+        return 0.0, 0.0
+    head = g[1:P + 1]
+    i0 = int(np.argmax(head[:n_max - P])) + 1
+    col = g[i0::P]
+    normal = np.flatnonzero(col >= sys.float_info.min)
+    M = int(normal[-1]) if normal.size and normal[0] == 0 else 0
+    if not M:
+        return 0.0, 0.0
+    r = float(col[M] / col[0]) ** (1.0 / M)
+    rows = -(-(n_max - P) // P)
+    off = np.multiply.outer(r ** np.arange(1.0, rows + 1.0), head).ravel()
+    off = off[:n_max - P]  # the model past P, then its gap to g
+    tail = g[P + 1:]
+    off -= tail
+    np.abs(off, out=off)
+    cut = 0.0
+    low = tail < sys.float_info.min
+    if low.any():
+        cut = float(off[low].sum())
+        off[low] = 0.0
+    if cut > 2.0 ** -60 * float(head.sum()) or np.any(off > _TAIL_TOL * tail):
+        return 0.0, 0.0
+    return r, cut
+
+
 def _band_system(g: np.ndarray, n_max: int, beta: int, c: float,
                  rho: float) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(width, span, grev, ab): the blocks of _recursion_coeffs on g' = g up
-    to beta and c rho^i past it.
+    """(width, span, grev, ab): the blocks of _solve_recursion on g' = g up
+    to beta and c rho^i past it (c = 0 for a zero or a periodic tail).
 
     A block has up to width indices: _BLOCK where beta >= _BLOCK, since a
     wider block moves work from the correlation's dots to the solve's
@@ -425,7 +521,8 @@ def _band_system(g: np.ndarray, n_max: int, beta: int, c: float,
     reads -g[i] 2i rows up and -1 at T_k, and the T_k row -rho at T_{k-1}
     and -c rho^(beta+1) 2 beta + 1 rows up: kd = min(2 beta + 1,
     2 width - 1).  Only the diagonal of the q rows changes from block to
-    block.  grev = g'[span::-1] with g' = 0
+    block, and with a periodic tail of period beta < width the entries at
+    offset beta, which the block writes.  grev = g'[span::-1] with g' = 0
     past beta is the correlation kernel of the terms from earlier blocks,
     read at indices up to beta + 63 + min(width, beta) <= span."""
     r = 2 if c else 1
@@ -451,15 +548,24 @@ def _band_system(g: np.ndarray, n_max: int, beta: int, c: float,
 
 
 def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_recursion(g, n_max, 0): the recursion on g with no period.
+    perfbench's tracer counts the calls of this name, with this signature."""
+    return _solve_recursion(g, n_max, 0)
+
+
+def _solve_recursion(g: np.ndarray, n_max: int,
+                     period: int) -> tuple[np.ndarray, np.ndarray]:
     """q with q[0] = 1, k q[k] = sum_i g[i] q[k-i], as (v, shift) with
-    q[k] = v[k] 2^shift[k].
+    q[k] = v[k] 2^shift[k]; period is _period of g's index set, or 0.
 
     Blocks of indices k0..k1-1 are solved at once, on g' = g up to a band
-    beta and a certified tail model g'_i = c rho^i past it (_tail_model).
-    With band the last index where g != 0, beta = band and c = 0 is g' = g,
-    the recursion as it reads g: the default, and always so for signed g,
-    for n_max up to _TAIL_MIN_N (there a model costs more than it saves)
-    and for bands no model could shorten by _BLOCK.  Each block is one banded
+    beta and a certified tail model past it: g'_i = c rho^i (_tail_model),
+    or, for a period P > 0, g'_i = r g'_{i-P} with beta = P
+    (_period_model), which is tried first.  With band the last index where
+    g != 0, beta = band and c = r = 0 is g' = g, the recursion as it reads
+    g: the default, and always so for signed g, for n_max up to _TAIL_MIN_N
+    (there a model costs more than it saves) and for bands no model could
+    shorten by _BLOCK.  Each block is one banded
     lower-triangular solve (_band_system, LAPACK dtbtrs through _BandSolve:
     the dtbtrs of numpy's OpenBLAS, else scipy's; the two agree bit for
     bit) whose right-hand side holds the terms from earlier blocks: for k <
@@ -482,11 +588,24 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
     multiply-adds in all instead of n_max^2 / 2.  beta is at least 1, so a
     correlation is never empty (an all-zero g gives q = e_0).
 
-    The two tails are certified apart.  The geometric one holds g'_i within
+    A periodic tail needs no more unknowns.  With F(k) = sum_{i>=1} g'_i
+    q[k-i] = k q[k], the terms past P are r F(k-P) = r (k-P) q[k-P], so
+
+        k q[k] = sum_{i<P} g_i q[k-i] + (g_P + r (k-P)) q[k-P],
+
+    a recursion of band P whose every term is >= 0 and whose only
+    row-dependent entry sits at offset P.  A block writes it beside the
+    diagonal, -(g_P + r j) in column j at offset P, where its band matrix
+    reaches that far (P < width); a row whose q[k-P] lies before the block
+    adds r (k-P) q[k-P] to its correlation with g_1..g_P instead.
+
+    The tails are certified apart.  The geometric one holds g'_i within
     _TAIL_TOL g_i for every i > beta, and a weight-k structure has at most
     k / (beta + 1) parts past beta, so q moves by at most that many
-    _TAIL_TOL relative.  The zero tail is checked per block: the omitted
-    part of k q[k] is at most (sum_{i>beta} g_i) max_{j<=k-beta-1} q[j], and
+    _TAIL_TOL relative; so does the periodic one at its normal entries.  The
+    zero tail is checked per block: the omitted part of k q[k] is at most
+    cut max_{j<=k-beta-1} q[j], with cut = sum_{i>beta} g_i (for a periodic
+    tail, the gaps at g's entries below the smallest normal double), and
     the block holds when that bound is at most 2^-60 of k q[k] at every k
     in it (first tried with the maximum at the block's end against the
     least kept sum, then, in a wide block where q rose within it, k by k);
@@ -509,17 +628,23 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
     v = kept = None  # from the first rescale: entries kept, and their exponents
     nonzero = g[n_max:0:-1] != 0
     band = max(1, n_max - int(np.argmax(nonzero)) if nonzero.any() else 0)
-    beta, c, rho = band, 0.0, 1.0
+    beta, c, rho, r, cut = band, 0.0, 1.0, 0.0, 0.0
     if n_max > _TAIL_MIN_N and band > _BLOCK + 1 and \
             not np.any(g[1:band + 1] < 0):
-        beta, c, rho = _tail_model(g, n_max, band)
+        r, cut = _period_model(g, n_max, band, period)
+        if r:
+            beta = period
+        else:
+            beta, c, rho = _tail_model(g, n_max, band)
+            if beta < band and not c:
+                cut = float(g[beta + 1:band + 1].sum())
     width, span, grev, ab = _band_system(g, n_max, beta, c, rho)
     x = np.zeros(len(ab)) if c else q  # T and q in turn, or q in place
     solve = _BandSolve(ab, x)
     tail = 0.0  # T_{k0-1}
     c_far = c * rho ** (beta + 1)
-    # the zero tail's mass, and the running maximum of q it is checked with
-    cut = float(g[beta + 1:band + 1].sum()) if beta < band and not c else 0.0
+    # the mass a zero tail omits (or a periodic one moves), and the running
+    # maximum of q it is checked with
     peak = np.zeros(n_max + 1) if cut else None
     room = _BLOCK_BITS - n_max.bit_length()
     ks = np.arange(n_max + 1, dtype=float)
@@ -564,9 +689,16 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
                 tail = float(x[2 * m - 2])
             else:
                 q[k0:kc] = rows[::-1]
+                kp = max(k0, beta)
+                if r and kp < kc:  # rows whose q[k-P] lies before the block
+                    back = slice(kp - beta, kc - beta)
+                    q[kp:kc] += r * ks[back] * q[back]
                 if kc < k1:
                     q[kc:k1] = 0.0
                 ab[:m, 0] = ks[k0:k1]
+                if r and ab.shape[1] > beta:  # row j + P reads -(g_P + r j)
+                    np.multiply(ks[k0:k1], -r, out=ab[:m, beta])
+                    ab[:m, beta] -= g[beta]
                 info = solve(k0, m)
             if info:
                 raise NumericGuardError(f"block solve failed (tbtrs info {info})")
@@ -580,7 +712,7 @@ def _recursion_coeffs(g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray
                         2.0 ** -60 * k * float(q[k:k1].min()) and np.any(
                             cut * peak[k - beta - 1:k1 - beta - 1]
                             > 2.0 ** -60 * ks[k:k1] * q[k:k1]):
-                    beta, cut = band, 0.0  # refused: the full band from here
+                    beta, cut, r = band, 0.0, 0.0  # refused: the full band
                     width, span, grev, ab = _band_system(g, n_max, band, 0.0, 1.0)
                     solve = _BandSolve(ab, q)
                     continue
@@ -696,11 +828,20 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
                       params: TiltedParams, certify: bool = False,
                       g: Optional[np.ndarray] = None) -> tuple:
     """The coefficient recursion's triple (q, shift, log_seed(B)); g is
-    built here unless the caller has it.  With certify, a selection whose
-    cancellation ratio passes 2^_CANCEL_BITS raises NumericGuardError."""
+    built here unless the caller has it.  A multiset's recursion is given
+    the period of its g (_period), which a periodic tail may read.  With
+    certify, a selection whose cancellation ratio passes 2^_CANCEL_BITS
+    raises NumericGuardError."""
+    period = 0
     if g is None:
-        g = _g_array(spec, B, n_max, params)
-    q, shift = _recursion_coeffs(g, n_max)
+        active = _active_indices(spec, B, n_max)
+        g = _g_array(spec, B, n_max, params, active)
+        if spec.kind is Kind.MULTISET:
+            period = _period(active[0], n_max)
+    if period:
+        q, shift = _solve_recursion(g, n_max, period)
+    else:  # the entry perfbench counts, which takes no period
+        q, shift = _recursion_coeffs(g, n_max)
     if spec.kind is Kind.SELECTION:
         if certify:
             bits = _cancellation_bits(g, q, shift, n_max)

@@ -323,6 +323,20 @@ class TestExitCodes:
         code, out, err = run_cli([argv[0], *spec, "--n", n, *argv[1:]], capsys)
         assert (code, out) == (3, "") and "n must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pofn"], ["choose-x"], ["moments", "--j", "1"], ["tv", "--B", "1"],
+    ], ids=lambda a: a[0])
+    @pytest.mark.parametrize("spec", ["intpart", "setpartitions", "distinct"])
+    @pytest.mark.parametrize("theta", ["0", "0.0"])
+    def test_theta_0_above_the_cutoff_is_3(self, spec_files, capsys, argv,
+                                           spec, theta):
+        # the exact-mean solve of a multiset divided by theta for its pole;
+        # every kind now exits 3 with TiltedParams' message
+        code, out, err = run_cli([argv[0], "--spec", spec_files[spec], "--n",
+                                  "600", "--theta", theta, *argv[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert "x and theta must be positive" in err
+
     def test_negative_ecdf_is_3(self, spec_files, capsys):
         code, out, err = run_cli(["limit", "--spec", spec_files["permutations"],
                                   "--n", "20", "--x", "1", "--ecdf", "-3"],
@@ -641,7 +655,7 @@ class TestBlasThreadCount:
     # polynomials(2) at n = 16000 did, tv's 17-digit JSON rows on set
     # partitions, and on mappings the full-band recursion's correlation
     # windows past 10^4 entries); a request must print the same bytes under
-    # one and two threads
+    # one and two threads, also where R_B takes the periodic tail
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
     @pytest.mark.parametrize("spec,argv", [
         ("poly2", ["choose-x"]),
@@ -650,7 +664,9 @@ class TestBlasThreadCount:
         ("setpartitions", ["tv", "--B", "1,5,6,9,10", "--heuristic",
                            "--format", "json"]),
         ("mappings", ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
-    ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json"])
+        ("intpart", ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
+    ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json",
+            "tv-periodic-json"])
     def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
                                                   argv):
         outs = []

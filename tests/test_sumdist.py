@@ -986,6 +986,157 @@ def test_q_starts_on_a_64_byte_boundary():
         assert q.ctypes.data % 64 == 0 and q.shape == (n,) and not q.any()
 
 
+FRACTION_MSET = st.from_m_list(
+    "multiset", [Fraction(1, 3), 2, Fraction(5, 7), 0, 3, Fraction(7, 2), 1,
+                 0, 2, Fraction(1, 2)], name="mset_fraction_m")
+POLY2 = st.polynomials(2)
+
+# (spec, n, B): the tv sets of the analytic-cold benchmark seeds, lcm 36 to
+# 2520 (for the custom m list, of the indices with m_k != 0)
+PERIODIC_CASES = [
+    (INTPART, 1000, (1, 3, 4, 5, 9)),
+    (INTPART, 4000, (1, 2, 6, 8, 9)),
+    (INTPART, 16000, (1, 2, 3, 4, 9)),
+    (INTPART, 16000, (1, 3, 4, 5, 7)),
+    (INTPART, 16000, (5, 7, 8, 9, 10)),
+    (POLY2, 1000, (3, 4, 6, 8, 9)),
+    (POLY2, 4000, (2, 3, 4, 7, 10)),
+    (POLY2, 16000, (1, 2, 6, 7, 10)),
+    (FRACTION_MSET, 1000, (2, 4, 5, 6, 9)),
+    (FRACTION_MSET, 4000, (6, 7, 8, 9, 10)),
+    (FRACTION_MSET, 16000, (1, 2, 3, 5, 7)),
+]
+
+
+def _periodic_g(spec, B, n, theta=1):
+    """(g, P) of R_B at the exact-mean x, P = _period of B's active
+    indices."""
+    params = TiltedParams(choose_x(spec, n, theta), theta)
+    B = sd.index_set(B)
+    active = sd._active_indices(spec, B, n)
+    return sd._g_array(spec, B, n, params, active), sd._period(active[0], n)
+
+
+def _period_fits(monkeypatch):
+    """The (r, cut) that _period_model returns, in order."""
+    fits = []
+    orig = sd._period_model
+
+    def spy(*args):
+        fits.append(orig(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(sd, "_period_model", spy)
+    return fits
+
+
+class TestPeriodicTail:
+    # at theta = 1 the g of a multiset's R_B has g_{i+P} = x^P g_i, P the
+    # lcm of B's active indices, so the recursion reads band P and one
+    # row-dependent entry at offset P:
+    # k q_k = sum_{i<P} g_i q_{k-i} + (g_P + r (k - P)) q_{k-P}
+
+    @pytest.mark.parametrize(
+        "spec,n,B", PERIODIC_CASES,
+        ids=lambda v: v.name if isinstance(v, st.StructureSpec) else str(v))
+    def test_matches_one_step_loop(self, spec, n, B, monkeypatch):
+        g, P = _periodic_g(spec, B, n)
+        lm = log_m_array(spec, n)
+        assert P == math.lcm(*(k for k in B if lm[k] != -np.inf))
+        fits = _period_fits(monkeypatch)
+        calls = TestTailModel._band_builds(monkeypatch)
+        q, shift = sd._solve_recursion(g, n, P)
+        # the model is kept; polynomials(2) at n >= 4000, whose g has
+        # subnormal entries, refuses it in the block where q falls below the
+        # smallest normal double (k = 1291 at n = 16000), as it refuses the
+        # zero tail, and runs the rest on the full band
+        assert len(fits) == 1 and fits[0][0] > 0 and calls[0] == (P, 0.0)
+        assert calls[1:] == ([(_band(g), 0.0)] if spec is POLY2 and n >= 4000
+                             else [])
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_production_route_passes_the_period(self, monkeypatch):
+        # a multiset's R_B reads its period; its full set, a complement, a
+        # selection and n_max <= _TAIL_MIN_N read none
+        periods = []
+        orig = sd._solve_recursion
+        monkeypatch.setattr(sd, "_solve_recursion",
+                            lambda g, n, P: periods.append(P) or orig(g, n, P))
+        for spec, n, B in [(INTPART, 4000, (1, 2, 6, 8, 9)),
+                           (INTPART, 4000, range(1, 4001)),
+                           (INTPART, 4000, sd.complement((1, 2, 6, 8, 9), 4000)),
+                           (INTPART, sd._TAIL_MIN_N, (1, 2, 3)),
+                           (DISTINCT, 4000, sd.complement((1, 2, 3), 4000))]:
+            periods.clear()
+            params = TiltedParams(choose_x(spec, n), 1)
+            sd.weighted_sum_pmf(spec, B, n, params)
+            assert periods == ([72] if len(B) == 5 else [0]), (n, len(B))
+
+    @pytest.mark.parametrize("spec,n,B", [
+        (INTPART, 4000, (1, 2, 6, 8, 9)),
+        (INTPART, 16000, (1, 2, 3, 4, 9)),
+        (POLY2, 4000, (2, 3, 4, 7, 10)),
+        (FRACTION_MSET, 4000, (2, 4, 5, 6, 9)),
+    ], ids=["intpart-4000", "intpart-16000", "poly2-4000", "fraction-m"])
+    def test_theta_2_keeps_todays_route(self, spec, n, B, monkeypatch):
+        # g_{i+P} / g_i = theta^(P/k) x^P differs by k: the model is
+        # refused and the recursion reads the bands it reads without a
+        # period, bit for bit
+        g, P = _periodic_g(spec, B, n, theta=2)
+        assert P and sd._period_model(g, n, _band(g), P) == (0.0, 0.0)
+        calls = TestTailModel._band_builds(monkeypatch)
+        got = sd._solve_recursion(g, n, P)
+        with_period, calls[:] = calls[:], []
+        want = sd._recursion_coeffs(g, n)
+        assert with_period == calls
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_perturbed_period_is_refused(self):
+        # one normal entry past P off by 1e-9: the model no longer holds
+        n, B = 4000, (1, 2, 6, 8, 9)
+        g, P = _periodic_g(INTPART, B, n)
+        assert sd._period_model(g, n, n, P)[0] > 0
+        g[3 * P + 5] *= 1 + 1e-9
+        assert sd._period_model(g, n, n, P) == (0.0, 0.0)
+
+    def test_exact_law_of_integer_partitions_r_b(self, monkeypatch):
+        # P(R_B = r) = c_B(r) x^r prod_{k in B} (1 - x^k), c_B(r) the
+        # partitions of r into parts from B, counted by an integer DP
+        n, B = 16000, (1, 2, 3, 4, 9)
+        x = choose_x(INTPART, n)
+        c = [1] + [0] * n
+        for k in B:
+            for r in range(k, n + 1):
+                c[r] += c[r - k]
+        with mpmath.workdps(40):
+            lx = mpmath.log(mpmath.mpf(x))
+            lz = mpmath.fsum(mpmath.log(1 - mpmath.exp(k * lx)) for k in B)
+            want = np.array([float(c[r] * mpmath.exp(r * lx + lz))
+                             for r in range(n + 1)])
+        fits = _period_fits(monkeypatch)
+        p = sd.weighted_sum_pmf(INTPART, B, n, TiltedParams(x, 1)).p
+        assert len(fits) == 1 and fits[0][0] > 0
+        assert np.all(want >= sys.float_info.min)
+        assert float(np.max(np.abs(p - want) / want)) <= 1e-12
+
+    @pytest.mark.skipif(sd._DTBTRS is None,
+                        reason="numpy's LAPACK exports no ILP64 dtbtrs here")
+    @pytest.mark.parametrize("spec,n,B", [
+        (INTPART, 16000, (1, 2, 3, 4, 9)),   # P = 36: the column at offset P
+        (INTPART, 16000, (1, 3, 4, 5, 7)),   # P = 420: right-hand sides only
+        (POLY2, 16000, (1, 2, 6, 7, 10)),    # refused past k = 1291
+    ], ids=["P36", "P420", "refused"])
+    def test_both_dtbtrs_bindings_agree(self, spec, n, B, monkeypatch):
+        g, P = _periodic_g(spec, B, n)
+        widths = _block_widths(monkeypatch)
+        got = sd._solve_recursion(g, n, P)
+        assert (max(widths) > P) == (P == 36)
+        with monkeypatch.context() as patch:
+            patch.setattr(sd, "_DTBTRS", None)
+            want = sd._solve_recursion(g, n, P)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 SEED_SPECS = [
     st.integer_partitions(), st.polynomials(2), st.polynomials(3),
     st.necklaces(2), st.necklaces(3), st.distinct_partitions(),
