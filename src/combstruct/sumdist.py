@@ -18,19 +18,23 @@ has loaded, so scipy is not imported; scipy's dtbtrs where that library has
 no ILP64 dtbtrs).  The recursion reads only a short band beta of g, so it
 costs about n beta multiply-adds instead of n^2 / 2: beta is the last i
 with g(i) != 0, or shorter where a nonnegative g has a certified tail past
-it (_tail_model).  A zero tail, negligible against the kept terms, is
-checked block by block; a geometric tail c rho^i, as g(i) -> theta kappa
-(x y)^i in the logarithmic class (polynomials over a finite field, whose
-g(i) is (q x)^i), is one more unknown per index, its running sum.  At
-theta = 1 the g of a multiset's R_B is periodic: with P the lcm of B's
-active indices, g(i + P) = x^P g(i), so k q_k = sum_{i<P} g(i) q_{k-i} +
-(g(P) + x^P (k - P)) q_{k-P} has band P and one row-dependent entry
-(_period_model, certified on g as the other tails are).  For a 5-index B
-of integer partitions at n = 16000 that is band 36 to 2520 in place of
-16000, whose zero tail is refused since q falls like x^k.  A dense
-band keeps blocks of _BLOCK indices; a short one runs in blocks as wide as
-a band matrix of 512 KB holds, so polynomials(2) at n = 16000 takes two
-solves, not 125.  Every route returns one triple
+it (_choose_tail).  A zero tail, negligible against the kept terms, is
+checked row by row: the rows before the first that fails are kept, and
+the full band runs from there.  A geometric tail c rho^i, as g(i) ->
+theta kappa (x y)^i in the logarithmic class (polynomials over a finite
+field, whose g(i) is (q x)^i), is one more unknown per index, its running
+sum.  At theta = 1 the g of a multiset's R_B is periodic: with P the lcm
+of B's active indices, g(i + P) = x^P g(i), so k q_k = sum_{i<P} g(i)
+q_{k-i} + (g(P) + x^P (k - P)) q_{k-P} has band P and one row-dependent
+entry (_period_model, certified on g as the other tails are).  For a
+5-index B of integer partitions at n = 16000 that is band 36 to 2520 in
+place of 16000, whose zero tail is refused since q falls like x^k.  A
+dense band keeps blocks of _BLOCK indices; a short one runs in blocks as
+wide as a band matrix of 512 KB holds, so polynomials(2) at n = 16000
+takes two solves, not 125.  Once q is exactly 0 over the band it reads,
+every later q is 0 and the recursion stops: polynomials(2)'s R_B at
+n = 16000, B = {1, 2, 6, 7, 10}, whose q underflows to 0 past k = 1349,
+stops at k = 2436, not at n.  Every route returns one triple
 (v, shift, lseed) with P(R_B = k) = v[k] 2^shift[k] e^lseed: the
 recursion (q, its per-entry exponents, log_seed(B)), the convolution
 (p, 0, 0.0).  The full index set's triple and its seed are kept in one
@@ -410,7 +414,7 @@ def _tail_model(g: np.ndarray, n_max: int, band: int) -> tuple[int, float, float
     2^-60 sum_{i<=beta} g_i, where that is shorter than the geometric one.
     Where q is non-decreasing, every q[k-i] with i <= beta is at least
     q[k-beta-1], so that bounds the omitted terms of every k q_k by 2^-60
-    of the kept ones; the recursion certifies each block against the q it
+    of the kept ones; the recursion certifies each row against the q it
     computed, not against this estimate.
 
     A model is returned only where it saves at least _BLOCK entries of
@@ -471,7 +475,7 @@ def _period_model(g: np.ndarray, n_max: int, band: int,
     _TAIL_TOL g_i of every normal g_i, i > P; an entry below the smallest
     normal double (underflowed, or a true zero) may be off by up to its
     own size, and those gaps sum to cut, which is bounded as a zero tail's
-    omitted mass is: at most 2^-60 sum_{i<=P} g_i here, and per block
+    omitted mass is: at most 2^-60 sum_{i<=P} g_i here, and per row
     against the q computed.  At theta != 1 the ratio g_{i+P} / g_i is
     theta^(P/k) x^P, which differs by k, so the model is refused.  It is
     kept only where P + _BLOCK < band.
@@ -501,6 +505,28 @@ def _period_model(g: np.ndarray, n_max: int, band: int,
     if cut > 2.0 ** -60 * float(head.sum()) or np.any(off > _TAIL_TOL * tail):
         return 0.0, 0.0
     return r, cut
+
+
+def _choose_tail(g: np.ndarray, n_max: int, band: int,
+                 period: int) -> tuple[int, float, float, float, float]:
+    """(beta, c, rho, r, cut): the g' that _solve_recursion reads, g up to
+    beta and a tail model past it, band the last index where g != 0.
+
+    The periodic tail (r > 0, beta = period, _period_model) is tried first,
+    then the geometric (c > 0) or zero tail (_tail_model).  cut is the mass
+    a zero tail omits, sum_{i>beta} g_i, or the gaps a periodic one moves;
+    the recursion checks it row by row.  (band, 0.0, 1.0, 0.0, 0.0) is g'
+    = g, the full band: always so for signed g, for n_max up to _TAIL_MIN_N
+    (there a model costs more than it saves) and for bands no model could
+    shorten by _BLOCK.
+    """
+    if n_max <= _TAIL_MIN_N or band <= _BLOCK + 1 or np.any(g[1:band + 1] < 0):
+        return band, 0.0, 1.0, 0.0, 0.0
+    r, cut = _period_model(g, n_max, band, period)
+    if r:
+        return period, 0.0, 1.0, r, cut
+    beta, c, rho = _tail_model(g, n_max, band)
+    return beta, c, rho, 0.0, (0.0 if c else float(g[beta + 1:band + 1].sum()))
 
 
 def _band_system(g: np.ndarray, n_max: int, beta: int, c: float,
@@ -559,13 +585,10 @@ def _solve_recursion(g: np.ndarray, n_max: int,
     q[k] = v[k] 2^shift[k]; period is _period of g's index set, or 0.
 
     Blocks of indices k0..k1-1 are solved at once, on g' = g up to a band
-    beta and a certified tail model past it: g'_i = c rho^i (_tail_model),
-    or, for a period P > 0, g'_i = r g'_{i-P} with beta = P
-    (_period_model), which is tried first.  With band the last index where
-    g != 0, beta = band and c = r = 0 is g' = g, the recursion as it reads
-    g: the default, and always so for signed g, for n_max up to _TAIL_MIN_N
-    (there a model costs more than it saves) and for bands no model could
-    shorten by _BLOCK.  Each block is one banded
+    beta and the tail model past it that _choose_tail picks: g'_i = c rho^i
+    (_tail_model), or, for a period P > 0, g'_i = r g'_{i-P} with beta = P
+    (_period_model); beta = band, the last index where g != 0, and c = r =
+    0 is g' = g, the full band.  Each block is one banded
     lower-triangular solve (_band_system, LAPACK dtbtrs through _BandSolve:
     the dtbtrs of numpy's OpenBLAS, else scipy's; the two agree bit for
     bit) whose right-hand side holds the terms from earlier blocks: for k <
@@ -603,14 +626,20 @@ def _solve_recursion(g: np.ndarray, n_max: int,
     _TAIL_TOL g_i for every i > beta, and a weight-k structure has at most
     k / (beta + 1) parts past beta, so q moves by at most that many
     _TAIL_TOL relative; so does the periodic one at its normal entries.  The
-    zero tail is checked per block: the omitted part of k q[k] is at most
-    cut max_{j<=k-beta-1} q[j], with cut = sum_{i>beta} g_i (for a periodic
-    tail, the gaps at g's entries below the smallest normal double), and
-    the block holds when that bound is at most 2^-60 of k q[k] at every k
-    in it (first tried with the maximum at the block's end against the
-    least kept sum, then, in a wide block where q rose within it, k by k);
-    a block that fails is solved again on the full band, which the rest of
-    the recursion keeps.
+    zero tail is checked row by row: the omitted part of k q[k] is at most
+    cut max_{j<=k-beta-1} q[j], the maximum taken from q[0] = 1 on, with cut
+    = sum_{i>beta} g_i (for a periodic tail, the gaps at g's entries below
+    the smallest normal double), and row k holds when that bound is at most
+    2^-60 of k q[k].  At the first row k* of a block that fails, rows
+    k0..k*-1 are kept, each certified, the rest of the block is dropped, and
+    the recursion goes on from k* on the full band: no kept row is solved
+    again.  The tv S_B of set partitions at n = 1000 (the complement of
+    {1, 4, 6, 8, 10}) reads beta = 37 of band 258 and keeps rows up to 616.
+
+    The recursion stops once the last beta + 1 entries of q are exactly 0,
+    and with a geometric tail T too: every later q is then exactly 0, as a
+    solve would give it, so no bit changes.  Under a tail with cut > 0 a
+    zero row fails its bound, so that tail is refused first.
 
     A block ends early where the bound M_k <= max(1, sum_{i<=k} |g_i| / k)
     M_{k-1} on the running maximum M_k = max_{j<=k} |q[j]| allows growth
@@ -628,24 +657,13 @@ def _solve_recursion(g: np.ndarray, n_max: int,
     v = kept = None  # from the first rescale: entries kept, and their exponents
     nonzero = g[n_max:0:-1] != 0
     band = max(1, n_max - int(np.argmax(nonzero)) if nonzero.any() else 0)
-    beta, c, rho, r, cut = band, 0.0, 1.0, 0.0, 0.0
-    if n_max > _TAIL_MIN_N and band > _BLOCK + 1 and \
-            not np.any(g[1:band + 1] < 0):
-        r, cut = _period_model(g, n_max, band, period)
-        if r:
-            beta = period
-        else:
-            beta, c, rho = _tail_model(g, n_max, band)
-            if beta < band and not c:
-                cut = float(g[beta + 1:band + 1].sum())
+    beta, c, rho, r, cut = _choose_tail(g, n_max, band, period)
     width, span, grev, ab = _band_system(g, n_max, beta, c, rho)
     x = np.zeros(len(ab)) if c else q  # T and q in turn, or q in place
     solve = _BandSolve(ab, x)
     tail = 0.0  # T_{k0-1}
     c_far = c * rho ** (beta + 1)
-    # the mass a zero tail omits (or a periodic one moves), and the running
-    # maximum of q it is checked with
-    peak = np.zeros(n_max + 1) if cut else None
+    peak = q.copy()  # peak[j] = max(q[:j+1]) from q[0] = 1 on, read with cut
     room = _BLOCK_BITS - n_max.bit_length()
     ks = np.arange(n_max + 1, dtype=float)
     shift = 0
@@ -693,8 +711,7 @@ def _solve_recursion(g: np.ndarray, n_max: int,
                 if r and kp < kc:  # rows whose q[k-P] lies before the block
                     back = slice(kp - beta, kc - beta)
                     q[kp:kc] += r * ks[back] * q[back]
-                if kc < k1:
-                    q[kc:k1] = 0.0
+                q[kc:k1] = 0.0
                 ab[:m, 0] = ks[k0:k1]
                 if r and ab.shape[1] > beta:  # row j + P reads -(g_P + r j)
                     np.multiply(ks[k0:k1], -r, out=ab[:m, beta])
@@ -705,18 +722,18 @@ def _solve_recursion(g: np.ndarray, n_max: int,
             if cut:
                 np.maximum(np.maximum.accumulate(q[k0:k1]), peak[k0 - 1],
                            out=peak[k0:k1])
-                # k: the first index with omitted terms; the bound at the
-                # block's end holds for all of it, else every k is checked
-                k = max(k0, beta + 1)
-                if k < k1 and cut * peak[k1 - beta - 2] > \
-                        2.0 ** -60 * k * float(q[k:k1].min()) and np.any(
-                            cut * peak[k - beta - 1:k1 - beta - 1]
-                            > 2.0 ** -60 * ks[k:k1] * q[k:k1]):
-                    beta, cut, r = band, 0.0, 0.0  # refused: the full band
+                # rows from k on omit terms; a row fails where their bound
+                # passes 2^-60 k q[k]
+                k = min(k1, max(k0, beta + 1))
+                bad = np.flatnonzero(cut * peak[k - beta - 1:k1 - beta - 1]
+                                     > 2.0 ** -60 * ks[k:k1] * q[k:k1])
+                if bad.size:  # keep the rows before the first that fails
+                    k1 = k + int(bad[0])
+                    q[k1:k0 + m] = 0.0  # the rest runs on the full band
+                    beta, c, rho, r, cut = band, 0.0, 1.0, 0.0, 0.0
                     width, span, grev, ab = _band_system(g, n_max, band, 0.0, 1.0)
                     solve = _BandSolve(ab, q)
-                    continue
-            block_max = float(np.abs(q[k0:k1]).max())
+            block_max = float(np.abs(q[k0:k1]).max(initial=0.0))
             if block_max > running_max:
                 running_max = block_max
                 if running_max > _RESCALE:
@@ -727,11 +744,12 @@ def _solve_recursion(g: np.ndarray, n_max: int,
                     v[:k1][low] = q[:k1][low]
                     kept[:k1][low] = shift
                     q[:k1] *= _RESCALE_INV
-                    if cut:
-                        peak[:k1] *= _RESCALE_INV
+                    peak[:k1] *= _RESCALE_INV
                     tail *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
+            if not (tail or q[k1 - 1] or q[max(0, k1 - beta - 1):k1].any()):
+                break  # every later q is exactly 0
             k0 = k1
     if not np.all(np.isfinite(q)):
         raise NumericGuardError("weighted-sum recursion overflowed")

@@ -655,7 +655,9 @@ class TestBlasThreadCount:
     # polynomials(2) at n = 16000 did, tv's 17-digit JSON rows on set
     # partitions, and on mappings the full-band recursion's correlation
     # windows past 10^4 entries); a request must print the same bytes under
-    # one and two threads, also where R_B takes the periodic tail
+    # one and two threads, also where R_B takes the periodic tail, and on
+    # polynomials(2), where it refuses that tail, keeps the rows before the
+    # refusal and stops once q is 0 over the full band
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
     @pytest.mark.parametrize("spec,argv", [
         ("poly2", ["choose-x"]),
@@ -665,8 +667,9 @@ class TestBlasThreadCount:
                            "--format", "json"]),
         ("mappings", ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
         ("intpart", ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
+        ("poly2", ["tv", "--B", "1,2,6,7,10", "--format", "json"]),
     ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json",
-            "tv-periodic-json"])
+            "tv-periodic-json", "tv-refused-periodic-json"])
     def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
                                                   argv):
         outs = []

@@ -707,6 +707,50 @@ def _entrywise_gap(g, n, q, shift):
     return float(np.max(np.abs(got - q_ref)[normal] / q_ref[normal]))
 
 
+def _in_place_solves(monkeypatch):
+    """(off, m, x[off:off+m]) of every block solve of q in place, in order:
+    the block's bounds and the q its solve left there."""
+    solves = []
+    orig = sd._BandSolve.__call__
+
+    def spy(self, off, m):
+        info = orig(self, off, m)
+        solves.append((off, m, self.x[off:off + m].copy()))
+        return info
+
+    monkeypatch.setattr(sd._BandSolve, "__call__", spy)
+    return solves
+
+
+def _refusal_row(g, n, solves, got):
+    """The row k* where a zero tail was refused, from the block solves of
+    one recursion on g with no rescale.  Every block starts where the one
+    before ended, except the one after the refused block, which starts at
+    k*, inside it: so no index is solved again once it is kept.  k* is
+    checked here to be the first row of the refused block whose bound cut
+    max_{j<=k-beta-1} q[j] (q[0] = 1 counted) passes 2^-60 k q[k], with
+    q[k] as that block's solve left it."""
+    q, shift = got
+    assert not shift.any()
+    band = _band(g)
+    beta = sd._tail_model(g, n, band)[0]
+    cut = float(g[beta + 1:band + 1].sum())
+    starts = [off for off, _, _ in solves]
+    ends = [off + m for off, m, _ in solves]
+    assert starts[0] == 1 and ends[-1] == n + 1
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    refused = [i for i in range(len(solves) - 1) if starts[i + 1] != ends[i]]
+    assert len(refused) == 1
+    off, m, x = solves[refused[0]]
+    qb = np.r_[q[:off], x]
+    k = np.arange(max(off, beta + 1), off + m)
+    fails = cut * np.maximum.accumulate(qb)[k - beta - 1] > 2.0 ** -60 * k * qb[k]
+    assert fails.any()
+    k_star = int(k[np.argmax(fails)])
+    assert starts[refused[0] + 1] == k_star
+    return k_star
+
+
 class TestTailModel:
     # past a short band beta, _recursion_coeffs reads g as a certified
     # tail model c rho^i: geometric (c > 0) or zero (c = 0)
@@ -781,18 +825,25 @@ class TestTailModel:
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_refused_zero_tail_block_runs_the_full_band(self, monkeypatch):
-        # g_i = 2^-i: q_k = 2^-k falls faster than the tail past beta, so
-        # the first block with an omitted term fails its certificate and
-        # the recursion is the full band's, bit for bit
+        # g_i = 2^-i: q_k = 2^-k falls faster than the tail past beta = 60,
+        # so row beta + 1, whose only omitted term from q is g_61 q[0], is
+        # the first to fail its bound cut q[0]: rows 1..60 are kept and the
+        # full band runs from 61; the recursion is the full band's, bit for
+        # bit (every sum here is exact)
         n = 2000
         g = np.zeros(n + 1)
         g[1:] = 0.5 ** np.arange(1, n + 1)
         band = _band(g)
         beta, c, _ = sd._tail_model(g, n, band)
-        assert c == 0 and beta < band < n
+        assert c == 0 and beta == 60 and band < n
         calls = self._band_builds(monkeypatch)
+        solves = _in_place_solves(monkeypatch)
         got = sd._recursion_coeffs(g, n)
         assert calls == [(beta, 0.0), (band, 0.0)]
+        assert _refusal_row(g, n, solves, got) == beta + 1
+        cut = float(g[beta + 1:].sum())
+        assert got[0][0] == 1.0 and cut * got[0][0] > \
+            2.0 ** -60 * (beta + 1) * got[0][beta + 1]
         monkeypatch.setattr(sd, "_TAIL_MIN_N", n)
         want = sd._recursion_coeffs(g, n)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -801,29 +852,36 @@ class TestTailModel:
         # g_i = 1 up to 200 and 1e-36 from 201 to 500: q_k is about 1 up to
         # k = 200 and then falls faster than any power, so the zero tail past
         # beta = 200 holds for the first blocks and fails in a later one;
-        # from there the full band runs
+        # the rows of that block before its first failing row are kept, and
+        # the full band runs from there
         n = 4000
         g = np.zeros(n + 1)
         g[1:201] = 1.0
         g[201:501] = 1e-36
         assert sd._tail_model(g, n, _band(g)) == (200, 0.0, 1.0)
-        events = []
-        orig_system, orig_call = sd._band_system, sd._BandSolve.__call__
-
-        def system(g, n_max, beta, c, rho):
-            events.append(("system", beta))
-            return orig_system(g, n_max, beta, c, rho)
-
-        def call(self, off, m):
-            events.append(("solve", off))
-            return orig_call(self, off, m)
-
-        monkeypatch.setattr(sd, "_band_system", system)
-        monkeypatch.setattr(sd._BandSolve, "__call__", call)
+        calls = self._band_builds(monkeypatch)
+        solves = _in_place_solves(monkeypatch)
         q, shift = sd._recursion_coeffs(g, n)
-        refused = events.index(("system", 500))
-        assert events[0] == ("system", 200) and refused > 2
-        assert events[refused - 1][1] > 1 and events[-1][0] == "solve"
+        assert calls == [(200, 0.0), (500, 0.0)]
+        k = _refusal_row(g, n, solves, (q, shift))
+        assert solves[1][0] < k and solves[-1][0] + solves[-1][1] == n + 1
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    def test_zero_tail_refused_in_a_wide_block(self, monkeypatch):
+        # the tv S_B of set partitions at n = 1000 (the complement of
+        # B = {1, 4, 6, 8, 10}): beta = 37 of band 258, so its blocks are
+        # wide, and the second fails from row 617; rows up to 616 are kept
+        n = 1000
+        spec = st.set_partitions()
+        g = sd._g_array(spec, sd.complement((1, 4, 6, 8, 10), n), n,
+                        TiltedParams(choose_x(spec, n), 1))
+        assert _band(g) == 258
+        assert sd._tail_model(g, n, 258) == (37, 0.0, 1.0)
+        calls = self._band_builds(monkeypatch)
+        solves = _in_place_solves(monkeypatch)
+        q, shift = sd._recursion_coeffs(g, n)
+        assert calls == [(37, 0.0), (258, 0.0)]
+        assert _refusal_row(g, n, solves, (q, shift)) == 617
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_short_recursions_short_bands_and_signed_g_read_the_whole_band(
@@ -1047,12 +1105,28 @@ class TestPeriodicTail:
         calls = TestTailModel._band_builds(monkeypatch)
         q, shift = sd._solve_recursion(g, n, P)
         # the model is kept; polynomials(2) at n >= 4000, whose g has
-        # subnormal entries, refuses it in the block where q falls below the
-        # smallest normal double (k = 1291 at n = 16000), as it refuses the
-        # zero tail, and runs the rest on the full band
+        # subnormal entries, refuses it at the first row whose bound fails,
+        # where q nears the smallest normal double (k = 1284 at n = 16000,
+        # q falls below it at 1291), as it refuses the zero tail: the rows
+        # before it are kept and the full band runs from there until q is
+        # exactly 0 over band + 1 entries (test_stops_once_q_is_zero)
         assert len(fits) == 1 and fits[0][0] > 0 and calls[0] == (P, 0.0)
         assert calls[1:] == ([(_band(g), 0.0)] if spec is POLY2 and n >= 4000
                              else [])
+        assert _entrywise_gap(g, n, q, shift) <= 1e-12
+
+    @pytest.mark.parametrize("n,B", [(16000, (1, 2, 6, 7, 10)),
+                                     (4000, (2, 3, 4, 7, 10))])
+    def test_stops_once_q_is_zero(self, n, B, monkeypatch):
+        # polynomials(2)'s R_B underflows to exact zeros past k = 1349 or
+        # so; once the last band + 1 entries are 0 every later q is 0, and
+        # the block solves stop there rather than run to n
+        g, P = _periodic_g(POLY2, B, n)
+        solves = _in_place_solves(monkeypatch)
+        q, shift = sd._solve_recursion(g, n, P)
+        end = solves[-1][0] + solves[-1][1]
+        assert end < 3000 and not shift.any()
+        assert not q[end - _band(g) - 1:].any()
         assert _entrywise_gap(g, n, q, shift) <= 1e-12
 
     def test_production_route_passes_the_period(self, monkeypatch):
