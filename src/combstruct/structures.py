@@ -7,7 +7,8 @@ per size.  Everything else in the package derives from a StructureSpec:
   * N(n, a), the number of structures of weight n with component spectrum a
     (Cauchy-style product formulas, one per kind),
   * p_theta(n), the theta-biased total count, with an exact path (closed
-    forms for the builtin assemblies, otherwise coefficient recurrences of
+    forms for the builtin assemblies, and for the other builtins at theta =
+    1, otherwise coefficient recurrences of
     the standard generating function identities, both run on integers D^k
     p_theta(k) for one common denominator D and divided by D^k once per
     entry at the end) and one floating-point table,
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -52,7 +54,7 @@ from .errors import NumericGuardError, ParameterDomainError, underflow_error
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
 LogMFn = Callable[[int], np.ndarray]
-PthetaFn = Callable[[int, BigCount], list[BigCount]]
+PthetaFn = Callable[[int, BigCount], Optional[list[BigCount]]]
 
 # exact big-rational p_theta tables are the default for n <= EXACT_CUTOFF
 EXACT_CUTOFF = 512
@@ -195,10 +197,11 @@ class StructureSpec:
     (assemblies) or m_i (multisets, selections), -inf at index 0 and where
     m_i = 0, without building m_i; without it the float routes take
     log_weights of the exact m_i.
-    ptheta_fn(n, theta), set only by the builtin assemblies, returns the
-    exact [p_theta(0), ..., p_theta(n)] in closed form for a rational theta,
-    without building m_i; without it ptheta_table runs the coefficient
-    recurrence on the m_i.
+    ptheta_fn(n, theta), set by every builtin, returns the exact
+    [p_theta(0), ..., p_theta(n)] in closed form for a rational theta,
+    without building m_i; a multiset or selection builtin returns None off
+    theta = 1.  Where it is absent or returns None, ptheta_table runs the
+    coefficient recurrence on the m_i.
     """
 
     kind: Kind
@@ -543,6 +546,92 @@ def _two_regular_ptheta(n: int, theta: BigCount) -> list[BigCount]:
     return _unscale(P, b)
 
 
+# exact p(k) = p_1(k) tables of the builtin multisets and selections in
+# closed form, on plain integers; each is a ptheta_fn through _at_theta_one
+
+def _at_theta_one(table: Callable[[int], list[int]]) -> PthetaFn:
+    """The ptheta_fn of a multiset or selection builtin: table(n) at theta
+    = 1, None at every other theta (the divisor recurrence runs there)."""
+    return lambda n, theta: table(n) if theta == 1 else None
+
+
+def _pentagonal(n: int, step: int = 1) -> tuple[list[int], list[int]]:
+    """step g <= n for the generalized pentagonal numbers g = j(3j -+ 1)/2,
+    j >= 1, ascending and split by the sign (-1)^j of z^g in Euler's E(z) =
+    prod_k (1 - z^k) = 1 - sum_{g in minus} z^g + sum_{g in plus} z^g."""
+    minus, plus = [], []
+    j = 1
+    while step * j * (3 * j - 1) // 2 <= n:
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if step * g <= n:
+                (minus if j % 2 else plus).append(step * g)
+        j += 1
+    return minus, plus
+
+
+def _euler_sum(p: list[int], k: int, minus: list[int], plus: list[int]) -> int:
+    """sum_{g in minus} p[k - g] - sum_{g in plus} p[k - g] over g <= k:
+    [z^k] (1 - E(z^step)) P(z) for P = sum_j p[j] z^j and the lists of
+    _pentagonal(n, step)."""
+    return (sum([p[k - g] for g in minus[:bisect_right(minus, k)]])
+            - sum([p[k - g] for g in plus[:bisect_right(plus, k)]]))
+
+
+def _partition_table(n: int) -> list[int]:
+    """Integer partitions: P = 1/E, Euler's pentagonal recurrence p(k) =
+    sum_{j>=1} (-1)^(j+1) [p(k - j(3j-1)/2) + p(k - j(3j+1)/2)], additions
+    only."""
+    minus, plus = _pentagonal(n)
+    p = [1]
+    for k in range(1, n + 1):
+        p.append(_euler_sum(p, k, minus, plus))
+    return p
+
+
+def _distinct_partition_table(n: int) -> list[int]:
+    """Partitions into distinct parts: prod_i (1 + z^i) = E(z^2) / E(z) =
+    E(z^2) P(z), so q(k) = sum_j (-1)^j p(k - j(3j -+ 1)) off the partition
+    table."""
+    p = _partition_table(n)
+    minus, plus = _pentagonal(n, 2)
+    return [p[k] - _euler_sum(p, k, minus, plus) for k in range(n + 1)]
+
+
+def _distinct_odd_partition_table(n: int) -> list[int]:
+    """Partitions into distinct odd parts, which are as many as the
+    self-conjugate partitions: sum_k z^(k^2) / prod_{j<=k} (1 - z^(2j)), by
+    the Durfee square.  a[m] counts the partitions of m into parts <= k
+    (in w = z^2), one strided running sum per k, additions only."""
+    out = [1] + [0] * n
+    a = [1] + [0] * (n // 2)
+    k = 1
+    while k * k <= n:
+        del a[(n - k * k) // 2 + 1:]
+        for m in range(k, len(a)):
+            a[m] += a[m - k]
+        for m, v in enumerate(a):
+            out[k * k + 2 * m] += v
+        k += 1
+    return out
+
+
+def _power_table(q: int) -> Callable[[int], list[int]]:
+    """q^k: monic polynomials over F_q, and words of length k, which factor
+    uniquely into necklaces (Chen-Fox-Lyndon)."""
+    return lambda n: list(accumulate([q] * n, mul, initial=1))
+
+
+def _squarefree_table(q: int) -> Callable[[int], list[int]]:
+    """1, q, then q^k - q^(k-1): squarefree monic polynomials over F_q
+    (Carlitz, 1932)."""
+    power = _power_table(q)
+
+    def table(n: int) -> list[int]:
+        pw = power(n)
+        return pw[:2] + [u - v for u, v in zip(pw[2:], pw[1:])]
+    return table
+
+
 def permutations() -> StructureSpec:
     return StructureSpec(Kind.ASSEMBLY, "permutations", _perm_m,
                          meta=LogMeta(1, 1.0), log_m_fn=_log_perm_m,
@@ -589,6 +678,7 @@ def esf(kappa: Numeric) -> StructureSpec:
 def integer_partitions() -> StructureSpec:
     return StructureSpec(Kind.MULTISET, "integer_partitions", lambda i: 1,
                          log_m_fn=_log_m_const(),
+                         ptheta_fn=_at_theta_one(_partition_table),
                          params={"builtin": "integer_partitions"})
 
 
@@ -597,6 +687,7 @@ def polynomials(q: int) -> StructureSpec:
         raise ParameterDomainError("polynomials builtin needs q >= 2")
     return StructureSpec(Kind.MULTISET, f"polynomials(q={q})", _poly_m(q),
                          meta=LogMeta(1, float(q)), log_m_fn=_log_poly_m(q),
+                         ptheta_fn=_at_theta_one(_power_table(q)),
                          params={"builtin": "polynomials", "q": q})
 
 
@@ -610,12 +701,14 @@ def necklaces(q: int) -> StructureSpec:
 def distinct_partitions() -> StructureSpec:
     return StructureSpec(Kind.SELECTION, "distinct_partitions", lambda i: 1,
                          log_m_fn=_log_m_const(),
+                         ptheta_fn=_at_theta_one(_distinct_partition_table),
                          params={"builtin": "distinct_partitions"})
 
 
 def distinct_odd_partitions() -> StructureSpec:
     return StructureSpec(Kind.SELECTION, "distinct_odd_partitions",
                          lambda i: i % 2, log_m_fn=_log_m_const(2),
+                         ptheta_fn=_at_theta_one(_distinct_odd_partition_table),
                          params={"builtin": "distinct_odd_partitions"})
 
 
@@ -625,6 +718,7 @@ def squarefree_polynomials(q: int) -> StructureSpec:
     return StructureSpec(Kind.SELECTION, f"squarefree_polynomials(q={q})",
                          _poly_m(q), meta=LogMeta(1, float(q)),
                          log_m_fn=_log_poly_m(q),
+                         ptheta_fn=_at_theta_one(_squarefree_table(q)),
                          params={"builtin": "squarefree_polynomials", "q": q})
 
 
@@ -788,7 +882,18 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
         of additions;
       * mappings: sum_i C(k, i) (theta-1)^(i) k^(k-i), by Lagrange-Buermann
         inversion of (1-T)^(-theta), T the tree function; k^k at theta = 1.
-    Every other spec takes a coefficient recurrence:
+    The builtin multisets and selections have closed forms at theta = 1
+    only, on plain integers:
+      * integer partitions: Euler's pentagonal recurrence, P = 1/E for E(z)
+        = prod_k (1 - z^k);
+      * distinct partitions: prod_i (1 + z^i) = E(z^2)/E(z), read off the
+        partition table;
+      * distinct odd partitions: the self-conjugate partitions, sum_k
+        z^(k^2) / prod_{j<=k} (1 - z^(2j)) by the Durfee square;
+      * polynomials(q) and necklaces(q): q^k, by unique factorisation
+        (Chen-Fox-Lyndon for necklaces);
+      * squarefree polynomials(q): 1, q, then q^k - q^(k-1) (Carlitz, 1932).
+    Every other spec and theta takes a coefficient recurrence:
       Assemblies:  p(n) = sum_j C(n-1, j-1) theta m_j p(n-j)  (exponential formula)
       Multisets:   n p(n) = sum_i [sum_{k|i} k m_k theta^{i/k}] p(n-i)
       Selections:  same with g(i) = -sum_{k|i} k m_k (-theta)^{i/k}
@@ -797,8 +902,9 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
       * assemblies: D the lcm of the denominators of theta m_j, and P(n) =
         sum_j C(n-1, j-1) D^j theta m_j P(n-j), the binomials by Pascal's
         rule; this binomial form is also the check on the closed forms;
-      * multisets and selections: D = b L^2, L the lcm of the denominators
-        of m_j, so D = b for integer m_j, and n P(n) = sum_i D^i g(i)
+      * multisets and selections (_divisor_recurrence, also the check on
+        their closed forms): D = b L^2, L the lcm of the denominators of
+        m_j, so D = b for integer m_j, and n P(n) = sum_i D^i g(i)
         P(n-i).  P(n) is an integer, so the division by n is exact: for
         m = u/v in lowest terms, the denominator of C(m+k-1, k) divides
         v^k prod_{p | v} p^{v_p(k!)}, which divides v^{2k}, and a weight-n
@@ -821,9 +927,18 @@ def ptheta_table(spec: StructureSpec, n: int, theta: Numeric = 1) -> list[BigCou
 
 def _ptheta_build(spec: StructureSpec, n: int, theta: BigCount) -> list[BigCount]:
     if spec.ptheta_fn is not None:
-        return spec.ptheta_fn(n, theta)
+        table = spec.ptheta_fn(n, theta)
+        if table is not None:
+            return table
     if spec.kind is Kind.ASSEMBLY:
         return _assembly_binomial(spec, n, theta)
+    return _divisor_recurrence(spec, n, theta)
+
+
+def _divisor_recurrence(spec: StructureSpec, n: int,
+                        theta: BigCount) -> list[BigCount]:
+    """The multiset or selection table by the divisor recurrence (see
+    ptheta_table), on the m_j of the spec, whatever its ptheta_fn."""
     a, b = theta.numerator, theta.denominator
     # m_j as ints where integral (a float m_j as its exact binary rational)
     ms = [0] + [mj if isinstance(mj, int) else as_integral(Fraction(mj))

@@ -35,7 +35,9 @@ def _valid_x(spec, theta: float) -> float:
 
 def check_counting() -> Result:
     worst = "ok"
-    for spec in (*_trio(), st.set_partitions(), st.polynomials(2)):
+    for spec in (*_trio(), st.set_partitions(), st.polynomials(2),
+                 st.distinct_odd_partitions(), st.squarefree_polynomials(2),
+                 st.necklaces(2)):
         for n in range(1, 9):
             total = sum(st.count_N(spec, v) for v in orc.enumerate_complete(n))
             if total != st.p_total(spec, n, 1):

@@ -572,12 +572,11 @@ class TestAssemblyTableForms:
             want = spec.ptheta_fn(128, st.as_integral(Fraction(theta)))
             assert typed(got) == typed(want)
 
-    def test_only_builtin_assemblies_have_closed_forms(self):
+    def test_every_builtin_has_a_closed_form(self):
         for name, make in st.BUILTINS.items():
             spec = make(2) if name in ("esf", "polynomials", "necklaces",
                                        "squarefree_polynomials") else make()
-            assert (spec.ptheta_fn is not None) is (
-                spec.kind is st.Kind.ASSEMBLY), name
+            assert spec.ptheta_fn is not None, name
         for kind in st.Kind:
             spec = st.spec_from_json_dict({"kind": kind.value, "m": [1, 2, 6]})
             assert spec.ptheta_fn is None
@@ -591,6 +590,42 @@ class TestAssemblyTableForms:
         # there are k^k mappings of a k-set to itself
         got = st.ptheta_table(st.mappings(), 512, 1)
         assert typed(got) == typed([k ** k for k in range(513)])
+
+
+THETA_ONE_SPECS = [st.integer_partitions, st.distinct_partitions,
+                   st.distinct_odd_partitions] + [
+    lambda q=q, f=f: f(q) for q in (2, 3, 5)
+    for f in (st.polynomials, st.necklaces, st.squarefree_polynomials)]
+THETA_ONE_IDS = [make().name for make in THETA_ONE_SPECS]
+
+
+class TestThetaOneTableForms:
+    """The closed forms of the builtin multisets and selections at theta =
+    1 (spec.ptheta_fn), each against the divisor recurrence on its own
+    m_j; every other theta takes that recurrence."""
+
+    @pytest.mark.parametrize("make", THETA_ONE_SPECS, ids=THETA_ONE_IDS)
+    def test_closed_form_matches_divisor_recurrence(self, make):
+        spec = make()
+        for n in [*range(61), 512]:
+            assert typed(spec.ptheta_fn(n, 1)) \
+                == typed(st._divisor_recurrence(spec, n, 1)), n
+
+    @pytest.mark.parametrize("make", THETA_ONE_SPECS, ids=THETA_ONE_IDS)
+    @pytest.mark.parametrize("theta", [2, Fraction(1, 2), Fraction(3, 5)],
+                             ids=str)
+    def test_other_thetas_take_the_recurrence(self, make, theta):
+        spec = make()
+        assert spec.ptheta_fn(128, theta) is None
+        assert typed(st.ptheta_table(spec, 128, theta)) \
+            == typed(st._divisor_recurrence(make(), 128, theta))
+
+    @pytest.mark.parametrize("make", THETA_ONE_SPECS, ids=THETA_ONE_IDS)
+    def test_theta_one_builds_in_closed_form(self, make):
+        spec = make()
+        got = st.ptheta_table(spec, 128, 1)
+        assert spec._m_cache == {}
+        assert typed(got) == typed(spec.ptheta_fn(128, 1))
 
 
 class TestTableSlots:

@@ -1293,6 +1293,37 @@ class TestLogSeed:
         assert got == pytest.approx(float(want), rel=1e-13, abs=0)
 
 
+class TestExactCountReferences:
+    """Above the cutoff, P(T_n = n) = P(T_n = 0) x^n p(n) at theta = 1,
+    with p(n) exact from the builtin's closed-form table and the seed
+    P(T_n = 0) = prod_i (1 - x^i)^(m_i) (multiset) or (1 + x^i)^(-m_i)
+    (selection) in 50-digit mpmath from the exact m_i: a reference for the
+    float recursion, its tail models and the certified selection recursion
+    that shares neither their arithmetic nor the float seed of both prob-t
+    columns."""
+
+    @pytest.mark.parametrize("make,n", [
+        (st.integer_partitions, 2000), (st.integer_partitions, 4000),
+        (st.integer_partitions, 16000), (st.distinct_partitions, 2000),
+        (st.distinct_odd_partitions, 2000),
+        (lambda: st.squarefree_polynomials(2), 2000),
+    ], ids=["integer_partitions-2000", "integer_partitions-4000",
+            "integer_partitions-16000", "distinct_partitions-2000",
+            "distinct_odd_partitions-2000", "squarefree_polynomials(2)-2000"])
+    def test_recursion_matches_exact_count(self, make, n):
+        spec = make()
+        x = choose_x(spec, n)
+        p_n = spec.ptheta_fn(n, 1)[n]
+        sign = 1 if spec.kind is st.Kind.MULTISET else -1
+        with mpmath.workdps(50):
+            mx = mpmath.mpf(x)
+            lseed = sign * mpmath.fsum(spec.m(i) * mpmath.log1p(-sign * mx ** i)
+                                       for i in range(1, n + 1) if spec.m(i))
+            want = mpmath.exp(lseed + n * mpmath.log(mx)) * p_n
+        got = sd.prob_T_eq_n(spec, n, TiltedParams(x, 1))
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
 class TestOneRecursionPerRequest:
     @staticmethod
     def _spy(monkeypatch):
