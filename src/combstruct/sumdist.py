@@ -45,18 +45,29 @@ p_theta table.  The seed P(R_B = 0) = prod_{i in B} P(Z_i = 0) is a
 math.fsum over B of indep_process.log_p_zero, the one implementation of
 the big-m policy, which the rows of the convolution read too.
 
-A selection takes the convolution below first where it costs fewer
-multiply-adds than one banded recursion (the small index sets B of tv).
-Otherwise the signed selection recursion runs; it can cancel, and it
-certifies itself (_cancellation_bits): the default route keeps it when
-its cancellation ratio is at most 2^_CANCEL_BITS = 2^10, and otherwise
-(or when a weight, the seed or a coefficient leaves double range) takes
-a truncated convolution of the per-index binomial laws.  The convolution
-is a strided update of length-(n_max+1) arrays, one index at a time:
-p[r] <- sum_k P(Z_i = k) p[r - i k] over k <= min(n_max // i, m_i), with
-the rows P(Z_i = k) of all of B from one indep_process.z_pmf_rows call.
-It costs sum_i n_max min(m_i, n_max / i), which is O(n^2) when every m_i
-is 0 or 1 and O(n^2 log n) for squarefree polynomials.
+A selection's R_B is split at one index s (_split_index): the signed
+selection recursion runs on the indices of B above s, and a truncated
+convolution of the per-index binomial laws on those up to s, applied to
+the recursion's law in its scaled (v, shift) form (_join).  The signed
+recursion can cancel; almost all of it comes from the smallest indices,
+since the series of |g| and of g differ by prod_{i>s} (1 - y_i^2)^(-m_i),
+y_i = theta x^i.  s is 0 where that estimate for all of B is at most
+2^_SPLIT_BITS (always where g >= 0), else the smallest active index whose
+estimate above it is; distinct odd partitions at n = 2000 cancel by 2^34
+on all of B and by 2^6.3 above s = 47, so 24 of their 1000 indices stay
+on the convolution.  The part above s certifies itself (_cancellation_bits):
+it is kept when its cancellation ratio is at most 2^_CANCEL_BITS = 2^10
+normwise and at every weight it can reach, and the weights it cannot
+reach (_reach) are exactly 0, not cancellation dust.  Otherwise (or when a
+weight, the seed or a coefficient leaves double range) the convolution
+runs over all of B, as it does where it costs fewer multiply-adds than
+the split (the small index sets B of tv, and sets of a few active
+indices).  The convolution is a strided update of length-(n_max+1)
+arrays, one active index at a time: p[r] <- sum_k P(Z_i = k) p[r - i k]
+over k <= min(n_max // i, m_i), with the rows P(Z_i = k) from one
+indep_process.z_pmf_rows call.  It costs sum_i n_max min(m_i, n_max / i),
+which is O(n^2) when every m_i is 0 or 1 and O(n^2 log n) for square-free
+polynomials.
 
 Everything is truncated at n_max with the missing mass reported as an
 explicit tail.
@@ -69,7 +80,7 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -88,6 +99,7 @@ _BAND_DOUBLES = 1 << 16  # the band matrix of its block solve: 512 KB
 _BLOCK_BITS = 511  # growth of |q| allowed within one block, in bits
 _DOT_PIECE = 8192  # correlation windows are summed in pieces of this many
 _CANCEL_BITS = 10  # "auto" keeps a selection recursion that cancels by <= 2^10
+_SPLIT_BITS = _CANCEL_BITS - 3  # the split index's cancellation estimate
 _TAIL_MIN_N = 4 * _BLOCK  # recursions up to this n_max read g's band whole
 _TAIL_TOL = 1e-12  # a geometric tail model holds g_i within this, relative
 _EXP_ZERO = -746.0  # exp of anything below is exactly 0 (2^-1075 = e^-745.13)
@@ -781,18 +793,18 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
     [/k! for assemblies] is P(T_n = k) / P(T_n = 0), so entry k is
     log(v 2^shift) + lseed - log_seed(1..n) - k log x [+ log k!] off the
     request's full-set triple and seed (_full_set): the recursion, whose
-    lseed is that seed, or the convolution (p, 0, 0.0) where a selection's
-    certified route fell back to it.  The result does not depend on x
-    beyond rounding.  log(v 2^shift) is log(ldexp(v, shift)) where that
-    is a normal double, else log v + shift log 2, whose large sum loses
-    digits (p_theta(1) of set partitions read 1 + 2.1e-14 at n = 16000).
+    lseed is that seed, a selection's split route, whose lseed is the seed
+    of the indices above s, or the convolution (p, 0, 0.0).  The result
+    does not depend on x beyond rounding.  log(v 2^shift) is
+    log(ldexp(v, shift)) where that is a normal double, else log v +
+    shift log 2, whose large sum loses digits (p_theta(1) of set partitions read 1 + 2.1e-14 at n = 16000).
     One guard for every route: an entry v below the smallest normal double
     at a weight k that some structure has lost its digits.  Entry n, which
     every reader reads, raises the underflow NumericGuardError, and an
     entry k < n reads NaN, which structures.log_ptheta_table turns into
     that error for the readers of the whole table.  A true zero (no
-    structure of weight k) is -inf, as is the cancellation dust a
-    certified selection recursion clamps to 0.
+    structure of weight k) is -inf: the selection routes read exactly 0
+    there, the signed recursion's dust set to 0 by _reach.
     """
     if x is None:
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
@@ -805,7 +817,8 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
                        np.log(v) + shift * _LN2) + (lseed - seed)
     low = np.flatnonzero(v < sys.float_info.min)
     if low.size:
-        low = low[_reach(spec, int(low[-1]))[low]]
+        top = int(low[-1])
+        low = low[_reach(spec, range(1, top + 1), top)[low]]
         if low.size and low[-1] == n:
             raise underflow_error(n)
         out[low] = np.nan
@@ -816,30 +829,47 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
 
 
 def _cancellation_bits(g: np.ndarray, q: np.ndarray, shift: np.ndarray,
-                       n_max: int) -> float:
-    """log2 of the cancellation ratio of the signed recursion's
-    q = q_g = v 2^shift (_recursion_coeffs).
+                       n_max: int, reach: Callable[[int], np.ndarray]
+                       ) -> tuple[float, np.ndarray]:
+    """(bits, q'): log2 of the cancellation ratio of the signed recursion's
+    q = q_g = v 2^shift (_recursion_coeffs), and q with the weights R_B
+    cannot reach set to 0; reach(top) is _reach of R_B up to weight top.
 
     With T = diag(k) - Toeplitz(g) and M = diag(k) - Toeplitz(|g|), M is the
     comparison matrix of T, so |T^-1| <= M^-1 entrywise and q_abs = q_|g|
     bounds |q| and the rounding error alike: |q^_k - q_k| <~ 2 k gamma_n
     q_abs[k], the positive recursion's bound with q_abs in place of q.  The
-    ratio is the larger of max q_abs / max |q| and q_abs[n_max] / q[n_max]
-    (infinite where q[n_max] <= 0 < q_abs[n_max]), each entry read with its
-    own exponent; it is 1 (0 bits) when g >= 0, and then q_abs is not
-    computed.
+    ratio is the larger of max q_abs / max |q| and q_abs[k] / q[k] at every
+    weight k that R_B reaches and q_abs[k] > 0 (infinite where q[k] <= 0
+    there), each entry read with its own exponent, so each such entry is
+    certified relative to itself; it is 1 (0 bits) when g >= 0, and then
+    q_abs is not computed.  At a weight R_B cannot reach q is cancellation
+    dust, at most 2 n_max^2 u q_abs[k] <= 2^-_CANCEL_BITS q_abs[k] for n_max
+    below 2 10^6: so only the entries whose ratio passes 2^_CANCEL_BITS
+    are looked up in reach (none where no weight is out of reach), the
+    unreachable ones set to 0 and the others counted.
     """
     if not np.any(g < 0):
-        return 0.0
+        return 0.0, q
     q_abs, shift_abs = _recursion_coeffs(np.abs(g), n_max)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = q_abs / q  # inf where q = 0, < 0 where q < 0
+        if np.any(shift_abs != shift):
+            ratio = np.ldexp(ratio, shift_abs - shift)
+    low = np.flatnonzero((q_abs > 0)
+                         & ~((ratio > 0) & (ratio <= 2.0 ** _CANCEL_BITS)))
+    if low.size:
+        hit = reach(int(low[-1]))[low]  # reachable: the ratio counts
+        q = q.copy()
+        q[low[~hit]] = 0.0
+        ratio[low[~hit]] = 0.0
+        ratio[low[hit]] = np.where(ratio[low[hit]] > 0, ratio[low[hit]],
+                                   math.inf)
+    ratio[q_abs == 0] = 0.0
     i, j = int(np.argmax(q_abs)), int(np.argmax(np.abs(q)))
     gap = math.log2(q_abs[i]) - math.log2(abs(q[j])) + int(shift_abs[i] - shift[j])
-    if q_abs[n_max] > 0:
-        if q[n_max] <= 0:
-            return math.inf
-        gap = max(gap, math.log2(q_abs[n_max]) - math.log2(q[n_max])
-                  + int(shift_abs[n_max] - shift[n_max]))
-    return gap
+    worst = float(ratio.max(initial=0.0))
+    return max(gap, math.log2(worst) if worst else -math.inf), q
 
 
 def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
@@ -847,9 +877,11 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
                       g: Optional[np.ndarray] = None) -> tuple:
     """The coefficient recursion's triple (q, shift, log_seed(B)); g is
     built here unless the caller has it.  A multiset's recursion is given
-    the period of its g (_period), which a periodic tail may read.  With
-    certify, a selection whose cancellation ratio passes 2^_CANCEL_BITS
-    raises NumericGuardError."""
+    the period of its g (_period), which a periodic tail may read.  A
+    selection whose g has negative entries reads exactly 0 at the weights
+    R_B cannot reach (_reach), where the signed recursion leaves
+    cancellation dust; with certify, one whose cancellation ratio passes
+    2^_CANCEL_BITS (_cancellation_bits) raises NumericGuardError."""
     period = 0
     if g is None:
         active = _active_indices(spec, B, n_max)
@@ -862,12 +894,15 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
         q, shift = _recursion_coeffs(g, n_max)
     if spec.kind is Kind.SELECTION:
         if certify:
-            bits = _cancellation_bits(g, q, shift, n_max)
+            bits, q = _cancellation_bits(g, q, shift, n_max,
+                                         lambda top: _reach(spec, B, top))
             if bits > _CANCEL_BITS:
                 raise NumericGuardError(
                     f"signed selection recursion cancels by 2^{bits:.3g}")
-        # exact zeros come out as cancellation dust; clamp it, flag the rest
-        # (a kept entry is below 2^-510, the largest |q| at least 1)
+        elif np.any(g < 0):
+            q = np.where(_reach(spec, B, n_max), q, 0.0)
+        # what negative dust is left is clamped, the rest flagged (a kept
+        # entry is below 2^-510, the largest |q| at least 1)
         scale = float(np.max(np.abs(q))) or 1.0
         if np.any(q < -1e-11 * scale):
             raise NumericGuardError(
@@ -878,8 +913,16 @@ def _pmf_by_recursion(spec: StructureSpec, B: IndexSet, n_max: int,
 
 def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
                         params: TiltedParams) -> tuple:
-    """The convolution's triple (p, 0, 0.0): p is the last prefix pmf."""
-    for _i, _pk, p in prefix_pmfs(spec, B, n_max, params):
+    """The convolution's triple (p, 0, 0.0): p is the last prefix pmf of
+    the indices of B with m_i != 0 (an index with m_i = 0 leaves p as it
+    was, so the bits are those of prefix_pmfs over all of B).  The indices
+    past n_max stay in: each scales p by P(Z_i = 0)."""
+    B = index_set(B)
+    ks = _active_indices(spec, B, n_max)[0]
+    if B and B[-1] > n_max:
+        ks = np.concatenate((ks, _index_array(B)[bisect.bisect_right(B, n_max):]))
+    p = np.eye(1, n_max + 1)[0]
+    for _i, _pk, p in _prefix(spec, ks, n_max, params, p):
         pass
     return p, 0, 0.0
 
@@ -888,15 +931,32 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
                 params: TiltedParams):
     """Yields (i, pk, p) for each i in B, in order: pk[k] = P(Z_i = k) for
     k <= min(n_max // i, m_i), z_pmf_rows' row without its trailing zeros,
-    and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max.
+    and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max (_prefix from
+    the point mass at 0)."""
+    yield from _prefix(spec, _index_array(index_set(B)), n_max, params,
+                       np.eye(1, n_max + 1)[0])
 
-    One strided update per index, p[r] <- sum_k pk[k] p[r - i k]; an index
-    whose row is [1] (m_i = 0) leaves p as it was.
+
+def _prefix(spec: StructureSpec, ks: np.ndarray, n_max: int,
+            params: TiltedParams, p: np.ndarray):
+    """Yields (i, pk, p) for each i in ks, in order, with p the vector
+    given convolved with the laws of j Z_j, j in ks, j <= i, truncated at
+    n_max, and pk as prefix_pmfs yields it.
+
+    One strided update per index, p[r] <- sum_k pk[k] p[r - i k], into a
+    new array; an index whose row is [1] (m_i = 0) leaves p as it was.  The
+    rows come from one z_pmf_rows call, a selection's up to min(m_i,
+    n_max // i) (its binomial row is exactly 0 past m_i), so that rows of
+    small m_i fall in one block of z_pmf_rows whatever their index.
     """
-    p = np.zeros(n_max + 1)
-    p[0] = 1.0
-    idx = _index_array(B)
-    for i, pk in zip(B, z_pmf_rows(spec, idx, n_max // idx, params)):
+    k_max = n_max // ks
+    if spec.kind is Kind.SELECTION:
+        lm = log_m_array(spec, int(ks.max(initial=0)))[ks]
+        with np.errstate(divide="ignore"):
+            few = lm < np.log(k_max)  # m_i < n_max // i: e^lm rounds to m_i
+        m = np.rint(np.exp(np.where(few, lm, 0.0))).astype(np.int64)
+        k_max = np.where(few, m, k_max)
+    for i, pk in zip(ks.tolist(), z_pmf_rows(spec, ks, k_max, params)):
         nonzero = pk.nonzero()[0]
         pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
         if len(pk) > 1 or pk[0] != 1.0:
@@ -907,38 +967,107 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
         yield i, pk, p
 
 
-def _selection_recursion_g(spec: StructureSpec, B: IndexSet, n_max: int,
-                           params: TiltedParams) -> Optional[np.ndarray]:
-    """g of the signed selection recursion of R_B, or None where the
-    convolution costs fewer multiply-adds: its strided updates do
-    sum_{i in B} n_max min(m_i, n_max // i), the banded recursion
-    sum_{k <= n_max} min(k, band), band the last index with g != 0.  The
-    recursion is counted once although the certificate may run it twice;
-    the convolution's laws are one z_pmf_rows call (on the complement of 5
-    indices of distinct_partitions at n = 2000: 4-5 ms of its 22 ms, both
-    recursions 2.7 ms)."""
-    active = ks, lm = _active_indices(spec, B, n_max)
-    with np.errstate(over="ignore"):  # m_i beyond double range
-        conv = n_max * float(np.sum(np.minimum(np.exp(lm), n_max // ks)))
-    g = _g_array(spec, B, n_max, params, active)
-    nonzero = np.flatnonzero(g[1:])
-    band = int(nonzero[-1]) + 1 if nonzero.size else 1
-    rec = band * (band + 1) // 2 + (n_max - band) * band
-    return None if conv < rec else g
+def _join(spec: StructureSpec, ks: np.ndarray, n_max: int,
+          params: TiltedParams, v: np.ndarray,
+          shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, e): the law v 2^shift of a recursion convolved with the laws of
+    i Z_i, i in ks, as w 2^e.
+
+    The strided updates of _prefix run on the entries of one exponent at a
+    time (one pass where the recursion never rescaled), and the parts are
+    added at the exponent of the larger one, the other taken down to it:
+    every term is >= 0, so no entry cancels, and the smaller part loses
+    digits only where it falls below the smallest normal double there.  No
+    value grows: each update is a mix with weights P(Z_i = k) <= 1.
+    """
+    w = e = None
+    for x in np.unique(shift).tolist():  # ascending
+        part = np.where(shift == x, v, 0.0)
+        for _i, _pk, part in _prefix(spec, ks, n_max, params, part):
+            pass
+        if w is None:
+            w, e = part, np.full(n_max + 1, x, dtype=np.int64)
+            continue
+        with np.errstate(divide="ignore"):
+            top = (part > 0) & (np.log2(part) + x >= np.log2(w) + e)
+        w = np.where(top, part + np.ldexp(w, e - x), w + np.ldexp(part, x - e))
+        e = np.where(top, x, e)
+    return w, e
+
+
+def _split_index(ks: np.ndarray, lm: np.ndarray, g: np.ndarray,
+                 params: TiltedParams) -> int:
+    """s: 0 or the smallest active index of a selection's R_B (ks, with
+    log m_k = lm) such that the signed recursion on the indices above s
+    cancels by at most about 2^_SPLIT_BITS.
+
+    The positive recursion on |g| counts what the signed one on g does,
+    without its signs: their generating functions are exp(sum_k |g_k| z^k
+    / k) and exp(sum_k g_k z^k / k), so the first exceeds the second at
+    z = 1 by 2 sum_{g_k < 0} |g_k| / k in the log.  That is read off g for
+    s = 0, and is 0 where g >= 0 (the full sets of distinct partitions and
+    square-free polynomials, by Euler's identity).  Above s it is at most
+    sum_{i > s} m_i log(1 / (1 - y_i^2)), y_i = theta x^i, the same sum
+    with no term cancelling inside a g_k (infinite once y_i >= 1); that
+    bound costs O(|ks|) where the exact one needs each g.  Both track the
+    certificate: distinct odd partitions at n = 2000 read 40.9 bits at
+    s = 0 against 34 certified, and 6.4 at s = 49 against 6.0.  The last
+    active index (s = max B, the convolution alone) always fits."""
+    neg = np.flatnonzero(g < 0)
+    if 2.0 * float(np.sum(-g[neg] / neg)) <= _SPLIT_BITS * _LN2:
+        return 0
+    ly = math.log(params.ftheta) + ks * math.log(params.fx)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = np.exp(2.0 * ly)
+        # log(-log1p(-t)) = log t + t/2 + ... where t is small
+        lt = np.where(t < 1e-8, 2.0 * ly, np.log(-np.log1p(-t)))
+        lt[t >= 1.0] = np.inf
+        above = np.cumsum(np.exp(lm + lt)[:0:-1])[::-1]
+    fits = np.append(above, 0.0) <= _SPLIT_BITS * _LN2  # above ks[j], j < |ks|
+    return int(ks[int(np.argmax(fits))])
 
 
 def _auto_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
               params: TiltedParams) -> tuple[tuple, bool]:
-    """(triple, by_recursion): the "auto" route of R_B (see
-    weighted_sum_pmf), the recursion for assemblies and multisets, and for
-    a selection whether it kept the certified recursion."""
+    """(triple, whether its lseed is log_seed(B)): the "auto" route of R_B
+    (see weighted_sum_pmf).  Assemblies and multisets take the recursion.
+
+    A selection's R_B is split at s = _split_index: the certified signed
+    recursion runs on the indices of B above s (_pmf_by_recursion, with
+    their seed), and the strided updates of the active indices up to s on
+    its law (_join).  s = 0 is the recursion alone, and s = max B the
+    convolution alone, which is taken where its strided updates cost no
+    more multiply-adds than the split: n_max (1 + min(m_i, n_max // i))
+    per index (a pass for P(Z_i = 0) and one per k >= 1) against those of
+    the indices up to s plus sum_{k <= n_max} min(k, band), band the last
+    index where the g of all of B is != 0 (the g of the part above s is
+    built only once the split is taken).  The recursion is counted once
+    although the certificate runs it twice.  A refusal of the certificate,
+    or a weight, seed or coefficient beyond double range
+    (NumericGuardError), falls back to the convolution over all of B."""
     if spec.kind is not Kind.SELECTION:
         return _pmf_by_recursion(spec, B, n_max, params), True
+    active = ks, lm = _active_indices(spec, B, n_max)
+    with np.errstate(over="ignore"):  # m_i beyond double range
+        cost = n_max * (1.0 + np.minimum(np.exp(lm), n_max // ks))
     try:
-        g = _selection_recursion_g(spec, B, n_max, params)
-        if g is not None:
-            return _pmf_by_recursion(spec, B, n_max, params, certify=True,
-                                     g=g), True
+        g = _g_array(spec, B, n_max, params, active)
+        band = int(np.flatnonzero(g).max(initial=1))
+        rec = band * (band + 1) // 2 + (n_max - band) * band
+        conv = float(cost.sum())
+        if rec <= conv:  # else no split is cheaper than the convolution
+            s = _split_index(ks, lm, g, params)
+            j = int(np.searchsorted(ks, s, side="right"))
+            if j < len(ks) and float(cost[:j].sum()) + rec <= conv:
+                high = B
+                if s:
+                    high = IndexSet(B[bisect.bisect_right(B, s):])
+                    g = _g_array(spec, high, n_max, params, (ks[j:], lm[j:]))
+                v, shift, lseed = _pmf_by_recursion(spec, high, n_max, params,
+                                                    certify=True, g=g)
+                if s:
+                    v, shift = _join(spec, ks[:j], n_max, params, v, shift)
+                return (v, shift, lseed), not s
     except NumericGuardError:
         pass  # cancellation past 2^_CANCEL_BITS, or a weight, seed or
               # coefficient beyond double range
@@ -949,14 +1078,14 @@ def _full_set(spec: StructureSpec, n: int, params: TiltedParams) -> tuple:
     """(triple, log_seed(1..n)) of B = 1..n, kept read-only in the spec's
     "full_set" slot keyed by (n, x, theta), so prob-t's two columns, pofn
     and the moments read one route and one seed.  Only a selection's
-    convolution computes the seed apart."""
+    convolution and split route compute the seed apart."""
     def build():
         full = index_set(range(1, n + 1))
-        triple, by_recursion = _auto_pmf(spec, full, n, params)
+        triple, own_seed = _auto_pmf(spec, full, n, params)
         for arr in triple[:2]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        return triple, (triple[2] if by_recursion
+        return triple, (triple[2] if own_seed
                         else log_seed(spec, full, params))
     return spec.table("full_set", build, key=(n, params.fx, params.ftheta))
 
@@ -966,12 +1095,14 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     """Exact (to double precision) pmf of R_B = sum_{i in B} i Z_i on 0..n_max.
 
     method: "auto" picks the recursion for assemblies and multisets.  For
-    selections it takes the all-positive truncated convolution where that
-    costs fewer multiply-adds (_selection_recursion_g); otherwise it runs
-    the signed divisor recursion and keeps it when its cancellation ratio
-    (_cancellation_bits) is at most 2^_CANCEL_BITS = 2^10, so that its
-    error is at most about 2 n gamma_n 2^10 times max |q| normwise and
-    relative at n_max, and falls back to the convolution otherwise or on a
+    selections it splits B at one index s (_auto_pmf): the signed divisor
+    recursion on the indices above s, kept when its cancellation ratio
+    (_cancellation_bits) is at most 2^_CANCEL_BITS = 2^10 normwise and at
+    every weight it can reach, so that its error is at most about
+    2 n gamma_n 2^10 relative at each such entry, joined by a convolution
+    with the laws of the active indices up to s.  It takes the
+    all-positive truncated convolution over all of B where that costs
+    fewer multiply-adds, and falls back to it on a refusal or a
     NumericGuardError; on "auto" B = 1..n_max reads the spec's full-set
     triple (_full_set).  "convolution" forces the per-index convolution.
     Either way an entry below the smallest normal double reads 0
@@ -1041,37 +1172,42 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
 def has_weight(spec: StructureSpec, n: int) -> bool:
     """Whether some structure has weight n, i.e. p(n) > 0.  Only asked when
     P(T_n = n) came out below the smallest normal double."""
-    return bool(_reach(spec, n)[n])
+    return bool(_reach(spec, range(1, n + 1), n)[n])
 
 
-def _reach(spec: StructureSpec, n: int) -> np.ndarray:
-    """reach[k] for k = 0..n: whether some structure has weight k.  A
-    boolean strided update marks the weights sum_i i Z_i can reach with
-    Z_i <= m_i.  Once an index i with Z_i unbounded within 0..n is in,
-    reach is closed under adding i, so its multiples are skipped."""
-    lm = log_m_array(spec, n)
-    idle = lm == -np.inf  # indices that add no new weight
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[0] = True
-    for i in range(1, n + 1):
+def _reach(spec: StructureSpec, B: Iterable[int], n: int) -> np.ndarray:
+    """reach[k] for k = 0..n: whether R_B = sum_{i in B} i Z_i takes the
+    value k with positive probability (B = 1..n: whether some structure
+    has weight k).
+
+    One Python-int bitset of the weights 0..n: Z_i <= c with c = min(m_i,
+    n // i) for a selection, n // i otherwise, adds i Z_i by shift-ors
+    reach |= reach << (i d) that double the run of multiples covered, so
+    about log2(c) of them per index.  Once an index i with Z_i unbounded
+    within 0..n is in, reach is closed under adding i, so its multiples are
+    skipped; and once every weight from the next index i on is reached, no
+    later index adds one, so the loop stops."""
+    ks, lm = _active_indices(spec, index_set(B), n)
+    full = (1 << (n + 1)) - 1
+    reach = 1
+    idle = np.zeros(n + 1, dtype=bool)
+    for i, lmi in zip(map(int, ks), lm):  # lazily: the loop may stop early
+        if i >= (full ^ reach).bit_length():
+            break
         if idle[i]:
             continue
-        if spec.kind is Kind.SELECTION and lm[i] < math.log(n // i):
-            # Z_i <= m_i < n // i
-            new = reach.copy()
-            for k in range(1, min(n // i, int(spec.m(i))) + 1):
-                new[i * k:] |= reach[: n + 1 - i * k]
-            reach = new
+        c = n // i
+        if spec.kind is Kind.SELECTION and lmi < math.log(c):
+            c = round(math.exp(lmi))  # Z_i <= m_i < n // i, so exact
         else:
-            # Z_i unbounded within 0..n: a running OR along each residue
-            # class mod i
-            rows = -(-(n + 1) // i)
-            grid = np.zeros(rows * i, dtype=bool)
-            grid[: n + 1] = reach
-            reach = np.logical_or.accumulate(grid.reshape(rows, i), axis=0
-                                             ).ravel()[: n + 1]
             idle[i::i] = True
-    return reach
+        done = 0  # reach holds every sum with i Z_i, Z_i <= done
+        while done < c:
+            step = min(done + 1, c - done)
+            reach |= (reach << (i * step)) & full
+            done += step
+    bits = np.frombuffer(reach.to_bytes((n + 8) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(bits, bitorder="little")[: n + 1].astype(bool)
 
 
 def conditioned_block(spec: StructureSpec, B: Iterable[int], n: int,

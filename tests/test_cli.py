@@ -48,6 +48,13 @@ def spec_files(tmp_path):
         "poly2": {"kind": "multiset", "builtin": "polynomials",
                   "params": {"q": 2}},
         "mappings": {"kind": "assembly", "builtin": "mappings"},
+        # 70 entries from 0..3, as the benchmark's custom selections
+        "custom_sel": {"kind": "selection",
+                       "m": [3, 3, 3, 1, 1, 3, 1, 0, 3, 2, 1, 0, 0, 3, 3, 1,
+                             0, 0, 0, 0, 1, 1, 0, 3, 2, 3, 1, 1, 2, 3, 0, 0,
+                             3, 2, 3, 0, 2, 2, 1, 2, 0, 0, 0, 3, 0, 2, 3, 0,
+                             0, 0, 1, 1, 0, 3, 3, 3, 3, 0, 1, 2, 2, 0, 2, 2,
+                             0, 3, 0, 1, 1, 0]},
     }.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -657,20 +664,26 @@ class TestBlasThreadCount:
     # windows past 10^4 entries); a request must print the same bytes under
     # one and two threads, also where R_B takes the periodic tail, and on
     # polynomials(2), where it refuses that tail, keeps the rows before the
-    # refusal and stops once q is 0 over the full band
+    # refusal and stops once q is 0 over the full band; and on selections
+    # whose R_B splits (the signed recursion above an index, the
+    # convolution below) or takes the convolution alone
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
-    @pytest.mark.parametrize("spec,argv", [
-        ("poly2", ["choose-x"]),
-        ("intpart", ["prob-t"]),
-        ("setpartitions", ["tv", "--B", "1,3,5,7,9"]),
-        ("setpartitions", ["tv", "--B", "1,5,6,9,10", "--heuristic",
-                           "--format", "json"]),
-        ("mappings", ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
-        ("intpart", ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
-        ("poly2", ["tv", "--B", "1,2,6,7,10", "--format", "json"]),
+    @pytest.mark.parametrize("spec,n,argv", [
+        ("poly2", 16000, ["choose-x"]),
+        ("intpart", 16000, ["prob-t"]),
+        ("setpartitions", 16000, ["tv", "--B", "1,3,5,7,9"]),
+        ("setpartitions", 16000, ["tv", "--B", "1,5,6,9,10", "--heuristic",
+                                  "--format", "json"]),
+        ("mappings", 16000, ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
+        ("intpart", 16000, ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
+        ("poly2", 16000, ["tv", "--B", "1,2,6,7,10", "--format", "json"]),
+        ("distinct_odd", 2000, ["tv", "--B", "1,3,5,7,9", "--format",
+                                "json"]),
+        ("custom_sel", 1000, ["prob-t", "--format", "json"]),
     ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json",
-            "tv-periodic-json", "tv-refused-periodic-json"])
-    def test_same_bytes_under_one_and_two_threads(self, spec_files, spec,
+            "tv-periodic-json", "tv-refused-periodic-json",
+            "tv-split-selection-json", "prob-t-custom-selection-json"])
+    def test_same_bytes_under_one_and_two_threads(self, spec_files, spec, n,
                                                   argv):
         outs = []
         for threads in ("1", "2"):
@@ -678,7 +691,7 @@ class TestBlasThreadCount:
                        PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
             res = subprocess.run(
                 [sys.executable, "-m", "combstruct.cli", argv[0], "--spec",
-                 spec_files[spec], "--n", "16000", "--choose-x", "exact_mean",
+                 spec_files[spec], "--n", str(n), "--choose-x", "exact_mean",
                  *argv[1:]],
                 capture_output=True, text=True, env=env, timeout=300)
             assert res.returncode == 0, res.stderr

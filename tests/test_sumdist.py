@@ -24,7 +24,7 @@ from combstruct import sumdist as sd
 from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import (TiltedParams, choose_x, log_m_array,
-                                      z_law)
+                                      z_law, z_pmf_rows)
 from scalar_refs import log_factorial as _ref_log_factorial
 from scalar_refs import log_weight_mp as _log_weight_mp
 from scalar_refs import m_softplus as _m_softplus
@@ -33,6 +33,7 @@ from scalar_refs import safe_mlog1p as _safe_mlog1p
 PERM = st.permutations()
 INTPART = st.integer_partitions()
 DISTINCT = st.distinct_partitions()
+EVEN_ONLY = st.from_m_list("multiset", [0, 1], name="even_only")
 
 
 def _recursion_pmf(spec, B, n_max, params):
@@ -439,20 +440,24 @@ class TestGArrayMatchesDivisorLoop:
                                   "range; choose a smaller x")
 
     def test_selection_hands_its_active_indices_to_g(self, monkeypatch):
-        calls = []
-        orig = sd._active_indices
+        calls, gs = [], []
+        orig, orig_g = sd._active_indices, sd._g_array
 
         def spy(*args):
             calls.append(args[2])
             return orig(*args)
+
+        def spy_g(*args):
+            gs.append(orig_g(*args))
+            return gs[-1]
         monkeypatch.setattr(sd, "_active_indices", spy)
+        monkeypatch.setattr(sd, "_g_array", spy_g)
         spec, n = st.distinct_partitions(), 1000
         params = TiltedParams(choose_x(spec, n), 1)
-        g = sd._selection_recursion_g(spec, sd.index_set(range(1, n + 1)), n,
-                                      params)
-        assert calls == [n]
-        assert g.tobytes() == _loop_g_array(spec, range(1, n + 1), n,
-                                            params).tobytes()
+        sd._auto_pmf(spec, sd.index_set(range(1, n + 1)), n, params)
+        assert calls == [n] and len(gs) == 1
+        assert gs[0].tobytes() == _loop_g_array(spec, range(1, n + 1), n,
+                                                params).tobytes()
 
 
 SELECTION_BUILTINS =[st.distinct_partitions(), st.distinct_odd_partitions(),
@@ -1354,11 +1359,12 @@ class TestOneRecursionPerRequest:
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
-    @pytest.mark.parametrize("builtin,route", [
-        ("distinct_partitions", "recursion"),
-        ("distinct_odd_partitions", "convolution"),
+    @pytest.mark.parametrize("builtin,first", [
+        ("distinct_partitions", 1),
+        # the recursion runs above the split index s = 25 alone
+        ("distinct_odd_partitions", 26),
     ])
-    def test_selection_prob_t_runs_one_auto_route(self, builtin, route,
+    def test_selection_prob_t_runs_one_auto_route(self, builtin, first,
                                                   tmp_path, monkeypatch,
                                                   capsys):
         # both columns read the one cached full-set pmf of the auto route
@@ -1370,12 +1376,12 @@ class TestOneRecursionPerRequest:
             orig = getattr(sd, f"_pmf_by_{name}")
 
             def spy(spec, B, n_max, params, *a, _name=name, _orig=orig, **k):
-                calls.append((_name, n_max))
+                calls.append((_name, n_max, B[0]))
                 return _orig(spec, B, n_max, params, *a, **k)
             monkeypatch.setattr(sd, f"_pmf_by_{name}", spy)
         assert cli.run(["prob-t", "--spec", str(path), "--n", str(n),
                         "--choose-x", "exact_mean"]) == 0
-        assert calls == [(route, n)]
+        assert calls == [("recursion", n, first)]
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
@@ -1474,7 +1480,10 @@ class TestFullSetPmfSlot:
             params = TiltedParams(choose_x(spec, n, theta), theta)
             got = {}
             for B in (first, second):
-                got[B] = sd.weighted_sum_pmf(spec, B, n, params).p
+                # y_1 = theta x > 1: the recursion runs above s = 7 (9)
+                got[B], route = _auto_route(spec, B, n, params)
+                got[B] = got[B].p
+                assert route == "split"
             factor = math.exp(sd.log_seed(spec, extra, params)
                               - sd.log_seed(spec, range(1, n + 1), params))
             assert factor < 1 - 1e-6
@@ -1587,12 +1596,13 @@ class TestConvolutionFirst:
         return calls
 
     @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.distinct_odd_partitions(),
                                       st.squarefree_polynomials(2),
                                       CUSTOM_SELECTION],
                              ids=lambda s: s.name)
     def test_small_index_sets_skip_the_recursion(self, spec, monkeypatch):
-        # sum_{i in B} n min(m_i, n // i) <= 212 n for 5 indices of 1..10,
-        # against about n band / 2 for the recursion
+        # sum_{i in B} n (1 + min(m_i, n // i)) <= 217 n for 5 indices of
+        # 1..10, against about n band / 2 for the recursion
         n = 1000
         params = TiltedParams(choose_x(spec, n), 1)
         calls = self._recursions(monkeypatch)
@@ -1602,14 +1612,22 @@ class TestConvolutionFirst:
             assert np.array_equal(got.p, conv.p)
         assert calls == []
 
-    def test_complements_and_full_sets_keep_the_recursion(self, monkeypatch):
+    @pytest.mark.parametrize("spec,route", [
+        (st.distinct_partitions(), "recursion"),
+        # n / 2 strided updates of 2 n multiply-adds each, against
+        # n (n + 1) / 2 for the recursion, which cancels by 2^24 on all of
+        # B: the recursion runs above s = 25 and the convolution below
+        (st.distinct_odd_partitions(), "split"),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_complements_and_full_sets_keep_the_recursion(self, spec, route,
+                                                          monkeypatch):
         # n - 5 strided updates of length n against n (n + 1) / 2
         # multiply-adds: the recursion is tried and certified
-        spec, n = st.distinct_partitions(), 1000
+        n = 1000
         params = TiltedParams(choose_x(spec, n), 1)
         calls = self._recursions(monkeypatch)
         for B in (sd.complement((1, 3, 5, 7, 9), n), range(1, n + 1)):
-            assert _auto_route(spec, B, n, params)[1]
+            assert _auto_route(spec, B, n, params)[1] == route
         assert calls
 
 
@@ -1654,18 +1672,39 @@ class TestConvolutionChecksRecursionAboveCutoff:
 
 
 def _auto_route(spec, B, n, params):
-    """(auto pmf, whether it kept the recursion), by a spy on the
-    convolution the auto route falls back to."""
+    """(auto pmf, its route): "recursion" (the signed or positive recursion
+    on all of B, s = 0), "split" (the recursion above s > 0 joined with the
+    convolution up to s) or "convolution" (over all of B), by spies on the
+    convolution the auto route falls back to and on the index set the
+    recursion runs on."""
+    firsts = []
+    orig = sd._pmf_by_recursion
+
+    def spy(spec_, B_, *args, **kwargs):
+        firsts.append(B_[0])
+        return orig(spec_, B_, *args, **kwargs)
     with mock.patch.object(sd, "_pmf_by_convolution",
-                           wraps=sd._pmf_by_convolution) as conv:
+                           wraps=sd._pmf_by_convolution) as conv, \
+            mock.patch.object(sd, "_pmf_by_recursion", spy):
         pv = sd.weighted_sum_pmf(spec, B, n, params)
-    return pv, not conv.called
+    if conv.called:
+        return pv, "convolution"
+    return pv, ("recursion" if firsts == [sd.index_set(B)[0]] else "split")
 
 
 def _agree(got, want, n, tol=1e-11):
     """Max-normwise and relative at n."""
     assert float(np.max(np.abs(got.p - want.p))) <= tol * float(np.max(want.p))
     assert abs(got.p[n] - want.p[n]) <= tol * want.p[n]
+
+
+def _per_entry(got, conv, reach, tol=1e-12):
+    """Every entry of got within tol of the convolution's, relative, where
+    that is a normal double; exactly 0 at the weights R_B cannot reach."""
+    assert not np.any(got[~reach]) and not np.any(conv[~reach])
+    normal = conv >= sys.float_info.min
+    assert np.all(np.abs(got - conv)[normal] <= tol * conv[normal])
+    assert not np.any(got[~normal] >= sys.float_info.min)
 
 
 def _seeded_selection(seed, name):
@@ -1712,12 +1751,20 @@ class TestCertifiedSelectionRoute:
         params = TiltedParams(choose_x(spec, n), 1)
         B = sorted(random.Random(n).sample(range(1, 11), 5))
         for BB in (range(1, n + 1), B, sd.complement(B, n)):
-            got, kept = _auto_route(spec, BB, n, params)
+            got, route = _auto_route(spec, BB, n, params)
             conv = sd.weighted_sum_pmf(spec, BB, n, params, "convolution")
-            if kept:
+            if route != "convolution":
                 _agree(got, conv, n)
+                assert np.array_equal(got.p == 0, conv.p == 0)
             else:
                 assert np.array_equal(got.p, conv.p) and got.tail == conv.tail
+        # from n = 1000 on the 5-index B costs fewer multiply-adds on the
+        # convolution, and distinct odd partitions split
+        if n >= 1000:
+            assert _auto_route(spec, B, n, params)[1] == "convolution"
+        if spec.name == "distinct_odd_partitions" and n >= 1000:
+            for BB in (range(1, n + 1), sd.complement(B, n)):
+                assert _auto_route(spec, BB, n, params)[1] == "split"
 
     @pytest.mark.parametrize("spec", [st.distinct_partitions(),
                                       st.squarefree_polynomials(2)],
@@ -1729,15 +1776,15 @@ class TestCertifiedSelectionRoute:
         params = TiltedParams(choose_x(spec, n), 1)
         g = sd._g_array(spec, tuple(range(1, n + 1)), n, params)
         assert np.all(g >= 0)
-        assert _auto_route(spec, range(1, n + 1), n, params)[1]
+        assert _auto_route(spec, range(1, n + 1), n, params)[1] == "recursion"
 
     @pytest.mark.parametrize("theta", [1, Fraction(1, 2)], ids=str)
     @pytest.mark.parametrize("spec", SELECTION_SPECS, ids=lambda s: s.name)
     def test_kept_recursion_matches_exact_table(self, spec, theta):
         for n in (64, 256, 512):
             params = TiltedParams(choose_x(spec, n, theta), theta)
-            _, kept = _auto_route(spec, range(1, n + 1), n, params)
-            if not kept:
+            _, route = _auto_route(spec, range(1, n + 1), n, params)
+            if route == "convolution":
                 continue
             got = sd.prob_T_eq_n(spec, n, params)
             want = sd.prob_T_eq_n(spec, n, params, method="closed_form")
@@ -1754,31 +1801,48 @@ class TestCertifiedSelectionRoute:
         x = choose_x(spec, n)
         params = TiltedParams(x, 1)
         ref = _mpmath_pmf(spec, counts(n), n, x)
-        rec, kept = _auto_route(spec, range(1, n + 1), n, params)
+        rec, route = _auto_route(spec, range(1, n + 1), n, params)
         conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
                                    "convolution")
-        assert kept
+        assert route == "recursion"
         err = [float(np.max(np.abs(v.p - ref))) / float(np.max(ref))
                for v in (rec, conv)]
         assert err[0] <= err[1] <= 1e-13
         for v in (rec, conv):
             assert v.p[n] == pytest.approx(ref[n], rel=1e-14)
 
-    @pytest.mark.parametrize("spec,n,low", [
-        (st.distinct_odd_partitions(), 2000, 30),
-        # 11.1 bits, just above the limit
-        (_seeded_selection(3, "sel_gap_11"), 1000, sd._CANCEL_BITS),
+    @pytest.mark.parametrize("spec,n,low,route", [
+        (st.distinct_odd_partitions(), 2000, 30, "split"),
+        # 11.1 bits, just above the limit; its 70 active indices cost
+        # fewer multiply-adds on the convolution than the split
+        (_seeded_selection(3, "sel_gap_11"), 1000, sd._CANCEL_BITS,
+         "convolution"),
     ], ids=["distinct_odd_partitions", "sel_gap_11"])
-    def test_cancelling_recursion_is_the_convolution(self, spec, n, low):
+    def test_cancelling_recursion_is_split(self, spec, n, low, route):
+        # the recursion on all of B would be refused; above the split index
+        # it is certified, and the convolution runs on the indices up to it
         params = TiltedParams(choose_x(spec, n), 1)
-        B = tuple(range(1, n + 1))
+        B = sd.index_set(range(1, n + 1))
         g = sd._g_array(spec, B, n, params)
         q, shift = sd._recursion_coeffs(g, n)
-        assert low < sd._cancellation_bits(g, q, shift, n) < low + 5
-        got, kept = _auto_route(spec, B, n, params)
+        reach = lambda top: sd._reach(spec, B, top)  # noqa: E731
+        assert low < sd._cancellation_bits(g, q, shift, n, reach)[0] < low + 5
+        ks, lm = sd._active_indices(spec, B, n)
+        s = sd._split_index(ks, lm, g, params)
+        assert 0 < s < n // 10
+        high = sd.index_set(range(s + 1, n + 1))
+        gh = sd._g_array(spec, high, n, params)
+        qh, shh = sd._recursion_coeffs(gh, n)
+        bits = sd._cancellation_bits(gh, qh, shh, n,
+                                     lambda top: sd._reach(spec, high, top))[0]
+        assert bits <= sd._SPLIT_BITS + 1
+        got, took = _auto_route(spec, B, n, params)
         conv = sd.weighted_sum_pmf(spec, B, n, params, "convolution")
-        assert not kept
-        assert np.array_equal(got.p, conv.p) and got.tail == conv.tail
+        assert took == route
+        if route == "split":
+            _per_entry(got.p, conv.p, sd._reach(spec, B, n))
+        else:
+            assert np.array_equal(got.p, conv.p) and got.tail == conv.tail
 
     def test_overflowing_weights_fall_back(self):
         # at x = 1e6 the weights g(i) pass double range; the convolution
@@ -1789,8 +1853,8 @@ class TestCertifiedSelectionRoute:
             warnings.simplefilter("error")
             with pytest.raises(NumericGuardError):
                 sd._g_array(spec, tuple(range(1, n + 1)), n, params)
-            got, kept = _auto_route(spec, range(1, n + 1), n, params)
-            assert not kept and got.p[n] == 0.0
+            got, route = _auto_route(spec, range(1, n + 1), n, params)
+            assert route == "convolution" and got.p[n] == 0.0
             with pytest.raises(NumericGuardError, match="underflowed"):
                 sd.prob_T_eq_n(spec, n, params)
 
@@ -1814,12 +1878,227 @@ class TestCertifiedSelectionRoute:
         spec = st.from_m_list("selection", m, name="sel_property")
         params = TiltedParams(x, 1)
         for BB in (B, range(1, n + 1)):
-            got, kept = _auto_route(spec, BB, n, params)
+            got, route = _auto_route(spec, BB, n, params)
             conv = sd.weighted_sum_pmf(spec, BB, n, params, "convolution")
-            if kept:
+            if route != "convolution":
                 _agree(got, conv, n)
+                assert np.array_equal(got.p == 0, conv.p == 0)
             else:
                 assert np.array_equal(got.p, conv.p)
+
+
+class TestConvolutionReadsActiveIndices:
+    """The convolution reads only the indices with m_i != 0 (and those past
+    n_max, which scale it by P(Z_i = 0)): the same bits as the prefix pmfs
+    of every index, which the sampler's table keeps."""
+
+    @staticmethod
+    def _all_indices(spec, B, n, params):
+        """One strided update per index of B, rows to n // i: the
+        convolution as it read every index."""
+        p = np.eye(1, n + 1)[0]
+        idx = np.asarray(B, dtype=np.int64)
+        for i, pk in zip(B, z_pmf_rows(spec, idx, n // idx, params)):
+            nonzero = pk.nonzero()[0]
+            pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
+            if len(pk) > 1 or pk[0] != 1.0:
+                new = pk[0] * p
+                for k in range(1, len(pk)):
+                    new[i * k:] += pk[k] * p[: n + 1 - i * k]
+                p = new
+        return p
+
+    @pytest.mark.parametrize("spec,n,B", [
+        (st.distinct_odd_partitions(), 2000, range(1, 2001)),
+        (st.distinct_odd_partitions(), 1000, sd.complement((1, 3, 5, 7, 9),
+                                                           1000)),
+        (CUSTOM_SELECTION, 1000, range(1, 1001)),
+        (CUSTOM_SELECTION, 300, (2, 5, 6, 9, 40, 77, 299)),
+        # past n_max: indices with m_i != 0 scale p, the others do not
+        (CUSTOM_SELECTION, 150, range(1, 300)),
+        (st.distinct_partitions(), 200, range(1, 260)),
+    ], ids=["distinct_odd-2000", "distinct_odd-complement", "custom-full",
+            "custom-gapped", "custom-past-n_max", "distinct-past-n_max"])
+    def test_bits_equal_every_index(self, spec, n, B):
+        params = TiltedParams(choose_x(spec, n), 1)
+        B = sd.index_set(B)
+        p, shift, lseed = sd._pmf_by_convolution(spec, B, n, params)
+        assert shift == 0 and lseed == 0.0
+        assert p.tobytes() == self._all_indices(spec, B, n, params).tobytes()
+
+    def test_prefix_pmfs_yields_every_index(self):
+        spec, n = CUSTOM_SELECTION, 120
+        params = TiltedParams(choose_x(spec, n), 1)
+        B = range(1, n + 1)
+        got = list(sd.prefix_pmfs(spec, B, n, params))
+        assert [i for i, _pk, _p in got] == list(B)
+        assert got[-1][2].tobytes() == self._all_indices(spec, B, n,
+                                                         params).tobytes()
+
+
+def _reach_loop(spec, n):
+    """The weights some structure of 0..n has, one boolean strided update
+    per index that is not a multiple of an unbounded one: the reference of
+    the bitset _reach."""
+    lm = log_m_array(spec, n)
+    idle = lm == -np.inf
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[0] = True
+    for i in range(1, n + 1):
+        if idle[i]:
+            continue
+        if spec.kind is st.Kind.SELECTION and lm[i] < math.log(n // i):
+            new = reach.copy()
+            for k in range(1, min(n // i, int(spec.m(i))) + 1):
+                new[i * k:] |= reach[: n + 1 - i * k]
+            reach = new
+        else:
+            rows = -(-(n + 1) // i)
+            grid = np.zeros(rows * i, dtype=bool)
+            grid[: n + 1] = reach
+            reach = np.logical_or.accumulate(grid.reshape(rows, i),
+                                             axis=0).ravel()[: n + 1]
+            idle[i::i] = True
+    return reach
+
+
+def _m_list_specs():
+    rng = random.Random(34)
+    out = []
+    for kind in ("selection", "multiset", "assembly"):
+        for t in range(3):
+            m = [rng.choice([0, 0, 0, 1, 2, 5]) for _ in range(rng.randint(5, 300))]
+            out.append(st.from_m_list(kind, m, name=f"{kind}_{t}"))
+    return out
+
+
+class TestReachBitset:
+    @pytest.mark.parametrize("spec", [
+        st.permutations(), st.set_partitions(), st.mappings(),
+        st.two_regular_graphs(), st.integer_partitions(), st.polynomials(2),
+        st.necklaces(2), st.distinct_partitions(),
+        st.distinct_odd_partitions(), st.squarefree_polynomials(2),
+        st.squarefree_polynomials(3), EVEN_ONLY,
+    ] + _m_list_specs(), ids=lambda s: s.name)
+    def test_matches_the_boolean_loop(self, spec):
+        for n in (1, 7, 60, 600, 4000):
+            got = sd._reach(spec, range(1, n + 1), n)
+            assert got.dtype == bool
+            assert np.array_equal(got, _reach_loop(spec, n)), n
+
+    @pytest.mark.parametrize("spec,B", [
+        (st.distinct_odd_partitions(), range(48, 400)),
+        (st.distinct_partitions(), (1, 3, 4, 5, 7)),
+        (st.squarefree_polynomials(2), (5, 6, 7, 8, 10)),
+        (CUSTOM_SELECTION, range(30, 300)),
+        (EVEN_ONLY, (2, 3, 4)),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_index_set_is_the_support_of_its_law(self, spec, B):
+        # at x = 0.5 no entry of 0..n underflows: the exact support
+        n = 300
+        params = TiltedParams(0.5, 1)
+        conv = sd._pmf_by_convolution(spec, sd.index_set(B), n, params)[0]
+        assert np.array_equal(sd._reach(spec, B, n), conv > 0)
+
+    def test_far_tilt_spec_at_16000(self):
+        # m_i = 1 at i = 2p: 1,007 bounded indices, none unbounded
+        n = 16000
+        sieve = np.ones(n // 2 + 1, dtype=bool)
+        sieve[:2] = False
+        for d in range(2, math.isqrt(n // 2) + 1):
+            sieve[d * d::d] &= d == np.arange(d * d, n // 2 + 1, d)
+        m = [0] * n
+        for p in np.flatnonzero(sieve).tolist():
+            m[2 * p - 1] = 1
+        assert sum(m) == 1007
+        spec = st.from_m_list("selection", m, name="twice_primes")
+        reach = sd._reach(spec, range(1, n + 1), n)
+        assert not reach[1::2].any() and reach[4] and reach[6] and not reach[2]
+        assert np.array_equal(reach[:2001], _reach_loop(spec, 2000))
+
+
+SPLIT_SPECS = [st.distinct_odd_partitions(), st.distinct_partitions(),
+               st.squarefree_polynomials(2), CUSTOM_SELECTION,
+               _seeded_selection(7, "sel_1_3")]
+
+
+class TestSplitRoute:
+    @pytest.mark.parametrize("n", [97, 600, 1000, 2000, 4000])
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2], ids=str)
+    @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda s: s.name)
+    def test_per_entry_against_the_convolution(self, spec, theta, n):
+        # every normal entry within 1e-12 of the convolution, relative, and
+        # exactly 0 where R_B takes no value; where g >= 0 the route is the
+        # positive recursion of the parent, bit for bit (its certified tail
+        # models hold g within 1e-12, not each entry)
+        params = TiltedParams(choose_x(spec, n, theta), theta)
+        B = sd.index_set(range(1, n + 1))
+        got, route = _auto_route(spec, B, n, params)
+        try:
+            g = sd._g_array(spec, B, n, params)
+        except NumericGuardError:
+            g = None  # a weight beyond double range: the convolution
+        if g is not None and np.all(g >= 0):
+            assert route == "recursion"
+            want = sd._assemble(*sd._pmf_by_recursion(spec, B, n, params))
+            assert got.p.tobytes() == want.p.tobytes()
+            return
+        conv = sd.weighted_sum_pmf(spec, B, n, params, "convolution").p
+        if route == "convolution":
+            assert got.p.tobytes() == conv.tobytes()
+        else:
+            _per_entry(got.p, conv, sd._reach(spec, B, n))
+
+    @pytest.mark.parametrize("spec", [st.distinct_partitions(),
+                                      st.squarefree_polynomials(2),
+                                      st.squarefree_polynomials(3)],
+                             ids=lambda s: s.name)
+    def test_nonnegative_g_takes_no_split(self, spec):
+        seen = 0
+        for n in (97, 600, 2000):
+            for theta in (Fraction(1, 2), 1, 2):
+                params = TiltedParams(choose_x(spec, n, theta), theta)
+                for B in (range(1, n + 1), sd.complement((1, 3, 5, 7, 9), n),
+                          range(40, n + 1)):
+                    B = sd.index_set(B)
+                    try:
+                        g = sd._g_array(spec, B, n, params)
+                    except NumericGuardError:
+                        continue
+                    if np.any(g < 0):
+                        continue
+                    seen += 1
+                    ks, lm = sd._active_indices(spec, B, n)
+                    assert sd._split_index(ks, lm, g, params) == 0
+        assert seen
+
+    def test_dust_where_no_structure_exists(self):
+        # the split part above s reaches no weight 1..s; its dust there,
+        # joined with the convolution, would read where no structure is
+        spec, n = st.distinct_odd_partitions(), 600
+        table = st.log_ptheta_table(spec, n, Fraction(1, 2))
+        exact = st.ptheta_table(spec, n, Fraction(1, 2))
+        assert table[2] == -math.inf
+        assert all((t == -math.inf) == (e == 0) for t, e in zip(table, exact))
+
+    def test_join_across_exponents(self):
+        # a recursion rescaled by 2^512 keeps entries at two exponents; the
+        # join adds the parts at the larger one, as the linear sum would
+        spec, n = CUSTOM_SELECTION, 200
+        params = TiltedParams(choose_x(spec, n), 1)
+        ks = np.array([1, 2, 3, 5], dtype=np.int64)
+        rng = np.random.default_rng(3)
+        v = rng.uniform(0.5, 1.0, n + 1)
+        shift = np.where(np.arange(n + 1) < 80, 0, 3)
+        w, e = sd._join(spec, ks, n, params, v, shift)
+        for _i, _pk, want in sd._prefix(spec, ks, n, params, np.ldexp(v, shift)):
+            pass
+        assert set(e.tolist()) <= {0, 3}
+        np.testing.assert_allclose(np.ldexp(w, e), want, rtol=1e-15, atol=0)
+        one = sd._join(spec, ks, n, params, v, np.zeros(n + 1, dtype=np.int64))
+        for _i, _pk, lin in sd._prefix(spec, ks, n, params, v):
+            pass
+        assert one[0].tobytes() == lin.tobytes() and not one[1].any()
 
 
 class TestOverflowingTilt:
@@ -1857,7 +2136,6 @@ class TestOverflowingTilt:
                 sd._g_array(spec, (1, 2), 2, params)
 
 
-EVEN_ONLY = st.from_m_list("multiset", [0, 1], name="even_only")
 
 
 class TestZeroConditioningProbability:
