@@ -210,8 +210,8 @@ def esf_moment(n: int, kappa: Numeric,
                r: Union[MomentSpec, Mapping[int, int]]) -> float:
     """Closed-form ESF joint moment:
     1(m <= n) C(kappa+n-m-1, n-m) C(kappa+n-1, n)^{-1} prod (kappa/j)^{r_j},
-    exact in big rationals (a float kappa enters as its exact binary
-    rational) and rounded once.
+    exact (a float kappa enters as its exact binary rational) and rounded
+    once.
     """
     if kappa <= 0:
         raise ParameterDomainError("kappa must be positive")
@@ -219,11 +219,16 @@ def esf_moment(n: int, kappa: Numeric,
     m = r.weight
     if m > n:
         return 0.0
-    kap = Fraction(kappa)
+    a, b = Fraction(kappa).as_integer_ratio()
     # C(kappa+n-m-1, n-m) / C(kappa+n-1, n)
-    #   = kappa_(n-m) n! / ((n-m)! kappa_(n)) = n^(m) / (kappa+n-m)_(m)
-    val = Fraction(falling(n, m), rising(kap + n - m, m))
+    #   = kappa_(n-m) n! / ((n-m)! kappa_(n)) = n^(m) / (kappa+n-m)_(m),
+    # and with kappa = a/b the moment is n^(m) b^m prod a^{r_j} over
+    # prod_{t<m} (a + b(n-m+t)) prod (b j)^{r_j}: two integers, whose true
+    # division is correctly rounded, as float(Fraction) is
+    num = math.prod(range(n - m + 1, n + 1)) * b ** m
+    den = math.prod(range(a + b * (n - m), a + b * n, b))
     for j, rj in r.orders:
-        val *= (kap / j) ** rj
-    return float(val)
+        num *= a ** rj
+        den *= (b * j) ** rj
+    return num / den
 

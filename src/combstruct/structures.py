@@ -37,7 +37,6 @@ counting formulas, the moments and the Ewens pmf read.
 from __future__ import annotations
 
 import json
-import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -50,6 +49,17 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NumericGuardError, ParameterDomainError, underflow_error
+
+# sha256 from CPython's builtin module, the same digest: hashlib loads
+# OpenSSL's libcrypto (about 3.3 MB resident and 4-5 ms of import), which no
+# spec hash needs
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 BigCount = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
@@ -259,7 +269,7 @@ class StructureSpec:
 
     def spec_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _sha256(blob.encode()).hexdigest()[:12]
 
 
 def _param_out(v):
@@ -507,19 +517,23 @@ def _mapping_ptheta(n: int, theta: BigCount) -> list[BigCount]:
     """exp(theta C) = (1-T)^(-theta) for the tree function T = x e^T, and
     Lagrange-Buermann inversion gives p_theta(k) = sum_i C(k, i)
     (theta-1)^(i) k^(k-i): P(k) = sum_i t_i with t_0 = (b k)^k and t_(i+1)
-    = t_i (k-i) (a + (i-1) b) / ((i+1) b k), an exact division.  At theta =
-    1 the sum is the one term k^k."""
+    = t_i f_i / d_i, f_i = (k-i) (a + (i-1) b) and d_i = (i+1) b k.  The sum
+    runs from the inside out on integers, N <- d_i M + f_i N and M <- d_i M
+    for i = k-1, ..., 0, without a division per term: then P(k) = N (b k)^k
+    / M, and M = k! (b k)^k, so P(k) = N / k!, one exact division.  At
+    theta = 1 the sum is the one term k^k."""
     a, b = theta.numerator, theta.denominator
-    P = [1]
+    if a == b:
+        return [k ** k for k in range(n + 1)]
+    P, fact = [1], 1
     for k in range(1, n + 1):
-        t = s = (b * k) ** k
-        for i in range(k):
-            f = (k - i) * (a + (i - 1) * b)
-            if not f:
-                break
-            t = _exact_div(t * f, (i + 1) * b * k, k)
-            s += t
-        P.append(s)
+        fact *= k
+        bk = b * k
+        N = M = 1
+        for i in range(k - 1, -1, -1):
+            M *= (i + 1) * bk
+            N = M + (k - i) * (a + (i - 1) * b) * N
+        P.append(_exact_div(N, fact, k))
     return _unscale(P, b)
 
 

@@ -981,7 +981,8 @@ def _join(spec: StructureSpec, ks: np.ndarray, n_max: int,
     value grows: each update is a mix with weights P(Z_i = k) <= 1.
     """
     w = e = None
-    for x in np.unique(shift).tolist():  # ascending
+    # ascending; np.unique would import numpy.ma on its first call
+    for x in sorted(set(shift.tolist())):
         part = np.where(shift == x, v, 0.0)
         for _i, _pk, part in _prefix(spec, ks, n_max, params, part):
             pass

@@ -550,47 +550,54 @@ class TestImportFootprint:
     # no scipy module at import or after any command: the block solve binds
     # dtbtrs in the LAPACK that numpy already loaded, and scipy would cost
     # start-up time, memory and a second OpenBLAS thread pool.  Nor may a
-    # request import numpy.ma (np.median does, on its first call).  On Linux
-    # the process then holds at most one thread per core.
+    # request import numpy.ma (np.median and np.unique do, on their first
+    # call), nor OpenSSL's _hashlib (hashlib does, about 3.3 MB resident),
+    # except that sample and limit --ecdf load _hashlib through
+    # numpy.random; they run last, so every other command is checked
+    # without it.  The second prob-t takes the split route of a selection.
+    # On Linux the process then holds at most one thread per core.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys
         import combstruct, combstruct.cli, combstruct.verify
         from combstruct import cli
 
-        def unwanted_modules():
-            # scipy, and numpy.ma: scipy.linalg used to import it at set-up,
-            # and np.median's first call imports it, about 15 ms of a request
+        def unwanted_modules(hashlib_ok=False):
+            # scipy; numpy.ma, which scipy.linalg used to import at set-up,
+            # about 15 ms of a request; and _hashlib, where hashlib_ok is off
             return sorted(m for m in sys.modules if m == "numpy.ma"
-                          or m.startswith(("scipy", "numpy.ma.")))
+                          or m.startswith(("scipy", "numpy.ma."))
+                          or (m == "_hashlib" and not hashlib_ok))
 
         print("import", *unwanted_modules())
-        perm, distinct, intpart = sys.argv[1:4]
+        perm, distinct, distinct_odd, intpart = sys.argv[1:5]
         requests = [
             ["tv", "--spec", perm, "--n", "600", "--choose-x", "exact_mean",
              "--B", "1..3", "--heuristic"],
             ["prob-t", "--spec", distinct, "--n", "600",
              "--choose-x", "exact_mean"],
+            ["prob-t", "--spec", distinct_odd, "--n", "2000",
+             "--choose-x", "exact_mean"],
             ["prob-t", "--spec", intpart, "--n", "4000",
              "--choose-x", "exact_mean"],
             ["pofn", "--spec", intpart, "--n", "20"],
             ["moments", "--spec", perm, "--n", "30", "--j", "1..3"],
-            ["sample", "--spec", perm, "--n", "30", "--x", "1",
-             "--samples", "5"],
             ["choose-x", "--spec", intpart, "--n", "600",
              "--choose-x", "exact_mean"],
-            ["limit", "--spec", perm, "--n", "600", "--x", "1",
-             "--ecdf", "50"],
             ["esf", "--n", "10", "--kappa", "2"],
             ["heuristic", "--spec", perm, "--n", "200", "--x", "1",
              "--B", "1..3"],
             ["verify"],
+            ["sample", "--spec", perm, "--n", "30", "--x", "1",
+             "--samples", "5"],
+            ["limit", "--spec", perm, "--n", "600", "--x", "1",
+             "--ecdf", "50"],
         ]
         for argv in requests:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.run(argv)
             if code:
                 raise SystemExit(f"{argv[0]} exited {code}")
-            print(argv[0], *unwanted_modules())
+            print(argv[0], *unwanted_modules(argv[0] in ("sample", "limit")))
         try:
             with open("/proc/self/status") as f:
                 threads = next(line.split()[1] for line in f
@@ -600,7 +607,7 @@ class TestImportFootprint:
         print("threads", threads)
     """)
 
-    def test_commands_load_no_scipy_or_numpy_ma(self, spec_files):
+    def test_commands_load_no_scipy_numpy_ma_or_openssl(self, spec_files):
         if sd._DTBTRS is None:
             pytest.skip("numpy's LAPACK exports no ILP64 dtbtrs here, so the "
                         "block solve imports scipy's")
@@ -609,11 +616,11 @@ class TestImportFootprint:
         res = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
              spec_files["permutations"], spec_files["distinct"],
-             spec_files["intpart"]],
+             spec_files["distinct_odd"], spec_files["intpart"]],
             capture_output=True, text=True, env=env, timeout=300)
         assert res.returncode == 0, res.stderr
         *lines, threads = res.stdout.splitlines()
-        assert [line.split()[1:] for line in lines] == [[]] * 12, lines
+        assert [line.split()[1:] for line in lines] == [[]] * 13, lines
         if sys.platform.startswith("linux"):
             assert int(threads.split()[1]) <= os.cpu_count(), threads
 

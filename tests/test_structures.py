@@ -1,7 +1,9 @@
 """Counting formulas, builtin m sequences, and total counts against
 independent oracles (direct enumeration, classical recurrences)."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -746,6 +748,16 @@ class TestSpecJson:
         assert spec.m(4) == 3
         again = st.spec_from_json_dict(spec.to_json_dict())
         assert again.spec_hash() == spec.spec_hash()
+
+    def test_spec_hash_is_hashlib_sha256(self):
+        # the '# spec' header's hash is the same bytes whichever sha256
+        # module structures picked
+        for spec in BUILTIN_SPECS + [st.from_m_list("assembly",
+                                                    [3, 0, "1/2", 2])]:
+            blob = json.dumps(spec.to_json_dict(), sort_keys=True,
+                              separators=(",", ":"))
+            want = hashlib.sha256(blob.encode()).hexdigest()[:12]
+            assert spec.spec_hash() == want, spec.name
 
     def test_explicit_m_list(self):
         spec = st.spec_from_json_dict({"kind": "selection", "m": [2, 1]})
