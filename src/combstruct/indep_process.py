@@ -564,6 +564,10 @@ def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
             raise ParameterDomainError(
                 f"sup_x E T_n = {hi[1]:.6g} < n = {n} at the supremum "
                 f"x = {hi_cap:.17g}; no exact-mean solution for this multiset")
+        if hi[0] * 2.0 == math.inf:
+            # a selection, whose E T_n rises to sum_i i m_i < n as x grows:
+            # its components cannot reach weight n
+            raise ParameterDomainError(f"no structures of weight {n}")
         lo, hi = hi, at(min(hi[0] * 2.0, hi_cap))
     pt = min((lo, hi), key=lambda p: abs(step(p)))
     d_old = d = to_w(hi[0]) - to_w(lo[0])

@@ -63,6 +63,16 @@ def _positive_theta(theta: Numeric) -> Numeric:
     return theta
 
 
+def _moment_log_table(spec: StructureSpec, n: int, theta: Numeric,
+                      params: Optional[TiltedParams]) -> list[float]:
+    """The float log p_theta table a moment reads, refused where p_theta(n)
+    = 0, as the exact route refuses it: every moment divides by p_theta(n)."""
+    logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
+    if logt[n] == -math.inf:
+        raise ParameterDomainError(f"no structures of weight {n}")
+    return logt
+
+
 def factorial_moment_assembly(spec: StructureSpec, n: int,
                               r: Union[MomentSpec, Mapping[int, int]],
                               params: Optional[TiltedParams] = None,
@@ -87,7 +97,7 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
                 return 0.0
             val *= (Fraction(theta) * Fraction(mj) / math.factorial(j)) ** rj
         return float(val)
-    logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
+    logt = _moment_log_table(spec, n, theta, params)
     lf = log_factorial_array(spec, n)  # the log k! that logt added
     acc = lf[n] - lf[n - m] + logt[n - m] - logt[n]
     lm = log_m_array(spec, max((j for j, _ in r.orders), default=0))
@@ -151,7 +161,7 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
                               lead.denominator * b ** top * den
                               * last.numerator))
     # float path: log-space p_theta table, compensated alternating sum
-    logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
+    logt = _moment_log_table(spec, n, theta, params)
     lth = math.log(float(theta))
     terms = []
     for m in range(r, n // j + 1):

@@ -306,6 +306,98 @@ class TestCommands:
         assert "FAIL" not in out
 
 
+def _bell(n):
+    """Bell numbers B_0..B_n by the Bell triangle."""
+    bell, row = [1], [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+        bell.append(row[0])
+    return bell
+
+
+def _pentagonal_partitions(n):
+    """p(0..n) by Euler's pentagonal recurrence, term by term."""
+    partitions = [1]
+    for k in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= k:
+                    total += sign * partitions[k - g]
+            j += 1
+        partitions.append(total)
+    return partitions
+
+
+def _distinct_subset_sums(n):
+    """[z^k] prod_{i<=n} (1 + z^i), k <= n, one part at a time."""
+    distinct = [1] + [0] * n
+    for i in range(1, n + 1):
+        for s in range(n, i - 1, -1):
+            distinct[s] += distinct[s - i]
+    return distinct
+
+
+def _rising(t, n):
+    out = [Fraction(1)]
+    for k in range(n):
+        out.append(out[-1] * (t + k))
+    return out
+
+
+class TestPofnReferences:
+    """The n = 512 rows of pofn (exact route, JSON), read in process, each
+    against a reference that shares no code with the package's tables."""
+
+    N = 512
+    CASES = {
+        "esf_half": ({"kind": "assembly", "builtin": "esf",
+                      "params": {"kappa": "1/2"}}, "2",
+                     lambda n: [math.factorial(k) for k in range(n + 1)]),
+        "perm": ({"kind": "assembly", "builtin": "permutations"}, "3/5",
+                 lambda n: _rising(Fraction(3, 5), n)),
+        "mappings": ({"kind": "assembly", "builtin": "mappings"}, "1",
+                     lambda n: [k ** k for k in range(n + 1)]),
+        "set_partitions": ({"kind": "assembly", "builtin": "set_partitions"},
+                           "1", _bell),
+        "integer_partitions": ({"kind": "multiset",
+                                "builtin": "integer_partitions"}, "1",
+                               _pentagonal_partitions),
+        "polynomials": ({"kind": "multiset", "builtin": "polynomials",
+                         "params": {"q": 2}}, "1",
+                        lambda n: [2 ** k for k in range(n + 1)]),
+        "squarefree": ({"kind": "selection",
+                        "builtin": "squarefree_polynomials",
+                        "params": {"q": 2}}, "1",
+                       lambda n: [1, 2] + [2 ** k - 2 ** (k - 1)
+                                           for k in range(2, n + 1)]),
+        "distinct_partitions": ({"kind": "selection",
+                                 "builtin": "distinct_partitions"}, "1",
+                                _distinct_subset_sums),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rows_match_reference(self, name, tmp_path, capsys):
+        doc, theta, ref = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["pofn", "--spec", str(path), "--n",
+                                  str(self.N), "--theta", theta, "--format",
+                                  "json"], capsys)
+        assert code == 0 and err == ""
+        rows = json.loads(out)["table"]
+        assert len(rows) == self.N + 1
+        assert [r["n"] for r in rows] == list(range(self.N + 1))
+        want = ref(self.N)
+        bad = [r["n"] for r, v in zip(rows, want)
+               if Fraction(r["p_theta"]) != v]
+        assert bad == []
+
+
 class TestExitCodes:
     def test_flag_error_is_2(self, spec_files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -507,6 +599,35 @@ class TestExitCodes:
                                 "--n", n, "--x", "0.5", "--B", "1..3"], capsys)
         assert code == 3
         assert f"no structures of weight {n}" in err
+
+    @pytest.mark.parametrize("kind", ["assembly", "multiset"])
+    @pytest.mark.parametrize("n", ["511", "513", "1001"])
+    def test_moment_at_a_weight_no_structure_has_is_3(self, tmp_path, capsys,
+                                                      kind, n):
+        # components of size 2 only: p_theta(n) = 0 at odd n.  Above the
+        # cutoff the float route divided 0 by 0 and printed nan, exit 0;
+        # it now refuses the table as the exact route (n = 511) does
+        path = tmp_path / "even.json"
+        path.write_text(json.dumps({"kind": kind, "m": [0, 3]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["moments", "--spec", str(path), "--n", n,
+                                      "--j", "1..4"], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: no structures of weight {n}\n"
+
+    @pytest.mark.parametrize("cmd", [["pofn"], ["prob-t", "--choose-x",
+                                                "exact_mean"]],
+                             ids=lambda c: c[0])
+    def test_selection_short_of_weight_n_is_3(self, tmp_path, capsys, cmd):
+        # three components of size 2 weigh 6 at most: the exact-mean bracket
+        # doubled x up to inf and the error read "x and theta must be finite"
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"kind": "selection", "m": [0, 3]}))
+        code, out, err = run_cli([cmd[0], "--spec", str(path), "--n", "1001",
+                                  *cmd[1:]], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: no structures of weight 1001\n"
 
     def test_cancelling_selection_moment_is_4(self, spec_files, capsys):
         # E C_1 of distinct partitions at n = 1000, theta = 2: the float

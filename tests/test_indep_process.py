@@ -527,6 +527,17 @@ class TestSumMoments:
 
 
 class TestChooseX:
+    @pytest.mark.parametrize("m,n", [([0, 3], 1001), ([0, 3], 7),
+                                     ([2, 1, 1], 10)])
+    def test_selection_short_of_weight_n(self, m, n):
+        # sum_i i m_i < n: E T_n stays below n at every x, and the bracket
+        # used to double x to inf
+        with pytest.raises(ParameterDomainError,
+                           match=f"^no structures of weight {n}$"):
+            choose_x(st.from_m_list("selection", m), n)
+        # at sum_i i m_i = n the weight is reached, by every component
+        assert choose_x(st.from_m_list("selection", [2, 1, 1]), 7) > 0
+
     def test_set_partition_at_e(self):
         assert solve_xex(math.e) == pytest.approx(1.0, abs=1e-12)
         assert choose_x(st.set_partitions(), 100, 1, "set_partition") == \

@@ -583,6 +583,15 @@ class TestAssemblyTableForms:
             spec = st.spec_from_json_dict({"kind": kind.value, "m": [1, 2, 6]})
             assert spec.ptheta_fn is None
 
+    @pytest.mark.parametrize("make", CLOSED_FORM_SPECS,
+                             ids=[make().name for make in CLOSED_FORM_SPECS])
+    @pytest.mark.parametrize("theta", [1, 2, Fraction(1, 2), Fraction(3, 5)],
+                             ids=str)
+    def test_closed_forms_match_binomial_form_512(self, make, theta):
+        spec = make()
+        assert typed(spec.ptheta_fn(512, theta)) \
+            == typed(st._assembly_binomial(spec, 512, theta))
+
     def test_esf_half_at_two_is_factorial_512(self):
         # theta kappa = 1: the Ewens weights of permutations, p(k) = k!
         got = st.ptheta_table(st.esf(Fraction(1, 2)), 512, 2)
@@ -599,12 +608,17 @@ THETA_ONE_SPECS = [st.integer_partitions, st.distinct_partitions,
     lambda q=q, f=f: f(q) for q in (2, 3, 5)
     for f in (st.polynomials, st.necklaces, st.squarefree_polynomials)]
 THETA_ONE_IDS = [make().name for make in THETA_ONE_SPECS]
+PARTITION_SPECS, POLY_SPECS = THETA_ONE_SPECS[:3], THETA_ONE_SPECS[3:]
+PARTITION_IDS, POLY_IDS = THETA_ONE_IDS[:3], THETA_ONE_IDS[3:]
+PARTITION_THETAS = [Fraction(1, 2), Fraction(3, 5), 1, Fraction(7, 5), 2, 3]
 
 
 class TestThetaOneTableForms:
-    """The closed forms of the builtin multisets and selections at theta =
-    1 (spec.ptheta_fn), each against the divisor recurrence on its own
-    m_j; every other theta takes that recurrence."""
+    """The closed forms of the builtin multisets and selections
+    (spec.ptheta_fn), each against the divisor recurrence on its own m_j:
+    the partition builtins have one at every theta, the polynomial
+    families at theta = 1 only and take that recurrence elsewhere, on the
+    m_j of one divisor-sum sieve."""
 
     @pytest.mark.parametrize("make", THETA_ONE_SPECS, ids=THETA_ONE_IDS)
     def test_closed_form_matches_divisor_recurrence(self, make):
@@ -613,12 +627,21 @@ class TestThetaOneTableForms:
             assert typed(spec.ptheta_fn(n, 1)) \
                 == typed(st._divisor_recurrence(spec, n, 1)), n
 
+    @pytest.mark.parametrize("make", PARTITION_SPECS, ids=PARTITION_IDS)
+    @pytest.mark.parametrize("theta", PARTITION_THETAS, ids=str)
+    def test_partition_forms_at_every_theta(self, make, theta):
+        spec = make()
+        for n in [*range(61), 128, 512]:
+            assert typed(spec.ptheta_fn(n, theta)) \
+                == typed(st._divisor_recurrence(spec, n, theta)), n
+
     @pytest.mark.parametrize("make", THETA_ONE_SPECS, ids=THETA_ONE_IDS)
     @pytest.mark.parametrize("theta", [2, Fraction(1, 2), Fraction(3, 5)],
                              ids=str)
     def test_other_thetas_take_the_recurrence(self, make, theta):
         spec = make()
-        assert spec.ptheta_fn(128, theta) is None
+        if make in POLY_SPECS:
+            assert spec.ptheta_fn(128, theta) is None
         assert typed(st.ptheta_table(spec, 128, theta)) \
             == typed(st._divisor_recurrence(make(), 128, theta))
 
@@ -628,6 +651,53 @@ class TestThetaOneTableForms:
         got = st.ptheta_table(spec, 128, 1)
         assert spec._m_cache == {}
         assert typed(got) == typed(spec.ptheta_fn(128, 1))
+
+    @pytest.mark.parametrize("make", PARTITION_SPECS, ids=PARTITION_IDS)
+    @pytest.mark.parametrize("theta", PARTITION_THETAS, ids=str)
+    def test_partition_tables_read_no_m(self, make, theta):
+        spec = make()
+        got = st.ptheta_table(spec, 128, theta)
+        assert spec._m_cache == {}
+        assert typed(got) == typed(spec.ptheta_fn(128, theta))
+
+    @pytest.mark.parametrize("make", POLY_SPECS, ids=POLY_IDS)
+    def test_sieve_matches_moebius_sum(self, make):
+        spec = make()
+        m_i = spec.m_fn  # the Moebius sum over the divisors of i
+        assert spec.m_list_fn(512) == [m_i(k) for k in range(1, 513)]
+        got = spec.m_list(512)
+        assert got == [m_i(k) for k in range(1, 513)]
+        assert all(type(v) is int for v in got)
+        assert spec._m_cache == dict(enumerate(got, start=1))
+
+    def test_fresh_spec_sieves_again(self, monkeypatch):
+        # the sieve's m_k live in each spec's own memo, none across specs
+        calls = []
+        sieve = st._poly_m_list
+
+        def spy(q):
+            fill = sieve(q)
+
+            def m_list(n):
+                calls.append((q, n))
+                return fill(n)
+            return m_list
+        monkeypatch.setattr(st, "_poly_m_list", spy)
+        first = st.polynomials(2)
+        st.ptheta_table(first, 128, 2)
+        st.ptheta_table(first, 128, Fraction(1, 2))  # its memo: no sieve
+        assert calls == [(2, 128)]
+        second = st.polynomials(2)
+        assert second._m_cache == {}
+        assert typed(st.ptheta_table(second, 128, 2)) \
+            == typed(st.ptheta_table(first, 128, 2))
+        assert calls == [(2, 128)] * 2
+
+    def test_m_list_keeps_memoized_entries(self):
+        spec = st.squarefree_polynomials(5)
+        m5 = spec.m(5)  # 624
+        assert spec.m_list(8) == [spec.m_fn(k) for k in range(1, 9)]
+        assert spec._m_cache[5] is m5
 
 
 class TestTableSlots:
