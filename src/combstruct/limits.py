@@ -186,11 +186,6 @@ class LimitCheckReport:
     rel_gap: float
     cdf_rows: list = field(default_factory=list)  # (z, empirical, predicted)
 
-    def max_cdf_gap(self) -> float:
-        if not self.cdf_rows:
-            return 0.0
-        return max(abs(e - p) for _, e, p in self.cdf_rows)
-
 
 def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
                     ecdf_samples: int = 0, seed: int = 0) -> LimitCheckReport:

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ParameterDomainError
 from .structures import StructureSpec
 from .indep_process import TiltedParams, mean_var_arrays
-from .sumdist import PmfVector, conditioned_block, index_set, weighted_sum_pmf
+from .sumdist import (IndexSet, PmfVector, _index_array, conditioned_block,
+                      index_set, weighted_sum_pmf)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
     if pr is None:
         pr = weighted_sum_pmf(spec, B, n, params)
     mean, _ = mean_var_arrays(spec, max(B), params)
-    mu = float(np.dot(np.arange(len(mean)), mean * _indicator(B, len(mean))))
+    mu = float((np.arange(len(mean)) * mean * _indicator(B, len(mean))).sum())
     r = np.arange(n + 1)
     mad = float((np.abs(r - mu) * pr.p).sum())
     if pr.tail > 0 and mu <= n:
@@ -151,11 +152,10 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
     return 0.5 * abs(kappa_eff - 1.0) * mad / n
 
 
-def _indicator(B, size: int) -> np.ndarray:
+def _indicator(B: IndexSet, size: int) -> np.ndarray:
     ind = np.zeros(size)
-    for i in B:
-        if i < size:
-            ind[i] = 1.0
+    idx = _index_array(B)
+    ind[idx[idx < size]] = 1.0
     return ind
 
 

@@ -24,42 +24,52 @@ from combstruct import sumdist as sd
 from combstruct.indep_process import TiltedParams, z_law
 
 
-@pytest.fixture
-def spec_files(tmp_path):
+SPEC_DOCS = {
+    "permutations": {"kind": "assembly", "builtin": "permutations"},
+    "setpartitions": {"kind": "assembly", "builtin": "set_partitions"},
+    "intpart": {"kind": "multiset", "builtin": "integer_partitions"},
+    "esf2": {"kind": "assembly", "builtin": "esf", "params": {"kappa": 2}},
+    "esf_float": {"kind": "assembly", "builtin": "esf",
+                  "params": {"kappa": 0.3}},
+    "squarefree2": {"kind": "selection", "builtin": "squarefree_polynomials",
+                    "params": {"q": 2}},
+    "bad_kind": {"kind": "assembli", "m": [1, 2]},
+    "distinct": {"kind": "selection", "builtin": "distinct_partitions"},
+    "distinct_odd": {"kind": "selection",
+                     "builtin": "distinct_odd_partitions"},
+    # P(T_25 = 25) = 2.1e-315 at x = 3: the whole pmf of T_25 is below
+    # the smallest normal double
+    "subnormal_sel": {"kind": "selection",
+                      "m": [0] * 12 + [1] * 8 + [4] + [5] * 4},
+    "even_only": {"kind": "multiset", "m": [0, 1]},
+    "poly2": {"kind": "multiset", "builtin": "polynomials",
+              "params": {"q": 2}},
+    "mappings": {"kind": "assembly", "builtin": "mappings"},
+    # 70 entries from 0..3, as the benchmark's custom selections
+    "custom_sel": {"kind": "selection",
+                   "m": [3, 3, 3, 1, 1, 3, 1, 0, 3, 2, 1, 0, 0, 3, 3, 1,
+                         0, 0, 0, 0, 1, 1, 0, 3, 2, 3, 1, 1, 2, 3, 0, 0,
+                         3, 2, 3, 0, 2, 2, 1, 2, 0, 0, 0, 3, 0, 2, 3, 0,
+                         0, 0, 1, 1, 0, 3, 3, 3, 3, 0, 1, 2, 2, 0, 2, 2,
+                         0, 3, 0, 1, 1, 0]},
+    "esf_half": {"kind": "assembly", "builtin": "esf",
+                 "params": {"kappa": "1/2"}},
+}
+
+
+def _write_specs(directory):
+    """SPEC_DOCS as JSON files in directory: {name: path}."""
     paths = {}
-    for name, doc in {
-        "permutations": {"kind": "assembly", "builtin": "permutations"},
-        "setpartitions": {"kind": "assembly", "builtin": "set_partitions"},
-        "intpart": {"kind": "multiset", "builtin": "integer_partitions"},
-        "esf2": {"kind": "assembly", "builtin": "esf", "params": {"kappa": 2}},
-        "esf_float": {"kind": "assembly", "builtin": "esf",
-                      "params": {"kappa": 0.3}},
-        "squarefree2": {"kind": "selection", "builtin": "squarefree_polynomials",
-                        "params": {"q": 2}},
-        "bad_kind": {"kind": "assembli", "m": [1, 2]},
-        "distinct": {"kind": "selection", "builtin": "distinct_partitions"},
-        "distinct_odd": {"kind": "selection",
-                         "builtin": "distinct_odd_partitions"},
-        # P(T_25 = 25) = 2.1e-315 at x = 3: the whole pmf of T_25 is below
-        # the smallest normal double
-        "subnormal_sel": {"kind": "selection",
-                          "m": [0] * 12 + [1] * 8 + [4] + [5] * 4},
-        "even_only": {"kind": "multiset", "m": [0, 1]},
-        "poly2": {"kind": "multiset", "builtin": "polynomials",
-                  "params": {"q": 2}},
-        "mappings": {"kind": "assembly", "builtin": "mappings"},
-        # 70 entries from 0..3, as the benchmark's custom selections
-        "custom_sel": {"kind": "selection",
-                       "m": [3, 3, 3, 1, 1, 3, 1, 0, 3, 2, 1, 0, 0, 3, 3, 1,
-                             0, 0, 0, 0, 1, 1, 0, 3, 2, 3, 1, 1, 2, 3, 0, 0,
-                             3, 2, 3, 0, 2, 2, 1, 2, 0, 0, 0, 3, 0, 2, 3, 0,
-                             0, 0, 1, 1, 0, 3, 3, 3, 3, 0, 1, 2, 2, 0, 2, 2,
-                             0, 3, 0, 1, 1, 0]},
-    }.items():
-        p = tmp_path / f"{name}.json"
+    for name, doc in SPEC_DOCS.items():
+        p = directory / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
     return paths
+
+
+@pytest.fixture
+def spec_files(tmp_path):
+    return _write_specs(tmp_path)
 
 
 def run_cli(args, capsys):
@@ -97,9 +107,11 @@ class TestCommands:
     def test_pofn_bell_past_the_rescales(self, spec_files, capsys,
                                          monkeypatch):
         # at n = 16000 the recursion is rescaled by 2^-512 five times; the
-        # entries a rescale would take below the smallest normal double
-        # keep their exponent, so no row reads 0, and no weight needs the
-        # support test of the underflow guard
+        # entries k <= 2776 that a rescale would take below the smallest
+        # normal double keep their exponent, so no row reads 0, and no
+        # weight needs the support test of the underflow guard.  Every row
+        # k <= 2776 is held to the exact Bell number B_k, and the last to
+        # mpmath's B_16000
         from combstruct import sumdist
         monkeypatch.setattr(sumdist, "_reach", None)
         with warnings.catch_warnings():
@@ -114,16 +126,19 @@ class TestCommands:
             mantissa, _, exponent = text.partition("e+")
             return math.log(float(mantissa)) + int(exponent or 0) * math.log(10)
 
+        assert [k for k, v in rows if float(v.partition("e+")[0]) == 0.0] == []
         logs = [log_value(v) for _k, v in rows]
         assert all(math.isfinite(v) for v in logs)
         # entries a rescale kept at their exponent are read by ldexp where
         # that is a normal double: B_1 = 1 and B_2 = 2 to the last digits
         assert float(rows[1][1]) == 1.0
         assert abs(float(rows[2][1]) - 2.0) <= 4 * math.ulp(2.0)
+        for k, b in enumerate(_bell(2776)[1:], 1):
+            want = math.log(b)
+            assert abs(logs[k] - want) <= 1e-14 * max(1.0, abs(want)), k
         with mpmath.workdps(30):
-            for k in (*range(1, 20), 97, 287, 1000, 2000, 2614, 2776, 16000):
-                want = float(mpmath.log(mpmath.bell(k)))
-                assert abs(logs[k] - want) <= 1e-14 * max(1.0, abs(want)), k
+            want = float(mpmath.log(mpmath.bell(16000)))
+        assert abs(logs[16000] - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("prec", [12, 17])
     def test_pofn_rows_beyond_double_range_are_rounded(self, spec_files,
@@ -378,6 +393,11 @@ class TestPofnReferences:
         "distinct_partitions": ({"kind": "selection",
                                  "builtin": "distinct_partitions"}, "1",
                                 _distinct_subset_sums),
+        # m = (1/2): p_theta(k) = theta^k C(2k, k) / 4^k
+        "half_m": ({"kind": "multiset", "m": ["1/2"]}, "1/2",
+                   lambda n: [Fraction(1, 2) ** k
+                              * Fraction(math.comb(2 * k, k), 4 ** k)
+                              for k in range(n + 1)]),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -676,7 +696,11 @@ class TestImportFootprint:
     # except that sample and limit --ecdf load _hashlib through
     # numpy.random; they run last, so every other command is checked
     # without it.  The second prob-t takes the split route of a selection.
-    # On Linux the process then holds at most one thread per core.
+    # The three requests at n = 16000 run the block solve on numpy's
+    # dtbtrs: prob-t on integer_partitions, tv there whose R_B takes the
+    # periodic tail of band lcm(B) = 36, and tv on polynomials(2) whose R_B
+    # refuses that tail.  On Linux the process then holds at most one
+    # thread per core.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys
         import combstruct, combstruct.cli, combstruct.verify
@@ -690,7 +714,7 @@ class TestImportFootprint:
                           or (m == "_hashlib" and not hashlib_ok))
 
         print("import", *unwanted_modules())
-        perm, distinct, distinct_odd, intpart = sys.argv[1:5]
+        perm, distinct, distinct_odd, intpart, poly2 = sys.argv[1:6]
         requests = [
             ["tv", "--spec", perm, "--n", "600", "--choose-x", "exact_mean",
              "--B", "1..3", "--heuristic"],
@@ -708,6 +732,12 @@ class TestImportFootprint:
             ["heuristic", "--spec", perm, "--n", "200", "--x", "1",
              "--B", "1..3"],
             ["verify"],
+            ["prob-t", "--spec", intpart, "--n", "16000",
+             "--choose-x", "exact_mean", "--format", "json"],
+            ["tv", "--spec", intpart, "--n", "16000", "--choose-x",
+             "exact_mean", "--B", "1,2,3,4,9", "--format", "json"],
+            ["tv", "--spec", poly2, "--n", "16000", "--choose-x",
+             "exact_mean", "--B", "1,2,6,7,10", "--format", "json"],
             ["sample", "--spec", perm, "--n", "30", "--x", "1",
              "--samples", "5"],
             ["limit", "--spec", perm, "--n", "600", "--x", "1",
@@ -737,11 +767,12 @@ class TestImportFootprint:
         res = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
              spec_files["permutations"], spec_files["distinct"],
-             spec_files["distinct_odd"], spec_files["intpart"]],
+             spec_files["distinct_odd"], spec_files["intpart"],
+             spec_files["poly2"]],
             capture_output=True, text=True, env=env, timeout=300)
         assert res.returncode == 0, res.stderr
         *lines, threads = res.stdout.splitlines()
-        assert [line.split()[1:] for line in lines] == [[]] * 13, lines
+        assert [line.split()[1:] for line in lines] == [[]] * 16, lines
         if sys.platform.startswith("linux"):
             assert int(threads.split()[1]) <= os.cpu_count(), threads
 
@@ -788,43 +819,88 @@ class TestBlasThreadCount:
     # OpenBLAS splits a long np.dot across its threads, so a sum taken by
     # it rounds by the thread count (choose-x's mean_residual on
     # polynomials(2) at n = 16000 did, tv's 17-digit JSON rows on set
-    # partitions, and on mappings the full-band recursion's correlation
-    # windows past 10^4 entries); a request must print the same bytes under
+    # partitions, on mappings the full-band recursion's correlation
+    # windows past 10^4 entries, and the mean of R_B in tv --heuristic and
+    # heuristic on esf(1/2)); a request must print the same bytes under
     # one and two threads, also where R_B takes the periodic tail, and on
     # polynomials(2), where it refuses that tail, keeps the rows before the
     # refusal and stops once q is 0 over the full band; and on selections
     # whose R_B splits (the signed recursion above an index, the
-    # convolution below) or takes the convolution alone
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
-    @pytest.mark.parametrize("spec,n,argv", [
-        ("poly2", 16000, ["choose-x"]),
-        ("intpart", 16000, ["prob-t"]),
-        ("setpartitions", 16000, ["tv", "--B", "1,3,5,7,9"]),
-        ("setpartitions", 16000, ["tv", "--B", "1,5,6,9,10", "--heuristic",
-                                  "--format", "json"]),
-        ("mappings", 16000, ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
-        ("intpart", 16000, ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
-        ("poly2", 16000, ["tv", "--B", "1,2,6,7,10", "--format", "json"]),
-        ("distinct_odd", 2000, ["tv", "--B", "1,3,5,7,9", "--format",
-                                "json"]),
-        ("custom_sel", 1000, ["prob-t", "--format", "json"]),
-    ], ids=["choose-x", "prob-t", "tv", "tv-json", "tv-mappings-json",
-            "tv-periodic-json", "tv-refused-periodic-json",
-            "tv-split-selection-json", "prob-t-custom-selection-json"])
-    def test_same_bytes_under_one_and_two_threads(self, spec_files, spec, n,
-                                                  argv):
+    # convolution below) or takes the convolution alone.  The requests run
+    # in process through cli.run, each on a freshly loaded spec, in one
+    # fresh interpreter per thread count.
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from combstruct import cli
+
         outs = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run(argv)
+            outs.append([code, buf.getvalue()])
+        print(json.dumps(outs))
+    """)
+    HEURISTIC = ["tv", "--B", "1,3,5,7,9", "--heuristic"]
+    REQUESTS = {
+        "choose-x": ("poly2", 16000, ["choose-x"]),
+        "choose-x-intpart": ("intpart", 16000, ["choose-x"]),
+        "choose-x-setpart": ("setpartitions", 16000, ["choose-x"]),
+        "prob-t": ("intpart", 16000, ["prob-t"]),
+        "prob-t-poly2": ("poly2", 16000, ["prob-t"]),
+        "prob-t-setpart": ("setpartitions", 16000, ["prob-t"]),
+        "tv": ("setpartitions", 16000, ["tv", "--B", "1,3,5,7,9"]),
+        "tv-heuristic-poly2": ("poly2", 16000, HEURISTIC),
+        "tv-heuristic-intpart": ("intpart", 16000, HEURISTIC),
+        "tv-heuristic-setpart": ("setpartitions", 16000, HEURISTIC),
+        "tv-json": ("setpartitions", 16000,
+                    ["tv", "--B", "1,5,6,9,10", "--heuristic", "--format",
+                     "json"]),
+        "tv-mappings-json": ("mappings", 16000,
+                             ["tv", "--B", "1,2,3,4,5", "--format", "json"]),
+        "tv-periodic-json": ("intpart", 16000,
+                             ["tv", "--B", "1,2,3,4,9", "--format", "json"]),
+        "tv-refused-periodic-json": ("poly2", 16000,
+                                     ["tv", "--B", "1,2,6,7,10", "--format",
+                                      "json"]),
+        "tv-split-selection-json": ("distinct_odd", 2000,
+                                    ["tv", "--B", "1,3,5,7,9", "--format",
+                                     "json"]),
+        "prob-t-custom-selection-json": ("custom_sel", 1000,
+                                         ["prob-t", "--format", "json"]),
+        "tv-heuristic-esf-half-json": ("esf_half", 16000,
+                                       ["tv", "--B", "2..16000", "--heuristic",
+                                        "--format", "json"]),
+        "heuristic-esf-half-json": ("esf_half", 4000,
+                                    ["heuristic", "--B", "500..16000",
+                                     "--doublings", "2", "--format", "json"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        """{name: ((exit code, stdout) at one thread, at two threads)}."""
+        specs = _write_specs(tmp_path_factory.mktemp("specs"))
+        argvs = [[argv[0], "--spec", specs[spec], "--n", str(n),
+                  "--choose-x", "exact_mean", *argv[1:]]
+                 for spec, n, argv in self.REQUESTS.values()]
+        runs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
             res = subprocess.run(
-                [sys.executable, "-m", "combstruct.cli", argv[0], "--spec",
-                 spec_files[spec], "--n", str(n), "--choose-x", "exact_mean",
-                 *argv[1:]],
-                capture_output=True, text=True, env=env, timeout=300)
+                [sys.executable, "-W", "error::RuntimeWarning", "-c",
+                 self.SCRIPT, json.dumps(argvs)],
+                capture_output=True, text=True, env=env, timeout=600)
             assert res.returncode == 0, res.stderr
-            outs.append(res.stdout)
-        assert outs[0] == outs[1]
+            runs.append(json.loads(res.stdout))
+        return dict(zip(self.REQUESTS, zip(*runs)))
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.parametrize("name", list(REQUESTS))
+    def test_same_bytes_under_one_and_two_threads(self, outputs, name):
+        (code, one), (_, two) = outputs[name]
+        assert code == 0, name
+        assert one == two, f"bytes differ under 1 and 2 threads: {name}"
 
 
 class TestParserCache:

@@ -1,13 +1,18 @@
 """The limit density, its Laplace transform, and finite-n local-limit checks."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import mpmath
 import pytest
 from scipy.integrate import quad
 
 from combstruct import structures as st
-from combstruct import limits, verify
+from combstruct import cli, limits, sumdist, verify
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams
 
@@ -207,13 +212,115 @@ class TestLimitLawCheck:
         assert abs(rep.prob_times_n / want - 1) < 0.05
 
     def test_empirical_cdf(self):
-        rep = limits.limit_law_check(st.permutations(), 400,
-                                     TiltedParams(1.0, 1),
-                                     ecdf_samples=4000, seed=7)
+        # each row within 0.05 of the limit cdf, and within 5 standard
+        # errors of the exact P(T_n <= z n)
+        spec, n, count = st.permutations(), 400, 4000
+        params = TiltedParams(1.0, 1)
+        rep = limits.limit_law_check(spec, n, params, ecdf_samples=count,
+                                     seed=7)
         assert rep.cdf_rows
-        assert rep.max_cdf_gap() < 0.05
+        assert max(abs(e - p) for _, e, p in rep.cdf_rows) < 0.05
+        _assert_within_5_se(spec, n, params, count,
+                            [(z, e) for z, e, _ in rep.cdf_rows])
 
     def test_needs_meta(self):
         with pytest.raises(ParameterDomainError):
             limits.limit_law_check(st.set_partitions(), 100,
                                    TiltedParams(3.0, 1))
+
+
+def _assert_within_5_se(spec, n, params, count, rows):
+    """Each (z, empirical cdf of count draws of T_n) within 5 standard
+    errors of the exact P(T_n <= z n) read off weighted_sum_pmf."""
+    p = sumdist.weighted_sum_pmf(spec, range(1, n + 1), n, params).p
+    for z, emp in rows:
+        want = float(p[: math.floor(z * n) + 1].sum())
+        se = math.sqrt(want * (1 - want) / count)
+        assert abs(emp - want) <= 5 * se, z
+
+
+def _limit_argv(spec_doc, tmp_path, n, ecdf):
+    """limit --ecdf at the exact-mean x, JSON, on spec_doc written to a file."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_doc))
+    return ["limit", "--spec", str(path), "--n", str(n), "--ecdf", str(ecdf),
+            "--choose-x", "exact_mean", "--format", "json"]
+
+
+PERM_DOC = {"kind": "assembly", "builtin": "permutations"}
+ESF_HALF_DOC = {"kind": "assembly", "builtin": "esf",
+                "params": {"kappa": "1/2"}}
+
+
+class TestLimitCommand:
+    # limit --ecdf draws T_n by inverse CDF on the pmf the local-limit
+    # check has already computed: O(count + n) memory.  The CLI runs in a
+    # fresh interpreter, whose peak RSS is its own
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from combstruct import cli
+
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(json.loads(sys.argv[1]))
+        # VmHWM is this interpreter's own peak RSS in kB; ru_maxrss would
+        # also keep the peak of the test runner that started it
+        try:
+            with open("/proc/self/status") as f:
+                peak_kb = next(int(line.split()[1]) for line in f
+                               if line.startswith("VmHWM:"))
+        except OSError:
+            peak_kb = None
+        print(json.dumps([code, peak_kb, buf.getvalue()]))
+    """)
+
+    def test_ecdf_at_16000_in_bounded_memory(self, tmp_path):
+        count = 2000
+        argv = _limit_argv(PERM_DOC, tmp_path, 16000, count)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
+             json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        code, peak_kb, out = json.loads(res.stdout)
+        assert code == 0
+        if sys.platform.startswith("linux"):
+            assert peak_kb < 200 * 1024
+        doc = json.loads(out)
+        par = dict(kv.split("=") for kv in doc["header"]["params"].split())
+        rows = [(r["z"], r["empirical_cdf"]) for r in doc["table2"]]
+        assert len(rows) == 4
+        _assert_within_5_se(st.permutations(), 16000,
+                            TiltedParams(float(par["x"]), 1), count, rows)
+
+    @pytest.mark.parametrize("spec_doc", [ESF_HALF_DOC, PERM_DOC],
+                             ids=["esf(1/2)", "permutations"])
+    def test_rows_match_mpmath_quadrature(self, spec_doc, tmp_path, capsys):
+        # g_c and the predicted cdf come from closed forms (Ein and a lower
+        # incomplete gamma series): every g_c row with z > 0 and every
+        # predicted_cdf row against mpmath quadratures of
+        # g_c(z) = e^{-gamma kappa} e^{-c z} z^{kappa-1} / (Gamma(kappa) psi(c))
+        argv = _limit_argv(spec_doc, tmp_path, 1000, 200)
+        assert cli.run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        par = dict(kv.split("=") for kv in doc["header"]["params"].split())
+        kappa = mpmath.mpf(float(par["kappa_eff"]))
+        c = mpmath.mpf(float(par["c"]))
+        with mpmath.workdps(30):
+            psi_c = mpmath.exp(-kappa * mpmath.quad(
+                lambda u: -mpmath.expm1(-c * u) / u, [0, 1]))
+            scale = (mpmath.exp(-mpmath.euler * kappa)
+                     / (mpmath.gamma(kappa) * psi_c))
+
+            def g(z):
+                return scale * mpmath.exp(-c * z) * z ** (kappa - 1)
+
+            rows = [(r["g_c"], g(mpmath.mpf(r["z"])))
+                    for r in doc["table1"] if r["z"] > 0]
+            rows += [(r["predicted_cdf"], mpmath.quad(g, [0, mpmath.mpf(r["z"])]))
+                     for r in doc["table2"]]
+        assert len(rows) == 24
+        for got, want in rows:
+            assert abs(got - float(want)) <= 1e-12 * float(want)

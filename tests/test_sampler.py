@@ -1,8 +1,13 @@
 """Exactness, determinism, and statistics of the table and rejection samplers."""
 
 import hashlib
+import json
 import math
+import os
 import statistics as pystats
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -258,6 +263,48 @@ class TestOneTablePerSlot:
         assert sum("sampler_tables" in k for k in slots) == 1
         assert spec._table_keys["prefix_pmfs"] == (n, 1.001, 1.0)
         assert first() is None
+
+    def test_n2000_in_a_fresh_interpreter(self):
+        # sampling permutations at n = 2000 at five x holds one prefix-pmf
+        # table, not five, so the cache ends with 4 entries (log m, log k!,
+        # log P(Z_i = 0), prefix pmfs).  The table keeps the lower triangle
+        # of Q, packed: at most 8 ((n+1)(n+2)/2 + n + 128) bytes, 16 MB.
+        # Peak RSS measured on a 2-vCPU host: 56.6 MB (68.3 MB with the
+        # full 32 MB table, 117 MB when all five packed tables are kept)
+        script = textwrap.dedent("""
+            import json
+            from combstruct import structures, sampler
+            from combstruct.indep_process import TiltedParams
+            spec, n = structures.permutations(), 2000
+            complete = True
+            for x in (0.999, 0.9995, 1.0, 1.0005, 1.001):
+                batch = sampler.sample_components(
+                    spec, n, TiltedParams(x, 1), 5, sampler.RngState(1))
+                complete = complete and all(v.complete for v in batch.samples)
+            # VmHWM is this interpreter's own peak RSS in kB; ru_maxrss
+            # would also keep the peak of the test runner that started it
+            try:
+                with open("/proc/self/status") as f:
+                    peak_kb = next(int(line.split()[1]) for line in f
+                                   if line.startswith("VmHWM:"))
+            except OSError:
+                peak_kb = None
+            print(json.dumps([complete, len(spec._table_cache),
+                              spec._table_cache["prefix_pmfs"].qc.nbytes,
+                              peak_kb]))
+        """)
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        complete, slots, nbytes, peak_kb = json.loads(res.stdout)
+        n = 2000
+        assert complete and slots == 4
+        assert nbytes <= 8 * ((n + 1) * (n + 2) // 2 + n + 128)
+        if sys.platform.startswith("linux"):
+            assert peak_kb < 100 * 1024
 
     def test_rebuild_runs_with_the_stale_table_gone(self, monkeypatch):
         spec, n = st.permutations(), 40

@@ -479,6 +479,23 @@ class TestSelectionFloatTable:
             else:
                 assert abs(math.expm1(g - st.log_big(e))) <= 1e-12, k
 
+    def test_pofn_last_row_matches_exact_table(self, tmp_path, capsys):
+        # distinct partitions at n = 1000, theta = 2 is above the exact
+        # cutoff: pofn prints the float table, which a selection reads off
+        # its certified route for T_n; its last row, p_theta(1000), printed
+        # to 12 digits, against the exact big-integer table
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "selection",
+                                    "builtin": "distinct_partitions"}))
+        assert cli.run(["pofn", "--spec", str(path), "--n", "1000",
+                        "--theta", "2"]) == 0
+        k, value = capsys.readouterr().out.splitlines()[-1].split("\t")
+        mantissa, _, exponent = value.partition("e")
+        got = math.log(float(mantissa)) + int(exponent or 0) * math.log(10)
+        exact = st.ptheta_table(st.distinct_partitions(), 1000, 2)[1000]
+        assert k == "1000"
+        assert abs(math.expm1(got - st.log_big(exact))) <= 1e-9
+
     def test_prob_t_closed_form_reads_the_certified_pmf(self, tmp_path,
                                                         capsys):
         path = tmp_path / "spec.json"
@@ -1033,6 +1050,41 @@ class TestTbtrsBindingsAgree:
         self._assert_same(*_recursion_both_routes(g, n, monkeypatch))
 
 
+@pytest.mark.skipif(sd._DTBTRS is None,
+                    reason="numpy's LAPACK exports no ILP64 dtbtrs here")
+def test_cli_prints_the_same_json_on_both_bindings(tmp_path, monkeypatch):
+    # prob-t on integer_partitions at n = 16000, tv there (R_B takes the
+    # periodic tail of band lcm(B) = 36) and tv on polynomials(2) (R_B
+    # refuses that tail where q nears the smallest normal double, keeps
+    # the rows before it and stops once q is 0 over the full band) print
+    # the same JSON, floats by repr, through numpy's dtbtrs and scipy's
+    intpart, poly2 = tmp_path / "intpart.json", tmp_path / "poly2.json"
+    intpart.write_text(json.dumps({"kind": "multiset",
+                                   "builtin": "integer_partitions"}))
+    poly2.write_text(json.dumps({"kind": "multiset", "builtin": "polynomials",
+                                 "params": {"q": 2}}))
+
+    def run(spec, *argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run([argv[0], "--spec", str(spec), "--n", "16000",
+                            "--choose-x", "exact_mean", "--format", "json",
+                            *argv[1:]])
+        return code, buf.getvalue()
+
+    def routes():
+        return (run(intpart, "prob-t"),
+                run(intpart, "tv", "--B", "1,2,3,4,9"),
+                run(poly2, "tv", "--B", "1,2,6,7,10"))
+
+    numpy_route = routes()
+    monkeypatch.setattr(sd, "_DTBTRS", None)
+    scipy_route = routes()
+    assert "scipy.linalg.lapack" in sys.modules
+    assert [code for code, _ in numpy_route] == [0, 0, 0]
+    assert numpy_route == scipy_route
+
+
 def test_zero_on_the_diagonal_is_info(tbtrs_route):
     # LAPACK's info > 0 names the first zero on the diagonal (1-based)
     b = 8
@@ -1312,9 +1364,13 @@ class TestExactCountReferences:
         (st.integer_partitions, 16000), (st.distinct_partitions, 2000),
         (st.distinct_odd_partitions, 2000),
         (lambda: st.squarefree_polynomials(2), 2000),
+        # p(n) = 2^n: the Moebius fill of log m_i, the multiset seed, g and
+        # the recursion
+        (lambda: st.polynomials(2), 16000),
     ], ids=["integer_partitions-2000", "integer_partitions-4000",
             "integer_partitions-16000", "distinct_partitions-2000",
-            "distinct_odd_partitions-2000", "squarefree_polynomials(2)-2000"])
+            "distinct_odd_partitions-2000", "squarefree_polynomials(2)-2000",
+            "polynomials(2)-16000"])
     def test_recursion_matches_exact_count(self, make, n):
         spec = make()
         x = choose_x(spec, n)
@@ -1327,6 +1383,61 @@ class TestExactCountReferences:
             want = mpmath.exp(lseed + n * mpmath.log(mx)) * p_n
         got = sd.prob_T_eq_n(spec, n, TiltedParams(x, 1))
         assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    def test_set_partitions_match_the_bell_number(self):
+        # at n = 16000 g underflows to zeros past i = 285 and q is rescaled
+        # by 2^-512 five times; P(T_n = n) = e^-(e^x - 1) x^n B_n / n!
+        # from the Bell number B_n in mpmath
+        spec, n = st.set_partitions(), 16000
+        x = choose_x(spec, n)
+        with mpmath.workdps(30):
+            mx = mpmath.mpf(x)
+            want = mpmath.exp(-mpmath.expm1(mx) + n * mpmath.log(mx)
+                              + mpmath.log(mpmath.bell(n))
+                              - mpmath.loggamma(n + 1))
+        got = sd.prob_T_eq_n(spec, n, TiltedParams(x, 1))
+        assert got == pytest.approx(float(want), rel=1e-9, abs=0)
+
+
+class TestTailModelClosedForms:
+    # past a short band the recursion reads a certified tail model of g:
+    # geometric for polynomials(2), whose g_i = (2x)^i, and for
+    # permutations and esf(1/2), whose g_i = theta kappa x^i is formed
+    # from the closed-form log(m_i / i!) = log kappa - log i.  At the
+    # exact-mean x, P(T_n = n) matches its closed form in 40-digit mpmath
+    @pytest.mark.parametrize("n", [4000, 16000])
+    @pytest.mark.parametrize("make,kappa", [
+        (st.permutations, Fraction(1)),
+        (lambda: st.esf(Fraction(1, 2)), Fraction(1, 2)),
+    ], ids=["permutations", "esf(1/2)"])
+    def test_ewens_family(self, make, kappa, n):
+        # seed x^n (kappa theta)^(n) / n!, seed = exp(-theta kappa sum x^i / i)
+        spec = make()
+        x = choose_x(spec, n)
+        got = sd.prob_T_eq_n(spec, n, TiltedParams(x, 1))
+        with mpmath.workdps(40):
+            mx = mpmath.mpf(x)
+            mk = mpmath.mpf(kappa.numerator) / kappa.denominator
+            log_seed = -mk * mpmath.fsum(mx ** i / i for i in range(1, n + 1))
+            want = (mpmath.exp(log_seed + n * mpmath.log(mx))
+                    * mpmath.rf(mk, n) / mpmath.factorial(n))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_polynomials_conditioned_block(self, n):
+        # the P(T_n = n) of conditioned_block, the convolution of R_B and
+        # S_B at n for B = {1, 3, 5, 7, 9}, against seed (2x)^n, the seed
+        # prod (1 - x^i)^(m_i) from the exact Moebius counts m_i
+        spec = st.polynomials(2)
+        x = choose_x(spec, n)
+        got = sd.conditioned_block(spec, (1, 3, 5, 7, 9), n,
+                                   TiltedParams(x, 1))[2]
+        with mpmath.workdps(40):
+            mx = mpmath.mpf(x)
+            log_seed = mpmath.fsum(spec.m(i) * mpmath.log1p(-mx ** i)
+                                   for i in range(1, n + 1))
+            want = mpmath.exp(log_seed + n * mpmath.log(2 * mx))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestOneRecursionPerRequest:
@@ -1385,15 +1496,18 @@ class TestOneRecursionPerRequest:
         gap = float(capsys.readouterr().out.splitlines()[-1].split("\t")[2])
         assert gap <= 1e-12
 
-    @pytest.mark.parametrize("builtin", ["set_partitions",
-                                         "distinct_partitions"])
-    def test_prob_t_computes_one_seed(self, builtin, tmp_path, monkeypatch,
+    @pytest.mark.parametrize("doc", [
+        {"kind": "assembly", "builtin": "set_partitions"},
+        {"kind": "selection", "builtin": "distinct_partitions"},
+        {"kind": "selection", "builtin": "squarefree_polynomials",
+         "params": {"q": 2}},
+    ], ids=lambda d: d["builtin"])
+    def test_prob_t_computes_one_seed(self, doc, tmp_path, monkeypatch,
                                       capsys):
         # the seed log_seed(1..n) is kept beside the full-set triple, where
         # the closed-form column and the p_theta table read it
         path = tmp_path / "spec.json"
-        kind = "assembly" if builtin == "set_partitions" else "selection"
-        path.write_text(json.dumps({"kind": kind, "builtin": builtin}))
+        path.write_text(json.dumps(doc))
         calls = []
         orig = sd.log_seed
 
@@ -1661,14 +1775,35 @@ class TestConvolutionChecksRecursionAboveCutoff:
                                       st.polynomials(2), st.permutations()],
                              ids=lambda s: s.name)
     def test_full_set_at_4000(self, spec):
-        n = 4000
+        self._assert_agree(spec, 4000, 1e-12)
+
+    @pytest.mark.parametrize("spec", [st.integer_partitions(),
+                                      st.set_partitions()],
+                             ids=lambda s: s.name)
+    def test_full_set_at_16000(self, spec):
+        self._assert_agree(spec, 16000, 1e-11)
+
+    @staticmethod
+    def _assert_agree(spec, n, tol):
+        """Relative to tol on every entry either pmf puts at or above
+        1e-300, entry n among them."""
         params = TiltedParams(choose_x(spec, n), 1)
         conv = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params,
                                    method="convolution").p
         rec = sd.weighted_sum_pmf(spec, range(1, n + 1), n, params).p
         read = (conv >= 1e-300) | (rec >= 1e-300)
         assert read[n] and np.all(np.abs(conv - rec)[read]
-                                  <= 1e-12 * np.maximum(conv, rec)[read])
+                                  <= tol * np.maximum(conv, rec)[read])
+
+    def test_five_index_r_b_at_16000(self):
+        # set partitions, B = {1, 3, 5, 7, 9}: a band of 9, against the
+        # convolution of the five Poisson laws, max-normwise
+        spec, n = st.set_partitions(), 16000
+        params = TiltedParams(choose_x(spec, n), 1)
+        rec = sd.weighted_sum_pmf(spec, (1, 3, 5, 7, 9), n, params).p
+        conv = sd.weighted_sum_pmf(spec, (1, 3, 5, 7, 9), n, params,
+                                   method="convolution").p
+        assert np.max(np.abs(rec - conv)) <= 1e-10 * np.max(conv)
 
 
 def _auto_route(spec, B, n, params):
