@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ParameterDomainError
 from .structures import StructureSpec
 from .indep_process import TiltedParams, mean_var_arrays
-from .sumdist import (IndexSet, PmfVector, _index_array, conditioned_block,
-                      index_set, weighted_sum_pmf)
+from .sumdist import (PmfVector, _index_array, conditioned_block, index_set,
+                      weighted_sum_pmf)
 
 
 @dataclass(frozen=True)
@@ -143,20 +143,14 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
     if pr is None:
         pr = weighted_sum_pmf(spec, B, n, params)
     mean, _ = mean_var_arrays(spec, max(B), params)
-    mu = float((np.arange(len(mean)) * mean * _indicator(B, len(mean))).sum())
+    idx = _index_array(B)
+    mu = float((idx * mean[idx]).sum())
     r = np.arange(n + 1)
     mad = float((np.abs(r - mu) * pr.p).sum())
     if pr.tail > 0 and mu <= n:
         # mass above n contributes (r - mu); recover it from the exact mean
         mad += (mu - float((r * pr.p).sum())) - mu * pr.tail
     return 0.5 * abs(kappa_eff - 1.0) * mad / n
-
-
-def _indicator(B: IndexSet, size: int) -> np.ndarray:
-    ind = np.zeros(size)
-    idx = _index_array(B)
-    ind[idx[idx < size]] = 1.0
-    return ind
 
 
 def overpower_bound(expectation_Z: float, prob_T: float) -> float:

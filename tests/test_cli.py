@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import textwrap
 import warnings
@@ -22,54 +21,12 @@ from combstruct import structures as st
 from combstruct import oracle as orc
 from combstruct import sumdist as sd
 from combstruct.indep_process import TiltedParams, z_law
-
-
-SPEC_DOCS = {
-    "permutations": {"kind": "assembly", "builtin": "permutations"},
-    "setpartitions": {"kind": "assembly", "builtin": "set_partitions"},
-    "intpart": {"kind": "multiset", "builtin": "integer_partitions"},
-    "esf2": {"kind": "assembly", "builtin": "esf", "params": {"kappa": 2}},
-    "esf_float": {"kind": "assembly", "builtin": "esf",
-                  "params": {"kappa": 0.3}},
-    "squarefree2": {"kind": "selection", "builtin": "squarefree_polynomials",
-                    "params": {"q": 2}},
-    "bad_kind": {"kind": "assembli", "m": [1, 2]},
-    "distinct": {"kind": "selection", "builtin": "distinct_partitions"},
-    "distinct_odd": {"kind": "selection",
-                     "builtin": "distinct_odd_partitions"},
-    # P(T_25 = 25) = 2.1e-315 at x = 3: the whole pmf of T_25 is below
-    # the smallest normal double
-    "subnormal_sel": {"kind": "selection",
-                      "m": [0] * 12 + [1] * 8 + [4] + [5] * 4},
-    "even_only": {"kind": "multiset", "m": [0, 1]},
-    "poly2": {"kind": "multiset", "builtin": "polynomials",
-              "params": {"q": 2}},
-    "mappings": {"kind": "assembly", "builtin": "mappings"},
-    # 70 entries from 0..3, as the benchmark's custom selections
-    "custom_sel": {"kind": "selection",
-                   "m": [3, 3, 3, 1, 1, 3, 1, 0, 3, 2, 1, 0, 0, 3, 3, 1,
-                         0, 0, 0, 0, 1, 1, 0, 3, 2, 3, 1, 1, 2, 3, 0, 0,
-                         3, 2, 3, 0, 2, 2, 1, 2, 0, 0, 0, 3, 0, 2, 3, 0,
-                         0, 0, 1, 1, 0, 3, 3, 3, 3, 0, 1, 2, 2, 0, 2, 2,
-                         0, 3, 0, 1, 1, 0]},
-    "esf_half": {"kind": "assembly", "builtin": "esf",
-                 "params": {"kappa": "1/2"}},
-}
-
-
-def _write_specs(directory):
-    """SPEC_DOCS as JSON files in directory: {name: path}."""
-    paths = {}
-    for name, doc in SPEC_DOCS.items():
-        p = directory / f"{name}.json"
-        p.write_text(json.dumps(doc))
-        paths[name] = str(p)
-    return paths
+from cli_helpers import run_script, write_specs
 
 
 @pytest.fixture
 def spec_files(tmp_path):
-    return _write_specs(tmp_path)
+    return write_specs(tmp_path)
 
 
 def run_cli(args, capsys):
@@ -762,16 +719,10 @@ class TestImportFootprint:
         if sd._DTBTRS is None:
             pytest.skip("numpy's LAPACK exports no ILP64 dtbtrs here, so the "
                         "block solve imports scipy's")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        res = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
-             spec_files["permutations"], spec_files["distinct"],
-             spec_files["distinct_odd"], spec_files["intpart"],
-             spec_files["poly2"]],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert res.returncode == 0, res.stderr
-        *lines, threads = res.stdout.splitlines()
+        out = run_script(self.SCRIPT, spec_files["permutations"],
+                         spec_files["distinct"], spec_files["distinct_odd"],
+                         spec_files["intpart"], spec_files["poly2"])
+        *lines, threads = out.splitlines()
         assert [line.split()[1:] for line in lines] == [[]] * 16, lines
         if sys.platform.startswith("linux"):
             assert int(threads.split()[1]) <= os.cpu_count(), threads
@@ -879,20 +830,14 @@ class TestBlasThreadCount:
     @pytest.fixture(scope="class")
     def outputs(self, tmp_path_factory):
         """{name: ((exit code, stdout) at one thread, at two threads)}."""
-        specs = _write_specs(tmp_path_factory.mktemp("specs"))
+        specs = write_specs(tmp_path_factory.mktemp("specs"))
         argvs = [[argv[0], "--spec", specs[spec], "--n", str(n),
                   "--choose-x", "exact_mean", *argv[1:]]
                  for spec, n, argv in self.REQUESTS.values()]
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-            res = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-c",
-                 self.SCRIPT, json.dumps(argvs)],
-                capture_output=True, text=True, env=env, timeout=600)
-            assert res.returncode == 0, res.stderr
-            runs.append(json.loads(res.stdout))
+        runs = [json.loads(run_script(self.SCRIPT, json.dumps(argvs),
+                                      env={"OPENBLAS_NUM_THREADS": threads},
+                                      timeout=600))
+                for threads in ("1", "2")]
         return dict(zip(self.REQUESTS, zip(*runs)))
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")

@@ -2,8 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
 import sys
 import textwrap
 
@@ -15,6 +13,7 @@ from combstruct import structures as st
 from combstruct import cli, limits, sumdist, verify
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams
+from cli_helpers import run_for_peak_rss, write_specs
 
 GAMMA = limits.EULER_GAMMA
 
@@ -239,17 +238,11 @@ def _assert_within_5_se(spec, n, params, count, rows):
         assert abs(emp - want) <= 5 * se, z
 
 
-def _limit_argv(spec_doc, tmp_path, n, ecdf):
-    """limit --ecdf at the exact-mean x, JSON, on spec_doc written to a file."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec_doc))
-    return ["limit", "--spec", str(path), "--n", str(n), "--ecdf", str(ecdf),
-            "--choose-x", "exact_mean", "--format", "json"]
-
-
-PERM_DOC = {"kind": "assembly", "builtin": "permutations"}
-ESF_HALF_DOC = {"kind": "assembly", "builtin": "esf",
-                "params": {"kappa": "1/2"}}
+def _limit_argv(spec, tmp_path, n, ecdf):
+    """limit --ecdf at the exact-mean x, JSON, on the spec file named spec."""
+    return ["limit", "--spec", write_specs(tmp_path)[spec], "--n", str(n),
+            "--ecdf", str(ecdf), "--choose-x", "exact_mean", "--format",
+            "json"]
 
 
 class TestLimitCommand:
@@ -263,28 +256,13 @@ class TestLimitCommand:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.run(json.loads(sys.argv[1]))
-        # VmHWM is this interpreter's own peak RSS in kB; ru_maxrss would
-        # also keep the peak of the test runner that started it
-        try:
-            with open("/proc/self/status") as f:
-                peak_kb = next(int(line.split()[1]) for line in f
-                               if line.startswith("VmHWM:"))
-        except OSError:
-            peak_kb = None
-        print(json.dumps([code, peak_kb, buf.getvalue()]))
+        result = [code, buf.getvalue()]
     """)
 
     def test_ecdf_at_16000_in_bounded_memory(self, tmp_path):
         count = 2000
-        argv = _limit_argv(PERM_DOC, tmp_path, 16000, count)
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        res = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT,
-             json.dumps(argv)],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert res.returncode == 0, res.stderr
-        code, peak_kb, out = json.loads(res.stdout)
+        argv = _limit_argv("permutations", tmp_path, 16000, count)
+        (code, out), peak_kb = run_for_peak_rss(self.SCRIPT, json.dumps(argv))
         assert code == 0
         if sys.platform.startswith("linux"):
             assert peak_kb < 200 * 1024
@@ -295,14 +273,14 @@ class TestLimitCommand:
         _assert_within_5_se(st.permutations(), 16000,
                             TiltedParams(float(par["x"]), 1), count, rows)
 
-    @pytest.mark.parametrize("spec_doc", [ESF_HALF_DOC, PERM_DOC],
+    @pytest.mark.parametrize("spec", ["esf_half", "permutations"],
                              ids=["esf(1/2)", "permutations"])
-    def test_rows_match_mpmath_quadrature(self, spec_doc, tmp_path, capsys):
+    def test_rows_match_mpmath_quadrature(self, spec, tmp_path, capsys):
         # g_c and the predicted cdf come from closed forms (Ein and a lower
         # incomplete gamma series): every g_c row with z > 0 and every
         # predicted_cdf row against mpmath quadratures of
         # g_c(z) = e^{-gamma kappa} e^{-c z} z^{kappa-1} / (Gamma(kappa) psi(c))
-        argv = _limit_argv(spec_doc, tmp_path, 1000, 200)
+        argv = _limit_argv(spec, tmp_path, 1000, 200)
         assert cli.run(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         par = dict(kv.split("=") for kv in doc["header"]["params"].split())

@@ -1,11 +1,8 @@
 """Exactness, determinism, and statistics of the table and rejection samplers."""
 
 import hashlib
-import json
 import math
-import os
 import statistics as pystats
-import subprocess
 import sys
 import textwrap
 import threading
@@ -27,6 +24,7 @@ from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams, choose_x, solve_xex
 from combstruct.sampler import (RngState, draw_T, sample_components,
                                 sample_refined, statistics)
+from cli_helpers import run_for_peak_rss
 
 PERM = st.permutations()
 
@@ -272,7 +270,6 @@ class TestOneTablePerSlot:
         # Peak RSS measured on a 2-vCPU host: 56.6 MB (68.3 MB with the
         # full 32 MB table, 117 MB when all five packed tables are kept)
         script = textwrap.dedent("""
-            import json
             from combstruct import structures, sampler
             from combstruct.indep_process import TiltedParams
             spec, n = structures.permutations(), 2000
@@ -281,25 +278,11 @@ class TestOneTablePerSlot:
                 batch = sampler.sample_components(
                     spec, n, TiltedParams(x, 1), 5, sampler.RngState(1))
                 complete = complete and all(v.complete for v in batch.samples)
-            # VmHWM is this interpreter's own peak RSS in kB; ru_maxrss
-            # would also keep the peak of the test runner that started it
-            try:
-                with open("/proc/self/status") as f:
-                    peak_kb = next(int(line.split()[1]) for line in f
-                                   if line.startswith("VmHWM:"))
-            except OSError:
-                peak_kb = None
-            print(json.dumps([complete, len(spec._table_cache),
-                              spec._table_cache["prefix_pmfs"].qc.nbytes,
-                              peak_kb]))
+            result = [complete, len(spec._table_cache),
+                      spec._table_cache["prefix_pmfs"].qc.nbytes]
         """)
-        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576",
-                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        res = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert res.returncode == 0, res.stderr
-        complete, slots, nbytes, peak_kb = json.loads(res.stdout)
+        (complete, slots, nbytes), peak_kb = run_for_peak_rss(
+            script, env={"MALLOC_MMAP_THRESHOLD_": "1048576"})
         n = 2000
         assert complete and slots == 4
         assert nbytes <= 8 * ((n + 1) * (n + 2) // 2 + n + 128)

@@ -25,6 +25,7 @@ from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import (TiltedParams, choose_x, log_m_array,
                                       z_law, z_pmf_rows)
+from cli_helpers import write_specs
 from scalar_refs import log_factorial as _ref_log_factorial
 from scalar_refs import log_weight_mp as _log_weight_mp
 from scalar_refs import m_softplus as _m_softplus
@@ -1057,32 +1058,39 @@ def test_cli_prints_the_same_json_on_both_bindings(tmp_path, monkeypatch):
     # periodic tail of band lcm(B) = 36) and tv on polynomials(2) (R_B
     # refuses that tail where q nears the smallest normal double, keeps
     # the rows before it and stops once q is 0 over the full band) print
-    # the same JSON, floats by repr, through numpy's dtbtrs and scipy's
-    intpart, poly2 = tmp_path / "intpart.json", tmp_path / "poly2.json"
-    intpart.write_text(json.dumps({"kind": "multiset",
-                                   "builtin": "integer_partitions"}))
-    poly2.write_text(json.dumps({"kind": "multiset", "builtin": "polynomials",
-                                 "params": {"q": 2}}))
+    # the same JSON, floats by repr, through numpy's dtbtrs and scipy's.
+    # A spy on scipy's dtbtrs, which _BandSolve imports where the numpy
+    # binding is cleared, counts the calls each request makes to scipy's
+    specs = write_specs(tmp_path)
+    scipy_calls = []
 
-    def run(spec, *argv):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.run([argv[0], "--spec", str(spec), "--n", "16000",
-                            "--choose-x", "exact_mean", "--format", "json",
-                            *argv[1:]])
-        return code, buf.getvalue()
+    def spy(*args, **kwargs):
+        scipy_calls.append(None)
+        return scipy_dtbtrs(*args, **kwargs)
+    monkeypatch.setattr("scipy.linalg.lapack.dtbtrs", spy)
 
     def routes():
-        return (run(intpart, "prob-t"),
-                run(intpart, "tv", "--B", "1,2,3,4,9"),
-                run(poly2, "tv", "--B", "1,2,6,7,10"))
+        """[(exit code, stdout, calls to scipy's dtbtrs)] per request."""
+        got = []
+        for spec, *argv in (("intpart", "prob-t"),
+                            ("intpart", "tv", "--B", "1,2,3,4,9"),
+                            ("poly2", "tv", "--B", "1,2,6,7,10")):
+            before, buf = len(scipy_calls), io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run([argv[0], "--spec", specs[spec], "--n",
+                                "16000", "--choose-x", "exact_mean",
+                                "--format", "json", *argv[1:]])
+            got.append((code, buf.getvalue(), len(scipy_calls) - before))
+        return got
 
     numpy_route = routes()
     monkeypatch.setattr(sd, "_DTBTRS", None)
     scipy_route = routes()
-    assert "scipy.linalg.lapack" in sys.modules
-    assert [code for code, _ in numpy_route] == [0, 0, 0]
-    assert numpy_route == scipy_route
+    assert [calls for _, _, calls in numpy_route] == [0, 0, 0]
+    assert all(calls > 0 for _, _, calls in scipy_route), scipy_route
+    assert [code for code, _, _ in numpy_route] == [0, 0, 0]
+    assert ([out for _, out, _ in numpy_route]
+            == [out for _, out, _ in scipy_route])
 
 
 def test_zero_on_the_diagonal_is_info(tbtrs_route):
