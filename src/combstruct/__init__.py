@@ -24,7 +24,7 @@ from .moments import (MomentSpec, esf_moment, esf_pmf,
                       factorial_moment_assembly, factorial_moment_single)
 from .limits import (EULER_GAMMA, LimitLaw, laplace_psi, limit_density,
                      limit_law_check, psi0)
-from .sampler import (RngState, SampleBatch, sample_components, sample_refined,
-                      statistics)
+from .sampler import (RngState, SampleBatch, sample_by_rejection,
+                      sample_components, sample_refined, statistics)
 from .oracle import (ExactLaw, enumerate_complete, exact_functional_law,
                      exact_joint_law, exact_refined_law, exact_tv, restrict_law)

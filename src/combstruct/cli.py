@@ -272,8 +272,7 @@ def cmd_sample(args) -> Output:
     if streams < 1:
         raise ParameterDomainError(f"CS_THREADS must be an integer >= 1: {raw!r}")
     batch = smp.sample_components(spec, n, params, args.samples,
-                                  smp.RngState(args.seed), streams=streams,
-                                  method="table")
+                                  smp.RngState(args.seed), streams=streams)
     out = Output(args, spec)
     out.add_header("params", f"n={n} x={params.fx!r} theta={params.ftheta!r}")
     out.add_header("seed", f"{args.seed} streams={streams}")

@@ -63,14 +63,22 @@ def _positive_theta(theta: Numeric) -> Numeric:
     return theta
 
 
-def _moment_log_table(spec: StructureSpec, n: int, theta: Numeric,
-                      params: Optional[TiltedParams]) -> list[float]:
-    """The float log p_theta table a moment reads, refused where p_theta(n)
-    = 0, as the exact route refuses it: every moment divides by p_theta(n)."""
-    logt = log_ptheta_table(spec, n, theta, x=None if params is None else params.x)
-    if logt[n] == -math.inf:
+def _moment_table(spec: StructureSpec, n: int, theta: Numeric,
+                  params: Optional[TiltedParams]) -> list:
+    """The p_theta table a moment reads, exact where exact_route holds and
+    float logs beyond, read before any early return and refused where
+    p_theta(n) = 0: every moment divides by p_theta(n), so a moment that
+    is 0 wherever structures of weight n exist has no value where none do."""
+    if exact_route(n, theta):
+        tab = ptheta_table(spec, n, theta)
+        empty = tab[n] == 0
+    else:
+        tab = log_ptheta_table(spec, n, theta,
+                               x=None if params is None else params.x)
+        empty = tab[n] == -math.inf
+    if empty:
         raise ParameterDomainError(f"no structures of weight {n}")
-    return logt
+    return tab
 
 
 def factorial_moment_assembly(spec: StructureSpec, n: int,
@@ -83,12 +91,10 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
     r = MomentSpec.of(r)
     theta = _positive_theta(params.theta if params is not None else theta)
     m = r.weight
+    tab = _moment_table(spec, n, theta, params)
     if m > n:
         return 0.0
     if exact_route(n, theta):
-        tab = ptheta_table(spec, n, theta)
-        if tab[n] == 0:
-            raise ParameterDomainError(f"no structures of weight {n}")
         val = Fraction(math.factorial(n), math.factorial(n - m)) \
             * Fraction(tab[n - m]) / Fraction(tab[n])
         for j, rj in r.orders:
@@ -97,9 +103,8 @@ def factorial_moment_assembly(spec: StructureSpec, n: int,
                 return 0.0
             val *= (Fraction(theta) * Fraction(mj) / math.factorial(j)) ** rj
         return float(val)
-    logt = _moment_log_table(spec, n, theta, params)
-    lf = log_factorial_array(spec, n)  # the log k! that logt added
-    acc = lf[n] - lf[n - m] + logt[n - m] - logt[n]
+    lf = log_factorial_array(spec, n)  # the log k! that the float table added
+    acc = lf[n] - lf[n - m] + tab[n - m] - tab[n]
     lm = log_m_array(spec, max((j for j, _ in r.orders), default=0))
     for j, rj in r.orders:
         if lm[j] == -math.inf:
@@ -127,6 +132,7 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
     theta = _positive_theta(params.theta if params is not None else theta)
     if spec.kind is Kind.ASSEMBLY:
         return factorial_moment_assembly(spec, n, {j: r}, params, theta)
+    tab = _moment_table(spec, n, theta, params)
     if j * r > n:
         return 0.0
     mj = spec.m(j)
@@ -135,9 +141,6 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
     if spec.kind is Kind.SELECTION and isinstance(mj, int) and r > mj:
         return 0.0
     if exact_route(n, theta):
-        tab = ptheta_table(spec, n, theta)
-        if tab[n] == 0:
-            raise ParameterDomainError(f"no structures of weight {n}")
         # theta = a/b: the sum times b^top L (L the lcm of the table
         # denominators it reads) is an integer, so the terms are added as
         # integers and one Fraction is built at the end
@@ -161,14 +164,13 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
                               lead.denominator * b ** top * den
                               * last.numerator))
     # float path: log-space p_theta table, compensated alternating sum
-    logt = _moment_log_table(spec, n, theta, params)
     lth = math.log(float(theta))
     terms = []
     for m in range(r, n // j + 1):
-        lt = math.log(math.comb(m - 1, r - 1)) + m * lth + logt[n - j * m]
+        lt = math.log(math.comb(m - 1, r - 1)) + m * lth + tab[n - j * m]
         sign = -1.0 if (spec.kind is Kind.SELECTION and (m - r) % 2 == 1) else 1.0
         try:
-            terms.append(sign * math.exp(lt - logt[n]))
+            terms.append(sign * math.exp(lt - tab[n]))
         except OverflowError:
             raise NumericGuardError(
                 f"moment term theta^m p_theta(n - jm) / p_theta(n) at m = {m} "

@@ -73,12 +73,6 @@ class ExactLaw:
         return sum((Fraction(f(k)) * p for k, p in self.entries.items()),
                    Fraction(0))
 
-    def to_json_dict(self) -> dict:
-        """Golden-file form: stringified keys to exact 'num/den' probabilities."""
-        return {" ".join(map(str, k)) if isinstance(k, tuple) else str(k):
-                f"{p.numerator}/{p.denominator}"
-                for k, p in sorted(self.entries.items(), key=lambda kv: str(kv[0]))}
-
 
 def exact_joint_law(spec: StructureSpec, n: int, theta: Numeric = 1,
                     cap: int = DEFAULT_CAP) -> ExactLaw:

@@ -1,10 +1,10 @@
 """Exact samplers for C(n) and the refined D(n).
 
 C(n) is the independent process (Z_1, ..., Z_n) conditioned on T_n = n, with
-T_i = Z_1 + 2 Z_2 + ... + i Z_i.  Two routes draw it.
+T_i = Z_1 + 2 Z_2 + ... + i Z_i.  Two functions draw it.
 
-The table route (the default, method="table") draws without rejection by
-the recursive method of Nijenhuis and Wilf.  With Q[i, r] = P(T_i = r),
+sample_components, the production route, draws without rejection by the
+recursive method of Nijenhuis and Wilf.  With Q[i, r] = P(T_i = r),
 
     P(Z_i = k | T_i = r) = P(Z_i = k) Q[i-1, r - i k] / Q[i, r],
 
@@ -27,7 +27,8 @@ prefix pmfs of the strided update behind the selection convolution
 (sumdist.prefix_pmfs), kept with the per-index rows P(Z_i = k) in one spec
 slot for the last (n, x, theta) sampled.  Only the lower triangle i <= r
 is stored, packed by column, so that a window of column r is one
-contiguous slice.  No index above r adds to T_i = r, so for r < i
+contiguous slice, and each row is written into its columns as it comes.
+No index above r adds to T_i = r, so for r < i
 
     Q[i, r] = Q[r, r] P(Z_{r+1} = 0) ... P(Z_i = 0),
 
@@ -41,18 +42,19 @@ Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
 with probability P(T_i = r) P(T_n - T_i = n - r) / P(T_n = n), which is at
-most P(T_i = r) / P(T_n = n) <= 1e12 P(T_i = r) because both routes refuse
-P(T_n = n) < 1e-12.  So a state whose entry underflows (below 2.2e-308)
-is reached with probability below 2.2e-296.  A weight of exactly 0 is
-never chosen, and a positive weight leads to a state whose stored entry
-Q[min(i, r), r] is positive.
+most P(T_i = r) / P(T_n = n) <= 1e12 P(T_i = r) because both functions
+refuse P(T_n = n) < 1e-12 (a domain error where no structure weighs n).
+So a state whose entry underflows (below 2.2e-308) is reached with
+probability below 2.2e-296.  A weight of exactly 0 is never chosen, and
+a positive weight leads to a state whose stored entry Q[min(i, r), r] is
+positive.
 
-The rejection route (method="rejection") is the independent check: draw
-the independent process, keep it when T_n = n.  Per-index draws are
-inverse-CDF lookups on the truncated laws of Z_i (support 0..n//i): one
-np.searchsorted per index over a fixed block of _BLOCK trials, where a
-draw beyond the support adds n + 1 to T, so huge m_i never touch
-integer-width limits and all three kinds share one code path.  A block
+sample_by_rejection is the independent check: draw the independent
+process, keep it when T_n = n.  Per-index draws are inverse-CDF lookups
+on the truncated laws of Z_i (support 0..n//i): one np.searchsorted per
+index over a fixed block of _BLOCK trials, where a draw beyond the
+support adds n + 1 to T, so huge m_i never touch integer-width limits
+and all three kinds share one code path.  A block
 keeps the uniforms of its accepted trials only, and their vectors are
 rebuilt by one more searchsorted per index on those rows.  Its
 acceptance_exact is sumdist.prob_T_eq_n, computed independently of the
@@ -66,9 +68,9 @@ O(count + n) memory.
 Streams are the unit of reproducibility: stream k of seed s is
 Generator(Philox(SeedSequence(s, spawn_key=(k,)))), the counter-based
 Philox generator, and identical (seed, stream, count, streams) gives
-identical output on either route.  Both routes draw every stream in the
+identical output from either function.  Both draw every stream in the
 calling thread, one stream after another, and start no thread: the
-rejection route's streams are the single-stream runs at rng.stream + k,
+rejection streams are the single-stream runs at rng.stream + k,
 concatenated in stream order.
 """
 
@@ -120,33 +122,6 @@ class SampleBatch:
             raise ParameterDomainError("inconsistent sample accounting")
 
 
-class _IndexTables:
-    """Truncated per-index inverse-CDF tables for Z_1..Z_n: cum[i] is the
-    cumulative pmf of Z_i on 0..n // i, kept where P(Z_i = 0) < 1."""
-
-    def __init__(self, spec: StructureSpec, n: int, params: TiltedParams):
-        params.validate(spec)
-        self.n = n
-        rows = z_pmf_rows(spec, range(1, n + 1), n // np.arange(1, n + 1), params)
-        self.cum = {i: np.cumsum(row) for i, row in enumerate(rows, start=1)
-                    if row[0] < 1.0}
-
-    def draw_block(self, rng: np.random.Generator, block: int):
-        """Returns (T, u) for `block` trials: T of every trial and the
-        uniforms of the accepted ones (T = n), one row per trial.
-
-        Z_i is the number of cum[i] entries at or below the trial's uniform
-        at index i; a draw past n // i (the mass beyond the truncated
-        support) adds n + 1, so that trial has T > n for sure.
-        """
-        u = rng.random((block, self.n))
-        t = np.zeros(block, dtype=np.int64)
-        for i, cum in self.cum.items():
-            z = np.searchsorted(cum, u[:, i - 1], side="right")
-            t += np.where(z < len(cum), i * z, self.n + 1)
-        return t, u[t == self.n]
-
-
 @dataclass
 class _PrefixTable:
     """The lower triangle of q[i, r] = P(T_i = r), 0 <= i <= r <= n, packed
@@ -169,38 +144,17 @@ class _PrefixTable:
     off: np.ndarray
 
 
-_ROWS = 64  # prefix rows written into their columns at a time
-
-
 def _prefix_table(spec: StructureSpec, n: int,
                   params: TiltedParams) -> _PrefixTable:
     def build():
         tri = np.arange(n + 2) * np.arange(1, n + 3) // 2
         qc = np.zeros(tri[-1] + n + 1)
-        block = np.zeros((_ROWS, n + 1))  # rows i0, i0 + 1, ... of q
-        block[0, 0] = 1.0
+        qc[0] = 1.0
         rows = [np.ones(1)]
-        at = np.empty((n + 1, _ROWS), dtype=np.int64)  # scatter scratch
-        tr = np.empty((n + 1, _ROWS))
-
-        def flush(i0, i1):  # rows i0..i1-1 into the columns r >= i0
-            for r in range(i0, i1 - 1):  # the columns that end in the block
-                qc[tri[r] + i0: tri[r] + r + 1] = block[: r + 1 - i0, r]
-            cols = n + 2 - i1  # the columns r >= i1 - 1 take every row
-            np.add(tri[i1 - 1: n + 1, None], np.arange(i0, i1),
-                   out=at[:cols, : i1 - i0])
-            tr[:cols, : i1 - i0] = block[: i1 - i0, i1 - 1:].T
-            qc[at[:cols, : i1 - i0]] = tr[:cols, : i1 - i0]
-
-        i0 = 0
         for i, pk_i, p in sumdist.prefix_pmfs(spec, tuple(range(1, n + 1)),
                                               n, params):
-            if i - i0 == _ROWS:
-                flush(i0, i)
-                i0 = i
-            block[i - i0] = p
+            qc[tri[i:n + 1] + i] = p[i:]  # row i into the columns r >= i
             rows.append(pk_i)
-        flush(i0, n + 1)
         off = np.zeros(n + 2, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=off[1:])
         pk = np.concatenate(rows + [np.zeros(n)])
@@ -303,68 +257,84 @@ def _uniform_rows(rng: RngState, per: list, n: int):
         yield np.concatenate(parts)
 
 
-def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
-                      count: int, rng: RngState, streams: int = 1,
-                      method: str = "table") -> SampleBatch:
-    """Exact draws from the P_theta law of C(n).
-
-    method "table" draws top-down from the cached prefix pmfs (no
-    rejection; count = 0 just builds the table); "rejection" draws the
-    independent process until T_n = n.  Both refuse to run when
-    P_theta(T_n = n) is below 1e-12.  With streams > 1 the samples are split
-    over independent substreams (stream indices rng.stream + k) and merged
-    in stream order, so the result is deterministic for fixed
-    (seed, stream, count, streams).
-    """
+def _per_stream(count: int, streams: int) -> list:
+    """The samples of each stream k: count split as evenly as it goes, the
+    first count % streams streams taking one more."""
     if count < 0 or streams < 1:
         raise ParameterDomainError("count must be >= 0 and streams >= 1")
-    if method == "table":
-        tab = _prefix_table(spec, n, params)
-        p_exact = float(tab.qc[tab.tri[n] + n])
-    elif method == "rejection":
-        p_exact = sumdist.prob_T_eq_n(spec, n, params)
-    else:
-        raise ParameterDomainError(f"unknown method {method!r}")
+    return [count // streams + (1 if k < count % streams else 0)
+            for k in range(streams)]
+
+
+def _checked(spec: StructureSpec, n: int, p_exact: float) -> float:
+    """P(T_n = n), refused below 1e-12: a domain error where no structure
+    weighs n, the numeric guard where one does and no x helps enough."""
     if p_exact < _UNDERFLOW_GUARD:
+        if not sumdist.has_weight(spec, n):
+            raise ParameterDomainError(f"no structures of weight {n}")
         raise NumericGuardError(
             f"acceptance probability {p_exact:.3g} below {_UNDERFLOW_GUARD}; "
             "choose a better x")
-    per = [count // streams + (1 if k < count % streams else 0)
-           for k in range(streams)]
-    if method == "table":
-        samples = [v for u in _uniform_rows(rng, per, n)
-                   for v in ComponentVector.from_rows(n, _draw_top_down(tab, u))]
-        return SampleBatch(samples=samples, trials=count, accepted=count,
-                           acceptance_exact=p_exact)
-    tabs = spec.table("sampler_tables", lambda: _IndexTables(spec, n, params),
-                      key=(n, params.fx, params.ftheta))
-    results = [_sample_stream(tabs, n, want, rng.with_stream(rng.stream + k))
-               for k, want in enumerate(per)]
-    samples: list[ComponentVector] = []
-    trials = 0
-    for got, used in results:  # merged in stream order: deterministic
-        samples.extend(got)
-        trials += used
-    return SampleBatch(samples=samples, trials=trials, accepted=len(samples),
+    return p_exact
+
+
+def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
+                      count: int, rng: RngState,
+                      streams: int = 1) -> SampleBatch:
+    """Exact draws from the P_theta law of C(n), top-down from the cached
+    prefix pmfs, with no rejection (count = 0 just builds the table).
+    With streams > 1 the samples are split over independent substreams
+    (stream indices rng.stream + k) and merged in stream order, so the
+    result is deterministic for fixed (seed, stream, count, streams).
+    sample_by_rejection is its independent check.
+    """
+    per = _per_stream(count, streams)
+    tab = _prefix_table(spec, n, params)
+    p_exact = _checked(spec, n, float(tab.qc[tab.tri[n] + n]))
+    samples = [v for u in _uniform_rows(rng, per, n)
+               for v in ComponentVector.from_rows(n, _draw_top_down(tab, u))]
+    return SampleBatch(samples=samples, trials=count, accepted=count,
                        acceptance_exact=p_exact)
 
 
-def _sample_stream(tabs: _IndexTables, n: int, want: int, rng_state: RngState):
-    """want accepted draws of one stream and the trials they took: every
-    trial of a block, or up to the want-th acceptance in the last one."""
-    rng = rng_state.generator()
-    out: list[ComponentVector] = []
+def sample_by_rejection(spec: StructureSpec, n: int, params: TiltedParams,
+                        count: int, rng: RngState,
+                        streams: int = 1) -> SampleBatch:
+    """The draws of sample_components' law by rejection: the independent
+    process until T_n = n, in blocks of _BLOCK trials, each stream k the
+    single-stream run at rng.stream + k.  trials counts every trial of a
+    block, up to the last acceptance in a stream's last block.
+    """
+    per = _per_stream(count, streams)
+    p_exact = _checked(spec, n, sumdist.prob_T_eq_n(spec, n, params))
+
+    def build():  # cum[i] = the cdf of Z_i on 0..n // i, where P(Z_i = 0) < 1
+        rows = z_pmf_rows(spec, range(1, n + 1), n // np.arange(1, n + 1),
+                          params)
+        return {i: np.cumsum(row) for i, row in enumerate(rows, start=1)
+                if row[0] < 1.0}
+    cum = spec.table("sampler_tables", build, key=(n, params.fx, params.ftheta))
+    samples: list[ComponentVector] = []
     trials = 0
-    while len(out) < want:
-        t, u = tabs.draw_block(rng, _BLOCK)
-        take = min(len(u), want - len(out))
-        trials += (int(np.flatnonzero(t == n)[take - 1]) + 1
-                   if take == want - len(out) else _BLOCK)
-        a = np.zeros((take, n), dtype=np.int64)
-        for i, cum in tabs.cum.items():
-            a[:, i - 1] = np.searchsorted(cum, u[:take, i - 1], side="right")
-        out.extend(ComponentVector.from_rows(n, a))
-    return out, trials
+    for k, want in enumerate(per):
+        gen = rng.with_stream(rng.stream + k).generator()
+        while want:
+            # Z_i counts the cum[i] entries at or below the uniform; a draw
+            # past n // i adds n + 1, so that trial has T > n for sure
+            u = gen.random((_BLOCK, n))
+            t = np.zeros(_BLOCK, dtype=np.int64)
+            for i, c in cum.items():
+                z = np.searchsorted(c, u[:, i - 1], side="right")
+                t += np.where(z < len(c), i * z, n + 1)
+            hit = np.flatnonzero(t == n)[:want]
+            trials += int(hit[-1]) + 1 if hit.size == want else _BLOCK
+            a = np.zeros((hit.size, n), dtype=np.int64)
+            for i, c in cum.items():
+                a[:, i - 1] = np.searchsorted(c, u[hit, i - 1], side="right")
+            samples.extend(ComponentVector.from_rows(n, a))
+            want -= hit.size
+    return SampleBatch(samples=samples, trials=trials, accepted=len(samples),
+                       acceptance_exact=p_exact)
 
 
 def draw_T(spec: StructureSpec, n: int, params: TiltedParams, count: int,

@@ -1172,7 +1172,8 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
 
 def has_weight(spec: StructureSpec, n: int) -> bool:
     """Whether some structure has weight n, i.e. p(n) > 0.  Only asked when
-    P(T_n = n) came out below the smallest normal double."""
+    P(T_n = n) came out below a guard: the smallest normal double, or the
+    samplers' 1e-12."""
     return bool(_reach(spec, range(1, n + 1), n)[n])
 
 

@@ -22,7 +22,8 @@ from combstruct import moments as mom
 from combstruct import limits
 from combstruct import oracle as orc
 from combstruct.indep_process import TiltedParams, choose_x, z_law, refined_y_law
-from combstruct.sampler import RngState, sample_components
+from combstruct.sampler import (RngState, sample_by_rejection,
+                                sample_components)
 
 GAMMA = limits.EULER_GAMMA
 
@@ -336,7 +337,8 @@ def test_criterion_09_sampler_exactness():
     # oracle chi-square on both routes; acceptance z-score on rejection,
     # the only route that rejects
     n = 6
-    worst_p = {"table": 1.0, "rejection": 1.0}
+    routes = {"table": sample_components, "rejection": sample_by_rejection}
+    worst_p = dict.fromkeys(routes, 1.0)
     worst_se = 0.0
     # polynomials(2) and necklaces(2) add multisets whose m_i grow like 2^i
     cases = kind_trio() + ((st.polynomials(2), 0.4, None),
@@ -344,11 +346,10 @@ def test_criterion_09_sampler_exactness():
     for seed, (spec, x, _) in zip((101, 102, 103, 104, 105), cases):
         params = TiltedParams(x, 1)
         law = orc.exact_joint_law(spec, n, 1)
-        for method in worst_p:
-            batch = sample_components(spec, n, params, 10 ** 5,
-                                      RngState(seed), method=method)
-            worst_p[method] = min(worst_p[method],
-                                  pooled_chi_square(batch.samples, law))
+        for route, sample in routes.items():
+            batch = sample(spec, n, params, 10 ** 5, RngState(seed))
+            worst_p[route] = min(worst_p[route],
+                                 pooled_chi_square(batch.samples, law))
         p = batch.acceptance_exact
         se = math.sqrt(p * (1 - p) / batch.trials)
         worst_se = max(worst_se, abs(batch.accepted / batch.trials - p) / se)

@@ -577,19 +577,25 @@ class TestExitCodes:
         assert code == 3
         assert f"no structures of weight {n}" in err
 
-    @pytest.mark.parametrize("kind", ["assembly", "multiset"])
-    @pytest.mark.parametrize("n", ["511", "513", "1001"])
+    @pytest.mark.parametrize("kind", ["assembly", "multiset", "selection"])
+    @pytest.mark.parametrize("n,j", [
+        *(pytest.param(n, "1..4", id=n) for n in ("511", "513", "1001")),
+        *(pytest.param(n, j, id=f"{n}-j{j}")
+          for n in ("7", "511", "1001") for j in ("1", "600")),
+    ])
     def test_moment_at_a_weight_no_structure_has_is_3(self, tmp_path, capsys,
-                                                      kind, n):
+                                                      kind, n, j):
         # components of size 2 only: p_theta(n) = 0 at odd n.  Above the
         # cutoff the float route divided 0 by 0 and printed nan, exit 0;
-        # it now refuses the table as the exact route (n = 511) does
+        # it now refuses the table as the exact route (n = 511) does.  A
+        # row that is 0 wherever weight n is reached (m_1 = 0, or j r > n)
+        # is refused too, since it reads the table first
         path = tmp_path / "even.json"
         path.write_text(json.dumps({"kind": kind, "m": [0, 3]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(["moments", "--spec", str(path), "--n", n,
-                                      "--j", "1..4"], capsys)
+                                      "--j", j], capsys)
         assert code == 3 and out == ""
         assert err == f"error: no structures of weight {n}\n"
 
@@ -641,6 +647,26 @@ class TestExitCodes:
                                capsys)
         assert code == 4
         assert "acceptance" in err
+
+    def test_underflowed_acceptance_is_4(self, spec_files, capsys):
+        # P(T_20 = 20) underflows at x = 1e6 where structures of weight 20
+        # exist: a better x helps
+        code, out, err = run_cli(["sample", "--spec",
+                                  spec_files["permutations"], "--n", "20",
+                                  "--samples", "2", "--x", "1e6"], capsys)
+        assert code == 4 and out == ""
+
+    @pytest.mark.parametrize("kind", ["multiset", "selection"])
+    @pytest.mark.parametrize("x", [["--x", "0.5"], []], ids=["x", "exact_mean"])
+    def test_sample_at_a_weight_no_structure_has_is_3(self, tmp_path, capsys,
+                                                      kind, x):
+        # components of size 2 only: no x reaches weight 7
+        path = tmp_path / "even.json"
+        path.write_text(json.dumps({"kind": kind, "m": [0, 3]}))
+        code, out, err = run_cli(["sample", "--spec", str(path), "--n", "7",
+                                  "--samples", "3", *x], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: no structures of weight 7\n"
 
 
 class TestImportFootprint:

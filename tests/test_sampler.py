@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy.stats import chisquare
 
 from combstruct import structures as st
@@ -22,11 +23,13 @@ from combstruct import moments as mom
 from combstruct import sampler as smp
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams, choose_x, solve_xex
-from combstruct.sampler import (RngState, draw_T, sample_components,
-                                sample_refined, statistics)
+from combstruct.sampler import (RngState, draw_T, sample_by_rejection,
+                                sample_components, sample_refined, statistics)
 from cli_helpers import run_for_peak_rss
 
 PERM = st.permutations()
+# the production route and its independent check, by the ids of their tests
+SAMPLERS = {"table": sample_components, "rejection": sample_by_rejection}
 
 
 def chi_square_pvalue(samples, law):
@@ -67,8 +70,7 @@ class TestSampleComponents:
 
     def test_acceptance_rate_perm_n3(self):
         params = TiltedParams(1, 1)
-        batch = sample_components(PERM, 3, params, 16000, RngState(11),
-                                  method="rejection")
+        batch = sample_by_rejection(PERM, 3, params, 16000, RngState(11))
         p = math.exp(-11 / 6)
         assert batch.acceptance_exact == pytest.approx(p, rel=1e-12)
         se = math.sqrt(p * (1 - p) / batch.trials)
@@ -76,8 +78,8 @@ class TestSampleComponents:
 
     def test_trials_accounting(self):
         params = TiltedParams(0.5, 1)
-        batch = sample_components(st.distinct_partitions(), 8, params, 4000,
-                                  RngState(21), method="rejection")
+        batch = sample_by_rejection(st.distinct_partitions(), 8, params, 4000,
+                                    RngState(21))
         p = batch.acceptance_exact
         slack = 4 * math.sqrt(batch.trials * p * (1 - p))
         assert abs(batch.accepted - batch.trials * p) <= slack + 1
@@ -98,12 +100,12 @@ class TestSampleComponents:
         assert [v.a for v in a.samples] == [v.a for v in b.samples]
         assert a.accepted == 301
 
-    # the default (table) route keeps the bare case ids
-    @pytest.mark.parametrize("spec,params,theta,method", [
-        pytest.param(*case, method,
+    # the table route keeps the bare case ids
+    @pytest.mark.parametrize("spec,params,theta,sample", [
+        pytest.param(*case, sample,
                      id=f"spec{j}-params{j}-{case[2]}"
-                        + ("" if method == "table" else "-rejection"))
-        for method in ("table", "rejection")
+                        + ("" if route == "table" else "-rejection"))
+        for route, sample in SAMPLERS.items()
         for j, case in enumerate([
             (PERM, TiltedParams(1, 1), 1),
             (st.integer_partitions(), TiltedParams(0.6, 1), 1),
@@ -116,22 +118,55 @@ class TestSampleComponents:
              TiltedParams(0.8, 1), 1),
         ])
     ])
-    def test_chi_square_small_n(self, spec, params, theta, method):
+    def test_chi_square_small_n(self, spec, params, theta, sample):
         n = 6
         law = orc.exact_joint_law(spec, n, theta)
-        batch = sample_components(spec, n, params, 20000, RngState(123),
-                                  method=method)
+        batch = sample(spec, n, params, 20000, RngState(123))
         assert chi_square_pvalue(batch.samples, law) > 1e-3
 
     def test_underflow_guard(self):
         with pytest.raises(NumericGuardError):
             sample_components(PERM, 60, TiltedParams(0.3, 1), 1, RngState(0))
 
-    @pytest.mark.parametrize("method", ["table", "rejection"])
-    def test_overflowing_tilt_is_numeric_guard(self, method):
+    @pytest.mark.parametrize("sample", SAMPLERS.values(), ids=list(SAMPLERS))
+    def test_overflowing_tilt_is_numeric_guard(self, sample):
         with pytest.raises(NumericGuardError):
-            sample_components(PERM, 60, TiltedParams(1e6, 1), 1, RngState(0),
-                              method=method)
+            sample(PERM, 60, TiltedParams(1e6, 1), 1, RngState(0))
+
+    @pytest.mark.parametrize("sample", SAMPLERS.values(), ids=list(SAMPLERS))
+    def test_no_structure_of_weight_n_is_domain_error(self, sample):
+        # components of size 2 only: P(T_7 = 7) = 0 at every x
+        spec = st.from_m_list("multiset", [0, 3])
+        with pytest.raises(ParameterDomainError,
+                           match="^no structures of weight 7$"):
+            sample(spec, 7, TiltedParams(0.5, 1), 3, RngState(0))
+
+
+class TestBothFunctionsOnCustomSpecs:
+    # a random m list of each kind: both functions refuse it where no
+    # structure weighs n, and draw complete vectors of it elsewhere
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hs.sampled_from(["assembly", "multiset", "selection"]),
+           hs.lists(hs.integers(0, 3), min_size=1, max_size=6),
+           hs.integers(1, 10), hs.sampled_from([Fraction(1, 2), 1, 2]))
+    def test_refused_or_complete(self, kind, m, n, theta):
+        spec = st.from_m_list(kind, m)
+        params = TiltedParams(0.4 if kind == "multiset" else 1, theta)
+        if not sd.has_weight(spec, n):
+            for sample in SAMPLERS.values():
+                with pytest.raises(ParameterDomainError):
+                    sample(spec, n, params, 3, RngState(1))
+            return
+        exact = []
+        for sample in SAMPLERS.values():
+            batch = sample(spec, n, params, 3, RngState(1))
+            assert batch.accepted == len(batch.samples) == 3
+            assert all(v.complete and st.count_N(spec, v) > 0
+                       for v in batch.samples)
+            again = sample(spec, n, params, 3, RngState(1))
+            assert [v.a for v in again.samples] == [v.a for v in batch.samples]
+            exact.append(batch.acceptance_exact)
+        assert exact[0] == pytest.approx(exact[1], rel=1e-12)
 
 
 class TestTableRoute:
@@ -188,11 +223,6 @@ class TestTableRoute:
         monkeypatch.setattr(smp, "_BLOCK", 97)
         c = sample_components(spec, n, params, count, RngState(5), streams=2)
         assert [v.a for v in c.samples] == [v.a for v in a.samples]
-
-    def test_unknown_method(self):
-        with pytest.raises(ParameterDomainError):
-            sample_components(PERM, 5, TiltedParams(1, 1), 1, RngState(0),
-                              method="boltzmann")
 
 
 TABLE_PINNED = [
@@ -251,9 +281,8 @@ class TestOneTablePerSlot:
         spec, n = st.permutations(), 40
         first = None
         for x in (0.999, 0.9995, 1.0, 1.0005, 1.001):
-            for method in ("table", "rejection"):
-                sample_components(spec, n, TiltedParams(x, 1), 2, RngState(0),
-                                  method=method)
+            for sample in SAMPLERS.values():
+                sample(spec, n, TiltedParams(x, 1), 2, RngState(0))
             if first is None:
                 first = weakref.ref(spec._table_cache["prefix_pmfs"].qc)
         slots = [str(k) for k in spec._table_cache]
@@ -322,6 +351,10 @@ def dense_prefix(spec, n, params):
 class TestPackedTable:
     @pytest.mark.parametrize("spec,n,how", [
         (PERM, 300, 1.0),
+        # the edges of a 64-row write: rows 0..62, 0..63 and 0..64
+        (PERM, 1, 1.0), (st.integer_partitions(), 63, "integer_partition"),
+        (st.set_partitions(), 64, "set_partition"),
+        (st.polynomials(2), 65, "exact_mean"),
         (st.integer_partitions(), 300, "integer_partition"),
         (st.set_partitions(), 300, "set_partition"),
         (st.distinct_partitions(), 300, "distinct_partition"),
@@ -381,14 +414,14 @@ class TestStreamsAndThreads:
     def test_rejection_streams_are_single_stream_runs(self, monkeypatch):
         # streams = 4 is the four single-stream runs at stream + k, in order
         params, rng = TiltedParams(1, 1), RngState(6, stream=3)
-        singles = [sample_components(PERM, 5, params, 10, rng.with_stream(3 + k),
-                                     method="rejection") for k in range(4)]
+        singles = [sample_by_rejection(PERM, 5, params, 10,
+                                       rng.with_stream(3 + k))
+                   for k in range(4)]
 
         def refuse(*_a, **_k):
             raise AssertionError("the rejection route started a thread")
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        got = sample_components(PERM, 5, params, 40, rng, streams=4,
-                                method="rejection")
+        got = sample_by_rejection(PERM, 5, params, 40, rng, streams=4)
         assert [v.a for v in got.samples] == \
             [v.a for b in singles for v in b.samples]
         assert got.trials == sum(b.trials for b in singles)
@@ -413,8 +446,8 @@ class TestRejectionPinned:
             "esf2"])
     def test_samples_and_trials(self, spec, n, params, count, streams, seed,
                                 trials, digest):
-        batch = sample_components(spec, n, params, count, RngState(seed),
-                                  streams=streams, method="rejection")
+        batch = sample_by_rejection(spec, n, params, count, RngState(seed),
+                                    streams=streams)
         assert batch.trials == trials and batch.accepted == count
         tuples = repr([v.a for v in batch.samples]).encode()
         assert hashlib.sha256(tuples).hexdigest() == digest
