@@ -13,8 +13,9 @@ cross-check of the assembly formula.
 
 The p_theta values are batch-computed once per call from a shared table:
 exact big rationals where structures.exact_route holds, the float log
-p_theta table beyond.  A selection's float sum alternates; where it
-cancels by more than 2^_CANCEL_BITS it raises NumericGuardError.
+p_theta table beyond, checked once per (n, theta, x) and kept on the spec.
+A selection's float sum alternates; where it cancels by more than
+2^_CANCEL_BITS it raises NumericGuardError.
 """
 
 from __future__ import annotations
@@ -68,13 +69,18 @@ def _moment_table(spec: StructureSpec, n: int, theta: Numeric,
     """The p_theta table a moment reads, exact where exact_route holds and
     float logs beyond, read before any early return and refused where
     p_theta(n) = 0: every moment divides by p_theta(n), so a moment that
-    is 0 wherever structures of weight n exist has no value where none do."""
+    is 0 wherever structures of weight n exist has no value where none do.
+    The float table is checked and converted to a list once per (n, theta,
+    x) and kept in the spec's "moment_log_table" slot, so the rows of
+    `moments --j 1..n` do not each redo that O(n) pass."""
     if exact_route(n, theta):
         tab = ptheta_table(spec, n, theta)
         empty = tab[n] == 0
     else:
-        tab = log_ptheta_table(spec, n, theta,
-                               x=None if params is None else params.x)
+        x = None if params is None else params.x
+        tab = spec.table("moment_log_table",
+                         lambda: log_ptheta_table(spec, n, theta, x=x),
+                         key=(n, theta, x))
         empty = tab[n] == -math.inf
     if empty:
         raise ParameterDomainError(f"no structures of weight {n}")

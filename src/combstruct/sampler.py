@@ -21,8 +21,17 @@ index-by-index loop, with the same uniforms, and the window changes no
 sample.  The remainder ends at 0, so every draw is
 accepted and trials = accepted = count.  Stream k's uniforms are the rows
 of one (count_k, n) matrix from its own generator; all streams go through
-one top-down pass, in blocks of at most _BLOCK samples, and the block size
-bounds memory without changing a sample.  The rows of Q are the
+one top-down pass in blocks of as many samples as _BLOCK_BYTES (8 MB)
+holds rows of n uniforms, and the block size bounds memory without
+changing a sample.  A block's working set is one buffer of uniforms, which
+each block refills in place, the counts Z_i in the narrowest unsigned
+dtype that holds n (uint16 for 256 <= n < 65536), and the temporaries of
+one row window; each sample's tuple is made from its own row.  The CLI
+`sample` on set_partitions at n = 4000 with 2000 samples peaks at 184 MB
+RSS: 64 MB of table, 64 MB of sample tuples, 16 MB of uint16 counts in
+statistics and the imports (402 MB when every uniform of a request sat in
+one block, copied once, beside int64 counts); at n = 1000 with 8000
+samples it peaks at 128 MB (226 MB).  The rows of Q are the
 prefix pmfs of the strided update behind the selection convolution
 (sumdist.prefix_pmfs), kept with the per-index rows P(Z_i = k) in one spec
 slot for the last (n, x, theta) sampled.  Only the lower triangle i <= r
@@ -87,8 +96,9 @@ from .structures import ComponentVector, Kind, StructureSpec
 from .indep_process import TiltedParams, z_pmf_rows
 from . import sumdist
 
-_BLOCK = 4096  # rejection: trials per block, fixed for reproducibility;
-               # table: samples per block, a memory bound only
+_BLOCK = 4096  # rejection: trials per block, fixed for reproducibility
+_BLOCK_BYTES = 1 << 23  # table: bytes of uniforms per block, a memory
+                        # bound only (4096 samples at n = 256, 262 at 4000)
 _WINDOW = 128  # table: indices per row block of the top-down draw; it
                # changes the work per block, not a sample, and a block
                # reads one contiguous slice of each packed column
@@ -194,7 +204,7 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
     qc, tri, pk, off = tab.qc, tab.tri, tab.pk, tab.off
     p0, kmax = pk[off[:-1]], np.diff(off) - 1
     r = np.full(count, n, dtype=np.int64)
-    a = np.zeros((count, n), dtype=np.int64)
+    a = np.zeros((count, n), dtype=np.min_scalar_type(n))  # Z_i <= n
     windows = np.lib.stride_tricks.sliding_window_view(qc, min(_WINDOW, n) + 1)
     for hi in range(n, 0, -_WINDOW):
         lo = max(hi - _WINDOW, 0)
@@ -206,8 +216,12 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
             rs = r[s]
             # qw[:, i - lo] = Q[i, r] for lo <= i <= min(hi, r)
             qw = window[tri[rs] + lo]
-            live = (p0[lo + 1: hi + 1] * qw[:, :-1]
-                    <= u[s, lo:hi] * qw[:, 1:])
+            # u Q[i, r] and P(Z_i = 0) Q[i-1, r] in place, in that order,
+            # on the two copies the fancy indexing made
+            uq = u[s, lo:hi]
+            uq *= qw[:, 1:]
+            qw[:, :-1] *= p0[lo + 1: hi + 1]
+            live = qw[:, :-1] <= uq
             # an index whose row is [P(Z_i = 0)] has Q[i, r] =
             # P(Z_i = 0) Q[i-1, r], so it draws 0 wherever Q[i, r] > 0
             live &= idx <= np.minimum(rs, top)[:, None]
@@ -240,21 +254,30 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
 
 def _uniform_rows(rng: RngState, per: list, n: int):
     """The (per[k], n) uniform matrix of each stream k, stream after stream,
-    yielded in row blocks of at most _BLOCK.  Stream k draws its rows from
-    its own generator, and the block sizes do not change their values."""
-    parts, size = [], 0
+    yielded in row blocks of _block_rows(n), all in one buffer that each
+    block overwrites.  Stream k fills its rows in place from its own
+    generator, in C order as gen.random((per[k], n)) would, and the block
+    sizes do not change their values."""
+    buf = np.empty((min(_block_rows(n), sum(per)), n))
+    size = 0
     for k, want in enumerate(per):
         gen = rng.with_stream(rng.stream + k).generator()
         while want:
-            take = min(want, _BLOCK - size)
-            parts.append(gen.random((take, n)))
+            take = min(want, len(buf) - size)
+            gen.random(out=buf[size:size + take])
             size += take
             want -= take
-            if size == _BLOCK:
-                yield np.concatenate(parts)
-                parts, size = [], 0
+            if size == len(buf):
+                yield buf
+                size = 0
     if size:
-        yield np.concatenate(parts)
+        yield buf[:size]
+
+
+def _block_rows(n: int) -> int:
+    """Samples per block of the table route: as many rows of n uniforms as
+    _BLOCK_BYTES holds, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
 
 
 def _per_stream(count: int, streams: int) -> list:
@@ -429,15 +452,20 @@ def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
     if not samples:
         raise ParameterDomainError("empty sample batch")
     n = samples[0].n
-    a = np.array([v.a for v in samples], dtype=np.int64)
+    # the counts in the narrowest unsigned dtype that holds them (that of
+    # the table route's draw for samples of C(n)), not a dense int64 copy
+    a = np.array([v.a for v in samples],
+                 dtype=np.min_scalar_type(max(max(v.a) for v in samples)))
     sizes = np.arange(1, n + 1)
     present = a > 0
-    K, J = a.sum(axis=1), present.sum(axis=1)
+    K, J = a.sum(axis=1, dtype=np.int64), present.sum(axis=1)
     L = np.where(J > 0, n - np.argmax(present[:, ::-1], axis=1), 0)
-    # the sums stay integers and are divided once, so each value is the
+    # the sums stay int64 (einsum casts a in buffered chunks, where a @ sizes
+    # would cast all of it) and are divided once, so each value is the
     # float(sum) / k (or / n) of one sample, and the summary prints the same
-    D = np.where(K > 0, (a @ sizes) / np.maximum(K, 1), 0.0)
-    Dstar = (a @ (sizes * sizes)) / n
+    D = np.where(K > 0, np.einsum("ij,j->i", a, sizes, dtype=np.int64)
+                 / np.maximum(K, 1), 0.0)
+    Dstar = np.einsum("ij,j->i", a, sizes * sizes, dtype=np.int64) / n
     return StatsTable(columns={"K": K.tolist(), "L": L.tolist(),
                                "J": J.tolist(), "D": D.tolist(),
                                "Dstar": Dstar.tolist()}, n=n)

@@ -167,10 +167,10 @@ class ComponentVector:
             raise ParameterDomainError("component counts must be nonnegative")
         new, put = object.__new__, object.__setattr__  # the class is frozen
         out = []
-        for row in rows.tolist():
+        for row in rows:  # row by row: no list of lists of the whole array
             v = new(cls)
             put(v, "n", n)
-            put(v, "a", tuple(row))
+            put(v, "a", tuple(row.tolist()))
             out.append(v)
         return out
 

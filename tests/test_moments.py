@@ -9,7 +9,7 @@ from combstruct import structures as st
 from combstruct import moments as mom
 from combstruct import oracle as orc
 from combstruct.errors import NumericGuardError, ParameterDomainError
-from combstruct.indep_process import TiltedParams
+from combstruct.indep_process import TiltedParams, choose_x
 
 
 def oracle_joint_moment(law, orders):
@@ -130,6 +130,37 @@ class TestSingleIndex:
         loose = mom.factorial_moment_single(dp, 30, 2, 2, theta=1.0,
                                             params=TiltedParams(1.0, 1.0))
         assert loose == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("make", [st.integer_partitions,
+                                      st.set_partitions],
+                             ids=lambda f: f.__name__)
+    def test_float_table_built_once_per_key(self, make, monkeypatch):
+        # the rows of `moments --j 1..n` above the exact cutoff read one
+        # checked log p_theta table, built again only for a new (n, theta, x)
+        n = st.EXACT_CUTOFF + 88
+        want = [mom.factorial_moment_single(make(), n, j, 1)
+                for j in (1, 7, n)]
+        calls = []
+        orig = mom.log_ptheta_table
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(mom, "log_ptheta_table", counting)
+        spec = make()
+        got = [mom.factorial_moment_single(spec, n, j, 1)
+               for j in range(1, n + 1)]
+        assert len(calls) == 1
+        assert [got[0], got[6], got[-1]] == want
+        mom.factorial_moment_single(spec, n, 3, 2)  # another r, same table
+        assert len(calls) == 1
+        x = choose_x(spec, n, 1.0, "exact_mean")
+        mom.factorial_moment_single(spec, n, 3, 1, TiltedParams(x, 1.0))
+        mom.factorial_moment_single(spec, n, 3, 1, theta=2.0)
+        mom.factorial_moment_single(spec, n - 1, 3, 1)
+        assert len(calls) == 4
+        mom.factorial_moment_single(spec, n - 1, 5, 1)
+        assert len(calls) == 4
 
 
 def _fraction_per_term_moment(spec, n, j, r, theta):

@@ -1,6 +1,7 @@
 """Exactness, determinism, and statistics of the table and rejection samplers."""
 
 import hashlib
+import json
 import math
 import statistics as pystats
 import sys
@@ -25,7 +26,7 @@ from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams, choose_x, solve_xex
 from combstruct.sampler import (RngState, draw_T, sample_by_rejection,
                                 sample_components, sample_refined, statistics)
-from cli_helpers import run_for_peak_rss
+from cli_helpers import run_for_peak_rss, write_specs
 
 PERM = st.permutations()
 # the production route and its independent check, by the ids of their tests
@@ -191,19 +192,11 @@ class TestTableRoute:
         (st.set_partitions(), "set_partition"),
         (st.integer_partitions(), "integer_partition"),
     ], ids=["set_partitions", "integer_partitions"])
-    def test_mean_K_n1000(self, spec, how, monkeypatch):
-        # E K = sum_j E C_j(n); every term rebuilds the same float p_theta
-        # table above the exact cutoff, so it is memoized for this sum
+    def test_mean_K_n1000(self, spec, how):
+        # E K = sum_j E C_j(n); the terms share one float p_theta table
+        # above the exact cutoff, kept on the spec
         n = 1000
         params = TiltedParams(choose_x(spec, n, 1, how), 1)
-        memo = {}
-        orig = mom.log_ptheta_table
-
-        def cached(spec_, n_, theta, x=None):
-            if (n_, theta, x) not in memo:
-                memo[n_, theta, x] = orig(spec_, n_, theta, x=x)
-            return memo[n_, theta, x]
-        monkeypatch.setattr(mom, "log_ptheta_table", cached)
         expected = math.fsum(mom.factorial_moment_single(spec, n, j, 1, params)
                              for j in range(1, n + 1))
         batch = sample_components(spec, n, params, 1000, RngState(77))
@@ -213,21 +206,71 @@ class TestTableRoute:
 
     def test_count_above_block(self, monkeypatch):
         spec, n, params = st.integer_partitions(), 10, TiltedParams(0.6, 1)
-        count = smp._BLOCK + 101
+        count = smp._block_rows(n) + 101
         a = sample_components(spec, n, params, count, RngState(5), streams=2)
         b = sample_components(spec, n, params, count, RngState(5), streams=2)
         assert a.trials == a.accepted == count
         assert all(v.complete for v in a.samples)
         assert [v.a for v in a.samples] == [v.a for v in b.samples]
         # the block size bounds memory only: smaller blocks, same samples
-        monkeypatch.setattr(smp, "_BLOCK", 97)
+        monkeypatch.setattr(smp, "_BLOCK_BYTES", 97 * 8 * n)
+        assert smp._block_rows(n) == 97
         c = sample_components(spec, n, params, count, RngState(5), streams=2)
         assert [v.a for v in c.samples] == [v.a for v in a.samples]
 
+    def test_working_set_per_block(self):
+        # above the result, a block holds its uniforms, its counts in
+        # uint16 and the temporaries of one row window (at most 1.5 MB
+        # here); a second copy of the uniforms, int64 counts or a list of
+        # lists of them would exceed the bound
+        spec, n, count = st.set_partitions(), 300, 580
+        params = TiltedParams(choose_x(spec, n, 1, "set_partition"), 1)
+        sample_components(spec, n, params, count, RngState(0), streams=2)
+        tracemalloc.start()
+        try:
+            batch = sample_components(spec, n, params, count, RngState(1),
+                                      streams=2)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.accepted == count and smp._block_rows(n) >= count
+        assert peak - result < 8 * count * n + 1.5 * 2**20
+
+    def test_cli_n4000_in_bounded_memory(self, tmp_path):
+        # `sample` on set_partitions at n = 4000, 2000 samples, exact-mean
+        # x: the 64 MB table, the 64 MB of sample tuples, one 8 MB block of
+        # uniforms and the counts of statistics in uint16.  Peak RSS
+        # measured on a 2-vCPU host: 183.5 MB (402 MB with every uniform
+        # of the request in one block, copied once, and int64 counts in
+        # the draw and in statistics)
+        n, count = 4000, 2000
+        argv = ["sample", "--spec", write_specs(tmp_path)["setpartitions"],
+                "--n", str(n), "--samples", str(count), "--seed", "3",
+                "--format", "json"]
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from combstruct import cli
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run(json.loads(sys.argv[1]))
+            doc = json.loads(buf.getvalue())
+            weights = [sum(int(i) * int(a) for i, a in
+                           (part.split(":") for part in row["sample"].split()))
+                       for row in doc["table"]]
+            result = [code, weights, doc["table1"][0]]
+        """)
+        (code, weights, k_row), peak_kb = run_for_peak_rss(
+            script, json.dumps(argv),
+            env={"MALLOC_MMAP_THRESHOLD_": "1048576"})
+        assert code == 0 and weights == [n] * count
+        assert k_row["stat"] == "K" and k_row["mean"] > 0
+        if sys.platform.startswith("linux"):
+            assert peak_kb < 250 * 1024
+
 
 TABLE_PINNED = [
-    # spec, n, x, count, streams, seed, samples per block (None: _BLOCK),
-    # sha256 of the sample tuples
+    # spec, n, x, count, streams, seed, samples per block (None: the
+    # default budget, _block_rows(n)), sha256 of the sample tuples
     (PERM, 300, 1.0, 40, 1, 1, None,
      "98140e588f828511292c2d94765ff23b9503a54fa1d0c529505204b2b33c57f8"),
     (st.integer_partitions(), 1000, 0.96, 20, 2, 2, None,
@@ -242,10 +285,14 @@ TABLE_PINNED = [
     # 250 samples in blocks of 97
     (st.set_partitions(), 200, 4.0, 250, 3, 6, 97,
      "8a38a0c75a811b3e51ed919a2b70940e26a029dbbcfd5298f440358e7945019a"),
+    # 1200 samples in three blocks of the default budget (524, 524, 152),
+    # the second stream starting inside the second block
+    (st.set_partitions(), 2000, 5.8, 1200, 2, 7, None,
+     "08fa1c63b237a6db46339ffdf16529dc6e7ed15ab39b46907ba1b9c45cbbd7cd"),
 ]
 TABLE_PINNED_IDS = ["permutations", "integer_partitions",
                     "distinct_odd_partitions", "selection", "polynomials2",
-                    "count_above_block"]
+                    "count_above_block", "default_blocks_n2000"]
 
 
 class TestTablePinned:
@@ -256,12 +303,16 @@ class TestTablePinned:
     def test_samples(self, spec, n, x, count, streams, seed, block, digest,
                      monkeypatch):
         if block is not None:
-            monkeypatch.setattr(smp, "_BLOCK", block)
+            monkeypatch.setattr(smp, "_BLOCK_BYTES", block * 8 * n)
         batch = sample_components(spec, n, TiltedParams(x, 1), count,
                                   RngState(seed), streams=streams)
         assert batch.trials == batch.accepted == count
         tuples = repr([v.a for v in batch.samples]).encode()
         assert hashlib.sha256(tuples).hexdigest() == digest
+
+    def test_n2000_pin_spans_default_blocks(self):
+        # the default_blocks_n2000 pin crosses two block edges
+        assert 2 * smp._block_rows(2000) < 1200 < 3 * smp._block_rows(2000)
 
     # the row-block width changes the work per block, not a sample
     @pytest.mark.parametrize("spec,n,x,count,streams,seed,block,digest",
@@ -584,6 +635,12 @@ class TestStatistics:
     def test_empty_batch(self):
         with pytest.raises(ParameterDomainError):
             statistics([])
+
+    def test_counts_above_n(self):
+        # the counts take the narrowest dtype that holds them, here uint32
+        cols = statistics([st.ComponentVector(n=2, a=(70000, 3))]).columns
+        assert cols["K"] == [70003] and cols["L"] == [2] and cols["J"] == [2]
+        assert cols["D"] == [70006 / 70003] and cols["Dstar"] == [35006.0]
 
     def test_columns_equal_per_sample_formulas(self):
         # the array columns against the per-sample definitions, exactly,
