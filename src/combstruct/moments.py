@@ -169,28 +169,33 @@ def factorial_moment_single(spec: StructureSpec, n: int, j: int, r: int,
         return float(Fraction(lead.numerator * total * last.denominator,
                               lead.denominator * b ** top * den
                               * last.numerator))
-    # float path: log-space p_theta table, compensated alternating sum
+    # float path: log-space p_theta table, compensated alternating sum.
+    # The lead (m_j)^(r) or (m_j)_[r] goes into each term's log, so every
+    # term is a term of the moment itself: m_j grows like q^j / j for the
+    # polynomial families, far past double range, while E C_j stays near 1/j
+    lead = rising(mj, r) if spec.kind is Kind.MULTISET else falling(mj, r)
+    l0 = log_big(lead) - tab[n]
     lth = math.log(float(theta))
     terms = []
     for m in range(r, n // j + 1):
         lt = math.log(math.comb(m - 1, r - 1)) + m * lth + tab[n - j * m]
         sign = -1.0 if (spec.kind is Kind.SELECTION and (m - r) % 2 == 1) else 1.0
         try:
-            terms.append(sign * math.exp(lt - tab[n]))
+            terms.append(sign * math.exp(lt + l0))
         except OverflowError:
             raise NumericGuardError(
-                f"moment term theta^m p_theta(n - jm) / p_theta(n) at m = {m} "
-                "is beyond double range") from None
+                f"moment term lead theta^m p_theta(n - jm) / p_theta(n) at "
+                f"m = {m} is beyond double range") from None
     total = math.fsum(terms)
     if spec.kind is Kind.MULTISET:
-        return math.exp(log_big(rising(mj, r))) * total
+        return total
     # the alternating sum loses about log2 of sum |terms| / |sum| bits
     size = math.fsum(map(abs, terms))
     if size > 2.0 ** _CANCEL_BITS * abs(total):
         raise NumericGuardError(
             f"selection moment sum cancels by more than 2^{_CANCEL_BITS}: "
             f"sum |terms| = {size:.3g}, |sum| = {abs(total):.3g}")
-    return float(falling(mj, r)) * total
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ exactly when P(Z_i = 0) Q[i-1, r] > u Q[i, r], a test on entries with
 i <= r only, which holds for every i > r, and most indices draw 0.  The
 weights add up to Q[i, r] within about 1e-13 (bit for bit where no weight
 reads above the diagonal).  The draw visits the rows of Q from the top in
-blocks of _WINDOW indices: in a block each sample finds its next index J
-with Z_J > 0 by one compare over its window and runs the inverse-CDF
-compare over k <= r // J there only.  Each sample's draws are those of the
-index-by-index loop, with the same uniforms, and the window changes no
-sample.  The remainder ends at 0, so every draw is
+blocks of _WINDOW indices, wider for a block of few samples (at least
+_WINDOW_CELLS // count, at most n): in a block each sample finds its next
+index J with Z_J > 0 by one compare over its window and runs the
+inverse-CDF compare over k <= r // J there only.  Each sample's draws are
+those of the index-by-index loop, with the same uniforms, and the window
+changes no sample.  The remainder ends at 0, so every draw is
 accepted and trials = accepted = count.  Stream k's uniforms are the rows
 of one (count_k, n) matrix from its own generator; all streams go through
 one top-down pass in blocks of as many samples as _BLOCK_BYTES (8 MB)
@@ -26,28 +27,36 @@ holds rows of n uniforms, and the block size bounds memory without
 changing a sample.  A block's working set is one buffer of uniforms, which
 each block refills in place, the counts Z_i in the narrowest unsigned
 dtype that holds n (uint16 for 256 <= n < 65536), and the temporaries of
-one row window; each sample's tuple is made from its own row.  The CLI
-`sample` on set_partitions at n = 4000 with 2000 samples peaks at 184 MB
-RSS: 64 MB of table, 64 MB of sample tuples, 16 MB of uint16 counts in
-statistics and the imports (402 MB when every uniform of a request sat in
-one block, copied once, beside int64 counts); at n = 1000 with 8000
-samples it peaks at 128 MB (226 MB).  The rows of Q are the
-prefix pmfs of the strided update behind the selection convolution
-(sumdist.prefix_pmfs), kept with the per-index rows P(Z_i = k) in one spec
-slot for the last (n, x, theta) sampled.  Only the lower triangle i <= r
-is stored, packed by column, so that a window of column r is one
-contiguous slice, and each row is written into its columns as it comes.
-No index above r adds to T_i = r, so for r < i
+one row window; each sample's tuple is made from its own row.  The rows of
+Q are the prefix pmfs of the strided update behind the selection
+convolution (sumdist.prefix_pmfs), kept with the per-index rows
+P(Z_i = k) in one spec slot for the last (n, x, theta) sampled.
+
+The draw reaches a state (i, r), index i still to draw with remainder r,
+only after every index above i is drawn: either none drew a positive
+count, and r = n, or some j > i did, and r <= n - j <= n - 1 - i.  So of
+the lower triangle i <= r only the rows i <= h(r) = min(r, n - 1 - r) of a
+column r < n are ever read, and column n whole: (n+1)^2 / 4 + O(n)
+entries, half of the triangle (_draw_top_down gives the argument for every
+read).  Those are stored, packed by column, so that a window of column r
+is one contiguous slice, and each row is written into its kept columns as
+it comes.  No index above r adds to T_i = r, so for r < i
 
     Q[i, r] = Q[r, r] P(Z_{r+1} = 0) ... P(Z_i = 0),
 
 read as Q[r, r] exp(lz[i] - lz[r]) from the running sum lz of
 log P(Z_m = 0): within 2e-13 relative of the dense chain on the builtins
 at n <= 4000, and exactly 0 where it is.  Of the weights at index i only
-the last, at k = r // i, can read there.  The table takes
-4 (n+1)(n+2) bytes plus O(n): 4 MB at n = 1000, 64 MB at n = 4000 and
-1.02 GB at n = 16000.  acceptance_exact is read off the table as
-Q[n, n] = P(T_n = n).
+the last, at k = r // i, can read there, and only a diagonal entry
+Q[r, r] with r <= (n - 1) / 2, which is kept.  The table takes
+2 (n+1)^2 bytes plus O(n): 2 MB at n = 1000, 32 MB at n = 4000 and 512 MB
+at n = 16000 (twice that with the whole triangle).  The CLI `sample` on
+set_partitions peaks at 535 MB RSS at n = 16000 with 20 samples (1,023 MB
+with the whole triangle), and at 153 MB at n = 4000 with 2000 samples: the
+32 MB table, 64 MB of sample tuples, 16 MB of uint16 counts in statistics
+and the imports (184 MB with the whole triangle, 402 MB when every uniform
+of a request sat in one block, copied once, beside int64 counts).
+acceptance_exact is read off the table as Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
 with probability P(T_i = r) P(T_n - T_i = n - r) / P(T_n = n), which is at
@@ -99,9 +108,11 @@ from . import sumdist
 _BLOCK = 4096  # rejection: trials per block, fixed for reproducibility
 _BLOCK_BYTES = 1 << 23  # table: bytes of uniforms per block, a memory
                         # bound only (4096 samples at n = 256, 262 at 4000)
-_WINDOW = 128  # table: indices per row block of the top-down draw; it
-               # changes the work per block, not a sample, and a block
+_WINDOW = 128  # table: least indices per row block of the top-down draw;
+               # it changes the work per block, not a sample, and a block
                # reads one contiguous slice of each packed column
+_WINDOW_CELLS = 1 << 15  # table: a block of count samples takes row blocks
+                         # of at least _WINDOW_CELLS // count indices
 _UNDERFLOW_GUARD = 1e-12
 
 
@@ -134,22 +145,33 @@ class SampleBatch:
 
 @dataclass
 class _PrefixTable:
-    """The lower triangle of q[i, r] = P(T_i = r), 0 <= i <= r <= n, packed
-    by column: qc[tri[r] + i] = q[i, r], tri[r] = r (r + 1) / 2, followed by
-    n + 1 zeros, q[i, n + 1] = 0 for i <= n, which a remainder of -1 reads
-    (tri[-1] = tri[n + 1]).  An entry above the diagonal, r < i, is
-    q[r, r] exp(lz[i] - lz[r]): no index above r adds to T_i = r, so it is
-    q[r, r] times P(Z_m = 0) for r < m <= i.  lz[i] sums log P(Z_m = 0)
-    over m <= i, leaving out the m where P(Z_m = 0) underflows to 0; zl[i]
-    is the last such m <= i (0 if none), and q[i, r] = 0 for r < zl[i].
-    pk[off[i]:off[i+1]] = P(Z_i = k) as sumdist.prefix_pmfs yields it, the
-    very factors whose products q[i] sums, so pk[off[i]] = P(Z_i = 0)
-    (index 0 holds [1]); n zeros follow the last row."""
+    """The entries of q[i, r] = P(T_i = r) that the top-down draw can read,
+    packed by column, with the per-index laws it reads beside them.
+
+    Column r < n keeps rows 0..h(r), h(r) = min(r, n - 1 - r), and column n
+    keeps rows 0..n: qc[tri[r] + i] = q[i, r], tri the cumulative sum of
+    the column lengths, (n + 1)^2 // 4 entries before column n.  n + 1
+    zeros follow, q[i, n + 1] = 0 for i <= n, which a remainder of -1
+    reads (tri[-1] = tri[n + 1]).  A state (i, r) with r < n is reached
+    only after some j > i drew Z_j > 0, so r <= n - 1 - i: the draw reads
+    rows i <= min(r, n - 1 - r) of column r, and the rest of the lower
+    triangle is never read (see _draw_top_down).  An entry above the
+    diagonal, r < i, is q[r, r] exp(lz[i] - lz[r]): no index above r adds
+    to T_i = r, so it is q[r, r] times P(Z_m = 0) for r < m <= i.  lz[i]
+    sums log P(Z_m = 0) over m <= i, leaving out the m where P(Z_m = 0)
+    underflows to 0; zl[i] is the last such m <= i (0 if none), and
+    q[i, r] = 0 for r < zl[i].  pk[off[i]:off[i] + kmax[i] + 1] =
+    P(Z_i = k) as sumdist.prefix_pmfs yields it, the very factors whose
+    products q[i] sums, zero-padded to n // i + 1 entries, so pk[off[i] + k]
+    = 0 for kmax[i] < k <= n // i; p0[i] = P(Z_i = 0) (index 0 holds [1]);
+    n zeros follow the last row."""
 
     qc: np.ndarray
     tri: np.ndarray
     lz: np.ndarray
     zl: np.ndarray
+    p0: np.ndarray
+    kmax: np.ndarray
     pk: np.ndarray
     off: np.ndarray
 
@@ -157,28 +179,37 @@ class _PrefixTable:
 def _prefix_table(spec: StructureSpec, n: int,
                   params: TiltedParams) -> _PrefixTable:
     def build():
-        tri = np.arange(n + 2) * np.arange(1, n + 3) // 2
+        r = np.arange(n)
+        # column r < n keeps rows 0..min(r, n - 1 - r), column n all n + 1
+        tri = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.append(np.minimum(r, n - 1 - r) + 1, n + 1), out=tri[1:])
         qc = np.zeros(tri[-1] + n + 1)
         qc[0] = 1.0
-        rows = [np.ones(1)]
+        # row 0 is [1], row i takes n // i + 1 entries
+        off = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.append(1, n // np.arange(1, n + 1) + 1), out=off[1:])
+        pk = np.zeros(off[-1] + n)
+        pk[0] = 1.0
+        kmax = np.zeros(n + 1, dtype=np.int64)
         for i, pk_i, p in sumdist.prefix_pmfs(spec, tuple(range(1, n + 1)),
                                               n, params):
-            qc[tri[i:n + 1] + i] = p[i:]  # row i into the columns r >= i
-            rows.append(pk_i)
-        off = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=off[1:])
-        pk = np.concatenate(rows + [np.zeros(n)])
+            qc[tri[i:n - i] + i] = p[i:n - i]  # row i into its kept columns
+            qc[tri[n] + i] = p[n]
+            pk[off[i]:off[i] + len(pk_i)] = pk_i
+            kmax[i] = len(pk_i) - 1
         p0 = pk[off[:-1]]
         zl = np.maximum.accumulate(np.where(p0 == 0, np.arange(n + 1), 0))
         lz = np.cumsum(np.log(np.where(p0 == 0, 1.0, p0)))
-        return _PrefixTable(qc=qc, tri=tri, lz=lz, zl=zl, pk=pk, off=off)
+        return _PrefixTable(qc=qc, tri=tri, lz=lz, zl=zl, p0=p0, kmax=kmax,
+                            pk=pk, off=off)
     return spec.table("prefix_pmfs", build, key=(n, params.fx, params.ftheta))
 
 
 def _q(tab: _PrefixTable, i: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Q[i, r] for 0 <= i, r <= n: the packed entry where i <= r, whose
     factor is exp(0) = 1, and above the diagonal Q[r, r] exp(lz[i] - lz[r])
-    where r >= zl[i], 0 below."""
+    where r >= zl[i], 0 below.  Each entry it reads must be kept: i <= r
+    needs i <= n - 1 - r (or r = n), and r < i needs r <= (n - 1) / 2."""
     c = np.minimum(i, r)
     return (tab.qc[tab.tri[r] + c] * np.exp(tab.lz[i] - tab.lz[c])
             * (r >= tab.zl[i]))
@@ -194,51 +225,69 @@ def _draw_top_down(tab: _PrefixTable, u: np.ndarray) -> np.ndarray:
     sumdist.prefix_pmfs), bit for bit unless the last weight, at
     k = r // i, reads above the diagonal through _q, and within about 1e-13
     then.  k = 0 exactly when P(Z_i = 0) Q[i-1, r] > u Q[i, r], which holds
-    for sure when i > r.  The rows of Q are visited in blocks
-    (lo, hi] of _WINDOW indices: in a block each sample reads Q[lo..hi, r],
-    one slice of column r, finds its next index J with Z_J > 0 by one
+    for sure when i > r.  The rows of Q are visited in blocks (lo, hi] of
+    max(_WINDOW, _WINDOW_CELLS // count) indices, at most n, so that a
+    block of few samples takes few wide windows: in a block each sample
+    reads Q[lo..top, r], one slice of column r up to the highest index top
+    still to draw in the block, finds its next index J with Z_J > 0 by one
     compare over its window, draws Z_J, and looks again below J with the
     new remainder.
+
+    Every entry read that decides a draw is kept in the half table.  The
+    scan of a sample reads Q[i, r] and Q[i-1, r] for i <= min(r, top),
+    and top is below every index drawn so far: r = n before the first
+    draw with Z_J > 0, whose column is kept whole, and r <= n - 1 - top
+    after it.  The draw of Z_J reads Q[J-1, r] and, for k >= 1,
+    Q[J-1, r - J k] with r - J k <= n - J, so J - 1 <= n - 1 - (r - J k);
+    its last weight reads the diagonal Q[c, c] through _q only where
+    c = r - J k < J - 1, so 2 c < (J - 1) + (n - J) and c <= (n - 1) / 2.
+    The masked reads of a scan past h(r), and of a window past top, land
+    in the next columns (or the trailing zeros), finite values whose
+    compares the mask drops, as the reads above the diagonal always did;
+    a weight past a sample's k_cap reads the trailing zeros (remainder
+    -1) or a zero-padded pk entry.
     """
     count, n = u.shape
-    qc, tri, pk, off = tab.qc, tab.tri, tab.pk, tab.off
-    p0, kmax = pk[off[:-1]], np.diff(off) - 1
+    qc, tri, p0, kmax, pk, off = (tab.qc, tab.tri, tab.p0, tab.kmax, tab.pk,
+                                  tab.off)
+    width = min(max(_WINDOW, _WINDOW_CELLS // count), n)
     r = np.full(count, n, dtype=np.int64)
     a = np.zeros((count, n), dtype=np.min_scalar_type(n))  # Z_i <= n
-    windows = np.lib.stride_tricks.sliding_window_view(qc, min(_WINDOW, n) + 1)
-    for hi in range(n, 0, -_WINDOW):
-        lo = max(hi - _WINDOW, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(qc, width + 1)
+    for hi in range(n, 0, -width):
+        lo = max(hi - width, 0)
         idx = np.arange(lo + 1, hi + 1)
-        window = windows[:, : hi - lo + 1]
         s = np.flatnonzero(r > lo)
         top = np.full(s.size, hi)
         while s.size:
+            t = int(top.max())
             rs = r[s]
-            # qw[:, i - lo] = Q[i, r] for lo <= i <= min(hi, r)
-            qw = window[tri[rs] + lo]
+            # qw[:, i - lo] = Q[i, r] for lo <= i <= min(t, r)
+            qw = windows[tri[rs] + lo, : t - lo + 1]
             # u Q[i, r] and P(Z_i = 0) Q[i-1, r] in place, in that order,
             # on the two copies the fancy indexing made
-            uq = u[s, lo:hi]
+            uq = u[s, lo:t]
             uq *= qw[:, 1:]
-            qw[:, :-1] *= p0[lo + 1: hi + 1]
+            qw[:, :-1] *= p0[lo + 1: t + 1]
             live = qw[:, :-1] <= uq
             # an index whose row is [P(Z_i = 0)] has Q[i, r] =
             # P(Z_i = 0) Q[i-1, r], so it draws 0 wherever Q[i, r] > 0
-            live &= idx <= np.minimum(rs, top)[:, None]
+            live &= idx[: t - lo] <= np.minimum(rs, top)[:, None]
             has = live.any(axis=1)
             s, rs = s[has], rs[has]
             if not s.size:
                 break
-            j = hi - np.argmax(live[:, ::-1], axis=1)[has]
+            j = t - np.argmax(live[:, ::-1], axis=1)[has]
             jm = j - 1
             k_cap = np.minimum(rs // j, kmax[j])
             ks = np.arange(int(k_cap.max()) + 1)
-            rest = np.where(ks <= k_cap[:, None], rs[:, None] - j[:, None] * ks,
-                            -1)
+            rest = rs[:, None] - j[:, None] * ks
+            np.maximum(rest, -1, out=rest)
             w = qc[tri[rest] + jm[:, None]]
             # rest >= j for k < k_cap: only k_cap can read above the diagonal
             w[np.arange(j.size), k_cap] = _q(tab, jm, rs - j * k_cap)
-            # w = 0 past k_cap, where pk reads on into the next rows
+            # w = 0 past k_cap: pk is zero-padded to k = n // j, and past
+            # r // j the remainder -1 reads the trailing zeros
             w *= pk[off[j][:, None] + ks]
             cum = w.cumsum(axis=1)
             k = (cum <= (u[s, jm] * cum[:, -1])[:, None]).sum(axis=1)

@@ -631,6 +631,42 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("numeric guard:") and "double range" in err
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("spec", ["poly2", "squarefree2"])
+    def test_moments_with_a_lead_past_double_range(self, spec_files, capsys,
+                                                   spec, r):
+        # m_j of the polynomial families is about 2^j / j, so (m_j)^(r)
+        # and (m_j)_[r] leave double range near j = 1030 / r, while
+        # E (C_j)_[r] stays near 1 / j.  With p(k) = 2^k (polynomials) and
+        # 2^(k-1) for k >= 2 (squarefree), E (C_j)_[r] at theta = 1 is
+        # lead sum_{m >= r} (+-1)^(m-r) C(m-1, r-1) p(n - jm) / p(n),
+        # exactly.  Each row is within 1e-12 relative of it, times the
+        # cancellation sum |terms| / |sum| of the selection's alternating
+        # sum (1 for a multiset; 9 at j = 1, r = 2, the one row off
+        # by more than 1e-12 alone, as at the parent)
+        n = 3000
+        code, out, _ = run_cli(["moments", "--spec", spec_files[spec],
+                                "--n", str(n), "--r", str(r),
+                                "--precision", "17"], capsys)
+        assert code == 0
+        rows = [l.split("\t") for l in out.splitlines()[-n:]]
+        assert [int(row[0]) for row in rows] == list(range(1, n + 1))
+        sel = spec == "squarefree2"
+        obj = st.squarefree_polynomials(2) if sel else st.polynomials(2)
+
+        def p(k):
+            return 2 ** k if not sel or k < 2 else 2 ** (k - 1)
+        for j, row in enumerate(rows, start=1):
+            mj = obj.m(j)
+            lead = st.falling(mj, r) if sel else st.rising(mj, r)
+            terms = [(-1 if sel and (m - r) % 2 else 1)
+                     * math.comb(m - 1, r - 1) * p(n - j * m)
+                     for m in range(r, n // j + 1)]
+            want = float(Fraction(lead * sum(terms), p(n)))
+            ratio = sum(map(abs, terms)) / abs(sum(terms)) if terms else 1
+            assert float(row[2]) == pytest.approx(want, rel=1e-12 * ratio,
+                                                  abs=0)
+
     def test_subnormal_conditioning_is_4(self, spec_files, capsys):
         # a subnormal P(T_n = n) is not reported as a probability
         with warnings.catch_warnings():

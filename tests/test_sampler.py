@@ -236,14 +236,12 @@ class TestTableRoute:
         assert batch.accepted == count and smp._block_rows(n) >= count
         assert peak - result < 8 * count * n + 1.5 * 2**20
 
-    def test_cli_n4000_in_bounded_memory(self, tmp_path):
-        # `sample` on set_partitions at n = 4000, 2000 samples, exact-mean
-        # x: the 64 MB table, the 64 MB of sample tuples, one 8 MB block of
-        # uniforms and the counts of statistics in uint16.  Peak RSS
-        # measured on a 2-vCPU host: 183.5 MB (402 MB with every uniform
-        # of the request in one block, copied once, and int64 counts in
-        # the draw and in statistics)
-        n, count = 4000, 2000
+    @staticmethod
+    def cli_sample_peak(tmp_path, n, count):
+        """`sample` on set_partitions at n with count samples and the
+        exact-mean x, in a fresh interpreter with glibc's mmap threshold at
+        1 MiB: (exit code, the weight of each sample, the K row of the
+        statistics), peak RSS in kB."""
         argv = ["sample", "--spec", write_specs(tmp_path)["setpartitions"],
                 "--n", str(n), "--samples", str(count), "--seed", "3",
                 "--format", "json"]
@@ -264,8 +262,26 @@ class TestTableRoute:
             env={"MALLOC_MMAP_THRESHOLD_": "1048576"})
         assert code == 0 and weights == [n] * count
         assert k_row["stat"] == "K" and k_row["mean"] > 0
+        return peak_kb
+
+    def test_cli_n4000_in_bounded_memory(self, tmp_path):
+        # 2000 samples: the 32 MB half table, the 64 MB of sample tuples,
+        # one 8 MB block of uniforms and the counts of statistics in
+        # uint16.  Peak RSS measured on a 2-vCPU host: 153 MB (184 MB with
+        # the whole 64 MB lower triangle, 402 MB with every uniform of the
+        # request in one block, copied once, and int64 counts in the draw
+        # and in statistics)
+        peak_kb = self.cli_sample_peak(tmp_path, 4000, 2000)
         if sys.platform.startswith("linux"):
-            assert peak_kb < 250 * 1024
+            assert peak_kb < 170 * 1024
+
+    def test_cli_n16000_holds_half_the_triangle(self, tmp_path):
+        # 20 samples: nearly all of the peak is the 512 MB half table.
+        # Peak RSS measured on a 2-vCPU host: 535 MB (1,023 MB with the
+        # whole 1.02 GB lower triangle)
+        peak_kb = self.cli_sample_peak(tmp_path, 16000, 20)
+        if sys.platform.startswith("linux"):
+            assert peak_kb < 640 * 1024
 
 
 TABLE_PINNED = [
@@ -289,10 +305,14 @@ TABLE_PINNED = [
     # the second stream starting inside the second block
     (st.set_partitions(), 2000, 5.8, 1200, 2, 7, None,
      "08fa1c63b237a6db46339ffdf16529dc6e7ed15ab39b46907ba1b9c45cbbd7cd"),
+    # a block of 2 samples: one row window of all n indices
+    (st.integer_partitions(), 1000, 0.96, 2, 2, 8, None,
+     "77ded58df19c66bd5eb73b9f0ca21ac5432cccc89f7cee4f630a01763d3f9c74"),
 ]
 TABLE_PINNED_IDS = ["permutations", "integer_partitions",
                     "distinct_odd_partitions", "selection", "polynomials2",
-                    "count_above_block", "default_blocks_n2000"]
+                    "count_above_block", "default_blocks_n2000",
+                    "widened_window_n1000"]
 
 
 class TestTablePinned:
@@ -314,13 +334,20 @@ class TestTablePinned:
         # the default_blocks_n2000 pin crosses two block edges
         assert 2 * smp._block_rows(2000) < 1200 < 3 * smp._block_rows(2000)
 
-    # the row-block width changes the work per block, not a sample
+    def test_n1000_pin_takes_one_window(self):
+        # the widened_window_n1000 pin's block of 2 reads all 1000 indices
+        # in one row window, not in windows of _WINDOW
+        assert smp._WINDOW < 1000 <= smp._WINDOW_CELLS // 2
+
+    # the row-block width changes the work per block, not a sample: with
+    # _WINDOW_CELLS = 0 the width is min(_WINDOW, n), here 1, 7 and n
     @pytest.mark.parametrize("spec,n,x,count,streams,seed,block,digest",
                              TABLE_PINNED[2:5], ids=TABLE_PINNED_IDS[2:5])
     @pytest.mark.parametrize("window", [1, 7, 10**6])
     def test_window_changes_no_sample(self, spec, n, x, count, streams, seed,
                                       block, digest, window, monkeypatch):
         monkeypatch.setattr(smp, "_WINDOW", window)
+        monkeypatch.setattr(smp, "_WINDOW_CELLS", 0)
         batch = sample_components(spec, n, TiltedParams(x, 1), count,
                                   RngState(seed), streams=streams)
         tuples = repr([v.a for v in batch.samples]).encode()
@@ -345,10 +372,12 @@ class TestOneTablePerSlot:
     def test_n2000_in_a_fresh_interpreter(self):
         # sampling permutations at n = 2000 at five x holds one prefix-pmf
         # table, not five, so the cache ends with 4 entries (log m, log k!,
-        # log P(Z_i = 0), prefix pmfs).  The table keeps the lower triangle
-        # of Q, packed: at most 8 ((n+1)(n+2)/2 + n + 128) bytes, 16 MB.
-        # Peak RSS measured on a 2-vCPU host: 56.6 MB (68.3 MB with the
-        # full 32 MB table, 117 MB when all five packed tables are kept)
+        # log P(Z_i = 0), prefix pmfs).  The table keeps the half of the
+        # lower triangle of Q that the draw reads, packed: 8 ((n+1)^2 // 4
+        # + 2 (n+1)) bytes, 8 MB (16 MB with the whole lower triangle).
+        # Peak RSS measured on a 2-vCPU host: 46.2 MB (54.0 MB with the
+        # whole lower triangle, 68.3 MB with the full 32 MB table, 117 MB
+        # when all five packed tables are kept)
         script = textwrap.dedent("""
             from combstruct import structures, sampler
             from combstruct.indep_process import TiltedParams
@@ -365,7 +394,7 @@ class TestOneTablePerSlot:
             script, env={"MALLOC_MMAP_THRESHOLD_": "1048576"})
         n = 2000
         assert complete and slots == 4
-        assert nbytes <= 8 * ((n + 1) * (n + 2) // 2 + n + 128)
+        assert nbytes <= 8 * ((n + 1) ** 2 // 4 + 2 * (n + 1))
         if sys.platform.startswith("linux"):
             assert peak_kb < 100 * 1024
 
@@ -399,39 +428,125 @@ def dense_prefix(spec, n, params):
     return q
 
 
+def reference_draw(tab, u):
+    """The top-down draw of _draw_top_down, index by index with no row
+    windows: the same products, compares and cumulative sums on the same
+    uniforms, so the same samples.  It reads the table through q, which
+    asserts that every entry (i, r), 0 <= r <= n, it reads is one the half
+    table keeps, and that a weight read above the diagonal reads Q[c, c]
+    with c <= (n - 1) / 2 only."""
+    count, n = u.shape
+
+    def q(i, r):
+        assert 0 <= i <= r <= n and (r == n or i <= n - 1 - r), (i, r)
+        return tab.qc[tab.tri[r] + i]
+
+    def q_any(i, r):  # _q's value for one (i, r)
+        c = min(i, r)
+        assert c == i or 2 * c <= n - 1, (i, r)
+        return q(c, r) * np.exp(tab.lz[i] - tab.lz[c]) * (r >= tab.zl[i])
+
+    a = np.zeros((count, n), dtype=np.int64)
+    for s in range(count):
+        r = n
+        for i in range(n, 0, -1):
+            if i > r or not q(i - 1, r) * tab.p0[i] <= u[s, i - 1] * q(i, r):
+                continue
+            k_cap = min(r // i, int(tab.kmax[i]))
+            w = [q(i - 1, r - i * k) for k in range(k_cap)]
+            w.append(q_any(i - 1, r - i * k_cap))
+            w = np.array(w) * tab.pk[tab.off[i]: tab.off[i] + k_cap + 1]
+            cum = np.cumsum(w)
+            a[s, i - 1] = k = int((cum <= u[s, i - 1] * cum[-1]).sum())
+            r -= i * k
+        assert r == 0
+    return a
+
+
+def assert_reference_draws_match(spec, n, params, count, streams, seed):
+    """sample_components' samples equal reference_draw's on the same
+    uniforms, block by block."""
+    batch = sample_components(spec, n, params, count, RngState(seed),
+                              streams=streams)
+    tab = spec._table_cache["prefix_pmfs"]
+    per = smp._per_stream(count, streams)
+    want = [tuple(row) for u in smp._uniform_rows(RngState(seed), per, n)
+            for row in reference_draw(tab, u).tolist()]
+    assert [v.a for v in batch.samples] == want
+
+
+PACKED_CASES = [
+    (PERM, 300, 1.0),
+    # the edges of a 64-row write: rows 0..62, 0..63 and 0..64
+    (PERM, 1, 1.0), (st.integer_partitions(), 63, "integer_partition"),
+    (st.set_partitions(), 64, "set_partition"),
+    (st.polynomials(2), 65, "exact_mean"),
+    (st.integer_partitions(), 300, "integer_partition"),
+    (st.set_partitions(), 300, "set_partition"),
+    (st.distinct_partitions(), 300, "distinct_partition"),
+    (st.esf(2), 300, "exact_mean"),
+    (st.polynomials(2), 300, "exact_mean"),
+    (st.distinct_odd_partitions(), 300, 0.98),
+    (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9),
+    (UNDERFLOW_SPEC, 1150, 1.0),
+]
+
+
 class TestPackedTable:
-    @pytest.mark.parametrize("spec,n,how", [
-        (PERM, 300, 1.0),
-        # the edges of a 64-row write: rows 0..62, 0..63 and 0..64
-        (PERM, 1, 1.0), (st.integer_partitions(), 63, "integer_partition"),
-        (st.set_partitions(), 64, "set_partition"),
-        (st.polynomials(2), 65, "exact_mean"),
-        (st.integer_partitions(), 300, "integer_partition"),
-        (st.set_partitions(), 300, "set_partition"),
-        (st.distinct_partitions(), 300, "distinct_partition"),
-        (st.esf(2), 300, "exact_mean"),
-        (st.polynomials(2), 300, "exact_mean"),
-        (st.distinct_odd_partitions(), 300, 0.98),
-        (st.from_m_list("selection", [0, 2, 1, 0, 3] * 12), 60, 0.9),
-        (UNDERFLOW_SPEC, 1150, 1.0),
-    ], ids=lambda v: getattr(v, "name", str(v)))
+    @pytest.mark.parametrize("spec,n,how", PACKED_CASES,
+                             ids=lambda v: getattr(v, "name", str(v)))
     def test_every_read_entry_matches_dense(self, spec, n, how):
         x = choose_x(spec, n, 1, how) if isinstance(how, str) else how
         params = TiltedParams(x, 1)
         q = dense_prefix(spec, n, params)
         batch = sample_components(spec, n, params, 0, RngState(0))
         tab = spec._table_cache["prefix_pmfs"]
-        assert tab.qc.nbytes <= 8 * ((n + 1) * (n + 2) // 2 + n + 128)
+        assert tab.qc.nbytes <= 8 * ((n + 1) ** 2 // 4 + 2 * (n + 1))
         assert batch.acceptance_exact == q[n, n]
-        # the zero test reads Q[i, r], i <= r: bit for bit
+        # the kept entries, Q[i, r] for i <= min(r, n - 1 - r) and column n
+        # whole, bit for bit: the only entries with i <= r the draw reads
+        # (test_reference_draw_reads_kept_entries holds it to that)
         r, i = np.tril_indices(n + 1)
+        kept = (r == n) | (i <= n - 1 - r)
+        r, i = r[kept], i[kept]
+        assert r.size == (n + 1) ** 2 // 4 + n + 1
         assert np.array_equal(tab.qc[tab.tri[r] + i], q[i, r])
-        # a weight reads Q[j-1, r] for r < j - 1 <= n - 1 too
+        # a weight reads Q[j-1, r] for r < j - 1 <= n - 1 - r too
         i, r = np.tril_indices(n, -1)
+        i, r = i[i <= n - 1 - r], r[i <= n - 1 - r]
         got, want = smp._q(tab, i, r), q[i, r]
         assert np.array_equal(got == 0, want == 0)
         pos = want > 0
         assert np.all(np.abs(got[pos] - want[pos]) <= 1e-12 * want[pos])
+
+    # a block of 24 samples takes one window of n <= 1365 indices, and
+    # with _WINDOW_CELLS = 0 windows of _WINDOW
+    @pytest.mark.parametrize("cells", [smp._WINDOW_CELLS, 0],
+                             ids=["wide", "narrow"])
+    @pytest.mark.parametrize("spec,n,how", PACKED_CASES,
+                             ids=lambda v: getattr(v, "name", str(v)))
+    def test_reference_draw_reads_kept_entries(self, spec, n, how, cells,
+                                               monkeypatch):
+        monkeypatch.setattr(smp, "_WINDOW_CELLS", cells)
+        x = choose_x(spec, n, 1, how) if isinstance(how, str) else how
+        assert_reference_draws_match(spec, n, TiltedParams(x, 1), 24, 2, 9)
+
+    # a random m list of each kind, at an x with x < 1 and theta x < 1 for
+    # the multisets, and up to 3.6 for the other kinds; the cases that both
+    # functions refuse (no structure of weight n, or P(T_n = n) below the
+    # guard) are left out
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hs.sampled_from(["assembly", "multiset", "selection"]),
+           hs.lists(hs.integers(0, 3), min_size=1, max_size=12),
+           hs.integers(1, 40), hs.sampled_from([0.3, 0.6, 0.9]),
+           hs.sampled_from([Fraction(1, 2), 1, 2]))
+    def test_reference_draw_on_custom_specs(self, kind, m, n, x, theta):
+        spec = st.from_m_list(kind, m)
+        params = TiltedParams(x / max(1, theta) if kind == "multiset"
+                              else 4 * x, theta)
+        if (sd.has_weight(spec, n) and sd.prob_T_eq_n(spec, n, params)
+                >= smp._UNDERFLOW_GUARD):
+            assert_reference_draws_match(spec, n, params, 20, 2, 3)
 
     def test_underflowed_zero_probability_draws_exact_law(self):
         spec, n = UNDERFLOW_SPEC, 1150
