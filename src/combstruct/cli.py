@@ -271,21 +271,35 @@ def cmd_sample(args) -> Output:
     streams = int(raw) if raw.strip().isdecimal() else 0
     if streams < 1:
         raise ParameterDomainError(f"CS_THREADS must be an integer >= 1: {raw!r}")
-    batch = smp.sample_components(spec, n, params, args.samples,
-                                  smp.RngState(args.seed), streams=streams)
+    p_exact, blocks = smp.sample_blocks(spec, n, params, args.samples,
+                                        smp.RngState(args.seed),
+                                        streams=streams)
+    # each block of counts is formatted and summed, then dropped: no
+    # sample is held as an n-tuple
+    rows, columns = [], {}
+    for a in blocks:
+        rows += _sample_texts(a)
+        for name, col in smp.block_statistics(a).items():
+            columns.setdefault(name, []).extend(col)
+    stats = smp.StatsTable(columns, n).summary()
     out = Output(args, spec)
     out.add_header("params", f"n={n} x={params.fx!r} theta={params.ftheta!r}")
     out.add_header("seed", f"{args.seed} streams={streams}")
-    out.add_header("trials", f"{batch.trials} accepted={batch.accepted} "
-                             f"exact_acceptance={batch.acceptance_exact!r} "
-                             "method=table")
-    rows = [[" ".join(f"{i}:{ai}" for i, ai in enumerate(v.a, start=1) if ai)]
-            for v in batch.samples]
+    out.add_header("trials", f"{args.samples} accepted={args.samples} "
+                             f"exact_acceptance={p_exact!r} method=table")
     out.table(["sample"], rows)
-    stats = smp.statistics(batch.samples).summary()
     out.table(["stat", "mean", "var", "se"],
               [[k, s["mean"], s["var"], s["se"]] for k, s in stats.items()])
     return out
+
+
+def _sample_texts(a: np.ndarray) -> list:
+    """Each row of a block of counts, a[s, i-1] = a_i, as the one-cell row
+    `sample` prints: "i:a_i" for every a_i > 0, i ascending, space-joined."""
+    s, i = np.nonzero(a)  # row by row, i ascending in each
+    parts = [f"{j}:{c}" for j, c in zip((i + 1).tolist(), a[s, i].tolist())]
+    ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
+    return [[" ".join(parts[lo:hi])] for lo, hi in zip([0] + ends, ends)]
 
 
 def cmd_choose_x(args) -> Output:

@@ -12,9 +12,9 @@ class CombstructError(Exception):
 class ParameterDomainError(CombstructError):
     """Inputs outside the mathematical domain of an operation.
 
-    Examples: multiset tilt with theta*x >= 1, negative component counts,
-    enumeration above the configured cap, a solver strategy applied to a
-    structure family it is not defined for.
+    Examples: multiset tilt with theta x^i >= 1 where m_i > 0, negative
+    component counts, enumeration above the configured cap, a solver
+    strategy applied to a structure family it is not defined for.
     """
 
 

@@ -4,7 +4,7 @@ Z_i are independent with laws fixed by the structure kind, the free
 parameter x > 0, and the component-count bias theta > 0:
 
     assembly   Z_i ~ Poisson(theta m_i x^i / i!)
-    multiset   Z_i ~ NegativeBinomial(m_i, theta x^i)       (x < 1, theta x < 1)
+    multiset   Z_i ~ NegativeBinomial(m_i, theta x^i)   (theta x^i < 1, m_i > 0)
     selection  Z_i ~ Binomial(m_i, theta x^i / (1 + theta x^i))
 
 The refined variables Y_ij (j = 1..m_i) are Poisson(theta x^i / i!),
@@ -73,11 +73,11 @@ class TiltedParams:
             raise ParameterDomainError("x and theta must be finite")
 
     def validate(self, spec: StructureSpec) -> "TiltedParams":
-        if spec.kind is Kind.MULTISET:
-            if not (self.x < 1 and self.theta * self.x < 1):
-                raise ParameterDomainError(
-                    f"multiset tilt needs x < 1 and theta*x < 1, got "
-                    f"x={float(self.x)}, theta*x={float(self.theta * self.x)}")
+        pole = tilt_pole(spec, self.theta)
+        if not self.x < pole:
+            raise ParameterDomainError(
+                f"multiset tilt needs theta x^i < 1 wherever m_i > 0, that "
+                f"is x < {pole!r}, got x={float(self.x)}")
         return self
 
     @property
@@ -87,6 +87,26 @@ class TiltedParams:
     @property
     def ftheta(self) -> float:
         return float(self.theta)
+
+
+def tilt_pole(spec: StructureSpec, theta: Numeric) -> float:
+    """The supremum of the x at which Z is defined: inf but for a multiset,
+    whose NegBin(m_i, theta x^i) needs theta x^i < 1 at every active index
+    (m_i > 0), so x < theta^(-1/i) there.  A finite m list
+    (params["m_len"]) reads its own active indices: the binding one is the
+    first for theta > 1 and the last for theta < 1 (any at theta = 1), and
+    with none active every x is allowed.  Any other multiset is taken to
+    be active at 1 and at indices without bound: min(1, 1/theta).  An
+    inactive index has P(Z_i = 0) = 1 at every x."""
+    if spec.kind is not Kind.MULTISET:
+        return math.inf
+    th = float(theta)
+    length = spec.params.get("m_len")
+    if length is None:
+        return min(1.0, 1.0 / th)
+    order = range(1, length + 1) if th > 1 else range(length, 0, -1)
+    i = next((i for i in order if spec.m(i) != 0), None)
+    return math.inf if i is None else 1.0 / th ** (1.0 / i)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +235,9 @@ def _mean_var(kind: Kind, lm: np.ndarray,
         if kind is Kind.MULTISET:  # m_i t / (1 - t) and / (1 - t)^2
             u = np.exp(lw)
             np.subtract(1.0, u, out=u)
+            # t >= 1 only where m_i = 0 (TiltedParams.validate), whose
+            # mean and variance are 0
+            u[u <= 0.0] = 1.0
             var = np.square(u)
             np.divide(mean, var, out=var)
             mean /= u
@@ -518,19 +541,19 @@ _MAX_EVALS = 200
 def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
     """x with E_theta T_n = n: a doubling bracket, then a safeguarded Newton
     iteration on log(E T_n / n) in w = log x, or for a multiset in
-    w = log(x / (P - x)) with P = min(1, 1/theta) the pole of E T_n, where
-    log E T_n is close to linear both at small x and near the pole.  The
+    w = log(x / (P - x)) with P = tilt_pole(spec, theta) the pole of
+    E T_n, where log E T_n is close to linear both at small x and near the
+    pole (a multiset with no active index has none).  The
     slope comes with the mean: d E T_n / d log x = Var T_n.  A Newton point
     outside the bracket, or a step longer than half the step before last,
     is replaced by a bisection of the bracket in w (rtsafe, Numerical
     Recipes 9.4).  theta must be positive, as TiltedParams asks, before
-    the pole 1/theta is formed."""
+    the pole is formed."""
     if not theta > 0:
         raise ParameterDomainError("x and theta must be positive")
-    pole = math.inf
+    pole = tilt_pole(spec, theta)
     to_w, to_x, dw_du = math.log, math.exp, lambda x: 1.0
-    if spec.kind is Kind.MULTISET:
-        pole = min(1.0, 1.0 / float(theta))
+    if pole < math.inf:
         to_w = lambda x: math.log(x / (pole - x))
         to_x = lambda w: pole * expit_float(w)
         dw_du = lambda x: pole / (pole - x)

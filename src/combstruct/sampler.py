@@ -22,12 +22,16 @@ those of the index-by-index loop, with the same uniforms, and the window
 changes no sample.  The remainder ends at 0, so every draw is
 accepted and trials = accepted = count.  Stream k's uniforms are the rows
 of one (count_k, n) matrix from its own generator; all streams go through
-one top-down pass in blocks of as many samples as _BLOCK_BYTES (8 MB)
-holds rows of n uniforms, and the block size bounds memory without
-changing a sample.  A block's working set is one buffer of uniforms, which
-each block refills in place, the counts Z_i in the narrowest unsigned
-dtype that holds n (uint16 for 256 <= n < 65536), and the temporaries of
-one row window; each sample's tuple is made from its own row.  The rows of
+one top-down pass in blocks of as many samples as _BLOCK_BYTES (512 KiB)
+holds rows of n uniforms, at least _BLOCK_FLOOR (64), and the block size
+bounds memory without changing a sample.  A block's working set is one
+buffer of uniforms, which each block refills in place, the counts Z_i in
+the narrowest unsigned dtype that holds n (uint16 for 256 <= n < 65536),
+and the temporaries of one row window.  sample_blocks yields each block's
+counts; sample_components makes each sample's tuple from its own row,
+and the CLI `sample` formats a block's nonzero counts and adds its rows
+to the statistics columns (block_statistics), then drops it, so it holds
+no sample as an n-tuple.  The rows of
 Q are the prefix pmfs of the strided update behind the selection
 convolution (sumdist.prefix_pmfs), kept with the per-index rows
 P(Z_i = k) in one spec slot for the last (n, x, theta) sampled.
@@ -52,10 +56,11 @@ Q[r, r] with r <= (n - 1) / 2, which is kept.  The table takes
 2 (n+1)^2 bytes plus O(n): 2 MB at n = 1000, 32 MB at n = 4000 and 512 MB
 at n = 16000 (twice that with the whole triangle).  The CLI `sample` on
 set_partitions peaks at 535 MB RSS at n = 16000 with 20 samples (1,023 MB
-with the whole triangle), and at 153 MB at n = 4000 with 2000 samples: the
-32 MB table, 64 MB of sample tuples, 16 MB of uint16 counts in statistics
-and the imports (184 MB with the whole triangle, 402 MB when every uniform
-of a request sat in one block, copied once, beside int64 counts).
+with the whole triangle), at 74 MB at n = 4000 with 2000 samples and at
+45 MB at n = 1000 with 8000: the table, one block and the imports (153
+and 126 MB when it held every sample as an n-tuple beside one count
+matrix of them all, 402 MB at n = 4000 when every uniform of a request
+sat in one block, copied once, beside int64 counts).
 acceptance_exact is read off the table as Q[n, n] = P(T_n = n).
 
 Underflowed table entries cannot bias the law.  A state (i, r) is reached
@@ -96,7 +101,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -106,8 +111,10 @@ from .indep_process import TiltedParams, z_pmf_rows
 from . import sumdist
 
 _BLOCK = 4096  # rejection: trials per block, fixed for reproducibility
-_BLOCK_BYTES = 1 << 23  # table: bytes of uniforms per block, a memory
-                        # bound only (4096 samples at n = 256, 262 at 4000)
+_BLOCK_BYTES = 1 << 19  # table: bytes of uniforms per block, a memory
+                        # bound only (218 samples at n = 300, 65 at 1000)
+_BLOCK_FLOOR = 64  # table: least samples per block, whatever n (see
+                   # _block_rows): 2 MB of uniforms at n = 4000, 8 MB at 16000
 _WINDOW = 128  # table: least indices per row block of the top-down draw;
                # it changes the work per block, not a sample, and a block
                # reads one contiguous slice of each packed column
@@ -325,8 +332,14 @@ def _uniform_rows(rng: RngState, per: list, n: int):
 
 def _block_rows(n: int) -> int:
     """Samples per block of the table route: as many rows of n uniforms as
-    _BLOCK_BYTES holds, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+    _BLOCK_BYTES holds, at least _BLOCK_FLOOR.  The floor bounds the work,
+    not the memory: every block walks every row window of the table, from
+    index n down, so a block of few samples pays that walk for few draws.
+    Plain 512 KiB blocks hold 16 samples at n = 4000, where 2000 samples
+    (one BLAS thread, warm table) took 0.50 s on set_partitions and 0.80 s
+    on integer_partitions against 0.39 and 0.44 s in 8 MB blocks of 262;
+    blocks of 64 take 0.40 and 0.50 s."""
+    return max(_BLOCK_FLOOR, _BLOCK_BYTES // (8 * n))
 
 
 def _per_stream(count: int, streams: int) -> list:
@@ -350,6 +363,23 @@ def _checked(spec: StructureSpec, n: int, p_exact: float) -> float:
     return p_exact
 
 
+def sample_blocks(spec: StructureSpec, n: int, params: TiltedParams,
+                  count: int, rng: RngState,
+                  streams: int = 1) -> tuple[float, Iterator[np.ndarray]]:
+    """(P(T_n = n), the draws of sample_components in count blocks): each
+    block is a new (rows, n) array a with a[s, i-1] = Z_i of one sample,
+    in the narrowest unsigned dtype that holds n, and the blocks hold the
+    count samples in order, _block_rows(n) to a block but the last.  The
+    table and the guard run on the call, each block's draw as it is read,
+    so a reader that drops each block holds one at a time.
+    """
+    per = _per_stream(count, streams)
+    tab = _prefix_table(spec, n, params)
+    p_exact = _checked(spec, n, float(tab.qc[tab.tri[n] + n]))
+    return p_exact, (_draw_top_down(tab, u)
+                     for u in _uniform_rows(rng, per, n))
+
+
 def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
                       count: int, rng: RngState,
                       streams: int = 1) -> SampleBatch:
@@ -358,13 +388,11 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
     With streams > 1 the samples are split over independent substreams
     (stream indices rng.stream + k) and merged in stream order, so the
     result is deterministic for fixed (seed, stream, count, streams).
+    The vectors are those of sample_blocks' blocks.
     sample_by_rejection is its independent check.
     """
-    per = _per_stream(count, streams)
-    tab = _prefix_table(spec, n, params)
-    p_exact = _checked(spec, n, float(tab.qc[tab.tri[n] + n]))
-    samples = [v for u in _uniform_rows(rng, per, n)
-               for v in ComponentVector.from_rows(n, _draw_top_down(tab, u))]
+    p_exact, blocks = sample_blocks(spec, n, params, count, rng, streams)
+    samples = [v for a in blocks for v in ComponentVector.from_rows(n, a)]
     return SampleBatch(samples=samples, trials=count, accepted=count,
                        acceptance_exact=p_exact)
 
@@ -479,11 +507,16 @@ class StatsTable:
     D (mean size of a uniformly chosen component given the sample), Dstar
     (mean size-biased component size given the sample).  D and Dstar are
     the per-sample conditional means, so their averages estimate E D_n and
-    E D*_n with reduced variance and no extra randomness.
+    E D*_n with reduced variance and no extra randomness.  A table holds
+    at least one sample.
     """
 
     columns: dict
     n: int
+
+    def __post_init__(self):
+        if not self.columns.get("K"):
+            raise ParameterDomainError("empty sample batch")
 
     def summary(self) -> dict:
         out = {}
@@ -496,15 +529,11 @@ class StatsTable:
         return out
 
 
-def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
-    samples = list(samples)
-    if not samples:
-        raise ParameterDomainError("empty sample batch")
-    n = samples[0].n
-    # the counts in the narrowest unsigned dtype that holds them (that of
-    # the table route's draw for samples of C(n)), not a dense int64 copy
-    a = np.array([v.a for v in samples],
-                 dtype=np.min_scalar_type(max(max(v.a) for v in samples)))
+def block_statistics(a: np.ndarray) -> dict:
+    """The columns of StatsTable for one block of counts, a[s, i-1] = a_i
+    of sample s, as lists: each value is that of its own row, so the
+    columns of consecutive blocks, joined, are those of all their rows."""
+    n = a.shape[1]
     sizes = np.arange(1, n + 1)
     present = a > 0
     K, J = a.sum(axis=1, dtype=np.int64), present.sum(axis=1)
@@ -515,7 +544,17 @@ def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
     D = np.where(K > 0, np.einsum("ij,j->i", a, sizes, dtype=np.int64)
                  / np.maximum(K, 1), 0.0)
     Dstar = np.einsum("ij,j->i", a, sizes * sizes, dtype=np.int64) / n
-    return StatsTable(columns={"K": K.tolist(), "L": L.tolist(),
-                               "J": J.tolist(), "D": D.tolist(),
-                               "Dstar": Dstar.tolist()}, n=n)
+    return {"K": K.tolist(), "L": L.tolist(), "J": J.tolist(),
+            "D": D.tolist(), "Dstar": Dstar.tolist()}
 
+
+def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
+    """The StatsTable of samples: block_statistics on one block of their
+    counts, in the narrowest unsigned dtype that holds the largest (that
+    of sample_blocks for samples of C(n)), not a dense int64 copy."""
+    samples = list(samples)
+    if not samples:
+        return StatsTable(columns={}, n=0)  # which refuses it as empty
+    a = np.array([v.a for v in samples],
+                 dtype=np.min_scalar_type(max(max(v.a) for v in samples)))
+    return StatsTable(columns=block_statistics(a), n=samples[0].n)

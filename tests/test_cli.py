@@ -1,6 +1,8 @@
 """CLI surface: spec files, flags, output determinism, exit codes."""
 
 import argparse
+import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,12 +16,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from combstruct import cli
 from combstruct import moments as mom
 from combstruct import structures as st
 from combstruct import oracle as orc
 from combstruct import sumdist as sd
+from combstruct import sampler as smp
+from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import TiltedParams, z_law
 from cli_helpers import run_script, write_specs
 
@@ -704,6 +709,22 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "error: no structures of weight 7\n"
 
+    @pytest.mark.parametrize("x", [[], ["--x", "1.5"]], ids=["exact_mean", "x"])
+    def test_multiset_tilt_past_one_where_inactive(self, tmp_path, capsys, x):
+        # m = [1]: only Z_1 ~ NegBin(1, theta x) is drawn, so theta x < 1 is
+        # the whole domain and x = 5/3 solves E T_5 = 5 at theta = 1/2
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"kind": "multiset", "m": [1]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["sample", "--spec", str(path), "--n", "5",
+                                      "--theta", "1/2", "--samples", "3", *x],
+                                     capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        start = lines.index("sample") + 1
+        assert lines[start:start + 4] == ["1:5"] * 3 + ["stat\tmean\tvar\tse"]
+
 
 class TestImportFootprint:
     # one request of every command in a fresh interpreter, which must load
@@ -937,3 +958,161 @@ class TestIndexSetSyntax:
         assert cli.parse_index_set("1..5,7") == (1, 2, 3, 4, 5, 7)
         assert cli.parse_index_set("") == ()
         assert cli.parse_index_set("3,1,1") == (1, 3)
+
+
+def _cli_stdout(argv, threads="1"):
+    """(exit code, stdout) of cli.run(argv) under CS_THREADS = threads."""
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CS_THREADS", threads)
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+    return code, buf.getvalue()
+
+
+def _sample_stdout_from_batch(argv, streams):
+    """`sample`'s stdout built as it was before it streamed its blocks: the
+    SampleBatch of sample_components, each vector's nonzero parts, and
+    statistics on the whole batch."""
+    args = cli.build_parser().parse_args(argv)
+    spec = st.load_spec(args.spec)
+    params = cli._params_for(args, spec, args.n)
+    batch = smp.sample_components(spec, args.n, params, args.samples,
+                                  smp.RngState(args.seed), streams=streams)
+    stats = smp.statistics(batch.samples).summary()
+    out = cli.Output(args, spec)
+    out.add_header("params", f"n={args.n} x={params.fx!r} "
+                             f"theta={params.ftheta!r}")
+    out.add_header("seed", f"{args.seed} streams={streams}")
+    out.add_header("trials", f"{batch.trials} accepted={batch.accepted} "
+                             f"exact_acceptance={batch.acceptance_exact!r} "
+                             "method=table")
+    out.table(["sample"],
+              [[" ".join(f"{i}:{ai}" for i, ai in enumerate(v.a, start=1)
+                         if ai)] for v in batch.samples])
+    out.table(["stat", "mean", "var", "se"],
+              [[k, s["mean"], s["var"], s["se"]] for k, s in stats.items()])
+    return out.render()
+
+
+class TestSampleStdout:
+    # sha256 of `sample --n 300 --samples 300` stdout at seeds 1 and 2 under
+    # CS_THREADS 1 and 2, in that order, with the exact-mean x: pinned
+    # before `sample` streamed its blocks, so that every printed byte stays
+    PINNED = {
+        ("permutations", "json"): (
+            "27125e2dcc4d2fe07027e6ecdf0b5a0bac730ab78dc04181260024955b5afb19",
+            "29788d6c2786655c1eab5084fbd2232549116618b19c4ece889d447082ef1416",
+            "6b1df7c287f93327f60c7dc95cf5467fca6b46835aeb424d68860664c1647a8f",
+            "dd0853acb1b8b7e2ada155dc6ef41d651cf739c56c55bf2f08f4f536685aa93b"),
+        ("mappings", "json"): (
+            "2ff9cbc793c9c745f949eccbd2a2e027f8dce1b6e7a3b759194a1cf46646bc55",
+            "42ccc1134e4aab867588682630a88956139cedb13ae9cca544e1af2adfa453e7",
+            "5d6b4dbfaa80aecd1f492f65e184f098960c1578450d10344946cb61cfee51d6",
+            "e3faebf7ea222bec2759eb861cb0315cb3f685895e6649c8d9f183adff385935"),
+        ("setpartitions", "json"): (
+            "7464b59a550110bf7f7413752ffd79451d0e24caadb0e9966a99fee5346d3c2a",
+            "3429a90dadc33326b9119fc46e27ed0b57084236b7a2bf1a0b7e3a02ff6c59f2",
+            "1e13ed40079e125c1c3fbbde5b287e15aba4b7296718f8a3d9a4173728e6581e",
+            "806427ab1e608db655f072822105b40876fe68b39bffc592fb2a11e9998f5c05"),
+        ("intpart", "json"): (
+            "0946ac6fd79108c49597c89e8bcf4dd45d2858b068395ac88ed0fe2cb466b2d2",
+            "f29ffe0101b0b693264d07a3ef5f33f49f9558432932f9f9648f1555bacfa8fa",
+            "6f369f53edd5487c2526d023f7779b89a8f4d3ca19690020f6338f0ed66e1753",
+            "0eb2c84f545a098f349f9dbd083c2a92bcb12c0e865a61108bf1da43dc72f98b"),
+        ("distinct", "json"): (
+            "2eb301563e22c13e82db350ffaa51a1e5c6d37c53fee6918ffa14561efbeeff9",
+            "6801e404af59bb474dde28034ff1cab5ea2997577a578611f5fcc818762f3d58",
+            "f2b2fb8972f88c58c4beb9d137832b5197452862509a66fee4cae8fa6d56e74e",
+            "f356d8e08fec8a80c7ea7415fdf555672769d11d7d8ea81f5a263664020d6aac"),
+        ("poly2", "json"): (
+            "f6f6af578aa846eb608810be255303fd32664b1baef6eda2ba627ad66086368d",
+            "038052765f3f9bb326091096863f2bad4b14ef9f1f9834b10c7b0e72cfa37eca",
+            "f3b4c790f8c15fcce2e192c3f17c7c6d2d0725aea8d486722d38cf59d2ae25cd",
+            "6bc0a412cad96037e2f4c768d542bab25ba04062b90e78356774f4d63969c309"),
+        ("squarefree2", "json"): (
+            "a39add132d12bc763945ad23bc404623c3994df3becc47e876bde0cdce958bae",
+            "fa6dc9c96ee314b210c376ffb3e48639984a28baf385c167b7bc3f7be6381539",
+            "5e1d5ceb68db3efe860eea7fa12fb4a67da7987ed9401975f3a0883b513896a8",
+            "90dfb6e52b05bc75a2f1c191b62306a12fe8eea21bd1b093f2e3489f1733fd3a"),
+        ("permutations", "tsv"): (
+            "2b8190a776a5ca7a341128998188ffec38853e7230993e8b43c81ca1ffe329c6",
+            "926ac0ce28c99e0b843c22bd6cf7f0a32fd63b527ac09456af4adc6a6306fa18",
+            "0e98a7547149b8b128243235c1cb2e57f6cdac4a6b86c64a150774ca9b6cd02c",
+            "9345d5c360824b5bb1039399540cebd5d08e9be14edcdf6f4e42ce8242507833"),
+        ("mappings", "tsv"): (
+            "35c8d39ade244f6e1b56cccbf3171fc5d8f083193638c5c5add2e05828ff03c3",
+            "5f2ffb7b18bc1cd307c60679a5075815188b14b11ce5f2981323e1f809598d06",
+            "eacce568420d9ddd13a1e7b628072c79fbff3aa1bb404ecf7e7b771a48641205",
+            "a345eff10c3bdca4d6a2705e42daa4195e4981ebd18194668ba1df6a729bd610"),
+        ("setpartitions", "tsv"): (
+            "1353b3106f6c00f8ae7931e7b8565f8bba0613c399b348af04248022b7c021be",
+            "825042c77c42bb0d22f96fea7fbd624d09201926d12aecb60ce99202b9053269",
+            "2dd151cade626abb6194b39b7fcaf02ac86a70accbb0426762fee2142cc68c44",
+            "9d01da0dbc08f33f8eec38511e965a41dd84f6693521944dad569870ad93a891"),
+        ("intpart", "tsv"): (
+            "b6a88fe3c3b09dccdfab6bb3aebf44224557adab35ac39229ad469e8c59c5269",
+            "1edf75546118263de828386826fd168012366878cf7e8a8abcd4bba2e3e648df",
+            "0aada2403452db90421d87dbcda3a8f0bcc5f2299a95a2fb74448fd61905dcd6",
+            "fbc581fefa705be914f777ccc6ed32f0398c0112acb55614b8af3c126d6ef10a"),
+        ("distinct", "tsv"): (
+            "adfdb1c98526340adec7e5c8232a8f2446cffdff8299e68b6fb5e94350298fae",
+            "f93430d4a77bf0c1c8edc2638984368cd723c0e26b41db14686961fe23aac263",
+            "c9ef3b650a3c37021570981c03b5cf84bc8a3f1f99c4fc4f8a65c9d78d972519",
+            "0c4ca4b5e05610535996dad486fa51f3bbc75740f59912ab4602c4c3c9a5cc3c"),
+        ("poly2", "tsv"): (
+            "9b2c1c30c45aeecd2e1710ca8d5bc7539f273eb9a6588cb0864b395edfc4c98a",
+            "a653e8cbca15e2f6598b7dd46185bcd9f9f374936e5fa19a3b9bd8e9dd79671e",
+            "1fbdd91ebb56646fd16565c10cf68ac74df46233735fa27bfd1534313b2281f8",
+            "d1df2448cbd1cfb6b3c789fa815c7696cc1e60a02c53a93bc860aa5b1dfa50da"),
+        ("squarefree2", "tsv"): (
+            "491ef92b2c893e460a2ce70b9af59becf071dcf3af2dd5a20d51163e60b686c6",
+            "821cee06155b8a663077660f1d4c4be7683f07cf701801636f69cabcb5940757",
+            "69913ee4051cef63463bad2bbf2356ab3a8cda4d076d6a76b9439a9c63b58faf",
+            "3835de45054d6b72a30ad28c24bb89fea78f5152a54ef677b528cd68dc4db3b1"),
+    }
+
+    @pytest.mark.parametrize("spec,fmt", list(PINNED),
+                             ids=[f"{s}-{f}" for s, f in PINNED])
+    def test_pinned_digests(self, spec, fmt, spec_files):
+        got = []
+        for seed in ("1", "2"):
+            for threads in ("1", "2"):
+                code, out = _cli_stdout(
+                    ["sample", "--spec", spec_files[spec], "--n", "300",
+                     "--samples", "300", "--seed", seed, "--format", fmt],
+                    threads)
+                assert code == 0
+                got.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(got) == self.PINNED[spec, fmt]
+
+    # streamed in blocks of 1, 7 or 64 samples (or the default), the text is
+    # the one built from the batch at the default blocks; a request refused
+    # there exits with its code and prints nothing
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=hs.sampled_from(["assembly", "multiset", "selection"]),
+           m=hs.lists(hs.integers(0, 3), min_size=1, max_size=8),
+           n=hs.integers(1, 40), theta=hs.sampled_from(["1/2", "1", "2"]),
+           count=hs.integers(0, 150), threads=hs.sampled_from(["1", "2"]),
+           fmt=hs.sampled_from(["tsv", "json"]),
+           block=hs.sampled_from([None, 1, 7, 64]))
+    def test_streamed_text_is_the_batch_text(self, kind, m, n, theta, count,
+                                             threads, fmt, block,
+                                             tmp_path_factory):
+        path = tmp_path_factory.mktemp("spec") / "custom.json"
+        path.write_text(json.dumps({"kind": kind, "m": m}))
+        argv = ["sample", "--spec", str(path), "--n", str(n), "--theta",
+                theta, "--samples", str(count), "--seed", "5", "--format", fmt]
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(smp, "_BLOCK_BYTES", 0)
+                mp.setattr(smp, "_BLOCK_FLOOR", block)
+            code, out = _cli_stdout(argv, threads)
+        try:
+            want, want_code = _sample_stdout_from_batch(argv, int(threads)), 0
+        except ParameterDomainError:
+            want, want_code = "", 3
+        except NumericGuardError:
+            want, want_code = "", 4
+        assert (code, out) == (want_code, want)

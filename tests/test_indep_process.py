@@ -414,6 +414,42 @@ class TestTiltedParamsDomain:
             TiltedParams(x, theta)
 
 
+class TestMultisetPole:
+    # NegBin(m_i, theta x^i) needs theta x^i < 1 only where m_i > 0
+    @pytest.mark.parametrize("spec", [st.integer_partitions(),
+                                      st.polynomials(2), st.necklaces(2)],
+                             ids=["integer_partitions", "polynomials2",
+                                  "necklaces2"])
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2, 3.7])
+    def test_builtin_pole_is_min_one_and_one_over_theta(self, spec, theta):
+        assert ip.tilt_pole(spec, theta) == min(1.0, 1.0 / float(theta))
+
+    @pytest.mark.parametrize("m,theta,pole", [
+        ([1], Fraction(1, 2), 2.0), ([1, 0, 0], Fraction(1, 2), 2.0),
+        ([1, 0, 2], Fraction(1, 2), 2.0 ** (1 / 3)), ([0, 1], 4, 0.5),
+        ([0, 1, 1], 4, 0.5), ([2, 1], 1, 1.0), ([1, 5], 2, 0.5),
+        ([0, 0], 2, math.inf)])
+    def test_finite_list_reads_its_active_indices(self, m, theta, pole):
+        spec = st.from_m_list("multiset", m)
+        assert ip.tilt_pole(spec, theta) == pytest.approx(pole, rel=1e-15)
+        assert ip.tilt_pole(st.from_m_list("assembly", m), theta) == math.inf
+
+    def test_inactive_index_past_the_pole_draws_zero(self):
+        # theta x^2 = 1 and theta x^3 = 2 at indices with m_i = 0: P(Z_i = 0)
+        # = 1 there, E Z_i = Var Z_i = 0 and no RuntimeWarning
+        spec = st.from_m_list("multiset", [1, 0, 0])
+        params = TiltedParams(2, Fraction(1, 4)).validate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = z_pmf_rows(spec, [1, 2, 3], 3, params)
+            sm = sum_moments(spec, 3, params)
+        assert [list(r) for r in rows[1:]] == [[1, 0, 0, 0]] * 2
+        assert rows[0][0] == 0.5  # geometric, theta x = 1/2
+        assert sm.mean == 1.0 and sm.variance == 2.0
+        with pytest.raises(ParameterDomainError, match="x < 4.0"):
+            TiltedParams(4, Fraction(1, 4)).validate(spec)
+
+
 class TestLogistic:
     """expit, expit_float and log_expit against the math formulas
     e^w/(1 + e^w) (w < 0) or 1/(1 + e^-w), and w - log1p(e^w) (w < 0) or
@@ -590,9 +626,25 @@ class TestChooseX:
                                TiltedParams(x, 2)).mean - 60) <= 1e-9 * 60
 
     def test_multiset_supremum_failure_reported(self):
-        spec = st.from_m_list("multiset", [0, 1], name="gap_multiset")
+        # the active index 60 sets the pole 2^(1/60), where E T_50 = E Z_1
+        # is about 1: below 50 at every x the tilt allows
+        spec = st.from_m_list("multiset", [1] + [0] * 58 + [1],
+                              name="far_multiset")
         with pytest.raises(ParameterDomainError, match="supremum"):
-            choose_x(spec, 50, 4, XStrategy.EXACT_MEAN)
+            choose_x(spec, 50, Fraction(1, 2), XStrategy.EXACT_MEAN)
+
+    @pytest.mark.parametrize("m,n,theta", [([0, 1], 50, 4),
+                                           ([1], 5, Fraction(1, 2)),
+                                           ([2, 0, 1], 40, Fraction(1, 2))])
+    def test_multiset_solved_up_to_its_own_pole(self, m, n, theta):
+        # E T_n runs to infinity at the pole of the binding active index:
+        # index 2 (x < 1/2) at theta = 4, the last one at theta = 1/2,
+        # where x passes 1
+        spec = st.from_m_list("multiset", m)
+        x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
+        assert x < ip.tilt_pole(spec, theta)
+        assert abs(sum_moments(spec, n, TiltedParams(x, theta)).mean - n) \
+            <= 1e-9 * n
 
     def test_strategy_spec_mismatch(self):
         with pytest.raises(ParameterDomainError):

@@ -219,10 +219,12 @@ class TestTableRoute:
         assert [v.a for v in c.samples] == [v.a for v in a.samples]
 
     def test_working_set_per_block(self):
-        # above the result, a block holds its uniforms, its counts in
-        # uint16 and the temporaries of one row window (at most 1.5 MB
-        # here); a second copy of the uniforms, int64 counts or a list of
-        # lists of them would exceed the bound
+        # above the result, one block at a time holds its uniforms, its
+        # counts in uint16 and the temporaries of one row window (0.56 MB
+        # here, the 0.52 MB of uniforms aside); a second copy of the
+        # uniforms, int64 counts, a list of lists of them or two blocks at
+        # once would exceed the bound.  580 samples take blocks of 218, 218
+        # and 144, the second stream starting inside the second
         spec, n, count = st.set_partitions(), 300, 580
         params = TiltedParams(choose_x(spec, n, 1, "set_partition"), 1)
         sample_components(spec, n, params, count, RngState(0), streams=2)
@@ -233,53 +235,70 @@ class TestTableRoute:
             result, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert batch.accepted == count and smp._block_rows(n) >= count
-        assert peak - result < 8 * count * n + 1.5 * 2**20
+        rows = smp._block_rows(n)
+        assert batch.accepted == count and rows == 218 and 2 * rows < count
+        assert peak - result < 8 * rows * n + 0.75 * 2**20
 
     @staticmethod
-    def cli_sample_peak(tmp_path, n, count):
+    def cli_sample_peak(tmp_path, n, count, digest):
         """`sample` on set_partitions at n with count samples and the
         exact-mean x, in a fresh interpreter with glibc's mmap threshold at
-        1 MiB: (exit code, the weight of each sample, the K row of the
-        statistics), peak RSS in kB."""
+        1 MiB: asserts exit 0, the weight of each sample, the K row of the
+        statistics and the sha256 of stdout; returns peak RSS in kB."""
         argv = ["sample", "--spec", write_specs(tmp_path)["setpartitions"],
                 "--n", str(n), "--samples", str(count), "--seed", "3",
                 "--format", "json"]
         script = textwrap.dedent("""
-            import contextlib, io, json, sys
+            import contextlib, hashlib, io, json, sys
             from combstruct import cli
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.run(json.loads(sys.argv[1]))
-            doc = json.loads(buf.getvalue())
+            text = buf.getvalue()
+            doc = json.loads(text)
             weights = [sum(int(i) * int(a) for i, a in
                            (part.split(":") for part in row["sample"].split()))
                        for row in doc["table"]]
-            result = [code, weights, doc["table1"][0]]
+            result = [code, weights, doc["table1"][0],
+                      hashlib.sha256(text.encode()).hexdigest()]
         """)
-        (code, weights, k_row), peak_kb = run_for_peak_rss(
+        (code, weights, k_row, sha), peak_kb = run_for_peak_rss(
             script, json.dumps(argv),
             env={"MALLOC_MMAP_THRESHOLD_": "1048576"})
         assert code == 0 and weights == [n] * count
         assert k_row["stat"] == "K" and k_row["mean"] > 0
+        assert sha == digest  # the bytes printed before blocks streamed
         return peak_kb
 
     def test_cli_n4000_in_bounded_memory(self, tmp_path):
-        # 2000 samples: the 32 MB half table, the 64 MB of sample tuples,
-        # one 8 MB block of uniforms and the counts of statistics in
-        # uint16.  Peak RSS measured on a 2-vCPU host: 153 MB (184 MB with
-        # the whole 64 MB lower triangle, 402 MB with every uniform of the
-        # request in one block, copied once, and int64 counts in the draw
-        # and in statistics)
-        peak_kb = self.cli_sample_peak(tmp_path, 4000, 2000)
+        # 2000 samples: the 32 MB half table, one block of 64 samples (2 MB
+        # of uniforms, its counts in uint16) and the five statistics
+        # columns.  Peak RSS measured on a 2-vCPU host: 74 MB (153 MB with
+        # every sample held as an n-tuple beside a count matrix of them all
+        # in statistics, 184 MB with the whole 64 MB lower triangle)
+        peak_kb = self.cli_sample_peak(
+            tmp_path, 4000, 2000,
+            "0aca915029f84179d7d089167586522af23ee1a65ee24c5097bbbdc2956f0ce4")
         if sys.platform.startswith("linux"):
-            assert peak_kb < 170 * 1024
+            assert peak_kb < 100 * 1024
+
+    def test_cli_n1000_8000_samples_hold_no_tuples(self, tmp_path):
+        # 8000 samples in blocks of 65: the 2 MB half table and one block.
+        # Peak RSS measured on a 2-vCPU host: 45 MB (126 MB with 8000
+        # dense n-tuples and their count matrix)
+        peak_kb = self.cli_sample_peak(
+            tmp_path, 1000, 8000,
+            "471edd7e4979d9a6ac8f4dd21ffd6744bd1c12f64e300c1713a13cc2f9e6d2fa")
+        if sys.platform.startswith("linux"):
+            assert peak_kb < 70 * 1024
 
     def test_cli_n16000_holds_half_the_triangle(self, tmp_path):
         # 20 samples: nearly all of the peak is the 512 MB half table.
         # Peak RSS measured on a 2-vCPU host: 535 MB (1,023 MB with the
         # whole 1.02 GB lower triangle)
-        peak_kb = self.cli_sample_peak(tmp_path, 16000, 20)
+        peak_kb = self.cli_sample_peak(
+            tmp_path, 16000, 20,
+            "6e5d85610f0b4e6de725f9b404547702bdd11375e5b305d91e3fa87add31c33d")
         if sys.platform.startswith("linux"):
             assert peak_kb < 640 * 1024
 
@@ -301,8 +320,9 @@ TABLE_PINNED = [
     # 250 samples in blocks of 97
     (st.set_partitions(), 200, 4.0, 250, 3, 6, 97,
      "8a38a0c75a811b3e51ed919a2b70940e26a029dbbcfd5298f440358e7945019a"),
-    # 1200 samples in three blocks of the default budget (524, 524, 152),
-    # the second stream starting inside the second block
+    # 1200 samples in blocks of the default size at n = 2000, the floor of
+    # 64 (18 of 64 and one of 48), the second stream starting inside the
+    # tenth block
     (st.set_partitions(), 2000, 5.8, 1200, 2, 7, None,
      "08fa1c63b237a6db46339ffdf16529dc6e7ed15ab39b46907ba1b9c45cbbd7cd"),
     # a block of 2 samples: one row window of all n indices
@@ -331,8 +351,11 @@ class TestTablePinned:
         assert hashlib.sha256(tuples).hexdigest() == digest
 
     def test_n2000_pin_spans_default_blocks(self):
-        # the default_blocks_n2000 pin crosses two block edges
-        assert 2 * smp._block_rows(2000) < 1200 < 3 * smp._block_rows(2000)
+        # the default_blocks_n2000 pin crosses 18 block edges at the floor,
+        # and its two streams of 600 meet inside a block
+        rows = smp._block_rows(2000)
+        assert rows == smp._BLOCK_FLOOR == 64
+        assert 1200 // rows == 18 and 600 % rows and 1200 % rows
 
     def test_n1000_pin_takes_one_window(self):
         # the widened_window_n1000 pin's block of 2 reads all 1000 indices
