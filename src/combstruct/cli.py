@@ -177,7 +177,7 @@ def _params_for(args, spec: st.StructureSpec, n: int) -> TiltedParams:
     else:
         strategy = args.choose_x or "exact_mean"
         params = TiltedParams(x=choose_x(spec, n, theta, strategy), theta=theta)
-    return params.validate(spec)
+    return params.validate(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def cmd_sample(args) -> Output:
         rows += _sample_texts(a)
         for name, col in smp.block_statistics(a).items():
             columns.setdefault(name, []).extend(col)
-    stats = smp.StatsTable(columns, n).summary()
+    stats = smp.StatsTable(columns).summary()
     out = Output(args, spec)
     out.add_header("params", f"n={n} x={params.fx!r} theta={params.ftheta!r}")
     out.add_header("seed", f"{args.seed} streams={streams}")

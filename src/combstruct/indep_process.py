@@ -9,7 +9,9 @@ parameter x > 0, and the component-count bias theta > 0:
 
 The refined variables Y_ij (j = 1..m_i) are Poisson(theta x^i / i!),
 NegativeBinomial(1, theta x^i) (geometric) or Binomial(1, .) (Bernoulli),
-and convolve back to Z_i.
+and convolve back to Z_i.  C(n) = (Z_1, ..., Z_n | T_n = n) reads Z_1..Z_n
+only, so a multiset's domain, tilt_pole(spec, theta, n), is set by its
+active indices i <= n.
 
 One kernel, z_pmf_rows, gives the rows [P(Z_i = k)]_{k <= K_i} of an array
 of indices in one call, from the request's log weight (log m_i, or
@@ -72,12 +74,14 @@ class TiltedParams:
         if not finite:
             raise ParameterDomainError("x and theta must be finite")
 
-    def validate(self, spec: StructureSpec) -> "TiltedParams":
-        pole = tilt_pole(spec, self.theta)
+    def validate(self, spec: StructureSpec, n: int) -> "TiltedParams":
+        """self, where Z_1..Z_n are defined: x below tilt_pole(spec, theta,
+        n), n the largest index the caller reads."""
+        pole = tilt_pole(spec, self.theta, n)
         if not self.x < pole:
             raise ParameterDomainError(
-                f"multiset tilt needs theta x^i < 1 wherever m_i > 0, that "
-                f"is x < {pole!r}, got x={float(self.x)}")
+                f"multiset tilt needs theta x^i < 1 at every i <= {n} with "
+                f"m_i > 0, that is x < {pole!r}, got x={float(self.x)}")
         return self
 
     @property
@@ -89,24 +93,25 @@ class TiltedParams:
         return float(self.theta)
 
 
-def tilt_pole(spec: StructureSpec, theta: Numeric) -> float:
-    """The supremum of the x at which Z is defined: inf but for a multiset,
-    whose NegBin(m_i, theta x^i) needs theta x^i < 1 at every active index
-    (m_i > 0), so x < theta^(-1/i) there.  A finite m list
-    (params["m_len"]) reads its own active indices: the binding one is the
-    first for theta > 1 and the last for theta < 1 (any at theta = 1), and
-    with none active every x is allowed.  Any other multiset is taken to
-    be active at 1 and at indices without bound: min(1, 1/theta).  An
-    inactive index has P(Z_i = 0) = 1 at every x."""
-    if spec.kind is not Kind.MULTISET:
+def tilt_pole(spec: StructureSpec, theta: Numeric, n: int) -> float:
+    """The supremum of the x at which Z_1..Z_n are defined: inf but for a
+    multiset, whose NegBin(m_i, theta x^i) needs theta x^i < 1 at every
+    active index i <= n (m_i > 0 in log_m_array), so x < theta^(-1/i).
+    The first active index binds at theta > 1, the last at theta < 1 (any
+    at theta = 1); every x is allowed with none.  The array is scanned
+    only where index 1 (theta >= 1) or n (theta < 1) is inactive, never
+    in a builtin.  P(Z_i = 0) = 1 at an inactive index."""
+    if spec.kind is not Kind.MULTISET or n < 1:
         return math.inf
     th = float(theta)
-    length = spec.params.get("m_len")
-    if length is None:
-        return min(1.0, 1.0 / th)
-    order = range(1, length + 1) if th > 1 else range(length, 0, -1)
-    i = next((i for i in order if spec.m(i) != 0), None)
-    return math.inf if i is None else 1.0 / th ** (1.0 / i)
+    lm = log_m_array(spec, n)
+    i = 1 if th >= 1 else n
+    if lm[i] == -math.inf:
+        act = np.flatnonzero(lm != -math.inf)  # lm[0] = -inf
+        if not act.size:
+            return math.inf
+        i = int(act[0] if th >= 1 else act[-1])
+    return 1.0 / th ** (1.0 / i)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def log_p_zero_array(spec: StructureSpec, n: int,
 def mean_var_arrays(spec: StructureSpec, n: int,
                     params: TiltedParams) -> tuple[np.ndarray, np.ndarray]:
     """(E Z_i)_{i<=n} and (Var Z_i)_{i<=n} as arrays (index 0 is zero)."""
-    params.validate(spec)
+    params.validate(spec, n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = _mean_var(spec.kind, log_m_array(spec, n),
                               log_weight_array(n, params))
@@ -307,11 +312,11 @@ def z_pmf_rows(spec: StructureSpec, idx, k_max, params: TiltedParams) -> list:
     binomial row is exactly 0 past m_i; an index with m_i = 0 has e_0.
     Rows with k_max + 1 in one [2^b, 2^(b+1)) form one 2-D block, which
     each row reads up to its k_max."""
-    params.validate(spec)
     idx = np.asarray(idx, dtype=np.int64)
     if np.any(idx < 1):
         raise ParameterDomainError("index must be >= 1")
     top = int(idx.max(initial=0))
+    params.validate(spec, top)
     lp0 = log_p_zero_array(spec, top, params)[idx]
     if spec.kind is Kind.ASSEMBLY and np.any(lp0 == -np.inf):
         raise NumericGuardError(f"Poisson mean of Z_{idx[np.argmin(lp0)]} "
@@ -439,7 +444,7 @@ def sum_moments(spec: StructureSpec, n: int, params: TiltedParams,
     dot across its threads, so its rounding would depend on the thread
     count.
     """
-    params.validate(spec)
+    params.validate(spec, n)
     i, ii = _moment_grid(n) if grid is None else grid
     lw = math.log(params.ftheta) + i * math.log(params.fx)  # log_weight_array
     with np.errstate(over="ignore", invalid="ignore"):
@@ -541,9 +546,9 @@ _MAX_EVALS = 200
 def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
     """x with E_theta T_n = n: a doubling bracket, then a safeguarded Newton
     iteration on log(E T_n / n) in w = log x, or for a multiset in
-    w = log(x / (P - x)) with P = tilt_pole(spec, theta) the pole of
+    w = log(x / (P - x)) with P = tilt_pole(spec, theta, n) the pole of
     E T_n, where log E T_n is close to linear both at small x and near the
-    pole (a multiset with no active index has none).  The
+    pole (a multiset with no active index i <= n has none).  The
     slope comes with the mean: d E T_n / d log x = Var T_n.  A Newton point
     outside the bracket, or a step longer than half the step before last,
     is replaced by a bisection of the bracket in w (rtsafe, Numerical
@@ -551,7 +556,7 @@ def _solve_exact_mean(spec: StructureSpec, n: int, theta: Numeric) -> float:
     the pole is formed."""
     if not theta > 0:
         raise ParameterDomainError("x and theta must be positive")
-    pole = tilt_pole(spec, theta)
+    pole = tilt_pole(spec, theta, n)
     to_w, to_x, dw_du = math.log, math.exp, lambda x: 1.0
     if pole < math.inf:
         to_w = lambda x: math.log(x / (pole - x))

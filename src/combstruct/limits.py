@@ -180,11 +180,13 @@ class LimitCheckReport:
 
     kappa_eff: float
     c: float
-    n: int
     prob_times_n: float
     predicted_g1: float
-    rel_gap: float
     cdf_rows: list = field(default_factory=list)  # (z, empirical, predicted)
+
+    @property
+    def rel_gap(self) -> float:
+        return abs(self.prob_times_n / self.predicted_g1 - 1.0)
 
 
 def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
@@ -207,8 +209,8 @@ def limit_law_check(spec: StructureSpec, n: int, params: TiltedParams,
     law = LimitLaw(kappa=kappa_eff, c=c)
     g1 = limit_density(law, 1.0)
     npn = n * sumdist.prob_T_eq_n(spec, n, params)
-    report = LimitCheckReport(kappa_eff=kappa_eff, c=c, n=n, prob_times_n=npn,
-                              predicted_g1=g1, rel_gap=abs(npn / g1 - 1.0))
+    report = LimitCheckReport(kappa_eff=kappa_eff, c=c, prob_times_n=npn,
+                              predicted_g1=g1)
     if ecdf_samples > 0:
         ts = smp.draw_T(spec, n, params, ecdf_samples, smp.RngState(seed))
         for z in ECDF_GRID:

@@ -208,8 +208,7 @@ def esf_pmf(n: int, kappa: Numeric,
     if kappa <= 0:
         raise ParameterDomainError("kappa must be positive")
     a = v.a if isinstance(v, ComponentVector) else tuple(v)
-    n_v = v.n if isinstance(v, ComponentVector) else n
-    if n_v != n:
+    if isinstance(v, ComponentVector) and len(a) != n:
         raise ParameterDomainError("vector length disagrees with n")
     if sum((i + 1) * ai for i, ai in enumerate(a)) != n:
         return Fraction(0) if isinstance(kappa, (int, Fraction)) else 0.0

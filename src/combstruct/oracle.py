@@ -34,7 +34,7 @@ def enumerate_complete(n: int, cap: int = DEFAULT_CAP) -> Iterator[ComponentVect
     if n > cap:
         raise ParameterDomainError(f"enumeration cap {cap} exceeded (n = {n})")
     for a in sorted(_count_vectors(n)):
-        yield ComponentVector(n=n, a=a)
+        yield ComponentVector(a)
 
 
 def _count_vectors(n: int) -> list[Vec]:
@@ -58,8 +58,6 @@ class ExactLaw:
     """A finitely-supported law with exact rational probabilities."""
 
     entries: Dict[Hashable, Fraction]
-    n: int = 0
-    theta: Numeric = 1
 
     def __post_init__(self):
         total = sum(self.entries.values())
@@ -88,8 +86,7 @@ def exact_joint_law(spec: StructureSpec, n: int, theta: Numeric = 1,
     total = sum(weights.values())
     if total == 0:
         raise ParameterDomainError(f"no structures of weight {n} in this family")
-    return ExactLaw(entries={a: w / total for a, w in weights.items()},
-                    n=n, theta=theta)
+    return ExactLaw(entries={a: w / total for a, w in weights.items()})
 
 
 def exact_functional_law(law: ExactLaw, h: Callable[[Hashable], Hashable]) -> ExactLaw:
@@ -98,7 +95,7 @@ def exact_functional_law(law: ExactLaw, h: Callable[[Hashable], Hashable]) -> Ex
     for key, p in law.entries.items():
         img = h(key)
         out[img] = out.get(img, Fraction(0)) + p
-    return ExactLaw(entries=out, n=law.n, theta=law.theta)
+    return ExactLaw(entries=out)
 
 
 def restrict_law(law: ExactLaw, B: Iterable[int]) -> ExactLaw:
@@ -206,8 +203,7 @@ def exact_refined_law(spec: StructureSpec, n: int, theta: Numeric = 1) -> ExactL
     total = sum(weights.values())
     if total == 0:
         raise ParameterDomainError(f"no refined structures of weight {n}")
-    return ExactLaw(entries={b: v / total for b, v in weights.items()},
-                    n=n, theta=theta)
+    return ExactLaw(entries={b: v / total for b, v in weights.items()})
 
 
 def restrict_refined_law(law: ExactLaw, spec: StructureSpec, n: int,

@@ -142,12 +142,15 @@ class RngState:
 class SampleBatch:
     samples: list
     trials: int
-    accepted: int
     acceptance_exact: float
 
     def __post_init__(self):
-        if self.accepted != len(self.samples) or self.accepted > self.trials:
+        if self.accepted > self.trials:
             raise ParameterDomainError("inconsistent sample accounting")
+
+    @property
+    def accepted(self) -> int:
+        return len(self.samples)
 
 
 @dataclass
@@ -392,9 +395,8 @@ def sample_components(spec: StructureSpec, n: int, params: TiltedParams,
     sample_by_rejection is its independent check.
     """
     p_exact, blocks = sample_blocks(spec, n, params, count, rng, streams)
-    samples = [v for a in blocks for v in ComponentVector.from_rows(n, a)]
-    return SampleBatch(samples=samples, trials=count, accepted=count,
-                       acceptance_exact=p_exact)
+    samples = [v for a in blocks for v in ComponentVector.from_rows(a)]
+    return SampleBatch(samples=samples, trials=count, acceptance_exact=p_exact)
 
 
 def sample_by_rejection(spec: StructureSpec, n: int, params: TiltedParams,
@@ -431,10 +433,9 @@ def sample_by_rejection(spec: StructureSpec, n: int, params: TiltedParams,
             a = np.zeros((hit.size, n), dtype=np.int64)
             for i, c in cum.items():
                 a[:, i - 1] = np.searchsorted(c, u[hit, i - 1], side="right")
-            samples.extend(ComponentVector.from_rows(n, a))
+            samples.extend(ComponentVector.from_rows(a))
             want -= hit.size
-    return SampleBatch(samples=samples, trials=trials, accepted=len(samples),
-                       acceptance_exact=p_exact)
+    return SampleBatch(samples=samples, trials=trials, acceptance_exact=p_exact)
 
 
 def draw_T(spec: StructureSpec, n: int, params: TiltedParams, count: int,
@@ -512,7 +513,6 @@ class StatsTable:
     """
 
     columns: dict
-    n: int
 
     def __post_init__(self):
         if not self.columns.get("K"):
@@ -554,7 +554,7 @@ def statistics(samples: Iterable[ComponentVector]) -> StatsTable:
     of sample_blocks for samples of C(n)), not a dense int64 copy."""
     samples = list(samples)
     if not samples:
-        return StatsTable(columns={}, n=0)  # which refuses it as empty
+        return StatsTable(columns={})  # which refuses it as empty
     a = np.array([v.a for v in samples],
                  dtype=np.min_scalar_type(max(max(v.a) for v in samples)))
-    return StatsTable(columns=block_statistics(a), n=samples[0].n)
+    return StatsTable(columns=block_statistics(a))

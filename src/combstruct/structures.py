@@ -141,35 +141,30 @@ def mobius(n: int) -> int:
 
 @dataclass(frozen=True)
 class ComponentVector:
-    """A component-size spectrum a = (a_1, ..., a_n); a[k] counts size k+1."""
+    """A component-size spectrum a = (a_1, ..., a_n); a[k] counts size k+1
+    and n = len(a)."""
 
-    n: int
     a: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.a:
             raise ParameterDomainError("weight n must be >= 1")
-        if len(self.a) != self.n:
-            raise ParameterDomainError("component vector must have length n")
-        if self.a and min(self.a) < 0:
+        if min(self.a) < 0:
             raise ParameterDomainError("component counts must be nonnegative")
 
     @classmethod
-    def from_rows(cls, n: int, rows: np.ndarray) -> list["ComponentVector"]:
+    def from_rows(cls, rows: np.ndarray) -> list["ComponentVector"]:
         """One vector per row of a (count, n) integer array.  The checks of
         __post_init__ run once on the whole array, not once per vector; the
         vectors compare and hash as if built one by one."""
-        if n < 1:
+        if rows.ndim != 2 or rows.shape[1] < 1:
             raise ParameterDomainError("weight n must be >= 1")
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise ParameterDomainError("component vector must have length n")
         if rows.size and rows.min() < 0:
             raise ParameterDomainError("component counts must be nonnegative")
         new, put = object.__new__, object.__setattr__  # the class is frozen
         out = []
         for row in rows:  # row by row: no list of lists of the whole array
             v = new(cls)
-            put(v, "n", n)
             put(v, "a", tuple(row.tolist()))
             out.append(v)
         return out
@@ -180,7 +175,7 @@ class ComponentVector:
 
     @property
     def complete(self) -> bool:
-        return self.weight == self.n
+        return self.weight == len(self.a)
 
     @property
     def num_components(self) -> int:
@@ -930,11 +925,8 @@ def count_N(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
     product n! prod m_i^{a_i} / (i!^{a_i} a_i!); multisets prod C(m_i+a_i-1, a_i);
     selections prod C(m_i, a_i).
     """
-    if isinstance(v, ComponentVector):
-        a, n = v.a, v.n
-    else:
-        a = tuple(v)
-        n = len(a) if n is None else n
+    a = v.a if isinstance(v, ComponentVector) else tuple(v)
+    n = len(a) if n is None or isinstance(v, ComponentVector) else n
     if any(ai < 0 for ai in a):
         raise ParameterDomainError("component counts must be nonnegative")
     if sum((i + 1) * ai for i, ai in enumerate(a)) != n:
@@ -1180,11 +1172,8 @@ def uniform_pmf(spec: StructureSpec, v: Union[ComponentVector, Sequence[int]],
     Exact Fraction for rational theta (and rational m_i), float otherwise,
     as exp(log N + k log theta - log p_theta(n)): N may pass 1e308.
     """
-    if isinstance(v, ComponentVector):
-        a, n = v.a, v.n
-    else:
-        a = tuple(v)
-        n = len(a) if n is None else n
+    a = v.a if isinstance(v, ComponentVector) else tuple(v)
+    n = len(a) if n is None or isinstance(v, ComponentVector) else n
     nn = count_N(spec, a, n)
     if nn == 0:
         return Fraction(0) if isinstance(theta, (int, Fraction)) else 0.0

@@ -290,10 +290,10 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     of n terms would add up to n roundings of the total (2.4e-13 in the log
     at n = 2000 for distinct partitions, where the seed is e^-40).
     """
-    params.validate(spec)
     B = index_set(B)
     if not B:
         return 0.0
+    params.validate(spec, B[-1])
     terms = log_p_zero_array(spec, B[-1], params)[_index_array(B)]
     if spec.kind is Kind.ASSEMBLY and np.any(terms == -np.inf):
         raise OverflowError("math range error")
@@ -809,7 +809,7 @@ def _float_log_table(spec: StructureSpec, n: int, theta: Numeric,
     if x is None:
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
     params = TiltedParams(x=x, theta=theta)
-    params.validate(spec)
+    params.validate(spec, n)
     (v, shift, lseed), seed = _full_set(spec, n, params)
     with np.errstate(divide="ignore", over="ignore"):
         w = np.ldexp(v, shift)
@@ -1113,8 +1113,8 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
         raise ParameterDomainError("n_max must be >= 0")
     if method not in ("auto", "convolution"):
         raise ParameterDomainError(f"unknown method {method!r}")
-    params.validate(spec)
     B = index_set(B)
+    params.validate(spec, B[-1] if B else 0)
     if not B:
         return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)
     if method == "convolution":
@@ -1149,7 +1149,7 @@ def prob_T_eq_n(spec: StructureSpec, n: int, params: TiltedParams,
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
-    params.validate(spec)
+    params.validate(spec, n)
     if method == "recursion":
         out = float(weighted_sum_pmf(spec, range(1, n + 1), n, params).p[n])
     elif method == "closed_form":

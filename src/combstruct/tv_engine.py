@@ -78,9 +78,9 @@ def wasserstein_discrete(p: PmfVector, q: PmfVector) -> float:
 
 @dataclass(frozen=True)
 class TvReport:
-    """Exact d_TV(C_B, Z_B), its lower bound, and an optional heuristic."""
+    """Exact d_TV(C_B, Z_B) = min(1, tail_term + body_term), its lower
+    bound, and an optional heuristic."""
 
-    exact: float
     lower: float
     tail_term: float
     body_term: float
@@ -91,6 +91,10 @@ class TvReport:
             raise ParameterDomainError(
                 f"TV report violates 0 <= lower <= exact <= 1: {self}")
 
+    @property
+    def exact(self) -> float:
+        return min(1.0, self.tail_term + self.body_term)
+
 
 def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
              params: TiltedParams, with_heuristic: bool = False) -> TvReport:
@@ -100,10 +104,9 @@ def tv_CB_ZB(spec: StructureSpec, B: Iterable[int], n: int,
     pr, ps, pt = conditioned_block(spec, B, n, params)
     body = 0.5 * float((pr.p * np.abs(ps.p[::-1] / pt - 1.0)).sum())
     tail_term = 0.5 * pr.tail
-    exact = min(1.0, tail_term + body)
     heur = tv_heuristic(spec, B, n, params, pr=pr) if with_heuristic else None
-    return TvReport(exact=exact, lower=min(pr.tail, exact), tail_term=tail_term,
-                    body_term=body, heuristic=heur)
+    return TvReport(lower=min(pr.tail, 1.0, tail_term + body),
+                    tail_term=tail_term, body_term=body, heuristic=heur)
 
 
 def tv_conditioned_bounds(p: float, q: float, d_A: float,

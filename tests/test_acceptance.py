@@ -150,8 +150,7 @@ def conditioned_oracle_tv(spec, n, params, theta, cond_sizes, B):
     keep = {a: p for a, p in law.entries.items()
             if all(a[i - 1] == 0 for i in cond_sizes)}
     q = sum(keep.values())
-    cond_law = orc.ExactLaw(entries={a: p / q for a, p in keep.items()},
-                            n=n, theta=theta)
+    cond_law = orc.ExactLaw(entries={a: p / q for a, p in keep.items()})
     marg = orc.restrict_law(cond_law, B)
     pmfs = {}
     for i in B:

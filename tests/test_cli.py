@@ -726,6 +726,144 @@ class TestExitCodes:
         assert lines[start:start + 4] == ["1:5"] * 3 + ["stat\tmean\tvar\tse"]
 
 
+class TestMultisetPoleAtN:
+    """The multiset tilt domain is set by the active indices i <= n only:
+    theta x^i < 1 there, the last active index binding at theta < 1."""
+
+    FAR = {"kind": "multiset", "m": [1] + [0] * 58 + [1]}
+
+    @staticmethod
+    def run_quiet(args, capsys):
+        # run_cli under RuntimeWarning-as-error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_cli(args, capsys)
+
+    @staticmethod
+    def table(out):
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        return lines[0].split("\t"), [float(v) for v in lines[1].split("\t")]
+
+    def test_integer_partitions_solve_past_one(self, spec_files, capsys):
+        # the pole 1000^(1/100) of index 100 at theta = 1/1000
+        code, out, err = self.run_quiet(
+            ["choose-x", "--spec", spec_files["intpart"], "--n", "100",
+             "--theta", "1/1000"], capsys)
+        assert code == 0, err
+        cols, (x, res) = self.table(out)
+        assert cols == ["x", "mean_residual"]
+        assert 1.0 < x < 1000.0 ** (1 / 100) and res <= 1e-9 * 100
+
+    def test_integer_partitions_prob_t_at_one(self, spec_files, capsys):
+        code, out, err = self.run_quiet(
+            ["prob-t", "--spec", spec_files["intpart"], "--n", "50",
+             "--theta", "1/2", "--x", "1"], capsys)
+        assert code == 0, err
+        cols, (rec, clo, gap) = self.table(out)
+        assert cols[-1] == "rel_gap" and rec > 0 and gap <= 1e-9
+
+    def test_index_past_n_is_not_read(self, tmp_path, capsys):
+        # index 60 > n = 50: Z_1 alone, theta x < 1, E Z_1 = 50 at x = 100/51
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(self.FAR))
+        code, out, err = self.run_quiet(
+            ["choose-x", "--spec", str(path), "--n", "50", "--theta", "1/2"],
+            capsys)
+        assert code == 0, err
+        _cols, (x, res) = self.table(out)
+        assert x == pytest.approx(100 / 51, rel=1e-9) and res <= 1e-9 * 50
+        code, out, err = self.run_quiet(
+            ["prob-t", "--spec", str(path), "--n", "50", "--theta", "1/2",
+             "--x", "1.5"], capsys)
+        assert code == 0, err
+        _cols, (rec, clo, gap) = self.table(out)
+        # P(Z_1 = 50) of the geometric law with theta x = 3/4
+        assert rec == pytest.approx(0.25 * 0.75 ** 50, rel=1e-12)
+        assert gap <= 1e-9
+
+    @pytest.mark.parametrize("which,n,x,pole", [
+        ("intpart", 50, "1.014", 2 ** (1 / 50)), ("far", 60, "1.02",
+                                                 2 ** (1 / 60))])
+    def test_x_past_the_pole_at_n_is_3(self, spec_files, tmp_path, capsys,
+                                       which, n, x, pole):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(self.FAR))
+        spec = spec_files["intpart"] if which == "intpart" else str(path)
+        assert pole < float(x)
+        code, out, err = self.run_quiet(
+            ["prob-t", "--spec", spec, "--n", str(n), "--theta", "1/2",
+             "--x", x], capsys)
+        assert code == 3 and out == ""
+        assert f"at every i <= {n} with m_i > 0" in err
+
+    BUILTINS = {"integer_partitions": {"builtin": "integer_partitions"},
+                "polynomials2": {"builtin": "polynomials",
+                                 "params": {"q": 2}},
+                "necklaces2": {"builtin": "necklaces", "params": {"q": 2}}}
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(doc=hs.one_of(
+               hs.sampled_from(sorted(BUILTINS)),
+               hs.integers(1, 60).flatmap(lambda k: hs.lists(
+                   hs.integers(0, 3), min_size=k, max_size=k))),
+           n=hs.integers(1, 40),
+           theta=hs.sampled_from(["1/1000", "1/2", "1", "2", "3"]),
+           where=hs.sampled_from(["above", "below", "half"]))
+    def test_domain_is_the_active_indices_up_to_n(self, doc, n, theta, where,
+                                                  tmp_path_factory):
+        # the pole p = min theta^(-1/i) over the active i <= n, from the
+        # exact m_i; validate accepts x exactly where theta x^i < 1 at each
+        # of them, checked in Fractions at x = p (1 +- 1e-6) and p / 2
+        if isinstance(doc, str):
+            doc = dict(self.BUILTINS[doc], kind="multiset")
+        else:
+            doc = {"kind": "multiset", "m": doc}
+        path = tmp_path_factory.mktemp("spec") / "m.json"
+        path.write_text(json.dumps(doc))
+        spec = st.load_spec(str(path))
+        th = Fraction(theta)
+        active = [i for i in range(1, n + 1) if spec.m(i) != 0]
+        p = min((float(th) ** (-1 / i) for i in active), default=math.inf)
+        if p == math.inf:
+            x = Fraction(2)
+        else:
+            x = Fraction(p) * {"above": 1 + Fraction(1, 10 ** 6),
+                               "below": 1 - Fraction(1, 10 ** 6),
+                               "half": Fraction(1, 2)}[where]
+        inside = all(th * x ** i < 1 for i in active)
+        try:
+            TiltedParams(x, th).validate(spec, n)
+            accepted = True
+        except ParameterDomainError:
+            accepted = False
+        assert accepted == inside
+        common = ["--spec", str(path), "--n", str(n), "--theta", theta]
+        xa = ["--x", f"{x.numerator}/{x.denominator}"]
+        runs = [("prob-t", [*common, *xa]),
+                ("tv", [*common, *xa, "--B", f"1..{min(3, n)}"]),
+                ("sample", [*common, *xa, "--samples", "3"]),
+                ("choose-x", common)]
+        exists = st.ptheta_table(spec, n, 1)[n] > 0
+        for cmd, args in runs:
+            buf_out, buf_err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(buf_out), \
+                    contextlib.redirect_stderr(buf_err):
+                warnings.simplefilter("always")
+                code = cli.run([cmd, *args])
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], cmd
+            if cmd == "choose-x" and exists:
+                assert code == 0, buf_err.getvalue()
+                _cols, (_x, res) = self.table(buf_out.getvalue())
+                assert res <= 1e-9 * n
+            elif cmd == "choose-x":  # e.g. no active index <= n
+                assert code in (0, 3), buf_err.getvalue()
+            elif accepted:
+                assert code in (0, 3, 4), (cmd, buf_err.getvalue())
+            else:
+                assert code == 3 and "multiset tilt" in buf_err.getvalue()
+
 class TestImportFootprint:
     # one request of every command in a fresh interpreter, which must load
     # no scipy module at import or after any command: the block solve binds

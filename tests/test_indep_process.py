@@ -415,30 +415,51 @@ class TestTiltedParamsDomain:
 
 
 class TestMultisetPole:
-    # NegBin(m_i, theta x^i) needs theta x^i < 1 only where m_i > 0
+    # NegBin(m_i, theta x^i) needs theta x^i < 1 only where m_i > 0 and
+    # i <= n: C(n) reads Z_1..Z_n only
     @pytest.mark.parametrize("spec", [st.integer_partitions(),
                                       st.polynomials(2), st.necklaces(2)],
                              ids=["integer_partitions", "polynomials2",
                                   "necklaces2"])
     @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2, 3.7])
     def test_builtin_pole_is_min_one_and_one_over_theta(self, spec, theta):
-        assert ip.tilt_pole(spec, theta) == min(1.0, 1.0 / float(theta))
+        # index 1 binds at theta >= 1 (bit for bit the old min(1, 1/theta)),
+        # index n at theta < 1
+        for n in (1, 2, 50, 4000):
+            pole = ip.tilt_pole(spec, theta, n)
+            if theta >= 1:
+                assert pole == min(1.0, 1.0 / float(theta))
+            else:
+                assert pole == pytest.approx(float(theta) ** (-1 / n),
+                                             rel=1e-15)
 
     @pytest.mark.parametrize("m,theta,pole", [
         ([1], Fraction(1, 2), 2.0), ([1, 0, 0], Fraction(1, 2), 2.0),
         ([1, 0, 2], Fraction(1, 2), 2.0 ** (1 / 3)), ([0, 1], 4, 0.5),
         ([0, 1, 1], 4, 0.5), ([2, 1], 1, 1.0), ([1, 5], 2, 0.5),
-        ([0, 0], 2, math.inf)])
+        ([0, 0], 2, math.inf),
+        ([1] + [0] * 58 + [1], Fraction(1, 2), 2.0 ** (1 / 60))])
     def test_finite_list_reads_its_active_indices(self, m, theta, pole):
+        # at n = len(m) every active index counts; at a smaller n those
+        # past n do not: the pole is the min of theta^(-1/i) over active
+        # i <= n, inf with none
         spec = st.from_m_list("multiset", m)
-        assert ip.tilt_pole(spec, theta) == pytest.approx(pole, rel=1e-15)
-        assert ip.tilt_pole(st.from_m_list("assembly", m), theta) == math.inf
+        assert ip.tilt_pole(spec, theta, len(m)) == pytest.approx(pole,
+                                                                  rel=1e-15)
+        for n in range(1, len(m) + 3):
+            act = [i for i in range(1, min(n, len(m)) + 1) if m[i - 1]]
+            want = min((float(theta) ** (-1 / i) for i in act),
+                       default=math.inf)
+            assert ip.tilt_pole(spec, theta, n) == pytest.approx(want,
+                                                                 rel=1e-15)
+            assert ip.tilt_pole(st.from_m_list("assembly", m), theta,
+                                n) == math.inf
 
     def test_inactive_index_past_the_pole_draws_zero(self):
         # theta x^2 = 1 and theta x^3 = 2 at indices with m_i = 0: P(Z_i = 0)
         # = 1 there, E Z_i = Var Z_i = 0 and no RuntimeWarning
         spec = st.from_m_list("multiset", [1, 0, 0])
-        params = TiltedParams(2, Fraction(1, 4)).validate(spec)
+        params = TiltedParams(2, Fraction(1, 4)).validate(spec, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = z_pmf_rows(spec, [1, 2, 3], 3, params)
@@ -447,7 +468,7 @@ class TestMultisetPole:
         assert rows[0][0] == 0.5  # geometric, theta x = 1/2
         assert sm.mean == 1.0 and sm.variance == 2.0
         with pytest.raises(ParameterDomainError, match="x < 4.0"):
-            TiltedParams(4, Fraction(1, 4)).validate(spec)
+            TiltedParams(4, Fraction(1, 4)).validate(spec, 3)
 
 
 class TestLogistic:
@@ -625,24 +646,28 @@ class TestChooseX:
         assert abs(sum_moments(st.permutations(), 60,
                                TiltedParams(x, 2)).mean - 60) <= 1e-9 * 60
 
-    def test_multiset_supremum_failure_reported(self):
-        # the active index 60 sets the pole 2^(1/60), where E T_50 = E Z_1
-        # is about 1: below 50 at every x the tilt allows
-        spec = st.from_m_list("multiset", [1] + [0] * 58 + [1],
-                              name="far_multiset")
+    def test_multiset_supremum_failure_reported(self, monkeypatch):
+        # the bracket stops at the cap P (1 - 1e-12) below the pole P: with
+        # an active index <= n, E T_n passes about 1e12 there, so the branch
+        # is reached through a pole patched below the root
+        # (integer_partitions, n = 50, theta = 1/2)
+        monkeypatch.setattr(ip, "tilt_pole", lambda spec, theta, n: 0.5)
         with pytest.raises(ParameterDomainError, match="supremum"):
-            choose_x(spec, 50, Fraction(1, 2), XStrategy.EXACT_MEAN)
+            choose_x(st.integer_partitions(), 50, Fraction(1, 2),
+                     XStrategy.EXACT_MEAN)
 
     @pytest.mark.parametrize("m,n,theta", [([0, 1], 50, 4),
                                            ([1], 5, Fraction(1, 2)),
-                                           ([2, 0, 1], 40, Fraction(1, 2))])
+                                           ([2, 0, 1], 40, Fraction(1, 2)),
+                                           ([1] + [0] * 58 + [1], 50,
+                                            Fraction(1, 2))])
     def test_multiset_solved_up_to_its_own_pole(self, m, n, theta):
-        # E T_n runs to infinity at the pole of the binding active index:
-        # index 2 (x < 1/2) at theta = 4, the last one at theta = 1/2,
-        # where x passes 1
+        # E T_n runs to infinity at the pole of the binding active index
+        # i <= n: index 2 (x < 1/2) at theta = 4, the last one at theta =
+        # 1/2, where x passes 1; index 60 > n = 50 sets no bound
         spec = st.from_m_list("multiset", m)
         x = choose_x(spec, n, theta, XStrategy.EXACT_MEAN)
-        assert x < ip.tilt_pole(spec, theta)
+        assert x < ip.tilt_pole(spec, theta, n)
         assert abs(sum_moments(spec, n, TiltedParams(x, theta)).mean - n) \
             <= 1e-9 * n
 

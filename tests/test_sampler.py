@@ -586,7 +586,7 @@ class TestPackedTable:
                 weights[a] = math.comb(1100, a1) * math.comb(600, a2)
         total = sum(weights.values())
         law = orc.ExactLaw(entries={a: Fraction(w, total)
-                                    for a, w in weights.items()}, n=n)
+                                    for a, w in weights.items()})
         assert all(v.a[0] > 0 for v in batch.samples)
         assert chi_square_pvalue(batch.samples, law) > 1e-3
 
@@ -733,7 +733,7 @@ class TestRefined:
 
 class TestStatistics:
     def test_constant_vector(self):
-        v = st.ComponentVector(n=4, a=(4, 0, 0, 0))
+        v = st.ComponentVector((4, 0, 0, 0))
         tab = statistics([v])
         assert tab.columns["K"] == [4]
         assert tab.columns["L"] == [1]
@@ -776,7 +776,7 @@ class TestStatistics:
 
     def test_counts_above_n(self):
         # the counts take the narrowest dtype that holds them, here uint32
-        cols = statistics([st.ComponentVector(n=2, a=(70000, 3))]).columns
+        cols = statistics([st.ComponentVector((70000, 3))]).columns
         assert cols["K"] == [70003] and cols["L"] == [2] and cols["J"] == [2]
         assert cols["D"] == [70006 / 70003] and cols["Dstar"] == [35006.0]
 
@@ -785,7 +785,7 @@ class TestStatistics:
         # on sampled vectors plus an empty one
         batch = sample_components(st.integer_partitions(), 300,
                                   TiltedParams(0.93, 1), 400, RngState(12))
-        samples = batch.samples + [st.ComponentVector(n=300, a=(0,) * 300)]
+        samples = batch.samples + [st.ComponentVector((0,) * 300)]
         want = {"K": [], "L": [], "J": [], "D": [], "Dstar": []}
         for v in samples:
             sizes = [i for i, ai in enumerate(v.a, start=1) if ai]

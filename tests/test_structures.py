@@ -1,10 +1,13 @@
 """Counting formulas, builtin m sequences, and total counts against
 independent oracles (direct enumeration, classical recurrences)."""
 
+import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
+import combstruct
 from combstruct import structures as st
 from combstruct import sumdist as sd
 from combstruct.errors import NumericGuardError, ParameterDomainError
@@ -754,22 +758,39 @@ class TestExactThetaDomain:
 class TestComponentVectorRows:
     def test_rows_equal_vectors_built_one_by_one(self):
         rows = np.random.default_rng(3).integers(0, 4, (6, 9))
-        got = st.ComponentVector.from_rows(9, rows)
-        want = [st.ComponentVector(n=9, a=tuple(r)) for r in rows.tolist()]
+        got = st.ComponentVector.from_rows(rows)
+        want = [st.ComponentVector(tuple(r)) for r in rows.tolist()]
         assert got == want
         assert [hash(v) for v in got] == [hash(v) for v in want]
         assert all(type(c) is int for v in got for c in v.a)
-        assert st.ComponentVector.from_rows(9, rows[:0]) == []
+        assert st.ComponentVector.from_rows(rows[:0]) == []
 
-    @pytest.mark.parametrize("n,rows", [
-        (3, np.array([[0, 1, 0], [2, -1, 0]])),  # a negative count
-        (3, np.zeros((2, 4), dtype=np.int64)),   # rows not of length n
-        (0, np.zeros((1, 0), dtype=np.int64)),   # weight below 1
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 1, 0], [2, -1, 0]]),  # a negative count
+        np.zeros(4, dtype=np.int64),        # not a (count, n) array
+        np.zeros((1, 0), dtype=np.int64),   # weight below 1
     ])
-    def test_rows_checked_once(self, n, rows):
+    def test_rows_checked_once(self, rows):
         with pytest.raises(ParameterDomainError):
-            st.ComponentVector.from_rows(n, rows)
+            st.ComponentVector.from_rows(rows)
 
+
+class TestSettableFields:
+    # "One setter per value": the settable fields of the public dataclasses
+    # of the package's modules (dataclasses.fields, leaving out _-prefixed
+    # fields), counted rather than kept by hand
+    def test_public_records_hold_41_fields(self):
+        counts = {}
+        for info in pkgutil.iter_modules(combstruct.__path__):
+            mod = importlib.import_module(f"combstruct.{info.name}")
+            for name, obj in vars(mod).items():
+                if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                        and obj.__module__ == mod.__name__
+                        and not name.startswith("_")):
+                    counts[f"{info.name}.{name}"] = sum(
+                        not f.name.startswith("_")
+                        for f in dataclasses.fields(obj))
+        assert sum(counts.values()) == 41, counts
 
 class TestUniformPmf:
     def test_permutation_examples(self):
