@@ -1114,6 +1114,8 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
     if method not in ("auto", "convolution"):
         raise ParameterDomainError(f"unknown method {method!r}")
     B = index_set(B)
+    if B:  # one "log_m" fill for the pole and the route
+        log_m_array(spec, max(n_max, B[-1]))
     params.validate(spec, B[-1] if B else 0)
     if not B:
         return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)

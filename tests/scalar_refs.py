@@ -3,7 +3,8 @@ that indep_process.log_p_zero replaced: m log1p(-t) for a multiset index
 and m log(1 + e^lw) for a selection index, one index per call; the law of
 Z_i from the exact m_i and its scalar log pmf with its rising and falling
 logs, each log k! read from structures.log_factorials, the package's one
-log k!; and the per-kind log weight in mpmath."""
+log k!; the per-kind log weight in mpmath; and the divisors of every
+index up to n, for the divisor sums."""
 
 import math
 from dataclasses import dataclass
@@ -163,3 +164,12 @@ def log_weight_mp(spec, i):
         if spec.kind is Kind.ASSEMBLY:
             w /= mpmath.factorial(i)
         return float(mpmath.log(w))
+
+
+def divisor_lists(n):
+    """divs[i] = the divisors of i, ascending, for i = 0..n."""
+    divs = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for i in range(d, n + 1, d):
+            divs[i].append(d)
+    return divs

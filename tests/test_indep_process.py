@@ -1,6 +1,7 @@
 """Per-index laws, refinement convolution identity, tilt consistency,
 weighted-sum moments, and the choice-of-x solvers."""
 
+import collections
 import math
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from scipy.optimize import brentq
 
 from combstruct import indep_process as ip
 from combstruct import structures as st
+from combstruct import verify
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from scalar_refs import log_factorial as _ref_log_factorial
 from scalar_refs import log_falling as _ref_log_falling
@@ -776,6 +778,14 @@ class TestNewtonExactMean:
         assert res <= 1e-9 * n
 
 
+LOG_M_SPECS = [make() for name, make in st.BUILTINS.items()
+               if name not in ("esf", "polynomials", "necklaces",
+                               "squarefree_polynomials")] + [
+    st.esf(Fraction(1, 2)), st.esf(0.3), st.polynomials(2),
+    st.polynomials(5), st.necklaces(3), st.squarefree_polynomials(2),
+    st.from_m_list("multiset", [1, 0, "1/3", 2], name="custom_mset")]
+
+
 class TestFloatLogMRoutes:
     def test_choose_x_builds_no_exact_m(self):
         spec = st.permutations()
@@ -808,6 +818,30 @@ class TestFloatLogMRoutes:
             assert spec._table_cache["log_m"] is arr
         log_m_array(spec, 41)  # a read past n rebuilds to exactly its length
         assert len(spec._table_cache["log_m"]) == 42
+
+    def test_x_invariance_check_fills_log_m_once(self, monkeypatch):
+        # weighted_sum_pmf reads log_m_array at max(n_max, B[-1]) before its
+        # pole check, so B = {2, 3} at n_max = 20 fills each spec's slot once
+        fills = collections.Counter()
+        table = st.StructureSpec.table
+
+        def spy(self, name, build, key=None, n=None):
+            def counted():
+                if name == "log_m":
+                    fills[self.name] += 1
+                return build()
+            return table(self, name, counted, key, n)
+        monkeypatch.setattr(st.StructureSpec, "table", spy)
+        assert verify.check_x_invariance()[1]
+        assert fills == {"permutations": 1, "integer_partitions": 1,
+                         "distinct_partitions": 1}
+
+    @pytest.mark.parametrize("spec", LOG_M_SPECS, ids=lambda s: s.name)
+    def test_fill_length_changes_no_entry(self, spec):
+        # a slot filled to a larger n holds the same bytes at every index
+        long = spec.log_m_fn(1100)
+        for n in (0, 1, 3, 20, 199, 200, 600):
+            assert spec.log_m_fn(n).tobytes() == long[:n + 1].tobytes(), n
 
 
 class TestSumMomentsOverflow:

@@ -21,6 +21,7 @@ from combstruct import sumdist as sd
 from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import log_m_array
 from combstruct import oracle as orc
+from scalar_refs import divisor_lists as _divisor_lists
 from scalar_refs import log_weight_mp
 
 
@@ -89,8 +90,9 @@ class TestMOf:
         poly = st.polynomials(2)
         assert poly.m(4) == 3
         # the defining identity sum_{j|n} j m_j = q^n
+        divs = _divisor_lists(30)
         for n in range(1, 31):
-            assert sum(j * poly.m(j) for j in st.divisors(n)) == 2 ** n
+            assert sum(j * poly.m(j) for j in divs[n]) == 2 ** n
 
     def test_two_regular(self):
         spec = st.two_regular_graphs()
@@ -392,7 +394,7 @@ def ptheta_table_fraction(spec, n, theta):
                     acc += math.comb(nn - 1, j - 1) * theta * Fraction(mj) * p[nn - j]
             p.append(st.as_integral(acc))
         return p
-    divs = st.divisor_sieve(n)
+    divs = _divisor_lists(n)
     sign = 1 if spec.kind is st.Kind.MULTISET else -1
     th = theta if spec.kind is st.Kind.MULTISET else -theta
     g = [0]
@@ -667,26 +669,16 @@ class TestThetaOneTableForms:
     @pytest.mark.parametrize("make", POLY_SPECS, ids=POLY_IDS)
     def test_sieve_matches_moebius_sum(self, make):
         spec = make()
-        m_i = spec.m_fn  # the Moebius sum over the divisors of i
-        assert spec.m_list_fn(512) == [m_i(k) for k in range(1, 513)]
-        got = spec.m_list(512)
-        assert got == [m_i(k) for k in range(1, 513)]
+        want = _moebius_m(spec.params["q"], 600)
+        assert spec.m_list_fn(600) == want
+        got = spec.m_list(600)
+        assert got == want
         assert all(type(v) is int for v in got)
         assert spec._m_cache == dict(enumerate(got, start=1))
 
     def test_fresh_spec_sieves_again(self, monkeypatch):
         # the sieve's m_k live in each spec's own memo, none across specs
-        calls = []
-        sieve = st._poly_m_list
-
-        def spy(q):
-            fill = sieve(q)
-
-            def m_list(n):
-                calls.append((q, n))
-                return fill(n)
-            return m_list
-        monkeypatch.setattr(st, "_poly_m_list", spy)
+        calls = _spy_sieve(monkeypatch)
         first = st.polynomials(2)
         st.ptheta_table(first, 128, 2)
         st.ptheta_table(first, 128, Fraction(1, 2))  # its memo: no sieve
@@ -697,11 +689,87 @@ class TestThetaOneTableForms:
             == typed(st.ptheta_table(first, 128, 2))
         assert calls == [(2, 128)] * 2
 
+    def test_m_by_index_doubles_the_sieve(self, monkeypatch):
+        # m(i) sieves to at least twice the largest index it holds: m(1),
+        # ..., m(60) take the sieves to 1, 2, 4, 8, 16, 32 and 64
+        calls = _spy_sieve(monkeypatch)
+        spec = st.polynomials(2)
+        assert [spec.m(i) for i in range(1, 61)] == _moebius_m(2, 60)
+        assert len(calls) <= 7
+
     def test_m_list_keeps_memoized_entries(self):
         spec = st.squarefree_polynomials(5)
         m5 = spec.m(5)  # 624
-        assert spec.m_list(8) == [spec.m_fn(k) for k in range(1, 9)]
+        assert spec.m_list(8) == _moebius_m(5, 8)
         assert spec._m_cache[5] is m5
+
+
+def _moebius(k):
+    """mu(k) by trial division."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def _moebius_m(q, n):
+    """[m_1, ..., m_n] of polynomials(q) by Gauss's Moebius sum, m_i = (1/i)
+    sum_{k|i} mu(i/k) q^k."""
+    divs = _divisor_lists(n)
+    return [sum(_moebius(i // k) * q ** k for k in divs[i]) // i
+            for i in range(1, n + 1)]
+
+
+def _spy_sieve(monkeypatch):
+    """The (q, n) of every _poly_m_list sieve of the specs made after it."""
+    calls = []
+    sieve = st._poly_m_list
+
+    def spy(q):
+        fill = sieve(q)
+
+        def m_list(n):
+            calls.append((q, n))
+            return fill(n)
+        return m_list
+    monkeypatch.setattr(st, "_poly_m_list", spy)
+    return calls
+
+
+# sha256 of repr(ptheta_table(spec, n, theta)), taken before integer
+# partitions at theta = 1 moved to the Durfee form and the divisor
+# recurrence to its pass over multiples
+TABLE_DIGESTS = [
+    (st.integer_partitions, 512, 1,
+     "b156e1b94ad4e88f444f32d2854fd4d61235a713a780b216261c40ef0c6191a1"),
+    (st.integer_partitions, 512, 2,
+     "80fcaa9bf59d2ce79487c6a6ca15fe29c18556249bc9b96146a91ea392c5830d"),
+    (st.integer_partitions, 512, Fraction(1, 2),
+     "55ef8cdca6786172c6f09ab19996f23a8b9b9698c6bcbfdf366dadfb73c0843d"),
+    (st.integer_partitions, 512, Fraction(3, 5),
+     "dd70f7f3a0e3c4b02b92a180c1062dd0c6e5222ac5d0a78fc77d2ce93baaf740"),
+    (lambda: st.polynomials(2), 256, Fraction(1, 2),
+     "ecb9f190f4355ced35ed6c0021972cd238b15e172a53e0df4b1ab9bc81bc6f79"),
+    (lambda: st.polynomials(2), 256, 2,
+     "d79413fc4c77277b64790e5ad7a3f50297ac2c9bab0b30c7032af2cf37c0db5d"),
+    (lambda: st.squarefree_polynomials(2), 256, Fraction(1, 2),
+     "dca3117aa0e1d393ebaaedd3835b7d3a55c0ffd1f4f9ac28e46c14c2e1c56003"),
+    (lambda: st.squarefree_polynomials(2), 256, 2,
+     "eabd600d7ca12b9662956af6135c5bf742f60916a7f53d60d5d48f9b307c112b"),
+]
+
+
+@pytest.mark.parametrize("make,n,theta,digest", TABLE_DIGESTS,
+                         ids=[f"{make().name}-{n}-{theta}"
+                              for make, n, theta, _ in TABLE_DIGESTS])
+def test_exact_table_pinned(make, n, theta, digest):
+    table = st.ptheta_table(make(), n, theta)
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
 
 
 class TestTableSlots:

@@ -26,6 +26,7 @@ from combstruct.errors import NumericGuardError, ParameterDomainError
 from combstruct.indep_process import (TiltedParams, choose_x, log_m_array,
                                       z_law, z_pmf_rows)
 from cli_helpers import write_specs
+from scalar_refs import divisor_lists as _divisor_lists
 from scalar_refs import log_factorial as _ref_log_factorial
 from scalar_refs import log_weight_mp as _log_weight_mp
 from scalar_refs import m_softplus as _m_softplus
@@ -215,7 +216,7 @@ def _ref_g_array(spec, B, n_max, params):
                 g[i] = math.exp(lth + _log_weight_mp(spec, i) + i * lx
                                 + math.log(i))
         return g
-    divs = st.divisor_sieve(n_max)
+    divs = _divisor_lists(n_max)
     for i in range(1, n_max + 1):
         acc = 0.0
         for k in divs[i]:
@@ -328,11 +329,12 @@ class TestArrayRoutesMatchScalarReferences:
                     want += _ref_log_factorial(k)
                 assert got[k] == want, (spec.name, k)
 
-    def test_no_divisor_sieve_on_the_float_path(self, monkeypatch):
-        def boom(n):
-            raise AssertionError("divisor_sieve called")
-        monkeypatch.setattr(st, "divisor_sieve", boom)
-        monkeypatch.setattr(sd, "divisor_sieve", boom, raising=False)
+    def test_no_exact_table_on_the_float_path(self, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("an exact p_theta table was built")
+        monkeypatch.setattr(st, "_divisor_recurrence", boom)
+        monkeypatch.setattr(st, "ptheta_table", boom)
+        monkeypatch.setattr(sd, "ptheta_table", boom)
         spec = st.integer_partitions()
         params = TiltedParams(choose_x(spec, 2000), 1)
         sd.prob_T_eq_n(spec, 2000, params)
