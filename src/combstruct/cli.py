@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import itertools
 import json
 import math
 import os
@@ -40,19 +41,20 @@ from . import sampler as smp
 # parsing and formatting helpers
 # ---------------------------------------------------------------------------
 
-def parse_index_set(text: str) -> tuple:
-    """Range/list syntax: '1..5,7' -> (1,2,3,4,5,7); '' -> ()."""
-    out = set()
+def parse_index_set(text: str) -> sumdist.IndexSet:
+    """Range/list syntax: '1..5,7' -> (1,2,3,4,5,7); '' -> ().  The chunks
+    are read as ranges into one int64 array, with no set of Python ints."""
+    parts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ".." in chunk:
             lo, hi = chunk.split("..")
-            out.update(range(int(lo), int(hi) + 1))
+            parts.append(range(int(lo), int(hi) + 1))
         else:
-            out.add(int(chunk))
-    return sumdist.index_set(out)
+            parts.append((int(chunk),))
+    return sumdist.index_set(itertools.chain.from_iterable(parts))
 
 
 def parse_number(text: str):
@@ -251,7 +253,7 @@ def cmd_moments(args) -> Output:
     spec = _load_spec(args)
     n = args.n
     theta = args.theta
-    js = parse_index_set(args.j) if args.j else tuple(range(1, n + 1))
+    js = parse_index_set(args.j) if args.j else range(1, n + 1)
     out = Output(args, spec)
     out.add_header("params", f"n={n} theta={theta} r={args.r}")
     params = None if st.exact_route(n, theta) else TiltedParams(

@@ -201,7 +201,7 @@ def _prefix_table(spec: StructureSpec, n: int,
         pk = np.zeros(off[-1] + n)
         pk[0] = 1.0
         kmax = np.zeros(n + 1, dtype=np.int64)
-        for i, pk_i, p in sumdist.prefix_pmfs(spec, tuple(range(1, n + 1)),
+        for i, pk_i, p in sumdist.prefix_pmfs(spec, range(1, n + 1),
                                               n, params):
             qc[tri[i:n - i] + i] = p[i:n - i]  # row i into its kept columns
             qc[tri[n] + i] = p[n]

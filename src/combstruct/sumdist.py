@@ -69,13 +69,20 @@ indep_process.z_pmf_rows call.  It costs sum_i n_max min(m_i, n_max / i),
 which is O(n^2) when every m_i is 0 or 1 and O(n^2 log n) for square-free
 polynomials.
 
+An index set B is an IndexSet: one sorted, read-only int64 array, which
+the seed, g, the active indices and the convolution read as it is (a
+range is one np.arange, a complement the np.flatnonzero array it is found
+in, the part of B above a split index a view).  Where B up to n_max is one
+run of indices, its active indices and their log weights and seed terms
+are views too (_take), so a full set or a complement at n = 16000 costs
+128 KB and no route holds an n-length Python sequence.
+
 Everything is truncated at n_max with the missing mass reported as an
 explicit tail.
 """
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import math
 import sys
@@ -183,53 +190,118 @@ def _aligned_zeros(n: int) -> np.ndarray:
     return buf[off:off + n]
 
 
-class IndexSet(tuple):
-    """A sorted tuple of distinct indices >= 1, as index_set returns it.
-    It keeps its read-only int64 array (_index_array) once made."""
+_CHUNK = 4096  # entries per tolist() where an array is read as Python numbers
+
+
+def _stream(a: np.ndarray):
+    """The entries of a as Python numbers, in order, _CHUNK at a time, so
+    that no list of all of them is held."""
+    for i in range(0, len(a), _CHUNK):
+        yield from a[i:i + _CHUNK].tolist()
+
+
+class IndexSet:
+    """A sorted set of distinct indices >= 1, as index_set returns it,
+    stored as one read-only int64 array (_array) and nothing else: 8 bytes
+    an index, where a tuple of Python ints took 40 (0.63 MB for a full set
+    at n = 16000).
+
+    It reads like the tuple of its indices: len, truth, B[i] and iteration
+    give Python ints, B[a:b] is an IndexSet on a view of the same array,
+    and it equals the tuple (or IndexSet) of the same indices.  The array
+    given to the constructor is taken as it is, unchecked: index_set and
+    complement make the only ones."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, arr: np.ndarray):
+        arr.flags.writeable = False
+        self._array = arr
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __bool__(self) -> bool:
+        return bool(len(self._array))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            if i.step is not None and i.step < 1:
+                raise ValueError("an IndexSet slice keeps ascending order")
+            return IndexSet(self._array[i])
+        return int(self._array[i])
+
+    def __iter__(self):
+        return _stream(self._array)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IndexSet):
+            return bool(np.array_equal(self._array, other._array))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the equal tuple's
+
+    def __repr__(self) -> str:
+        return f"IndexSet({tuple(self)!r})"
 
 
 def index_set(B: Iterable[int]) -> IndexSet:
-    """B as an IndexSet: an IndexSet is returned as it is, and a unit-step
-    range is taken in order without a set or a sort."""
+    """B as an IndexSet: an IndexSet is returned as it is, a range is one
+    np.arange (reversed where its step is negative), and any other iterable
+    of integers is read into an int64 array, sorted, with its repeats
+    dropped."""
     if isinstance(B, IndexSet):
         return B
-    if isinstance(B, range) and B.step == 1:
-        bs = B
+    if isinstance(B, range):
+        B = B if B.step > 0 else B[::-1]
+        arr = np.arange(B.start, B.stop, B.step, dtype=np.int64)
     else:
-        bs = sorted(set(int(i) for i in B))
-    if bs and bs[0] < 1:
+        try:
+            arr = np.fromiter(map(int, B), dtype=np.int64)
+        except OverflowError:
+            raise ParameterDomainError(
+                "index sets contain integers below 2^63 only") from None
+        arr = _distinct(np.sort(arr))
+    if len(arr) and arr[0] < 1:
         raise ParameterDomainError("index sets contain integers >= 1 only")
-    return IndexSet(bs)
+    return IndexSet(arr)
 
 
-def _index_array(B: IndexSet) -> np.ndarray:
-    """B as a read-only int64 array, made once per IndexSet and kept on it:
-    the seed, g and the convolution of one request read the same set, and
-    converting a 15,995-index complement took 0.43 ms at n = 16000.
-    1..len(B), the one index set whose largest index is its length, is an
-    arange: converting its 16000 ints one by one took 0.6 ms."""
-    arr = getattr(B, "_array", None)
-    if arr is None:
-        arr = (np.arange(1, len(B) + 1) if B and B[-1] == len(B)
-               else np.asarray(B, dtype=np.int64))
-        arr.flags.writeable = False
-        if isinstance(B, IndexSet):
-            B._array = arr
-    return arr
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted array a without its repeats; np.unique would import
+    numpy.ma on its first call."""
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+
+def _index_array(B: Iterable[int]) -> np.ndarray:
+    """index_set(B) as its read-only int64 array."""
+    return index_set(B)._array
+
+
+def _upto(B: Iterable[int], n: int) -> int:
+    """The number of indices of B that are at most n."""
+    return int(np.searchsorted(_index_array(B), n, side="right"))
+
+
+def _take(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """a[ks] for sorted distinct indices ks: a view where ks is one run of
+    consecutive indices (a full set, a range), else a gather."""
+    if len(ks) and int(ks[-1]) - int(ks[0]) == len(ks) - 1:
+        return a[int(ks[0]):int(ks[-1]) + 1]
+    return a[ks]
 
 
 def complement(B: Iterable[int], n: int) -> IndexSet:
-    """The indices 1..n that are not in B, keeping the array they were
-    found in as their _index_array."""
+    """The indices 1..n that are not in B, as the np.flatnonzero array they
+    are found in."""
     B = index_set(B)
     keep = np.ones(n + 1, dtype=bool)
     keep[0] = False
-    keep[_index_array(B)[: bisect.bisect_right(B, n)]] = False
-    arr = np.flatnonzero(keep).astype(np.int64, copy=False)
-    arr.flags.writeable = False
-    out = IndexSet(arr.tolist())
-    out._array = arr
-    return out
+    keep[B._array[:_upto(B, n)]] = False
+    return IndexSet(np.flatnonzero(keep).astype(np.int64, copy=False))
 
 
 @dataclass
@@ -271,11 +343,14 @@ class PmfVector:
 def _active_indices(spec: StructureSpec, B: IndexSet,
                     n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(ks, log w_k) for the k in B with k <= n_max and m_k != 0, w_k the
-    log_m_array weight."""
+    log_m_array weight: views of B's array and of log_m_array where every
+    such k is active and B up to n_max is one run of indices (_take)."""
     lm = log_m_array(spec, n_max)
-    ks = _index_array(B)[: bisect.bisect_right(B, n_max)]
-    lmk = lm[ks]
+    ks = _index_array(B)[:_upto(B, n_max)]
+    lmk = _take(lm, ks)
     keep = lmk != -np.inf
+    if keep.all():
+        return ks, lmk
     return ks[keep], lmk[keep]
 
 
@@ -288,16 +363,18 @@ def log_seed(spec: StructureSpec, B: Iterable[int], params: TiltedParams) -> flo
     request's log_p_zero_array, the one implementation of the big-m policy
     that the per-index laws read too.  The sum is math.fsum: a running sum
     of n terms would add up to n roundings of the total (2.4e-13 in the log
-    at n = 2000 for distinct partitions, where the seed is e^-40).
+    at n = 2000 for distinct partitions, where the seed is e^-40).  fsum
+    rounds the exact sum once, whatever the order, so it reads the terms
+    as a stream (_stream), not as one list of n floats.
     """
     B = index_set(B)
     if not B:
         return 0.0
     params.validate(spec, B[-1])
-    terms = log_p_zero_array(spec, B[-1], params)[_index_array(B)]
+    terms = _take(log_p_zero_array(spec, B[-1], params), B._array)
     if spec.kind is Kind.ASSEMBLY and np.any(terms == -np.inf):
         raise OverflowError("math range error")
-    return math.fsum(terms.tolist())
+    return math.fsum(_stream(terms))
 
 
 @overflow_guard("a recursion weight g(i)")
@@ -675,7 +752,8 @@ def _solve_recursion(g: np.ndarray, n_max: int,
     solve = _BandSolve(ab, x)
     tail = 0.0  # T_{k0-1}
     c_far = c * rho ** (beta + 1)
-    peak = q.copy()  # peak[j] = max(q[:j+1]) from q[0] = 1 on, read with cut
+    # peak[j] = max(q[:j+1]) from q[0] = 1 on, read while cut > 0 only
+    peak = q.copy() if cut else None
     room = _BLOCK_BITS - n_max.bit_length()
     ks = np.arange(n_max + 1, dtype=float)
     shift = 0
@@ -756,7 +834,8 @@ def _solve_recursion(g: np.ndarray, n_max: int,
                     v[:k1][low] = q[:k1][low]
                     kept[:k1][low] = shift
                     q[:k1] *= _RESCALE_INV
-                    peak[:k1] *= _RESCALE_INV
+                    if cut:
+                        peak[:k1] *= _RESCALE_INV
                     tail *= _RESCALE_INV
                     running_max *= _RESCALE_INV
                     shift += 512
@@ -920,7 +999,7 @@ def _pmf_by_convolution(spec: StructureSpec, B: IndexSet, n_max: int,
     B = index_set(B)
     ks = _active_indices(spec, B, n_max)[0]
     if B and B[-1] > n_max:
-        ks = np.concatenate((ks, _index_array(B)[bisect.bisect_right(B, n_max):]))
+        ks = np.concatenate((ks, B._array[_upto(B, n_max):]))
     p = np.eye(1, n_max + 1)[0]
     for _i, _pk, p in _prefix(spec, ks, n_max, params, p):
         pass
@@ -933,7 +1012,7 @@ def prefix_pmfs(spec: StructureSpec, B: IndexSet, n_max: int,
     k <= min(n_max // i, m_i), z_pmf_rows' row without its trailing zeros,
     and p the pmf of sum_{j in B, j <= i} j Z_j on 0..n_max (_prefix from
     the point mass at 0)."""
-    yield from _prefix(spec, _index_array(index_set(B)), n_max, params,
+    yield from _prefix(spec, _index_array(B), n_max, params,
                        np.eye(1, n_max + 1)[0])
 
 
@@ -956,7 +1035,7 @@ def _prefix(spec: StructureSpec, ks: np.ndarray, n_max: int,
             few = lm < np.log(k_max)  # m_i < n_max // i: e^lm rounds to m_i
         m = np.rint(np.exp(np.where(few, lm, 0.0))).astype(np.int64)
         k_max = np.where(few, m, k_max)
-    for i, pk in zip(ks.tolist(), z_pmf_rows(spec, ks, k_max, params)):
+    for i, pk in zip(_stream(ks), z_pmf_rows(spec, ks, k_max, params)):
         nonzero = pk.nonzero()[0]
         pk = pk[: nonzero[-1] + 1 if nonzero.size else 1]
         if len(pk) > 1 or pk[0] != 1.0:
@@ -981,8 +1060,7 @@ def _join(spec: StructureSpec, ks: np.ndarray, n_max: int,
     value grows: each update is a mix with weights P(Z_i = k) <= 1.
     """
     w = e = None
-    # ascending; np.unique would import numpy.ma on its first call
-    for x in sorted(set(shift.tolist())):
+    for x in _distinct(np.sort(shift)).tolist():  # the exponents, ascending
         part = np.where(shift == x, v, 0.0)
         for _i, _pk, part in _prefix(spec, ks, n_max, params, part):
             pass
@@ -1062,7 +1140,7 @@ def _auto_pmf(spec: StructureSpec, B: IndexSet, n_max: int,
             if j < len(ks) and float(cost[:j].sum()) + rec <= conv:
                 high = B
                 if s:
-                    high = IndexSet(B[bisect.bisect_right(B, s):])
+                    high = B[_upto(B, s):]  # a view
                     g = _g_array(spec, high, n_max, params, (ks[j:], lm[j:]))
                 v, shift, lseed = _pmf_by_recursion(spec, high, n_max, params,
                                                     certify=True, g=g)
@@ -1121,7 +1199,7 @@ def weighted_sum_pmf(spec: StructureSpec, B: Iterable[int], n_max: int,
         return _assemble(np.eye(1, n_max + 1)[0], 0, 0.0)
     if method == "convolution":
         triple = _pmf_by_convolution(spec, B, n_max, params)
-    elif bisect.bisect_right(B, n_max) == len(B) == n_max:
+    elif B[-1] == len(B) == n_max:
         # B = 1..n_max; one reaching past n_max is not kept: its seed differs
         triple = _full_set(spec, n_max, params)[0]
     else:

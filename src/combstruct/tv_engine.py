@@ -145,7 +145,7 @@ def tv_heuristic(spec: StructureSpec, B: Iterable[int], n: int,
         return 0.0
     if pr is None:
         pr = weighted_sum_pmf(spec, B, n, params)
-    mean, _ = mean_var_arrays(spec, max(B), params)
+    mean, _ = mean_var_arrays(spec, B[-1], params)
     idx = _index_array(B)
     mu = float((idx * mean[idx]).sum())
     r = np.arange(n + 1)

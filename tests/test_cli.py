@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -1096,6 +1097,39 @@ class TestIndexSetSyntax:
         assert cli.parse_index_set("1..5,7") == (1, 2, 3, 4, 5, 7)
         assert cli.parse_index_set("") == ()
         assert cli.parse_index_set("3,1,1") == (1, 3)
+
+    def test_parse_makes_an_index_set(self):
+        B = cli.parse_index_set("9,2..4, ,1..3")
+        assert isinstance(B, sd.IndexSet) and B == (1, 2, 3, 4, 9)
+        assert cli.parse_index_set("5..3") == ()
+        for text in ("0,2", "-1", str(2 ** 63)):
+            with pytest.raises(ParameterDomainError):
+                cli.parse_index_set(text)
+
+
+class TestRequestMemory:
+    # the tracemalloc peak of one float-route request at n = 16000, after a
+    # warm-up request (imports, the parser): an index set is one int64
+    # array of 8 bytes an index, where a tuple of Python ints took 40, and
+    # no n-length Python list is held.  With tuples, prob-t's two full sets
+    # and tv's complement read 3.77 and 2.61 MB here
+    @pytest.mark.parametrize("argv,bound_mb", [
+        (["prob-t", "setpartitions"], 3.0),
+        (["tv", "intpart", "--B", "1,3,5,7,9"], 2.3),
+    ], ids=["prob-t", "tv"])
+    def test_peak_of_one_request(self, spec_files, argv, bound_mb):
+        cmd, spec, *rest = argv
+        full = [cmd, "--spec", spec_files[spec], "--n", "16000",
+                "--choose-x", "exact_mean", *rest]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(full) == 0
+            tracemalloc.start()
+            try:
+                assert cli.run(full) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < bound_mb * 1e6, peak
 
 
 def _cli_stdout(argv, threads="1"):

@@ -264,6 +264,25 @@ class TestSelectionFloatMoments:
         with pytest.raises(NumericGuardError, match="cancels"):
             mom.factorial_moment_single(spec, 1000, 1, 1, theta=2)
 
+    @pytest.mark.parametrize("spec,p_share", [
+        (st.polynomials(2), 1.0), (st.squarefree_polynomials(3), 2 / 3)],
+        ids=["polynomials(2)", "squarefree_polynomials(3)"])
+    def test_large_lead_is_read_from_log_m(self, spec, p_share):
+        # m_j of a polynomial family comes from a sieve of m_1..m_j; the
+        # float route reads log m_j where m_j >= 2^40, so a lone large j
+        # fills no exact m_j.  E C_n = m_n / p(n), with m_n = q^n / n to
+        # within q^(-n/2) relative and p(n) = p_share q^n
+        n = 4000
+        params = TiltedParams(choose_x(spec, n, 1, "exact_mean"), 1)
+        got = mom.factorial_moment_single(spec, n, n, 1, params)
+        assert spec._m_cache == {}
+        assert got == pytest.approx(1 / (n * p_share), rel=1e-10)
+        # a small m_j is read exactly: squarefree_polynomials(3) has
+        # m_1 = 3, so its (C_1)_[4] vanishes
+        small = mom.factorial_moment_single(spec, n, 1, 4, params)
+        assert (small == 0.0) is (spec.kind is st.Kind.SELECTION)
+        assert list(spec._m_cache) == [1]
+
 
 class TestEsfClosedForms:
     def test_kappa_one_is_uniform_permutations(self):

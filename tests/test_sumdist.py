@@ -1,6 +1,7 @@
 """Weighted-sum distributions: recursion vs convolution, the conditioning
 probability identities, and conditional laws."""
 
+import bisect
 import contextlib
 import io
 import json
@@ -1704,6 +1705,79 @@ class TestIndexSets:
             assert sd._index_array(B) is arr
         # a plain tuple is converted on each call and keeps nothing
         assert sd._index_array((2, 5)).tolist() == [2, 5]
+
+    @staticmethod
+    def _sets():
+        return (sd.index_set([9, 2, 5, 2]), sd.index_set(range(1, 50)),
+                sd.index_set(range(3, 100, 7)), sd.complement((1, 4, 6), 40),
+                sd.index_set(np.array([8, 3, 3, 1])), sd.index_set([]))
+
+    def test_array_is_the_only_store(self):
+        for B in self._sets():
+            assert type(B).__slots__ == ("_array",)
+            assert not hasattr(B, "__dict__")
+            assert B._array.dtype == np.int64 and not B._array.flags.writeable
+            assert sd._index_array(B) is B._array
+            if B:
+                with pytest.raises(ValueError):
+                    B._array[0] = 1
+
+    def test_items_and_iteration_are_python_ints(self):
+        # iteration reads the array in chunks of _CHUNK: this set spans three
+        B = sd.index_set(range(1, 2 * sd._CHUNK + 10))
+        for C in (*self._sets(), B):
+            assert all(type(i) is int for i in C)
+            if C:
+                assert type(C[0]) is int and type(C[-1]) is int
+                assert C[-1] == max(C) and C[0] == min(C)
+        assert list(B) == list(range(1, 2 * sd._CHUNK + 10))
+
+    def test_slices_view_the_same_array(self):
+        B = sd.index_set(range(10, 60, 3))
+        for part in (B[2:7], B[5:], B[:3], B[::2], B[4:4]):
+            assert isinstance(part, sd.IndexSet)
+            assert np.shares_memory(part._array, B._array) or not part
+            assert not part._array.flags.writeable
+        assert B[2:7] == tuple(range(10, 60, 3))[2:7]
+        with pytest.raises(ValueError):
+            B[::-1]
+
+    def test_equals_the_tuple_of_its_indices(self):
+        B = sd.index_set([7, 1, 4])
+        assert B == (1, 4, 7) and (1, 4, 7) == B
+        assert B != (1, 4) and B != (1, 4, 8) and B != (7, 4, 1)
+        assert B == sd.index_set(range(1, 8, 3))
+        assert hash(B) == hash((1, 4, 7))
+        assert sd.index_set([]) == () and not sd.index_set([])
+        assert B != [1, 4, 7]  # a tuple, as before, not a list
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(idx=hs.lists(hs.integers(1, 200), max_size=80),
+           n=hs.integers(1, 200), cut=hs.integers(-1, 201),
+           a=hs.integers(-90, 90) | hs.none(),
+           b=hs.integers(-90, 90) | hs.none(), step=hs.integers(1, 4))
+    def test_against_a_tuple_model(self, idx, n, cut, a, b, step):
+        # unsorted, repeated and past-n indices, against the sorted tuple of
+        # distinct indices that an IndexSet stood for
+        model = tuple(sorted(set(idx)))
+        for B in (sd.index_set(idx), sd.index_set(np.array(idx, dtype=int))):
+            assert B == model and len(B) == len(model)
+            assert bool(B) is bool(model)
+            assert sd._index_array(B).tolist() == list(model)
+            assert sd.index_set(B) is B
+            if model:
+                assert (B[0], B[-1]) == (model[0], model[-1])
+            assert B[a:b:step] == model[a:b:step]
+            assert sd._upto(B, cut) == bisect.bisect_right(model, cut)
+            arr = sd._index_array(B)
+            assert (int(np.searchsorted(arr, cut, side="left"))
+                    == bisect.bisect_left(model, cut))
+            comp = sd.complement(B, n)
+            want = tuple(i for i in range(1, n + 1) if i not in model)
+            assert comp == want and len(comp) == len(want)
+            assert bool(comp) is bool(want)
+            assert sd._index_array(comp).tolist() == list(want)
+            assert sd.complement(idx, n) == comp
 
 
 class TestConvolutionFirst:
